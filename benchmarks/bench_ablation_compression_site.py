@@ -7,7 +7,7 @@ a bottleneck; Seabed compresses at the workers.  We measure both paths.
 
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.workloads import synthetic
 
@@ -21,7 +21,7 @@ def test_ablation_compression_site(benchmark, scale, paper_cluster):
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("sel", dtype="int", sensitive=False),
     ])
-    client = SeabedClient(mode="seabed", cluster=paper_cluster, seed=1)
+    client = SeabedSession(mode="seabed", cluster=paper_cluster, seed=1)
     client.create_plan(schema, ["SELECT sum(value) FROM synth"])
     client.upload("synth", columns, num_partitions=128)
     sql = "SELECT sum(value) FROM synth WHERE sel < 500000"

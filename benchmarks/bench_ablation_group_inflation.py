@@ -8,7 +8,7 @@ and latency with the optimisation disabled and enabled.
 
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.workloads import synthetic
 
@@ -27,7 +27,7 @@ def test_ablation_group_inflation(benchmark, scale):
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("grp", dtype="int", sensitive=True),
     ])
-    client = SeabedClient(mode="seabed", cluster=cluster, seed=1)
+    client = SeabedSession(mode="seabed", cluster=cluster, seed=1)
     client.create_plan(schema, [
         "SELECT grp, sum(value) FROM synth GROUP BY grp",
     ])

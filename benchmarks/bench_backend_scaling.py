@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.workloads import synthetic
@@ -65,7 +65,7 @@ def _build(backend, rows):
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("sel", dtype="int", sensitive=False),
     ])
-    client = SeabedClient(mode="seabed", cluster=cluster, seed=1)
+    client = SeabedSession(mode="seabed", cluster=cluster, seed=1)
     client.create_plan(schema, [FULL])
     client.upload("synth", columns, num_partitions=PARTITIONS)
     return client

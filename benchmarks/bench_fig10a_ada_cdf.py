@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ResultSink, cdf_points, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.workloads import adanalytics
 
 
@@ -19,7 +19,7 @@ def clients(scale, paper_cluster):
     samples = adanalytics.sample_queries(dataset)
     out = {}
     for mode in ("plain", "seabed", "paillier"):
-        client = SeabedClient(mode=mode, cluster=paper_cluster,
+        client = SeabedSession(mode=mode, cluster=paper_cluster,
                               paillier_bits=scale["paillier_bits"],
                               paillier_blinding_pool=32, seed=2)
         client.create_plan(dataset.schema, samples, storage_budget=10.0)

@@ -14,7 +14,7 @@ orders of magnitude above both.
 import numpy as np
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.workloads import synthetic
 
@@ -27,7 +27,7 @@ def _build_client(mode, rows, cluster, scale):
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("sel", dtype="int", sensitive=False),
     ])
-    client = SeabedClient(
+    client = SeabedSession(
         mode=mode, cluster=cluster, paillier_bits=scale["paillier_bits"],
         paillier_blinding_pool=32, seed=1,
     )

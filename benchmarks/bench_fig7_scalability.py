@@ -12,7 +12,7 @@ durations, which is exactly how added cores help a real Spark stage.
 
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.workloads import synthetic
@@ -28,7 +28,7 @@ def _build(mode, rows, cluster, scale):
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("sel", dtype="int", sensitive=False),
     ])
-    client = SeabedClient(mode=mode, cluster=cluster,
+    client = SeabedSession(mode=mode, cluster=cluster,
                           paillier_bits=scale["paillier_bits"],
                           paillier_blinding_pool=32, seed=1)
     client.create_plan(schema, ["SELECT sum(value) FROM synth"])

@@ -12,7 +12,7 @@
 import numpy as np
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.idlist import IdList, get_codec
@@ -99,7 +99,7 @@ def test_fig8c_ope_selection_overhead(benchmark, scale):
     cluster = SimulatedCluster(ClusterConfig(
         cores=100, job_startup_s=0.0005, task_startup_s=2e-5,
     ))
-    client = SeabedClient(mode="seabed", cluster=cluster, seed=1)
+    client = SeabedSession(mode="seabed", cluster=cluster, seed=1)
     client.create_plan(schema, [
         "SELECT sum(value) FROM synth WHERE ope_val > 10",
     ])

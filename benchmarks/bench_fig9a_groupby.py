@@ -8,7 +8,7 @@ NoEnc stays cheapest throughout.
 
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.workloads import synthetic
 
@@ -19,7 +19,7 @@ def _client(mode, rows, groups, cluster, scale):
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("grp", dtype="int", sensitive=True),
     ])
-    client = SeabedClient(mode=mode, cluster=cluster,
+    client = SeabedSession(mode=mode, cluster=cluster,
                           paillier_bits=scale["paillier_bits"],
                           paillier_blinding_pool=32, seed=1)
     client.create_plan(schema, [

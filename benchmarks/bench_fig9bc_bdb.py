@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.rdd import RDD
 from repro.workloads import bdb
@@ -25,7 +25,7 @@ def clients(scale):
     ))
     out = {}
     for mode in ("plain", "seabed", "paillier"):
-        client = SeabedClient(mode=mode, cluster=cluster,
+        client = SeabedSession(mode=mode, cluster=cluster,
                               paillier_bits=scale["paillier_bits"],
                               paillier_blinding_pool=32, seed=2)
         client.create_plan(data.uservisits_schema, bdb.sample_queries())

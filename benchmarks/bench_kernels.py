@@ -122,7 +122,7 @@ def test_kernel_microbench(scale):
     sub_codes = codes[:ref_rows].tolist()
 
     def det_per_row():
-        return [det._encrypt_one(c) for c in sub_codes]
+        return [det.encrypt_one(c) for c in sub_codes]
 
     ops["det_encrypt"] = {
         "batch_ns": _ns_per_op(lambda: det.encrypt_column(codes), rows),

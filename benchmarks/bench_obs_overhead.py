@@ -23,7 +23,7 @@ from pathlib import Path
 
 import repro.obs
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.obs import trace as obs_trace
 from repro.workloads import synthetic
@@ -45,7 +45,7 @@ def _build(rows, cluster, scale):
     schema = TableSchema("synth", [
         ColumnSpec("value", dtype="int", sensitive=True, nbits=32),
     ])
-    client = SeabedClient(mode="seabed", cluster=cluster,
+    client = SeabedSession(mode="seabed", cluster=cluster,
                           paillier_bits=scale["paillier_bits"],
                           paillier_blinding_pool=32, seed=1)
     client.create_plan(schema, [_QUERY])

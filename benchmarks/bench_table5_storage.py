@@ -11,7 +11,7 @@ check against the paper: Seabed costs ~1.1-2x NoEnc, Paillier 3-15x
 import pytest
 
 from repro.bench import ResultSink, format_table
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.engine.storage import disk_size, memory_size
 from repro.workloads import adanalytics, synthetic
 
@@ -39,7 +39,7 @@ def test_table5_storage(benchmark, scale, dataset_name):
 
     def build_all():
         for mode in ("plain", "seabed", "paillier"):
-            client = SeabedClient(
+            client = SeabedSession(
                 mode=mode, paillier_bits=scale["paillier_bits"],
                 paillier_blinding_pool=32, seed=1,
             )

@@ -11,7 +11,7 @@ Run:  python examples/ad_analytics.py
 """
 
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.workloads import adanalytics
 
 ROWS = 30_000
@@ -23,7 +23,7 @@ clients = {}
 for mode in ("plain", "seabed", "paillier"):
     # The blinding pool accelerates baseline *setup* only (documented
     # insecure); server-side Paillier costs are unchanged.
-    client = SeabedClient(mode=mode, paillier_bits=1024, seed=2,
+    client = SeabedSession(mode=mode, paillier_bits=1024, seed=2,
                           paillier_blinding_pool=64)
     report = client.create_plan(dataset.schema, samples, storage_budget=10.0)
     client.upload("ad_analytics", dataset.columns, num_partitions=8)

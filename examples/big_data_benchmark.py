@@ -12,13 +12,13 @@ Run:  python examples/big_data_benchmark.py
 
 import numpy as np
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.engine.rdd import RDD
 from repro.workloads import bdb
 
 data = bdb.generate(num_rankings=2_000, num_uservisits=20_000, seed=0)
-client = SeabedClient(mode="seabed")
+client = SeabedSession(mode="seabed")
 client.create_plan(data.uservisits_schema, bdb.sample_queries())
 client.create_plan(data.rankings_schema, bdb.sample_queries())
 client.upload("rankings", data.rankings, num_partitions=4)

@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.crypto.ore import OreScheme
 
@@ -37,7 +37,7 @@ schema = TableSchema("sensor", [
     ColumnSpec("ts", dtype="int", sensitive=True, nbits=32),
     ColumnSpec("reading", dtype="int", sensitive=True, nbits=32),
 ])
-client = SeabedClient(mode="seabed", master_key=MASTER_KEY)
+client = SeabedSession(mode="seabed", master_key=MASTER_KEY)
 client.create_plan(schema, [
     "SELECT sum(reading) FROM sensor WHERE ts BETWEEN 0 AND 10",
     "SELECT min(reading), max(reading), median(reading) FROM sensor",

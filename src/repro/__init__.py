@@ -15,8 +15,8 @@ Public entry points:
   many times with bound parameters.
 - :class:`repro.query.builder.QueryBuilder` / :func:`col` -- the fluent
   query builder, and :class:`repro.query.ast.Param` for placeholders.
-- :class:`repro.core.proxy.SeabedClient` -- deprecated back-compat shim
-  over ``SeabedSession``.
+- :class:`repro.core.session.EncryptedTable` -- the one table handle
+  (save / append / compact, and the sharding levers).
 - :class:`repro.core.schema.TableSchema` / :class:`ColumnSpec` -- schema
   declarations fed to the planner.
 - :mod:`repro.crypto` -- ASHE, DET, ORE, Paillier, PRFs.
@@ -39,7 +39,6 @@ __all__ = [
     "PreparedQuery",
     "QueryBuilder",
     "RemoteTransport",
-    "SeabedClient",
     "SeabedSession",
     "TableSchema",
     "Transport",
@@ -51,7 +50,6 @@ __all__ = [
 
 _LAZY = {
     "AppendStats": ("repro.core.session", "AppendStats"),
-    "SeabedClient": ("repro.core.proxy", "SeabedClient"),
     "SeabedSession": ("repro.core.session", "SeabedSession"),
     "EncryptedTable": ("repro.core.session", "EncryptedTable"),
     "PreparedQuery": ("repro.core.session", "PreparedQuery"),

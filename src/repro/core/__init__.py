@@ -20,19 +20,18 @@ This package is the paper's Figure 5 in code:
   post-processing (Section 4.6).
 - :mod:`repro.core.session` -- the :class:`SeabedSession` facade tying it
   all together (prepared queries, translation cache, NoEnc and Paillier
-  baseline modes).
-- :mod:`repro.core.proxy` -- the deprecated :class:`SeabedClient` shim
-  over the session API.
+  baseline modes) and the one table lifecycle (upload, append, compact,
+  attach) over single-store and sharded placement.
+- :mod:`repro.core.transport` -- the session's execution boundary and
+  the store host every serving process shares.
 """
 
-from repro.core.proxy import SeabedClient
 from repro.core.schema import ColumnSpec, Sensitivity, TableSchema
 from repro.core.session import PreparedQuery, SeabedSession
 
 __all__ = [
     "ColumnSpec",
     "PreparedQuery",
-    "SeabedClient",
     "SeabedSession",
     "Sensitivity",
     "TableSchema",

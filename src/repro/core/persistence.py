@@ -35,9 +35,8 @@ SIDECAR_NAME = "client_state.json"
 SIDECAR_FORMAT = "seabed-client-state"
 SIDECAR_VERSION = 1
 
-# A sharded table's sidecar lives at the *sharded root* (above the
-# per-node directories) and embeds the ordinary client state plus the
-# topology and per-shard row cursors; see write_sharded_sidecar.
+# A sharded table's sidecar embeds the ordinary client state plus the
+# topology and per-shard row cursors; see state_to_dict.
 SHARDED_SIDECAR_NAME = "sharded_state.json"
 SHARDED_FORMAT = "seabed-sharded-state"
 SHARDED_VERSION = 1
@@ -186,11 +185,24 @@ def state_to_dict(
     mode: str,
     prf_backend: str,
     keychain: KeyChain,
+    cursors: dict[int, ClientTableState],
+    topology: dict[str, Any] | None = None,
     paillier_n: int | None = None,
 ) -> dict[str, Any]:
-    return {
-        "format": SIDECAR_FORMAT,
-        "version": SIDECAR_VERSION,
+    """The key-free sidecar payload: the *commit record* of ingestion.
+
+    An appended generation counts as durable only once its row watermark
+    (``next_row_id`` / ``num_rows``, plus any dictionary growth) lands in
+    the sidecar.  A single-store table (one cursor, no ``topology``)
+    records its cursor at the top level; a sharded table adds a
+    ``sharding`` section with the ring topology (``ShardTopology.to_dict``)
+    and one cursor per shard -- shard row-ID spaces are disjoint strides,
+    so every shard keeps its own high-water mark.
+    """
+    watermark = state if topology is not None else cursors[0]
+    payload = {
+        "format": SIDECAR_FORMAT if topology is None else SHARDED_FORMAT,
+        "version": SIDECAR_VERSION if topology is None else SHARDED_VERSION,
         "mode": mode,
         "prf_backend": prf_backend,
         "key_check": key_check_value(keychain, state.schema.name),
@@ -214,22 +226,42 @@ def state_to_dict(
             name: _dictionary_to_list(encoder)
             for name, encoder in state.dictionaries.items()
         },
-        "next_row_id": state.next_row_id,
+        "next_row_id": watermark.next_row_id,
         "num_rows": state.num_rows,
     }
+    if topology is not None:
+        payload["sharding"] = {
+            "topology": dict(topology),
+            "shards": {
+                str(shard): {
+                    "next_row_id": int(cursor.next_row_id),
+                    "num_rows": int(cursor.num_rows),
+                }
+                for shard, cursor in cursors.items()
+            },
+        }
+    return payload
 
 
 def state_from_dict(data: dict[str, Any]) -> tuple[ClientTableState, dict[str, Any]]:
     """Rebuild the client state; returns ``(state, attach_info)`` where
     ``attach_info`` carries mode / prf_backend / key_check for the session
-    to verify before registering the table."""
-    if data.get("format") != SIDECAR_FORMAT:
+    to verify before registering the table, plus the placement:
+    ``cursors`` (shard id -> ``(next_row_id, num_rows)``; a single store
+    is shard 0) and ``topology`` (``None`` for a single store)."""
+    sharding = data.get("sharding")
+    fmt, expected = (
+        (SIDECAR_FORMAT, SIDECAR_VERSION)
+        if sharding is None
+        else (SHARDED_FORMAT, SHARDED_VERSION)
+    )
+    if data.get("format") != fmt:
         raise StorageError("not a seabed client-state sidecar")
     version = data.get("version")
-    if version != SIDECAR_VERSION:
+    if version != expected:
         raise StorageError(
             f"client-state version {version!r} is not readable by this build "
-            f"(expected {SIDECAR_VERSION})"
+            f"(expected {expected})"
         )
     schema = sc.TableSchema(
         data["schema"]["name"],
@@ -258,164 +290,62 @@ def state_from_dict(data: dict[str, Any]) -> tuple[ClientTableState, dict[str, A
         "prf_backend": data["prf_backend"],
         "key_check": data["key_check"],
         "paillier_n": None if paillier_n is None else int(paillier_n),
+        "cursors": committed_cursors(data),
+        "topology": None if sharding is None else dict(sharding["topology"]),
     }
     return state, attach_info
 
 
-def write_sidecar(
-    store_path: str,
-    state: ClientTableState,
-    mode: str,
-    prf_backend: str,
-    keychain: KeyChain,
-    paillier_n: int | None = None,
-) -> str:
-    """Atomically (re)write the client-state sidecar.
+def committed_cursors(data: dict[str, Any]) -> dict[int, tuple[int, int]]:
+    """The row watermarks a sidecar payload commits: shard id ->
+    ``(next_row_id, num_rows)``; a single store is shard 0."""
+    sharding = data.get("sharding")
+    if sharding is None:
+        return {0: (int(data["next_row_id"]), int(data["num_rows"]))}
+    # JSON stringifies the shard ids; this undoes that.
+    return {
+        int(shard): (int(cursor["next_row_id"]), int(cursor["num_rows"]))
+        for shard, cursor in sharding["shards"].items()
+    }
 
-    This is the *commit record* of incremental ingestion: an appended
-    generation counts as durable only once the sidecar's row watermark
-    (``num_rows`` / ``next_row_id``, plus any dictionary growth) lands
-    here -- hence the durable publish primitive shared with the store
-    manifest.
+
+#: Payload format -> sidecar file name.  A sharded table's sidecar lives
+#: at the *sharded root*, above the per-node directories.
+_SIDECAR_FILES = {
+    SIDECAR_FORMAT: SIDECAR_NAME,
+    SHARDED_FORMAT: SHARDED_SIDECAR_NAME,
+}
+
+
+def read_state_payload(path: str) -> dict[str, Any]:
+    """The raw (still-JSON) sidecar payload of the store or sharded root
+    at ``path``.
+
+    Sidecars are key-free by construction, so the payload may ship over
+    the wire as-is and be parsed client-side by :func:`state_from_dict`.
     """
-    target = os.path.join(store_path, SIDECAR_NAME)
-    atomic_write_json(
-        target, state_to_dict(state, mode, prf_backend, keychain, paillier_n)
+    for name in _SIDECAR_FILES.values():
+        try:
+            with open(os.path.join(path, name)) as fh:
+                return json.load(fh)
+        except FileNotFoundError:
+            continue
+        except json.JSONDecodeError as exc:
+            raise StorageError(f"corrupt client-state sidecar: {exc}") from None
+    raise StorageError(
+        f"store at {path!r} has no client-state sidecar; it cannot "
+        "be attached without re-planning"
     )
-    return target
 
 
-def write_sharded_sidecar(
-    root: str,
-    state: ClientTableState,
-    mode: str,
-    prf_backend: str,
-    keychain: KeyChain,
-    topology: dict[str, Any],
-    shard_cursors: dict[int, dict[str, int]],
-    paillier_n: int | None = None,
-) -> str:
-    """Atomically (re)write a sharded table's client-state sidecar.
-
-    Same role as :func:`write_sidecar` -- the commit record of sharded
-    ingestion -- plus the distribution half a fresh session needs to
-    rebuild the worker fleet: the ring ``topology`` (as produced by
-    ``ShardTopology.to_dict``) and one ``{"next_row_id", "num_rows"}``
-    cursor per shard (shard row-ID spaces are disjoint strides, so every
-    shard keeps its own high-water mark).  A shard generation counts as
-    durable only once its cursor lands here; uncommitted tails are
-    truncated by the next reconcile.
-    """
-    payload = state_to_dict(state, mode, prf_backend, keychain, paillier_n)
-    payload["format"] = SHARDED_FORMAT
-    payload["version"] = SHARDED_VERSION
-    payload["sharding"] = {
-        "topology": dict(topology),
-        "shards": {
-            str(shard): {
-                "next_row_id": int(cursor["next_row_id"]),
-                "num_rows": int(cursor["num_rows"]),
-            }
-            for shard, cursor in shard_cursors.items()
-        },
-    }
-    target = os.path.join(root, SHARDED_SIDECAR_NAME)
-    atomic_write_json(target, payload)
-    return target
-
-
-def read_sharded_payload(root: str) -> dict[str, Any]:
-    """The raw (still-JSON) sharded-sidecar payload at ``root``.
-
-    The transport-facing half of :func:`read_sharded_sidecar`: payloads
-    are key-free by construction, so they may ship over the wire as-is
-    and be parsed client-side by :func:`sharded_from_dict`.
-    """
-    target = os.path.join(root, SHARDED_SIDECAR_NAME)
-    try:
-        with open(target) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise StorageError(
-            f"no sharded table at {root!r}: the sharded client-state "
-            "sidecar is missing"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"corrupt sharded client-state sidecar: {exc}") from None
-
-
-def read_sharded_sidecar(
-    root: str,
-) -> tuple[ClientTableState, dict[str, Any], dict[str, Any]]:
-    """Read a sharded sidecar: ``(state, attach_info, sharding)``.
-
-    ``sharding`` carries ``topology`` (a ``ShardTopology.to_dict``
-    payload) and ``shards`` -- per-shard cursors keyed by ``int`` shard
-    id (JSON stringifies them; this undoes that).
-    """
-    return sharded_from_dict(read_sharded_payload(root))
-
-
-def sharded_from_dict(
-    data: dict[str, Any],
-) -> tuple[ClientTableState, dict[str, Any], dict[str, Any]]:
-    """Parse a sharded-sidecar payload (see :func:`read_sharded_payload`)."""
-    if data.get("format") != SHARDED_FORMAT:
-        raise StorageError("not a seabed sharded client-state sidecar")
-    if data.get("version") != SHARDED_VERSION:
-        raise StorageError(
-            f"sharded client-state version {data.get('version')!r} is not "
-            f"readable by this build (expected {SHARDED_VERSION})"
-        )
-    sharding = data["sharding"]
-    sharding = {
-        "topology": dict(sharding["topology"]),
-        "shards": {
-            int(shard): {
-                "next_row_id": int(cursor["next_row_id"]),
-                "num_rows": int(cursor["num_rows"]),
-            }
-            for shard, cursor in sharding["shards"].items()
-        },
-    }
-    # The embedded client state is the ordinary single-table format.
-    base = dict(data)
-    base["format"] = SIDECAR_FORMAT
-    base["version"] = SIDECAR_VERSION
-    state, attach_info = state_from_dict(base)
-    return state, attach_info, sharding
-
-
-def read_sidecar_payload(store_path: str) -> dict[str, Any]:
-    """The raw (still-JSON) sidecar payload of the store at ``store_path``.
-
-    The transport-facing half of :func:`read_sidecar`: sidecars are
-    key-free by construction, so the payload may ship over the wire
-    as-is and be parsed client-side by :func:`state_from_dict`.
-    """
-    target = os.path.join(store_path, SIDECAR_NAME)
-    try:
-        with open(target) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise StorageError(
-            f"store at {store_path!r} has no client-state sidecar; it cannot "
-            "be attached without re-planning"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"corrupt client-state sidecar: {exc}") from None
-
-
-def write_sidecar_payload(store_path: str, payload: dict[str, Any]) -> str:
-    """Atomically write an already-built sidecar payload (see
-    :func:`write_sidecar`); this is how transports commit on behalf of a
-    session that may live in another process."""
-    if payload.get("format") != SIDECAR_FORMAT:
+def write_state_payload(path: str, payload: dict[str, Any]) -> str:
+    """Atomically write an already-built sidecar payload under ``path``
+    (a store, or a sharded root); this is how transports commit on behalf
+    of a session that may live in another process.  The durable publish
+    primitive is shared with the store manifest."""
+    name = _SIDECAR_FILES.get(payload.get("format"))
+    if name is None:
         raise StorageError("refusing to write a non-client-state payload as a sidecar")
-    target = os.path.join(store_path, SIDECAR_NAME)
+    target = os.path.join(path, name)
     atomic_write_json(target, payload)
     return target
-
-
-def read_sidecar(store_path: str) -> tuple[ClientTableState, dict[str, Any]]:
-    return state_from_dict(read_sidecar_payload(store_path))

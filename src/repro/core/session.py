@@ -22,8 +22,10 @@ handles -- and routes *every* read path (``query``, ``query_many``,
 - fluent building -- ``session.table("t")`` returns a bound
   :class:`~repro.query.builder.QueryBuilder`.
 
-:class:`~repro.core.proxy.SeabedClient` remains as a thin back-compat
-shim over this module.
+Tables have one lifecycle whatever their placement: ``upload`` /
+``append_rows`` / ``compact_table`` / ``open_table`` drive a single
+store and a sharded worker fleet through the same code, because a
+single-store table is the one-shard case (:class:`EncryptedTable`).
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
 from repro.core.transport import LocalTransport, Transport
 from repro.engine.cluster import SimulatedCluster
 from repro.engine.metrics import JobMetrics
-from repro.engine.storage import serialize_table
 from repro.errors import (
     ExecutionError,
     PlanningError,
@@ -409,12 +410,18 @@ class PreparedQuery:
 class EncryptedTable:
     """Handle to one encrypted table registered in a session.
 
-    Returned by :meth:`SeabedSession.encrypted_table` and
-    :meth:`SeabedSession.open_table`; its job is the persistence loop of
-    the paper's deployment model: :meth:`save` writes the server-side
-    ciphertexts to a partition store (:mod:`repro.engine.store`) plus the
-    client-state sidecar, and a *fresh* session (same master key) attaches
-    with ``open_table`` -- zero re-encryption, columns memory-mapped.
+    Returned by :meth:`SeabedSession.encrypted_table`,
+    :meth:`~SeabedSession.open_table`, :meth:`~SeabedSession.open_sharded`
+    and :meth:`~SeabedSession.shard_table` -- one handle whatever the
+    placement, because a single-store table is the one-shard case.  Its
+    job is the persistence loop of the paper's deployment model:
+    :meth:`save` writes the server-side ciphertexts to a partition store
+    (:mod:`repro.engine.store`) plus the client-state sidecar, and a
+    *fresh* session (same master key) attaches with ``open_table`` --
+    zero re-encryption, columns memory-mapped.  Queries go through the
+    ordinary session surface; the handle adds the distribution levers
+    (:meth:`shard_rows`, :attr:`topology`, and the fault injection the
+    failover tests and demos use).
     """
 
     def __init__(self, session: "SeabedSession", name: str):
@@ -435,7 +442,8 @@ class EncryptedTable:
 
     @property
     def store_path(self) -> str | None:
-        """Where the server-side table is memory-mapped from, if anywhere.
+        """Where the server-side table lives on disk, if anywhere: the
+        store it is memory-mapped from, or a sharded table's root.
 
         Over a remote transport this names a path *on the serving host*.
         """
@@ -445,6 +453,14 @@ class EncryptedTable:
                 f"no table {self.name!r} registered on the server"
             )
         return meta["store_path"]
+
+    root = store_path
+
+    @property
+    def topology(self) -> Any:
+        """The :class:`~repro.shard.coordinator.ShardTopology` placing
+        this table's rows, or ``None`` for a single store."""
+        return self._session._entry(self.name).topology
 
     def save(self, path: str | None = None, overwrite: bool = False) -> str:
         """Persist ciphertexts + client state; returns the store path.
@@ -458,11 +474,10 @@ class EncryptedTable:
         session hands over is key-free by construction.
         """
         session = self._session
-        state = session.table_state(self.name)
         resolved = session.transport.save_store(
             self.name,
             path or self.name,
-            session._column_meta(state),
+            session._column_meta(session.table_state(self.name)),
             overwrite=overwrite,
         )
         session._commit_state(self.name)
@@ -472,12 +487,12 @@ class EncryptedTable:
         self, columns: Mapping[str, Any], num_partitions: int | None = None
     ) -> AppendStats:
         """Encrypt one plaintext batch and append it to this table's
-        store as a new generation; see :meth:`SeabedSession.append_rows`."""
+        store(s) as a new generation; see :meth:`SeabedSession.append_rows`."""
         return self._session.append_rows(
             self.name, columns, num_partitions=num_partitions
         )
 
-    def compact(self, target_rows: int | None = None) -> dict | None:
+    def compact(self, target_rows: int | None = None) -> Any:
         """Merge small append generations back into full-size partitions;
         see :meth:`SeabedSession.compact_table`."""
         return self._session.compact_table(self.name, target_rows=target_rows)
@@ -502,70 +517,23 @@ class EncryptedTable:
         """A fluent query builder bound to this table."""
         return self._session.table(self.name)
 
-    def __repr__(self) -> str:
-        return f"EncryptedTable({self.name!r}, rows={self.num_rows})"
-
-
-class ShardedTable:
-    """Handle to a table split across process-isolated shard workers.
-
-    Returned by :meth:`SeabedSession.shard_table` and
-    :meth:`SeabedSession.open_sharded`.  Queries go through the ordinary
-    session surface (the server delegates to the shard coordinator by
-    table name); this handle exposes the distribution-specific levers:
-    replicated appends, per-shard row counts, compaction, and the fault
-    injection the failover tests and demos use.
-    """
-
-    def __init__(self, session: "SeabedSession", name: str):
-        self._session = session
-        self.name = name
-
-    @property
-    def store(self) -> ShardedStore:
-        store = self._session._sharded_stores.get(self.name)
-        if store is None:
-            raise TransportError(
-                f"sharded table {self.name!r} is hosted by the remote "
-                "service; its worker fleet is not reachable from this client"
-            )
-        return store
-
-    @property
-    def topology(self) -> ShardTopology:
-        remote = self._session._remote_sharded.get(self.name)
-        if remote is not None:
-            return remote[1]
-        return self.store.topology
-
-    @property
-    def root(self) -> str:
-        remote = self._session._remote_sharded.get(self.name)
-        if remote is not None:
-            return remote[0]
-        return self.store.root
-
-    @property
-    def num_rows(self) -> int:
-        return self._session.table_state(self.name).num_rows
-
-    def append(
-        self, columns: Mapping[str, Any], num_partitions: int | None = None
-    ) -> AppendStats:
-        """Route one plaintext batch to its shards and append everywhere;
-        see :meth:`SeabedSession.append_sharded`."""
-        return self._session.append_sharded(
-            self.name, columns, num_partitions=num_partitions
-        )
-
-    def compact(self, target_rows: int | None = None) -> dict[int, dict | None]:
-        """Compact every shard store on every live replica."""
-        self._session._reconcile_sharded(self.name)
-        return self.store.compact(target_rows)
+    # -- distribution levers ------------------------------------------------
 
     def shard_rows(self) -> dict[int, int]:
-        """Rows per shard (asks the first live replica of each)."""
-        return {s: self.store.shard_rows(s) for s in self.store.shards}
+        """Stored rows per shard (a single store is shard 0)."""
+        return {
+            shard: self._session.transport.store_rows(self.name, shard)
+            for shard in self._session._entry(self.name).cursors
+        }
+
+    @property
+    def store(self) -> Any:
+        """The :class:`~repro.shard.coordinator.ShardedStore` (worker
+        fleet) behind a sharded table hosted in this process."""
+        coordinator = self._session.server.sharded(self.name)
+        if coordinator is None:
+            raise StorageError(f"table {self.name!r} is not sharded")
+        return coordinator.store
 
     def kill_node(self, node: int) -> None:
         """Hard-kill one shard worker process (fault injection)."""
@@ -575,20 +543,27 @@ class ShardedTable:
         """Arm a fail point: ``node`` dies mid-``method``, reply unsent."""
         self.store.arm_exit(node, method, after)
 
-    def builder(self) -> QueryBuilder:
-        """A fluent query builder bound to this table."""
-        return self._session.table(self.name)
-
-    def close(self) -> None:
-        """Shut down every shard worker process."""
-        self.store.close()
-
     def __repr__(self) -> str:
-        topo = self.topology
-        return (
-            f"ShardedTable({self.name!r}, shards={topo.num_shards}, "
-            f"replicas={topo.replicas}, rows={self.num_rows})"
-        )
+        shards = len(self._session._entry(self.name).cursors)
+        return f"EncryptedTable({self.name!r}, rows={self.num_rows}, shards={shards})"
+
+
+@dataclass
+class _TableEntry:
+    """Everything the session remembers about one table: the schema
+    state (plans, dictionaries, total rows), its crypto factory, and the
+    placement -- one row-ID cursor per shard plus the ring topology that
+    routes rows to them.  A single-store table is the entry with one
+    cursor (shard 0) and no topology."""
+
+    state: ClientTableState
+    factory: CryptoFactory
+    cursors: dict[int, ClientTableState]
+    topology: Any = None  # ShardTopology
+
+    def recount(self) -> None:
+        """The table holds what its cursors hold."""
+        self.state.num_rows = sum(c.num_rows for c in self.cursors.values())
 
 
 class SeabedSession:
@@ -607,7 +582,6 @@ class SeabedSession:
         master_key: bytes | None = None,
         mode: str = "seabed",
         cluster: SimulatedCluster | None = None,
-        server: srv.SeabedServer | None = None,
         prf_backend: str = "splitmix64",
         paillier_bits: int = 1024,
         paillier_keys: PaillierKeyPair | None = None,
@@ -619,28 +593,20 @@ class SeabedSession:
     ):
         if mode not in ("seabed", "paillier", "plain"):
             raise PlanningError(f"unknown client mode {mode!r}")
-        if transport is not None and server is not None:
-            raise PlanningError(
-                "pass either transport= or server=, not both: a transport "
-                "already decides where the server lives"
-            )
         self.mode = mode
         # Even a remote session keeps a cluster handle: its config drives
         # client-side work (translation core counts, append batch slicing,
         # query_many fan-out); the *serving* side executes with its own.
         self.cluster = cluster or SimulatedCluster()
         if transport is None:
-            transport = LocalTransport(
-                server or srv.SeabedServer(self.cluster), self.cluster
-            )
+            transport = LocalTransport(srv.SeabedServer(self.cluster), self.cluster)
         self._transport = transport
         self._keychain = (
             KeyChain(master_key) if master_key is not None else KeyChain.generate()
         )
         self._prf_backend = prf_backend
         self._planner = Planner(mode=mode)
-        self._states: dict[str, ClientTableState] = {}
-        self._factories: dict[str, CryptoFactory] = {}
+        self._tables: dict[str, _TableEntry] = {}
         self._sample_queries: dict[str, list[Query]] = {}
         self._join_dictionaries: dict[str, DictionaryEncoder] = {}
         self._seed = seed
@@ -657,13 +623,6 @@ class SeabedSession:
             AccessController() if access_control else None
         )
         self._cache = TranslationCache(maxsize=cache_size)
-        # Sharded tables: worker fleet per table, plus one client-state
-        # cursor per shard (disjoint row-ID strides; shared dictionaries).
-        self._sharded_stores: dict[str, ShardedStore] = {}
-        self._shard_states: dict[str, dict[int, ClientTableState]] = {}
-        # Sharded tables hosted by a remote service: (server-side root,
-        # topology).  Query-only from this client; the fleet lives there.
-        self._remote_sharded: dict[str, tuple[str, Any]] = {}
 
     # -- the execution boundary --------------------------------------------------
 
@@ -688,15 +647,6 @@ class SeabedSession:
             "in the service process and cannot be reached in-process"
         )
 
-    @server.setter
-    def server(self, value: srv.SeabedServer) -> None:
-        if isinstance(self._transport, LocalTransport):
-            self._transport.server = value
-            return
-        raise TransportError(
-            "cannot replace the server of a remotely-connected session"
-        )
-
     # -- planning ---------------------------------------------------------------
 
     def create_plan(
@@ -711,11 +661,13 @@ class SeabedSession:
         enc_schema, report = self._planner.plan(
             schema, queries, storage_budget=storage_budget
         )
-        self._states[schema.name] = ClientTableState(
-            schema=schema, enc_schema=enc_schema
-        )
-        self._factories[schema.name] = CryptoFactory(
-            self._keychain, schema.name, prf_backend=self._prf_backend
+        state = ClientTableState(schema=schema, enc_schema=enc_schema)
+        self._tables[schema.name] = _TableEntry(
+            state=state,
+            factory=CryptoFactory(
+                self._keychain, schema.name, prf_backend=self._prf_backend
+            ),
+            cursors={0: replace(state)},
         )
         self._sample_queries[schema.name] = queries
         self.reports[schema.name] = report
@@ -734,10 +686,10 @@ class SeabedSession:
                     continue
                 left_table = q.table
                 right_table = q.join.table
-                if left_table not in self._states or right_table not in self._states:
+                if left_table not in self._tables or right_table not in self._tables:
                     continue
-                left_state = self._states[left_table]
-                right_state = self._states[right_table]
+                left_state = self._tables[left_table].state
+                right_state = self._tables[right_table].state
                 group = "&".join(sorted([
                     f"{left_table}.{q.join.left_column}",
                     f"{right_table}.{q.join.right_column}",
@@ -772,29 +724,14 @@ class SeabedSession:
         """Encrypt one plaintext batch and hand it to the server.
 
         On an in-memory table the batch is appended to the server-side
-        partitions directly.  Once the table is **store-backed** (saved
-        or attached), the batch routes through :meth:`append_rows`
-        instead, so it lands durably in the partition store -- appending
-        to only the in-memory view would silently diverge from what a
-        fresh attach sees.  ``num_partitions`` defaults to 8 in memory
-        and to config-driven batch slicing for store appends.
+        partitions directly.  Once the table is **store-backed** (saved,
+        attached or sharded), the batch routes through :meth:`append_rows`
+        instead, so it lands durably in the partition store(s) --
+        appending to only the in-memory view would silently diverge from
+        what a fresh attach sees.  ``num_partitions`` defaults to 8 in
+        memory and to config-driven batch slicing for store appends.
         """
-        state = self._state(table)
-        if table in self._remote_sharded:
-            raise TransportError(
-                f"table {table!r} is a remotely-hosted sharded table; "
-                "sharded appends must run in the serving process"
-            )
-        if table in self._sharded_stores:
-            stats = self.append_sharded(
-                table, columns, num_partitions=num_partitions
-            )
-            return UploadStats(
-                table=table,
-                rows=stats.rows,
-                encrypt_seconds=stats.encrypt_seconds,
-                physical_columns=stats.physical_columns,
-            )
+        entry = self._entry(table)
         meta = self.transport.table_meta(table)
         if meta is not None and meta["store_backed"]:
             stats = self.append_rows(table, columns, num_partitions=num_partitions)
@@ -804,20 +741,23 @@ class SeabedSession:
                 encrypt_seconds=stats.encrypt_seconds,
                 physical_columns=stats.physical_columns,
             )
-        encryptor = EncryptionModule(
-            self._factories[table], paillier=self._paillier, seed=self._seed
-        )
         t0 = time.perf_counter()
-        encrypted = encryptor.encrypt_batch(
-            state, columns, num_partitions=num_partitions or 8
+        encrypted = self._encryptor(entry).encrypt_batch(
+            entry.cursors[0], columns, num_partitions=num_partitions or 8
         )
         elapsed = time.perf_counter() - t0
+        entry.recount()
         self.transport.upload(encrypted)
         return UploadStats(
             table=table,
             rows=encrypted.num_rows,
             encrypt_seconds=elapsed,
             physical_columns=len(encrypted.column_names),
+        )
+
+    def _encryptor(self, entry: _TableEntry) -> EncryptionModule:
+        return EncryptionModule(
+            entry.factory, paillier=self._paillier, seed=self._seed
         )
 
     # -- incremental ingestion -------------------------------------------------------
@@ -829,59 +769,71 @@ class SeabedSession:
         num_partitions: int | None = None,
     ) -> AppendStats:
         """Encrypt one plaintext batch and append it to ``table``'s
-        partition store as a new *generation*.
+        partition store(s) as a new *generation*.
 
         This is the streaming half of the paper's ingestion story
         (Section 3.1: symmetric ASHE exists so continuously arriving
         ad-analytics data stays affordable to encrypt): only the batch is
-        encrypted -- ASHE row IDs continue from the table's high-water
+        encrypted -- ASHE row IDs continue from each cursor's high-water
         mark so pads keep telescoping, and DET/ORE/SPLASHE columns reuse
-        the existing plans and dictionaries.  The batch lands as a new
-        generation of partition files published atomically; concurrent
-        readers on any backend keep seeing their own snapshot.  The
-        append *commits* when the client-state sidecar's row watermark is
-        rewritten -- a writer killed anywhere in between is rolled back
-        by the next append (or ignored by the next attach).
+        the existing plans and dictionaries.  Every row goes to the shard
+        that owns it (a single store owns them all); each shard's slice
+        is encrypted against that shard's own row-ID cursor and lands --
+        identically, in the same order -- on *every* replica of the shard
+        as a new generation of partition files published atomically
+        (appends need the full replica chain alive; queries need one
+        survivor).  Concurrent readers on any backend keep seeing their
+        own snapshot.  The append *commits* when the client-state
+        sidecar's row watermarks are rewritten -- a writer killed
+        anywhere in between is rolled back by the next append (or ignored
+        by the next attach).
 
-        ``num_partitions`` defaults to slicing the batch into partitions
-        of ``cluster.config.append_partition_rows`` rows.
+        ``num_partitions`` defaults to slicing each store's batch into
+        partitions of ``cluster.config.append_partition_rows`` rows.
         """
-        state = self._state(table)
-        meta = self.transport.table_meta(table)
-        if meta is None or not meta["store_backed"]:
-            raise StorageError(
-                f"table {table!r} is not store-backed; use upload() for "
-                "in-memory tables, or save_table() first"
-            )
-        self._reconcile_store(table, state)
+        entry = self._entry(table)
+        self._reconcile(table, entry)
         arrays = {name: np.asarray(col) for name, col in columns.items()}
         nrows = len(next(iter(arrays.values()))) if arrays else 0
         if nrows == 0:
             raise StorageError("append batch is empty")
-        if num_partitions is None:
-            target = max(1, self.cluster.config.append_partition_rows)
-            num_partitions = -(-nrows // target)
-        encryptor = EncryptionModule(
-            self._factories[table], paillier=self._paillier, seed=self._seed
-        )
-        rollback = (state.next_row_id, state.num_rows)
-        t0 = time.perf_counter()
+        encryptor = self._encryptor(entry)
+        column_meta = self._column_meta(entry.state)
+        target = max(1, self.cluster.config.append_partition_rows)
+        rollback = {
+            s: (c.next_row_id, c.num_rows) for s, c in entry.cursors.items()
+        }
+        encrypt_seconds = write_seconds = 0.0
+        generation = physical_columns = 0
         try:
-            encrypted = encryptor.encrypt_batch(
-                state, arrays, num_partitions=num_partitions
-            )
-            encrypt_seconds = time.perf_counter() - t0
+            for shard, batch in self._split_by_owner(entry, arrays):
+                rows = len(next(iter(batch.values())))
+                t0 = time.perf_counter()
+                encrypted = encryptor.encrypt_batch(
+                    entry.cursors[shard],
+                    batch,
+                    num_partitions=num_partitions or -(-rows // target),
+                )
+                t1 = time.perf_counter()
+                generation = max(
+                    generation,
+                    self.transport.append_batch(table, shard, encrypted, column_meta),
+                )
+                encrypt_seconds += t1 - t0
+                write_seconds += time.perf_counter() - t1
+                physical_columns = len(encrypted.column_names)
+            entry.recount()
             t0 = time.perf_counter()
-            generation = self.transport.append_batch(
-                table, encrypted, self._column_meta(state)
-            )
-            # Commit point: the sidecar's row watermark acknowledges the
-            # generation published above.
+            # Commit point: the sidecar's row watermarks acknowledge every
+            # generation published above, atomically.
             self._commit_state(table)
+            write_seconds += time.perf_counter() - t0
         except Exception:
-            state.next_row_id, state.num_rows = rollback
+            for s, (next_id, rows) in rollback.items():
+                entry.cursors[s].next_row_id = next_id
+                entry.cursors[s].num_rows = rows
+            entry.recount()
             raise
-        write_seconds = time.perf_counter() - t0
         self.transport.reopen(table)
         return AppendStats(
             table=table,
@@ -889,8 +841,41 @@ class SeabedSession:
             generation=generation,
             encrypt_seconds=encrypt_seconds,
             write_seconds=write_seconds,
-            physical_columns=len(encrypted.column_names),
+            physical_columns=physical_columns,
         )
+
+    def _split_by_owner(
+        self, entry: _TableEntry, arrays: Mapping[str, np.ndarray]
+    ) -> list[tuple[int, Mapping[str, np.ndarray]]]:
+        """``(shard, slice)`` per shard that owns rows of the batch, in
+        shard order.  Without a ring the one store owns everything;
+        with one, the shard key is encoded and DET-encrypted once and the
+        ring assigns every row the shard owning its token."""
+        topo = entry.topology
+        if topo is None:
+            return [(0, arrays)]
+        state = entry.state
+        values = arrays.get(topo.shard_key)
+        if values is None:
+            raise StorageError(
+                f"append batch is missing the shard key column "
+                f"{topo.shard_key!r}"
+            )
+        if state.schema.column(topo.shard_key).dtype == "str":
+            encoder = state.dictionaries.setdefault(
+                topo.shard_key, DictionaryEncoder()
+            )
+            codes = encoder.encode_column(values.tolist())
+        else:
+            codes = values.astype(np.int64)
+        _, join_group = self._shard_key_column(state, topo.shard_key)
+        det = entry.factory.det(topo.key_column, join_group)
+        owners = topo.ring.owners(det.encrypt_column(codes))
+        batches = []
+        for shard in sorted(set(owners.tolist())):
+            mask = owners == shard
+            batches.append((shard, {n: arr[mask] for n, arr in arrays.items()}))
+        return batches
 
     def stats(self, table: str) -> dict:
         """Zone-map index summary for ``table`` (shorthand for
@@ -901,32 +886,25 @@ class SeabedSession:
         """Recompute every partition's zone-map statistics for ``table``'s
         store and refresh the server-side view.
 
-        The eager counterpart of the lazy first-mutation backfill: a
-        store written before manifest v3 gains its index immediately
-        instead of waiting for an append or compaction.  The refreshed
-        view stays pinned to the snapshot this session attached at, so a
-        generation the sidecar never committed remains invisible.
-        Returns the new index summary.
+        The refreshed view stays pinned to the snapshot this session
+        attached at, so a generation the sidecar never committed remains
+        invisible.  Returns the new index summary.
         """
-        self._state(table)  # raises if unknown
+        self._entry(table)  # raises if unknown
         return self.transport.rebuild_index(table)
 
-    def compact_table(self, table: str, target_rows: int | None = None) -> dict | None:
+    def compact_table(self, table: str, target_rows: int | None = None) -> Any:
         """Merge runs of small append generations into full-size
         partitions (scan parallelism maintenance under streaming
-        ingestion).  ``target_rows`` defaults to the store's own largest
-        mean partition size.  Returns the compaction stats dict, or
-        ``None`` when the store was already healthy."""
-        state = self._state(table)
-        meta = self.transport.table_meta(table)
-        if meta is None or not meta["store_backed"]:
-            raise StorageError(
-                f"table {table!r} is not store-backed; there is nothing to compact"
-            )
-        self._reconcile_store(table, state)
+        ingestion), in every store of the table on every live replica.
+        ``target_rows`` defaults to each store's own largest mean
+        partition size.  Returns the compaction stats dict, or ``None``
+        when the store was already healthy; a sharded table returns one
+        such entry per shard."""
+        self._reconcile(table, self._entry(table))
         return self.transport.compact(table, target_rows=target_rows)
 
-    def _reconcile_store(self, table: str, state: ClientTableState) -> None:
+    def _reconcile(self, table: str, entry: _TableEntry) -> None:
         """Roll back store generations the sidecar never acknowledged
         (a previous writer died between manifest publish and sidecar
         commit); refuse stores that are behind the client state.
@@ -939,31 +917,30 @@ class SeabedSession:
         error and must re-open the table.
         """
         meta = self.transport.table_meta(table)
-        assert meta is not None and meta["store_backed"]  # callers checked
+        if meta is None or not meta["store_backed"]:
+            raise StorageError(
+                f"table {table!r} is not store-backed; upload() feeds "
+                "in-memory tables, save_table() makes them store-backed"
+            )
         store_path = meta["store_path"]
-        committed = int(self.transport.read_store_state(store_path)["num_rows"])
-        if committed != state.num_rows:
-            raise StorageError(
-                f"the store at {store_path!r} has {committed} committed rows "
-                f"but this session attached at {state.num_rows}; another "
-                "writer advanced (or rewrote) the store -- re-open the table "
-                "in a fresh session before appending"
-            )
-        on_disk = self.transport.store_rows(table)
-        if on_disk == committed:
-            return
-        if on_disk < committed:
-            raise StorageError(
-                f"store at {store_path!r} holds {on_disk} rows but its "
-                f"sidecar committed {committed}; the store is stale or corrupt"
-            )
-        self.transport.truncate_store(table, committed)
+        on_record = ps.committed_cursors(self.transport.read_store_state(store_path))
+        for shard, cursor in entry.cursors.items():
+            _, committed = on_record.get(shard, (0, 0))
+            if committed != cursor.num_rows:
+                raise StorageError(
+                    f"shard {shard} of the store at {store_path!r} has "
+                    f"{committed} committed rows but this session attached at "
+                    f"{cursor.num_rows}; another writer advanced (or rewrote) "
+                    "the store -- re-open the table in a fresh session before "
+                    "appending"
+                )
+            self.transport.truncate_store(table, shard, committed)
 
     # -- persistence ----------------------------------------------------------------
 
     def encrypted_table(self, name: str) -> EncryptedTable:
         """Handle to a planned-and-uploaded table (see :class:`EncryptedTable`)."""
-        self._state(name)  # raises if unknown
+        self._entry(name)  # raises if unknown
         return EncryptedTable(self, name)
 
     def save_table(
@@ -977,47 +954,65 @@ class SeabedSession:
         """Attach a persisted table without re-encrypting anything.
 
         This is the paper's upload-once model: the store was written by
-        :meth:`EncryptedTable.save` (possibly in another process); this
-        session -- constructed with the *same master key* -- reads the
-        client-state sidecar, memory-maps the ciphertext columns, and
-        registers both halves.  A wrong master key, a mode mismatch, or a
-        different Paillier key pair raises
-        :class:`~repro.errors.StorageError` up front instead of letting
-        queries decrypt garbage.
+        :meth:`EncryptedTable.save` or grown under :meth:`shard_table`
+        (possibly in another process); this session -- constructed with
+        the *same master key* -- reads the client-state sidecar, has the
+        server side serve the ciphertexts from their committed state
+        (memory-mapped columns; for a sharded root the worker fleet is
+        respawned over the existing node directories and shard tails a
+        dead writer never committed are rolled back), and registers both
+        halves.  A wrong master key, a mode mismatch, or a different
+        Paillier key pair raises :class:`~repro.errors.StorageError` up
+        front instead of letting queries decrypt garbage.
         """
+        # Imported lazily: repro.shard itself imports the server module,
+        # so a top-level import here would close a package cycle.
+        from repro.shard.coordinator import ShardTopology
+
         resolved = self.cluster.config.resolve_store_path(path)
         state, attach = ps.state_from_dict(self.transport.read_store_state(path))
         name = state.schema.name
-        if name in self._states:
+        if name in self._tables:
             raise StorageError(
                 f"table {name!r} is already registered in this session"
             )
         self._verify_attach(attach, name, f"store at {resolved!r}")
-        # The server opens the store at its committed snapshot and
-        # registers it; key/mode verification already happened above,
-        # client-side, against the key-free sidecar payload.
+        # Key/mode verification already happened above, client-side,
+        # against the key-free sidecar payload.
         info = self.transport.attach(path)
         if info["name"] != name:
             raise StorageError(
                 f"the server attached table {info['name']!r} but the sidecar "
                 f"describes {name!r}"
             )
-        self._states[name] = state
-        self._factories[name] = CryptoFactory(
-            self._keychain, name, prf_backend=attach["prf_backend"]
+        self._tables[name] = _TableEntry(
+            state=state,
+            factory=CryptoFactory(
+                self._keychain, name, prf_backend=attach["prf_backend"]
+            ),
+            cursors={
+                shard: replace(state, next_row_id=next_id, num_rows=rows)
+                for shard, (next_id, rows) in attach["cursors"].items()
+            },
+            topology=attach["topology"]
+            and ShardTopology.from_dict(attach["topology"]),
         )
-        self._sample_queries.setdefault(name, [])
         # No cache invalidation needed: the name was unregistered until
         # now, so no cached translation can reference it, and attaching
         # must not evict other tables' hot templates.
         return EncryptedTable(self, name)
 
+    def open_sharded(self, path: str) -> EncryptedTable:
+        """Attach a persisted sharded table; :meth:`open_table` under the
+        name the sharded tier's callers use."""
+        return self.open_table(path)
+
     def _verify_attach(
         self, attach: dict[str, Any], name: str, what: str
     ) -> None:
-        """Mode / master-key / Paillier checks shared by every attach
-        path; all three fail fast with :class:`StorageError` instead of
-        letting queries decrypt garbage."""
+        """Mode / master-key / Paillier checks of an attach; all three
+        fail fast with :class:`StorageError` instead of letting queries
+        decrypt garbage."""
         if attach["mode"] != self.mode:
             raise StorageError(
                 f"{what} was written in mode {attach['mode']!r}; "
@@ -1047,7 +1042,7 @@ class SeabedSession:
         num_shards: int = 4,
         replicas: int = 1,
         vnodes: int = 64,
-    ) -> ShardedTable:
+    ) -> EncryptedTable:
         """Split a freshly planned table across ``num_shards`` worker
         processes, placed by ``shard_key``'s DET tokens on a consistent-
         hash ring with ``replicas``-way replica chains.
@@ -1060,34 +1055,30 @@ class SeabedSession:
         that is what point/IN predicates route through.  ``path``
         defaults to the table name under the cluster's ``storage_dir``.
         """
-        # Imported lazily: repro.shard itself imports the server module,
-        # so a top-level import here would close a package cycle.
-        from repro.shard.coordinator import (
+        from repro.shard.coordinator import (  # lazy: avoids package cycle
             SHARD_ID_STRIDE,
-            ShardCoordinator,
-            ShardedStore,
             ShardTopology,
         )
 
         if not self.transport.local:
             raise TransportError(
                 "shard_table spawns a worker fleet and must run in the "
-                "serving process; remote sessions can query sharded tables "
-                "(open_sharded) but not create them"
+                "serving process; remote sessions attach to sharded tables "
+                "(open_sharded) but cannot create them"
             )
-        state = self._state(name)
-        if name in self._sharded_stores:
+        entry = self._entry(name)
+        if entry.topology is not None:
             raise StorageError(f"table {name!r} is already sharded")
-        if state.num_rows > 0:
+        if entry.state.num_rows > 0:
             raise StorageError(
-                f"table {name!r} already holds {state.num_rows} rows; "
+                f"table {name!r} already holds {entry.state.num_rows} rows; "
                 "shard_table must run before the first upload so rows are "
                 "routed to shards at encryption time"
             )
-        key_column, _ = self._shard_key_column(state, shard_key)
-        root = self.cluster.config.resolve_store_path(path or name)
+        key_column, _ = self._shard_key_column(entry.state, shard_key)
+        root = os.path.abspath(self.cluster.config.resolve_store_path(path or name))
         os.makedirs(root, exist_ok=True)
-        topology = ShardTopology(
+        entry.topology = ShardTopology(
             table=name,
             shard_key=shard_key,
             key_column=key_column,
@@ -1095,187 +1086,26 @@ class SeabedSession:
             replicas=replicas,
             vnodes=vnodes,
         )
-        store = ShardedStore(root, topology, self.cluster.config)
-        self._sharded_stores[name] = store
-        self._shard_states[name] = {
-            s: ClientTableState(
-                schema=state.schema,
-                enc_schema=state.enc_schema,
-                dictionaries=state.dictionaries,  # shared: codes stay global
-                next_row_id=s * SHARD_ID_STRIDE,
-                num_rows=0,
-            )
+        # Each shard owns a disjoint row-ID stride; dictionaries stay
+        # shared with the schema state, so codes are global.
+        entry.cursors = {
+            s: replace(entry.state, next_row_id=s * SHARD_ID_STRIDE, num_rows=0)
             for s in range(num_shards)
         }
-        self.server.register_sharded(name, ShardCoordinator(store, self.cluster))
-        self._write_sharded_sidecar(root, name)  # commit the empty layout
-        return ShardedTable(self, name)
-
-    def open_sharded(self, path: str) -> ShardedTable:
-        """Attach a persisted sharded table: read the sharded sidecar,
-        respawn the worker fleet over the existing node directories, and
-        roll back any shard generations a dead writer never committed.
-        Verification mirrors :meth:`open_table` (mode, key check,
-        Paillier modulus)."""
-        from repro.shard.coordinator import (  # lazy: avoids package cycle
-            ShardCoordinator,
-            ShardedStore,
-            ShardTopology,
-        )
-
-        root = self.cluster.config.resolve_store_path(path)
-        payload = self.transport.read_sharded_state(path)
-        state, attach, sharding = ps.sharded_from_dict(payload)
-        name = state.schema.name
-        if name in self._states:
-            raise StorageError(
-                f"table {name!r} is already registered in this session"
-            )
-        self._verify_attach(attach, name, f"sharded table at {root!r}")
-        topology = ShardTopology.from_dict(sharding["topology"])
-        if not self.transport.local:
-            # The service hosts the fleet (spawning workers, rolling back
-            # uncommitted shard tails); this client is query-only.
-            info = self.transport.attach_sharded(path)
-            self._states[name] = state
-            self._factories[name] = CryptoFactory(
-                self._keychain, name, prf_backend=attach["prf_backend"]
-            )
-            self._sample_queries.setdefault(name, [])
-            self._remote_sharded[name] = (info.get("root", path), topology)
-            return ShardedTable(self, name)
-        self._states[name] = state
-        self._factories[name] = CryptoFactory(
-            self._keychain, name, prf_backend=attach["prf_backend"]
-        )
-        self._sample_queries.setdefault(name, [])
-        store = ShardedStore(root, topology, self.cluster.config)
-        self._sharded_stores[name] = store
-        self._shard_states[name] = {
-            shard: ClientTableState(
-                schema=state.schema,
-                enc_schema=state.enc_schema,
-                dictionaries=state.dictionaries,
-                next_row_id=cursor["next_row_id"],
-                num_rows=cursor["num_rows"],
-            )
-            for shard, cursor in sharding["shards"].items()
-        }
-        # Workers read their stores' latest manifests, so uncommitted
-        # tails from a dead writer must be rolled back before queries.
-        self._reconcile_sharded(name)
-        self.server.register_sharded(name, ShardCoordinator(store, self.cluster))
-        return ShardedTable(self, name)
-
-    def sharded_table(self, name: str) -> ShardedTable:
-        """Handle to a sharded table registered in this session."""
-        if name not in self._sharded_stores and name not in self._remote_sharded:
-            raise StorageError(f"table {name!r} is not sharded in this session")
-        return ShardedTable(self, name)
+        # Commit the empty layout, then have the transport serve it: the
+        # fleet is spawned by the same attach that re-opens it later.
+        ps.write_state_payload(root, self._state_payload(entry))
+        self.transport.attach(root)
+        return EncryptedTable(self, name)
 
     def close(self) -> None:
-        """Shut down every sharded table's worker fleet.
+        """Release what the session's transport holds: worker fleets of
+        sharded tables, memory-mapped stores, sockets.
 
-        Single-store and in-memory tables need no teardown; only sharded
-        tables hold OS processes.  Idempotent, and an atexit reaper kills
-        stragglers anyway, but tests and long-lived callers should close
-        deterministically.
+        Idempotent, and an atexit reaper kills straggling workers anyway,
+        but tests and long-lived callers should close deterministically.
         """
-        for store in self._sharded_stores.values():
-            store.close()
         self._transport.close()
-
-    def append_sharded(
-        self,
-        table: str,
-        columns: Mapping[str, Any],
-        num_partitions: int | None = None,
-    ) -> AppendStats:
-        """Route one plaintext batch to its shards and append everywhere.
-
-        The sharded counterpart of :meth:`append_rows`: the batch's shard
-        key is encoded and DET-encrypted once, the ring assigns every row
-        an owning shard, and each shard's slice is encrypted against that
-        shard's own row-ID cursor, then appended -- identically, in the
-        same order -- to *every* replica of the shard (appends need the
-        full replica chain alive; queries need one survivor).  The append
-        commits when the sharded sidecar's per-shard cursors are
-        rewritten; a writer killed mid-way leaves uncommitted shard
-        generations the next reconcile rolls back.
-        """
-        state = self._state(table)
-        if table in self._remote_sharded:
-            raise TransportError(
-                f"sharded table {table!r} is hosted by the remote service; "
-                "sharded appends must run in the serving process"
-            )
-        store = self._sharded_stores.get(table)
-        if store is None:
-            raise StorageError(
-                f"table {table!r} is not sharded; use upload()/append_rows() "
-                "for single-store tables, or shard_table() first"
-            )
-        shard_states = self._shard_states[table]
-        self._reconcile_sharded(table)
-        arrays = {name: np.asarray(col) for name, col in columns.items()}
-        nrows = len(next(iter(arrays.values()))) if arrays else 0
-        if nrows == 0:
-            raise StorageError("append batch is empty")
-        shard_ids = self._route_rows(table, state, arrays)
-        encryptor = EncryptionModule(
-            self._factories[table], paillier=self._paillier, seed=self._seed
-        )
-        column_meta = self._column_meta(state)
-        rollback = {
-            s: (st.next_row_id, st.num_rows) for s, st in shard_states.items()
-        }
-        base_rollback = (state.next_row_id, state.num_rows)
-        encrypt_seconds = 0.0
-        write_seconds = 0.0
-        generation = 0
-        physical_columns = 0
-        try:
-            for shard in sorted(set(shard_ids.tolist())):
-                mask = shard_ids == shard
-                batch = {name: arr[mask] for name, arr in arrays.items()}
-                shard_nrows = int(mask.sum())
-                if num_partitions is None:
-                    target = max(1, self.cluster.config.append_partition_rows)
-                    parts = -(-shard_nrows // target)
-                else:
-                    parts = num_partitions
-                t0 = time.perf_counter()
-                encrypted = encryptor.encrypt_batch(
-                    shard_states[shard], batch, num_partitions=parts
-                )
-                encrypt_seconds += time.perf_counter() - t0
-                physical_columns = len(encrypted.column_names)
-                t0 = time.perf_counter()
-                generation = max(
-                    generation,
-                    store.append_shard(
-                        shard, serialize_table(encrypted), column_meta
-                    ),
-                )
-                write_seconds += time.perf_counter() - t0
-            state.num_rows += nrows
-            # Commit point: the per-shard cursors acknowledge every
-            # generation published above, atomically.
-            self._write_sharded_sidecar(store.root, table)
-        except Exception:
-            for s, (next_id, rows) in rollback.items():
-                shard_states[s].next_row_id = next_id
-                shard_states[s].num_rows = rows
-            state.next_row_id, state.num_rows = base_rollback
-            raise
-        return AppendStats(
-            table=table,
-            rows=nrows,
-            generation=generation,
-            encrypt_seconds=encrypt_seconds,
-            write_seconds=write_seconds,
-            physical_columns=physical_columns,
-        )
 
     @staticmethod
     def _shard_key_column(
@@ -1295,80 +1125,6 @@ class SeabedSession:
             f"shard key {shard_key!r} carries no DET ciphertext column "
             f"(plan kind {plan.kind!r}); shard by a det-planned dimension "
             "so point predicates can route"
-        )
-
-    def _route_rows(
-        self,
-        table: str,
-        state: ClientTableState,
-        arrays: Mapping[str, np.ndarray],
-    ) -> np.ndarray:
-        """Owning shard per batch row, from the shard key's DET tokens."""
-        topo = self._sharded_stores[table].topology
-        values = arrays.get(topo.shard_key)
-        if values is None:
-            raise StorageError(
-                f"append batch is missing the shard key column "
-                f"{topo.shard_key!r}"
-            )
-        spec = next(
-            s for s in state.schema.columns if s.name == topo.shard_key
-        )
-        if spec.dtype == "str":
-            encoder = state.dictionaries.setdefault(
-                topo.shard_key, DictionaryEncoder()
-            )
-            codes = encoder.encode_column(values.tolist())
-        else:
-            codes = values.astype(np.int64)
-        plan = state.enc_schema.plans[topo.shard_key]
-        join_group = plan.join_group if isinstance(plan, sc.DetPlan) else None
-        det = self._factories[table].det(topo.key_column, join_group)
-        return self._sharded_stores[table].ring.owners(det.encrypt_column(codes))
-
-    def _reconcile_sharded(self, table: str) -> None:
-        """Roll back shard generations the sharded sidecar never
-        acknowledged; refuse when this session's view is stale (another
-        writer committed past our cursors -- re-open the table)."""
-        store = self._sharded_stores[table]
-        shard_states = self._shard_states[table]
-        _, _, sharding = ps.read_sharded_sidecar(store.root)
-        for shard, st in shard_states.items():
-            cursor = sharding["shards"].get(shard)
-            committed = cursor["num_rows"] if cursor is not None else 0
-            if committed != st.num_rows:
-                raise StorageError(
-                    f"shard {shard} of {table!r} has {committed} committed "
-                    f"rows but this session attached at {st.num_rows}; "
-                    "another writer advanced the table -- re-open it in a "
-                    "fresh session before appending"
-                )
-            on_disk = store.shard_rows(shard)
-            if on_disk == committed:
-                continue
-            if on_disk < committed:
-                raise StorageError(
-                    f"shard {shard} of {table!r} holds {on_disk} rows but "
-                    f"its sidecar committed {committed}; the store is stale "
-                    "or corrupt"
-                )
-            store.truncate_shard(shard, committed)
-
-    def _write_sharded_sidecar(self, root: str, table: str) -> None:
-        ps.write_sharded_sidecar(
-            root,
-            self._states[table],
-            mode=self.mode,
-            prf_backend=self._factories[table].prf_backend,
-            keychain=self._keychain,
-            topology=self._sharded_stores[table].topology.to_dict(),
-            shard_cursors={
-                shard: {"next_row_id": st.next_row_id, "num_rows": st.num_rows}
-                for shard, st in self._shard_states[table].items()
-            },
-            paillier_n=(
-                self._paillier.n if self._paillier is not None else None
-            ),
         )
 
     # -- the fluent surface -------------------------------------------------------
@@ -1406,12 +1162,12 @@ class SeabedSession:
         self, q: Query, expected_groups: int | None, compress_at: str
     ) -> PreparedQuery:
         state = self._state(q.table)
-        factory = self._factories[q.table]
+        factory = self._entry(q.table).factory
         join_context = None
         server_join = None
         if q.join is not None:
             join_state = self._state(q.join.table)
-            join_context = (join_state, self._factories[q.join.table])
+            join_context = (join_state, self._entry(q.join.table).factory)
             server_join = self._build_server_join(q, state, join_state)
         translator = QueryTranslator(
             state,
@@ -1448,7 +1204,7 @@ class SeabedSession:
         columns cannot be projected.
         """
         state = self._state(q.table)
-        factory = self._factories[q.table]
+        factory = self._entry(q.table).factory
         translator = QueryTranslator(state, factory)
         base_filter, selectors = translator.split_predicate(q.where)
         if selectors:
@@ -1670,23 +1426,28 @@ class SeabedSession:
             for physical, scheme in plan.physical_schemes().items()
         }
 
-    def _commit_state(self, table: str) -> None:
-        """Hand the key-free sidecar payload to the transport to write --
-        the commit point of saves and appends, possibly executed by a
-        remote service on the session's behalf."""
-        payload = ps.state_to_dict(
-            self._states[table],
+    def _state_payload(self, entry: _TableEntry) -> dict[str, Any]:
+        """The key-free sidecar payload recording ``entry``'s state."""
+        return ps.state_to_dict(
+            entry.state,
             mode=self.mode,
             # The *table's* factory backend, not the session default: a
             # table attached from a store keeps the PRF it was encrypted
             # with, and a re-save must persist that same backend.
-            prf_backend=self._factories[table].prf_backend,
+            prf_backend=entry.factory.prf_backend,
             keychain=self._keychain,
+            cursors=entry.cursors,
+            topology=entry.topology and entry.topology.to_dict(),
             paillier_n=(
                 self._paillier.n if self._paillier is not None else None
             ),
         )
-        self.transport.commit_state(table, payload)
+
+    def _commit_state(self, table: str) -> None:
+        """Hand the sidecar payload to the transport to write -- the
+        commit point of saves and appends, possibly executed by a remote
+        service on the session's behalf."""
+        self.transport.commit_state(table, self._state_payload(self._entry(table)))
 
     def _as_query(self, query: str | Query | QueryBuilder) -> Query:
         if isinstance(query, str):
@@ -1735,10 +1496,10 @@ class SeabedSession:
         fixed: set[str] = set()
         tables = [q.table] + ([q.join.table] if q.join is not None else [])
         for table in tables:
-            state = self._states.get(table)
-            if state is None:
+            entry = self._tables.get(table)
+            if entry is None:
                 continue
-            for name, plan in state.enc_schema.plans.items():
+            for name, plan in entry.state.enc_schema.plans.items():
                 if plan.kind in ("splashe_basic", "splashe_enhanced"):
                     fixed.add(name)
         return fixed
@@ -1788,24 +1549,27 @@ class SeabedSession:
 
         return replace(q, where=sub(q.where)), values
 
-    def _state(self, table: str) -> ClientTableState:
+    def _entry(self, table: str) -> _TableEntry:
         try:
-            return self._states[table]
+            return self._tables[table]
         except KeyError:
             raise PlanningError(
                 f"no plan for table {table!r}; call create_plan first"
             ) from None
 
+    def _state(self, table: str) -> ClientTableState:
+        return self._entry(table).state
+
     def _decrypt_factory(self, q: Query) -> CryptoFactory:
         """Factory used for decryption; join payload columns resolve through
         a composite factory when the query spans two tables."""
         if q.join is None:
-            return self._factories[q.table]
+            return self._entry(q.table).factory
         return _CompositeFactory(
-            primary=self._factories[q.table],
-            secondary=self._factories[q.join.table],
+            primary=self._entry(q.table).factory,
+            secondary=self._entry(q.join.table).factory,
             secondary_columns=set(
-                self._states[q.join.table].enc_schema.physical_columns()
+                self._state(q.join.table).enc_schema.physical_columns()
             ),
         )
 

@@ -220,7 +220,7 @@ class QueryTranslator:
             )
         if query.join is not None and join is None:
             raise TranslationError(
-                "join queries need a ServerJoin; use SeabedClient.query, "
+                "join queries need a ServerJoin; use SeabedSession.query, "
                 "which resolves cross-table join keys"
             )
         base_filter, selectors = self.split_predicate(query.where)

@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import abc
 import os
+import shutil
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core import persistence as ps
 from repro.engine.store import (
+    FIRST_GENERATION,
+    MANIFEST_NAME,
+    _evict_cached,
     append_store,
     compact_store,
     open_store,
@@ -40,7 +44,7 @@ from repro.engine.store import (
     truncate_store,
     write_store,
 )
-from repro.errors import ExecutionError, StorageError, TransportError
+from repro.errors import ExecutionError, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover -- type-only imports
     from repro.core.server import (
@@ -92,9 +96,15 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def append_batch(
-        self, table: str, encrypted: "Table", column_meta: dict[str, str]
+        self,
+        table: str,
+        shard: int,
+        encrypted: "Table",
+        column_meta: dict[str, str],
     ) -> int:
-        """Publish one ciphertext batch as a new store generation.
+        """Publish one ciphertext batch as a new generation of the store
+        holding ``shard`` of ``table`` (a single-store table is shard 0),
+        on every replica of that shard.
 
         Does *not* commit: the session follows up with
         :meth:`commit_state` (the sidecar watermark is the commit
@@ -106,8 +116,8 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def table_meta(self, table: str) -> dict[str, Any] | None:
         """Registration snapshot for ``table`` (``None`` when nothing is
-        registered): ``{"store_backed", "store_path", "num_partitions",
-        "num_rows"}``."""
+        registered): ``{"store_backed", "store_path", "num_partitions"}``;
+        a sharded table's ``store_path`` is its sharded root."""
 
     @abc.abstractmethod
     def storage_bytes(self, table: str) -> int:
@@ -134,29 +144,29 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def read_store_state(self, path: str) -> dict[str, Any]:
-        """The raw sidecar payload of the store at ``path``."""
-
-    @abc.abstractmethod
-    def read_sharded_state(self, path: str) -> dict[str, Any]:
-        """The raw sharded-sidecar payload of the sharded table at
+        """The raw sidecar payload of the store (or sharded root) at
         ``path``."""
 
     @abc.abstractmethod
-    def store_rows(self, table: str) -> int:
-        """Rows in the newest published generation of the table's store
-        (committed or not)."""
+    def store_rows(self, table: str, shard: int) -> int:
+        """Rows in the newest published generation of the store holding
+        ``shard`` of ``table`` (committed or not)."""
 
     @abc.abstractmethod
-    def truncate_store(self, table: str, committed: int) -> None:
-        """Roll the table's store back to ``committed`` rows."""
+    def truncate_store(self, table: str, shard: int, committed: int) -> None:
+        """Roll the store holding ``shard`` of ``table`` back to
+        ``committed`` rows on every live replica;
+        :class:`~repro.errors.StorageError` if it holds fewer."""
 
     @abc.abstractmethod
     def reopen(self, table: str) -> None:
         """Re-register the latest committed view of a store-backed table."""
 
     @abc.abstractmethod
-    def compact(self, table: str, target_rows: int | None = None) -> dict | None:
-        """Compact the table's store; reopen if anything changed."""
+    def compact(self, table: str, target_rows: int | None = None) -> Any:
+        """Compact every store of the table, reopening what changed.
+        Returns the compaction stats (``None`` when the store was already
+        healthy); a sharded table returns one such entry per shard."""
 
     @abc.abstractmethod
     def store_stats(self, table: str) -> dict:
@@ -172,27 +182,114 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def attach(self, path: str) -> dict[str, Any]:
-        """Open the store at ``path`` at its committed snapshot and
-        register it; returns ``{"name", "num_rows"}``."""
-
-    @abc.abstractmethod
-    def attach_sharded(self, path: str) -> dict[str, Any]:
-        """Host the persisted sharded table at ``path`` (remote only)."""
+        """Serve the persisted table at ``path`` from its committed
+        state: a store is opened at its committed snapshot, a sharded
+        root gets its worker fleet (spawned once, uncommitted shard tails
+        rolled back).  Returns ``{"name"}``."""
 
     def close(self) -> None:
-        """Release transport resources (sockets); idempotent."""
+        """Release transport resources (sockets, worker fleets, mapped
+        stores); idempotent."""
+
+
+class StoreHost:
+    """One partition-store directory served through one
+    :class:`SeabedServer` under ``name``.
+
+    This is the per-store half of the ingestion protocol -- publish,
+    count, roll back, compact, re-register -- shared by every place a
+    store is hosted: the in-process transport (and therefore the
+    service) and each shard worker.  ``append`` does not touch the served
+    view: a published generation becomes visible only when the session,
+    having committed it, asks for :meth:`reopen` -- so rows a dead writer
+    never committed are never served.
+    """
+
+    def __init__(self, server: "SeabedServer", path: str, name: str):
+        self.server = server
+        self.path = path
+        self.name = name
+
+    def exists(self) -> bool:
+        """A shard the ring never routed a row to has no store at all."""
+        return os.path.exists(os.path.join(self.path, MANIFEST_NAME))
+
+    def rows(self) -> int:
+        return store_num_rows(self.path) if self.exists() else 0
+
+    def append(self, batch: "Table", column_meta: dict[str, str] | None) -> int:
+        """Publish ``batch`` as the store's next generation (its first,
+        when the store does not exist yet); returns the generation id."""
+        if self.exists():
+            return append_store(batch, self.path, column_meta=column_meta)
+        write_store(batch, self.path, column_meta=column_meta)
+        return FIRST_GENERATION
+
+    def truncate(self, committed: int) -> int:
+        """Drop uncommitted generations; returns how many.
+
+        Rolling back to zero rows -- a writer died during the store's
+        very first append -- removes the store entirely: a generation log
+        cannot be truncated below its first generation, and an empty
+        store is exactly "no store yet".
+        """
+        if not self.exists():
+            return 0
+        if committed == 0:
+            dropped = len(store_generations(self.path))
+            _evict_cached(self.path)
+            shutil.rmtree(self.path)
+        else:
+            dropped = truncate_store(self.path, committed)
+        if dropped:
+            self.reopen()
+        return dropped
+
+    def compact(self, target_rows: int | None = None) -> dict | None:
+        stats = compact_store(self.path, target_rows=target_rows)
+        if stats is not None:
+            self.reopen()
+        return stats
+
+    def reopen(self) -> None:
+        """Serve the store's latest snapshot (nothing, while the store
+        does not exist)."""
+        if self.exists():
+            self.server.register(open_store(self.path))
+        else:
+            self.server.unregister(self.name)
+
+
+def roll_back(host: Any, committed: int, what: str) -> None:
+    """Bring a hosted store back to the ``committed`` rows its sidecar
+    acknowledges: generations a dead writer published but never committed
+    are dropped; a store *behind* its sidecar is refused."""
+    on_disk = host.rows()
+    if on_disk < committed:
+        raise StorageError(
+            f"{what} holds {on_disk} rows but its sidecar committed "
+            f"{committed}; the store is stale or corrupt"
+        )
+    if on_disk > committed:
+        host.truncate(committed)
 
 
 class LocalTransport(Transport):
     """In-process transport: a :class:`SeabedServer` handle plus direct
     store filesystem access.  This is the repo's historical single-
-    process mode, now behind the same interface the wire speaks."""
+    process mode, now behind the same interface the wire speaks -- and
+    the object the service hosts its stores and shard fleets through."""
 
     local = True
 
     def __init__(self, server: "SeabedServer", cluster: "SimulatedCluster"):
         self.server = server
         self.cluster = cluster
+        # Sharded tables: name -> ShardedStore (the worker fleet).
+        self._fleets: dict[str, Any] = {}
+        # Stores this transport saved or attached (table name -> path);
+        # close() unmaps them.
+        self._stores: dict[str, str] = {}
 
     # -- query path --------------------------------------------------------
 
@@ -217,13 +314,24 @@ class LocalTransport(Transport):
         self.server.append(encrypted)
 
     def append_batch(
-        self, table: str, encrypted: "Table", column_meta: dict[str, str]
+        self,
+        table: str,
+        shard: int,
+        encrypted: "Table",
+        column_meta: dict[str, str],
     ) -> int:
-        return append_store(encrypted, self._store_path(table), column_meta=column_meta)
+        return self._host(table, shard).append(encrypted, column_meta)
 
     # -- table metadata ----------------------------------------------------
 
     def table_meta(self, table: str) -> dict[str, Any] | None:
+        fleet = self._fleets.get(table)
+        if fleet is not None:
+            return {
+                "store_backed": True,
+                "store_path": fleet.root,
+                "num_partitions": 0,
+            }
         registered = self.server.get(table)
         if registered is None:
             return None
@@ -231,7 +339,6 @@ class LocalTransport(Transport):
             "store_backed": registered.store_path is not None,
             "store_path": registered.store_path,
             "num_partitions": registered.num_partitions,
-            "num_rows": registered.num_rows,
         }
 
     def storage_bytes(self, table: str) -> int:
@@ -244,6 +351,21 @@ class LocalTransport(Transport):
         if store_path is None:
             raise StorageError(f"table {table!r} is not store-backed")
         return store_path
+
+    def _hosts(self, table: str) -> dict[int, Any]:
+        """What hosts each shard of ``table``: the shards' replica chains
+        in a worker fleet, or the one local store (handed the
+        :class:`Table` itself -- nothing is serialised in-process)."""
+        fleet = self._fleets.get(table)
+        if fleet is not None:
+            return {shard: fleet.host(shard) for shard in fleet.shards}
+        return {0: StoreHost(self.server, self._store_path(table), table)}
+
+    def _host(self, table: str, shard: int) -> Any:
+        try:
+            return self._hosts(table)[shard]
+        except KeyError:
+            raise StorageError(f"table {table!r} has no shard {shard}") from None
 
     def save_store(
         self,
@@ -263,34 +385,34 @@ class LocalTransport(Transport):
         # memory-map from the files just written, and incremental
         # ingestion (append / compact) can target the store directly.
         self.server.register(open_store(resolved))
-        return os.path.abspath(resolved)
+        self._stores[table] = os.path.abspath(resolved)
+        return self._stores[table]
 
     def commit_state(self, table: str, payload: dict[str, Any]) -> None:
-        ps.write_sidecar_payload(self._store_path(table), payload)
+        meta = self.table_meta(table)
+        if meta is None or not meta["store_backed"]:
+            raise StorageError(f"table {table!r} is not store-backed")
+        ps.write_state_payload(meta["store_path"], payload)
 
     def read_store_state(self, path: str) -> dict[str, Any]:
         resolved = self.cluster.config.resolve_store_path(path)
-        return ps.read_sidecar_payload(resolved)
+        return ps.read_state_payload(resolved)
 
-    def read_sharded_state(self, path: str) -> dict[str, Any]:
-        resolved = self.cluster.config.resolve_store_path(path)
-        return ps.read_sharded_payload(resolved)
+    def store_rows(self, table: str, shard: int) -> int:
+        return self._host(table, shard).rows()
 
-    def store_rows(self, table: str) -> int:
-        return store_num_rows(self._store_path(table))
-
-    def truncate_store(self, table: str, committed: int) -> None:
-        truncate_store(self._store_path(table), committed)
+    def truncate_store(self, table: str, shard: int, committed: int) -> None:
+        roll_back(
+            self._host(table, shard), committed, f"shard {shard} of {table!r}"
+        )
 
     def reopen(self, table: str) -> None:
-        self.server.register(open_store(self._store_path(table)))
+        for host in self._hosts(table).values():
+            host.reopen()
 
-    def compact(self, table: str, target_rows: int | None = None) -> dict | None:
-        store_path = self._store_path(table)
-        stats = compact_store(store_path, target_rows=target_rows)
-        if stats is not None:
-            self.server.register(open_store(store_path))
-        return stats
+    def compact(self, table: str, target_rows: int | None = None) -> Any:
+        stats = {s: h.compact(target_rows) for s, h in self._hosts(table).items()}
+        return stats if table in self._fleets else stats[0]
 
     def store_stats(self, table: str) -> dict:
         meta = self.table_meta(table)
@@ -329,29 +451,64 @@ class LocalTransport(Transport):
         return summary
 
     def attach(self, path: str) -> dict[str, Any]:
-        resolved = self.cluster.config.resolve_store_path(path)
-        table = open_committed_store(resolved)
-        self.server.register(table)
-        return {"name": table.name, "num_rows": table.num_rows}
+        resolved = os.path.abspath(self.cluster.config.resolve_store_path(path))
+        payload = ps.read_state_payload(resolved)
+        name = payload["schema"]["name"]
+        sharding = payload.get("sharding")
+        if sharding is None:
+            self.server.register(open_committed_store(resolved, payload))
+            self._stores[name] = resolved
+        elif name not in self._fleets:
+            self._host_fleet(resolved, name, sharding)
+        return {"name": name}
 
-    def attach_sharded(self, path: str) -> dict[str, Any]:
-        raise TransportError(
-            "attach_sharded is a remote-transport operation; local sessions "
-            "host sharded tables directly via open_sharded()"
+    def _host_fleet(self, root: str, name: str, sharding: dict[str, Any]) -> None:
+        """Spawn the worker fleet over ``root``'s node directories and
+        have it serve every shard's committed state (tails a dead writer
+        never committed are rolled back first)."""
+        # Imported lazily: repro.shard imports the server module, which
+        # imports this one through the core package.
+        from repro.shard.coordinator import (
+            ShardCoordinator,
+            ShardedStore,
+            ShardTopology,
         )
 
+        fleet = ShardedStore(
+            root, ShardTopology.from_dict(sharding["topology"]), self.cluster.config
+        )
+        try:
+            for shard, cursor in sharding["shards"].items():
+                host = fleet.host(int(shard))
+                roll_back(host, int(cursor["num_rows"]), f"shard {shard} of {name!r}")
+                host.reopen()
+        except BaseException:
+            fleet.close()
+            raise
+        self._fleets[name] = fleet
+        self.server.register_sharded(name, ShardCoordinator(fleet, self.cluster))
 
-def open_committed_store(resolved: str) -> "Table":
+    def close(self) -> None:
+        """Shut down hosted worker fleets and unmap the stores this
+        transport saved or attached: the server stops serving them and
+        their cached readers (one descriptor per column file) go."""
+        for fleet in self._fleets.values():
+            fleet.close()
+        for name, path in self._stores.items():
+            self.server.unregister(name)
+            _evict_cached(path)
+        self._stores.clear()
+
+
+def open_committed_store(resolved: str, payload: dict[str, Any]) -> "Table":
     """Open the store at ``resolved`` pinned to the snapshot its sidecar
-    committed, verifying the manifest and sidecar agree.
+    ``payload`` committed, verifying the manifest and sidecar agree.
 
-    Shared by :meth:`LocalTransport.attach` and the service's store
-    hosting: a writer may have died between publishing an append
-    generation and committing the sidecar watermark, in which case the
-    committed snapshot is attached instead (the next append rolls the
-    uncommitted tail back).
+    A writer may have died between publishing an append generation and
+    committing the sidecar watermark, in which case the committed
+    snapshot is attached instead (the next append rolls the uncommitted
+    tail back).
     """
-    payload = ps.read_sidecar_payload(resolved)
     name = payload["schema"]["name"]
     committed = int(payload["num_rows"])
     table = open_store(resolved)

@@ -4,9 +4,8 @@ Modules:
 
 - :mod:`repro.crypto.kernel` -- the batch :class:`Kernel` protocol every
   scheme implements (``encrypt_column`` / ``decrypt_column`` /
-  ``compare_column`` / ``pad_range``, array-in / array-out), the
-  plaintext :class:`PlainKernel`, and the warn-once deprecation helper
-  for the legacy per-value entry points.
+  ``compare_column`` / ``pad_range``, array-in / array-out) and the
+  plaintext :class:`PlainKernel`.
 - :mod:`repro.crypto.prf` -- keyed pseudo-random functions (BLAKE2b,
   vectorised SplitMix64 family, from-scratch AES-CTR, and the batch
   AES-NI path through the ``cryptography`` package).

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.kernel import warn_deprecated_once
 from repro.crypto.prf import MASK64, Prf
 from repro.errors import CryptoError, DecryptionError, KernelUnsupported
 from repro.idlist import IdList
@@ -100,23 +99,14 @@ class AsheScheme:
         with self._evals_lock:
             self.prf_evals += evals
 
-    # -- scalar interface (deprecated shim + reference path) ----------------
+    # -- scalar interface (the reference path) -------------------------------
 
     def encrypt(self, m: int, i: int) -> AsheCiphertext:
-        """Deprecated per-value entry point; use :meth:`encrypt_column`."""
-        warn_deprecated_once(
-            "AsheScheme.encrypt",
-            "AsheScheme.encrypt(m, i) is deprecated; encrypt whole columns "
-            "with the batch kernel AsheScheme.encrypt_column(values, start_id)",
-        )
-        return self._encrypt_one(m, i)
-
-    def _encrypt_one(self, m: int, i: int) -> AsheCiphertext:
         """Per-row reference path: two scalar PRF evaluations, no batching.
 
-        Retained (without a deprecation warning) as the ground truth the
-        property tests and kernel microbenchmarks compare the batch
-        kernels against.
+        The ground truth the property tests and kernel microbenchmarks
+        compare the batch kernel (:meth:`encrypt_column`) against; bulk
+        data goes through the kernel.
         """
         pad = self._prf.eval_one(i) - self._prf.eval_one((i - 1) & MASK64)
         self._bump(2)

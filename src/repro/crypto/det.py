@@ -28,7 +28,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.crypto.kernel import warn_deprecated_once
 from repro.crypto.prf import MASK64
 from repro.errors import CryptoError, KernelUnsupported
 
@@ -103,39 +102,23 @@ class DetScheme:
             out[j] = self._round_int(r, h)
         return out
 
-    # -- scalar API (deprecated shims + reference path) ----------------------
+    # -- scalar API (the reference path) -------------------------------------
 
     def encrypt_one(self, m: int) -> int:
-        """Deprecated per-value entry point; use :meth:`encrypt_column`."""
-        warn_deprecated_once(
-            "DetScheme.encrypt_one",
-            "DetScheme.encrypt_one(m) is deprecated; encrypt whole columns "
-            "with the batch kernel DetScheme.encrypt_column(values) "
-            "(query constants go through token())",
-        )
-        return self._encrypt_one(m)
-
-    def decrypt_one(self, c: int) -> int:
-        """Deprecated per-value entry point; use :meth:`decrypt_column`."""
-        warn_deprecated_once(
-            "DetScheme.decrypt_one",
-            "DetScheme.decrypt_one(c) is deprecated; decrypt whole columns "
-            "with the batch kernel DetScheme.decrypt_column(cipher)",
-        )
-        return self._decrypt_one(c)
-
-    def _encrypt_one(self, m: int) -> int:
         """Per-row reference path: encrypt one 64-bit value.
 
-        Retained without a warning as the ground truth for the property
-        tests, the kernel microbenchmark, and :meth:`token`.
+        The ground truth for the property tests, the kernel
+        microbenchmark, and :meth:`token`; bulk data goes through
+        :meth:`encrypt_column`.
         """
         left, right = (m >> 32) & _MASK32, m & _MASK32
         for r in range(self.ROUNDS):
             left, right = right, left ^ self._round_int(r, right)
         return (left << 32) | right
 
-    def _decrypt_one(self, c: int) -> int:
+    def decrypt_one(self, c: int) -> int:
+        """Per-row reference inverse of :meth:`encrypt_one` (the raw
+        ``Z_{2^64}`` element)."""
         left, right = (c >> 32) & _MASK32, c & _MASK32
         for r in reversed(range(self.ROUNDS)):
             left, right = right ^ self._round_int(r, left), left
@@ -180,7 +163,7 @@ class DetScheme:
 
     def token(self, m: int) -> int:
         """Equality token for a query constant (same as encryption)."""
-        return self._encrypt_one(m)
+        return self.encrypt_one(m)
 
 
 class DictionaryEncoder:

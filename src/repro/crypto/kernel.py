@@ -23,19 +23,14 @@ cannot be decrypted, Paillier reveals no order) raise
 :class:`~repro.errors.KernelUnsupported`; each scheme declares them in
 ``KERNEL_UNSUPPORTED`` so capability checks need no trial calls.
 
-The historical per-value entry points (``encrypt_one`` / ``decrypt_one``
-/ ``encrypt(m, i)``) survive as warn-once deprecation shims built on
-:func:`warn_deprecated_once` -- the same pattern as the
-``SeabedClient.server`` shim -- and double as the *reference path* the
-property tests and ``benchmarks/bench_kernels.py`` measure the batch
-kernels against.
+The per-value entry points (``encrypt_one`` / ``decrypt_one`` /
+``encrypt(m, i)``) are the *reference path* the property tests and
+``benchmarks/bench_kernels.py`` measure the batch kernels against.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -84,32 +79,6 @@ def validate_kernel(kernel: object) -> None:
             f"{type(kernel).__name__} does not implement the Kernel protocol "
             f"(missing: {', '.join(missing) or 'nothing?'})"
         )
-
-
-# -- warn-once deprecation shims --------------------------------------------
-
-_WARNED: set[str] = set()
-_WARNED_LOCK = threading.Lock()
-
-
-def warn_deprecated_once(key: str, message: str, *, stacklevel: int = 3) -> None:
-    """Emit ``DeprecationWarning`` the first time ``key`` is seen.
-
-    Per-value crypto entry points sit on hot paths; warning on every call
-    would flood the log, so each deprecated entry point warns exactly once
-    per process (mirroring the ``SeabedClient.server`` shim).
-    """
-    with _WARNED_LOCK:
-        if key in _WARNED:
-            return
-        _WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecation keys have fired (test isolation helper)."""
-    with _WARNED_LOCK:
-        _WARNED.clear()
 
 
 # -- kernel instrumentation --------------------------------------------------
@@ -250,7 +219,5 @@ __all__ = [
     "PlainKernel",
     "kernel_ops",
     "observe_kernel_op",
-    "reset_deprecation_warnings",
     "validate_kernel",
-    "warn_deprecated_once",
 ]

@@ -32,7 +32,6 @@ import hashlib
 
 import numpy as np
 
-from repro.crypto.kernel import warn_deprecated_once
 from repro.crypto.prf import MASK64
 from repro.errors import CryptoError, KernelUnsupported
 
@@ -204,20 +203,11 @@ class OreScheme:
     # -- encryption ---------------------------------------------------------
 
     def encrypt_one(self, m: int) -> tuple[int, ...]:
-        """Deprecated per-value entry point; use :meth:`encrypt_column`."""
-        warn_deprecated_once(
-            "OreScheme.encrypt_one",
-            "OreScheme.encrypt_one(m) is deprecated; encrypt whole columns "
-            "with the batch kernel OreScheme.encrypt_column(values) "
-            "(query constants go through token())",
-        )
-        return self._encrypt_one(m)
-
-    def _encrypt_one(self, m: int) -> tuple[int, ...]:
         """Per-row reference path (scalar PRF per bit position).
 
-        Retained without a warning as the ground truth for the property
-        tests, the kernel microbenchmark, and :meth:`token`.
+        The ground truth for the property tests, the kernel
+        microbenchmark, and :meth:`token`; bulk data goes through
+        :meth:`encrypt_column`.
         """
         value = self._to_domain(m)
         words = [0] * self.num_words
@@ -257,7 +247,7 @@ class OreScheme:
 
     def token(self, m: int) -> tuple[int, ...]:
         """Comparison token for a query constant (same as encryption)."""
-        return self._encrypt_one(m)
+        return self.encrypt_one(m)
 
     # -- comparison (public: needs no key) ------------------------------------
 

@@ -26,17 +26,14 @@ partition larger than RAM streams from the OS page cache.  Paillier
 ciphertext columns (``object`` dtype big-ints) reuse the varint framing
 of :mod:`repro.engine.storage` and load eagerly.
 
-**Generations.**  The manifest (format version 2) is a log of
-*generations*: the initial bulk write is generation 1 and every
-:func:`append_store` adds one more, bumping a monotonic generation
-counter.  Appends are atomic -- the batch is staged in a temporary
+**Generations.**  The manifest is a log of *generations*: the initial
+bulk write is generation 1 and every :func:`append_store` adds one more,
+bumping a monotonic generation counter.  Appends are atomic -- the batch is staged in a temporary
 directory, renamed into place, and only then does an ``os.replace`` of
 the manifest publish it -- so a writer killed mid-append leaves the
 store exactly at its previous generation.  :func:`compact_store` merges
 runs of small append generations back into full-size partitions so scan
-parallelism stays healthy under a drip of small batches.  Version-1
-manifests (the pre-generational format) are still read, normalised as a
-single generation, and upgraded in place by the first append.
+parallelism stays healthy under a drip of small batches.
 
 **Snapshot consistency.**  :class:`PartitionRef` -- the tiny picklable
 descriptor stage dispatch ships instead of column payloads -- carries
@@ -50,15 +47,14 @@ post-append, never torn.  Only compaction retires old snapshots; a ref
 from before a compaction fails with a clear :class:`StorageError`
 instead of silently reading reshuffled partitions.
 
-**Zone maps.**  Format version 3 attaches per-partition zone-map
-statistics to every generation entry (:mod:`repro.index.zonemap`): ORE
+**Zone maps.**  Every generation entry carries per-partition zone-map
+statistics (:mod:`repro.index.zonemap`): ORE
 min/max ciphertexts, DET token sets or bloom filters, plain min/max,
 and row counts -- everything derivable from the ciphertext columns the
 server already stores, nothing more.  ``write_store``, ``append_store``
-and ``compact_store`` all emit stats for the partitions they write;
-older stores open unchanged and are backfilled lazily by their first
-mutation (or eagerly by :func:`rebuild_stats`).  The server's pruning
-planner consults these through :attr:`Table.zone_maps`.
+and ``compact_store`` all emit stats for the partitions they write
+(:func:`rebuild_stats` recomputes them).  The server's pruning planner
+consults these through :attr:`Table.zone_maps`.
 
 Everything stored here is public material: ciphertext columns, row IDs,
 and dtype bookkeeping.  Client-side state (plaintext schema,
@@ -92,11 +88,8 @@ from repro.index.zonemap import build_partition_stats, stats_summary
 
 FORMAT_NAME = "seabed-store"
 FORMAT_VERSION = 3
-#: Manifest versions this build can read (v1 = the pre-generational
-#: single-shot format, normalised to one generation on load; v2 = the
-#: generation log without zone-map statistics, which are backfilled
-#: lazily by the store's first mutation or by :func:`rebuild_stats`).
-READABLE_VERSIONS = (1, 2, 3)
+#: Manifest versions this build can read.
+READABLE_VERSIONS = (3,)
 MANIFEST_NAME = "manifest.json"
 FIRST_GENERATION = 1
 
@@ -126,7 +119,7 @@ class PartitionRef:
     ``store_id`` is the identity of the store that minted the ref, so a
     ref from a store that was wholesale *replaced* at the same path fails
     loudly instead of reading the replacement's rows.  ``None`` values
-    (legacy refs) resolve against the store's current state.
+    resolve against the store's current state.
     """
 
     path: str
@@ -252,8 +245,7 @@ def write_store(
     """Persist ``table`` under ``path``; returns the absolute store path.
 
     This is the initial bulk write: the table becomes generation 1 (its
-    partitions live at the store root, which is also the layout a
-    version-1 manifest describes).  ``column_meta`` attaches one opaque
+    partitions live at the store root).  ``column_meta`` attaches one opaque
     string per column to the manifest (the session records each physical
     column's encryption class there).  An existing store is refused
     unless ``overwrite=True``, in which case its partition directories,
@@ -312,7 +304,7 @@ def write_store(
 
 
 def _read_manifest(path: str) -> dict:
-    """Parse and validate the manifest, normalising v1 to the v2 shape."""
+    """Parse and validate the manifest."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     try:
         with open(manifest_path) as fh:
@@ -329,32 +321,6 @@ def _read_manifest(path: str) -> dict:
             f"store at {path!r} has format version {version!r}; "
             f"this build reads versions {list(READABLE_VERSIONS)}"
         )
-    if version == 1:
-        # v1: a flat partition list with one top-level span payload --
-        # exactly a single generation at the store root.  v1 stores have
-        # no identity; the first mutation assigns one.
-        manifest = {
-            "format": manifest["format"],
-            "version": FORMAT_VERSION,
-            "table": manifest["table"],
-            "store_id": None,
-            "generation": FIRST_GENERATION,
-            "num_rows": int(manifest["num_rows"]),
-            "columns": manifest["columns"],
-            "generations": [{
-                "id": FIRST_GENERATION,
-                "dir": "",
-                "num_rows": int(manifest["num_rows"]),
-                "spans_hex": manifest["spans_hex"],
-                "partitions": manifest["partitions"],
-            }],
-        }
-    else:
-        manifest.setdefault("store_id", None)
-        # v2 -> v3 is purely additive (per-partition "stats" keys), so
-        # normalising the version here means any mutation republishes at
-        # the current format -- with the stats backfilled first.
-        manifest["version"] = FORMAT_VERSION
     return manifest
 
 
@@ -420,35 +386,6 @@ def _remove_generation_dirs(path: str, entries: list[dict]) -> None:
                 shutil.rmtree(os.path.join(path, part["dir"]), ignore_errors=True)
 
 
-def _ensure_stats(path: str, manifest: dict) -> bool:
-    """Backfill zone-map statistics for partitions that predate format
-    version 3 (lazy upgrade: runs on the store's first mutation, and
-    eagerly via :func:`rebuild_stats`).
-
-    Mutates ``manifest`` in place; returns True when anything was
-    computed.  Existing stats are left untouched -- they are
-    deterministic functions of immutable partition files.
-    """
-    entries = [
-        part for gen in manifest["generations"] for part in gen["partitions"]
-    ]
-    if all("stats" in part for part in entries):
-        return False
-    snapshot = StoreReader(path)
-    if snapshot.num_partitions != len(entries):  # pragma: no cover - defensive
-        raise StorageError(
-            f"store at {path!r}: manifest lists {len(entries)} partitions "
-            f"but the current snapshot resolves {snapshot.num_partitions}"
-        )
-    for index, part in enumerate(entries):
-        if "stats" not in part:
-            part["stats"] = build_partition_stats(
-                snapshot.partition(index), manifest["columns"]
-            )
-            snapshot.release(index)
-    return True
-
-
 def _check_append_columns(manifest: dict, columns: dict[str, dict]) -> None:
     stored = manifest["columns"]
     if set(stored) != set(columns):
@@ -484,8 +421,7 @@ def append_store(
     ID lists range-compressible).  The write is atomic: column files are
     staged under ``gen-NNNNNN.tmp``, renamed into place, and the updated
     manifest is published last via ``os.replace``; a writer killed at any
-    point leaves the previous generation fully intact.  Appending to a
-    version-1 store upgrades its manifest to version 2.
+    point leaves the previous generation fully intact.
 
     Returns the new generation id.
     """
@@ -506,11 +442,6 @@ def append_store(
             "row-ID sequence (truncate uncommitted generations first?)"
         )
 
-    if manifest.get("store_id") is None:
-        manifest["store_id"] = os.urandom(8).hex()  # v1 upgrade
-    # First-mutation upgrade: generations written before format v3 gain
-    # their zone-map stats now, in the same manifest publish as the batch.
-    _ensure_stats(path, manifest)
     gen_id = int(manifest["generation"]) + 1
     dir_name = _generation_dir(gen_id)
     staging = os.path.join(path, dir_name + ".tmp")
@@ -583,11 +514,8 @@ def truncate_store(path: str | os.PathLike, num_rows: int) -> int:
     """
     path = os.path.abspath(os.fspath(path))
     manifest = _read_manifest(path)
-    if manifest.get("store_id") is None:
-        manifest["store_id"] = os.urandom(8).hex()  # v1 upgrade
     if int(manifest["num_rows"]) == num_rows:
         return 0
-    _ensure_stats(path, manifest)  # pre-v3 upgrade rides this mutation
     keep: list[dict] = []
     total = 0
     for gen in manifest["generations"]:
@@ -662,8 +590,6 @@ def compact_store(
     """
     path = os.path.abspath(os.fspath(path))
     manifest = _read_manifest(path)
-    if manifest.get("store_id") is None:
-        manifest["store_id"] = os.urandom(8).hex()  # v1 upgrade
     gens = manifest["generations"]
     if target_rows is None:
         target_rows = max(1, math.ceil(max(_gen_mean_partition_rows(g) for g in gens)))
@@ -687,13 +613,7 @@ def compact_store(
         return len(run) > 1 or math.ceil(rows / target_rows) < parts
 
     runs = [run for run in runs if worth_it(run)]
-    # Pre-v3 generations gain their zone-map stats as part of this
-    # mutation (published below with the rewrite, or on their own when
-    # there is nothing to merge but the upgrade is still due).
-    backfilled = _ensure_stats(path, manifest)
     if not runs:
-        if backfilled:
-            _write_manifest(path, manifest)
         # Nothing to merge -- but a previous writer may have died between
         # its manifest publish and its directory cleanup, so sweep.
         _sweep_stale_tmp(path)
@@ -902,7 +822,7 @@ class StoreReader:
         self._counts = np.asarray(counts_all, dtype=np.uint64)
         self._partitions: dict[int, Partition] = {}
         self._lock = threading.Lock()
-        #: Per-partition zone-map statistics (None for pre-v3 entries).
+        #: Per-partition zone-map statistics.
         self.zone_maps: list[dict | None] = [
             entry.get("stats") for entry in self._entries
         ]
@@ -1180,21 +1100,23 @@ def disk_bytes(path: str | os.PathLike) -> int:
 def rebuild_stats(path: str | os.PathLike) -> dict[str, Any]:
     """Recompute zone-map statistics for *every* partition and publish.
 
-    The eager counterpart of the lazy first-mutation backfill: attaches
-    v3 stats to v1/v2 stores without waiting for an append, and refreshes
-    stats whose build parameters changed.  Publishing follows the same
-    atomic manifest replace as every other mutation (readers see the old
-    stats or the new ones, never a mix).  Returns the new index summary
-    (:func:`store_stats`).
+    Refreshes stats whose build parameters changed (they are otherwise
+    deterministic functions of immutable partition files).  Publishing
+    follows the same atomic manifest replace as every other mutation
+    (readers see the old stats or the new ones, never a mix).  Returns
+    the new index summary (:func:`store_stats`).
     """
     path = os.path.abspath(os.fspath(path))
     manifest = _read_manifest(path)
-    if manifest.get("store_id") is None:
-        manifest["store_id"] = os.urandom(8).hex()  # v1 upgrade
-    for gen in manifest["generations"]:
-        for part in gen["partitions"]:
-            part.pop("stats", None)
-    _ensure_stats(path, manifest)
+    entries = [
+        part for gen in manifest["generations"] for part in gen["partitions"]
+    ]
+    snapshot = StoreReader(path)
+    for index, part in enumerate(entries):
+        part["stats"] = build_partition_stats(
+            snapshot.partition(index), manifest["columns"]
+        )
+        snapshot.release(index)
     _write_manifest(path, manifest)
     return store_stats(path)
 

@@ -50,7 +50,6 @@ _IDEMPOTENT = {
     "table_meta",
     "storage_bytes",
     "read_store_state",
-    "read_sharded_state",
     "store_rows",
     "store_stats",
     "generations",
@@ -59,7 +58,6 @@ _IDEMPOTENT = {
     "trace",
     "reopen",
     "attach",
-    "attach_sharded",
 }
 
 
@@ -270,12 +268,13 @@ class RemoteTransport(Transport):
     def upload(self, encrypted) -> None:
         self._request("upload", {"batch": codec.pack_table(encrypted)})
 
-    def append_batch(self, table, encrypted, column_meta) -> int:
+    def append_batch(self, table, shard, encrypted, column_meta) -> int:
         return int(
             self._request(
                 "append_batch",
                 {
                     "table": table,
+                    "shard": shard,
                     "batch": codec.pack_table(encrypted),
                     "column_meta": dict(column_meta),
                 },
@@ -311,19 +310,19 @@ class RemoteTransport(Transport):
     def read_store_state(self, path: str) -> dict[str, Any]:
         return self._request("read_store_state", {"path": path})
 
-    def read_sharded_state(self, path: str) -> dict[str, Any]:
-        return self._request("read_sharded_state", {"path": path})
+    def store_rows(self, table: str, shard: int) -> int:
+        return int(self._request("store_rows", {"table": table, "shard": shard}))
 
-    def store_rows(self, table: str) -> int:
-        return int(self._request("store_rows", {"table": table}))
-
-    def truncate_store(self, table: str, committed: int) -> None:
-        self._request("truncate_store", {"table": table, "committed": committed})
+    def truncate_store(self, table: str, shard: int, committed: int) -> None:
+        self._request(
+            "truncate_store",
+            {"table": table, "shard": shard, "committed": committed},
+        )
 
     def reopen(self, table: str) -> None:
         self._request("reopen", {"table": table})
 
-    def compact(self, table: str, target_rows: int | None = None) -> dict | None:
+    def compact(self, table: str, target_rows: int | None = None) -> Any:
         return self._request("compact", {"table": table, "target_rows": target_rows})
 
     def store_stats(self, table: str) -> dict:
@@ -337,9 +336,6 @@ class RemoteTransport(Transport):
 
     def attach(self, path: str) -> dict[str, Any]:
         return self._request("attach", {"path": path})
-
-    def attach_sharded(self, path: str) -> dict[str, Any]:
-        return self._request("attach_sharded", {"path": path})
 
     # -- extras --------------------------------------------------------------
 

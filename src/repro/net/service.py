@@ -33,25 +33,24 @@ import argparse
 import asyncio
 import json
 import secrets
+import signal
 import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
-from repro.core import persistence as ps
 from repro.core import server as srv
 from repro.core.access import AccessController, AccessError
-from repro.core.transport import LocalTransport, open_committed_store
+from repro.core.transport import LocalTransport
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import (
     AuthError,
     Backpressure,
     CodecError,
     SeabedError,
-    StorageError,
     TransportError,
 )
 from repro.net import codec
@@ -118,8 +117,6 @@ class SeabedService:
         self.access = AccessController()
         self._tokens: dict[str, str] = {}  # token -> user
         self._tenants: dict[str, _Tenant] = {}
-        self._sharded_roots: dict[str, str] = {}
-        self._sharded_stores: dict[str, Any] = {}  # name -> ShardedStore
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.executor_threads,
             thread_name_prefix="seabed-svc",
@@ -130,51 +127,11 @@ class SeabedService:
         self.bound: tuple[str, int] | None = None
         if not self.config.auth_required:
             self.access.grant("anonymous")
-        for path in stores:
-            self.host_store(path)
-        for path in sharded:
-            self.host_sharded(path)
-
-    # -- hosting -----------------------------------------------------------
-
-    def host_store(self, path: str) -> str:
-        """Attach the partition store at ``path`` at its committed
-        snapshot; returns the table name now being served."""
-        resolved = self.cluster.config.resolve_store_path(path)
-        table = open_committed_store(resolved)
-        self.server.register(table)
-        return table.name
-
-    def host_sharded(self, path: str) -> str:
-        """Host the persisted sharded table at ``path``: respawn the
-        worker fleet over the existing node directories and roll back any
-        shard tails a dead writer never committed.  Entirely key-free --
-        the sidecar's schema/cursor metadata is all this needs."""
-        from repro.shard.coordinator import (  # lazy: avoids package cycle
-            ShardCoordinator,
-            ShardedStore,
-            ShardTopology,
-        )
-
-        root = self.cluster.config.resolve_store_path(path)
-        state, _attach, sharding = ps.sharded_from_dict(ps.read_sharded_payload(root))
-        name = state.schema.name
-        topology = ShardTopology.from_dict(sharding["topology"])
-        store = ShardedStore(root, topology, self.cluster.config)
-        for shard, cursor in sharding["shards"].items():
-            committed = int(cursor["num_rows"])
-            on_disk = store.shard_rows(shard)
-            if on_disk < committed:
-                raise StorageError(
-                    f"shard {shard} of {name!r} holds {on_disk} rows but its "
-                    f"sidecar committed {committed}; the store is stale or corrupt"
-                )
-            if on_disk > committed:
-                store.truncate_shard(shard, committed)
-        self.server.register_sharded(name, ShardCoordinator(store, self.cluster))
-        self._sharded_roots[name] = root
-        self._sharded_stores[name] = store
-        return name
+        # Entirely key-free: a store is served at its committed snapshot,
+        # a sharded root through a respawned worker fleet, and the
+        # sidecar's schema/cursor metadata is all either needs.
+        for path in (*stores, *sharded):
+            self._local.attach(path)
 
     # -- auth --------------------------------------------------------------
 
@@ -240,7 +197,9 @@ class SeabedService:
         if op == "append_batch":
             self._check(user, args["table"])
             batch = codec.unpack_table(args["batch"])
-            return local.append_batch(args["table"], batch, args["column_meta"])
+            return local.append_batch(
+                args["table"], int(args["shard"]), batch, args["column_meta"]
+            )
         if op == "table_meta":
             self._check(user, args["table"])
             return local.table_meta(args["table"])
@@ -262,16 +221,14 @@ class SeabedService:
             payload = local.read_store_state(args["path"])
             self._check(user, payload["schema"]["name"])
             return payload
-        if op == "read_sharded_state":
-            payload = local.read_sharded_state(args["path"])
-            self._check(user, payload["schema"]["name"])
-            return payload
         if op == "store_rows":
             self._check(user, args["table"])
-            return local.store_rows(args["table"])
+            return local.store_rows(args["table"], int(args["shard"]))
         if op == "truncate_store":
             self._check(user, args["table"])
-            return local.truncate_store(args["table"], int(args["committed"]))
+            return local.truncate_store(
+                args["table"], int(args["shard"]), int(args["committed"])
+            )
         if op == "reopen":
             self._check(user, args["table"])
             return local.reopen(args["table"])
@@ -288,20 +245,9 @@ class SeabedService:
             self._check(user, args["table"])
             return local.rebuild_index(args["table"])
         if op == "attach":
-            resolved = self.cluster.config.resolve_store_path(args["path"])
-            table = open_committed_store(resolved)
-            self._check(user, table.name)
-            self.server.register(table)
-            return {"name": table.name, "num_rows": table.num_rows}
-        if op == "attach_sharded":
-            payload = local.read_sharded_state(args["path"])
-            name = payload["schema"]["name"]
-            self._check(user, name)
-            root = self._sharded_roots.get(name)
-            if root is None:
-                self.host_sharded(args["path"])
-                root = self._sharded_roots[name]
-            return {"name": name, "root": root}
+            payload = local.read_store_state(args["path"])
+            self._check(user, payload["schema"]["name"])
+            return local.attach(args["path"])
         if op == "audit":
             result = audit_keyless(self)
             return {
@@ -582,8 +528,7 @@ class SeabedService:
         if self._thread is not None:
             self._thread.join(timeout=10)
         self._pool.shutdown(wait=False, cancel_futures=True)
-        for store in self._sharded_stores.values():
-            store.close()
+        self._local.close()
         self.cluster.close()
 
 
@@ -731,6 +676,10 @@ def main(argv: list[str] | None = None) -> None:
         with open(args.info_file, "w", encoding="utf-8") as fh:
             json.dump({"host": handle.host, "port": handle.port}, fh)
     print(f"seabed service listening on {handle.host}:{handle.port}", flush=True)
+    # SIGTERM stops the service like SIGINT does: dying without stop()
+    # would orphan the shard workers (later-forked workers inherit the
+    # earlier workers' pipe ends, so none of them ever sees EOF).
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         assert service._thread is not None
         service._thread.join()

@@ -6,9 +6,10 @@ Two layers live here:
   tree (``<root>/node-<n>/shard-<s>/``), the consistent-hash ring that
   places shards on nodes (R-way replica chains), and one
   :class:`~repro.engine.transport.WorkerHandle` per node.  Storage
-  operations (append / truncate / compact) address *all live replicas*
-  of a shard, in the same order with the same batches, so replica
-  stores stay bit-identical and failover needs no reconciliation.
+  operations (append / truncate / compact, :class:`ShardReplicas`)
+  address *all live replicas* of a shard, in the same order with the
+  same batches, so replica stores stay bit-identical and failover needs
+  no reconciliation.
 - :class:`ShardCoordinator` -- the query half.  It routes a
   :class:`~repro.core.server.ServerQuery` to the shards that could hold
   matching rows (DET point/IN predicates on the shard key resolve to
@@ -37,6 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -44,6 +46,8 @@ import numpy as np
 from repro.core import server as srv
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
+from repro.engine.storage import serialize_table
+from repro.engine.table import Table
 from repro.engine.transport import WorkerDied, WorkerHandle
 from repro.errors import ExecutionError
 from repro.index import prune
@@ -86,6 +90,14 @@ class ShardTopology:
                 f"replicas must be in [1, {self.num_shards}], got {self.replicas}"
             )
 
+    @cached_property
+    def ring(self) -> HashRing:
+        """The placement ring; rebuilt bit-identically in any process
+        (the session routes append rows with it, the fleet its queries)."""
+        return HashRing(
+            list(range(self.num_shards)), vnodes=self.vnodes, replicas=self.replicas
+        )
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "table": self.table,
@@ -120,11 +132,7 @@ class ShardedStore:
         self.root = os.path.abspath(root)
         self.topology = topology
         self.config = config or ClusterConfig()
-        self.ring = HashRing(
-            list(range(topology.num_shards)),
-            vnodes=topology.vnodes,
-            replicas=topology.replicas,
-        )
+        self.ring = topology.ring
         self.dead: set[int] = set()
         self._lock = threading.Lock()
         self._rollups: dict[int, tuple[int, dict | None]] = {}
@@ -161,6 +169,11 @@ class ShardedStore:
         with self._lock:
             self.dead.add(node)
 
+    def forget_rollup(self, shard: int) -> None:
+        """Drop the cached zone-map rollup of a shard that just mutated."""
+        with self._lock:
+            self._rollups.pop(shard, None)
+
     # -- fault injection ---------------------------------------------------
 
     def kill_node(self, node: int) -> None:
@@ -174,80 +187,9 @@ class ShardedStore:
 
     # -- replicated storage operations -------------------------------------
 
-    def append_shard(
-        self, shard: int, blob: bytes, column_meta: dict[str, str] | None
-    ) -> int:
-        """Append one encrypted batch to every replica of ``shard``.
-
-        Appends require the full replica chain alive: a write acked by
-        only part of the chain would fork the replicas.  (Queries, by
-        contrast, need just one live replica.)
-        """
-        generation = 0
-        for node in self.replica_nodes(shard):
-            if node in self.dead:
-                raise ExecutionError(
-                    f"cannot append to shard {shard}: replica node {node} is "
-                    "dead and appends require the full replica chain"
-                )
-            try:
-                generation = self.workers[node].call(
-                    "append",
-                    table=self.topology.table,
-                    shard_id=shard,
-                    blob=blob,
-                    column_meta=column_meta,
-                )
-            except WorkerDied as exc:
-                self.mark_dead(node)
-                raise ExecutionError(
-                    f"replica node {node} died while appending to shard "
-                    f"{shard}; appends require the full replica chain"
-                ) from exc
-        with self._lock:
-            self._rollups.pop(shard, None)
-        return generation
-
-    def shard_rows(self, shard: int) -> int:
-        result, _ = self.call_shard(
-            shard, "rows", table=self.topology.table, shard_id=shard
-        )
-        return int(result)
-
-    def truncate_shard(self, shard: int, num_rows: int) -> int:
-        """Roll back uncommitted generations on every live replica."""
-        dropped = 0
-        for node in self.replica_nodes(shard):
-            if node in self.dead:
-                continue
-            dropped = self.workers[node].call(
-                "truncate",
-                table=self.topology.table,
-                shard_id=shard,
-                num_rows=num_rows,
-            )
-        with self._lock:
-            self._rollups.pop(shard, None)
-        return int(dropped)
-
-    def compact(self, target_rows: int | None = None) -> dict[int, dict | None]:
-        """Compact every shard on every live replica."""
-        out: dict[int, dict | None] = {}
-        for shard in self.shards:
-            stats: dict | None = None
-            for node in self.replica_nodes(shard):
-                if node in self.dead:
-                    continue
-                stats = self.workers[node].call(
-                    "compact",
-                    table=self.topology.table,
-                    shard_id=shard,
-                    target_rows=target_rows,
-                )
-            out[shard] = stats
-            with self._lock:
-                self._rollups.pop(shard, None)
-        return out
+    def host(self, shard: int) -> "ShardReplicas":
+        """The store host of ``shard``: its whole replica chain."""
+        return ShardReplicas(self, shard)
 
     def rollup(self, shard: int) -> dict | None:
         """The shard's zone-map rollup (cached until the shard mutates)."""
@@ -312,6 +254,84 @@ class ShardedStore:
             else:
                 handle.shutdown()
         self.dead.update(self.workers)
+
+
+class ShardReplicas:
+    """One shard's replica chain as a single store host.
+
+    The same ``append`` / ``rows`` / ``truncate`` / ``compact`` surface
+    as :class:`~repro.core.transport.StoreHost`, applied over the worker
+    RPC to every replica of the shard, in chain order with identical
+    arguments -- which is what keeps replica stores bit-identical.
+    """
+
+    def __init__(self, fleet: ShardedStore, shard: int):
+        self.fleet = fleet
+        self.shard = shard
+
+    def _call(self, node: int, method: str, **kwargs: Any) -> Any:
+        return self.fleet.workers[node].call(
+            method, table=self.fleet.topology.table, shard_id=self.shard, **kwargs
+        )
+
+    def _on_live_replicas(self, method: str, **kwargs: Any) -> Any:
+        """Run ``method`` on every live replica (one that dies mid-call
+        is marked dead, like on the query path); the served view may have
+        changed, so the shard's cached rollup is dropped."""
+        result = None
+        for node in self.fleet.replica_nodes(self.shard):
+            if node in self.fleet.dead:
+                continue
+            try:
+                result = self._call(node, method, **kwargs)
+            except WorkerDied:
+                self.fleet.mark_dead(node)
+        self.fleet.forget_rollup(self.shard)
+        return result
+
+    def append(self, batch: Table, column_meta: dict[str, str] | None) -> int:
+        """Append one encrypted batch to every replica.
+
+        Appends require the full replica chain alive: a write acked by
+        only part of the chain would fork the replicas.  (Queries, by
+        contrast, need just one live replica.)
+        """
+        blob = serialize_table(batch)
+        generation = 0
+        for node in self.fleet.replica_nodes(self.shard):
+            if node in self.fleet.dead:
+                raise ExecutionError(
+                    f"cannot append to shard {self.shard}: replica node "
+                    f"{node} is dead and appends require the full replica chain"
+                )
+            try:
+                generation = self._call(
+                    node, "append", blob=blob, column_meta=column_meta
+                )
+            except WorkerDied as exc:
+                self.fleet.mark_dead(node)
+                raise ExecutionError(
+                    f"replica node {node} died while appending to shard "
+                    f"{self.shard}; appends require the full replica chain"
+                ) from exc
+        return generation
+
+    def rows(self) -> int:
+        """Rows on the first live replica (committed or not)."""
+        result, _ = self.fleet.call_shard(
+            self.shard, "rows", table=self.fleet.topology.table, shard_id=self.shard
+        )
+        return int(result)
+
+    def truncate(self, committed: int) -> None:
+        """Roll back uncommitted generations on every live replica."""
+        self._on_live_replicas("truncate", num_rows=committed)
+
+    def compact(self, target_rows: int | None = None) -> dict | None:
+        return self._on_live_replicas("compact", target_rows=target_rows)
+
+    def reopen(self) -> None:
+        self._on_live_replicas("reopen")
 
 
 class ShardCoordinator:

@@ -8,9 +8,12 @@ pipe.  Process isolation is the point: a crash (injected or real) kills
 exactly one node's stores out of the table, and the coordinator observes
 a dead pipe, not a corrupted in-process state.
 
-Stores are registered on the worker's local :class:`SeabedServer` under
-the alias ``{table}::shard{sid}`` because one node hosts several shards
-of the *same* table (its primaries plus replicas) and the server
+Every store is hosted through the shared
+:class:`~repro.core.transport.StoreHost` -- the same publish / roll back
+/ compact / re-register protocol the in-process transport uses -- and
+registered on the worker's local :class:`SeabedServer` under the alias
+``{table}::shard{sid}`` because one node hosts several shards of the
+*same* table (its primaries plus replicas) and the server
 registry is keyed by name.  The alias is also the name written into each
 shard store's manifest, so re-attaching after a restart needs no
 rename.  Incoming :class:`ServerQuery` objects reference the base table
@@ -26,17 +29,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
 from multiprocessing import connection
 from typing import Any, Sequence
 
 from repro.core import server as srv
-from repro.engine import store as store_mod
+from repro.core.transport import StoreHost
 from repro.engine import transport
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.storage import deserialize_table
 from repro.engine.table import Table
-from repro.errors import StorageError
 from repro.index.rollup import rollup_zone_maps
 from repro.obs import trace as obs_trace
 
@@ -57,32 +58,16 @@ class _ShardWorker:
 
     # -- store plumbing ----------------------------------------------------
 
-    def _store_dir(self, shard_id: int) -> str:
-        return os.path.join(self.node_dir, f"shard-{shard_id}")
-
-    def _register(self, table: str, shard_id: int) -> Table:
-        opened = store_mod.open_store(self._store_dir(shard_id))
-        self.server.register(opened)
-        return opened
-
-    def _has_store(self, shard_id: int) -> bool:
-        """A shard the ring never routed a row to has no store at all --
-        an *empty shard*, not an error (four distinct shard-key values
-        can land on three of four shards)."""
-        path = self._store_dir(shard_id)
-        return os.path.exists(os.path.join(path, store_mod.MANIFEST_NAME))
-
-    def _ensure(self, table: str, shard_id: int) -> str:
-        """Alias of the shard's table, attaching the store lazily."""
-        alias = shard_alias(table, shard_id)
-        if self.server.get(alias) is None:
-            if not self._has_store(shard_id):
-                raise StorageError(
-                    f"node {self.node_id} hosts no store for shard "
-                    f"{shard_id} of table {table!r}"
-                )
-            self._register(table, shard_id)
-        return alias
+    def _host(self, table: str, shard_id: int) -> StoreHost:
+        """The store host of one shard's slice.  The store need not exist:
+        a shard the ring never routed a row to has none and serves
+        nothing -- an *empty shard*, not an error (four distinct
+        shard-key values can land on three of four shards)."""
+        return StoreHost(
+            self.server,
+            os.path.join(self.node_dir, f"shard-{shard_id}"),
+            shard_alias(table, shard_id),
+        )
 
     # -- RPC handlers ------------------------------------------------------
 
@@ -102,74 +87,46 @@ class _ShardWorker:
         is re-badged to the shard alias so the store's own name check
         (and any later re-attach) stays coherent per shard.
         """
-        batch = deserialize_table(blob)
-        alias = shard_alias(table, shard_id)
-        batch = Table(alias, batch.partitions)
-        path = self._store_dir(shard_id)
-        if os.path.exists(os.path.join(path, store_mod.MANIFEST_NAME)):
-            generation = store_mod.append_store(batch, path, column_meta)
-        else:
-            store_mod.write_store(batch, path, column_meta)
-            generation = store_mod.FIRST_GENERATION
-        self._register(table, shard_id)
-        return generation
+        host = self._host(table, shard_id)
+        batch = Table(host.name, deserialize_table(blob).partitions)
+        return host.append(batch, column_meta)
 
     def rows(self, table: str, shard_id: int) -> int:
-        path = self._store_dir(shard_id)
-        if not os.path.exists(os.path.join(path, store_mod.MANIFEST_NAME)):
-            return 0
-        return store_mod.store_num_rows(path)
+        return self._host(table, shard_id).rows()
 
     def truncate(self, table: str, shard_id: int, num_rows: int) -> int:
-        """Roll back uncommitted append generations (crash recovery).
-
-        Rolling back to zero rows -- a writer died during this shard's
-        very first append -- removes the store entirely: a generation
-        log cannot be truncated below its first generation, and an
-        empty store is exactly "no store yet".
-        """
-        path = self._store_dir(shard_id)
-        if not os.path.exists(os.path.join(path, store_mod.MANIFEST_NAME)):
-            return 0
-        if num_rows == 0:
-            dropped = len(store_mod.store_generations(path))
-            store_mod._evict_cached(os.path.abspath(path))
-            shutil.rmtree(path)
-            self.server.unregister(shard_alias(table, shard_id))
-            return dropped
-        dropped = store_mod.truncate_store(path, num_rows)
-        if dropped:
-            self._register(table, shard_id)
-        return dropped
+        """Roll back uncommitted append generations (crash recovery)."""
+        return self._host(table, shard_id).truncate(num_rows)
 
     def compact(
         self, table: str, shard_id: int, target_rows: int | None = None
     ) -> dict | None:
-        stats = store_mod.compact_store(self._store_dir(shard_id), target_rows)
-        if stats is not None:
-            self._register(table, shard_id)
-        return stats
+        return self._host(table, shard_id).compact(target_rows)
+
+    def reopen(self, table: str, shard_id: int) -> None:
+        """Serve the shard store's latest snapshot: the coordinator asks
+        once the generation it appended is committed."""
+        self._host(table, shard_id).reopen()
 
     def rollup(self, table: str, shard_id: int) -> tuple[int, dict | None]:
         """(generation, shard-level zone-map rollup) for coordinator
         pruning; the generation keys the coordinator's rollup cache.
         An empty shard reports a zero-row rollup: the strongest prune."""
-        if not self._has_store(shard_id):
+        served = self.server.get(shard_alias(table, shard_id))
+        if served is None:
             return 0, {"rows": 0, "nulls": 0, "columns": {}}
-        self._ensure(table, shard_id)
-        rdr = store_mod.reader(self._store_dir(shard_id))
-        return rdr.generation, rollup_zone_maps(rdr.zone_maps)
+        return served.store_generation, rollup_zone_maps(served.zone_maps)
 
     def execute(self, shard_id: int, q: srv.ServerQuery) -> srv.ServerResponse:
         """Partial aggregates over this node's copy of one shard."""
-        if not self._has_store(shard_id):
+        alias = shard_alias(q.table, shard_id)
+        if self.server.get(alias) is None:
             # Empty shard: nothing to aggregate, the partial is vacuous.
             if q.group_by is not None:
                 return srv.ServerResponse(kind="grouped", groups=[])
             return srv.ServerResponse(
                 kind="partial", flat={agg.alias: [] for agg in q.aggs}
             )
-        alias = self._ensure(q.table, shard_id)
         return self.server.execute_partial(dataclasses.replace(q, table=alias))
 
     def scan(
@@ -181,9 +138,9 @@ class _ShardWorker:
     ) -> srv.ServerResponse | None:
         """``None`` for an empty shard: with no store there is no dtype
         to shape even a zero-row reply, so the coordinator drops it."""
-        if not self._has_store(shard_id):
+        alias = shard_alias(table, shard_id)
+        if self.server.get(alias) is None:
             return None
-        alias = self._ensure(table, shard_id)
         return self.server.scan(alias, columns, filt)
 
     def shutdown(self) -> None:
@@ -196,6 +153,7 @@ class _ShardWorker:
             "rows": self.rows,
             "truncate": self.truncate,
             "compact": self.compact,
+            "reopen": self.reopen,
             "rollup": self.rollup,
             "execute": self.execute,
             "scan": self.scan,

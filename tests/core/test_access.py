@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.access import AccessController, AccessError
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 
 
@@ -67,7 +67,7 @@ class TestProxyIntegration:
         schema = TableSchema("sales", [
             ColumnSpec("amount", dtype="int", sensitive=True),
         ])
-        client = SeabedClient(mode="seabed", access_control=True, seed=1)
+        client = SeabedSession(mode="seabed", access_control=True, seed=1)
         client.create_plan(schema, ["SELECT sum(amount) FROM sales"])
         client.upload("sales", {"amount": np.arange(100)})
         return client
@@ -93,7 +93,7 @@ class TestProxyIntegration:
 
     def test_disabled_by_default(self):
         schema = TableSchema("t", [ColumnSpec("a", dtype="int", sensitive=True)])
-        client = SeabedClient(mode="seabed", seed=1)
+        client = SeabedSession(mode="seabed", seed=1)
         client.create_plan(schema, ["SELECT sum(a) FROM t"])
         client.upload("t", {"a": np.arange(10)})
         assert client.query("SELECT sum(a) FROM t").rows[0]["sum(a)"] == 45
@@ -115,7 +115,7 @@ class TestSharedExecutionPathChecks:
             ColumnSpec("x", dtype="int", sensitive=True, nbits=32),
             ColumnSpec("y", dtype="int", sensitive=True, nbits=32),
         ])
-        client = SeabedClient(mode="seabed", access_control=True, seed=1)
+        client = SeabedSession(mode="seabed", access_control=True, seed=1)
         client.create_plan(schema, [
             "SELECT sum(x), sum(y) FROM readings",
             "SELECT sum(x) FROM readings WHERE y > 10",

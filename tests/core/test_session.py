@@ -1,9 +1,8 @@
-"""SeabedSession facade: translation cache, batching, back-compat shim."""
+"""SeabedSession facade: translation cache, batching, constructor surface."""
 
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import PreparedQuery, SeabedSession, TranslationCache
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
@@ -241,16 +240,24 @@ class TestQueryManyOverrides:
             assert result.rows[0]["sum(value)"] == int(data["value"][mask].sum())
 
 
-class TestBackCompatShim:
-    def test_client_is_a_session(self):
-        client = SeabedClient(mode="seabed", seed=5)
-        assert isinstance(client, SeabedSession)
-        data = _populate(client)
-        got = client.query("SELECT sum(value) FROM events").rows[0]["sum(value)"]
-        assert got == int(data["value"].sum())
+class TestSessionSurface:
+    def test_the_client_shims_no_longer_exist(self):
+        import importlib
 
-    def test_result_types_importable_from_proxy(self):
-        from repro.core.proxy import LinRegResult, QueryResult, UploadStats
+        import repro
+
+        with pytest.raises(AttributeError):
+            repro.SeabedClient
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.proxy")
+        with pytest.raises(TypeError):
+            SeabedSession(server=object())
+        session = SeabedSession(mode="seabed", seed=5)
+        with pytest.raises(AttributeError):
+            session.server = object()
+
+    def test_result_types_importable_from_session(self):
+        from repro.core.session import LinRegResult, QueryResult, UploadStats
 
         assert QueryResult([]).rows == []
         assert UploadStats("t", 0, 0.0, 0).table == "t"

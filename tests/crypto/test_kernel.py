@@ -6,18 +6,16 @@ Three concerns live here:
   declare their unsupported ops, and the declared-absent ops raise
   :class:`KernelUnsupported`.
 - **Bit-identity**: every batch kernel is proven identical to the
-  retained per-row reference path (``_encrypt_one`` / ``_decrypt_one`` /
+  per-row reference path (``encrypt_one`` / ``decrypt_one`` /
   ``compare_words``) with hypothesis, across dtypes, empty arrays, and
   the edge identifiers 0 and ``2^64 - 1`` (wraparound).  The ``aes-ni``
   PRF backend is cross-checked against the from-scratch FIPS-197 AES on
   random keys and blocks.
-- **Shims and counters**: deprecated per-value entry points warn exactly
-  once per process, and ``AsheScheme.prf_evals`` stays exact when
+- **Counters**: ``AsheScheme.prf_evals`` stays exact when
   ``decrypt_column`` is hammered from many threads.
 """
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -31,9 +29,7 @@ from repro.crypto.kernel import (
     Kernel,
     PlainKernel,
     kernel_ops,
-    reset_deprecation_warnings,
     validate_kernel,
-    warn_deprecated_once,
 )
 from repro.crypto.ore import OreScheme, argextreme_packed
 from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
@@ -153,7 +149,7 @@ class TestAsheBatchVsReference:
         arr = np.array(values, dtype=np.int64)
         batch = ashe.encrypt_column(arr, start_id=start)
         reference = [
-            ashe._encrypt_one(m, (start + j) & MASK64).value
+            ashe.encrypt(m, (start + j) & MASK64).value
             for j, m in enumerate(values)
         ]
         assert batch.dtype == np.uint64
@@ -198,7 +194,7 @@ class TestAsheBatchVsReference:
         cipher = ashe.encrypt_column(arr, start_id=MASK64 - 1)
         assert np.array_equal(ashe.decrypt_column(cipher, MASK64 - 1), arr)
         per_row = [
-            ashe._encrypt_one(int(m), (MASK64 - 1 + j) & MASK64).value
+            ashe.encrypt(int(m), (MASK64 - 1 + j) & MASK64).value
             for j, m in enumerate(arr.tolist())
         ]
         assert cipher.tolist() == per_row
@@ -210,11 +206,11 @@ class TestDetBatchVsReference:
     def test_encrypt_decrypt_match_per_row(self, det, values):
         arr = np.array(values, dtype=np.int64)
         cipher = det.encrypt_column(arr)
-        assert cipher.tolist() == [det._encrypt_one(m) for m in values]
-        # _decrypt_one returns the raw Z_{2^64} element; decrypt_column
+        assert cipher.tolist() == [det.encrypt_one(m) for m in values]
+        # decrypt_one returns the raw Z_{2^64} element; decrypt_column
         # reinterprets it as two's-complement int64.
         assert det.decrypt_column(cipher).view(np.uint64).tolist() == [
-            det._decrypt_one(int(c)) for c in cipher.tolist()
+            det.decrypt_one(int(c)) for c in cipher.tolist()
         ]
         assert np.array_equal(det.decrypt_column(cipher), arr)
 
@@ -246,7 +242,7 @@ class TestOreBatchVsReference:
     def test_encrypt_column_matches_encrypt_one(self, ore, values):
         cipher = ore.encrypt_column(np.array(values, dtype=np.int64))
         for row, m in zip(cipher, values):
-            assert tuple(int(w) for w in row) == ore._encrypt_one(m)
+            assert tuple(int(w) for w in row) == ore.encrypt_one(m)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -327,49 +323,6 @@ class TestAesNiCrossCheck:
     def test_negative_start_wraps(self):
         ni, ref = AesNiCtrPrf(KEY), AesCtrPrf(KEY)
         assert np.array_equal(ni.eval_range(-1, 3), ref.eval_range(-1, 3))
-
-
-# -- deprecation shims -------------------------------------------------------
-
-
-@pytest.fixture
-def fresh_warnings():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
-
-
-class TestWarnOnceShims:
-    def _count_warnings(self, fn) -> int:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn()
-        return sum(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_ashe_encrypt_warns_once(self, ashe, fresh_warnings):
-        assert self._count_warnings(lambda: ashe.encrypt(5, 1)) == 1
-        assert self._count_warnings(lambda: ashe.encrypt(6, 2)) == 0
-
-    def test_det_shims_warn_once_each(self, det, fresh_warnings):
-        assert self._count_warnings(lambda: det.encrypt_one(5)) == 1
-        assert self._count_warnings(lambda: det.decrypt_one(det._encrypt_one(5))) == 1
-        assert self._count_warnings(lambda: det.encrypt_one(9)) == 0
-
-    def test_ore_encrypt_one_warns_once(self, ore, fresh_warnings):
-        assert self._count_warnings(lambda: ore.encrypt_one(5)) == 1
-        assert self._count_warnings(lambda: ore.encrypt_one(6)) == 0
-
-    def test_tokens_never_warn(self, det, ore, fresh_warnings):
-        assert self._count_warnings(lambda: (det.token(1), ore.token(1))) == 0
-
-    def test_reset_rearms_the_warning(self, fresh_warnings):
-        assert self._count_warnings(
-            lambda: warn_deprecated_once("k", "gone")) == 1
-        assert self._count_warnings(
-            lambda: warn_deprecated_once("k", "gone")) == 0
-        reset_deprecation_warnings()
-        assert self._count_warnings(
-            lambda: warn_deprecated_once("k", "gone")) == 1
 
 
 # -- counter thread-safety ---------------------------------------------------

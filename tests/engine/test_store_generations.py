@@ -11,7 +11,6 @@ import pytest
 
 from repro.engine.store import (
     CRASH_POINT_ENV,
-    FORMAT_NAME,
     MANIFEST_NAME,
     PartitionRef,
     append_store,
@@ -54,25 +53,6 @@ def column_across(path, name, generation=None):
         [np.asarray(p.column(name))
          for p in open_store(path, generation=generation).partitions]
     )
-
-
-def downgrade_to_v1(path):
-    """Rewrite a single-generation v2 manifest as the PR-3 v1 format."""
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    manifest = json.load(open(manifest_path))
-    assert len(manifest["generations"]) == 1
-    gen = manifest["generations"][0]
-    assert gen["dir"] == ""
-    v1 = {
-        "format": FORMAT_NAME,
-        "version": 1,
-        "table": manifest["table"],
-        "num_rows": manifest["num_rows"],
-        "spans_hex": gen["spans_hex"],
-        "columns": manifest["columns"],
-        "partitions": gen["partitions"],
-    }
-    json.dump(v1, open(manifest_path, "w"))
 
 
 class TestAppend:
@@ -131,29 +111,6 @@ class TestAppend:
         assert (ref.path, ref.index, ref.generation) == (
             os.path.abspath(path), 3, 2,
         )
-
-
-class TestV1Compat:
-    def test_v1_manifest_reads(self, tmp_path):
-        table = build_table(rows=24, partitions=3)
-        path = write_store(table, tmp_path / "s")
-        downgrade_to_v1(path)
-        reopened = open_store(path)
-        assert reopened.num_rows == 24
-        assert current_generation(path) == 1
-        assert np.array_equal(column_across(path, "u"), table.column("u"))
-
-    def test_append_upgrades_v1_to_current(self, tmp_path):
-        from repro.engine.store import FORMAT_VERSION
-
-        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
-        downgrade_to_v1(path)
-        append_store(build_table(rows=10, partitions=1, base_id=24), path)
-        manifest = json.load(open(os.path.join(path, MANIFEST_NAME)))
-        assert manifest["version"] == FORMAT_VERSION
-        assert manifest["store_id"]
-        assert [g["id"] for g in manifest["generations"]] == [1, 2]
-        assert open_store(path).num_rows == 34
 
 
 class TestSnapshots:

@@ -35,10 +35,9 @@ def manifest_of(path):
     return json.load(open(os.path.join(path, MANIFEST_NAME)))
 
 
-def strip_stats(path, version=2):
-    """Rewrite the manifest as a pre-zone-map (v2) store."""
+def strip_stats(path):
+    """Drop every partition's zone-map statistics from the manifest."""
     manifest = manifest_of(path)
-    manifest["version"] = version
     for gen in manifest["generations"]:
         for part in gen["partitions"]:
             part.pop("stats", None)
@@ -76,40 +75,7 @@ class TestEmission:
         assert summary["partitions_with_stats"] == summary["partitions"]
 
 
-class TestBackfill:
-    def test_v2_store_opens_without_stats(self, tmp_path):
-        path = write_store(build_table(), tmp_path / "s")
-        strip_stats(path)
-        table = open_store(path)
-        assert table.zone_maps == [None, None, None]
-        assert store_stats(path)["partitions_with_stats"] == 0
-
-    def test_first_append_backfills_everything(self, tmp_path):
-        path = write_store(build_table(), tmp_path / "s")
-        strip_stats(path)
-        append_store(build_table(rows=6, partitions=1, base_id=24, seed=9), path)
-        manifest = manifest_of(path)
-        assert manifest["version"] == FORMAT_VERSION
-        assert all(
-            "stats" in part
-            for gen in manifest["generations"] for part in gen["partitions"]
-        )
-        # The backfilled stats match what a fresh build would compute.
-        reference = write_store(
-            build_table(), tmp_path / "ref", overwrite=True
-        )
-        want = [
-            p["stats"] for p in manifest_of(reference)["generations"][0]["partitions"]
-        ]
-        got = [p["stats"] for p in manifest_of(path)["generations"][0]["partitions"]]
-        assert got == want
-
-    def test_noop_compaction_still_upgrades(self, tmp_path):
-        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
-        strip_stats(path)
-        assert compact_store(path) is None  # nothing to merge...
-        assert store_stats(path)["partitions_with_stats"] == 3  # ...but upgraded
-
+class TestRebuild:
     def test_rebuild_stats_is_eager_and_idempotent(self, tmp_path):
         path = write_store(build_table(), tmp_path / "s")
         strip_stats(path)
@@ -120,10 +86,13 @@ class TestBackfill:
         rebuild_stats(path)
         assert manifest_of(path)["generations"] == before["generations"]
 
-    def test_future_version_still_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION + 1])
+    def test_other_format_versions_rejected(self, tmp_path, version):
+        """Only the current manifest format is read: the pre-generational
+        (v1) and pre-zone-map (v2) formats never shipped."""
         path = write_store(build_table(), tmp_path / "s")
         manifest = manifest_of(path)
-        manifest["version"] = FORMAT_VERSION + 1
+        manifest["version"] = version
         json.dump(manifest, open(os.path.join(path, MANIFEST_NAME), "w"))
         with pytest.raises(StorageError, match="format version"):
             open_store(path)

@@ -10,7 +10,7 @@ byte accounting must be identical across backends for every query shape
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.query import execute_plain, parse_query
@@ -64,7 +64,7 @@ def dataset():
 def build_client(backend, dataset, workers=2):
     sales, fx, sales_schema, fx_schema = dataset
     cluster = SimulatedCluster(ClusterConfig(backend=backend, workers=workers))
-    client = SeabedClient(master_key=b"b" * 32, mode="seabed",
+    client = SeabedSession(master_key=b"b" * 32, mode="seabed",
                           cluster=cluster, seed=9)
     client.create_plan(sales_schema, SAMPLES)
     client.create_plan(fx_schema, SAMPLES)

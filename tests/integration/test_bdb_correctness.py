@@ -4,7 +4,7 @@ timing) against the plaintext executor, across all three systems."""
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.query import execute_plain, parse_query
 from repro.workloads import bdb
 
@@ -23,7 +23,7 @@ def data():
 
 @pytest.fixture(scope="module", params=["plain", "seabed", "paillier"])
 def client(request, data):
-    client = SeabedClient(master_key=b"b" * 32, mode=request.param,
+    client = SeabedSession(master_key=b"b" * 32, mode=request.param,
                           paillier_bits=256, seed=6)
     client.create_plan(data.uservisits_schema, bdb.sample_queries())
     client.create_plan(data.rankings_schema, bdb.sample_queries())
@@ -72,7 +72,7 @@ def test_q4_phase2_aggregation(data):
     from repro.core.schema import ColumnSpec, TableSchema
     from repro.engine.rdd import RDD
 
-    client = SeabedClient(master_key=b"b" * 32, mode="seabed", seed=6)
+    client = SeabedSession(master_key=b"b" * 32, mode="seabed", seed=6)
     docs = bdb.generate_crawl_documents(60, data.rankings["pageURL"], seed=2)
     rdd = RDD.parallelize(client.cluster, docs, num_partitions=3)
     counted = dict(

@@ -4,10 +4,11 @@
 the OPS counters), publish it atomically (a writer killed at any labelled
 crash point leaves a store that reopens cleanly at the committed state),
 keep concurrent readers on consistent snapshots across every execution
-backend, and compose with compaction and v1-era stores.
+backend, and compose with compaction.  The append / killed-writer /
+stale-session / compaction cases take the table's placement (one store,
+a local worker fleet, a fleet behind a service) as one more input.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,8 +21,6 @@ from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.store import (
     CRASH_POINT_ENV,
-    FORMAT_NAME,
-    MANIFEST_NAME,
     store_generations,
     store_num_rows,
 )
@@ -56,11 +55,13 @@ def dataset(n=600, seed=5, cities=CITIES):
     }
 
 
-def schema():
+def schema(shard_key=False):
+    """``shard_key`` makes ``city`` sensitive, hence DET-planned: the
+    column a sharded placement routes rows by."""
     return TableSchema("sales", [
         ColumnSpec("country", dtype="str", sensitive=True,
                    distinct_values=COUNTRIES),
-        ColumnSpec("city", dtype="str", sensitive=False),
+        ColumnSpec("city", dtype="str", sensitive=shard_key),
         ColumnSpec("amount", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("year", dtype="int", sensitive=False),
     ])
@@ -76,30 +77,51 @@ def build_writer(tmp_path, cluster=None, n=600):
     return session, path
 
 
+def samples(placed):
+    by_city = ["SELECT city, count(*) FROM sales GROUP BY city"]
+    return SAMPLES + by_city * placed.sharded
+
+
+def build_placed(placed, n=600):
+    """``(writer, path)`` for the ``sales`` table under ``placed``."""
+    session = placed.new_session(mode="seabed", master_key=MASTER_KEY, seed=3)
+    session.create_plan(schema(shard_key=placed.sharded), samples(placed))
+    return placed.persist(
+        session, "sales", dataset(n=n), shard_key="city", num_partitions=5
+    )
+
+
+def attach(placed, path):
+    return placed.attach(path, mode="seabed", master_key=MASTER_KEY)
+
+
 def rows_of(session, sql, **kwargs):
     return sorted(map(str, session.query(sql, **kwargs).rows))
 
 
 class TestAppendRows:
-    def test_append_encrypts_only_the_batch(self, tmp_path):
-        writer, path = build_writer(tmp_path)
+    def test_append_encrypts_only_the_batch(self, placed):
+        writer, path = build_placed(placed)
         batch = dataset(n=100, seed=11)
         before = OPS.snapshot()
         stats = writer.append_rows("sales", batch)
         delta = OPS.delta(before)
         assert delta.get("encrypt_rows") == 100
-        assert delta.get("encrypt_batch") == 1
+        # one encryption pass per store that owns rows of the batch
+        owners = len(set(batch["city"])) if placed.sharded else 1
+        assert 1 <= delta.get("encrypt_batch") <= owners
         assert stats.rows == 100
         assert stats.generation == 2
         assert writer.query(COUNT).rows[0]["count(*)"] == 700
+        assert placed.stored_rows(writer, "sales") == 700
 
-    def test_appended_rows_answer_identically_to_bulk_upload(self, tmp_path):
-        writer, _ = build_writer(tmp_path, n=500)
+    def test_appended_rows_answer_identically_to_bulk_upload(self, placed):
+        writer, _ = build_placed(placed, n=500)
         for seed in (21, 22):
             writer.append_rows("sales", dataset(n=100, seed=seed))
 
         bulk = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3)
-        bulk.create_plan(schema(), SAMPLES)
+        bulk.create_plan(schema(shard_key=placed.sharded), samples(placed))
         merged = {
             k: np.concatenate([
                 dataset(n=500)[k], dataset(n=100, seed=21)[k],
@@ -113,17 +135,16 @@ class TestAppendRows:
         )
         assert rows_of(writer, TOTAL) == rows_of(bulk, TOTAL)
 
-    def test_append_grows_dictionaries(self, tmp_path):
+    def test_append_grows_dictionaries(self, placed):
         """A batch holding a never-seen string value extends the column
         dictionary; the updated sidecar lets a fresh attach decode it.
         (SPLASHE dimensions keep their declared domain -- dictionary
         growth applies to dictionary-encoded columns.)"""
-        writer, path = build_writer(tmp_path)
+        writer, path = build_placed(placed)
         extended = dataset(n=50, seed=13, cities=CITIES + ["ber"])
         extended["city"][0] = "ber"
         writer.append_rows("sales", extended)
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+        fresh = attach(placed, path)
         got = {
             r["city"]: r["count(*)"]
             for r in fresh.query(
@@ -141,8 +162,8 @@ class TestAppendRows:
         with pytest.raises(StorageError, match="not store-backed"):
             session.append_rows("sales", dataset(n=10, seed=9))
 
-    def test_empty_batch_rejected(self, tmp_path):
-        writer, _ = build_writer(tmp_path)
+    def test_empty_batch_rejected(self, placed):
+        writer, _ = build_placed(placed)
         with pytest.raises(StorageError, match="empty"):
             writer.append_rows("sales", {k: v[:0] for k, v in dataset().items()})
 
@@ -152,25 +173,26 @@ class TestAppendRows:
         writer.append_rows("sales", dataset(n=100, seed=17))
         assert store_generations(path)[-1]["num_partitions"] == 3  # ceil(100/40)
 
-    def test_upload_routes_through_append_once_store_backed(self, tmp_path):
+    def test_upload_routes_through_append_once_store_backed(self, placed):
         """upload() on a saved/attached table must not silently diverge
         from the store: it lands durably as an append generation."""
-        writer, path = build_writer(tmp_path)
+        writer, path = build_placed(placed)
         stats = writer.upload("sales", dataset(n=100, seed=27))
         assert stats.rows == 100
-        assert len(writer.encrypted_table("sales").generations) == 2
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+        assert placed.stored_rows(writer, "sales") == 700
+        if not placed.sharded:
+            assert len(writer.encrypted_table("sales").generations) == 2
+        fresh = attach(placed, path)
         assert fresh.query(COUNT).rows[0]["count(*)"] == 700
 
-    def test_attach_then_append(self, tmp_path):
-        writer, path = build_writer(tmp_path)
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+    def test_attach_then_append(self, placed):
+        writer, path = build_placed(placed)
+        if placed.kind == "sharded-local":
+            writer.close()  # one fleet at a time writes a sharded root
+        fresh = attach(placed, path)
         fresh.append_rows("sales", dataset(n=100, seed=19))
         assert fresh.query(COUNT).rows[0]["count(*)"] == 700
-        again = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        again.open_table(path)
+        again = attach(placed, path)
         assert again.query(COUNT).rows[0]["count(*)"] == 700
 
 
@@ -237,14 +259,13 @@ class TestConcurrentReaders:
 
 
 class TestMultiWriter:
-    def test_stale_session_cannot_truncate_committed_appends(self, tmp_path):
+    def test_stale_session_cannot_truncate_committed_appends(self, placed):
         """The on-disk sidecar is the commit record: a session whose
         in-memory watermark went stale (another writer appended since it
         attached) must get an error, not silently roll the committed
         generation back."""
-        writer, path = build_writer(tmp_path)
-        stale = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        stale.open_table(path)
+        writer, path = build_placed(placed)
+        stale = attach(placed, path)
         writer.append_rows("sales", dataset(n=100, seed=81))
 
         with pytest.raises(StorageError, match="another writer"):
@@ -252,35 +273,35 @@ class TestMultiWriter:
         with pytest.raises(StorageError, match="another writer"):
             stale.compact_table("sales")
         # The committed append survived untouched...
-        assert store_num_rows(path) == 700
+        assert placed.stored_rows(writer, "sales") == 700
         # ...and a re-opened session continues the sequence cleanly.
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+        fresh = attach(placed, path)
         fresh.append_rows("sales", dataset(n=50, seed=82))
         assert fresh.query(COUNT).rows[0]["count(*)"] == 750
 
 
 class TestCompaction:
-    def test_compact_preserves_answers(self, tmp_path):
-        writer, path = build_writer(tmp_path)
+    def test_compact_preserves_answers(self, placed):
+        writer, path = build_placed(placed)
         for seed in range(51, 57):
             writer.append_rows("sales", dataset(n=20, seed=seed))
         expected = rows_of(writer, GROUPED, expected_groups=4)
-        parts_before = sum(
-            g["num_partitions"] for g in store_generations(path)
+        merged = placed.compactions(writer.compact_table("sales"))
+        assert all(stats is not None for stats in merged)
+        assert all(
+            stats["partitions_after"] < stats["partitions_before"]
+            for stats in merged
         )
-        stats = writer.compact_table("sales")
-        assert stats is not None
-        assert stats["partitions_after"] < parts_before
         assert rows_of(writer, GROUPED, expected_groups=4) == expected
 
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+        fresh = attach(placed, path)
         assert rows_of(fresh, GROUPED, expected_groups=4) == expected
 
-    def test_compact_noop_without_small_generations(self, tmp_path):
-        writer, _ = build_writer(tmp_path)
-        assert writer.compact_table("sales") is None
+    def test_compact_noop_without_small_generations(self, placed):
+        writer, _ = build_placed(placed)
+        assert placed.compactions(writer.compact_table("sales")) == [None] * (
+            3 if placed.sharded else 1
+        )
 
     def test_ingest_stream_replays_the_flagship_workload(self, tmp_path):
         """The ad-analytics table replayed as arriving traffic: first
@@ -366,34 +387,30 @@ class TestCrashSafety:
         assert rows_of(again, TOTAL) == rows_of(fresh, TOTAL)
 
 
-class TestV1StoreCompat:
-    def downgrade(self, path):
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        manifest = json.load(open(manifest_path))
-        gen = manifest["generations"][0]
-        json.dump({
-            "format": FORMAT_NAME,
-            "version": 1,
-            "table": manifest["table"],
-            "num_rows": manifest["num_rows"],
-            "spans_hex": gen["spans_hex"],
-            "columns": manifest["columns"],
-            "partitions": gen["partitions"],
-        }, open(manifest_path, "w"))
-
-    def test_v1_store_attaches_and_upgrades_on_append(self, tmp_path):
-        writer, path = build_writer(tmp_path)
+    def test_writer_lost_between_publish_and_commit(self, placed):
+        """Whatever the placement: generations published to the store(s)
+        but never acknowledged by the sidecar are invisible to the next
+        attach and rolled back by the next append."""
+        writer, path = build_placed(placed)
         expected = rows_of(writer, TOTAL)
-        self.downgrade(path)
 
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+        def lost(table):
+            raise RuntimeError("writer lost before the sidecar commit")
+
+        doomed = attach(placed, path)
+        doomed._commit_state = lost
+        with pytest.raises(RuntimeError, match="writer lost"):
+            doomed.append_rows("sales", dataset(n=100, seed=61))
+        assert placed.stored_rows(doomed, "sales") == 700
+        doomed.close()
+
+        fresh = attach(placed, path)
+        assert fresh.query(COUNT).rows[0]["count(*)"] == 600
         assert rows_of(fresh, TOTAL) == expected
-
-        fresh.append_rows("sales", dataset(n=100, seed=71))
-        from repro.engine.store import FORMAT_VERSION
-
-        manifest = json.load(open(os.path.join(path, MANIFEST_NAME)))
-        assert manifest["version"] == FORMAT_VERSION
-        assert [g["id"] for g in manifest["generations"]] == [1, 2]
-        assert fresh.query(COUNT).rows[0]["count(*)"] == 700
+        if placed.kind == "sharded-local":
+            writer.close()  # one fleet at a time writes a sharded root
+        fresh.append_rows("sales", dataset(n=50, seed=63))
+        assert fresh.query(COUNT).rows[0]["count(*)"] == 650
+        assert placed.stored_rows(fresh, "sales") == 650
+        again = attach(placed, path)
+        assert rows_of(again, TOTAL) == rows_of(fresh, TOTAL)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.query import execute_plain, parse_query
 
@@ -59,7 +59,7 @@ SAMPLES = [Q3, Q3_FLAT]
 def build_client(mode, tables, schemas):
     rankings, uservisits = tables
     r_schema, v_schema = schemas
-    client = SeabedClient(master_key=b"j" * 32, mode=mode,
+    client = SeabedSession(master_key=b"j" * 32, mode=mode,
                           paillier_bits=256, seed=5)
     client.create_plan(v_schema, SAMPLES)
     client.create_plan(r_schema, SAMPLES)

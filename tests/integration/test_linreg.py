@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.errors import TranslationError
 
@@ -21,7 +21,7 @@ def client():
         ColumnSpec("y", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("year", dtype="int", sensitive=False),
     ])
-    client = SeabedClient(master_key=b"r" * 32, mode="seabed", seed=4)
+    client = SeabedSession(master_key=b"r" * 32, mode="seabed", seed=4)
     client.create_plan(schema, [
         "SELECT sum(x), sum(y), count(*) FROM points",
     ])
@@ -66,7 +66,7 @@ def test_zero_variance_rejected():
         ColumnSpec("x", dtype="int", sensitive=True),
         ColumnSpec("y", dtype="int", sensitive=True),
     ])
-    client = SeabedClient(mode="seabed", seed=1)
+    client = SeabedSession(mode="seabed", seed=1)
     client.create_plan(schema, ["SELECT sum(x), sum(y), count(*) FROM flat"])
     client.upload("flat", {"x": np.full(10, 5), "y": np.arange(10)})
     with pytest.raises(TranslationError, match="zero variance"):

@@ -3,7 +3,9 @@
 A table saved with ``EncryptedTable.save`` must re-open in a fresh
 session (same master key, possibly another process or another execution
 backend) and answer queries *identically* to the in-memory path, with
-zero re-encryption -- the paper's upload-once deployment model.
+zero re-encryption -- the paper's upload-once deployment model.  The
+round trips and the attach guards take the table's placement (one store,
+a local worker fleet, a fleet behind a service) as one more input.
 """
 
 import json
@@ -14,7 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.persistence import SIDECAR_NAME
+import repro
+from repro.core.persistence import SHARDED_SIDECAR_NAME, SIDECAR_NAME
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.crypto.paillier import PaillierKeyPair
@@ -39,7 +42,9 @@ SAMPLES = [
 ]
 
 
-def dataset(n=600, seed=5):
+def dataset(n=600, seed=5, shard_key=False):
+    """``shard_key`` leaves ``country``'s domain undeclared, so it is
+    DET-planned: the column a sharded placement routes rows by."""
     rng = np.random.default_rng(seed)
     data = {
         "country": rng.choice(COUNTRIES, n),
@@ -48,7 +53,7 @@ def dataset(n=600, seed=5):
     }
     schema = TableSchema("sales", [
         ColumnSpec("country", dtype="str", sensitive=True,
-                   distinct_values=COUNTRIES),
+                   distinct_values=None if shard_key else COUNTRIES),
         ColumnSpec("amount", dtype="int", sensitive=True, nbits=32),
         ColumnSpec("year", dtype="int", sensitive=False),
     ])
@@ -65,26 +70,47 @@ def build_session(mode="seabed", cluster=None, **kwargs):
     return session
 
 
+def persist(placed, mode="seabed", **kwargs):
+    """``(reference, path)``: an in-memory session holding the table, and
+    the path the same table was persisted at under ``placed``."""
+    schema, data = dataset(shard_key=placed.sharded)
+    reference = SeabedSession(mode=mode, master_key=MASTER_KEY, seed=3, **kwargs)
+    reference.create_plan(schema, SAMPLES)
+    reference.upload("sales", data, num_partitions=5)
+    builder = placed.new_session(mode=mode, master_key=MASTER_KEY, seed=3, **kwargs)
+    builder.create_plan(schema, SAMPLES)
+    _, path = placed.persist(
+        builder, "sales", data, shard_key="country", num_partitions=5
+    )
+    return reference, path
+
+
+def sidecar_of(placed, path):
+    return os.path.join(
+        path, SHARDED_SIDECAR_NAME if placed.sharded else SIDECAR_NAME
+    )
+
+
 def rows_of(session, sql, **kwargs):
     return sorted(map(str, session.query(sql, **kwargs).rows))
 
 
 class TestRoundTrip:
-    def test_identical_results_zero_reencryption(self, tmp_path):
-        writer = build_session()
-        expected_grouped = rows_of(writer, GROUPED, expected_groups=4)
-        expected_flat = rows_of(writer, FLAT)
-        path = writer.save_table("sales", tmp_path / "sales")
+    def test_identical_results_zero_reencryption(self, placed):
+        reference, path = persist(placed)
+        expected_grouped = rows_of(reference, GROUPED, expected_groups=4)
+        expected_flat = rows_of(reference, FLAT)
 
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         before = OPS.snapshot()
-        handle = fresh.open_table(path)
+        fresh = placed.attach(path, mode="seabed", master_key=MASTER_KEY)
         assert rows_of(fresh, GROUPED, expected_groups=4) == expected_grouped
         assert rows_of(fresh, FLAT) == expected_flat
         delta = OPS.delta(before)
         assert not any(op.startswith("encrypt") for op in delta), delta
+        handle = fresh.encrypted_table("sales")
         assert handle.num_rows == 600
-        assert handle.store_path == os.path.abspath(path)
+        assert handle.store_path == handle.root == os.path.abspath(path)
+        assert sum(handle.shard_rows().values()) == 600
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_for_bit_across_backends(self, tmp_path, backend):
@@ -107,11 +133,9 @@ class TestRoundTrip:
         finally:
             cluster.close()
 
-    def test_prepared_queries_on_attached_table(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        fresh.open_table(path)
+    def test_prepared_queries_on_attached_table(self, placed):
+        writer, path = persist(placed)
+        fresh = placed.attach(path, mode="seabed", master_key=MASTER_KEY)
         prepared = fresh.prepare(
             "SELECT sum(amount) FROM sales WHERE year BETWEEN :lo AND :hi"
         )
@@ -188,6 +212,29 @@ class TestRoundTrip:
         assert handle.name == "sales"
 
 
+class TestClose:
+    def test_close_releases_maps_and_descriptors(self, tmp_path):
+        """Every column file of an opened store costs a descriptor (its
+        memory map); closing the session that saved or attached the store
+        must give them all back, or a process that cycles through stores
+        runs out."""
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        writer = build_session()
+        path = writer.save_table("sales", tmp_path / "sales")
+        writer.close()
+        before = open_fds()
+        for round_ in range(5):
+            session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+            session.open_table(path)
+            session.append_rows("sales", dataset(n=50, seed=20 + round_)[1])
+            assert session.query(FLAT).rows
+            assert open_fds() > before
+            session.close()
+            assert open_fds() == before
+
+
 class TestPaillierMode:
     def test_round_trip_with_shared_keys(self, tmp_path):
         keys = PaillierKeyPair.generate(bits=256, seed=9)
@@ -215,46 +262,46 @@ class TestPaillierMode:
 
 
 class TestAttachGuards:
-    def test_wrong_master_key(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
-        other = SeabedSession(
-            mode="seabed", master_key=b"another-master-key-of-32-bytes!!"
-        )
+    def test_wrong_master_key(self, placed):
+        _, path = persist(placed)
         with pytest.raises(StorageError, match="key-check"):
-            other.open_table(path)
+            placed.attach(
+                path, mode="seabed", master_key=b"another-master-key-of-32-bytes!!"
+            )
 
-    def test_mode_mismatch(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
-        plain = SeabedSession(mode="plain", master_key=MASTER_KEY)
+    def test_mode_mismatch(self, placed):
+        _, path = persist(placed)
         with pytest.raises(StorageError, match="mode"):
-            plain.open_table(path)
+            placed.attach(path, mode="plain", master_key=MASTER_KEY)
 
-    def test_duplicate_registration(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
+    def test_duplicate_registration(self, placed):
+        _, path = persist(placed)
+        attached = placed.attach(path, mode="seabed", master_key=MASTER_KEY)
         with pytest.raises(StorageError, match="already registered"):
-            writer.open_table(path)
+            attached.open_table(path)
 
-    def test_missing_sidecar(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
-        os.remove(os.path.join(path, SIDECAR_NAME))
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    def test_missing_sidecar(self, placed):
+        _, path = persist(placed)
+        os.remove(sidecar_of(placed, path))
         with pytest.raises(StorageError, match="sidecar"):
-            fresh.open_table(path)
+            placed.attach(path, mode="seabed", master_key=MASTER_KEY)
 
-    def test_stale_store_row_count(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
-        sidecar = os.path.join(path, SIDECAR_NAME)
-        data = json.load(open(sidecar))
-        data["num_rows"] = 599
-        json.dump(data, open(sidecar, "w"))
-        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    def test_stale_store_row_count(self, placed):
+        """A sidecar that commits rows the store does not hold."""
+        _, path = persist(placed)
+        if placed.remote:
+            placed.service.stop()  # the tampered root gets hosted afresh
+        data = json.load(open(sidecar_of(placed, path)))
+        if placed.sharded:
+            data["sharding"]["shards"]["0"]["num_rows"] += 1
+        else:
+            data["num_rows"] = 599
+        json.dump(data, open(sidecar_of(placed, path), "w"))
         with pytest.raises(StorageError, match="stale or corrupt"):
-            fresh.open_table(path)
+            if placed.remote:
+                repro.serve(sharded=[path])
+            else:
+                placed.attach(path, mode="seabed", master_key=MASTER_KEY)
 
 
 class TestCrossProcess:

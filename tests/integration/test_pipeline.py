@@ -1,7 +1,7 @@
 """End-to-end integration: every mode's pipeline against ground truth.
 
 The single most important invariant in the repository: for every supported
-query shape, ``SeabedClient.query`` over encrypted data returns exactly
+query shape, ``SeabedSession.query`` over encrypted data returns exactly
 what the plaintext executor returns, in all three modes (NoEnc, Seabed,
 Paillier baseline).
 """
@@ -9,7 +9,7 @@ Paillier baseline).
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.query import execute_plain, parse_query
 
@@ -51,7 +51,7 @@ def dataset():
 
 def build_client(mode, dataset, partitions=5):
     data, schema, samples = dataset
-    client = SeabedClient(master_key=b"q" * 32, mode=mode,
+    client = SeabedSession(master_key=b"q" * 32, mode=mode,
                           paillier_bits=256, seed=3)
     client.create_plan(schema, samples)
     client.upload("sales", data, num_partitions=partitions)
@@ -105,7 +105,7 @@ def test_query_matches_ground_truth(client, dataset, sql):
 class TestIncrementalUpload:
     def test_second_batch_extends_results(self, dataset):
         data, schema, samples = dataset
-        client = SeabedClient(master_key=b"q" * 32, mode="seabed", seed=3)
+        client = SeabedSession(master_key=b"q" * 32, mode="seabed", seed=3)
         client.create_plan(schema, samples)
         half = {k: v[:700] for k, v in data.items()}
         rest = {k: v[700:] for k, v in data.items()}
@@ -187,12 +187,14 @@ class TestSecurityPosture:
     def test_wrong_key_decrypts_garbage(self, dataset):
         data, schema, samples = dataset
         right = build_client("seabed", dataset)
-        wrong = SeabedClient(master_key=b"x" * 32, mode="seabed", seed=3)
+        # The wrong-key client shares the right client's server state.
+        wrong = SeabedSession(
+            master_key=b"x" * 32, mode="seabed", seed=3, transport=right.transport
+        )
         wrong.create_plan(schema, samples)
-        # Hand the wrong-key client the right client's server state.
-        wrong.server = right.server
-        wrong._states["sales"].next_row_id = right._states["sales"].next_row_id
-        wrong._states["sales"].dictionaries = right._states["sales"].dictionaries
+        wrong.table_state("sales").dictionaries.update(
+            right.table_state("sales").dictionaries
+        )
         got = wrong.query("SELECT sum(amount) FROM sales")
         want = execute_plain({"sales": data}, parse_query("SELECT sum(amount) FROM sales"))
         assert got.rows[0]["sum(amount)"] != want[0]["sum(amount)"]

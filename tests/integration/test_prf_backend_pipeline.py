@@ -9,7 +9,7 @@ fast path's shortcuts, and checks backend choice is invisible in results.
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.query import execute_plain, parse_query
 
@@ -29,7 +29,7 @@ def build(backend, data):
         ColumnSpec("grp", dtype="int", sensitive=True),
         ColumnSpec("amount", dtype="int", sensitive=True, nbits=16),
     ])
-    client = SeabedClient(master_key=b"h" * 32, mode="seabed",
+    client = SeabedSession(master_key=b"h" * 32, mode="seabed",
                           prf_backend=backend, seed=9)
     client.create_plan(schema, [
         "SELECT grp, sum(amount) FROM t GROUP BY grp",

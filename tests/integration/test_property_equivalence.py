@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.query import execute_plain
 from repro.query.ast import (
@@ -51,7 +51,7 @@ def client():
         ColumnSpec("ts", dtype="int", sensitive=True, nbits=16),
         ColumnSpec("year", dtype="int", sensitive=False),
     ])
-    client = SeabedClient(master_key=b"p" * 32, mode="seabed", seed=6)
+    client = SeabedSession(master_key=b"p" * 32, mode="seabed", seed=6)
     client.create_plan(schema, [
         "SELECT sum(amount), var(amount) FROM sales WHERE country = 'us'",
         "SELECT sum(amount) FROM sales WHERE ts > 5",

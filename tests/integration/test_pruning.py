@@ -302,19 +302,18 @@ def test_in_memory_tables_are_unaffected():
     assert stats["partitions_with_stats"] == 0
 
 
-def test_rebuild_index_after_attaching_a_pre_v3_store(stores, tmp_path):
+def test_rebuild_index_recomputes_missing_stats(stores, tmp_path):
     import json
     import os
     import shutil
 
     from repro.engine.store import MANIFEST_NAME
 
-    # Downgrade a copy of the base store to v2 (no stats).
-    path = str(tmp_path / "v2")
+    # Strip the zone maps from a copy of the base store.
+    path = str(tmp_path / "bare")
     shutil.copytree(stores["base"], path)
     manifest_path = os.path.join(path, MANIFEST_NAME)
     manifest = json.load(open(manifest_path))
-    manifest["version"] = 2
     for gen in manifest["generations"]:
         for part in gen["partitions"]:
             part.pop("stats", None)

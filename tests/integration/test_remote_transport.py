@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -85,12 +86,12 @@ def sharded_root(tmp_path_factory):
     _plan(writer)
     writer.shard_table("sales", "region", num_shards=4, replicas=1)
     writer.upload("sales", _data())
-    path = writer.sharded_table("sales").root
+    path = writer.encrypted_table("sales").root
     writer.close()
     return path
 
 
-def _spawn_server(tmp_path, *args):
+def _spawn_server(tmp_path, *args, **popen_kwargs):
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -99,6 +100,7 @@ def _spawn_server(tmp_path, *args):
         [sys.executable, "-m", "repro.net.service",
          "--grant", f"alice:{TOKEN}", "--info-file", info, *args],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        **popen_kwargs,
     )
     deadline = time.monotonic() + 60
     while not os.path.exists(info):
@@ -208,29 +210,87 @@ class TestRemoteAppend:
 
 class TestRemoteSharded:
     def test_scatter_gather_bit_identical(self, sharded_root, tmp_path_factory):
+        import shutil
+
+        # the append below mutates the root it runs against; the local
+        # reference fleet appends the same batch to its own copy
+        copies = tmp_path_factory.mktemp("sharded-copies")
+        served = shutil.copytree(sharded_root, str(copies / "served"))
+        mirror = shutil.copytree(sharded_root, str(copies / "mirror"))
         proc, address = _spawn_server(
-            tmp_path_factory.mktemp("srv-sharded"), "--sharded", sharded_root,
+            tmp_path_factory.mktemp("srv-sharded"), "--sharded", served,
         )
-        baseline = None
         try:
-            # local fleet on the same root is the reference
             local = SeabedSession(master_key=KEY, seed=1)
-            local.open_sharded(sharded_root)
-            baseline = {q: local.query(q).rows for q in QUERIES}
+            local.open_sharded(mirror)
             remote = repro.connect(address, TOKEN, master_key=KEY, seed=1)
-            remote.open_sharded(sharded_root)
-            for q, want in baseline.items():
-                assert remote.query(q).rows == want
+            remote.open_sharded(served)
+            for q in QUERIES:
+                assert remote.query(q).rows == local.query(q).rows
             # the hosted fleet is keyless too
             audit = remote.transport.audit_server()
             assert audit["ok"], audit["flagged"]
-            # sharded writes are a serving-process operation
-            from repro.errors import TransportError
-
-            with pytest.raises(TransportError, match="serving process"):
-                remote.append_sharded("sales", _data(seed=12, n=10))
+            # a connected session writes to the hosted fleet like the
+            # local session writes to its own: append, then compact
+            extra = _data(seed=12, n=90)
+            assert remote.append_rows("sales", extra).rows == 90
+            local.append_rows("sales", extra)
+            remote.compact_table("sales")
+            local.compact_table("sales")
+            want_rows = local.encrypted_table("sales").shard_rows()
+            assert remote.encrypted_table("sales").shard_rows() == want_rows
+            assert sum(want_rows.values()) == N + 90
+            for q in QUERIES:
+                assert remote.query(q).rows == local.query(q).rows
+            assert remote.scan(SCAN).rows == local.scan(SCAN).rows
+            audit = remote.transport.audit_server()
+            assert audit["ok"], audit["flagged"]
             remote.close()
+            # a second client attaches to the committed, compacted state
+            again = repro.connect(address, TOKEN, master_key=KEY, seed=1)
+            again.open_sharded(served)
+            for q in QUERIES:
+                assert again.query(q).rows == local.query(q).rows
+            again.close()
             local.close()
         finally:
             proc.terminate()
             proc.wait(timeout=15)
+
+
+def _process_group(pgid):
+    """Live (non-zombie) pids whose process group is ``pgid``."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+class TestServiceProcess:
+    def test_sigterm_stops_the_shard_workers_too(self, sharded_root, tmp_path):
+        """SIGTERM is how supervisors stop a service; it must take the
+        fleet down with it exactly like SIGINT (workers used to survive,
+        orphaned and holding the service's stdout)."""
+        proc, _ = _spawn_server(
+            tmp_path, "--sharded", sharded_root, start_new_session=True
+        )
+        pgid = proc.pid
+        try:
+            assert len(_process_group(pgid)) > 1  # the service and its workers
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=15)
+            deadline = time.monotonic() + 15
+            while _process_group(pgid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _process_group(pgid) == []
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.proxy import SeabedClient
+from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.errors import TranslationError
 from repro.query import execute_plain, parse_query
@@ -33,7 +33,7 @@ def setup():
 
 def make_client(mode, setup):
     data, schema, samples = setup
-    client = SeabedClient(master_key=b"s" * 32, mode=mode,
+    client = SeabedSession(master_key=b"s" * 32, mode=mode,
                           paillier_bits=256, seed=1)
     client.create_plan(schema, samples)
     client.upload("rankings", data, num_partitions=3)

@@ -1,19 +1,21 @@
-"""Sharded scatter-gather must be bit-identical to single-store execution.
+"""Every placement must be bit-identical to in-memory execution.
 
-One dataset, two deployments: a plain in-memory single-store session and
-a sharded session (same master key, same seed, same plan) whose table is
-split across process-isolated shard workers.  Every query -- ASHE sums,
-grouped partials, ORE extremes and medians, routed DET point lookups --
-must decrypt to exactly the single-store answer, across worker-internal
-execution backends and across appended and compacted shard generations.
-A hypothesis sweep then compares random queries against the plaintext
-executor directly.
+One dataset, one in-memory reference session, and the same table (same
+master key, same seed, same plan) persisted under each placement: one
+partition store, a fleet of process-isolated shard workers, and that
+fleet behind a service.  Every query -- ASHE sums, grouped partials, ORE
+extremes and medians, routed DET point lookups -- must decrypt to
+exactly the reference answer, across worker-internal execution backends
+and across appended and compacted generations.  A hypothesis sweep then
+compares random queries against the plaintext executor directly, with
+the placement as one more input.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from placement import PLACEMENTS, Placement
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
@@ -105,33 +107,63 @@ def make_sharded(tmp_path, backend="serial", replicas=2, num_shards=4):
     return session
 
 
+def make_placed(kind, root):
+    """``(placement, session)``: the table persisted under ``kind`` from
+    its first batch, the later batches appended through the placement."""
+    placement = Placement(kind, root)
+    builder = placement.new_session(master_key=KEY, seed=1)
+    builder.create_plan(SCHEMA, SAMPLE_QUERIES)
+    session, _ = placement.persist(builder, "sales", BATCHES[0], "region")
+    for batch in BATCHES[1:]:
+        session.upload("sales", batch)
+    return placement, session
+
+
 @pytest.fixture(scope="module")
 def single():
     return make_single()
 
 
 @pytest.fixture(scope="module")
-def sharded(tmp_path_factory):
-    session = make_sharded(tmp_path_factory.mktemp("shardstore"))
-    yield session
-    session.close()
+def deployments(tmp_path_factory):
+    """One deployment per placement, built on first use."""
+    built = {}
+
+    def deployment(kind):
+        if kind not in built:
+            built[kind] = make_placed(kind, tmp_path_factory.mktemp(kind))
+        return built[kind]
+
+    yield deployment
+    for placement, _ in built.values():
+        placement.close()
+
+
+@pytest.fixture(scope="module", params=PLACEMENTS)
+def deployed(request, deployments):
+    return deployments(request.param)[1]
+
+
+@pytest.fixture(scope="module", params=PLACEMENTS[1:])
+def sharded(request, deployments):
+    return deployments(request.param)[1]
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("query", CHECK_QUERIES)
-    def test_query_matches_single_store(self, single, sharded, query):
+    def test_query_matches_in_memory(self, single, deployed, query):
         assert_same_rows(
-            sharded.query(query).rows, single.query(query).rows
+            deployed.query(query).rows, single.query(query).rows
         )
 
-    def test_scan_matches_single_store(self, single, sharded):
+    def test_scan_matches_in_memory(self, single, deployed):
         query = "SELECT region, amount FROM sales WHERE region = 'lag'"
-        got = sharded.scan(query).rows
+        got = deployed.scan(query).rows
         want = single.scan(query).rows
         assert sorted(map(_rows_key, got)) == sorted(map(_rows_key, want))
 
     def test_rows_distributed_across_shards(self, sharded):
-        table = sharded.sharded_table("sales")
+        table = sharded.encrypted_table("sales")
         per_shard = table.shard_rows()
         assert sum(per_shard.values()) == len(BATCHES) * N
         assert sum(1 for n in per_shard.values() if n > 0) >= 2
@@ -141,7 +173,7 @@ class TestEquivalence:
             "SELECT sum(amount) FROM sales WHERE region = 'rio'"
         )
         metrics = result.request_metrics[0]
-        assert metrics.shards_total == 4
+        assert metrics.shards_total == 3
         assert metrics.shards_skipped > 0
         assert metrics.failovers == 0
 
@@ -171,7 +203,7 @@ def test_worker_internal_backends_equivalent(tmp_path, single, backend):
 def test_compacted_generations_equivalent(tmp_path, single):
     session = make_sharded(tmp_path)
     try:
-        table = session.sharded_table("sales")
+        table = session.encrypted_table("sales")
         stats = table.compact()
         assert any(s is not None for s in stats.values())
         for query in CHECK_QUERIES:
@@ -204,7 +236,7 @@ def test_uncommitted_append_rolled_back_on_reattach(tmp_path, single):
     session = make_sharded(tmp_path)
     # A writer that dies after appending to shard stores but before the
     # sharded sidecar commit must leave no trace after re-attach.
-    session._write_sharded_sidecar = lambda root, table: None
+    session._commit_state = lambda table: None
     with pytest.raises(Exception):
         session.upload("sales", _batch(9))
         raise RuntimeError("commit suppressed; simulated writer crash")
@@ -258,22 +290,22 @@ aggregates = st.lists(
        where=st.one_of(st.none(), region_predicates, day_predicates))
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_random_queries_match_plaintext(sharded, aggs, where):
+def test_random_queries_match_plaintext(deployed, aggs, where):
     query = Query(select=tuple(aggs), table="sales", where=where)
     want = execute_plain({"sales": ALL_DATA}, query)
-    got = sharded.query(query)
+    got = deployed.query(query)
     assert_same_rows(got.rows, want)
 
 
 @given(where=st.one_of(st.none(), day_predicates))
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_random_grouped_queries_match_plaintext(sharded, where):
+def test_random_grouped_queries_match_plaintext(deployed, where):
     query = Query(
         select=(ColumnRef("region"), Aggregate("sum", "amount", "s"),
                 Aggregate("count", None, "c")),
         table="sales", where=where, group_by=("region",),
     )
     want = execute_plain({"sales": ALL_DATA}, query)
-    got = sharded.query(query)
+    got = deployed.query(query)
     assert_same_rows(got.rows, want)

@@ -104,7 +104,7 @@ def sharded_root(tmp_path_factory):
     _plan(writer)
     writer.shard_table("sales", "region", num_shards=4, replicas=1)
     writer.upload("sales", _data())
-    path = writer.sharded_table("sales").root
+    path = writer.encrypted_table("sales").root
     writer.close()
     return path
 

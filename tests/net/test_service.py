@@ -314,7 +314,8 @@ class TestServiceLifecycle:
             # remote sessions have no in-process server to poke
             with pytest.raises(TransportError, match="remote"):
                 _ = session.server
-            with pytest.raises(TransportError):
+            # ...and nothing to replace either: the property is read-only
+            with pytest.raises(AttributeError):
                 session.server = object()
             session.close()
 

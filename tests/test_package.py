@@ -12,7 +12,8 @@ def test_version():
 def test_lazy_exports():
     import repro
 
-    assert repro.SeabedClient.__name__ == "SeabedClient"
+    assert repro.SeabedSession.__name__ == "SeabedSession"
+    assert not hasattr(repro, "SeabedClient")
     assert repro.TableSchema.__name__ == "TableSchema"
     assert repro.ColumnSpec.__name__ == "ColumnSpec"
 
