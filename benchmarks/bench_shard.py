@@ -7,7 +7,8 @@ against a single-store session holding the same rows:
 - **routed point queries** -- ``WHERE user = :u`` resolves through the
   consistent-hash ring to one owning shard; the batch must skip shards
   (``shards_skipped > 0``) and beat the same batch with routing and
-  rollup pruning disabled by ``ROUTING_TARGET``x.
+  rollup pruning disabled by ``ROUTING_TARGET``x (the two sides run
+  interleaved, best of ``REPS`` batches each).
 - **scatter-gather aggregates** -- grouped partial aggregation computed
   node-side on every shard and merged once by the coordinator; answers
   asserted bit-identical, and the sharded QPS must beat the single-store
@@ -25,6 +26,7 @@ import os
 import platform
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,10 @@ from repro.engine.cluster import ClusterConfig, SimulatedCluster
 NUM_SHARDS = 4
 USERS = 256
 POINT_QUERIES = 24
+#: Interleaved repetitions per compared pair; the best (least-perturbed)
+#: run of each side is the basis of a floor's ratio, since both sides
+#: are latencies measured on the same possibly noisy, one-core CI box.
+REPS = 7
 ROUTING_TARGET = 1.1
 SCATTER_TARGET = 1.1
 MASTER_KEY = b"bench-sharded-scatter-key-32-byt"
@@ -76,6 +82,20 @@ def _point_batch(prepared, targets) -> tuple[float, list, int, int]:
     return time.perf_counter() - t0, rows_out, skipped, total
 
 
+@contextmanager
+def _unrouted(coordinator):
+    """Ring routing and rollup pruning off: every query scatters to
+    every shard."""
+    original_route = coordinator.route_filter
+    coordinator.pruning = False
+    coordinator.route_filter = lambda filt: None
+    try:
+        yield
+    finally:
+        coordinator.pruning = True
+        coordinator.route_filter = original_route
+
+
 def test_shard_scatter_gather(benchmark, scale):
     rows = scale["shard_rows"]
     record: dict = {}
@@ -108,28 +128,25 @@ def test_shard_scatter_gather(benchmark, scale):
             prepared = sharded.prepare(POINT)
             prepared.execute(u=int(targets[0]))  # warm workers and caches
 
-            routed_s, routed_rows, skipped, shards_total = _point_batch(
-                prepared, targets
-            )
-            assert skipped > 0, "routed point queries skipped no shards"
-
-            # Same batch, with the ring routing and rollup pruning off:
-            # the coordinator scatters every query to every shard.
             coordinator = sharded.server.sharded("synth")
-            coordinator.pruning = False
-            original_route = coordinator.route_filter
-            coordinator.route_filter = lambda filt: None
-            try:
-                full_s, full_rows, full_skipped, _ = _point_batch(
+            routed_times = []
+            full_times = []
+            for _ in range(REPS):
+                routed_s, routed_rows, skipped, shards_total = _point_batch(
                     prepared, targets
                 )
-            finally:
-                coordinator.pruning = True
-                coordinator.route_filter = original_route
-            assert full_skipped == 0
-            assert routed_rows == full_rows, (
-                "shard routing changed point-query answers"
-            )
+                routed_times.append(routed_s)
+                assert skipped > 0, "routed point queries skipped no shards"
+                with _unrouted(coordinator):
+                    full_s, full_rows, full_skipped, _ = _point_batch(
+                        prepared, targets
+                    )
+                full_times.append(full_s)
+                assert full_skipped == 0
+                assert routed_rows == full_rows, (
+                    "shard routing changed point-query answers"
+                )
+            routed_s, full_s = min(routed_times), min(full_times)
 
             single_prepared = single.prepare(POINT)
             single_s, single_rows, _, _ = _point_batch(
@@ -144,14 +161,9 @@ def test_shard_scatter_gather(benchmark, scale):
                     result.rows, key=lambda r: sorted(r.items())
                 )
 
-            # Interleaved best-of-reps: the floor compares two latencies
-            # measured on the same (possibly noisy, one-core) CI box, so
-            # the minimum -- the least-perturbed run of each path -- is
-            # the honest basis for the ratio.
-            reps = 7
             sharded_times = []
             single_times = []
-            for _ in range(reps):
+            for _ in range(REPS):
                 t0 = time.perf_counter()
                 grouped_sharded = sharded.query(GROUPED)
                 sharded_times.append(time.perf_counter() - t0)
@@ -168,6 +180,7 @@ def test_shard_scatter_gather(benchmark, scale):
                 rows=rows,
                 shards=NUM_SHARDS,
                 point_queries=POINT_QUERIES,
+                reps=REPS,
                 routed_s=routed_s,
                 unrouted_s=full_s,
                 routed_speedup_x=full_s / max(routed_s, 1e-12),

@@ -560,8 +560,9 @@ class SeabedServer:
         return response
 
     def _maybe_log_slow(self, q: ServerQuery, metrics: JobMetrics | None) -> None:
-        """Emit the structured slow-query event when the job's simulated
-        server time crosses ``ClusterConfig.slow_query_s``.
+        """Emit the structured slow-query event when the job's measured
+        ``real_time`` crosses ``ClusterConfig.slow_query_s`` (the simulated
+        ``server_time`` carries a constant modelled job start-up).
 
         Logged fields are operational only -- table name, timings, stage
         and byte counts -- never tokens, ciphertexts, or plaintexts.
@@ -569,15 +570,16 @@ class SeabedServer:
         threshold = self.cluster.config.slow_query_s
         if threshold is None or metrics is None:
             return
-        server_s = metrics.server_time
-        if server_s < threshold:
+        real_s = metrics.real_time
+        if real_s < threshold:
             return
         log_event(
             "slow_query",
             level=logging.WARNING,
             logger=get_logger("slow"),
             table=q.table,
-            server_s=round(server_s, 6),
+            real_s=round(real_s, 6),
+            server_s=round(metrics.server_time, 6),
             threshold_s=threshold,
             stages=len(metrics.stages),
             result_bytes=metrics.result_bytes,
@@ -586,7 +588,7 @@ class SeabedServer:
         )
         _obs_metrics.get_registry().counter(
             "seabed_slow_queries_total",
-            "Queries whose server time crossed ClusterConfig.slow_query_s.",
+            "Queries whose measured time crossed ClusterConfig.slow_query_s.",
             labelnames=("table",),
         ).inc(1.0, table=q.table)
 

@@ -98,8 +98,8 @@ class ClusterConfig:
     #: buys back the one-time spill write for short-lived tables (and
     #: gives benchmarks the pickled-column baseline).
     spill_to_store: bool = True
-    #: Slow-query threshold (seconds of simulated server time).  When
-    #: set, queries whose ``JobMetrics.server_time`` crosses it emit a
+    #: Slow-query threshold (seconds of measured execution time).  When
+    #: set, queries whose ``JobMetrics.real_time`` crosses it emit a
     #: structured ``slow_query`` event on the ``repro.obs`` logger and
     #: bump ``seabed_slow_queries_total``.  ``None`` disables the log.
     slow_query_s: float | None = None

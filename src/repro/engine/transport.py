@@ -7,28 +7,25 @@ observe it as a dead pipe rather than a poisoned interpreter.  This
 module is the generic half: a request/reply loop over a
 ``multiprocessing`` pipe, with nothing shard-specific in it.
 
-Protocol: the client sends ``(req_id, method, kwargs)``; the server
-replies ``(req_id, "ok", result)`` or ``(req_id, "err", (type_name,
-message))``.  Calls are serialised per handle with a lock, so a handle
-is safe to share across the coordinator's scatter threads (each shard
-gets its own handle, so cross-shard calls still overlap).
-
-Tracing rides the same protocol without changing its shape for
-untraced peers: when the caller has an ambient :mod:`repro.obs.trace`
-span, :meth:`WorkerHandle.call` attaches its context under the reserved
-``__trace__`` kwarg; :func:`serve` pops it, runs the handler inside a
-``worker:<method>`` child span, and returns the worker-side spans as an
-optional fourth reply element, which the caller ingests into its own
-tracer.  A peer that sends no ``__trace__`` (or replies with the plain
-three-tuple) is handled identically to one that predates tracing --
-version skew degrades to a local-only trace, never an error.
+Wire: one :mod:`repro.net.codec` frame per message over
+``send_bytes``/``recv_bytes``, holding the :mod:`repro.net.rpc` request
+or reply body -- the envelope the service's socket carries, under frame
+kinds of its own (:data:`CALL`, :data:`REPLY`).  Trace context, typed
+errors and the ``timeout`` field therefore travel exactly as they do
+between client and service: handlers run in a ``worker:<method>`` span
+whose spans ride home on the reply, and a worker-side
+:class:`~repro.errors.SeabedError` is re-raised here as the same class.
+Nothing is pickled.  A worker treats its pipe as untrusted input: bytes
+it cannot decode get a typed :class:`~repro.errors.CodecError` reply and
+it keeps serving.  ``codec.MAX_FRAME_BYTES`` bounds one message, and so
+one shard append batch.  Calls are serialised per handle with a lock,
+so a handle is safe to share across the coordinator's scatter threads
+(each shard gets its own handle, so cross-shard calls still overlap).
 
 Failure model: a worker that dies mid-call surfaces as
 :class:`WorkerDied` (an :class:`~repro.errors.ExecutionError`), raised
 from ``EOFError``/``BrokenPipeError`` or from a dead-process check --
-never as a hang.  Remote exceptions of ordinary kinds are re-raised
-client-side as :class:`RemoteError` carrying the remote type name, so a
-shard-side ``StorageError`` is distinguishable from transport loss.
+never as a hang, and never confused with an error the worker reported.
 
 Fail points: ``arm_exit(method, after)`` arms the *server* loop to call
 ``os._exit(70)`` immediately before replying to the ``after``-th
@@ -46,11 +43,15 @@ import weakref
 from multiprocessing import Pipe, Process, connection
 from typing import Any, Callable, Mapping
 
-from repro.errors import ExecutionError
+from repro.errors import CodecError, ExecutionError, SeabedError
+from repro.net import codec, rpc
 from repro.obs import trace as obs_trace
 
 #: Exit status for fail-point kills (matches the store's crash points).
 CRASH_STATUS = 70
+
+#: Frame kinds on the coordinator<->worker pipe.
+CALL, REPLY = "wreq", "wrep"
 
 # Live handles, reaped at interpreter exit.  Workers are non-daemonic
 # (they may run process pools), so multiprocessing's own atexit hook
@@ -74,60 +75,49 @@ class WorkerDied(ExecutionError):
     """The worker process died before replying (transport-level loss)."""
 
 
-class RemoteError(ExecutionError):
-    """The worker raised an ordinary exception while serving a call."""
-
-    def __init__(self, remote_type: str, message: str):
-        super().__init__(f"{remote_type}: {message}")
-        self.remote_type = remote_type
-
-
 def serve(conn: connection.Connection, handlers: Mapping[str, Callable[..., Any]]) -> None:
     """Run a worker's request loop until ``shutdown`` or a closed pipe.
 
     ``handlers`` maps method names to callables invoked as
-    ``handler(**kwargs)``.  Two methods are built in: ``__arm_exit__``
+    ``handler(**args)``.  Two methods are built in: ``__arm_exit__``
     (install a fail point) and ``shutdown`` (clean exit; a handler named
     ``shutdown`` runs first if provided).
     """
     armed: dict[str, int] = {}
+
+    def arm_exit(method: str, after: int) -> None:
+        armed[method] = int(after)
+
+    handlers = {"shutdown": lambda: None, **handlers, "__arm_exit__": arm_exit}
+
+    def run(op: str, args: dict[str, Any]) -> Any:
+        return rpc.handler(handlers, "worker", op)(**args)
+
     while True:
         try:
-            req_id, method, kwargs = conn.recv()
+            data = conn.recv_bytes()
         except (EOFError, OSError):
             return  # coordinator went away; nothing to reply to
-        trace_ctx = kwargs.pop("__trace__", None)
-        if method == "__arm_exit__":
-            armed[kwargs["method"]] = int(kwargs["after"])
-            conn.send((req_id, "ok", None))
-            continue
-        handler = handlers.get(method)
-        if handler is None and method != "shutdown":
-            conn.send((req_id, "err", ("ExecutionError", f"unknown method {method!r}")))
-            continue
-        trace_id = None
+        op = None
         try:
-            if trace_ctx is not None and obs_trace.enabled():
-                with obs_trace.continue_context(trace_ctx):
-                    with obs_trace.span(f"worker:{method}") as sp:
-                        if sp is not None:
-                            trace_id = sp.trace_id
-                        result = handler(**kwargs) if handler is not None else None
-            else:
-                result = handler(**kwargs) if handler is not None else None
-        except BaseException as exc:  # noqa: BLE001 -- report, don't die
-            conn.send((req_id, "err", (type(exc).__name__, str(exc))))
-            continue
-        if method in armed:
-            armed[method] -= 1
-            if armed[method] <= 0:
-                os._exit(CRASH_STATUS)  # die with the reply unsent
-        if trace_id is not None:
-            spans = [s.to_dict() for s in obs_trace.get_tracer().take(trace_id)]
-            conn.send((req_id, "ok", result, spans))
+            kind, body = codec.decode_frame(data)
+            if kind != CALL:
+                raise CodecError(f"expected a {CALL!r} frame, got {kind!r}")
+            op, args, _, trace = rpc.parse(body)
+        except CodecError as exc:
+            reply = rpc.error_reply(exc)
         else:
-            conn.send((req_id, "ok", result))
-        if method == "shutdown":
+            reply = rpc.answer(op, args, trace, run, "worker")
+        if reply["ok"] and op in armed:
+            armed[op] -= 1
+            if armed[op] <= 0:
+                os._exit(CRASH_STATUS)  # die with the reply unsent
+        try:
+            frame = codec.encode_frame(REPLY, reply)
+        except CodecError as exc:  # unencodable or oversized result
+            frame = codec.encode_frame(REPLY, rpc.error_reply(exc))
+        conn.send_bytes(frame)
+        if op == "shutdown":
             return
 
 
@@ -144,7 +134,6 @@ class WorkerHandle:
         parent, child = Pipe()
         self._conn = parent
         self._lock = threading.Lock()
-        self._req_id = 0
         # Not daemonic: workers may run process-pool backends internally,
         # and daemonic processes cannot have children.  Orphan safety
         # comes from the serve loop instead -- when the parent dies, its
@@ -169,18 +158,13 @@ class WorkerHandle:
 
     def call(self, method: str, /, **kwargs: Any) -> Any:
         """Invoke ``method`` on the worker and wait for its reply."""
-        ctx = obs_trace.current_context()
-        if ctx is not None:
-            kwargs = {**kwargs, "__trace__": ctx}
+        frame = codec.encode_frame(
+            CALL, rpc.request(method, kwargs, trace=obs_trace.current_context())
+        )
         with self._lock:
-            self._req_id += 1
-            req_id = self._req_id
             try:
-                self._conn.send((req_id, method, kwargs))
-                reply = self._conn.recv()
-                reply_id, status, payload = reply[0], reply[1], reply[2]
-                if len(reply) > 3:  # worker-side spans, piggybacked home
-                    obs_trace.get_tracer().ingest(reply[3])
+                self._conn.send_bytes(frame)
+                data = self._conn.recv_bytes()
             except (EOFError, BrokenPipeError, OSError) as exc:
                 # The pipe fd closes a beat before the child becomes
                 # reapable; join it so ``alive`` reads False (and the
@@ -192,15 +176,10 @@ class WorkerHandle:
                 raise WorkerDied(
                     f"worker {self.name!r} died during {method!r}"
                 ) from exc
-        if reply_id != req_id:
-            raise ExecutionError(
-                f"worker {self.name!r} replied out of order "
-                f"({reply_id} != {req_id})"
-            )
-        if status == "err":
-            remote_type, message = payload
-            raise RemoteError(remote_type, message)
-        return payload
+        kind, reply = codec.decode_frame(data)
+        if kind != REPLY:
+            raise CodecError(f"expected a {REPLY!r} frame, got {kind!r}")
+        return rpc.unwrap(reply)
 
     def arm_exit(self, method: str, after: int = 1) -> None:
         """Arm the worker to ``os._exit`` before replying to the
@@ -237,8 +216,8 @@ class WorkerHandle:
         """Ask the worker to exit cleanly; falls back to :meth:`kill`."""
         try:
             self.call("shutdown")
-        except (WorkerDied, RemoteError, ExecutionError, OSError):
-            pass
+        except (SeabedError, OSError):
+            pass  # dead or broken worker: the kill below covers it
         try:
             if self.process.is_alive():
                 self.process.join(timeout=5)

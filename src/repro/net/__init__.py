@@ -8,8 +8,9 @@ listener with bearer-token auth and per-tenant admission control;
 :mod:`repro.net.client` provides :class:`RemoteTransport`, a socket
 client that plugs into :class:`~repro.core.session.SeabedSession`
 unchanged; :mod:`repro.net.codec` is the versioned, length-prefixed
-binary wire format both ends speak; and :mod:`repro.net.audit` proves
-the serving process holds no key material.
+binary wire format and :mod:`repro.net.rpc` the request/reply envelope
+both ends -- and the shard workers behind the service -- speak; and
+:mod:`repro.net.audit` proves the serving process holds no key material.
 
 Entry points::
 

@@ -29,7 +29,6 @@ import socket
 import time
 from typing import Any
 
-from repro.core.access import AccessError  # noqa: F401 -- registers for _error_class
 from repro.core.transport import Transport
 from repro.errors import (
     AuthError,
@@ -38,7 +37,7 @@ from repro.errors import (
     SeabedError,
     TransportError,
 )
-from repro.net import codec
+from repro.net import codec, rpc
 from repro.obs import trace as obs_trace
 
 #: Ops safe to replay on a fresh connection after a transport failure:
@@ -59,17 +58,6 @@ _IDEMPOTENT = {
     "reopen",
     "attach",
 }
-
-
-def _error_class(name: str) -> type[SeabedError] | None:
-    """Resolve a wire error name against the SeabedError hierarchy."""
-    stack = [SeabedError]
-    while stack:
-        cls = stack.pop()
-        if cls.__name__ == name:
-            return cls
-        stack.extend(cls.__subclasses__())
-    return None
 
 
 class RemoteTransport(Transport):
@@ -132,19 +120,15 @@ class RemoteTransport(Transport):
                 sock, "hello", {"token": self._token, "user": self._user}
             )
             kind, body = codec.read_frame(sock)
+            if kind != "hello":
+                raise CodecError(f"expected a hello reply, got {kind!r}")
+            self.server_info = rpc.unwrap(body) or {}
         except OSError as exc:
             sock.close()
             raise TransportError(f"handshake failed: {exc}") from exc
-        except CodecError:
+        except SeabedError:
             sock.close()
             raise
-        if kind != "hello" or not isinstance(body, dict):
-            sock.close()
-            raise CodecError(f"expected a hello reply, got {kind!r}")
-        if not body.get("ok"):
-            sock.close()
-            raise self._as_error(body)
-        self.server_info = body.get("result") or {}
         self._sock = sock
 
     def _drop(self) -> None:
@@ -159,20 +143,6 @@ class RemoteTransport(Transport):
         self._drop()
 
     # -- request plumbing ---------------------------------------------------
-
-    def _as_error(self, body: dict[str, Any]) -> SeabedError:
-        name = body.get("error", "TransportError")
-        message = str(body.get("message", "remote error"))
-        if name == "Backpressure":
-            retry_after = body.get("retry_after")
-            return Backpressure(
-                message,
-                retry_after=float(retry_after) if retry_after is not None else None,
-            )
-        cls = _error_class(name) if isinstance(name, str) else None
-        if cls is None or cls is SeabedError:
-            return TransportError(f"{name}: {message}")
-        return cls(message)
 
     def _trace_context(self) -> dict[str, Any] | None:
         """The trace context attached to outgoing requests (the ambient
@@ -200,9 +170,7 @@ class RemoteTransport(Transport):
         limit = timeout if timeout is not None else self._default_timeout
         attempts = self._retries if op in _IDEMPOTENT else 1
         last: Exception | None = None
-        envelope: dict[str, Any] = {"op": op, "args": args, "timeout": limit}
-        if trace_ctx is not None:
-            envelope["trace"] = trace_ctx
+        envelope = rpc.request(op, args, timeout=limit, trace=trace_ctx)
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self._backoff * (2 ** (attempt - 1)))
@@ -230,17 +198,10 @@ class RemoteTransport(Transport):
                 self._drop()
                 last = exc
                 continue
-            if kind != "rep" or not isinstance(body, dict):
+            if kind != "rep":
                 self._drop()
                 raise CodecError(f"expected a rep frame, got {kind!r}")
-            if body.get("ok"):
-                # Server-side spans piggyback on the reply (absent from
-                # skewed peers -- then the trace is simply local-only).
-                spans = body.get("spans")
-                if spans:
-                    obs_trace.get_tracer().ingest(spans)
-                return body.get("result")
-            raise self._as_error(body)
+            return rpc.unwrap(body)
         if isinstance(last, CodecError):
             raise last
         raise TransportError(

@@ -11,6 +11,11 @@ Frame layout (everything little-endian)::
                                "body": <packed value tree>}
     ...  buffers        raw bytes, concatenated in order
 
+Frame kinds: ``hello`` / ``req`` / ``rep`` between client and service,
+``wreq`` / ``wrep`` between coordinator and shard worker
+(:mod:`repro.engine.transport`); past the ``hello``, every body is a
+:mod:`repro.net.rpc` request or reply.
+
 The envelope is a JSON tree in which every non-JSON-native value is a
 tagged object (``{"!": tag, ...}``): tuples, dicts (whose keys need not
 be strings), bytes, numpy arrays and scalars, and the registered request
@@ -47,7 +52,8 @@ MAGIC = b"SBNW"
 WIRE_VERSION = 1
 
 #: Upper bound on a single frame; a corrupt length prefix fails fast
-#: instead of attempting a multi-gigabyte read.
+#: instead of attempting a multi-gigabyte read.  It therefore also bounds
+#: one upload/append batch, on the socket and on a shard worker's pipe.
 MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct("<4sHI")  # magic, version, envelope length

@@ -38,22 +38,16 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 from repro.core import server as srv
-from repro.core.access import AccessController, AccessError
+from repro.core.access import AccessController
 from repro.core.transport import LocalTransport
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
-from repro.errors import (
-    AuthError,
-    Backpressure,
-    CodecError,
-    SeabedError,
-    TransportError,
-)
-from repro.net import codec
+from repro.errors import AuthError, Backpressure, CodecError, TransportError
+from repro.net import codec, rpc
 from repro.net.audit import audit_keyless
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -82,6 +76,15 @@ class ServiceConfig:
     executor_threads: int = 8
     #: Backoff hint carried in Backpressure replies, seconds.
     retry_after: float = 0.05
+
+
+#: Ops that are the access check on ``args["table"]`` followed by the
+#: :class:`LocalTransport` method of the same name, called with ``args``.
+_TABLE_OPS = (
+    "table_meta", "storage_bytes", "save_store", "commit_state", "store_rows",
+    "truncate_store", "reopen", "compact", "store_stats", "generations",
+    "rebuild_index",
+)
 
 
 class _Tenant:
@@ -115,6 +118,7 @@ class SeabedService:
         self.server = srv.SeabedServer(self.cluster, pruning=self.config.pruning)
         self._local = LocalTransport(self.server, self.cluster)
         self.access = AccessController()
+        self._ops = self._handlers()
         self._tokens: dict[str, str] = {}  # token -> user
         self._tenants: dict[str, _Tenant] = {}
         self._pool = ThreadPoolExecutor(
@@ -174,88 +178,56 @@ class SeabedService:
 
     # -- request execution (executor threads) ------------------------------
 
-    def _check(self, user: str, table: str) -> None:
-        self.access.check(user, table)
+    def _handlers(self) -> dict[str, Callable[[str, dict[str, Any]], Any]]:
+        """Op name -> ``handler(user, args)``: the access check on the
+        table(s) the request names, then the :class:`LocalTransport` call."""
+        local, check = self._local, self.access.check
 
-    def _run_op(self, user: str, op: str, args: dict[str, Any]) -> Any:
-        local = self._local
-        if op == "execute":
+        def on_table(method: Callable[..., Any]) -> Callable[..., Any]:
+            def handler(user: str, args: dict[str, Any]) -> Any:
+                check(user, args["table"])
+                return method(**args)
+
+            return handler
+
+        def execute(user: str, args: dict[str, Any]) -> Any:
             request = args["request"]
             if not isinstance(request, srv.ServerQuery):
                 raise CodecError("execute expects a ServerQuery request")
-            self._check(user, request.table)
+            check(user, request.table)
             if request.join is not None:
-                self._check(user, request.join.build_table)
+                check(user, request.join.build_table)
             return local.execute(request)
-        if op == "scan":
-            self._check(user, args["table"])
+
+        def scan(user: str, args: dict[str, Any]) -> Any:
+            check(user, args["table"])
             return local.scan(args["table"], args["columns"], args.get("filter"))
-        if op == "upload":
+
+        def upload(user: str, args: dict[str, Any]) -> None:
             batch = codec.unpack_table(args["batch"])
-            self._check(user, batch.name)
-            return local.upload(batch)
-        if op == "append_batch":
-            self._check(user, args["table"])
+            check(user, batch.name)
+            local.upload(batch)
+
+        def append_batch(user: str, args: dict[str, Any]) -> int:
+            check(user, args["table"])
             batch = codec.unpack_table(args["batch"])
             return local.append_batch(
                 args["table"], int(args["shard"]), batch, args["column_meta"]
             )
-        if op == "table_meta":
-            self._check(user, args["table"])
-            return local.table_meta(args["table"])
-        if op == "storage_bytes":
-            self._check(user, args["table"])
-            return local.storage_bytes(args["table"])
-        if op == "save_store":
-            self._check(user, args["table"])
-            return local.save_store(
-                args["table"],
-                args["path"],
-                args["column_meta"],
-                overwrite=bool(args.get("overwrite", False)),
-            )
-        if op == "commit_state":
-            self._check(user, args["table"])
-            return local.commit_state(args["table"], args["payload"])
-        if op == "read_store_state":
+
+        def read_store_state(user: str, args: dict[str, Any]) -> dict[str, Any]:
             payload = local.read_store_state(args["path"])
-            self._check(user, payload["schema"]["name"])
+            check(user, payload["schema"]["name"])
             return payload
-        if op == "store_rows":
-            self._check(user, args["table"])
-            return local.store_rows(args["table"], int(args["shard"]))
-        if op == "truncate_store":
-            self._check(user, args["table"])
-            return local.truncate_store(
-                args["table"], int(args["shard"]), int(args["committed"])
-            )
-        if op == "reopen":
-            self._check(user, args["table"])
-            return local.reopen(args["table"])
-        if op == "compact":
-            self._check(user, args["table"])
-            return local.compact(args["table"], target_rows=args.get("target_rows"))
-        if op == "store_stats":
-            self._check(user, args["table"])
-            return local.store_stats(args["table"])
-        if op == "generations":
-            self._check(user, args["table"])
-            return local.generations(args["table"])
-        if op == "rebuild_index":
-            self._check(user, args["table"])
-            return local.rebuild_index(args["table"])
-        if op == "attach":
-            payload = local.read_store_state(args["path"])
-            self._check(user, payload["schema"]["name"])
+
+        def attach(user: str, args: dict[str, Any]) -> dict[str, Any]:
+            read_store_state(user, args)
             return local.attach(args["path"])
-        if op == "audit":
-            result = audit_keyless(self)
-            return {
-                "ok": result.ok,
-                "objects_walked": result.objects_walked,
-                "flagged": list(result.flagged),
-            }
-        if op == "metrics":
+
+        def audit(user: str, args: dict[str, Any]) -> dict[str, Any]:
+            return asdict(audit_keyless(self))  # ok, objects_walked, flagged
+
+        def metrics(user: str, args: dict[str, Any]) -> dict[str, Any]:
             # Live introspection: the serving process's own registry.
             # Auth-gated like every op (the connection already passed
             # _authenticate); contains only names, labels and numbers.
@@ -263,64 +235,44 @@ class SeabedService:
             if args.get("fmt") == "json":
                 return {"fmt": "json", "metrics": reg.snapshot()}
             return {"fmt": "prometheus", "text": reg.prometheus()}
-        if op == "trace":
+
+        def trace(user: str, args: dict[str, Any]) -> dict[str, Any]:
             limit = args.get("limit")
             spans = obs_trace.get_tracer().spans(
                 trace_id=args.get("trace_id"),
                 limit=int(limit) if limit is not None else 256,
             )
             return {"spans": [s.to_dict() for s in spans]}
-        raise TransportError(f"unknown service operation {op!r}")
 
-    def _traced_run(
-        self,
-        user: str,
-        op: str,
-        args: dict[str, Any],
-        trace_ctx: dict[str, Any] | None,
-        queue_wait: float,
-    ) -> tuple[Any, list[dict]]:
-        """Executor-thread wrapper around :meth:`_run_op`.
+        handlers = {op: on_table(getattr(local, op)) for op in _TABLE_OPS}
+        for fn in (execute, scan, upload, append_batch, read_store_state,
+                   attach, audit, metrics, trace):
+            handlers[fn.__name__] = fn
+        return handlers
 
-        ``run_in_executor`` does not propagate contextvars, so the
-        caller's trace context is re-installed here explicitly.  Returns
-        ``(result, spans)`` where ``spans`` are the service-side span
-        dicts to piggyback on the reply -- empty unless the client sent a
-        trace context (local-only spans stay in this process's tracer
-        for the ``trace`` RPC instead).
-        """
-        t_start = time.perf_counter()
-        trace_id = None
+    def _run_op(self, user: str, op: str, args: dict[str, Any]) -> Any:
+        return rpc.handler(self._ops, "service", op)(user, args)
+
+    def _admitted(
+        self, user: str, queue_wait: float, op: str, args: dict[str, Any]
+    ) -> Any:
+        """Executor-thread body of one admitted request, run by
+        :func:`rpc.answer` inside the ``service:<op>`` span: the op plus
+        the service's own accounting (queue wait, latency histogram)."""
+        started = time.perf_counter()
+        if queue_wait > 0:
+            obs_trace.record_span("service:queue_wait", started - queue_wait, started)
         try:
-            with obs_trace.continue_context(trace_ctx):
-                with obs_trace.span(f"service:{op}", tenant=user) as sp:
-                    if sp is not None:
-                        trace_id = sp.trace_id
-                        if queue_wait > 0:
-                            obs_trace.record_span(
-                                "service:queue_wait",
-                                t_start - queue_wait,
-                                t_start,
-                            )
-                    result = self._run_op(user, op, args)
+            result = self._run_op(user, op, args)
         finally:
             obs_metrics.get_registry().histogram(
                 "seabed_service_request_seconds",
                 "Service request latency by operation and tenant.",
                 labelnames=("op", "tenant"),
-            ).observe(time.perf_counter() - t_start, op=op, tenant=user)
-        spans: list[dict] = []
-        if trace_id is not None and trace_ctx is not None:
-            spans = [s.to_dict() for s in obs_trace.get_tracer().take(trace_id)]
-        return result, spans
-
-    @staticmethod
-    def _trace_of(body: dict[str, Any]) -> dict[str, Any] | None:
-        """The optional trace context in a request body.  Absent or
-        malformed (a version-skewed or legacy client) yields ``None`` --
-        the request simply runs with a local-only trace."""
-        ctx = body.get("trace")
-        return ctx if isinstance(ctx, dict) else None
+            ).observe(time.perf_counter() - started, op=op, tenant=user)
+        if isinstance(result, srv.ServerResponse) and result.metrics is not None:
+            result.metrics.queue_wait = queue_wait
+        return result
 
     # -- admission + dispatch (event loop) ---------------------------------
 
@@ -347,11 +299,10 @@ class SeabedService:
         return True
 
     async def _dispatch(self, user: str, body: Any) -> dict[str, Any]:
-        if not isinstance(body, dict) or not isinstance(body.get("op"), str):
-            return _error_reply(CodecError("malformed request body"))
-        op = body["op"]
-        args = body.get("args") or {}
-        trace_ctx = self._trace_of(body)
+        try:
+            op, args, requested, trace = rpc.parse(body)
+        except CodecError as exc:
+            return rpc.error_reply(exc)
         if op == "ping":
             return {"ok": True, "result": {"server": "seabed", "user": user}}
         tenant = self._tenant(user)
@@ -362,7 +313,7 @@ class SeabedService:
                 "Requests rejected by per-tenant admission control.",
                 labelnames=("tenant",),
             ).inc(1.0, tenant=user)
-            return _error_reply(
+            return rpc.error_reply(
                 Backpressure(
                     f"tenant {user!r} is over its admission budget "
                     f"({self.config.max_in_flight} in flight, "
@@ -371,11 +322,20 @@ class SeabedService:
                 )
             )
         queue_wait = time.monotonic() - queued_at
-        timeout = _effective_timeout(body.get("timeout"), self.config.request_timeout)
+        # The client's per-call budget can only tighten the service's cap.
+        timeout = min(
+            (t for t in (requested, self.config.request_timeout) if t is not None),
+            default=None,
+        )
         assert self._loop is not None
+        # run_in_executor does not propagate contextvars; answer()
+        # re-installs the caller's trace context on the executor thread.
         future = self._loop.run_in_executor(
             self._pool,
-            partial(self._traced_run, user, op, args, trace_ctx, queue_wait),
+            partial(
+                rpc.answer, op, args, trace,
+                partial(self._admitted, user, queue_wait), "service", tenant=user,
+            ),
         )
         # The slot is held until the executor thread actually finishes --
         # a timed-out request keeps consuming its budget rather than
@@ -385,19 +345,11 @@ class SeabedService:
             lambda f: (tenant.sem.release(), f.cancelled() or f.exception())
         )
         try:
-            result, spans = await asyncio.wait_for(asyncio.shield(future), timeout)
+            return await asyncio.wait_for(asyncio.shield(future), timeout)
         except (asyncio.TimeoutError, TimeoutError):
-            return _error_reply(
+            return rpc.error_reply(
                 TransportError(f"request {op!r} timed out after {timeout}s server-side")
             )
-        except Exception as exc:  # noqa: BLE001 -- typed reply, never a hang
-            return _error_reply(exc)
-        if isinstance(result, srv.ServerResponse) and result.metrics is not None:
-            result.metrics.queue_wait = queue_wait
-        reply: dict[str, Any] = {"ok": True, "result": result}
-        if spans:
-            reply["spans"] = spans
-        return reply
 
     # -- connection handling -----------------------------------------------
 
@@ -426,7 +378,7 @@ class SeabedService:
                     raise AuthError(f"expected hello, got {kind!r} frame")
                 user = self._authenticate(hello)
             except (CodecError, AuthError) as exc:
-                await self._write(writer, "hello", _error_reply(exc))
+                await self._write(writer, "hello", rpc.error_reply(exc))
                 return
             await self._write(
                 writer,
@@ -443,19 +395,14 @@ class SeabedService:
             while True:
                 try:
                     kind, body = await self._read(reader)
+                    if kind != "req":
+                        raise CodecError(f"unexpected {kind!r} frame")
                 except asyncio.IncompleteReadError:
                     return  # client went away
                 except CodecError as exc:
                     # Unparseable input: answer typed, then drop the
                     # connection (the stream may be out of sync).
-                    await self._write(writer, "rep", _error_reply(exc))
-                    return
-                if kind != "req":
-                    await self._write(
-                        writer,
-                        "rep",
-                        _error_reply(CodecError(f"unexpected {kind!r} frame")),
-                    )
+                    await self._write(writer, "rep", rpc.error_reply(exc))
                     return
                 await self._write(writer, "rep", await self._dispatch(user, body))
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -584,33 +531,6 @@ def serve(
         raise TransportError("pass either config= or keyword overrides, not both")
     service = SeabedService(config, stores=tuple(stores), sharded=tuple(sharded))
     return service.start()
-
-
-def _error_reply(exc: Exception) -> dict[str, Any]:
-    reply: dict[str, Any] = {
-        "ok": False,
-        "error": type(exc).__name__,
-        "message": str(exc),
-    }
-    if isinstance(exc, Backpressure):
-        reply["retry_after"] = exc.retry_after
-    if not isinstance(exc, (SeabedError, AccessError)):
-        # Unexpected server-side failure: keep the class name for the
-        # log line but clients map it to a generic TransportError.
-        reply["error"] = "TransportError"
-        reply["message"] = f"{type(exc).__name__}: {exc}"
-    return reply
-
-
-def _effective_timeout(
-    requested: Any, ceiling: float | None
-) -> float | None:
-    limit = float(requested) if isinstance(requested, (int, float)) else None
-    if limit is None:
-        return ceiling
-    if ceiling is None:
-        return limit
-    return min(limit, ceiling)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -5,7 +5,7 @@ renders an event name plus sorted ``key=value`` fields into the message
 and also attaches them machine-readably on the log record (``record.event``
 / ``record.fields``) so a JSON formatter can emit them verbatim.
 
-The canonical consumer is the slow-query log: queries whose server time
+The canonical consumer is the slow-query log: queries whose measured time
 crosses ``ClusterConfig.slow_query_s`` emit a ``slow_query`` event with
 timings, table, and row counts -- never plaintexts or key material (the
 same rule every telemetry surface follows; see

@@ -11,14 +11,14 @@ any plumbing.
 Cross-process stitching works by value, not by magic:
 
 - :func:`current_context` exports the ambient ``{"trace_id", "span_id"}``
-  pair; the wire codec threads it through the request envelope and the
-  shard RPC threads it through a reserved ``__trace__`` kwarg.
+  pair; both RPC hops carry it as the ``trace`` key of the one
+  :mod:`repro.net.rpc` request envelope.
 - :func:`continue_context` installs a received context as the ambient
   parent on the remote side; a peer that never sends one (version skew)
   simply produces a local-only trace -- no error, typed or otherwise.
-- Remote spans ride back on the reply (``spans`` envelope key / a fourth
-  reply-tuple element) and are :meth:`Tracer.ingest`-ed into the caller's
-  tracer, so the client ends up holding one stitched trace.
+- Remote spans ride back under the reply's ``spans`` key and are
+  :meth:`Tracer.ingest`-ed into the caller's tracer, so the client ends
+  up holding one stitched trace.
 
 All spans use ``time.perf_counter()`` -- CLOCK_MONOTONIC on Linux, which
 is shared across processes on the same host, so child-process spans nest

@@ -46,11 +46,11 @@ import numpy as np
 from repro.core import server as srv
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
-from repro.engine.storage import serialize_table
 from repro.engine.table import Table
 from repro.engine.transport import WorkerDied, WorkerHandle
 from repro.errors import ExecutionError
 from repro.index import prune
+from repro.net import codec
 from repro.obs import trace as obs_trace
 from repro.shard.ring import HashRing
 from repro.shard.worker import shard_worker_main
@@ -296,7 +296,7 @@ class ShardReplicas:
         only part of the chain would fork the replicas.  (Queries, by
         contrast, need just one live replica.)
         """
-        blob = serialize_table(batch)
+        packed = codec.pack_table(batch)
         generation = 0
         for node in self.fleet.replica_nodes(self.shard):
             if node in self.fleet.dead:
@@ -306,7 +306,7 @@ class ShardReplicas:
                 )
             try:
                 generation = self._call(
-                    node, "append", blob=blob, column_meta=column_meta
+                    node, "append", batch=packed, column_meta=column_meta
                 )
             except WorkerDied as exc:
                 self.fleet.mark_dead(node)

@@ -4,9 +4,10 @@ A worker is a full (if small) Seabed server in its own OS process: it
 owns a node directory containing one generation-logged partition store
 per hosted shard -- the shards whose replica chain includes this node --
 and serves the coordinator's RPCs over the :mod:`repro.engine.transport`
-pipe.  Process isolation is the point: a crash (injected or real) kills
-exactly one node's stores out of the table, and the coordinator observes
-a dead pipe, not a corrupted in-process state.
+pipe, in the same :mod:`repro.net.codec` frames and :mod:`repro.net.rpc`
+envelope the service speaks.  Process isolation is the point: a crash
+(injected or real) kills exactly one node's stores out of the table, and
+the coordinator observes a dead pipe, not a corrupted in-process state.
 
 Every store is hosted through the shared
 :class:`~repro.core.transport.StoreHost` -- the same publish / roll back
@@ -20,7 +21,7 @@ rename.  Incoming :class:`ServerQuery` objects reference the base table
 name; the worker rewrites them to the alias before executing.
 
 Everything data-bearing that crosses the pipe is ciphertext: append
-batches arrive as SBED-serialised encrypted tables, queries carry
+batches arrive as ``codec.pack_table`` ciphertext columns, queries carry
 DET/ORE tokens, and replies carry encrypted partial aggregates -- the
 worker holds no keys, exactly like the paper's untrusted cluster nodes.
 """
@@ -36,9 +37,9 @@ from repro.core import server as srv
 from repro.core.transport import StoreHost
 from repro.engine import transport
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
-from repro.engine.storage import deserialize_table
 from repro.engine.table import Table
 from repro.index.rollup import rollup_zone_maps
+from repro.net import codec
 from repro.obs import trace as obs_trace
 
 
@@ -78,18 +79,19 @@ class _ShardWorker:
         self,
         table: str,
         shard_id: int,
-        blob: bytes,
+        batch: dict[str, Any],
         column_meta: dict[str, str] | None,
     ) -> int:
         """Write or append one encrypted batch into the shard's store.
 
-        The batch arrives SBED-serialised under the base table name and
-        is re-badged to the shard alias so the store's own name check
-        (and any later re-attach) stays coherent per shard.
+        The batch arrives in ``codec.pack_table`` form under the base
+        table name and is re-badged to the shard alias so the store's own
+        name check (and any later re-attach) stays coherent per shard.
         """
         host = self._host(table, shard_id)
-        batch = Table(host.name, deserialize_table(blob).partitions)
-        return host.append(batch, column_meta)
+        return host.append(
+            Table(host.name, codec.unpack_table(batch).partitions), column_meta
+        )
 
     def rows(self, table: str, shard_id: int) -> int:
         return self._host(table, shard_id).rows()

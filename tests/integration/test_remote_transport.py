@@ -25,6 +25,8 @@ import repro
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
+from repro.engine.table import Partition, Table
+from repro.errors import StorageError, TransportError
 
 KEY = b"w" * 32
 TOKEN = "integration-token"
@@ -256,6 +258,36 @@ class TestRemoteSharded:
         finally:
             proc.terminate()
             proc.wait(timeout=15)
+
+
+class TestWorkerErrorsKeepTheirClass:
+    """One envelope on both hops: a ``SeabedError`` raised inside a shard
+    worker reaches the session as the same class whether it crossed the
+    worker pipe alone or the pipe and then the service socket."""
+
+    def test_mismatched_append_is_a_storage_error(self, placed):
+        session = _plan(placed.new_session(master_key=KEY, seed=1))
+        writer, _ = placed.persist(session, "sales", _data(), shard_key="region")
+        handle = writer.encrypted_table("sales")
+        shard = next(s for s, n in handle.shard_rows().items() if n > 0)
+        bogus = Table("sales", [Partition(columns={"bogus": np.arange(4)}, start_id=0)])
+        with pytest.raises(StorageError, match="do not match the store's"):
+            writer.transport.append_batch("sales", shard, bogus, {"bogus": "plain"})
+        # The worker that raised is still serving, and saw no new rows.
+        assert sum(handle.shard_rows().values()) == N
+        assert writer.query("SELECT count(*) FROM sales").rows[0]["count(*)"] == N
+
+    def test_unexpected_worker_exception_is_a_transport_error(self, tmp_path):
+        config = ClusterConfig(storage_dir=str(tmp_path))
+        session = _plan(SeabedSession(
+            master_key=KEY, seed=1, cluster=SimulatedCluster(config)))
+        try:
+            fleet = session.shard_table("sales", "region", num_shards=2).store
+            with pytest.raises(TransportError, match="^TypeError: .*shard_id"):
+                fleet.workers[0].call("rows", table="sales")  # missing argument
+            assert fleet.workers[0].call("ping") == 0  # and it survived
+        finally:
+            session.close()
 
 
 def _process_group(pgid):

@@ -4,6 +4,7 @@ errors."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from repro.core import server as srv
 from repro.engine.metrics import JobMetrics, StageMetrics
+from repro.engine.table import Partition, Table
+from repro.engine.transport import CALL, REPLY
 from repro.errors import CodecError
-from repro.net import codec
+from repro.net import codec, rpc
 
 
 def same(a, b) -> bool:
@@ -34,6 +37,10 @@ def same(a, b) -> bool:
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
     if isinstance(a, dict):
         return set(a) == set(b) and all(same(a[k], b[k]) for k in a)
+    if dataclasses.is_dataclass(a):
+        return all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
     return a == b
 
 
@@ -229,3 +236,178 @@ def test_trailing_garbage_rejected():
 def test_unencodable_type_rejected():
     with pytest.raises(CodecError, match="cannot encode"):
         codec.encode_frame("req", object())
+
+
+# -- coordinator <-> shard-worker RPC shapes --------------------------------
+#
+# Everything repro.shard sends over a worker pipe (repro.engine.transport):
+# the rpc envelope around queries, partial / grouped / scan responses with
+# their JobMetrics, rollups, compaction stats and append batches.
+
+u64 = st.integers(0, 2**64 - 1)
+seconds = st.floats(0, 10, allow_nan=False)
+names = st.sampled_from(["amount__ashe", "amount__ore", "day__ore", "region__det"])
+u64_arrays = st.lists(u64, max_size=12).map(lambda xs: np.array(xs, dtype=np.uint64))
+
+filters = st.recursive(
+    st.one_of(
+        st.builds(srv.DetEq, column=names, token=u64, negate=st.booleans()),
+        st.builds(srv.DetIn, column=names, tokens=st.lists(u64, max_size=4).map(tuple)),
+        st.builds(
+            srv.OreCmp,
+            column=names,
+            op=st.sampled_from(["<", "<=", ">", ">="]),
+            token=st.tuples(u64, u64, u64),
+            nbits=st.sampled_from([16, 32]),
+        ),
+    ),
+    lambda children: st.one_of(
+        st.builds(srv.FilterAnd, children=st.lists(children, min_size=1, max_size=3).map(tuple)),
+        st.builds(srv.FilterOr, children=st.lists(children, min_size=1, max_size=3).map(tuple)),
+        st.builds(srv.FilterNot, child=children),
+    ),
+    max_leaves=5,
+)
+aggregates = st.one_of(
+    st.builds(srv.AsheSum, column=names, alias=st.text(max_size=4), codec=st.just("range")),
+    st.builds(srv.PaillierSum, column=names, alias=st.text(max_size=4),
+              n_squared=st.integers(2, 10**80)),
+    st.builds(srv.OreExtreme, kind=st.sampled_from(["min", "max"]), ore_column=names,
+              payload_column=names, alias=st.text(max_size=4)),
+    st.builds(srv.OreMedian, ore_column=names, payload_column=names,
+              alias=st.text(max_size=4)),
+    st.builds(srv.PlainAgg, column=st.none(), func=st.just("count"),
+              alias=st.text(max_size=4)),
+)
+queries = st.builds(
+    srv.ServerQuery,
+    table=st.just("sales"),
+    aggs=st.lists(aggregates, min_size=1, max_size=3).map(tuple),
+    filter=st.none() | filters,
+    group_by=st.none() | names,
+    inflation=st.integers(1, 4),
+)
+payloads = st.one_of(
+    st.tuples(st.just("ashe"), st.integers(0, 2**32),
+              st.lists(st.binary(max_size=24), max_size=3), st.booleans()),
+    st.tuples(st.just("paillier"), st.integers(0, 10**80)),
+    st.tuples(st.just("extreme"), u64, u64),
+    st.tuples(st.just("plain"), st.integers(-(2**62), 2**62)),
+    u64_arrays.map(lambda a: ("median_gather", a.reshape(-1, 1), a)),
+)
+job_metrics = st.builds(
+    JobMetrics,
+    stages=st.lists(
+        st.builds(StageMetrics, name=st.sampled_from(["aggregate", "partial-merge", "scan"]),
+                  task_times=st.lists(seconds, max_size=3), makespan=seconds,
+                  wall_time=seconds, partitions_total=st.integers(0, 64),
+                  partitions_skipped=st.integers(0, 64)),
+        max_size=2,
+    ),
+    job_startup=seconds,
+    result_bytes=st.integers(0, 2**40),
+    network_time=seconds,
+)
+aliases = st.text(max_size=4)
+responses = st.one_of(
+    st.builds(srv.ServerResponse, kind=st.just("partial"),
+              flat=st.dictionaries(aliases, st.lists(payloads, max_size=3), max_size=3),
+              metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
+    st.builds(srv.ServerResponse, kind=st.just("grouped"),
+              groups=st.lists(
+                  st.tuples(u64, st.integers(0, 3),
+                            st.dictionaries(aliases, st.none() | payloads, max_size=3)),
+                  max_size=4),
+              metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
+    st.builds(srv.ServerResponse, kind=st.just("scan"),
+              flat=st.fixed_dictionaries({
+                  "columns": st.dictionaries(names, ciphertext_arrays, max_size=3),
+                  "ids": u64_arrays,
+              }),
+              metrics=job_metrics),
+)
+zone_stats = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("ore"), "min": st.lists(u64, max_size=3),
+                           "max": st.lists(u64, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("det"), "tokens": st.lists(u64, max_size=4)}),
+)
+rollups = st.tuples(
+    st.integers(0, 2**31),
+    st.none() | st.fixed_dictionaries({
+        "rows": st.integers(0, 2**40), "nulls": st.integers(0, 2**40),
+        "columns": st.dictionaries(names, zone_stats, max_size=3),
+    }),
+)
+compactions = st.none() | st.dictionaries(
+    st.sampled_from(["merged_runs", "generations_before", "generations_after",
+                     "partitions_before", "partitions_after", "target_rows", "generation"]),
+    st.integers(0, 2**31),
+)
+batches = st.fixed_dictionaries({  # what codec.pack_table produces
+    "name": st.just("sales"),
+    "partitions": st.lists(
+        st.fixed_dictionaries({
+            "start_id": st.integers(0, 2**60),
+            "columns": st.dictionaries(names, ciphertext_arrays, max_size=3),
+        }),
+        max_size=2,
+    ),
+})
+contexts = st.none() | st.fixed_dictionaries(
+    {"trace_id": st.text("0123456789abcdef", min_size=16, max_size=16),
+     "span_id": st.text(max_size=12)}
+)
+spans = st.lists(
+    st.fixed_dictionaries({"name": st.text(max_size=12), "trace_id": st.text(max_size=16),
+                           "span_id": st.text(max_size=12), "parent_id": st.none() | st.text(),
+                           "start": seconds, "end": seconds,
+                           "attributes": st.dictionaries(st.text(max_size=6), scalars, max_size=2),
+                           "process": st.text(max_size=12), "pid": st.integers(0, 2**22)}),
+    max_size=3,
+)
+shard_requests = st.one_of(
+    st.fixed_dictionaries({"shard_id": st.integers(0, 63), "q": queries}).map(
+        lambda args: ("execute", args)),
+    st.fixed_dictionaries({"table": st.just("sales"), "shard_id": st.integers(0, 63),
+                           "columns": st.lists(names, max_size=3).map(tuple),
+                           "filt": st.none() | filters}).map(lambda args: ("scan", args)),
+    st.fixed_dictionaries({"table": st.just("sales"), "shard_id": st.integers(0, 63),
+                           "batch": batches,
+                           "column_meta": st.none() | st.dictionaries(
+                               names, st.sampled_from(["ashe", "ore", "det"]))}).map(
+        lambda args: ("append", args)),
+)
+
+
+@given(shard_requests, contexts, st.none() | seconds)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_shard_request_shapes_roundtrip(request, trace, timeout):
+    op, args = request
+    body = rpc.request(op, args, timeout=timeout, trace=trace)
+    got = roundtrip(body, kind=CALL)
+    assert same(got, body)
+    assert same(rpc.parse(got), (op, args, timeout, trace))
+
+
+@given(st.one_of(responses, rollups, compactions, st.integers(0, 2**40)), spans)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_shard_reply_shapes_roundtrip(result, spans):
+    reply = {"ok": True, "result": result}
+    if spans:
+        reply["spans"] = spans
+    got = roundtrip(reply, kind=REPLY)
+    assert same(got, reply)
+    assert same(rpc.unwrap(got), result)
+
+
+def test_append_batch_with_paillier_columns_roundtrips():
+    paillier = np.array([3**200, -(7**150), 0], dtype=object)
+    batch = Table("sales", [
+        Partition(columns={"amount__phe": paillier,
+                           "amount__ashe": np.arange(3, dtype=np.uint64)}, start_id=1 << 44),
+    ])
+    got = codec.unpack_table(roundtrip(codec.pack_table(batch), kind=CALL))
+    assert got.name == "sales" and got.partitions[0].start_id == 1 << 44
+    assert got.partitions[0].columns["amount__phe"].dtype == object
+    assert list(got.partitions[0].columns["amount__phe"]) == list(paillier)
+    assert same(got.partitions[0].columns["amount__ashe"], np.arange(3, dtype=np.uint64))

@@ -1,4 +1,4 @@
-"""The slow-query log: queries whose simulated server time crosses
+"""The slow-query log: queries whose measured execution time crosses
 ``ClusterConfig.slow_query_s`` emit one structured ``slow_query`` event
 on the ``repro.obs.slow`` logger and bump the slow-query counter."""
 
@@ -63,6 +63,29 @@ class TestSlowQueryLog:
             session.query(QUERY)
         assert not [r for r in caplog.records
                     if getattr(r, "event", None) == "slow_query"]
+        session.close()
+
+    def test_threshold_is_measured_not_simulated_time(self, caplog):
+        # The simulated server time carries the modelled 0.25 s job
+        # start-up; the measured time of this 100-row sum is milliseconds.
+        # A threshold between the two must stay quiet...
+        session = _session(slow_query_s=0.2)
+        with caplog.at_level(logging.WARNING, logger="repro.obs.slow"):
+            result = session.query(QUERY)
+        metrics = result.request_metrics[0]
+        assert metrics.real_time < 0.2 <= metrics.server_time
+        assert not [r for r in caplog.records
+                    if getattr(r, "event", None) == "slow_query"]
+        session.close()
+        # ...and one the measured time does cross logs that measurement.
+        session = _session(slow_query_s=1e-9)
+        with caplog.at_level(logging.WARNING, logger="repro.obs.slow"):
+            result = session.query(QUERY)
+        record = next(r for r in caplog.records
+                      if getattr(r, "event", None) == "slow_query")
+        metrics = result.request_metrics[0]
+        assert record.fields["real_s"] == round(metrics.real_time, 6)
+        assert record.fields["real_s"] < record.fields["server_s"]
         session.close()
 
     def test_default_config_disables_the_log(self, caplog):

@@ -1,10 +1,14 @@
 """Unit tests for the worker transport (repro.engine.transport)."""
 
 import os
+import pickle
+import struct
 
 import pytest
 
-from repro.engine.transport import CRASH_STATUS, RemoteError, WorkerDied, WorkerHandle
+from repro.engine.transport import CALL, CRASH_STATUS, REPLY, WorkerDied, WorkerHandle
+from repro.errors import CodecError, StorageError, TransportError
+from repro.net import codec, rpc
 
 
 def _arith_main(conn, base=0):
@@ -17,7 +21,17 @@ def _arith_main(conn, base=0):
     def boom():
         raise ValueError("intentional worker-side failure")
 
-    transport.serve(conn, {"add": add, "boom": boom})
+    def stale():
+        raise StorageError("intentional typed failure")
+
+    transport.serve(conn, {"add": add, "boom": boom, "stale": stale, "unencodable": set})
+
+
+def _garbage_main(conn):
+    """A worker whose first reply is not a frame at all."""
+    conn.recv_bytes()
+    conn.send_bytes(b"\x80\x04garbage")
+    conn.recv_bytes()  # hold the pipe open until the parent hangs up
 
 
 def _suicide_main(conn):
@@ -40,15 +54,71 @@ class TestCalls:
         assert worker.alive
 
     def test_remote_exception_carries_type(self, worker):
-        with pytest.raises(RemoteError, match="intentional") as exc_info:
+        with pytest.raises(TransportError, match="ValueError: intentional"):
             worker.call("boom")
-        assert exc_info.value.remote_type == "ValueError"
         # The worker survives its handler's exception.
         assert worker.call("add", a=0, b=0) == 10
 
-    def test_unknown_method_is_remote_error(self, worker):
-        with pytest.raises(RemoteError):
+    def test_seabed_error_keeps_its_class(self, worker):
+        with pytest.raises(StorageError, match="intentional typed failure"):
+            worker.call("stale")
+        assert worker.call("add", a=0, b=0) == 10
+
+    def test_unknown_method_is_typed(self, worker):
+        with pytest.raises(TransportError, match="unknown worker operation 'nope'"):
             worker.call("nope")
+
+    def test_unencodable_result_is_typed(self, worker):
+        with pytest.raises(CodecError, match="cannot encode set"):
+            worker.call("unencodable")
+        assert worker.call("add", a=0, b=0) == 10
+
+
+class TestUntrustedBytes:
+    """The pipe is a trust boundary: whatever bytes arrive, the outcome is
+    a typed ``CodecError`` and a worker that keeps serving -- never a
+    ``struct.error``, an ``UnpicklingError`` or a hang."""
+
+    @staticmethod
+    def _raw(worker, data):
+        """Write ``data`` to the worker's pipe as-is; return its reply body."""
+        worker._conn.send_bytes(data)
+        kind, reply = codec.decode_frame(worker._conn.recv_bytes())
+        assert kind == REPLY
+        return reply
+
+    @pytest.mark.parametrize("mangle", [
+        lambda frame: frame[: len(frame) // 2],  # truncated
+        lambda frame: frame[:3],  # shorter than the length prefix
+        lambda frame: frame[:4] + b"XXXX" + frame[8:],  # bad magic
+        lambda frame: pickle.dumps((1, "add", {"a": 1, "b": 2})),  # old protocol
+        lambda frame: struct.pack("<I", 2**31) + frame[4:],  # lying length
+    ], ids=["truncated", "tiny", "bad-magic", "pickled-tuple", "bad-length"])
+    def test_malformed_frame_gets_typed_reply(self, worker, mangle):
+        frame = codec.encode_frame(CALL, rpc.request("add", {"a": 1, "b": 2}))
+        reply = self._raw(worker, mangle(frame))
+        assert reply["ok"] is False and reply["error"] == "CodecError"
+        with pytest.raises(CodecError):
+            rpc.unwrap(reply)
+        assert worker.call("add", a=1, b=2) == 13
+
+    @pytest.mark.parametrize("kind, body", [
+        ("req", rpc.request("add", {"a": 1, "b": 2})),  # a client<->service frame
+        (CALL, ["add", {"a": 1, "b": 2}]),
+        (CALL, {"op": "add", "args": [1, 2]}),
+    ], ids=["wrong-kind", "body-not-a-dict", "args-not-a-dict"])
+    def test_malformed_request_gets_typed_reply(self, worker, kind, body):
+        reply = self._raw(worker, codec.encode_frame(kind, body))
+        assert reply["ok"] is False and reply["error"] == "CodecError"
+        assert worker.call("add", a=1, b=2) == 13
+
+    def test_garbage_reply_raises_codec_error(self):
+        handle = WorkerHandle("test-garbage", _garbage_main)
+        try:
+            with pytest.raises(CodecError):
+                handle.call("add", a=1, b=1)
+        finally:
+            handle.kill()
 
 
 class TestLifecycle:
