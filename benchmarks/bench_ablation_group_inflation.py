@@ -44,7 +44,7 @@ def test_ablation_group_inflation(benchmark, scale):
                 if s.name == "group-reduce"
             ][0]
             results[label] = {
-                "total": r.total_time,
+                "total": cluster.model(r.request_metrics).total_s,
                 "reduce_tasks": reduce_stage.num_tasks,
                 "inflation": r.translation.inflation,
                 "rows": len(r.rows),

@@ -75,12 +75,13 @@ def test_ablation_straggler_injection(benchmark):
     def sweep():
         for prob in (0.0, 0.05):
             cluster = SimulatedCluster(ClusterConfig(
-                cores=16, task_startup_s=0.004, straggler_prob=prob,
-                straggler_factor=10.0, seed=3,
+                cores=16, task_startup_s=0.004, job_startup_s=0.0,
+                straggler_prob=prob, straggler_factor=10.0, seed=3,
             ))
             short_tasks = [lambda: sum(range(2_000)) for _ in range(64)]
-            _, stage = cluster.run_stage("short", short_tasks)
-            results[prob] = stage.makespan
+            job = cluster.new_job()
+            cluster.run_stage("short", short_tasks, job)
+            results[prob] = cluster.model([job]).server_s
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 

@@ -37,7 +37,10 @@ def _build_client(mode, rows, cluster, scale):
 
 
 def _median_latency(client, sql, repeats=3):
-    times = [client.query(sql).total_time for _ in range(repeats)]
+    times = [
+        client.cluster.model(client.query(sql).request_metrics).total_s
+        for _ in range(repeats)
+    ]
     return float(np.median(times))
 
 

@@ -5,8 +5,8 @@ Paper: at 1.75 B rows, NoEnc bottoms out at ~1 s by 20 cores, Seabed
 stays near 1000 s even at 100 cores -- i.e. Paillier needs orders of
 magnitude more cores for comparable latency.
 
-Here the same fixed dataset is executed once per core count; the
-simulated scheduler recomputes the makespan from the measured task
+Here the same fixed dataset is executed once per core count; the time
+model (``cluster.model``) recomputes the schedule from the measured task
 durations, which is exactly how added cores help a real Spark stage.
 """
 
@@ -51,10 +51,13 @@ def test_fig7_scalability(benchmark, scale):
             paillier = _build("paillier", rows, cluster, scale)
             full = "SELECT sum(value) FROM synth"
             half = "SELECT sum(value) FROM synth WHERE sel < 500000"
-            series["NoEnc"].append(plain.query(full).server_time)
-            series["Seabed sel=100%"].append(seabed.query(full).server_time)
-            series["Seabed sel=50%"].append(seabed.query(half).server_time)
-            series["Paillier"].append(paillier.query(full).server_time)
+            def server_s(client, sql):
+                return cluster.model(client.query(sql).request_metrics).server_s
+
+            series["NoEnc"].append(server_s(plain, full))
+            series["Seabed sel=100%"].append(server_s(seabed, full))
+            series["Seabed sel=50%"].append(server_s(seabed, half))
+            series["Paillier"].append(server_s(paillier, full))
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 

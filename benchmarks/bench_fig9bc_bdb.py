@@ -40,8 +40,13 @@ def test_fig9bc_bdb_queries(benchmark, clients, scale):
     built, data = clients
     results: dict[str, dict[str, float]] = {}
 
-    def median_of(fn, repeats=3):
-        return float(np.median([fn() for _ in range(repeats)]))
+    def median_of(mode, run, repeats=3):
+        """Median modelled server time of ``run(client)`` on ``mode``."""
+        client = built[mode]
+        return float(np.median([
+            client.cluster.model(run(client).request_metrics).server_s
+            for _ in range(repeats)
+        ]))
 
     def run_all():
         for variant in ("A", "B", "C"):
@@ -50,19 +55,18 @@ def test_fig9bc_bdb_queries(benchmark, clients, scale):
                 f"WHERE pageRank > {bdb.Q1_THRESHOLDS[variant]}"
             )
             results[f"Q1{variant}"] = {
-                mode: median_of(lambda m=mode: built[m].scan(sql_q1).server_time)
-                for mode in built
+                mode: median_of(mode, lambda c: c.scan(sql_q1)) for mode in built
             }
             results[f"Q2{variant}"] = {
-                mode: median_of(lambda m=mode: built[m].query(
+                mode: median_of(mode, lambda c: c.query(
                     bdb.query_q2(variant), expected_groups=1000
-                ).server_time)
+                ))
                 for mode in built
             }
             results[f"Q3{variant}"] = {
-                mode: median_of(lambda m=mode: built[m].query(
+                mode: median_of(mode, lambda c: c.query(
                     bdb.query_q3(variant), expected_groups=500
-                ).server_time)
+                ))
                 for mode in built
             }
         # Q4: plaintext external-script phase via the RDD API, then an
@@ -76,7 +80,7 @@ def test_fig9bc_bdb_queries(benchmark, clients, scale):
             counted = rdd.flat_map(bdb.extract_links).reduce_by_key(
                 lambda a, b: a + b
             )
-            q4[mode] = counted.metrics.server_time
+            q4[mode] = client.cluster.model([counted.metrics]).server_s
         results["Q4p1"] = q4
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -43,7 +43,7 @@ for q in queries[:9]:
     times = {}
     for mode, client in clients.items():
         result = client.query(q.sql, expected_groups=q.num_groups)
-        times[mode] = result.total_time * 1e3
+        times[mode] = client.cluster.model(result.request_metrics).total_s * 1e3
     ratio = times["seabed"] / times["plain"] if times["plain"] else float("inf")
     print(f"{q.num_groups:>7}  {times['plain']:>11.1f}  {times['seabed']:>12.1f}  "
           f"{times['paillier']:>14.1f}  {ratio:>12.2f}x")

@@ -52,7 +52,7 @@ for lo, hi in [(0, 4999), (10_000, 19_999), (30_000, 39_999)]:
     )
     row = r.rows[0]
     print(f"  ts in [{lo:>6}, {hi:>6}]: avg={row['avg(reading)']:8.1f} "
-          f"n={row['count(*)']:,}  (server {r.server_time*1e3:.0f} ms)")
+          f"n={row['count(*)']:,}  (executed {r.real_time*1e3:.0f} ms)")
 
 r = client.query("SELECT min(reading), max(reading), median(reading) FROM sensor")
 print(f"\nExtremes via server-side ORE tournament/quickselect: {r.rows[0]}")

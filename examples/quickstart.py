@@ -150,10 +150,12 @@ for sql in [
     print(f"\n{sql}")
     for row in result.rows[:5]:
         print(f"   {row}")
-    print(f"   [server {result.server_time*1e3:.1f} ms | "
-          f"network {result.network_time*1e3:.2f} ms | "
+    # Measured here; model() replays the measurements on the paper's cluster.
+    modelled = session.cluster.model(result.request_metrics)
+    print(f"   [executed {result.real_time*1e3:.1f} ms | "
           f"client {result.client_time*1e3:.1f} ms | "
-          f"result {result.result_bytes} bytes]")
+          f"result {result.result_bytes} bytes | "
+          f"modelled end-to-end {modelled.total_s*1e3:.1f} ms]")
 
 # -- 4b. the fluent builder ----------------------------------------------------------
 result = (

@@ -538,8 +538,7 @@ class SeabedServer:
             response = self._execute_query(q)
         metrics = response.metrics
         if sp is not None and metrics is not None:
-            sp.set(server_s=metrics.server_time,
-                   result_bytes=metrics.result_bytes)
+            sp.set(result_bytes=metrics.result_bytes)
         self._maybe_log_slow(q, metrics)
         return response
 
@@ -561,8 +560,7 @@ class SeabedServer:
 
     def _maybe_log_slow(self, q: ServerQuery, metrics: JobMetrics | None) -> None:
         """Emit the structured slow-query event when the job's measured
-        ``real_time`` crosses ``ClusterConfig.slow_query_s`` (the simulated
-        ``server_time`` carries a constant modelled job start-up).
+        ``real_time`` crosses ``ClusterConfig.slow_query_s``.
 
         Logged fields are operational only -- table name, timings, stage
         and byte counts -- never tokens, ciphertexts, or plaintexts.
@@ -579,7 +577,6 @@ class SeabedServer:
             logger=get_logger("slow"),
             table=q.table,
             real_s=round(real_s, 6),
-            server_s=round(metrics.server_time, 6),
             threshold_s=threshold,
             stages=len(metrics.stages),
             result_bytes=metrics.result_bytes,
@@ -850,7 +847,7 @@ class SeabedServer:
         num_reducers = max(1, min(self.cluster.config.cores, total_keys))
         # Few distinct keys mean few active receivers: the bandwidth
         # bottleneck group inflation exists to fix (Section 4.5).
-        self.cluster.account_shuffle_parallel(metrics, shuffle_bytes, num_reducers)
+        self.cluster.account_shuffle(metrics, shuffle_bytes, num_reducers)
 
         def shard() -> list[dict[tuple[int, int], list[dict[str, Any]]]]:
             # The shuffle partitioner: each (key, suffix) entry is routed

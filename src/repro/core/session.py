@@ -89,7 +89,8 @@ from repro.query.parser import parse_query
 
 @dataclass
 class QueryResult:
-    """Plaintext rows plus the timing breakdown of one query."""
+    """Plaintext rows plus the measurements of one query; for paper-scale
+    latency pass ``request_metrics`` to ``SimulatedCluster.model``."""
 
     rows: list[dict[str, Any]]
     request_metrics: list[JobMetrics] = field(default_factory=list)
@@ -97,20 +98,13 @@ class QueryResult:
     translation: TranslatedQuery | None = None
 
     @property
-    def server_time(self) -> float:
-        return sum(m.server_time for m in self.request_metrics)
-
-    @property
-    def network_time(self) -> float:
-        return sum(m.network_time for m in self.request_metrics)
+    def real_time(self) -> float:
+        """Measured wall-clock the server spent executing stages."""
+        return sum(m.real_time for m in self.request_metrics)
 
     @property
     def result_bytes(self) -> int:
         return sum(m.result_bytes for m in self.request_metrics)
-
-    @property
-    def total_time(self) -> float:
-        return self.server_time + self.network_time + self.client_time
 
     @property
     def queue_wait(self) -> float:
@@ -159,8 +153,8 @@ class LinRegResult:
     request_metrics: list[JobMetrics] = field(default_factory=list)
 
     @property
-    def total_time(self) -> float:
-        return sum(m.total_time for m in self.request_metrics)
+    def real_time(self) -> float:
+        return sum(m.real_time for m in self.request_metrics)
 
 
 class TranslationCache:

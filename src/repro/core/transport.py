@@ -246,6 +246,8 @@ class StoreHost:
         return dropped
 
     def compact(self, target_rows: int | None = None) -> dict | None:
+        if not self.exists():
+            return None
         stats = compact_store(self.path, target_rows=target_rows)
         if stats is not None:
             self.reopen()

@@ -7,14 +7,16 @@ deliberately transparent equivalent:
 - :mod:`repro.engine.table` -- partitioned columnar tables (the "HDFS +
   cached RDD" role), with contiguous row IDs per partition.
 - :mod:`repro.engine.cluster` -- a :class:`SimulatedCluster` that executes
-  per-partition tasks for real (measuring wall time) and then schedules the
-  measured durations onto N simulated cores to obtain the cluster
-  makespan; a bandwidth/latency model covers shuffle and client transfer.
+  per-partition tasks for real and measures them, and ``model()``, the
+  one pure function that turns those measurements into paper-scale
+  latency: it schedules the measured durations onto N simulated cores
+  and charges shuffle and client transfer to a bandwidth/latency link.
 - :mod:`repro.engine.backends` -- pluggable execution backends (serial /
   threads / processes) that decide how those task bodies actually run on
   the host, turning the simulated cluster into a genuinely parallel one
-  while leaving the simulated schedule untouched.
-- :mod:`repro.engine.metrics` -- per-stage and per-job timing accounting.
+  while leaving the per-task measurements the model reads untouched.
+- :mod:`repro.engine.metrics` -- per-stage and per-job measurements
+  (task seconds, wall-clock, bytes, counters); nothing modelled.
 - :mod:`repro.engine.storage` -- table (de)serialisation and the disk /
   memory accounting behind the paper's Table 5.
 - :mod:`repro.engine.store` -- the persistent columnar partition store:
@@ -29,7 +31,8 @@ The simulation preserves the *shape* of the paper's scaling experiments
 (latency vs rows, vs cores, vs selectivity) because every code path that
 costs time in the paper -- per-partition aggregation, ID-list encoding,
 worker-side compression, shuffle volume, driver merge -- executes for real
-here; only the placement of tasks onto cores is simulated.
+here; only the placement of tasks onto cores is simulated, and only by
+whoever calls ``model()`` -- production telemetry carries measurements.
 """
 
 from repro.engine.backends import ExecutionBackend, make_backend

@@ -3,11 +3,12 @@
 The paper's prototype gets its throughput from Spark running map tasks
 concurrently on real cores (Figures 6-7 report near-linear scaling of
 encrypted aggregation).  Historically this repository executed every task
-serially in a Python loop and only *simulated* the parallel makespan.
+serially in a Python loop and only *simulated* the parallel schedule.
 The backends here make the execution itself parallel while the placement
 model stays exactly as before: per-task wall times are still measured
-inside the worker and still feed the FIFO least-loaded-core schedule, so
-the simulated makespan is backend-independent (modulo timing noise).
+inside the worker and still feed the FIFO least-loaded-core schedule
+(:func:`repro.engine.cluster.model`), so modelled time is
+backend-independent (modulo timing noise).
 
 Three backends are provided:
 
@@ -30,7 +31,7 @@ stages dispatch in *chunks*: tasks are grouped into at most
 ``2 x workers`` contiguous chunks per stage, so dispatch overhead is a
 handful of ``submit`` calls (and, for processes, pickle round-trips) per
 stage instead of one per task.  Per-task times are still measured
-individually inside the chunk, so the simulated makespan is unchanged.
+individually inside the chunk, so the modelled schedule is unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ T = TypeVar("T")
 #: (task result, measured task seconds) -- what every backend returns
 #: per task.  The measurement happens *inside* the worker so it captures
 #: task compute only, never queueing or pickling overhead; that is the
-#: quantity the makespan simulation schedules.
+#: quantity the cluster time model schedules.
 TimedResult = Tuple[Any, float]
 
 
@@ -100,7 +101,7 @@ def run_call_chunk(
     """Run a contiguous chunk of calls inside one pool task.
 
     Top-level so process pools can pickle it.  Each call is still timed
-    individually -- the makespan simulation schedules per-task compute,
+    individually -- the cluster time model schedules per-task compute,
     not per-chunk -- but the pool pays one submit/pickle round-trip for
     the whole chunk.
     """

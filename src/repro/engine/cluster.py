@@ -1,18 +1,25 @@
-"""The simulated cluster: real task execution, simulated placement.
+"""The simulated cluster: real task execution, and the Spark time model.
 
 Substitution note (DESIGN.md Section 4): the paper measures a Spark
-deployment on up to 100 Azure cores.  Here, every task body executes for
-real and its wall time is measured; the cluster then *schedules* those
-measured durations onto ``config.cores`` simulated cores (FIFO onto the
+deployment on up to 100 Azure cores.  Here every task body executes for
+real and :class:`SimulatedCluster` only *measures* it -- per-task
+seconds, stage wall-clock, bytes moved -- into a
+:class:`~repro.engine.metrics.JobMetrics`.  Nothing modelled is stored,
+shipped or published.
+
+The paper-scale time model lives in one pure function, :func:`model`,
+that the figure benchmarks call on finished jobs: it adds the per-task
+and per-job start-up floors, *schedules* the measured task durations
+onto ``config.cores`` simulated cores (:func:`makespan`: FIFO onto the
 least-loaded core, which is how Spark's standalone scheduler behaves for
-a single stage) and reports the resulting makespan.  Network transfers are
-modelled with a bandwidth + latency link, configurable separately for the
-intra-cluster shuffle path and the server-to-client path -- Section 6.6
-of the paper varies the client link from 2 Gbps/0ms to 10 Mbps/100ms.
+a single stage), and charges shuffles and the result transfer to a
+bandwidth + latency link, configurable separately for the intra-cluster
+shuffle path and the server-to-client path -- Section 6.6 of the paper
+varies the client link from 2 Gbps/0ms to 10 Mbps/100ms.
 
 Stragglers: the paper observes occasional straggler tasks caused by GC
 pauses (Section 6.2).  ``straggler_prob``/``straggler_factor`` inject that
-behaviour deterministically (seeded) into the simulated schedule so its
+behaviour deterministically (seeded) into the modelled schedule so its
 effect on job latency can be studied without waiting for a real GC.
 """
 
@@ -25,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from repro.engine import store
 from repro.engine.backends import ExecutionBackend, TimedResult, make_backend
@@ -41,11 +48,12 @@ MBPS = 1e6 / 8
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for the simulated deployment.
+    """Knobs for the deployment: how stages really run, and the
+    parameters of the time model (read only by :func:`model`).
 
-    Defaults approximate the paper's testbed: 100-core jobs see a ~0.6 s
-    floor from job/task creation (Figure 6a), a 2 Gbps client link, and a
-    fast intra-cluster network.
+    Model defaults approximate the paper's testbed: 100-core jobs see a
+    ~0.6 s floor from job/task creation (Figure 6a), a 2 Gbps client
+    link, and a fast intra-cluster network.
 
     Execution-backend knobs (see :mod:`repro.engine.backends`):
 
@@ -70,10 +78,9 @@ class ClusterConfig:
     generations back into full-size partitions (sized, by default, like
     the store's own largest generation).
 
-    The choice of backend changes only *real* wall-clock (reported per
-    stage as ``StageMetrics.wall_time`` and per job as
-    ``JobMetrics.real_time``); the *simulated* makespan is still computed
-    from per-task measured durations placed onto ``cores`` simulated
+    The choice of backend changes only the stage wall-clock
+    (``StageMetrics.wall_time``, ``JobMetrics.real_time``); :func:`model`
+    places the per-task measured durations onto ``cores`` simulated
     cores, so figure benchmarks are backend-independent.
     """
 
@@ -170,13 +177,73 @@ def makespan(durations: Sequence[float], cores: int) -> float:
     return max(loads)
 
 
+class ModelledTime(NamedTuple):
+    """What :func:`model` returns, in seconds."""
+
+    server_s: float
+    network_s: float
+    client_s: float
+    total_s: float
+
+
+def model(jobs: Iterable[JobMetrics], config: ClusterConfig) -> ModelledTime:
+    """Latency of ``jobs`` on the paper's cluster, from their measurements.
+
+    The whole time model, and its only copy.  Per job, the server pays
+    ``job_startup_s``, then each stage in turn: a task stage is its
+    measured task times plus ``task_startup_s`` each (times
+    ``straggler_factor`` for the tasks the ``seed``-ed RNG picks with
+    ``straggler_prob``), placed by :func:`makespan` on ``cores``; a driver
+    stage is serial.  Each shuffle costs ``shuffle_latency_s`` plus its
+    bytes over the links in use: ``shuffle_bandwidth_bytes_s`` is the
+    *aggregate* fabric bandwidth and every receiving node pulls through a
+    1/cores share of it, so a shuffle into fewer reducers than cores is
+    bottlenecked on the few active links -- the effect the paper's
+    group-inflation optimisation exists to fix (Section 4.5); 0 receivers
+    means all links.  The network pays the result's trip over the client
+    link; the client's time is the measured ``client_time``.
+
+    Pure: reads ``jobs`` and ``config``, mutates neither, and is
+    deterministic in ``config.seed`` (stragglers are drawn job by job,
+    stage by stage, task by task from a fresh RNG).  A scatter-gathered
+    job arrives with its shards' stages already merged by name, and is
+    treated as one cluster's job.
+    """
+    rng = Random(config.seed)
+    per_node = config.shuffle_bandwidth_bytes_s / config.cores
+    server = network = client = 0.0
+    for job in jobs:
+        server += config.job_startup_s
+        for stage in job.stages:
+            if stage.driver:
+                server += sum(stage.task_times)
+                continue
+            times = [t + config.task_startup_s for t in stage.task_times]
+            if config.straggler_prob > 0.0:
+                times = [
+                    t * config.straggler_factor
+                    if rng.random() < config.straggler_prob else t
+                    for t in times
+                ]
+            server += makespan(times, config.cores)
+        for nbytes, receivers in job.shuffles:
+            active = min(receivers, config.cores) or config.cores
+            server += config.shuffle_latency_s + (nbytes / active) / per_node
+        network += (
+            config.client_latency_s
+            + job.result_bytes / config.client_bandwidth_bytes_s
+        )
+        client += job.client_time
+    return ModelledTime(server, network, client, server + network + client)
+
+
 class SimulatedCluster:
-    """Executes stages of tasks and accounts simulated time.
+    """Executes stages of tasks and measures them.
 
     Task bodies run through a pluggable :class:`ExecutionBackend`
-    (serial / threads / processes); the *simulated* schedule is computed
-    from the measured per-task durations regardless of how they actually
-    ran, while the stage's *real* wall-clock is recorded alongside it.
+    (serial / threads / processes); each task's seconds and the stage's
+    wall-clock are recorded.  :meth:`model` turns finished jobs into
+    paper-scale latency under this cluster's config.
     """
 
     def __init__(
@@ -187,10 +254,6 @@ class SimulatedCluster:
         self.config = config or ClusterConfig()
         if self.config.reader_keep_generations != store.reader_keep_generations():
             store.set_reader_keep_generations(self.config.reader_keep_generations)
-        self._rng = Random(self.config.seed)
-        # query_many() may drive stages from several threads at once; the
-        # straggler RNG is the only shared mutable state on this path.
-        self._rng_lock = threading.Lock()
         self.backend = backend or make_backend(
             self.config.backend, self.config.workers or None
         )
@@ -230,7 +293,7 @@ class SimulatedCluster:
         tasks: Sequence[Callable[[], T]],
         metrics: JobMetrics | None = None,
     ) -> tuple[list[T], StageMetrics]:
-        """Run every task, measure it, and simulate the stage makespan.
+        """Run every task and measure it.
 
         Tasks are zero-arg callables (closures allowed); the ``processes``
         backend executes this legacy form in-process.  New code should
@@ -266,31 +329,14 @@ class SimulatedCluster:
         wall: float,
         metrics: JobMetrics | None,
     ) -> tuple[list, StageMetrics]:
-        results: list = []
-        times: list[float] = []
-        for result, elapsed in timed:
-            results.append(result)
-            simulated = elapsed + self.config.task_startup_s
-            if self.config.straggler_prob > 0.0:
-                with self._rng_lock:
-                    straggles = self._rng.random() < self.config.straggler_prob
-                if straggles:
-                    simulated *= self.config.straggler_factor
-            times.append(simulated)
         stage = StageMetrics(
-            name=name,
-            task_times=times,
-            makespan=makespan(times, self.config.cores),
-            wall_time=wall,
+            name=name, task_times=[elapsed for _, elapsed in timed], wall_time=wall
         )
         if metrics is not None:
             metrics.add_stage(stage)
         end = time.perf_counter()
-        obs_trace.record_span(
-            f"stage:{name}", end - wall, end,
-            tasks=stage.num_tasks, makespan_s=stage.makespan,
-        )
-        return results, stage
+        obs_trace.record_span(f"stage:{name}", end - wall, end, tasks=stage.num_tasks)
+        return [result for result, _ in timed], stage
 
     def run_driver(
         self, name: str, fn: Callable[[], T], metrics: JobMetrics | None = None
@@ -300,47 +346,28 @@ class SimulatedCluster:
         result = fn()
         elapsed = time.perf_counter() - t0
         stage = StageMetrics(
-            name=name, task_times=[elapsed], makespan=elapsed, wall_time=elapsed
+            name=name, task_times=[elapsed], wall_time=elapsed, driver=True
         )
         if metrics is not None:
             metrics.add_stage(stage)
         obs_trace.record_span(f"stage:{name}", t0, t0 + elapsed, tasks=1)
         return result
 
-    # -- network model --------------------------------------------------------
+    # -- volume accounting and the model ---------------------------------------
 
-    def shuffle_time(self, nbytes: int) -> float:
-        cfg = self.config
-        return cfg.shuffle_latency_s + nbytes / cfg.shuffle_bandwidth_bytes_s
-
-    def client_transfer_time(self, nbytes: int) -> float:
-        cfg = self.config
-        return cfg.client_latency_s + nbytes / cfg.client_bandwidth_bytes_s
-
-    def account_shuffle(self, metrics: JobMetrics, nbytes: int) -> None:
-        metrics.shuffle_bytes += nbytes
-        metrics.shuffle_time += self.shuffle_time(nbytes)
-
-    def account_shuffle_parallel(
-        self, metrics: JobMetrics, nbytes: int, receivers: int
+    def account_shuffle(
+        self, metrics: JobMetrics, nbytes: int, receivers: int = 0
     ) -> None:
-        """Shuffle into ``receivers`` reduce tasks.
-
-        ``shuffle_bandwidth_bytes_s`` is the *aggregate* fabric bandwidth;
-        each receiving node pulls through a 1/cores share of it.  With
-        fewer receivers than cores the transfer is bottlenecked on the few
-        active links -- the effect the paper's group-inflation
-        optimisation exists to fix (Section 4.5).
-        """
-        cfg = self.config
-        per_node = cfg.shuffle_bandwidth_bytes_s / max(cfg.cores, 1)
-        active = max(1, min(receivers, cfg.cores))
-        metrics.shuffle_bytes += nbytes
-        metrics.shuffle_time += cfg.shuffle_latency_s + (nbytes / active) / per_node
+        """Record a shuffle of ``nbytes`` into ``receivers`` reduce tasks
+        (0: a broadcast or gather, not spread over reducers)."""
+        metrics.shuffles.append((nbytes, receivers))
 
     def account_result_transfer(self, metrics: JobMetrics, nbytes: int) -> None:
         metrics.result_bytes += nbytes
-        metrics.network_time += self.client_transfer_time(nbytes)
 
     def new_job(self) -> JobMetrics:
-        return JobMetrics(job_startup=self.config.job_startup_s)
+        return JobMetrics()
+
+    def model(self, jobs: Iterable[JobMetrics]) -> ModelledTime:
+        """:func:`model` under this cluster's config."""
+        return model(jobs, self.config)

@@ -1,10 +1,12 @@
-"""Timing and volume accounting for simulated jobs.
+"""Measurements of executed jobs -- and nothing else.
 
-A job is a sequence of stages (map, reduce, driver work) plus network
-transfers.  Stage task durations are *measured* (the tasks really run);
-the stage makespan is *simulated* by placing those durations onto the
-configured number of cores.  This split is what lets a 2-core laptop
-reproduce the paper's 10-to-100-core scaling curves (Figure 7).
+A job is a sequence of stages (map, reduce, driver work) plus the bytes
+it moved.  Everything recorded here was *measured* on this host: per-task
+seconds, per-stage wall-clock, byte volumes, counters.  These records
+travel over both RPC hops and feed the metrics registry, the spans and
+the slow-query log.  Paper-scale numbers (Figures 6-9's latency on a
+100-core Spark cluster) are not stored anywhere: whoever wants them
+calls :func:`repro.engine.cluster.model` on finished jobs.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from dataclasses import dataclass, field
 class StageMetrics:
     """One executed stage.
 
-    ``task_times`` and ``makespan`` belong to the *simulated* schedule;
+    ``task_times`` are the measured seconds of each task body;
     ``wall_time`` is the real elapsed time the stage took on this host,
     which depends on the cluster's execution backend (serial / threads /
-    processes) and the physical core count.
+    processes) and the physical core count.  ``driver`` marks
+    single-threaded driver-side work (merge, re-encode...), which ran as
+    one serial piece rather than as schedulable tasks.
 
     ``partitions_total``/``partitions_skipped`` record zone-map pruning
     on partition-mapping stages: of the table's ``partitions_total``
@@ -31,10 +35,10 @@ class StageMetrics:
 
     name: str
     task_times: list[float]
-    makespan: float
     wall_time: float = 0.0
     partitions_total: int = 0
     partitions_skipped: int = 0
+    driver: bool = False
 
     @property
     def num_tasks(self) -> int:
@@ -47,14 +51,14 @@ class StageMetrics:
 
 @dataclass
 class JobMetrics:
-    """Accumulated metrics for one query execution."""
+    """Accumulated measurements for one query execution."""
 
     stages: list[StageMetrics] = field(default_factory=list)
-    job_startup: float = 0.0
-    shuffle_bytes: int = 0
-    shuffle_time: float = 0.0
-    result_bytes: int = 0
-    network_time: float = 0.0  # driver -> client transfer
+    # Shuffle volume, one ``(bytes, receivers)`` entry per shuffle;
+    # ``receivers`` is the number of reduce tasks pulling it (0 for a
+    # broadcast / gather that is not spread over reducers).
+    shuffles: list[tuple[int, int]] = field(default_factory=list)
+    result_bytes: int = 0  # driver -> client
     client_time: float = 0.0  # decryption + post-processing at the proxy
     # Sharded scatter-gather accounting (repro.shard): of the table's
     # ``shards_total`` shards, how many the ring router / zone-map rollups
@@ -64,10 +68,9 @@ class JobMetrics:
     shards_skipped: int = 0
     failovers: int = 0
     # Service-layer accounting (repro.net): time the request sat in the
-    # server's admission queue before a slot opened, and the *measured*
-    # client-side round trip spent on the wire (encode + socket + decode)
-    # beyond the executed job itself.  Both stay 0.0 for in-process
-    # transports.
+    # server's admission queue before a slot opened, and the client-side
+    # round trip spent on the wire (encode + socket + decode) beyond the
+    # executed job itself.  Both stay 0.0 for in-process transports.
     queue_wait: float = 0.0
     wire_time: float = 0.0
 
@@ -75,20 +78,13 @@ class JobMetrics:
         self.stages.append(stage)
 
     @property
-    def server_time(self) -> float:
-        """Simulated wall time spent on the cluster."""
-        return self.job_startup + sum(s.makespan for s in self.stages) + self.shuffle_time
-
-    @property
     def real_time(self) -> float:
-        """Measured wall-clock actually spent executing stages on this
-        host (no simulation, no modelled network)."""
+        """Wall-clock spent executing stages on this host."""
         return sum(s.wall_time for s in self.stages)
 
     @property
-    def total_time(self) -> float:
-        """End-to-end latency as the client experiences it."""
-        return self.server_time + self.network_time + self.client_time
+    def shuffle_bytes(self) -> int:
+        return sum(nbytes for nbytes, _ in self.shuffles)
 
     @property
     def partitions_total(self) -> int:
@@ -105,49 +101,3 @@ class JobMetrics:
             if s.name == name:
                 return s
         raise KeyError(f"no stage named {name!r}")
-
-    def summary(self) -> dict[str, float]:
-        """Flat key/value rendering of the job's accounting.
-
-        Optional key groups appear all-or-nothing so consumers can rely
-        on the key *set*, not just the values:
-
-        - ``shards_total``/``shards_skipped``/``failovers`` appear only
-          for scatter-gathered jobs (``shards_total > 0``).
-        - ``queue_wait_s``/``wire_s`` appear only for jobs that crossed
-          the service boundary, and always as a *pair*: a remote call
-          with measured ``wire_time`` but zero ``queue_wait`` (or the
-          reverse -- e.g. a queued request whose round trip was never
-          measured) still emits **both** keys, the missing one as 0.0.
-          In-process transports, where both are zero, emit neither.
-        """
-        return {
-            "server_s": self.server_time,
-            "real_s": self.real_time,
-            "network_s": self.network_time,
-            "client_s": self.client_time,
-            "total_s": self.total_time,
-            "result_bytes": float(self.result_bytes),
-            "shuffle_bytes": float(self.shuffle_bytes),
-            "partitions_total": float(self.partitions_total),
-            "partitions_skipped": float(self.partitions_skipped),
-        } | (
-            # Shard counters only appear for scatter-gathered jobs, so
-            # single-store summaries keep their exact key set.
-            {
-                "shards_total": float(self.shards_total),
-                "shards_skipped": float(self.shards_skipped),
-                "failovers": float(self.failovers),
-            }
-            if self.shards_total
-            else {}
-        ) | (
-            # Likewise, wire counters only appear for jobs that crossed
-            # the service boundary.
-            {
-                "queue_wait_s": self.queue_wait,
-                "wire_s": self.wire_time,
-            }
-            if self.queue_wait or self.wire_time
-            else {}
-        )

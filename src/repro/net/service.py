@@ -365,7 +365,11 @@ class SeabedService:
     async def _write(
         self, writer: asyncio.StreamWriter, kind: str, body: Any
     ) -> None:
-        writer.write(codec.encode_frame(kind, body))
+        try:
+            frame = codec.encode_frame(kind, body)
+        except CodecError as exc:  # unencodable or oversized result
+            frame = codec.encode_frame(kind, rpc.error_reply(exc))
+        writer.write(frame)
         await writer.drain()
 
     async def _handle_conn(

@@ -4,10 +4,13 @@ Pure stdlib (no numpy) so leaf modules like :mod:`repro.ops` can import
 it without dragging in the heavy dependency tree.  One process-wide
 :class:`MetricsRegistry` absorbs
 
-- the classic ``OPS`` pipeline counters (``seabed_client_ops_total``),
+- the pipeline counters (``seabed_client_ops_total``; ``repro.ops.OPS``
+  is a view over it, not a second store),
 - every executed :class:`~repro.engine.metrics.JobMetrics` via
-  :func:`observe_job` (per-phase latency histograms, pruning/shard/
-  failover counters),
+  :func:`observe_job` (per-phase histograms of measured seconds,
+  pruning/shard/failover counters) -- measurements only: the
+  Spark-cluster time model (:func:`repro.engine.cluster.model`) is
+  never published here,
 - crypto-kernel timings via ``repro.crypto.kernel.observe_kernel_op``
   (per-scheme, per-op seconds histograms and value counters),
 - service-layer accounting (request latency per op/tenant, backpressure
@@ -99,6 +102,11 @@ class Counter(_Metric):
     def total(self) -> float:
         with self._lock:
             return sum(self._values.values())
+
+    def values(self) -> dict[tuple[str, ...], float]:
+        """Every label combination's value, keyed in ``labelnames`` order."""
+        with self._lock:
+            return dict(self._values)
 
 
 class Gauge(_Metric):
@@ -319,29 +327,28 @@ def observe_job(job, *, table: str = "", transport: str = "", tenant: str = "") 
     """Fold one finished :class:`~repro.engine.metrics.JobMetrics` into
     the registry (duck-typed -- no import of the engine package).
 
-    Emits per-phase latency histograms (``seabed_query_seconds``) plus
-    pruning, shard, failover, and wire counters, labelled by table and
-    transport so the multi-tenant service keeps workloads apart.
+    Emits per-phase histograms of *measured* seconds
+    (``seabed_query_seconds``: ``execute`` is the stages' wall-clock)
+    plus pruning, shard, failover, and wire counters, labelled by table
+    and transport so the multi-tenant service keeps workloads apart.
     """
     if not _ENABLED or job is None:
         return
     reg = _REGISTRY
     hist = reg.histogram(
         "seabed_query_seconds",
-        "Per-phase query latency from JobMetrics.",
+        "Measured per-phase query seconds from JobMetrics.",
         labelnames=("phase", "table", "transport", "tenant"),
     )
     labels = {"table": table, "transport": transport, "tenant": tenant}
     for phase, attr in (
-        ("total", "total_time"),
-        ("server", "server_time"),
+        ("execute", "real_time"),
         ("client", "client_time"),
-        ("network", "network_time"),
         ("queue_wait", "queue_wait"),
         ("wire", "wire_time"),
     ):
         value = getattr(job, attr, 0.0) or 0.0
-        if value or phase == "total":
+        if value or phase == "execute":
             hist.observe(float(value), phase=phase, **labels)
     counters = (
         ("seabed_partitions_total", "partitions_total",

@@ -1,27 +1,17 @@
-"""Client-side operation counters.
+"""Client-side operation counters: a view over the metrics registry.
 
-A tiny thread-safe counter registry the proxy pipeline bumps at its
-expensive choke points (``parse``, ``plan``, ``translate``) and at the
-session layer (``prepare``, ``execute``, cache hits/misses).  Tests and
-benchmarks use snapshots to *prove* claims like "re-executing a
+The proxy pipeline bumps ``OPS`` at its expensive choke points
+(``parse``, ``plan``, ``translate``) and at the session layer
+(``prepare``, ``execute``, cache hits/misses).  Tests and benchmarks use
+snapshots to *prove* claims like "re-executing a
 :class:`~repro.core.session.PreparedQuery` performs zero planner and
 translator work" instead of inferring them from timings.
 
-``OPS`` used to be one process-wide singleton, which concurrent sessions
-(and the multi-tenant service, whose worker threads interleave tenants)
-trampled.  It is now an *ambient* handle: by default every bump lands in
-one shared default :class:`OpCounter` -- identical observable behaviour
--- but :func:`scoped` installs a private counter for the current
-``contextvars`` context, so two sessions (or two service requests) can
-each account their own pipeline work::
-
-    with scoped() as mine:
-        session.query(...)
-        assert mine.get("translate") == 1   # nobody else's bumps
-
-Every bump is additionally mirrored into the :mod:`repro.obs.metrics`
-registry as ``seabed_client_ops_total{op=...}``, so a metrics scrape
-sees the same counters the tests assert on.
+There is one store: the :mod:`repro.obs.metrics` counter
+``seabed_client_ops_total{op=...}``.  ``OPS.bump`` increments it and
+``get``/``snapshot``/``delta`` read it, so a metrics scrape sees exactly
+the counts the tests assert on (and the registry's kill switch stops
+both).
 
 Lives at the package top level (not ``repro.core``) so leaf modules like
 the parser can bump counters without importing the core package, whose
@@ -30,51 +20,7 @@ the parser can bump counters without importing the core package, whose
 
 from __future__ import annotations
 
-from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
-from threading import Lock
-from typing import Iterator
-
 from repro.obs import metrics as _obs_metrics
-
-
-class OpCounter:
-    """Monotonic named counters; cheap enough to leave on in production."""
-
-    def __init__(self) -> None:
-        self._lock = Lock()
-        self._counts: Counter[str] = Counter()
-
-    def bump(self, op: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[op] += n
-
-    def get(self, op: str) -> int:
-        with self._lock:
-            return self._counts[op]
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def delta(self, before: dict[str, int]) -> dict[str, int]:
-        """Per-op increments since ``before`` (a prior :meth:`snapshot`)."""
-        now = self.snapshot()
-        keys = set(now) | set(before)
-        return {k: now.get(k, 0) - before.get(k, 0) for k in keys
-                if now.get(k, 0) != before.get(k, 0)}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
-
-#: The process-wide default counter (what ``OPS`` delegates to outside
-#: any :func:`scoped` block).
-DEFAULT_OPS = OpCounter()
-
-_ACTIVE: ContextVar[OpCounter | None] = ContextVar("repro_ops_scope", default=None)
 
 _OPS_TOTAL = _obs_metrics.get_registry().counter(
     "seabed_client_ops_total",
@@ -83,47 +29,22 @@ _OPS_TOTAL = _obs_metrics.get_registry().counter(
 )
 
 
-@contextmanager
-def scoped(counter: OpCounter | None = None) -> Iterator[OpCounter]:
-    """Route ``OPS`` bumps in this context to a private counter.
-
-    Yields the counter (a fresh one unless ``counter`` is given).  Scopes
-    nest; threads spawned with ``contextvars.copy_context()`` inherit the
-    scope, plain threads fall back to the shared default.
-    """
-    active = counter if counter is not None else OpCounter()
-    token = _ACTIVE.set(active)
-    try:
-        yield active
-    finally:
-        _ACTIVE.reset(token)
-
-
-class _AmbientOps:
-    """The ``OPS`` handle: delegates to the scoped counter when one is
-    active, else to :data:`DEFAULT_OPS`, and mirrors every bump into the
-    metrics registry."""
-
-    @staticmethod
-    def _target() -> OpCounter:
-        return _ACTIVE.get() or DEFAULT_OPS
-
+class _Ops:
     def bump(self, op: str, n: int = 1) -> None:
-        self._target().bump(op, n)
         _OPS_TOTAL.inc(float(n), op=op)
 
     def get(self, op: str) -> int:
-        return self._target().get(op)
+        return int(_OPS_TOTAL.value(op=op))
 
     def snapshot(self) -> dict[str, int]:
-        return self._target().snapshot()
+        return {op: int(v) for (op,), v in _OPS_TOTAL.values().items()}
 
     def delta(self, before: dict[str, int]) -> dict[str, int]:
-        return self._target().delta(before)
+        """Per-op increments since ``before`` (a prior :meth:`snapshot`)."""
+        now = self.snapshot()
+        return {op: n - before.get(op, 0) for op, n in now.items()
+                if n != before.get(op, 0)}
 
-    def reset(self) -> None:
-        self._target().reset()
 
-
-#: Ambient counter handle the pipeline modules bump.
-OPS = _AmbientOps()
+#: The handle the pipeline modules bump.
+OPS = _Ops()

@@ -21,7 +21,7 @@ Two layers live here:
 
 ``JobMetrics.shards_total`` / ``shards_skipped`` / ``failovers`` record
 the routing and the recoveries; per-stage metrics from the workers are
-folded together (task times concatenated, makespans combined as a max,
+folded together (task times concatenated, wall times combined as a max,
 since shard nodes run in parallel).
 
 Leakage: routing consults only DET tokens and the zone-map rollups --
@@ -419,31 +419,25 @@ class ShardCoordinator:
     def _absorb(self, metrics: JobMetrics, responses: Sequence[srv.ServerResponse]) -> None:
         """Fold worker-side metrics into the coordinator's job.
 
-        Shard nodes run concurrently: per-stage makespans and wall times
+        Shard nodes run concurrently: same-named stages' wall times
         combine as a max, task times and partition counts as sums.  The
         workers' result transfers become the coordinator's gather volume
-        (shuffle), paid once at the slowest shard's pace.
+        (shuffle).
         """
         by_name: dict[str, StageMetrics] = {s.name: s for s in metrics.stages}
-        gather_time = 0.0
         for resp in responses:
             wm = resp.metrics
             for s in wm.stages:
                 have = by_name.get(s.name)
                 if have is None:
-                    have = StageMetrics(
-                        name=s.name, task_times=[], makespan=0.0, wall_time=0.0
-                    )
+                    have = StageMetrics(name=s.name, task_times=[], driver=s.driver)
                     by_name[s.name] = have
                     metrics.add_stage(have)
                 have.task_times.extend(s.task_times)
-                have.makespan = max(have.makespan, s.makespan)
                 have.wall_time = max(have.wall_time, s.wall_time)
                 have.partitions_total += s.partitions_total
                 have.partitions_skipped += s.partitions_skipped
-            metrics.shuffle_bytes += wm.shuffle_bytes + wm.result_bytes
-            gather_time = max(gather_time, wm.shuffle_time + wm.network_time)
-        metrics.shuffle_time += gather_time
+            metrics.shuffles += wm.shuffles + [(wm.result_bytes, 0)]
 
     # -- scatter-gather execution ------------------------------------------
 

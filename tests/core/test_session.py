@@ -261,7 +261,7 @@ class TestSessionSurface:
 
         assert QueryResult([]).rows == []
         assert UploadStats("t", 0, 0.0, 0).table == "t"
-        assert LinRegResult(1.0, 0.0, 1.0, 1, 2).total_time == 0.0
+        assert LinRegResult(1.0, 0.0, 1.0, 1, 2).real_time == 0.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(PlanningError, match="unknown client mode"):

@@ -1,9 +1,13 @@
 """Tests for the simulated cluster (repro.engine.cluster)."""
 
+from copy import deepcopy
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.backends import SerialBackend, ThreadBackend
-from repro.engine.cluster import ClusterConfig, SimulatedCluster, makespan
+from repro.engine.cluster import ClusterConfig, SimulatedCluster, makespan, model
+from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.errors import ExecutionError
 
 
@@ -43,11 +47,16 @@ class TestStageExecution:
         assert results == [0, 1, 4, 9, 16]
         assert stage.num_tasks == 5
 
-    def test_task_startup_included(self):
-        config = ClusterConfig(cores=1, task_startup_s=0.5)
+    def test_stages_only_measure(self):
+        # Start-up floors belong to model(); a recorded task time is the
+        # task body's own seconds, whatever the config says.
+        config = ClusterConfig(cores=1, task_startup_s=0.5, job_startup_s=5.0)
         cluster = SimulatedCluster(config)
-        _, stage = cluster.run_stage("s", [lambda: None, lambda: None])
-        assert stage.makespan >= 1.0
+        job = cluster.new_job()
+        _, stage = cluster.run_stage("s", [lambda: None, lambda: None], job)
+        assert max(stage.task_times) < 0.5 and job.real_time < 0.5
+        assert not stage.driver
+        assert cluster.model([job]).server_s >= 5.0 + 2 * 0.5
 
     def test_metrics_accumulate(self):
         cluster = SimulatedCluster(ClusterConfig(cores=2))
@@ -55,7 +64,7 @@ class TestStageExecution:
         cluster.run_stage("a", [lambda: 1], job)
         cluster.run_stage("b", [lambda: 2], job)
         assert [s.name for s in job.stages] == ["a", "b"]
-        assert job.server_time >= job.job_startup
+        assert cluster.model([job]).server_s >= cluster.config.job_startup_s
 
     def test_driver_work_counts_once(self):
         cluster = SimulatedCluster(ClusterConfig(cores=8))
@@ -63,6 +72,7 @@ class TestStageExecution:
         out = cluster.run_driver("merge", lambda: 42, job)
         assert out == 42
         assert job.stage("merge").num_tasks == 1
+        assert job.stage("merge").driver
 
     def test_map_stage_dispatches_args(self):
         cluster = SimulatedCluster(ClusterConfig(cores=2))
@@ -117,58 +127,159 @@ class TestBackendSelection:
             threads.close()
 
 
-class TestStragglers:
-    def test_injection_inflates_makespan(self):
-        base = ClusterConfig(cores=4, task_startup_s=0.01, straggler_prob=0.0)
-        slow = ClusterConfig(
-            cores=4, task_startup_s=0.01, straggler_prob=1.0, straggler_factor=10.0
-        )
-        tasks = [lambda: sum(range(1000)) for _ in range(8)]
-        _, clean = SimulatedCluster(base).run_stage("s", list(tasks))
-        _, straggled = SimulatedCluster(slow).run_stage("s", list(tasks))
-        assert straggled.makespan > clean.makespan * 5
-
-    def test_deterministic_with_seed(self):
-        # Which tasks straggle is seeded; measured wall times jitter, so we
-        # compare the straggle pattern, made unambiguous by a large startup.
-        config = ClusterConfig(
-            cores=2, task_startup_s=0.1, straggler_prob=0.5,
-            straggler_factor=50.0, seed=7,
-        )
-        t1 = SimulatedCluster(config).run_stage("s", [lambda: None] * 20)[1]
-        t2 = SimulatedCluster(config).run_stage("s", [lambda: None] * 20)[1]
-        pattern1 = [t > 1.0 for t in t1.task_times]
-        pattern2 = [t > 1.0 for t in t2.task_times]
-        assert pattern1 == pattern2
-        assert any(pattern1) and not all(pattern1)
+def job_of(*stages, shuffles=(), result_bytes=0, client_time=0.0):
+    return JobMetrics(stages=list(stages), shuffles=list(shuffles),
+                      result_bytes=result_bytes, client_time=client_time)
 
 
-class TestNetworkModel:
-    def test_transfer_time_scales_with_bytes(self):
-        cluster = SimulatedCluster(
-            ClusterConfig(client_bandwidth_bytes_s=1e6, client_latency_s=0.1)
-        )
-        assert cluster.client_transfer_time(1_000_000) == pytest.approx(1.1)
+#: Every modelled cost switched off, so each test turns on the one it pins.
+FREE = ClusterConfig(
+    cores=1, task_startup_s=0.0, job_startup_s=0.0, shuffle_latency_s=0.0,
+    shuffle_bandwidth_bytes_s=1e6, client_latency_s=0.0,
+    client_bandwidth_bytes_s=1e6,
+)
+
+
+class TestModelPlacement:
+    """model() places a stage's measured task times on config.cores."""
+
+    def test_one_core_sums(self):
+        job = job_of(StageMetrics("map", [1.0, 2.0, 3.0]))
+        assert model([job], FREE).server_s == pytest.approx(6.0)
+
+    def test_two_cores_balance(self):
+        job = job_of(StageMetrics("map", [3.0, 3.0, 2.0, 1.0]))
+        assert model([job], FREE.with_cores(2)).server_s == pytest.approx(5.0)
+
+    def test_enough_cores_is_max(self):
+        job = job_of(StageMetrics("map", [1.0, 2.0, 3.0]))
+        assert model([job], FREE.with_cores(100)).server_s == pytest.approx(3.0)
+
+    def test_stages_run_one_after_another(self):
+        job = job_of(StageMetrics("map", [0.4, 0.4]), StageMetrics("reduce", [0.1]))
+        assert model([job], FREE.with_cores(2)).server_s == pytest.approx(0.5)
+
+    def test_driver_stage_is_serial_and_pays_no_task_startup(self):
+        job = job_of(StageMetrics("merge", [0.3], driver=True))
+        config = replace(FREE, cores=8, task_startup_s=0.5)
+        assert model([job], config).server_s == pytest.approx(0.3)
+
+
+class TestModelStartup:
+    def test_task_startup_per_task(self):
+        job = job_of(StageMetrics("s", [0.0, 0.0]))
+        config = replace(FREE, task_startup_s=0.5)
+        assert model([job], config).server_s == pytest.approx(1.0)
+        assert model([job], config.with_cores(2)).server_s == pytest.approx(0.5)
+
+    def test_job_startup_per_job(self):
+        config = replace(FREE, job_startup_s=0.25)
+        job = job_of(StageMetrics("map", [0.1]), StageMetrics("reduce", [0.05]),
+                     shuffles=[(20_000, 0)])
+        # 0.25 start-up + 0.1 + 0.05 stages + 0.02 shuffle at 1 MB/s
+        assert model([job], config).server_s == pytest.approx(0.42)
+        assert model([job, job], config).server_s == pytest.approx(0.84)
+
+    def test_empty_job_costs_its_floors(self):
+        config = ClusterConfig()
+        t = model([JobMetrics()], config)
+        assert t.server_s == pytest.approx(config.job_startup_s)
+        assert t.network_s == pytest.approx(config.client_latency_s)
+        assert model([], config) == (0.0, 0.0, 0.0, 0.0)
+
+
+class TestModelStragglers:
+    def test_injection_inflates_the_schedule(self):
+        job = job_of(StageMetrics("s", [0.001] * 8))
+        base = replace(FREE, cores=4, task_startup_s=0.01)
+        slow = replace(base, straggler_prob=1.0, straggler_factor=10.0)
+        clean, straggled = model([job], base), model([job], slow)
+        # every task straggles: (0.001 + 0.01) * 10, two rounds on 4 cores
+        assert straggled.server_s == pytest.approx(0.22)
+        assert straggled.server_s == pytest.approx(clean.server_s * 10)
+
+    def test_deterministic_in_seed(self):
+        job = job_of(StageMetrics("s", [0.0] * 20))
+        config = replace(FREE, task_startup_s=0.1, straggler_prob=0.5,
+                         straggler_factor=50.0, seed=7)
+        once = model([job], config)
+        assert model([job], config) == once
+        # some tasks straggled, not all: between 20 x 0.1 and 20 x 5.0
+        assert 2.0 < once.server_s < 100.0
+        assert model([job], replace(config, seed=8)) != once
+
+    def test_cluster_model_is_the_function_under_its_config(self):
+        config = ClusterConfig(cores=2, straggler_prob=0.5, seed=3)
+        cluster = SimulatedCluster(config)
+        job = cluster.new_job()
+        cluster.run_stage("s", [lambda: None] * 20, job)
+        assert cluster.model([job]) == model([job], config)
+
+
+class TestModelNetwork:
+    def test_result_transfer_scales_with_bytes(self):
+        config = ClusterConfig(client_bandwidth_bytes_s=1e6, client_latency_s=0.1)
+        t = model([job_of(result_bytes=1_000_000)], config)
+        assert t.network_s == pytest.approx(1.1)
 
     def test_slow_link_config(self):
         fast = ClusterConfig()
         slow = fast.with_client_link(10e6 / 8, 0.1)  # 10 Mbps / 100 ms
-        c_fast = SimulatedCluster(fast).client_transfer_time(100_000)
-        c_slow = SimulatedCluster(slow).client_transfer_time(100_000)
-        assert c_slow > c_fast * 10
+        job = job_of(result_bytes=100_000)
+        assert model([job], slow).network_s > model([job], fast).network_s * 10
 
-    def test_shuffle_accounting(self):
+    def test_plain_shuffle_uses_the_whole_fabric(self):
+        config = replace(FREE, cores=16, shuffle_latency_s=0.001)
+        job = job_of(shuffles=[(1_000_000, 0)])
+        assert model([job], config).server_s == pytest.approx(1.001)
+
+    def test_few_receivers_bottleneck_the_shuffle(self):
+        # 1 MB into R reducers on a 10-core, 1 MB/s fabric: each node
+        # pulls at 0.1 MB/s, so R active links move it in 10/R seconds --
+        # the effect group inflation (Section 4.5) exists to fix.
+        config = FREE.with_cores(10)
+        cost = lambda r: model([job_of(shuffles=[(1_000_000, r)])], config).server_s
+        assert cost(1) == pytest.approx(10.0)
+        assert cost(2) == pytest.approx(5.0)
+        assert cost(10) == pytest.approx(1.0)
+        assert cost(500) == pytest.approx(1.0)  # capped at one per core
+
+    def test_accounting_records_volume_only(self):
         cluster = SimulatedCluster(ClusterConfig())
         job = cluster.new_job()
         cluster.account_shuffle(job, 1_000_000)
+        cluster.account_shuffle(job, 500, receivers=4)
         cluster.account_result_transfer(job, 2048)
-        assert job.shuffle_bytes == 1_000_000
+        assert job.shuffles == [(1_000_000, 0), (500, 4)]
+        assert job.shuffle_bytes == 1_000_500
         assert job.result_bytes == 2048
-        assert job.network_time > 0
-        assert job.total_time >= job.server_time
+        t = cluster.model([job])
+        assert t.network_s > 0
+        assert t.total_s >= t.server_s
+
+    def test_total_is_server_plus_network_plus_client(self):
+        job = job_of(StageMetrics("map", [0.5]), result_bytes=100_000,
+                     client_time=0.2)
+        t = model([job], FREE)
+        assert (t.server_s, t.network_s, t.client_s) == pytest.approx((0.5, 0.1, 0.2))
+        assert t.total_s == pytest.approx(0.8)
 
     def test_with_cores_builder(self):
         assert ClusterConfig(cores=4).with_cores(64).cores == 64
+
+
+class TestModelPurity:
+    def test_never_mutates_the_job(self):
+        job = job_of(StageMetrics("map", [0.1, 0.2]),
+                     StageMetrics("merge", [0.05], driver=True),
+                     shuffles=[(1000, 3)], result_bytes=64, client_time=0.01)
+        frozen = deepcopy(job)
+        noisy = ClusterConfig(cores=2, straggler_prob=0.5, seed=5)
+        first = model([job], noisy)
+        assert model([job], noisy) == first
+        model([job], ClusterConfig(cores=64, job_startup_s=9.0))
+        assert model([job], noisy) == first
+        assert job == frozen
 
 
 class TestJobMetrics:
@@ -177,14 +288,3 @@ class TestJobMetrics:
         job = cluster.new_job()
         with pytest.raises(KeyError):
             job.stage("nope")
-
-    def test_summary_keys(self):
-        cluster = SimulatedCluster()
-        job = cluster.new_job()
-        cluster.run_stage("s", [lambda: 0], job)
-        summary = job.summary()
-        assert set(summary) == {
-            "server_s", "real_s", "network_s", "client_s", "total_s",
-            "result_bytes", "shuffle_bytes",
-            "partitions_total", "partitions_skipped",
-        }

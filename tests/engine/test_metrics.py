@@ -1,4 +1,9 @@
-"""Tests for job metrics accounting (repro.engine.metrics)."""
+"""Tests for job measurements (repro.engine.metrics).
+
+The time model these records feed is pinned in ``test_cluster.py``
+(``TestModel*``)."""
+
+import dataclasses
 
 import pytest
 
@@ -7,74 +12,47 @@ from repro.engine.metrics import JobMetrics, StageMetrics
 
 class TestStageMetrics:
     def test_derived_properties(self):
-        stage = StageMetrics("map", task_times=[0.1, 0.2, 0.3], makespan=0.3)
+        stage = StageMetrics("map", task_times=[0.1, 0.2, 0.3])
         assert stage.num_tasks == 3
         assert stage.total_cpu == pytest.approx(0.6)
 
 
 class TestJobMetrics:
-    def test_server_time_composition(self):
-        job = JobMetrics(job_startup=0.25)
-        job.add_stage(StageMetrics("map", [0.1], 0.1))
-        job.add_stage(StageMetrics("reduce", [0.05], 0.05))
-        job.shuffle_time = 0.02
-        assert job.server_time == pytest.approx(0.42)
-
-    def test_total_time_includes_client_and_network(self):
-        job = JobMetrics()
-        job.network_time = 0.1
-        job.client_time = 0.2
-        assert job.total_time == pytest.approx(0.3)
-
     def test_real_time_sums_wall_clock(self):
-        job = JobMetrics(job_startup=0.25)
-        job.add_stage(StageMetrics("map", [0.4, 0.4], 0.4, wall_time=0.21))
-        job.add_stage(StageMetrics("reduce", [0.1], 0.1, wall_time=0.1))
-        # Real wall-clock is independent of the simulated schedule.
+        job = JobMetrics()
+        job.add_stage(StageMetrics("map", [0.4, 0.4], wall_time=0.21))
+        job.add_stage(StageMetrics("reduce", [0.1], wall_time=0.1))
         assert job.real_time == pytest.approx(0.31)
-        assert job.server_time == pytest.approx(0.25 + 0.4 + 0.1)
 
     def test_stage_lookup(self):
         job = JobMetrics()
-        job.add_stage(StageMetrics("merge", [0.1], 0.1))
-        assert job.stage("merge").makespan == 0.1
+        job.add_stage(StageMetrics("merge", [0.1], wall_time=0.1, driver=True))
+        assert job.stage("merge").wall_time == 0.1
         with pytest.raises(KeyError):
             job.stage("missing")
 
-    def test_summary_values(self):
-        job = JobMetrics(job_startup=1.0)
-        job.result_bytes = 100
-        summary = job.summary()
-        assert summary["server_s"] == 1.0
-        assert summary["result_bytes"] == 100.0
-
-    def test_summary_wire_keys_appear_as_a_pair(self):
-        # Wire keys are all-or-nothing: either nonzero member pulls in
-        # both, the missing one as 0.0 (documented on summary()).
+    def test_shuffle_bytes_is_the_sum_of_recorded_shuffles(self):
         job = JobMetrics()
-        job.wire_time = 0.02
-        summary = job.summary()
-        assert summary["wire_s"] == pytest.approx(0.02)
-        assert summary["queue_wait_s"] == 0.0
+        assert job.shuffle_bytes == 0
+        job.shuffles += [(1000, 0), (24, 8)]
+        assert job.shuffle_bytes == 1024
 
+    def test_partition_counters_sum_over_stages(self):
         job = JobMetrics()
-        job.queue_wait = 0.01
-        summary = job.summary()
-        assert summary["queue_wait_s"] == pytest.approx(0.01)
-        assert summary["wire_s"] == 0.0
+        job.add_stage(StageMetrics("map", [0.1], partitions_total=8,
+                                   partitions_skipped=5))
+        job.add_stage(StageMetrics("merge", [0.1], driver=True))
+        assert (job.partitions_total, job.partitions_skipped) == (8, 5)
 
-    def test_summary_omits_wire_and_shard_keys_in_process(self):
-        # In-process transports never emit wire keys; single-store jobs
-        # never emit shard keys -- the key *set* is the contract.
-        summary = JobMetrics().summary()
-        for key in ("queue_wait_s", "wire_s", "shards_total",
-                    "shards_skipped", "failovers"):
-            assert key not in summary
-
-    def test_summary_shard_keys_appear_for_scatter_gather(self):
-        job = JobMetrics()
-        job.shards_total = 4
-        summary = job.summary()
-        assert summary["shards_total"] == 4.0
-        assert summary["shards_skipped"] == 0.0
-        assert summary["failovers"] == 0.0
+    def test_carries_measurements_only(self):
+        # The wire and the registry see these fields and nothing else:
+        # anything modelled is computed by engine.cluster.model().
+        assert [f.name for f in dataclasses.fields(StageMetrics)] == [
+            "name", "task_times", "wall_time",
+            "partitions_total", "partitions_skipped", "driver",
+        ]
+        assert [f.name for f in dataclasses.fields(JobMetrics)] == [
+            "stages", "shuffles", "result_bytes", "client_time",
+            "shards_total", "shards_skipped", "failovers",
+            "queue_wait", "wire_time",
+        ]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
+from repro.engine.cluster import ClusterConfig, SimulatedCluster, makespan, model
 from repro.query import execute_plain, parse_query
 
 BACKENDS = ["serial", "threads", "processes"]
@@ -97,13 +97,13 @@ def normalise(rows):
 def check_metrics(result):
     for m in result.request_metrics:
         assert m.stages, "every request runs at least one stage"
-        assert m.server_time > 0.0
+        assert model([m], ClusterConfig()).server_s > 0.0
         assert m.real_time >= 0.0
         assert m.result_bytes > 0
         for stage in m.stages:
             assert stage.wall_time >= 0.0
             assert len(stage.task_times) == stage.num_tasks
-            assert stage.makespan <= stage.total_cpu + 1e-12
+            assert makespan(stage.task_times, 16) <= stage.total_cpu + 1e-12
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

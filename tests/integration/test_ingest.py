@@ -303,6 +303,27 @@ class TestCompaction:
             3 if placed.sharded else 1
         )
 
+    def test_compact_skips_a_never_populated_shard(self, placed):
+        """One city: the ring routes every row to one shard, so the
+        others never get a store -- and compaction must not need one."""
+        session = placed.new_session(mode="seabed", master_key=MASTER_KEY, seed=3)
+        session.create_plan(schema(shard_key=placed.sharded), samples(placed))
+        writer, path = placed.persist(
+            session, "sales", dataset(cities=["nyc"]), shard_key="city"
+        )
+        for seed in range(51, 57):
+            writer.append_rows("sales", dataset(n=20, seed=seed, cities=["nyc"]))
+        rows = writer.encrypted_table("sales").shard_rows().values()
+        assert sorted(rows) == ([0, 0, 720] if placed.sharded else [720])
+        expected = rows_of(writer, GROUPED, expected_groups=4)
+
+        merged = placed.compactions(writer.compact_table("sales"))
+        assert sorted(stats is not None for stats in merged) == sorted(
+            n > 0 for n in rows
+        )
+        assert rows_of(writer, GROUPED, expected_groups=4) == expected
+        assert rows_of(attach(placed, path), GROUPED, expected_groups=4) == expected
+
     def test_ingest_stream_replays_the_flagship_workload(self, tmp_path):
         """The ad-analytics table replayed as arriving traffic: first
         batch bulk-uploaded, the rest appended, compaction inline."""

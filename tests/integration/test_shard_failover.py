@@ -120,11 +120,7 @@ class TestQueryFailover:
         result = session.query(GROUPED)
         metrics = result.request_metrics[0]
         assert metrics.shards_total == 4
-        summary = metrics.summary()
-        assert summary["shards_total"] == 4.0
-        assert summary["failovers"] + sum(
-            m.failovers for m in result.request_metrics[1:]
-        ) == 1.0
+        assert sum(m.failovers for m in result.request_metrics) == 1
 
 
 class TestAppendSafety:

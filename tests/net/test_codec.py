@@ -179,8 +179,9 @@ def test_server_query_roundtrip():
 
 
 def test_server_response_roundtrip():
-    metrics = JobMetrics(job_startup=0.25, result_bytes=128, queue_wait=0.5)
-    metrics.add_stage(StageMetrics("map", [0.1, 0.2], 0.2, wall_time=0.05))
+    metrics = JobMetrics(shuffles=[(96, 4)], result_bytes=128, queue_wait=0.5)
+    metrics.add_stage(StageMetrics("map", [0.1, 0.2], wall_time=0.05))
+    metrics.add_stage(StageMetrics("merge", [0.01], wall_time=0.01, driver=True))
     resp = srv.ServerResponse(
         kind="grouped",
         flat={"total": ("ashe", 3, [b"\x01\x02", b""], True)},
@@ -195,7 +196,7 @@ def test_server_response_roundtrip():
     assert got.flat == resp.flat
     assert got.groups == resp.groups
     assert got.payload_bytes == resp.payload_bytes
-    assert got.metrics.summary() == resp.metrics.summary()
+    assert got.metrics == resp.metrics
 
 
 def test_unknown_dataclass_rejected():
@@ -299,14 +300,15 @@ job_metrics = st.builds(
     JobMetrics,
     stages=st.lists(
         st.builds(StageMetrics, name=st.sampled_from(["aggregate", "partial-merge", "scan"]),
-                  task_times=st.lists(seconds, max_size=3), makespan=seconds,
+                  task_times=st.lists(seconds, max_size=3),
                   wall_time=seconds, partitions_total=st.integers(0, 64),
-                  partitions_skipped=st.integers(0, 64)),
+                  partitions_skipped=st.integers(0, 64), driver=st.booleans()),
         max_size=2,
     ),
-    job_startup=seconds,
+    shuffles=st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 128)),
+                      max_size=2),
     result_bytes=st.integers(0, 2**40),
-    network_time=seconds,
+    queue_wait=seconds,
 )
 aliases = st.text(max_size=4)
 responses = st.one_of(

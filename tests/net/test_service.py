@@ -287,6 +287,24 @@ class TestWireErrors:
             transport._request("frobnicate", {})
         transport.close()
 
+    def test_unencodable_reply_is_typed_and_connection_survives(self, handle):
+        service = handle.service
+        orig = service._run_op
+
+        def unencodable(user, operation, args):
+            if operation == "storage_bytes":
+                return object()
+            return orig(user, operation, args)
+
+        service._run_op = unencodable
+        transport = RemoteTransport(handle.address, handle.mint_token("alice"))
+        sock = transport._sock
+        with pytest.raises(CodecError, match="cannot encode object"):
+            transport._request("storage_bytes", {"table": "x"})
+        assert transport._request("metrics", {"fmt": "json"})["fmt"] == "json"
+        assert transport._sock is sock  # same connection, never re-dialled
+        transport.close()
+
     def test_connection_refused_is_transport_error(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))

@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.obs.metrics`, the scoped ``OPS`` handle,
+"""Unit tests for :mod:`repro.obs.metrics`, the ``OPS`` view over it,
 and the structured event logger."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import pytest
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.ops import DEFAULT_OPS, OPS, OpCounter, scoped
+from repro.ops import OPS
 
 
 @pytest.fixture
@@ -135,10 +135,8 @@ class TestPrometheusExposition:
 class _FakeJob:
     """Duck-typed stand-in for JobMetrics."""
 
-    total_time = 0.5
-    server_time = 0.3
+    real_time = 0.3
     client_time = 0.1
-    network_time = 0.05
     queue_wait = 0.01
     wire_time = 0.02
     partitions_total = 8
@@ -155,10 +153,12 @@ class TestObserveJob:
         monkeypatch.setattr(obs_metrics, "_REGISTRY", reg)
         obs_metrics.observe_job(_FakeJob(), table="sales", transport="Local")
         samples = _parse_prometheus(reg.prometheus())
-        for phase in ("total", "server", "client", "network", "queue_wait", "wire"):
+        for phase in ("execute", "client", "queue_wait", "wire"):
             key = (f'seabed_query_seconds_count{{phase="{phase}",table="sales",'
                    f'transport="Local"}}')
             assert samples[key] == 1, key
+        assert not any('phase="total"' in k or 'phase="server"' in k
+                       or 'phase="network"' in k for k in samples)
         assert samples['seabed_partitions_skipped_total{table="sales"}'] == 5
         assert samples['seabed_failovers_total{table="sales"}'] == 1
         assert samples['seabed_result_bytes_total{table="sales"}'] == 1024
@@ -175,42 +175,32 @@ class TestObserveJob:
         assert reg.metrics() == []
 
 
-class TestScopedOps:
-    def test_scoped_isolates_from_default(self):
-        before = DEFAULT_OPS.snapshot()
-        with scoped() as mine:
-            OPS.bump("translate")
-            assert mine.get("translate") == 1
-        assert DEFAULT_OPS.delta(before) == {}
+class TestOpsView:
+    """``OPS`` holds no counts of its own: it reads and writes
+    ``seabed_client_ops_total`` in the process-wide registry."""
 
-    def test_default_receives_bumps_outside_scope(self):
-        before = DEFAULT_OPS.snapshot()
-        OPS.bump("test-op-outside", 2)
-        assert DEFAULT_OPS.delta(before) == {"test-op-outside": 2}
+    def _counter(self):
+        return obs_metrics.get_registry().counter(
+            "seabed_client_ops_total", labelnames=("op",))
 
-    def test_scopes_nest(self):
-        with scoped() as outer:
-            OPS.bump("a")
-            with scoped() as inner:
-                OPS.bump("b")
-            OPS.bump("a")
-        assert outer.snapshot() == {"a": 2}
-        assert inner.snapshot() == {"b": 1}
+    def test_bump_lands_in_the_registry_counter(self):
+        before = self._counter().value(op="view-test")
+        OPS.bump("view-test")
+        OPS.bump("view-test", 2)
+        assert self._counter().value(op="view-test") == before + 3
 
-    def test_caller_supplied_counter(self):
-        counter = OpCounter()
-        with scoped(counter) as active:
-            assert active is counter
-            OPS.bump("x", 3)
-        assert counter.get("x") == 3
+    def test_reads_come_from_the_registry_counter(self):
+        before = OPS.snapshot()
+        self._counter().inc(4.0, op="view-test-read")
+        assert OPS.get("view-test-read") == before.get("view-test-read", 0) + 4
+        assert OPS.delta(before) == {"view-test-read": 4}
+        assert isinstance(OPS.snapshot()["view-test-read"], int)
 
-    def test_bumps_mirror_into_metrics_registry(self):
-        c = obs_metrics.get_registry().counter("seabed_client_ops_total",
-                                               labelnames=("op",))
-        before = c.value(op="mirror-test")
-        with scoped():
-            OPS.bump("mirror-test")
-        assert c.value(op="mirror-test") == before + 1
+    def test_delta_omits_unchanged_ops(self):
+        OPS.bump("view-test-still")
+        before = OPS.snapshot()
+        OPS.bump("view-test-moved", 2)
+        assert OPS.delta(before) == {"view-test-moved": 2}
 
 
 class TestLogEvent:
