@@ -4,10 +4,15 @@ Takes a :class:`~repro.core.translator.TranslatedQuery` and the server's
 responses and produces plaintext result rows identical to what the
 plaintext executor would return:
 
-- ASHE aggregates: decompress the ID-list chunks, accumulate the PRF pad
-  per run (two evaluations per run; per occurrence for join multisets),
-  add to the ciphertext sum, interpret as signed;
-- counts: read off ID-list lengths or decrypt indicator sums;
+- ASHE aggregates: a reply carries the ID set of each *row set* (the
+  whole selection of a flat request, one group of a grouped one) once,
+  beside the aggregates.  Each set is decoded exactly once per
+  ``decrypt`` call into one run list (chunks of adjacent partitions
+  coalesce, so an unfiltered scan is one run); every ASHE column summed
+  over those rows then costs one PRF pad over the runs (two evaluations
+  per run; per occurrence for join multisets), added to the ciphertext
+  sum and interpreted as signed;
+- counts: read off the row set's ID count, or decrypt indicator sums;
 - averages / variances: the client-side division and combination
   (Monomi-style query splitting, Section 4.2);
 - group keys: DET-decrypt and dictionary-decode, and merge the groups the
@@ -16,14 +21,19 @@ plaintext executor would return:
   enhanced-mode catch-all grouped request, using indicator counts to
   suppress empty groups (dummy rows decrypt to zero and vanish here).
 
-No integrity checks are performed: the threat model is honest-but-curious
-(Section 4.6), so a malicious server could return bogus sums undetected.
+Nothing decoded or padded outlives the call.  No integrity checks are
+performed: the threat model is honest-but-curious (Section 4.6), so a
+malicious server could return bogus sums undetected; a reply that is
+*malformed* (an ASHE sum without its ID set, a truncated chunk) is a
+typed :class:`~repro.errors.DecryptionError`, never a number.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+import zlib
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -31,17 +41,54 @@ from repro.core import server as srv
 from repro.core.crypto_factory import CryptoFactory
 from repro.core.encryptor import ClientTableState
 from repro.core.translator import OutputItem, Ref, TranslatedQuery
-from repro.crypto.ashe import MASK64, to_signed
+from repro.crypto.ashe import MASK64, AsheScheme, to_signed
 from repro.crypto.paillier import PaillierScheme
-from repro.errors import DecryptionError
+from repro.errors import DecryptionError, EncodingError
 from repro.idlist import IdList
-from repro.idlist.codec import decode as codec_decode
-from repro.idlist.codec import (
-    decode_chunks_batch,
-    decode_multiset,
-    is_multiset_payload,
-)
+from repro.idlist import codec as idcodec
 from repro.query.executor import order_and_limit
+
+
+class _IdSet(NamedTuple):
+    """One ID set of a reply, decoded once."""
+
+    runs: IdList  # every run-coded chunk, unioned (touching runs coalesce)
+    multiset: np.ndarray  # every multiset chunk's IDs, duplicates kept
+    size: int  # IDs in the set, duplicates counted
+
+    def pad(self, scheme: AsheScheme) -> int:
+        return scheme.pad_for(self.runs) + scheme.pad_for_multiset(self.multiset)
+
+
+def _decode_id_set(chunks: list[bytes]) -> _IdSet:
+    runs: list[IdList] = []
+    multiset = [np.empty(0, np.uint64)]
+    try:
+        for chunk in chunks:
+            if idcodec.is_multiset_payload(chunk):
+                multiset.append(idcodec.decode_multiset(chunk))
+            else:
+                runs.append(idcodec.decode(chunk))
+    except (EncodingError, zlib.error, ValueError) as exc:
+        raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
+    merged, dupes = IdList.union_all(runs), np.concatenate(multiset)
+    return _IdSet(merged, dupes, merged.count() + len(dupes))
+
+
+@dataclass
+class _RowSet:
+    """One row set of a reply, opened once: every aggregate's plaintext by
+    alias (``None``: no row selected; ORE extremes are left to
+    ``_decrypt_extreme``) and the row count by ID source."""
+
+    values: dict[str, Any]
+    counts: dict[str, int]
+
+
+class _Reply(NamedTuple):
+    response: srv.ServerResponse
+    aggs: dict[str, srv.AggOp]
+    opened: _RowSet | dict[int, _RowSet]  # flat | grouped: by group key
 
 
 class DecryptionModule:
@@ -66,16 +113,24 @@ class DecryptionModule:
             raise DecryptionError(
                 f"expected {len(tq.requests)} responses, got {len(responses)}"
             )
-        agg_index = [
-            {agg.alias: agg for agg in request.aggs} for request in tq.requests
-        ]
+        replies = []
+        for request, response in zip(tq.requests, responses):
+            aggs = {agg.alias: agg for agg in request.aggs}
+            if response.kind == "grouped":
+                opened = self._open_grouped(response, aggs)
+            else:
+                opened = self._open_row_set(response.flat, response.id_sets, aggs)
+            replies.append(_Reply(response, aggs, opened))
         if tq.shape == "flat":
-            rows = [self._assemble_flat(tq, responses, agg_index)]
-            rows = [r for r in rows if r]
+            row = {
+                item.name: self._assemble_item(item, replies, _flat_row_set)
+                for item in tq.outputs
+            }
+            rows = [row] if row else []
         elif tq.shape == "grouped":
-            rows = self._assemble_grouped(tq, responses, agg_index)
+            rows = self._assemble_grouped(tq, replies)
         elif tq.shape == "splashe_group":
-            rows = self._assemble_splashe_group(tq, responses, agg_index)
+            rows = self._assemble_splashe_group(tq, replies)
         else:
             raise DecryptionError(f"unknown result shape {tq.shape!r}")
         return order_and_limit(rows, tq.query)
@@ -127,33 +182,108 @@ class DecryptionModule:
             for j in range(len(ids))
         ]
 
-    # -- payload decryption -------------------------------------------------------
+    # -- opening a reply -----------------------------------------------------------
 
-    def _decrypt_payload(self, payload: Any, agg: srv.AggOp) -> Any:
-        """Decrypt one aggregate payload to a signed integer (or value)."""
+    def _decrypt_payload(
+        self, payload: Any, agg: srv.AggOp | None, ids: dict[str, _IdSet]
+    ) -> Any:
+        """Decrypt one aggregate payload to a signed integer (or value),
+        padding an ASHE sum from its row set's decoded ``ids``."""
         if payload is None:
             return None
         tag = payload[0]
         if tag == "ashe":
-            assert isinstance(agg, srv.AsheSum)
-            scheme = self._factory.ashe(agg.column)
-            total = payload[1]
-            pad = 0
-            for chunk in payload[2]:
-                if is_multiset_payload(chunk):
-                    pad = (pad + scheme.pad_for_multiset(decode_multiset(chunk))) & MASK64
-                else:
-                    pad = (pad + scheme.pad_for(codec_decode(chunk))) & MASK64
-            return to_signed((total + pad) & MASK64)
+            selected = ids.get(agg.id_source) if isinstance(agg, srv.AsheSum) else None
+            if selected is None or not selected.size:
+                raise DecryptionError("an ASHE sum arrived without its ID set")
+            pad = selected.pad(self._factory.ashe(agg.column))
+            return to_signed((payload[1] + pad) & MASK64)
         if tag == "plain":
             return payload[1]
         if tag == "paillier":
             if self._paillier is None:
                 raise DecryptionError("paillier response without a scheme")
             return self._paillier.decrypt_crt(payload[1])
-        if tag == "extreme":
-            raise DecryptionError("extreme payloads need _decrypt_extreme")
         raise DecryptionError(f"unknown payload tag {tag!r}")
+
+    def _open_row_set(
+        self, payloads: dict[str, Any], id_sets: srv.IdSets, aggs: dict[str, srv.AggOp]
+    ) -> _RowSet:
+        """Decode each ID set of a flat reply once, then decrypt every
+        aggregate against it: one pad per ASHE column."""
+        ids = {source: _decode_id_set(chunks) for source, chunks in id_sets.items()}
+        values = {
+            alias: self._decrypt_payload(payload, aggs.get(alias), ids)
+            for alias, payload in payloads.items()
+            if payload is None or payload[0] != "extreme"
+        }
+        return _RowSet(values, {source: s.size for source, s in ids.items()})
+
+    def _open_grouped(
+        self, response: srv.ServerResponse, aggs: dict[str, srv.AggOp]
+    ) -> dict[int, _RowSet]:
+        """Open every group of a grouped reply in one pass.
+
+        Merges the inflated (key, suffix) entries back per key -- the
+        client-side half of the group-by optimisation -- then, per ID
+        source, decodes every group's chunks together and segments one big
+        pad array per ASHE column: thousands of per-group decodes become a
+        few numpy passes (the client-side analogue of the paper's
+        worker-side batching).
+        """
+        merged: dict[int, tuple[dict[str, list], list[srv.IdSets]]] = {}
+        for key, _suffix, payloads, id_sets in response.groups:
+            pieces, sets = merged.setdefault(key, ({a: [] for a in aggs}, []))
+            for alias, payload in payloads.items():
+                if payload is not None:
+                    pieces[alias].append(payload)
+            sets.append(id_sets)
+        opened = {key: _RowSet({}, {}) for key in merged}
+        key_sets = [srv.gather_id_sets(sets) for _, sets in merged.values()]
+        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for source in srv.id_sources(aggs.values()):
+            per_key = [sets.get(source, ()) for sets in key_sets]
+            try:
+                ids, per_chunk = idcodec.decode_chunks_batch(
+                    [c for part in per_key for c in part]
+                )
+            except (EncodingError, zlib.error, ValueError) as exc:
+                raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
+            # Chunks were flattened in key order, so each key's IDs are one
+            # contiguous slice of ``ids``, delimited by ``bounds``.
+            chunk_ends = np.cumsum(np.fromiter(map(len, per_key), np.int64, len(per_key)))
+            bounds = np.append(0, np.append(0, np.cumsum(per_chunk))[chunk_ends])
+            decoded[source] = ids, bounds
+            for row_set, count in zip(opened.values(), np.diff(bounds).tolist()):
+                row_set.counts[source] = count
+        for alias, agg in aggs.items():
+            column = [
+                srv.merge_payloads(agg, pieces[alias]) for pieces, _ in merged.values()
+            ]
+            if isinstance(agg, srv.AsheSum):
+                values = self._unpad_groups(agg, column, *decoded[agg.id_source])
+            else:
+                values = [self._decrypt_payload(p, agg, {}) for p in column]
+            for row_set, value in zip(opened.values(), values):
+                row_set.values[alias] = value
+        return opened
+
+    def _unpad_groups(
+        self, agg: srv.AsheSum, column: list[Any], ids: np.ndarray, bounds: np.ndarray
+    ) -> list[int | None]:
+        """Decrypt one ASHE column's per-key sums: one pad array over every
+        key's IDs, segmented per key by wrapping prefix sums."""
+        prefix = np.zeros(ids.size + 1, dtype=np.uint64)
+        np.cumsum(self._factory.ashe(agg.column).pad_array(ids), out=prefix[1:])
+        pads = (prefix[bounds[1:]] - prefix[bounds[:-1]]).tolist()
+        out: list[int | None] = []
+        for payload, pad, lo, hi in zip(column, pads, bounds.tolist(), bounds[1:].tolist()):
+            if payload is not None and lo == hi:
+                raise DecryptionError("an ASHE sum arrived without its ID set")
+            out.append(
+                None if payload is None else to_signed((payload[1] + pad) & MASK64)
+            )
+        return out
 
     def _decrypt_extreme(self, payload: Any, agg: srv.AggOp, mode: str) -> Any:
         if payload is None:
@@ -170,94 +300,54 @@ class DecryptionModule:
         scheme = self._factory.ashe(column)
         return scheme.decrypt_sum(value, IdList.from_range(row_id, row_id + 1))
 
-    @staticmethod
-    def _count_from_payload(payload: Any) -> int:
-        """Row count read off an ASHE ID list (free with any aggregate)."""
-        if payload is None:
-            return 0
-        if payload[0] != "ashe":
-            raise DecryptionError("count_ids requires an ASHE payload")
-        total = 0
-        for chunk in payload[2]:
-            if is_multiset_payload(chunk):
-                total += len(decode_multiset(chunk))
-            else:
-                total += codec_decode(chunk).count()
-        return total
-
-    # -- flat results ---------------------------------------------------------------
-
-    def _lookup(
-        self,
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
-        ref: Ref,
-    ) -> tuple[Any, srv.AggOp]:
-        req, alias = ref
-        response = responses[req]
-        if response.kind != "flat":
-            raise DecryptionError("flat lookup against a grouped response")
-        return response.flat.get(alias), agg_index[req][alias]
-
-    def _sum_refs(
-        self,
-        refs: list[Ref],
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
-    ) -> int | None:
-        total: int | None = None
-        for ref in refs:
-            payload, agg = self._lookup(responses, agg_index, ref)
-            value = self._decrypt_payload(payload, agg)
-            if value is not None:
-                total = value if total is None else total + value
-        return total
-
-    def _count_refs(
-        self,
-        item: OutputItem,
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
-    ) -> int:
-        total = 0
-        for ref in item.count_refs:
-            payload, agg = self._lookup(responses, agg_index, ref)
-            if item.count_mode == "ids":
-                total += self._count_from_payload(payload)
-            else:
-                value = self._decrypt_payload(payload, agg)
-                total += int(value) if value is not None else 0
-        return total
-
-    def _assemble_flat(
-        self,
-        tq: TranslatedQuery,
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
-    ) -> dict[str, Any]:
-        row: dict[str, Any] = {}
-        for item in tq.outputs:
-            row[item.name] = self._assemble_item(item, responses, agg_index)
-        return row
+    # -- assembling output rows -----------------------------------------------------
 
     def _assemble_item(
         self,
         item: OutputItem,
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
+        replies: list[_Reply],
+        row_set_of: Callable[[_Reply], _RowSet | None],
     ) -> Any:
+        """One output cell from opened row sets (``row_set_of`` picks the
+        flat row set, or one group's)."""
+
+        def sum_over(refs: list[Ref]) -> int | None:
+            total: int | None = None
+            for req, alias in refs:
+                row_set = row_set_of(replies[req])
+                value = row_set.values.get(alias) if row_set is not None else None
+                if value is not None:
+                    total = value if total is None else total + value
+            return total
+
+        def count_of() -> int:
+            total = 0
+            for req, alias in item.count_refs:
+                row_set = row_set_of(replies[req])
+                if row_set is None:
+                    continue
+                if item.count_mode == "ids":
+                    # Free with any ASHE aggregate: its row set's ID count.
+                    agg = replies[req].aggs[alias]
+                    if not isinstance(agg, srv.AsheSum):
+                        raise DecryptionError("count_ids requires an ASHE aggregate")
+                    total += row_set.counts.get(agg.id_source, 0)
+                else:
+                    total += int(row_set.values.get(alias) or 0)
+            return total
+
         if item.kind == "sum":
-            return self._sum_refs(item.sum_refs, responses, agg_index)
+            return sum_over(item.sum_refs)
         if item.kind == "count":
-            return self._count_refs(item, responses, agg_index)
+            return count_of()
         if item.kind == "avg":
-            total = self._sum_refs(item.sum_refs, responses, agg_index)
-            count = self._count_refs(item, responses, agg_index)
+            total = sum_over(item.sum_refs)
+            count = count_of()
             return None if not count else total / count
         if item.kind in ("var", "stddev"):
-            total = self._sum_refs(item.sum_refs, responses, agg_index)
-            sumsq = self._sum_refs(item.sumsq_refs, responses, agg_index)
-            count = self._count_refs(item, responses, agg_index)
+            total = sum_over(item.sum_refs)
+            sumsq = sum_over(item.sumsq_refs)
+            count = count_of()
             if not count or total is None or sumsq is None:
                 return None
             mean = total / count
@@ -265,8 +355,12 @@ class DecryptionModule:
             return variance if item.kind == "var" else math.sqrt(variance)
         if item.kind in ("min", "max", "median"):
             assert item.extreme_ref is not None and item.extreme_mode is not None
-            payload, agg = self._lookup(responses, agg_index, item.extreme_ref)
-            value = self._decrypt_extreme(payload, agg, item.extreme_mode)
+            req, alias = item.extreme_ref
+            reply = replies[req]
+            _flat_row_set(reply)  # extremes only exist in flat replies
+            value = self._decrypt_extreme(
+                reply.response.flat.get(alias), reply.aggs[alias], item.extreme_mode
+            )
             if value is not None and item.kind == "median":
                 return float(value)
             return value
@@ -299,110 +393,34 @@ class DecryptionModule:
             }
         return dict(zip(keys, codes.tolist()))
 
-    @staticmethod
-    def _merge_group_payloads(
-        response: srv.ServerResponse, aggs: dict[str, srv.AggOp]
-    ) -> dict[int, dict[str, Any]]:
-        """Merge inflated (key, suffix) entries back to per-key payloads --
-        the client-side half of the group-by optimisation."""
-        merged: dict[int, dict[str, list[Any]]] = {}
-        for key, _suffix, payloads in response.groups:
-            slot = merged.setdefault(key, {alias: [] for alias in aggs})
-            for alias, payload in payloads.items():
-                if payload is not None:
-                    slot[alias].append(payload)
-        out: dict[int, dict[str, Any]] = {}
-        for key, per_alias in merged.items():
-            out[key] = {
-                alias: srv.merge_payloads(aggs[alias], pieces)
-                for alias, pieces in per_alias.items()
-            }
-        return out
-
-    def _batch_decrypt_ashe_groups(
-        self,
-        merged: dict[int, dict[int, dict[str, Any]]],
-        agg_index: list[dict[str, srv.AggOp]],
-    ) -> dict[tuple[int, str], dict[int, tuple[int, int]]]:
-        """Decrypt every group's ASHE payload per alias in one pass.
-
-        Returns ``cache[(request, alias)][group key] = (plaintext, count)``.
-        Concatenating every group's chunks, decoding them together, and
-        segmenting one big pad array with ``reduceat`` turns thousands of
-        per-group decodes into a few numpy passes (the client-side analogue
-        of the paper's worker-side batching).
-        """
-        cache: dict[tuple[int, str], dict[int, tuple[int, int]]] = {}
-        for req, per_key in merged.items():
-            for alias, agg in agg_index[req].items():
-                if not isinstance(agg, srv.AsheSum):
-                    continue
-                scheme = self._factory.ashe(agg.column)
-                keys: list[int] = []
-                totals: list[int] = []
-                flat_chunks: list[bytes] = []
-                chunk_owner: list[int] = []
-                for key, payloads in per_key.items():
-                    payload = payloads.get(alias)
-                    if payload is None:
-                        continue
-                    keys.append(key)
-                    totals.append(payload[1])
-                    for chunk in payload[2]:
-                        flat_chunks.append(chunk)
-                        chunk_owner.append(len(keys) - 1)
-                entry: dict[int, tuple[int, int]] = {}
-                cache[(req, alias)] = entry
-                if not keys:
-                    continue
-                ids, chunk_counts = decode_chunks_batch(flat_chunks)
-                pads = scheme.pad_array(ids)
-                nonempty = chunk_counts > 0
-                chunk_starts = np.concatenate(
-                    [[0], np.cumsum(chunk_counts)[:-1]]
-                )[nonempty].astype(np.int64)
-                per_chunk = np.zeros(len(flat_chunks), dtype=np.uint64)
-                if chunk_starts.size:
-                    per_chunk[nonempty] = np.add.reduceat(pads, chunk_starts)
-                pad_by_key = np.zeros(len(keys), dtype=np.uint64)
-                count_by_key = np.zeros(len(keys), dtype=np.int64)
-                owners = np.asarray(chunk_owner, dtype=np.int64)
-                np.add.at(pad_by_key, owners, per_chunk)
-                np.add.at(count_by_key, owners, chunk_counts)
-                for j, key in enumerate(keys):
-                    plain = to_signed((totals[j] + int(pad_by_key[j])) & MASK64)
-                    entry[key] = (plain, int(count_by_key[j]))
-        return cache
-
     def _assemble_grouped(
-        self,
-        tq: TranslatedQuery,
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
+        self, tq: TranslatedQuery, replies: list[_Reply]
     ) -> list[dict[str, Any]]:
-        # Merge every grouped response once, keyed by request index.
-        merged: dict[int, dict[int, dict[str, Any]]] = {}
-        for req, response in enumerate(responses):
-            if response.kind == "grouped":
-                merged[req] = self._merge_group_payloads(response, agg_index[req])
-        all_keys: set[int] = set()
-        for per_key in merged.values():
-            all_keys.update(per_key)
-        ashe_cache = self._batch_decrypt_ashe_groups(merged, agg_index)
-        sorted_keys = sorted(all_keys)
+        sorted_keys = sorted(
+            {
+                key
+                for reply in replies
+                if reply.response.kind == "grouped"
+                for key in reply.opened
+            }
+        )
         key_values = self._decode_group_keys(tq, sorted_keys)
 
         rows: list[dict[str, Any]] = []
         for key in sorted_keys:
+
+            def group_row_set(reply: _Reply, key: int = key) -> _RowSet | None:
+                if reply.response.kind != "grouped":
+                    return None
+                return reply.opened.get(key)
+
             row: dict[str, Any] = {}
             non_empty = False
             for item in tq.outputs:
                 if item.kind == "group_key":
                     row[item.name] = key_values[key]
                     continue
-                value = self._assemble_group_item(
-                    item, key, merged, agg_index, ashe_cache
-                )
+                value = self._assemble_item(item, replies, group_row_set)
                 row[item.name] = value
                 if item.kind == "count":
                     non_empty = non_empty or bool(value)
@@ -412,115 +430,39 @@ class DecryptionModule:
                 rows.append(row)
         return rows
 
-    def _assemble_group_item(
-        self,
-        item: OutputItem,
-        key: int,
-        merged: dict[int, dict[int, dict[str, Any]]],
-        agg_index: list[dict[str, srv.AggOp]],
-        ashe_cache: dict[tuple[int, str], dict[int, tuple[int, int]]],
-    ) -> Any:
-        def lookup(ref: Ref) -> tuple[Any, srv.AggOp]:
-            req, alias = ref
-            payload = merged.get(req, {}).get(key, {}).get(alias)
-            return payload, agg_index[req][alias]
-
-        def decrypted(ref: Ref) -> int | None:
-            cached = ashe_cache.get(ref)
-            if cached is not None:
-                hit = cached.get(key)
-                return hit[0] if hit is not None else None
-            payload, agg = lookup(ref)
-            return self._decrypt_payload(payload, agg)
-
-        def sum_over(refs: list[Ref]) -> int | None:
-            total: int | None = None
-            for ref in refs:
-                value = decrypted(ref)
-                if value is not None:
-                    total = value if total is None else total + value
-            return total
-
-        def count_of() -> int:
-            total = 0
-            for ref in item.count_refs:
-                cached = ashe_cache.get(ref)
-                if item.count_mode == "ids" and cached is not None:
-                    hit = cached.get(key)
-                    total += hit[1] if hit is not None else 0
-                    continue
-                payload, agg = lookup(ref)
-                if item.count_mode == "ids":
-                    total += self._count_from_payload(payload)
-                else:
-                    value = self._decrypt_payload(payload, agg)
-                    total += int(value) if value is not None else 0
-            return total
-
-        if item.kind == "sum":
-            return sum_over(item.sum_refs)
-        if item.kind == "count":
-            return count_of()
-        if item.kind == "avg":
-            total = sum_over(item.sum_refs)
-            count = count_of()
-            return None if not count else total / count
-        if item.kind in ("var", "stddev"):
-            total = sum_over(item.sum_refs)
-            sumsq = sum_over(item.sumsq_refs)
-            count = count_of()
-            if not count or total is None or sumsq is None:
-                return None
-            mean = total / count
-            variance = max(sumsq / count - mean * mean, 0.0)
-            return variance if item.kind == "var" else math.sqrt(variance)
-        raise DecryptionError(
-            f"output kind {item.kind!r} is unsupported inside GROUP BY"
-        )
-
     # -- SPLASHE group-by -------------------------------------------------------------
 
     def _assemble_splashe_group(
-        self,
-        tq: TranslatedQuery,
-        responses: list[srv.ServerResponse],
-        agg_index: list[dict[str, srv.AggOp]],
+        self, tq: TranslatedQuery, replies: list[_Reply]
     ) -> list[dict[str, Any]]:
         dim = tq.group_dim
         assert dim is not None
         plan = self._state.enc_schema.plan(dim)
         values = plan.values  # type: ignore[union-attr]
 
-        # Enhanced mode: decode the catch-all grouped request per code.
-        others_by_code: dict[int, dict[str, Any]] = {}
+        # Enhanced mode: the catch-all grouped request's row sets per code.
+        others_by_code: dict[int, _RowSet] = {}
         if tq.group_request is not None:
-            response = responses[tq.group_request]
-            merged = self._merge_group_payloads(response, agg_index[tq.group_request])
+            opened = replies[tq.group_request].opened
             det = self._factory.det(plan.det_column)  # type: ignore[union-attr]
-            keys = list(merged)
+            keys = list(opened)
             codes = det.decrypt_column(np.fromiter(keys, dtype=np.uint64, count=len(keys)))
             for key, code in zip(keys, codes.tolist()):
-                others_by_code[int(code)] = merged[key]
+                others_by_code[int(code)] = opened[key]
 
         def cell_value(item: OutputItem, role: str, code: int) -> Any:
+            """A frequent value's cell: its own splayed column's flat sum."""
             ref = item.splashe.get(role, {}).get(code)
             if ref is None:
                 return None
-            req, alias = ref
-            agg = agg_index[req][alias]
-            if code == -1:
-                raise DecryptionError("catch-all cells use cell_value_others")
-            payload = responses[req].flat.get(alias)
-            return self._decrypt_payload(payload, agg)
+            return _flat_row_set(replies[ref[0]]).values.get(ref[1])
 
         def cell_value_others(item: OutputItem, role: str, code: int) -> Any:
+            """An infrequent value's cell: its group of the catch-all request."""
             ref = item.splashe.get(role, {}).get(-1)
-            if ref is None:
+            if ref is None or code not in others_by_code:
                 return None
-            req, alias = ref
-            agg = agg_index[req][alias]
-            payload = others_by_code.get(code, {}).get(alias)
-            return self._decrypt_payload(payload, agg)
+            return others_by_code[code].values.get(ref[1])
 
         rows: list[dict[str, Any]] = []
         frequent_codes = set(tq.splashe_group_codes)
@@ -556,3 +498,9 @@ class DecryptionModule:
             if count_nonzero:
                 rows.append(row)
         return rows
+
+
+def _flat_row_set(reply: _Reply) -> _RowSet:
+    if not isinstance(reply.opened, _RowSet):
+        raise DecryptionError("flat lookup against a grouped response")
+    return reply.opened

@@ -8,19 +8,23 @@ module.
 Supported physical operations:
 
 - filter evaluation over plaintext, DET-token and ORE-token predicates;
-- ASHE aggregation: wrapping uint64 sums plus ID-list construction, with
-  the ID list encoded (compressed) at the workers by default or at the
-  driver for the ablation (Section 4.5, "Reducing server-to-client
-  traffic");
+- ASHE aggregation: wrapping uint64 sums plus ID-list construction.  The
+  ID list belongs to the *selected row set*, not to a column: it is built
+  and encoded once per partition per ID source (:data:`ROW_IDS`;
+  :data:`BUILD_IDS` under a join) and travels once per row set, beside
+  the aggregates and never inside them -- compressed at the workers by
+  default or at the driver for the ablation (Section 4.5, "Reducing
+  server-to-client traffic");
 - plain and Paillier aggregation for the NoEnc / CryptDB-style baselines;
 - ORE min/max via a vectorised pairwise tournament and median via
   quickselect, using only the public Compare;
-- group-by with per-group ASHE sums (VB+Diff codec, no ranges -- Section
-  4.5) and the optional *group inflation* optimisation that appends a
+- group-by with per-group ASHE sums, one ID chunk per (group, partition)
+  (``ServerQuery.group_codec``: VB+Diff, no ranges -- Section 4.5) and
+  the optional *group inflation* optimisation that appends a
   pseudo-random suffix to group keys so small result sets still use all
   reducers;
 - broadcast hash joins on DET columns, with multiset ID collection for
-  build-side ASHE aggregates;
+  build-side ASHE aggregates (and probe rows duplicate keys replicate);
 - **zone-map pruning** (:mod:`repro.index`): before dispatching a map
   stage, the per-partition statistics a store-backed table carries are
   consulted and partitions the filter provably cannot match -- or, for
@@ -37,7 +41,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -189,14 +193,25 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
 # ---------------------------------------------------------------------------
 
 
+#: ID sources: whose row identifiers an ASHE column's pads are keyed by.
+ROW_IDS = "rows"  # the query table's selected rows
+BUILD_IDS = "build"  # the join build side's rows, once per match (a multiset)
+
+#: Codec of a flat request's ID sets (grouped: ``ServerQuery.group_codec``).
+FLAT_CODEC = "seabed"
+
+
 @dataclass(frozen=True)
 class AsheSum:
-    """Wrapping uint64 sum + encoded ID list."""
+    """Wrapping uint64 sum; decrypts with its row set's ``id_source`` IDs."""
 
     column: str
     alias: str
-    codec: str = "seabed"
     multiset: bool = False  # True when the column is join-replicated
+
+    @property
+    def id_source(self) -> str:
+        return BUILD_IDS if self.multiset else ROW_IDS
 
 
 @dataclass(frozen=True)
@@ -262,13 +277,32 @@ class ServerQuery:
     compress_at: str = "worker"  # "worker" | "driver" (ablation)
 
 
+#: The ID sets of one row set: ID source -> self-describing
+#: :mod:`repro.idlist.codec` chunks, one per partition that selected a row.
+IdSets = dict[str, list[bytes]]
+
+
 @dataclass
 class ServerResponse:
-    """What travels back to the proxy."""
+    """What travels back to the proxy.
 
-    kind: str  # "flat" | "grouped"
+    A row set -- a flat request's whole selection, or one ``(key,
+    suffix)`` group -- is a pair: payloads by alias (``("ashe", wrapped
+    sum)``, ``("plain", value)``, ``("paillier", product)``,
+    ``("extreme", ...)``; ``None``: no row selected) and its
+    :data:`IdSets`.  IDs travel once per row set: each ``AsheSum`` reads
+    the set its ``id_source`` names; no payload carries a chunk.
+
+    ``flat``: ``flat`` + ``id_sets``.  ``partial`` (shard worker ->
+    coordinator): ``flat`` maps aliases to pre-merged piece lists.
+    ``grouped``: ``groups`` of ``(key, suffix, payloads, id sets)``.
+    ``scan``: ``flat`` holds the projected ``columns`` and row ``ids``.
+    """
+
+    kind: str  # "flat" | "partial" | "grouped" | "scan"
     flat: dict[str, Any] = field(default_factory=dict)
-    groups: list[tuple[int, int, dict[str, Any]]] = field(default_factory=list)
+    id_sets: IdSets = field(default_factory=dict)
+    groups: list[tuple[int, int, dict[str, Any], IdSets]] = field(default_factory=list)
     metrics: JobMetrics = field(default_factory=JobMetrics)
     payload_bytes: int = 0
 
@@ -278,15 +312,46 @@ class ServerResponse:
 
 def _payload_nbytes(payload: Any) -> int:
     tag = payload[0]
-    if tag == "ashe":
-        return 8 + sum(len(c) for c in payload[2])
-    if tag == "plain":
-        return 8
     if tag == "paillier":
         return (int(payload[1]).bit_length() + 7) // 8
     if tag == "extreme":
         return 8 + 8 + 8 * len(payload[3])
     return 8
+
+
+def row_set_nbytes(payloads: Iterable[Any], id_sets: IdSets) -> int:
+    """Bytes one row set puts on the network: payloads + its IDs, once."""
+    total = 0
+    for payload in payloads:
+        if payload is not None:
+            total += _payload_nbytes(payload)
+    if id_sets:
+        total += sum(len(c) for chunks in id_sets.values() for c in chunks)
+    return total
+
+
+def id_sources(aggs: Iterable[AggOp]) -> list[str]:
+    """The ID sources the request's ASHE aggregates decrypt with."""
+    return list(dict.fromkeys(a.id_source for a in aggs if isinstance(a, AsheSum)))
+
+
+def _collect_id_sets(sources: list[str], partials: list[tuple]) -> dict[str, list]:
+    """A row set's ID sets from the map tasks' partials of it."""
+    out = {}
+    for slot, source in enumerate(sources, start=1):
+        chunks = [p[slot] for p in partials if p[slot] is not None]
+        if chunks:
+            out[source] = chunks
+    return out
+
+
+def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
+    """Concatenate several replies' chunks of one row set, once per source."""
+    out: IdSets = {}
+    for sets in parts:
+        for source, chunks in sets.items():
+            out.setdefault(source, []).extend(chunks)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +367,11 @@ def _payload_nbytes(payload: Any) -> int:
 # Store-backed partitions arrive as PartitionRef descriptors (the dispatch
 # payload is a path + index, not pickled columns); resolve_partition maps
 # the worker's local slice through the per-process reader cache.
+#
+# A map task's partial of a row set is the tuple ``(payloads, chunk, ...)``:
+# payloads by alias, then one ID chunk per ``id_sources(q.aggs)`` entry
+# (``None``: no row).  Positional, not keyed: a grouped map emits one per
+# (group, partition); the driver / reducer builds the reply's ``IdSets``.
 # ---------------------------------------------------------------------------
 
 
@@ -345,54 +415,117 @@ def probe_join(
     return columns, probe_idx
 
 
-def partition_view(
-    part: Partition, q: ServerQuery, build: dict[str, Any] | None
-) -> tuple[dict[str, np.ndarray], np.ndarray] | None:
-    """Columns + global row IDs after the optional join."""
-    if build is None:
-        ids = np.arange(part.nrows, dtype=_U64) + _U64(part.start_id)
-        return dict(part.columns), ids
-    joined = probe_join(part, q, build)
-    if joined is None:
+def _ids_at(part: Partition, probe_idx: np.ndarray | None, sel: np.ndarray) -> np.ndarray:
+    """Global row IDs of the view rows ``sel``."""
+    pos = sel if probe_idx is None else probe_idx[sel]
+    return pos.astype(_U64) + _U64(part.start_id)
+
+
+def _flat_id_chunk(
+    source: str,
+    part: Partition,
+    columns: dict[str, np.ndarray],
+    mask: np.ndarray | None,
+    probe_idx: np.ndarray | None,
+    raw: bool,
+) -> Any:
+    """The selected rows' IDs under one source as one encoded chunk
+    (``None``: no row; ``raw``: the :class:`IdList` itself, which the
+    ``compress_at="driver"`` ablation ships to the driver)."""
+    if source == ROW_IDS and probe_idx is None:
+        if mask is None:
+            ids = IdList.from_range(part.start_id, part.start_id + part.nrows)
+        else:
+            ids = IdList.from_mask(mask, part.start_id)
+    else:
+        joined = source == BUILD_IDS
+        arr = columns[JOIN_IDS_COLUMN] if joined else probe_idx.astype(_U64) + _U64(part.start_id)
+        arr = arr if mask is None else arr[mask]
+        # Build rows repeat once per match -- and so do probe rows when
+        # duplicate build keys replicate them: each match summed the row's
+        # ciphertext again, so its ID must count once per match too.
+        if joined or bool(np.any(arr[1:] == arr[:-1])):
+            return encode_multiset(arr) if arr.size else None
+        ids = IdList.from_ids(arr)
+    if ids.is_empty():
         return None
-    columns, probe_idx = joined
-    ids = probe_idx.astype(_U64) + _U64(part.start_id)
-    return columns, ids
+    return ids if raw else get_codec(FLAT_CODEC).encode(ids)
 
 
 def flat_map_task(
     part: Partition | PartitionRef, q: ServerQuery, build: dict[str, Any] | None
-) -> dict[str, Any] | None:
-    """Per-partition partial aggregates for a flat (ungrouped) query."""
-    view = partition_view(resolve_partition(part), q, build)
+) -> tuple | None:
+    """One partition's partial of a flat (ungrouped) query's row set: the
+    selected rows' IDs are built and encoded once per source, whatever
+    the number of ASHE aggregates."""
+    part = resolve_partition(part)
+    # Without a join, view row j is partition row j (probe_idx None).
+    view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
         return None
-    columns, row_ids = view
-    nrows = len(row_ids)
+    columns, probe_idx = view
+    nrows = part.nrows if probe_idx is None else len(probe_idx)
     mask = eval_filter(columns, q.filter, nrows)
-    partials: dict[str, Any] = {}
+    partials = {
+        agg.alias: _flat_partial(agg, columns, mask, part, probe_idx) for agg in q.aggs
+    }
+    raw = q.compress_at == "driver"
+    return partials, *(
+        _flat_id_chunk(source, part, columns, mask, probe_idx, raw)
+        for source in id_sources(q.aggs)
+    )
+
+
+def _merge_flat(
+    q: ServerQuery, partials: list[tuple], final: bool
+) -> tuple[dict[str, Any], IdSets]:
+    """Driver-side merge of a flat request's per-partition partials.
+
+    ``final`` yields the reply: one payload per alias.  A shard worker
+    (``final=False``) yields *piece lists* for the coordinator's final
+    merge: associative payloads (wrapping ASHE sums, plain folds,
+    Paillier products, ORE local winners) pre-merged node-side to one
+    piece, gather-style ones (:data:`_GATHER_TAGS`) shipped raw.  Either
+    way the row set's chunks are collected once per source, and raw ID
+    lists (the ``compress_at="driver"`` ablation) are unioned and encoded
+    here, as one chunk -- the coordinator is a shard's client.
+    """
+    out: dict[str, Any] = {}
     for agg in q.aggs:
-        partials[agg.alias] = _flat_partial(agg, columns, mask, row_ids, q)
-    return partials
+        pieces = [p[0][agg.alias] for p in partials if p[0][agg.alias] is not None]
+        if final:
+            out[agg.alias] = merge_payloads(agg, pieces)
+        elif pieces and pieces[0][0] not in _GATHER_TAGS:
+            out[agg.alias] = [merge_payloads(agg, pieces)]
+        else:
+            out[agg.alias] = pieces
+    id_sets = _collect_id_sets(id_sources(q.aggs), partials)
+    for source, chunks in id_sets.items():
+        raw = [c for c in chunks if isinstance(c, IdList)]
+        if raw:
+            id_sets[source] = [c for c in chunks if not isinstance(c, IdList)]
+            id_sets[source].append(get_codec(FLAT_CODEC).encode(IdList.union_all(raw)))
+    return out, id_sets
 
 
 def grouped_map_task(
     part: Partition | PartitionRef, q: ServerQuery, build: dict[str, Any] | None
-) -> dict[tuple[int, int], dict[str, Any]]:
-    """Per-partition (group key, suffix) -> partial aggregates."""
+) -> dict[tuple[int, int], tuple]:
+    """Per-partition (group key, suffix) -> partial of the group's row set."""
     inflation = max(1, q.inflation)
-    view = partition_view(resolve_partition(part), q, build)
+    part = resolve_partition(part)
+    view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
         return {}
-    columns, row_ids = view
-    nrows = len(row_ids)
+    columns, probe_idx = view
+    nrows = part.nrows if probe_idx is None else len(probe_idx)
     mask = eval_filter(columns, q.filter, nrows)
     sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
     if sel.size == 0:
         return {}
     keys = columns[q.group_by][sel]
     keys = keys.astype(_U64, copy=False)
-    ids = row_ids[sel]
+    ids = _ids_at(part, probe_idx, sel)
     # Group-by optimisation (Section 4.5): append a pseudo-random
     # suffix to multiply the number of reduce keys.
     suffix = (ids % _U64(inflation)).astype(np.int64) if inflation > 1 else None
@@ -405,42 +538,64 @@ def grouped_map_task(
     sorted_keys = keys[order]
     sorted_ids = ids[order]
     sorted_sel = sel[order]
-    if sorted_keys.size == 0:
-        return {}
     new_group = np.empty(sorted_keys.size, dtype=bool)
     new_group[0] = True
     new_group[1:] = (sorted_keys[1:] != sorted_keys[:-1]) | (
         sorted_suffix[1:] != sorted_suffix[:-1]
     )
     starts = np.flatnonzero(new_group)
-    out: dict[tuple[int, int], dict[str, Any]] = {}
+    out: dict[tuple[int, int], tuple] = {}
     bounds = np.append(starts, sorted_keys.size)
     group_partials: dict[str, list[Any]] = {
-        agg.alias: _group_partials(
-            agg, columns, sorted_sel, sorted_ids, starts, bounds, q
-        )
+        agg.alias: _group_partials(agg, columns, sorted_sel, starts, bounds)
         for agg in q.aggs
     }
-    for g, start in enumerate(starts.tolist()):
-        key = int(sorted_keys[start])
-        sfx = int(sorted_suffix[start])
-        out[(key, sfx)] = {
-            agg.alias: group_partials[agg.alias][g] for agg in q.aggs
-        }
+    group_chunks = [
+        _group_id_chunks(
+            columns[JOIN_IDS_COLUMN][sorted_sel] if source == BUILD_IDS else sorted_ids,
+            starts, bounds, q,
+        )
+        for source in id_sources(q.aggs)
+    ]
+    group_keys = zip(sorted_keys[starts].tolist(), sorted_suffix[starts].tolist())
+    chunk_rows = zip(*group_chunks) if group_chunks else itertools.repeat(())
+    for g, (key, chunks) in enumerate(zip(group_keys, chunk_rows)):
+        out[key] = ({agg.alias: group_partials[agg.alias][g] for agg in q.aggs}, *chunks)
     return out
 
 
+def _group_id_chunks(
+    ids: np.ndarray, starts: np.ndarray, bounds: np.ndarray, q: ServerQuery
+) -> list[bytes]:
+    """Every group's ID chunk for one source, encoded once per partition."""
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    if q.join is not None:
+        unordered = ids[1:] <= ids[:-1]
+        unordered[starts[1:] - 1] = False  # a new group may start lower
+        if bool(unordered.any()):
+            # Join-replicated rows: a multiset inside some group.
+            return [encode_multiset(ids[lo:hi]) for lo, hi in spans]
+    if q.group_codec == "groupby":
+        # Vectorised VB+Diff for every group at once (Section 4.5's
+        # group-by codec), sliced per group from one shared stream.
+        return encode_groups_vb_diff(ids, starts, bounds)
+    codec = get_codec(q.group_codec)
+    return [codec.encode(IdList.from_ids(ids[lo:hi])) for lo, hi in spans]
+
+
 def group_reduce_task(
-    shard: dict[tuple[int, int], list[dict[str, Any]]], aggs: tuple[AggOp, ...]
-) -> list[tuple[int, int, dict[str, Any]]]:
-    """Merge one reducer's shard of (key, suffix) partials."""
-    merged: list[tuple[int, int, dict[str, Any]]] = []
+    shard: dict[tuple[int, int], list[tuple]], aggs: tuple[AggOp, ...]
+) -> list[tuple[int, int, dict[str, Any], IdSets]]:
+    """Merge one reducer's shard of (key, suffix) partials into row sets."""
+    sources = id_sources(aggs)
+    merged: list[tuple[int, int, dict[str, Any], IdSets]] = []
     for key, entries in shard.items():
+        payloads = [e[0] for e in entries]
         per_agg = {}
         for agg in aggs:
-            pieces = [e[agg.alias] for e in entries if e[agg.alias] is not None]
+            pieces = [p[agg.alias] for p in payloads if p[agg.alias] is not None]
             per_agg[agg.alias] = merge_payloads(agg, pieces)
-        merged.append((key[0], key[1], per_agg))
+        merged.append((key[0], key[1], per_agg, _collect_id_sets(sources, entries)))
     return merged
 
 
@@ -542,7 +697,7 @@ class SeabedServer:
         self._maybe_log_slow(q, metrics)
         return response
 
-    def _execute_query(self, q: ServerQuery) -> ServerResponse:
+    def _execute_query(self, q: ServerQuery, final: bool = True) -> ServerResponse:
         coordinator = self._sharded.get(q.table)
         if coordinator is not None:
             return coordinator.execute(q)
@@ -551,7 +706,7 @@ class SeabedServer:
         build = self._prepare_join(q, metrics)
         parts, skipped = self._surviving_partitions(table, q)
         if q.group_by is None:
-            response = self._execute_flat(q, parts, skipped, build, metrics)
+            response = self._execute_flat(q, parts, skipped, build, metrics, final)
         else:
             response = self._execute_grouped(q, parts, skipped, build, metrics)
         response.metrics = metrics
@@ -730,6 +885,7 @@ class SeabedServer:
         skipped: int,
         build: dict[str, Any] | None,
         metrics: JobMetrics,
+        final: bool,
     ) -> ServerResponse:
         # Under the processes backend, q and the broadcast build side are
         # pickled once per partition call -- the cost a real cluster pays
@@ -743,19 +899,16 @@ class SeabedServer:
         stage.partitions_total = len(parts) + skipped
         stage.partitions_skipped = skipped
         partials = [p for p in partials if p is not None]
-
-        def merge() -> dict[str, Any]:
-            out: dict[str, Any] = {}
-            for agg in q.aggs:
-                pieces = [p[agg.alias] for p in partials if p[agg.alias] is not None]
-                out[agg.alias] = merge_payloads(agg, pieces)
-            return out
-
-        flat = self.cluster.run_driver("merge", merge, metrics)
-        payload_bytes = sum(
-            _payload_nbytes(v) for v in flat.values() if v is not None
+        flat, id_sets = self.cluster.run_driver(
+            "merge" if final else "partial-merge",
+            lambda: _merge_flat(q, partials, final),
+            metrics,
         )
-        return ServerResponse(kind="flat", flat=flat, payload_bytes=payload_bytes)
+        payloads = flat.values() if final else itertools.chain.from_iterable(flat.values())
+        return ServerResponse(
+            kind="flat" if final else "partial", flat=flat, id_sets=id_sets,
+            payload_bytes=row_set_nbytes(payloads, id_sets),
+        )
 
     # -- shard-worker partial aggregation ---------------------------------------
 
@@ -763,16 +916,13 @@ class SeabedServer:
         """Execute ``q`` but stop before the final merge (shard workers).
 
         A shard worker runs this against its local slice of the table and
-        returns per-aggregate *piece lists*; the coordinator concatenates
-        the lists from every shard and applies the one final
-        :func:`merge_payloads` per aggregate, so the merged result is
-        bit-identical to single-store execution.  Associative payloads
-        (wrapping ASHE sums, plain folds, Paillier products, ORE local
-        winners) are pre-merged node-side to at most one piece -- the
-        node-side partial aggregation of the scatter-gather design --
-        while gather-style payloads (:data:`_GATHER_TAGS`: medians and
-        the ASHE raw-id ablation), whose final merge is not associative,
-        are shipped raw.
+        returns per-aggregate *piece lists* plus the shard's ID chunks;
+        the coordinator concatenates both from every shard and applies
+        the one final :func:`merge_payloads` per aggregate, so the merged
+        result is bit-identical to single-store execution
+        (:func:`_merge_flat` says what is pre-merged node-side).  The
+        shard's "client" is the coordinator: gathering the partials
+        crosses the cluster network once per shard.
 
         Grouped queries fall through to :meth:`execute`: every groupable
         partial is associative, so per-shard group results merge exactly
@@ -780,44 +930,7 @@ class SeabedServer:
         """
         if q.group_by is not None:
             return self.execute(q)
-        table = self.table(q.table)
-        metrics = self.cluster.new_job()
-        build = self._prepare_join(q, metrics)
-        parts, skipped = self._surviving_partitions(table, q)
-        calls = [(dispatch_payload(part), q, build) for part in parts]
-        partials, stage = self.cluster.map_stage(
-            "aggregate", flat_map_task, calls, metrics
-        )
-        stage.partitions_total = len(parts) + skipped
-        stage.partitions_skipped = skipped
-        partials = [p for p in partials if p is not None]
-
-        def premerge() -> dict[str, list[Any]]:
-            out: dict[str, list[Any]] = {}
-            for agg in q.aggs:
-                pieces = [
-                    p[agg.alias] for p in partials if p[agg.alias] is not None
-                ]
-                if pieces and pieces[0][0] not in _GATHER_TAGS:
-                    pieces = [merge_payloads(agg, pieces)]
-                out[agg.alias] = pieces
-            return out
-
-        flat = self.cluster.run_driver("partial-merge", premerge, metrics)
-        payload_bytes = sum(
-            _payload_nbytes(v)
-            for pieces in flat.values()
-            for v in pieces
-            if v is not None
-        )
-        response = ServerResponse(
-            kind="partial", flat=flat, payload_bytes=payload_bytes
-        )
-        response.metrics = metrics
-        # The shard's "client" is the coordinator: gathering the partials
-        # crosses the cluster network once per shard.
-        self.cluster.account_result_transfer(metrics, payload_bytes)
-        return response
+        return self._execute_query(q, final=False)
 
     # -- grouped aggregation ------------------------------------------------------
 
@@ -837,22 +950,21 @@ class SeabedServer:
         stage.partitions_skipped = skipped
 
         # Shuffle: every (key, suffix) partial crosses the network once.
-        shuffle_bytes = 0
-        for partial_map in map_out:
-            for per_agg in partial_map.values():
-                shuffle_bytes += 9 + sum(
-                    _payload_nbytes(v) for v in per_agg.values() if v is not None
-                )
+        shuffle_bytes = sum(
+            9 + row_set_nbytes(entry[0].values(), {}) + sum(map(len, entry[1:]))
+            for partial_map in map_out
+            for entry in partial_map.values()
+        )
         total_keys = len({k for partial_map in map_out for k in partial_map})
         num_reducers = max(1, min(self.cluster.config.cores, total_keys))
         # Few distinct keys mean few active receivers: the bandwidth
         # bottleneck group inflation exists to fix (Section 4.5).
         self.cluster.account_shuffle(metrics, shuffle_bytes, num_reducers)
 
-        def shard() -> list[dict[tuple[int, int], list[dict[str, Any]]]]:
+        def shard() -> list[dict[tuple[int, int], list[Any]]]:
             # The shuffle partitioner: each (key, suffix) entry is routed
             # to its reducer exactly once -- O(total entries).
-            shards: list[dict[tuple[int, int], list[dict[str, Any]]]] = [
+            shards: list[dict[tuple[int, int], list[Any]]] = [
                 {} for _ in range(num_reducers)
             ]
             for partial_map in map_out:
@@ -866,12 +978,16 @@ class SeabedServer:
         reduced, _ = self.cluster.map_stage(
             "group-reduce", group_reduce_task, reduce_calls, metrics
         )
-        groups = [entry for shard in reduced for entry in shard]
-        payload_bytes = sum(
-            9 + sum(_payload_nbytes(v) for v in per_agg.values() if v is not None)
-            for _, _, per_agg in groups
-        )
-        return ServerResponse(kind="grouped", groups=groups, payload_bytes=payload_bytes)
+        return grouped_response([entry for shard in reduced for entry in shard])
+
+
+def grouped_response(
+    groups: list[tuple[int, int, dict[str, Any], IdSets]]
+) -> ServerResponse:
+    payload_bytes = sum(
+        9 + row_set_nbytes(per_agg.values(), id_sets) for _, _, per_agg, id_sets in groups
+    )
+    return ServerResponse(kind="grouped", groups=groups, payload_bytes=payload_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -883,25 +999,15 @@ def _flat_partial(
     agg: AggOp,
     columns: dict[str, np.ndarray],
     mask: np.ndarray | None,
-    row_ids: np.ndarray,
-    q: ServerQuery,
+    part: Partition,
+    probe_idx: np.ndarray | None,
 ) -> Any:
     if isinstance(agg, AsheSum):
         cipher = columns[agg.column]
         selected = cipher if mask is None else cipher[mask]
-        total = int(np.add.reduce(selected)) & MASK64 if selected.size else 0
-        if agg.multiset:
-            ids_source = columns[JOIN_IDS_COLUMN]
-            arr = ids_source if mask is None else ids_source[mask]
-            if arr.size == 0:
-                return None
-            return ("ashe", total, [encode_multiset(arr)], True)
-        ids = _ids_from_mask(row_ids, mask)
-        if ids.is_empty():
+        if selected.size == 0:
             return None
-        if q.compress_at == "driver":
-            return ("ashe_raw", total, ids)
-        return ("ashe", total, [get_codec(agg.codec).encode(ids)], False)
+        return ("ashe", int(np.add.reduce(selected)) & MASK64)
     if isinstance(agg, PlainAgg):
         return _plain_partial(agg, columns, mask)
     if isinstance(agg, PaillierSum):
@@ -914,33 +1020,26 @@ def _flat_partial(
         for c in selected.tolist():
             total = (total * c) % n2
         return ("paillier", total)
-    if isinstance(agg, OreExtreme):
-        sel = (
-            np.arange(len(row_ids)) if mask is None else np.flatnonzero(mask)
-        )
+    if isinstance(agg, (OreExtreme, OreMedian)):
+        nrows = len(columns[agg.ore_column])
+        sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
         if sel.size == 0:
             return None
         cipher = columns[agg.ore_column][sel]
+        if isinstance(agg, OreMedian):
+            return (
+                "median_gather",
+                cipher,
+                columns[agg.payload_column][sel],
+                _ids_at(part, probe_idx, sel),
+            )
         winner = _ore_tournament(cipher, agg.kind)
-        row = int(sel[winner])
-        payload = columns[agg.payload_column][row]
+        row = sel[winner : winner + 1]
         return (
             "extreme",
-            _coerce_payload(payload),
-            int(row_ids[row]),
+            _coerce_payload(columns[agg.payload_column][row[0]]),
+            int(_ids_at(part, probe_idx, row)[0]),
             tuple(int(w) for w in cipher[winner]),
-        )
-    if isinstance(agg, OreMedian):
-        sel = (
-            np.arange(len(row_ids)) if mask is None else np.flatnonzero(mask)
-        )
-        if sel.size == 0:
-            return None
-        return (
-            "median_gather",
-            columns[agg.ore_column][sel],
-            columns[agg.payload_column][sel],
-            row_ids[sel],
         )
     raise ExecutionError(f"unknown aggregation op {type(agg).__name__}")
 
@@ -975,17 +1074,6 @@ def _plain_partial(
     if agg.func == "median":
         return ("median_gather_plain", selected)
     raise ExecutionError(f"unknown plain aggregation {agg.func!r}")
-
-
-def _ids_from_mask(row_ids: np.ndarray, mask: np.ndarray | None) -> IdList:
-    """Row IDs are globally contiguous per partition unless a join
-    reshuffled them; handle both."""
-    selected = row_ids if mask is None else row_ids[mask]
-    if selected.size == 0:
-        return IdList.empty()
-    if selected.size > 1 and bool(np.any(selected[1:] <= selected[:-1])):
-        selected = np.unique(selected)
-    return IdList.from_ids(selected)
 
 
 def _ore_tournament(cipher: np.ndarray, kind: str) -> int:
@@ -1028,7 +1116,7 @@ def _ore_quickselect(
 # changes the tag (gather -> final), so shard workers must ship these
 # pieces raw and let the coordinator merge exactly once.  Everything else
 # ("ashe", "plain" folds, "paillier", "extreme") pre-merges node-side.
-_GATHER_TAGS = frozenset({"ashe_raw", "median_gather", "median_gather_plain"})
+_GATHER_TAGS = frozenset({"median_gather", "median_gather_plain"})
 
 
 def merge_payloads(agg: AggOp, pieces: list[Any]) -> Any:
@@ -1036,21 +1124,10 @@ def merge_payloads(agg: AggOp, pieces: list[Any]) -> Any:
     if not pieces:
         return None
     if isinstance(agg, AsheSum):
-        if pieces and pieces[0][0] == "ashe_raw":
-            # Driver-side compression ablation: union + encode here.
-            total = 0
-            ids = IdList.union_all([p[2] for p in pieces])
-            for p in pieces:
-                total = (total + p[1]) & MASK64
-            return ("ashe", total, [get_codec(agg.codec).encode(ids)], False)
         total = 0
-        chunks: list[bytes] = []
-        multiset = False
         for p in pieces:
             total = (total + p[1]) & MASK64
-            chunks.extend(p[2])
-            multiset = multiset or p[3]
-        return ("ashe", total, chunks, multiset)
+        return ("ashe", total)
     if isinstance(agg, PlainAgg):
         if pieces[0][0] == "median_gather_plain":
             values = np.concatenate([p[1] for p in pieces])
@@ -1089,33 +1166,14 @@ def _group_partials(
     agg: AggOp,
     columns: dict[str, np.ndarray],
     sorted_sel: np.ndarray,
-    sorted_ids: np.ndarray,
     starts: np.ndarray,
     bounds: np.ndarray,
-    q: ServerQuery,
 ) -> list[Any]:
     """Per-group partials, vectorised where the operator allows."""
     ngroups = len(starts)
     if isinstance(agg, AsheSum):
         cipher = columns[agg.column][sorted_sel]
-        sums = np.add.reduceat(cipher, starts) if cipher.size else np.empty(0, _U64)
-        out: list[Any] = []
-        if agg.multiset:
-            join_ids = columns[JOIN_IDS_COLUMN][sorted_sel]
-            for g in range(ngroups):
-                lo, hi = int(bounds[g]), int(bounds[g + 1])
-                out.append(
-                    ("ashe", int(sums[g]) & MASK64,
-                     [encode_multiset(join_ids[lo:hi])], True)
-                )
-            return out
-        # Vectorised VB+Diff for every group at once (Section 4.5's
-        # group-by codec), sliced per group from one shared stream.
-        chunks = encode_groups_vb_diff(sorted_ids, starts, bounds)
-        sums_list = (sums & _U64(MASK64)).tolist()
-        return [
-            ("ashe", sums_list[g], [chunks[g]], False) for g in range(ngroups)
-        ]
+        return [("ashe", total) for total in np.add.reduceat(cipher, starts).tolist()]
     if isinstance(agg, PlainAgg):
         if agg.func == "count":
             return [("plain", int(bounds[g + 1] - bounds[g])) for g in range(ngroups)]

@@ -913,9 +913,8 @@ class _RequestBuilder:
         if cached is not None:
             return cached
         alias = self._tr._fresh_alias()
-        codec = "groupby" if self._group_by is not None else "seabed"
         self._main_aggs.append(
-            srv.AsheSum(column=column, alias=alias, codec=codec, multiset=multiset)
+            srv.AsheSum(column=column, alias=alias, multiset=multiset)
         )
         ref = (self._offset, alias)
         self._ashe_cache[(column, multiset)] = ref

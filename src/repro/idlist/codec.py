@@ -13,6 +13,11 @@ payload.  The stages mirror the paper exactly:
 Bitmap codecs bypass stages 1-3.  The named combinations in
 :data:`CODECS` are the exact series of Figure 8(a)/(b) plus the group-by
 codec (VB+Diff without ranges, Section 4.5) and baselines.
+
+A chunk encodes the IDs one partition selected for one *row set*: the
+server emits one chunk per partition for a flat request and one per
+(group, partition) for a grouped one -- never one per aggregate -- and
+the client decodes each exactly once (:mod:`repro.core.decryptor`).
 """
 
 from __future__ import annotations
@@ -293,9 +298,9 @@ def decode_chunks_batch(chunks: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     The client receives one encoded chunk per (group, partition) -- easily
     thousands per query -- so per-chunk Python overhead dominates naive
     decoding.  When every chunk uses the group-by VB+Diff format this
-    decodes the concatenated payload in a handful of numpy passes and
-    splits on vectorised chunk boundaries; other formats fall back to
-    per-chunk decoding.
+    joins the chunks whole, masks the header bytes out, decodes the
+    payload in a handful of numpy passes and splits on vectorised chunk
+    boundaries; other formats fall back to per-chunk decoding.
 
     Returns ``(ids, counts)`` where ``counts[i]`` is chunk ``i``'s ID count
     and ``ids`` is their concatenation in chunk order (duplicates preserved
@@ -303,34 +308,32 @@ def decode_chunks_batch(chunks: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """
     if not chunks:
         return np.empty(0, np.uint64), np.empty(0, np.int64)
-    if all(len(c) > 1 and c[0] == _FLAG_DIFF for c in chunks):
-        payload_lengths = np.asarray([len(c) - 1 for c in chunks], dtype=np.int64)
-        blob = b"".join(c[1:] for c in chunks)
-        raw = np.frombuffer(blob, dtype=np.uint8)
-        seq = varbyte.decode(blob)
+    lengths = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+    raw = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+    byte_ends = np.cumsum(lengths)
+    headers = byte_ends - lengths
+    if int(lengths.min()) > 1 and bool(np.all(raw[headers] == _FLAG_DIFF)):
+        is_payload = np.ones(raw.size, dtype=bool)
+        is_payload[headers] = False
+        payload = raw[is_payload]
+        seq = varbyte.decode(payload)
         # Values per chunk: terminal bytes (high bit clear) per byte span.
-        terminal_cum = np.cumsum((raw & 0x80) == 0)
-        byte_bounds = np.cumsum(payload_lengths)
-        value_bounds = terminal_cum[byte_bounds - 1]
-        counts = np.diff(np.concatenate([[0], value_bounds])).astype(np.int64)
-        starts = np.concatenate([[0], value_bounds[:-1]]).astype(np.int64)
+        terminal_cum = np.cumsum((payload & 0x80) == 0)
+        value_ends = terminal_cum[byte_ends - np.arange(1, len(chunks) + 1) - 1]
+        starts = np.zeros(len(chunks), dtype=np.int64)
+        starts[1:] = value_ends[:-1]
+        counts = value_ends - starts
         # Segmented cumsum: each chunk's first value is absolute.
         totals = np.cumsum(seq, dtype=np.uint64)
         base = np.zeros(len(chunks), dtype=np.uint64)
         base[1:] = totals[starts[1:] - 1]
-        ids = totals - np.repeat(base, counts)
-        return ids, counts
-    pieces: list[np.ndarray] = []
-    counts_list: list[int] = []
-    for chunk in chunks:
-        if is_multiset_payload(chunk):
-            arr = decode_multiset(chunk)
-        else:
-            arr = decode(chunk).to_ids()
-        pieces.append(arr)
-        counts_list.append(len(arr))
-    ids = np.concatenate(pieces) if pieces else np.empty(0, np.uint64)
-    return ids, np.asarray(counts_list, dtype=np.int64)
+        return totals - np.repeat(base, counts), counts
+    pieces = [
+        decode_multiset(c) if is_multiset_payload(c) else decode(c).to_ids()
+        for c in chunks
+    ]
+    counts = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    return np.concatenate(pieces), counts
 
 
 def get_codec(name: str) -> IdListCodec:

@@ -51,9 +51,10 @@ def encode_with_offsets(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     return out.tobytes(), offsets
 
 
-def decode(data: bytes) -> np.ndarray:
-    """Decode a variable-byte stream back into a uint64 array."""
-    if not data:
+def decode(data: bytes | np.ndarray) -> np.ndarray:
+    """Decode a variable-byte stream (bytes or a uint8 array) back into a
+    uint64 array."""
+    if len(data) == 0:
         return np.empty(0, _U64)
     b = np.frombuffer(data, dtype=np.uint8)
     terminal = (b & 0x80) == 0

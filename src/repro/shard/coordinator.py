@@ -496,7 +496,7 @@ class ShardCoordinator:
         responses: list[srv.ServerResponse],
         metrics: JobMetrics,
     ) -> srv.ServerResponse:
-        def merge() -> dict[str, Any]:
+        def merge() -> tuple[dict[str, Any], srv.IdSets]:
             out: dict[str, Any] = {}
             for agg in q.aggs:
                 pieces: list[Any] = []
@@ -505,14 +505,12 @@ class ShardCoordinator:
                         p for p in resp.flat.get(agg.alias, []) if p is not None
                     )
                 out[agg.alias] = srv.merge_payloads(agg, pieces)
-            return out
+            return out, srv.gather_id_sets(resp.id_sets for resp in responses)
 
-        flat = self.cluster.run_driver("gather-merge", merge, metrics)
-        payload_bytes = sum(
-            srv._payload_nbytes(v) for v in flat.values() if v is not None
-        )
+        flat, id_sets = self.cluster.run_driver("gather-merge", merge, metrics)
         return srv.ServerResponse(
-            kind="flat", flat=flat, payload_bytes=payload_bytes
+            kind="flat", flat=flat, id_sets=id_sets,
+            payload_bytes=srv.row_set_nbytes(flat.values(), id_sets),
         )
 
     def _merge_grouped(
@@ -521,33 +519,26 @@ class ShardCoordinator:
         responses: list[srv.ServerResponse],
         metrics: JobMetrics,
     ) -> srv.ServerResponse:
-        def merge() -> list[tuple[int, int, dict[str, Any]]]:
-            combined: dict[tuple[int, int], list[dict[str, Any]]] = {}
+        def merge() -> list[tuple[int, int, dict[str, Any], srv.IdSets]]:
+            combined: dict[tuple[int, int], list[Any]] = {}
             for resp in responses:
-                for key, sfx, per_agg in resp.groups:
-                    combined.setdefault((key, sfx), []).append(per_agg)
-            groups: list[tuple[int, int, dict[str, Any]]] = []
+                for key, sfx, per_agg, id_sets in resp.groups:
+                    combined.setdefault((key, sfx), []).append((per_agg, id_sets))
+            groups: list[tuple[int, int, dict[str, Any], srv.IdSets]] = []
             for (key, sfx), entries in combined.items():
                 per: dict[str, Any] = {}
                 for agg in q.aggs:
                     pieces = [
-                        e[agg.alias] for e in entries
+                        e[agg.alias] for e, _ in entries
                         if e.get(agg.alias) is not None
                     ]
                     per[agg.alias] = srv.merge_payloads(agg, pieces)
-                groups.append((key, sfx, per))
+                ids = srv.gather_id_sets(ids for _, ids in entries)
+                groups.append((key, sfx, per, ids))
             return groups
 
         groups = self.cluster.run_driver("gather-merge", merge, metrics)
-        payload_bytes = sum(
-            9 + sum(
-                srv._payload_nbytes(v) for v in per.values() if v is not None
-            )
-            for _, _, per in groups
-        )
-        return srv.ServerResponse(
-            kind="grouped", groups=groups, payload_bytes=payload_bytes
-        )
+        return srv.grouped_response(groups)
 
     def scan(
         self,

@@ -5,8 +5,12 @@ the decryptor's own contract: payload handling, chunk accumulation,
 validation, and group-key decoding.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import server as srv
 from repro.core.crypto_factory import CryptoFactory
@@ -43,9 +47,16 @@ def env():
     return state, factory, translator
 
 
+AGGS = {"a": srv.AsheSum("x__ashe", "a")}
+
+
+def flat_reply(flat, id_sets=None):
+    return srv.ServerResponse(kind="flat", flat=flat, id_sets=id_sets or {})
+
+
 class TestPayloadDecryption:
     def test_ashe_chunk_accumulation(self, env):
-        """Multiple worker chunks accumulate pads chunk-by-chunk."""
+        """A row set's chunks are unioned once, then padded per column."""
         state, factory, _ = env
         scheme = factory.ashe("x__ashe")
         values = np.array([10, 20, 30, 40], dtype=np.int64)
@@ -55,9 +66,14 @@ class TestPayloadDecryption:
         chunk2 = codec.encode(IdList.from_range(2, 4))
         total = int(cipher.sum()) & (2**64 - 1)
         module = DecryptionModule(state, factory)
-        agg = srv.AsheSum("x__ashe", "a")
-        got = module._decrypt_payload(("ashe", total, [chunk1, chunk2], False), agg)
-        assert got == 100
+        before = scheme.prf_evals
+        opened = module._open_row_set(
+            {"a": ("ashe", total)}, {srv.ROW_IDS: [chunk1, chunk2]}, AGGS
+        )
+        assert opened.values == {"a": 100}
+        assert opened.counts == {srv.ROW_IDS: 4}
+        # The touching chunks coalesced into one run: two PRF evaluations.
+        assert scheme.prf_evals - before == 2
 
     def test_multiset_chunk(self, env):
         state, factory, _ = env
@@ -68,45 +84,147 @@ class TestPayloadDecryption:
         total = int(cipher[0]) * 2 + int(cipher[1])
         chunk = encode_multiset(np.array([0, 0, 1], dtype=np.uint64))
         module = DecryptionModule(state, factory)
-        agg = srv.AsheSum("x__ashe", "a", multiset=True)
-        got = module._decrypt_payload(("ashe", total & (2**64 - 1), [chunk], True), agg)
-        assert got == 7 * 2 + 8
+        aggs = {"a": srv.AsheSum("x__ashe", "a", multiset=True)}
+        opened = module._open_row_set(
+            {"a": ("ashe", total & (2**64 - 1))}, {srv.BUILD_IDS: [chunk]}, aggs
+        )
+        assert opened.values == {"a": 7 * 2 + 8}
+        assert opened.counts == {srv.BUILD_IDS: 3}
+
+    def test_mixed_run_and_multiset_chunks(self, env):
+        """A probe-side set may mix run-coded and multiset chunks (one
+        partition saw duplicate build keys, another did not)."""
+        state, factory, _ = env
+        scheme = factory.ashe("x__ashe")
+        cipher = scheme.encrypt_column(np.array([1, 2, 3], dtype=np.int64), start_id=0)
+        total = (int(cipher[0]) + 2 * int(cipher[1]) + int(cipher[2])) & (2**64 - 1)
+        chunks = [
+            get_codec("seabed").encode(IdList.from_range(0, 1)),
+            encode_multiset(np.array([1, 1, 2], dtype=np.uint64)),
+        ]
+        opened = DecryptionModule(state, factory)._open_row_set(
+            {"a": ("ashe", total)}, {srv.ROW_IDS: chunks}, AGGS
+        )
+        assert opened.values == {"a": 1 + 2 * 2 + 3}
+        assert opened.counts == {srv.ROW_IDS: 4}
 
     def test_none_payload(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory)
-        assert module._decrypt_payload(None, srv.AsheSum("x__ashe", "a")) is None
+        opened = module._open_row_set({"a": None}, {}, AGGS)
+        assert opened.values == {"a": None} and opened.counts == {}
 
     def test_plain_payload(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory)
-        assert module._decrypt_payload(("plain", 42), srv.PlainAgg("x", "sum", "a")) == 42
+        assert module._decrypt_payload(("plain", 42), srv.PlainAgg("x", "sum", "a"), {}) == 42
 
     def test_paillier_without_scheme_rejected(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory, paillier=None)
         with pytest.raises(DecryptionError, match="paillier"):
-            module._decrypt_payload(("paillier", 123), srv.PaillierSum("c", "a", 99))
+            module._decrypt_payload(("paillier", 123), srv.PaillierSum("c", "a", 99), {})
 
     def test_unknown_tag_rejected(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory)
         with pytest.raises(DecryptionError, match="unknown payload"):
-            module._decrypt_payload(("mystery", 1), srv.PlainAgg("x", "sum", "a"))
+            module._decrypt_payload(("mystery", 1), srv.PlainAgg("x", "sum", "a"), {})
 
-    def test_count_from_payload(self, env):
-        state, factory, _ = env
-        module = DecryptionModule(state, factory)
-        codec = get_codec("seabed")
-        chunk = codec.encode(IdList.from_range(5, 15))
-        assert module._count_from_payload(("ashe", 0, [chunk], False)) == 10
-        assert module._count_from_payload(None) == 0
 
-    def test_count_requires_ashe(self, env):
-        state, factory, _ = env
+class TestMalformedReplies:
+    """A reply whose ASHE sum lost its ID set, or whose set is damaged,
+    is a typed DecryptionError -- never an unpadded (wrong) number."""
+
+    CHUNK = get_codec("seabed").encode(IdList.from_range(5, 15))
+
+    @pytest.mark.parametrize("id_sets", [
+        {},  # no set at all
+        {srv.BUILD_IDS: [CHUNK]},  # only the other source's set
+        {srv.ROW_IDS: []},  # a set with no chunk
+        {srv.ROW_IDS: [get_codec("seabed").encode(IdList.empty())]},  # an empty set
+    ], ids=["missing", "wrong-source", "no-chunks", "empty"])
+    def test_flat_sum_without_ids(self, env, id_sets):
+        state, factory, translator = env
+        tq = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))
+        alias = tq.requests[0].aggs[0].alias
+        reply = flat_reply({alias: ("ashe", 12345)}, id_sets)
+        with pytest.raises(DecryptionError, match="without its ID set"):
+            DecryptionModule(state, factory).decrypt(tq, [reply])
+
+    @pytest.mark.parametrize("mangle", [
+        lambda c: c[: len(c) // 2],  # truncated Deflate stream
+        lambda c: c[:1],  # header only
+        lambda c: b"",  # empty chunk
+        lambda c: bytes([c[0] & ~0x04]) + c[1:],  # Deflate flag cleared
+    ], ids=["truncated", "header-only", "empty", "flag-flip"])
+    def test_flat_damaged_chunk(self, env, mangle):
+        state, factory, translator = env
+        tq = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))
+        alias = tq.requests[0].aggs[0].alias
+        reply = flat_reply({alias: ("ashe", 12345)}, {srv.ROW_IDS: [mangle(self.CHUNK)]})
+        with pytest.raises(DecryptionError):
+            DecryptionModule(state, factory).decrypt(tq, [reply])
+
+    def test_grouped_sum_without_ids(self, env):
+        state, factory, translator = env
+        tq = translator.translate(parse_query("SELECT g, sum(x) FROM t GROUP BY g"))
+        alias = tq.requests[0].aggs[0].alias
+        key = factory.det("g__det").encrypt_one(3)
+        good = get_codec("groupby").encode(IdList.from_range(0, 4))
+        reply = srv.ServerResponse(kind="grouped", groups=[
+            (key, 0, {alias: ("ashe", 1)}, {srv.ROW_IDS: [good]}),
+            (key + 1, 0, {alias: ("ashe", 2)}, {}),
+        ])
+        with pytest.raises(DecryptionError, match="without its ID set"):
+            DecryptionModule(state, factory).decrypt(tq, [reply])
+
+    def test_grouped_damaged_chunk(self, env):
+        state, factory, translator = env
+        tq = translator.translate(parse_query("SELECT g, sum(x) FROM t GROUP BY g"))
+        alias = tq.requests[0].aggs[0].alias
+        key = factory.det("g__det").encrypt_one(3)
+        dangling = bytes([0x02, 0x85])  # VB+Diff header, continuation never ends
+        reply = srv.ServerResponse(kind="grouped", groups=[
+            (key, 0, {alias: ("ashe", 1)}, {srv.ROW_IDS: [dangling]}),
+        ])
+        with pytest.raises(DecryptionError, match="malformed ID set"):
+            DecryptionModule(state, factory).decrypt(tq, [reply])
+
+    @given(chunks=st.lists(st.binary(max_size=40), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_chunk_bytes_never_escape_untyped(self, env, chunks):
+        """Whatever bytes arrive as an ID set, flat or grouped, the outcome
+        is rows or a DecryptionError -- never a zlib / numpy exception."""
+        state, factory, translator = env
         module = DecryptionModule(state, factory)
-        with pytest.raises(DecryptionError, match="ASHE payload"):
-            module._count_from_payload(("plain", 3))
+        flat = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))
+        grouped = translator.translate(parse_query("SELECT g, sum(x) FROM t GROUP BY g"))
+        key = factory.det("g__det").encrypt_one(3)
+        for tq, reply in (
+            (flat, flat_reply({flat.requests[0].aggs[0].alias: ("ashe", 7)},
+                              {srv.ROW_IDS: chunks})),
+            (grouped, srv.ServerResponse(kind="grouped", groups=[
+                (key, 0, {grouped.requests[0].aggs[0].alias: ("ashe", 7)},
+                 {srv.ROW_IDS: chunks}),
+            ])),
+        ):
+            try:
+                module.decrypt(tq, [reply])
+            except DecryptionError:
+                pass
+
+    def test_count_ids_requires_ashe(self, env):
+        state, factory, translator = env
+        tq = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))
+        (agg,) = tq.requests[0].aggs
+        forged = [srv.ServerQuery(table="t", aggs=(srv.PlainAgg("x", "sum", agg.alias),))]
+        tq = dataclasses.replace(tq, requests=forged)
+        with pytest.raises(DecryptionError, match="ASHE aggregate"):
+            DecryptionModule(state, factory).decrypt(
+                tq, [flat_reply({agg.alias: ("plain", 3)})]
+            )
 
 
 class TestResponseValidation:

@@ -5,6 +5,8 @@ ciphertexts, checking filter/aggregate/group mechanics in isolation; the
 full encrypted pipeline is covered by the integration tests.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,9 +103,9 @@ class TestFlatAggregation:
             filter=srv.PlainCmp("f", "<", 50),
         )
         resp = server.execute(q)
-        tag, total, chunks, multiset = resp.flat["s"]
-        assert tag == "ashe" and not multiset
-        ids = [codec_decode(c) for c in chunks]
+        tag, total = resp.flat["s"]
+        assert tag == "ashe"
+        ids = [codec_decode(c) for c in resp.id_sets[srv.ROW_IDS]]
         combined = ids[0]
         for extra in ids[1:]:
             combined = combined.union(extra)
@@ -129,12 +131,33 @@ class TestFlatAggregation:
             q = srv.ServerQuery(
                 table="t", aggs=(srv.AsheSum("v__ashe", "s"),), compress_at=site
             )
-            tag, total, chunks, _ = server.execute(q).flat["s"]
+            resp = server.execute(q)
+            assert resp.flat["s"][0] == "ashe" and len(resp.flat["s"]) == 2
+            chunks = resp.id_sets[srv.ROW_IDS]
             ids = codec_decode(chunks[0]) if len(chunks) == 1 else None
             if site == "driver":
                 # Driver mode unions to a single chunk spanning the table.
                 assert len(chunks) == 1
                 assert ids.count() == 100
+
+    def test_id_set_travels_once_per_row_set(self, cluster):
+        """Four ASHE sums over the same rows share one ID set: one chunk
+        per partition, counted once in the reply's bytes."""
+        cols = {f"c{i}__ashe": np.arange(40, dtype=np.uint64) + np.uint64(i) for i in range(4)}
+        server = make_server(cluster, {**cols, "f": np.arange(40)}, parts=4)
+        aggs = tuple(srv.AsheSum(name, f"a{i}") for i, name in enumerate(cols))
+        resp = server.execute(
+            srv.ServerQuery(table="t", aggs=aggs, filter=srv.PlainCmp("f", "<", 25))
+        )
+        assert all(resp.flat[a.alias] == ("ashe", sum(range(25)) + 25 * i)
+                   for i, a in enumerate(aggs))
+        chunks = resp.id_sets[srv.ROW_IDS]
+        assert list(resp.id_sets) == [srv.ROW_IDS] and len(chunks) == 3  # 4th is empty
+        union = codec_decode(chunks[0]).union(codec_decode(chunks[1])).union(
+            codec_decode(chunks[2]))
+        assert union == srv.IdList.from_range(0, 25)
+        assert resp.payload_bytes == 8 * 4 + sum(map(len, chunks))
+        assert resp.metrics.result_bytes == resp.payload_bytes
 
     def test_metrics_populated(self, cluster):
         server = make_server(cluster, {"v": np.arange(10, dtype=np.int64)})
@@ -197,7 +220,7 @@ class TestGroupBy:
         resp = server.execute(q)
         assert resp.kind == "grouped"
         totals = {}
-        for key, _suffix, payloads in resp.groups:
+        for key, _suffix, payloads, _ids in resp.groups:
             totals[key] = totals.get(key, 0) + payloads["s"][1]
         assert totals == {0: 40, 1: 60, 2: 50}
 
@@ -211,10 +234,32 @@ class TestGroupBy:
                                    group_by="k", inflation=4)
         r1 = server.execute(base)
         r4 = server.execute(inflated)
-        assert len({(k, s) for k, s, _ in r1.groups}) == 1
-        assert len({(k, s) for k, s, _ in r4.groups}) == 4
-        assert sum(p["s"][1] for _, _, p in r1.groups) == 64
-        assert sum(p["s"][1] for _, _, p in r4.groups) == 64
+        assert len({(k, s) for k, s, _, _ in r1.groups}) == 1
+        assert len({(k, s) for k, s, _, _ in r4.groups}) == 4
+        assert sum(p["s"][1] for _, _, p, _ in r1.groups) == 64
+        assert sum(p["s"][1] for _, _, p, _ in r4.groups) == 64
+
+    @pytest.mark.parametrize("group_codec", ["groupby", "seabed"])
+    def test_group_ids_use_the_request_codec(self, cluster, group_codec):
+        keys = np.arange(40, dtype=np.int64) % 3
+        cols = {"k": keys, "a__ashe": np.ones(40, np.uint64), "b__ashe": np.ones(40, np.uint64)}
+        server = make_server(cluster, cols, parts=2)
+        resp = server.execute(srv.ServerQuery(
+            table="t", aggs=(srv.AsheSum("a__ashe", "a"), srv.AsheSum("b__ashe", "b")),
+            group_by="k", group_codec=group_codec,
+        ))
+        want = srv.get_codec(group_codec)
+        for key, _suffix, payloads, id_sets in resp.groups:
+            rows = np.flatnonzero(keys == key).astype(np.uint64)
+            assert payloads == {"a": ("ashe", rows.size), "b": ("ashe", rows.size)}
+            chunks = id_sets[srv.ROW_IDS]  # one per partition, shared by a and b
+            assert chunks == [
+                want.encode(srv.IdList.from_ids(rows[rows < 20])),
+                want.encode(srv.IdList.from_ids(rows[rows >= 20])),
+            ]
+        assert resp.payload_bytes == sum(
+            9 + 16 + sum(map(len, ids[srv.ROW_IDS])) for *_, ids in resp.groups
+        )
 
     def test_grouped_shuffle_accounted(self, cluster):
         keys = np.arange(50, dtype=np.int64) % 5
@@ -260,11 +305,44 @@ class TestJoin:
             ),
         )
         resp = server.execute(q)
-        tag, total, chunks, multiset = resp.flat["s"]
-        assert multiset
+        tag, total = resp.flat["s"]
+        chunks = resp.id_sets[srv.BUILD_IDS]
         from repro.idlist.codec import decode_multiset
         pad = sum(scheme.pad_for_multiset(decode_multiset(c)) for c in chunks)
         from repro.crypto.ashe import to_signed
         got = to_signed((total + pad) & (2**64 - 1))
         # 2x100 + 1x200 + 3x300 = 1300
         assert got == 1300
+
+    def test_duplicate_build_keys_make_the_probe_ids_a_multiset(self, cluster):
+        """A probe row matching two build rows is summed twice, so its ID
+        travels twice (a multiset chunk), never deduplicated."""
+        from repro.idlist.codec import decode_multiset, is_multiset_payload
+
+        build = Table.from_columns("build", {
+            "key": np.array([0, 0, 1], dtype=np.uint64),
+            "w": np.array([1, 2, 3], dtype=np.int64),
+        }, num_partitions=1)
+        probe = Table.from_columns("probe", {
+            "fk": np.array([0, 1, 1, 2], dtype=np.uint64),
+            "v__ashe": np.array([10, 20, 30, 40], dtype=np.uint64),
+        }, num_partitions=2)
+        server = srv.SeabedServer(cluster)
+        server.register(build)
+        server.register(probe)
+        q = srv.ServerQuery(
+            table="probe",
+            aggs=(srv.AsheSum("v__ashe", "s"),),
+            join=srv.ServerJoin(
+                build_table="build", probe_key_column="fk",
+                build_key_column="key", payload_columns=("w",),
+            ),
+        )
+        resp = server.execute(q)
+        assert resp.flat["s"] == ("ashe", 2 * 10 + 20 + 30)
+        first, second = resp.id_sets[srv.ROW_IDS]
+        assert is_multiset_payload(first) and decode_multiset(first).tolist() == [0, 0, 1]
+        assert codec_decode(second) == srv.IdList.from_ids(np.array([2], np.uint64))
+        grouped = server.execute(dataclasses.replace(q, group_by="fk"))
+        ids = {key: sets[srv.ROW_IDS] for key, _sfx, _p, sets in grouped.groups}
+        assert decode_multiset(ids[0][0]).tolist() == [0, 0]

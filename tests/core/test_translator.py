@@ -237,7 +237,7 @@ class TestGroupByRewrites:
         tq = translator.translate(
             parse_query("SELECT year, sum(amount) FROM t GROUP BY year")
         )
-        assert tq.requests[0].aggs[0].codec == "groupby"
+        assert tq.requests[0].group_codec == "groupby"
 
 
 class TestInflationFactor:

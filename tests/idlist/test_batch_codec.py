@@ -9,8 +9,10 @@ from repro.idlist import IdList, get_codec
 from repro.idlist.codec import (
     decode,
     decode_chunks_batch,
+    decode_multiset,
     encode_groups_vb_diff,
     encode_multiset,
+    is_multiset_payload,
 )
 from repro.idlist.varbyte import encode_with_offsets
 
@@ -91,6 +93,28 @@ class TestDecodeChunksBatch:
         assert counts.tolist() == [10, 3]
         assert ids[:10].tolist() == list(range(10))
         assert ids[10:].tolist() == [5, 5, 7]
+
+    def test_one_foreign_chunk_among_group_chunks_falls_back(self):
+        """The fast path needs *every* chunk in VB+Diff form: one run-coded,
+        multiset or header-only chunk anywhere sends the whole batch down
+        the per-chunk path, with identical output."""
+        rng = np.random.default_rng(3)
+        ids, starts, bounds = _grouped_ids(rng, 4, [3, 7, 2, 5])
+        vb = encode_groups_vb_diff(ids, starts, bounds)
+        foreign = [
+            get_codec("seabed").encode(IdList.from_range(100, 140)),
+            encode_multiset(np.array([9, 9, 11], dtype=np.uint64)),
+            get_codec("groupby").encode(IdList.empty()),  # header byte only
+        ]
+        for pos, chunk in enumerate(foreign):
+            chunks = vb[: pos + 1] + [chunk] + vb[pos + 1:]
+            got_ids, counts = decode_chunks_batch(chunks)
+            want = [
+                decode_multiset(c) if is_multiset_payload(c) else decode(c).to_ids()
+                for c in chunks
+            ]
+            assert counts.tolist() == [len(w) for w in want]
+            assert got_ids.tolist() == np.concatenate(want).tolist()
 
     def test_empty_list(self):
         ids, counts = decode_chunks_batch([])

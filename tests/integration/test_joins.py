@@ -80,6 +80,38 @@ def test_join_matches_ground_truth(mode, sql, tables, schemas):
     assert normalise(got.rows) == normalise(want)
 
 
+@pytest.fixture(scope="module")
+def fanout_tables(tables):
+    """``rankings`` lists ten URLs twice: those visits join two build rows."""
+    rankings, uservisits = tables
+    rng = np.random.default_rng(12)
+    rankings = {
+        "pageURL": np.concatenate([rankings["pageURL"], rankings["pageURL"][:10]]),
+        "pageRank": np.concatenate([rankings["pageRank"], rng.integers(1, 100, 10)]),
+    }
+    return rankings, uservisits
+
+
+@pytest.mark.parametrize("mode", ["plain", "seabed", "paillier"])
+@pytest.mark.parametrize("sql", [Q3_FLAT, Q3])
+def test_join_with_duplicate_build_keys(mode, sql, tables, fanout_tables, schemas):
+    """A probe row matching several build rows is summed once per match,
+    so its ID must be padded (and counted) once per match too: the
+    probe-side ID set is a multiset, never deduplicated."""
+    rankings, uservisits = fanout_tables
+    client = build_client(mode, fanout_tables, schemas)
+    want = execute_plain(
+        {"rankings": rankings, "uservisits": uservisits}, parse_query(sql)
+    )
+    got = client.query(sql, expected_groups=15)
+    assert normalise(got.rows) == normalise(want)
+    if sql == Q3_FLAT:  # the probe rows did fan out
+        unique = execute_plain(
+            {"rankings": tables[0], "uservisits": uservisits}, parse_query(sql)
+        )
+        assert want[0]["count(*)"] > unique[0]["count(*)"]
+
+
 def test_join_ciphertexts_match_across_tables(tables, schemas):
     """The shared join group gives both DET columns the same key, so the
     server can match ciphertexts without learning URLs."""

@@ -148,7 +148,7 @@ def test_server_query_roundtrip():
     q = srv.ServerQuery(
         table="sales",
         aggs=(
-            srv.AsheSum(column="rev_ashe", alias="s", codec="range"),
+            srv.AsheSum(column="rev_ashe", alias="s", multiset=True),
             srv.PaillierSum(column="rev_phe", alias="p", n_squared=7**40),
             srv.OreExtreme(kind="max", ore_column="c_ore", payload_column="c", alias="m"),
             srv.PlainAgg(column=None, func="count", alias="n"),
@@ -184,9 +184,11 @@ def test_server_response_roundtrip():
     metrics.add_stage(StageMetrics("merge", [0.01], wall_time=0.01, driver=True))
     resp = srv.ServerResponse(
         kind="grouped",
-        flat={"total": ("ashe", 3, [b"\x01\x02", b""], True)},
+        flat={"total": ("ashe", 3)},
+        id_sets={srv.BUILD_IDS: [b"\x01\x02", b""]},
         groups=[
-            (7, 0, {"s": ("paillier", 10**45), "m": ("extreme", 5, 2, (1, 0, 2))}),
+            (7, 0, {"s": ("paillier", 10**45), "m": ("extreme", 5, 2, (1, 0, 2))},
+             {srv.ROW_IDS: [b"\x02\x05"]}),
         ],
         metrics=metrics,
         payload_bytes=4096,
@@ -194,6 +196,7 @@ def test_server_response_roundtrip():
     got = roundtrip(resp, kind="rep")
     assert got.kind == resp.kind
     assert got.flat == resp.flat
+    assert got.id_sets == resp.id_sets
     assert got.groups == resp.groups
     assert got.payload_bytes == resp.payload_bytes
     assert got.metrics == resp.metrics
@@ -218,6 +221,35 @@ def test_version_skew_rejected():
     frame[8:10] = struct.pack("<H", codec.WIRE_VERSION + 1)
     with pytest.raises(CodecError, match="version skew"):
         codec.decode_frame(bytes(frame))
+
+
+def test_previous_wire_version_rejected():
+    """v2 replies nested ID chunks inside every ASHE payload; a v2 peer
+    must fail the handshake typed, not be mis-parsed."""
+    assert codec.WIRE_VERSION == 3
+    frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
+    frame[8:10] = struct.pack("<H", 2)
+    with pytest.raises(CodecError, match="peer speaks v2, this end v3"):
+        codec.decode_frame(bytes(frame))
+
+
+def test_reply_frame_carries_an_id_chunk_once_per_row_set():
+    chunk = b"\x07" + bytes(range(256)) * 2
+    def reply(n):
+        return srv.ServerResponse(
+            kind="flat", flat={f"a{i}": ("ashe", i) for i in range(n)},
+            id_sets={srv.ROW_IDS: [chunk]},
+        )
+    one, twelve = (codec.encode_frame("rep", reply(n)) for n in (1, 12))
+    assert twelve.count(chunk) == 1
+    assert len(twelve) - len(one) < len(chunk)  # eleven more sums, no more IDs
+    got = codec.decode_frame(twelve)[1]
+    assert got.id_sets == {srv.ROW_IDS: [chunk]} and got.flat["a11"] == ("ashe", 11)
+    # A reply cut short inside its ID chunk is a typed codec error.
+    with pytest.raises(CodecError):
+        codec.decode_frame(twelve[:-100])
+    with pytest.raises(CodecError, match="truncated frame buffers"):
+        codec.decode_payload(twelve[4:-100])
 
 
 def test_bad_magic_rejected():
@@ -270,7 +302,7 @@ filters = st.recursive(
     max_leaves=5,
 )
 aggregates = st.one_of(
-    st.builds(srv.AsheSum, column=names, alias=st.text(max_size=4), codec=st.just("range")),
+    st.builds(srv.AsheSum, column=names, alias=st.text(max_size=4), multiset=st.booleans()),
     st.builds(srv.PaillierSum, column=names, alias=st.text(max_size=4),
               n_squared=st.integers(2, 10**80)),
     st.builds(srv.OreExtreme, kind=st.sampled_from(["min", "max"]), ore_column=names,
@@ -289,8 +321,7 @@ queries = st.builds(
     inflation=st.integers(1, 4),
 )
 payloads = st.one_of(
-    st.tuples(st.just("ashe"), st.integers(0, 2**32),
-              st.lists(st.binary(max_size=24), max_size=3), st.booleans()),
+    st.tuples(st.just("ashe"), st.integers(0, 2**64 - 1)),
     st.tuples(st.just("paillier"), st.integers(0, 10**80)),
     st.tuples(st.just("extreme"), u64, u64),
     st.tuples(st.just("plain"), st.integers(-(2**62), 2**62)),
@@ -311,14 +342,22 @@ job_metrics = st.builds(
     queue_wait=seconds,
 )
 aliases = st.text(max_size=4)
+id_sets = st.dictionaries(st.sampled_from([srv.ROW_IDS, srv.BUILD_IDS]),
+                          st.lists(st.binary(max_size=24), max_size=3))
 responses = st.one_of(
+    st.builds(srv.ServerResponse, kind=st.just("flat"),
+              flat=st.dictionaries(aliases, st.none() | payloads, max_size=3),
+              id_sets=id_sets,
+              metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("partial"),
               flat=st.dictionaries(aliases, st.lists(payloads, max_size=3), max_size=3),
+              id_sets=id_sets,
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("grouped"),
               groups=st.lists(
                   st.tuples(u64, st.integers(0, 3),
-                            st.dictionaries(aliases, st.none() | payloads, max_size=3)),
+                            st.dictionaries(aliases, st.none() | payloads, max_size=3),
+                            id_sets),
                   max_size=4),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("scan"),
