@@ -31,7 +31,6 @@ typed :class:`~repro.errors.DecryptionError`, never a number.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -63,14 +62,11 @@ class _IdSet(NamedTuple):
 def _decode_id_set(chunks: list[bytes]) -> _IdSet:
     runs: list[IdList] = []
     multiset = [np.empty(0, np.uint64)]
-    try:
-        for chunk in chunks:
-            if idcodec.is_multiset_payload(chunk):
-                multiset.append(idcodec.decode_multiset(chunk))
-            else:
-                runs.append(idcodec.decode(chunk))
-    except (EncodingError, zlib.error, ValueError) as exc:
-        raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
+    for chunk in chunks:
+        if idcodec.is_multiset_payload(chunk):
+            multiset.append(idcodec.decode_multiset(chunk))
+        else:
+            runs.append(idcodec.decode(chunk))
     merged, dupes = IdList.union_all(runs), np.concatenate(multiset)
     return _IdSet(merged, dupes, merged.count() + len(dupes))
 
@@ -116,10 +112,13 @@ class DecryptionModule:
         replies = []
         for request, response in zip(tq.requests, responses):
             aggs = {agg.alias: agg for agg in request.aggs}
-            if response.kind == "grouped":
-                opened = self._open_grouped(response, aggs)
-            else:
-                opened = self._open_row_set(response.flat, response.id_sets, aggs)
+            try:  # the ID-list decoders' one error type: damaged chunk bytes
+                if response.kind == "grouped":
+                    opened = self._open_grouped(response, aggs)
+                else:
+                    opened = self._open_row_set(response.flat, response.id_sets, aggs)
+            except EncodingError as exc:
+                raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
             replies.append(_Reply(response, aggs, opened))
         if tq.shape == "flat":
             row = {
@@ -243,12 +242,9 @@ class DecryptionModule:
         decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for source in srv.id_sources(aggs.values()):
             per_key = [sets.get(source, ()) for sets in key_sets]
-            try:
-                ids, per_chunk = idcodec.decode_chunks_batch(
-                    [c for part in per_key for c in part]
-                )
-            except (EncodingError, zlib.error, ValueError) as exc:
-                raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
+            ids, per_chunk = idcodec.decode_chunks_batch(
+                [c for part in per_key for c in part]
+            )
             # Chunks were flattened in key order, so each key's IDs are one
             # contiguous slice of ``ids``, delimited by ``bounds``.
             chunk_ends = np.cumsum(np.fromiter(map(len, per_key), np.int64, len(per_key)))

@@ -19,7 +19,7 @@ Supported physical operations:
 - ORE min/max via a vectorised pairwise tournament and median via
   quickselect, using only the public Compare;
 - group-by with per-group ASHE sums, one ID chunk per (group, partition)
-  (``ServerQuery.group_codec``: VB+Diff, no ranges -- Section 4.5) and
+  (:data:`GROUP_CODEC`: VB+Diff, no ranges -- Section 4.5) and
   the optional *group inflation* optimisation that appends a
   pseudo-random suffix to group keys so small result sets still use all
   reducers;
@@ -197,8 +197,9 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
 ROW_IDS = "rows"  # the query table's selected rows
 BUILD_IDS = "build"  # the join build side's rows, once per match (a multiset)
 
-#: Codec of a flat request's ID sets (grouped: ``ServerQuery.group_codec``).
+#: Codecs of a flat and of a grouped request's ID sets (Section 4.5).
 FLAT_CODEC = "seabed"
+GROUP_CODEC = "groupby"  # what encode_groups_vb_diff writes
 
 
 @dataclass(frozen=True)
@@ -207,11 +208,7 @@ class AsheSum:
 
     column: str
     alias: str
-    multiset: bool = False  # True when the column is join-replicated
-
-    @property
-    def id_source(self) -> str:
-        return BUILD_IDS if self.multiset else ROW_IDS
+    id_source: str = ROW_IDS  # BUILD_IDS when the column is join-replicated
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,6 @@ class ServerQuery:
     filter: FilterExpr | None = None
     join: ServerJoin | None = None
     group_by: str | None = None
-    group_codec: str = "groupby"
     inflation: int = 1
     compress_at: str = "worker"  # "worker" | "driver" (ablation)
 
@@ -335,10 +331,15 @@ def id_sources(aggs: Iterable[AggOp]) -> list[str]:
     return list(dict.fromkeys(a.id_source for a in aggs if isinstance(a, AsheSum)))
 
 
-def _collect_id_sets(sources: list[str], partials: list[tuple]) -> dict[str, list]:
+def _id_slots(aggs: Sequence[AggOp]) -> list[tuple[int, str]]:
+    """Where a map task's partial keeps each ID source's chunk."""
+    return list(enumerate(id_sources(aggs), start=len(aggs)))
+
+
+def _collect_id_sets(slots: list[tuple[int, str]], partials: list[tuple]) -> dict[str, list]:
     """A row set's ID sets from the map tasks' partials of it."""
     out = {}
-    for slot, source in enumerate(sources, start=1):
+    for slot, source in slots:
         chunks = [p[slot] for p in partials if p[slot] is not None]
         if chunks:
             out[source] = chunks
@@ -368,10 +369,10 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 # payload is a path + index, not pickled columns); resolve_partition maps
 # the worker's local slice through the per-process reader cache.
 #
-# A map task's partial of a row set is the tuple ``(payloads, chunk, ...)``:
-# payloads by alias, then one ID chunk per ``id_sources(q.aggs)`` entry
-# (``None``: no row).  Positional, not keyed: a grouped map emits one per
-# (group, partition); the driver / reducer builds the reply's ``IdSets``.
+# A map task's partial of a row set is one tuple: a payload per ``q.aggs``
+# entry, then an ID chunk per ``id_sources(q.aggs)`` entry (``None``: no
+# row).  Positional, not keyed: a grouped map emits one per (group,
+# partition); the driver / reducer builds the reply's dicts and ``IdSets``.
 # ---------------------------------------------------------------------------
 
 
@@ -466,13 +467,13 @@ def flat_map_task(
     columns, probe_idx = view
     nrows = part.nrows if probe_idx is None else len(probe_idx)
     mask = eval_filter(columns, q.filter, nrows)
-    partials = {
-        agg.alias: _flat_partial(agg, columns, mask, part, probe_idx) for agg in q.aggs
-    }
     raw = q.compress_at == "driver"
-    return partials, *(
-        _flat_id_chunk(source, part, columns, mask, probe_idx, raw)
-        for source in id_sources(q.aggs)
+    return (
+        *(_flat_partial(agg, columns, mask, part, probe_idx) for agg in q.aggs),
+        *(
+            _flat_id_chunk(source, part, columns, mask, probe_idx, raw)
+            for source in id_sources(q.aggs)
+        ),
     )
 
 
@@ -491,15 +492,15 @@ def _merge_flat(
     here, as one chunk -- the coordinator is a shard's client.
     """
     out: dict[str, Any] = {}
-    for agg in q.aggs:
-        pieces = [p[0][agg.alias] for p in partials if p[0][agg.alias] is not None]
+    for slot, agg in enumerate(q.aggs):
+        pieces = [p[slot] for p in partials if p[slot] is not None]
         if final:
             out[agg.alias] = merge_payloads(agg, pieces)
         elif pieces and pieces[0][0] not in _GATHER_TAGS:
             out[agg.alias] = [merge_payloads(agg, pieces)]
         else:
             out[agg.alias] = pieces
-    id_sets = _collect_id_sets(id_sources(q.aggs), partials)
+    id_sets = _collect_id_sets(_id_slots(q.aggs), partials)
     for source, chunks in id_sets.items():
         raw = [c for c in chunks if isinstance(c, IdList)]
         if raw:
@@ -544,13 +545,10 @@ def grouped_map_task(
         sorted_suffix[1:] != sorted_suffix[:-1]
     )
     starts = np.flatnonzero(new_group)
-    out: dict[tuple[int, int], tuple] = {}
     bounds = np.append(starts, sorted_keys.size)
-    group_partials: dict[str, list[Any]] = {
-        agg.alias: _group_partials(agg, columns, sorted_sel, starts, bounds)
-        for agg in q.aggs
-    }
-    group_chunks = [
+    # One list per partial slot, each holding every group's entry.
+    slots = [_group_partials(agg, columns, sorted_sel, starts, bounds) for agg in q.aggs]
+    slots += [
         _group_id_chunks(
             columns[JOIN_IDS_COLUMN][sorted_sel] if source == BUILD_IDS else sorted_ids,
             starts, bounds, q,
@@ -558,44 +556,35 @@ def grouped_map_task(
         for source in id_sources(q.aggs)
     ]
     group_keys = zip(sorted_keys[starts].tolist(), sorted_suffix[starts].tolist())
-    chunk_rows = zip(*group_chunks) if group_chunks else itertools.repeat(())
-    for g, (key, chunks) in enumerate(zip(group_keys, chunk_rows)):
-        out[key] = ({agg.alias: group_partials[agg.alias][g] for agg in q.aggs}, *chunks)
-    return out
+    return dict(zip(group_keys, zip(*slots) if slots else itertools.repeat(())))
 
 
 def _group_id_chunks(
     ids: np.ndarray, starts: np.ndarray, bounds: np.ndarray, q: ServerQuery
 ) -> list[bytes]:
     """Every group's ID chunk for one source, encoded once per partition."""
-    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     if q.join is not None:
         unordered = ids[1:] <= ids[:-1]
         unordered[starts[1:] - 1] = False  # a new group may start lower
         if bool(unordered.any()):
             # Join-replicated rows: a multiset inside some group.
-            return [encode_multiset(ids[lo:hi]) for lo, hi in spans]
-    if q.group_codec == "groupby":
-        # Vectorised VB+Diff for every group at once (Section 4.5's
-        # group-by codec), sliced per group from one shared stream.
-        return encode_groups_vb_diff(ids, starts, bounds)
-    codec = get_codec(q.group_codec)
-    return [codec.encode(IdList.from_ids(ids[lo:hi])) for lo, hi in spans]
+            return [encode_multiset(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # GROUP_CODEC chunks for every group at once, sliced from one stream.
+    return encode_groups_vb_diff(ids, starts, bounds)
 
 
 def group_reduce_task(
     shard: dict[tuple[int, int], list[tuple]], aggs: tuple[AggOp, ...]
 ) -> list[tuple[int, int, dict[str, Any], IdSets]]:
     """Merge one reducer's shard of (key, suffix) partials into row sets."""
-    sources = id_sources(aggs)
+    id_slots = _id_slots(aggs)
     merged: list[tuple[int, int, dict[str, Any], IdSets]] = []
     for key, entries in shard.items():
-        payloads = [e[0] for e in entries]
         per_agg = {}
-        for agg in aggs:
-            pieces = [p[agg.alias] for p in payloads if p[agg.alias] is not None]
+        for slot, agg in enumerate(aggs):
+            pieces = [e[slot] for e in entries if e[slot] is not None]
             per_agg[agg.alias] = merge_payloads(agg, pieces)
-        merged.append((key[0], key[1], per_agg, _collect_id_sets(sources, entries)))
+        merged.append((key[0], key[1], per_agg, _collect_id_sets(id_slots, entries)))
     return merged
 
 
@@ -950,8 +939,10 @@ class SeabedServer:
         stage.partitions_skipped = skipped
 
         # Shuffle: every (key, suffix) partial crosses the network once.
+        n = len(q.aggs)  # a partial: n payloads, then the ID chunks
         shuffle_bytes = sum(
-            9 + row_set_nbytes(entry[0].values(), {}) + sum(map(len, entry[1:]))
+            9 + sum(_payload_nbytes(v) for v in entry[:n] if v is not None)
+            + sum(map(len, entry[n:]))
             for partial_map in map_out
             for entry in partial_map.values()
         )

@@ -615,9 +615,9 @@ class QueryTranslator:
                     f"variance on {measure!r} needs a squares column; include "
                     "a var/stddev query in the sample set"
                 )
-            multiset = join is not None and column in (join.payload_columns or ())
+            joined = join is not None and column in (join.payload_columns or ())
             if plan.kind == "ashe":
-                refs.append(builder.add_ashe(column, multiset=multiset))
+                refs.append(builder.add_ashe(column, srv.BUILD_IDS if joined else srv.ROW_IDS))
             else:
                 refs.append(builder.add_paillier(column))
             return
@@ -905,19 +905,19 @@ class _RequestBuilder:
         self._inflation = inflation
         self._main_aggs: list[srv.AggOp] = []
         self._extra: list[tuple[srv.FilterExpr, srv.AggOp]] = []
-        self._ashe_cache: dict[tuple[str, bool], Ref] = {}
+        self._ashe_cache: dict[tuple[str, str], Ref] = {}
         self._offset = offset
 
-    def add_ashe(self, column: str, multiset: bool = False) -> Ref:
-        cached = self._ashe_cache.get((column, multiset))
+    def add_ashe(self, column: str, id_source: str = srv.ROW_IDS) -> Ref:
+        cached = self._ashe_cache.get((column, id_source))
         if cached is not None:
             return cached
         alias = self._tr._fresh_alias()
         self._main_aggs.append(
-            srv.AsheSum(column=column, alias=alias, multiset=multiset)
+            srv.AsheSum(column=column, alias=alias, id_source=id_source)
         )
         ref = (self._offset, alias)
-        self._ashe_cache[(column, multiset)] = ref
+        self._ashe_cache[(column, id_source)] = ref
         return ref
 
     def add_ashe_filtered(self, column: str, extra: srv.FilterExpr) -> Ref:

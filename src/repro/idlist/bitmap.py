@@ -47,6 +47,8 @@ def plain_decode(data: bytes) -> IdList:
     if nbits == 0:
         return IdList.empty()
     payload = np.frombuffer(data[consumed:], dtype=np.uint8)
+    if payload.size != (nbits + 7) // 8:
+        raise EncodingError("bitmap payload does not match its header")
     bits = np.unpackbits(payload)[:nbits].astype(bool)
     return IdList.from_mask(bits, offset=offset)
 
@@ -96,15 +98,16 @@ def wah_decode(data: bytes) -> IdList:
     offset, nbits = int(values[0]), int(values[1])
     if nbits == 0:
         return IdList.empty()
-    words = np.frombuffer(data[consumed:], dtype=_U64)
+    if (len(data) - consumed) % 8:
+        raise EncodingError("truncated WAH bitmap payload")
+    words = np.frombuffer(data[consumed:], dtype=_U64).tolist()
+    runs = [w & ((1 << 62) - 1) if w & int(_FILL_FLAG) else 1 for w in words]
+    if not nbits <= _LITERAL_BITS * sum(runs) < nbits + _LITERAL_BITS:
+        raise EncodingError("WAH words do not cover the bitmap")
     chunks: list[np.ndarray] = []
-    all_ones = np.ones(_LITERAL_BITS, dtype=bool)
-    all_zero = np.zeros(_LITERAL_BITS, dtype=bool)
-    for w in words.tolist():
+    for w, run in zip(words, runs):
         if w & int(_FILL_FLAG):
-            run = w & ((1 << 62) - 1)
-            template = all_ones if w & int(_ONES_FLAG) else all_zero
-            chunks.append(np.tile(template, run))
+            chunks.append(np.full(run * _LITERAL_BITS, bool(w & int(_ONES_FLAG))))
         else:
             chunks.append((w >> np.arange(_LITERAL_BITS, dtype=_U64)) & _U64(1) > 0)
     bits = np.concatenate(chunks)[:nbits]

@@ -84,19 +84,29 @@ class IdListCodec:
         return len(self.encode(ids))
 
 
+def _inflate(payload: bytes) -> bytes:
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise EncodingError(f"damaged Deflate stream in an ID chunk: {exc}") from None
+
+
 def decode(data: bytes) -> IdList:
-    """Decode any codec output (the header byte is self-describing)."""
+    """Decode any codec output (the header byte is self-describing);
+    damaged bytes raise :class:`EncodingError`, whichever stage trips."""
     if not data:
         raise EncodingError("empty codec payload")
     flags, payload = data[0], data[1:]
     if flags & _FLAG_FIXED64:
+        if len(payload) % 8:
+            raise EncodingError("truncated fixed-width ID payload")
         return IdList.from_ids(np.frombuffer(payload, dtype=np.uint64))
     if flags & _FLAG_BITMAP_PLAIN:
         return bitmap.plain_decode(payload)
     if flags & _FLAG_BITMAP_WAH:
         return bitmap.wah_decode(payload)
     if flags & _FLAG_DEFLATE:
-        payload = zlib.decompress(payload)
+        payload = _inflate(payload)
     seq = varbyte.decode(payload)
     if flags & _FLAG_RANGES:
         if flags & _FLAG_DIFF:
@@ -283,7 +293,7 @@ def decode_multiset(data: bytes) -> np.ndarray:
         raise EncodingError("not a multiset codec payload")
     flags, payload = data[0], data[1:]
     if flags & _FLAG_DEFLATE:
-        payload = zlib.decompress(payload)
+        payload = _inflate(payload)
     seq = varbyte.decode(payload)
     return encoding.diff_decode(seq)
 

@@ -84,7 +84,7 @@ class TestPayloadDecryption:
         total = int(cipher[0]) * 2 + int(cipher[1])
         chunk = encode_multiset(np.array([0, 0, 1], dtype=np.uint64))
         module = DecryptionModule(state, factory)
-        aggs = {"a": srv.AsheSum("x__ashe", "a", multiset=True)}
+        aggs = {"a": srv.AsheSum("x__ashe", "a", srv.BUILD_IDS)}
         opened = module._open_row_set(
             {"a": ("ashe", total & (2**64 - 1))}, {srv.BUILD_IDS: [chunk]}, aggs
         )

@@ -239,16 +239,15 @@ class TestGroupBy:
         assert sum(p["s"][1] for _, _, p, _ in r1.groups) == 64
         assert sum(p["s"][1] for _, _, p, _ in r4.groups) == 64
 
-    @pytest.mark.parametrize("group_codec", ["groupby", "seabed"])
-    def test_group_ids_use_the_request_codec(self, cluster, group_codec):
+    def test_group_ids_use_the_group_codec(self, cluster):
         keys = np.arange(40, dtype=np.int64) % 3
         cols = {"k": keys, "a__ashe": np.ones(40, np.uint64), "b__ashe": np.ones(40, np.uint64)}
         server = make_server(cluster, cols, parts=2)
         resp = server.execute(srv.ServerQuery(
             table="t", aggs=(srv.AsheSum("a__ashe", "a"), srv.AsheSum("b__ashe", "b")),
-            group_by="k", group_codec=group_codec,
+            group_by="k",
         ))
-        want = srv.get_codec(group_codec)
+        want = srv.get_codec(srv.GROUP_CODEC)
         for key, _suffix, payloads, id_sets in resp.groups:
             rows = np.flatnonzero(keys == key).astype(np.uint64)
             assert payloads == {"a": ("ashe", rows.size), "b": ("ashe", rows.size)}
@@ -260,6 +259,14 @@ class TestGroupBy:
         assert resp.payload_bytes == sum(
             9 + 16 + sum(map(len, ids[srv.ROW_IDS])) for *_, ids in resp.groups
         )
+
+    def test_group_keys_without_aggregates(self, cluster):
+        """A map partial with no slots still names its groups."""
+        server = make_server(cluster, {"k": np.arange(12, dtype=np.int64) % 3}, parts=2)
+        resp = server.execute(srv.ServerQuery(table="t", aggs=(), group_by="k"))
+        assert sorted((k, p, ids) for k, _, p, ids in resp.groups) == [
+            (0, {}, {}), (1, {}, {}), (2, {}, {}),
+        ]
 
     def test_grouped_shuffle_accounted(self, cluster):
         keys = np.arange(50, dtype=np.int64) % 5
@@ -298,7 +305,7 @@ class TestJoin:
         server.register(probe)
         q = srv.ServerQuery(
             table="probe",
-            aggs=(srv.AsheSum("payload__ashe", "s", multiset=True),),
+            aggs=(srv.AsheSum("payload__ashe", "s", srv.BUILD_IDS),),
             join=srv.ServerJoin(
                 build_table="build", probe_key_column="fk",
                 build_key_column="key", payload_columns=("payload__ashe",),

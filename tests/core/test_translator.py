@@ -232,12 +232,10 @@ class TestGroupByRewrites:
         assert tq.inflation == 16
         assert tq.requests[0].inflation == 16
 
-    def test_group_codec_drops_ranges(self, translator):
+    def test_group_codec_drops_ranges(self):
         """Section 4.5: group-by results use VB+Diff without ranges."""
-        tq = translator.translate(
-            parse_query("SELECT year, sum(amount) FROM t GROUP BY year")
-        )
-        assert tq.requests[0].group_codec == "groupby"
+        codec = srv.get_codec(srv.GROUP_CODEC)
+        assert codec.use_diff and not codec.use_ranges
 
 
 class TestInflationFactor:

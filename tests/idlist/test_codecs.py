@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import EncodingError
 from repro.idlist import CODECS, IdList, get_codec
-from repro.idlist.codec import decode
+from repro.idlist.codec import decode, decode_chunks_batch, decode_multiset, encode_multiset
 
 ALL_CODEC_NAMES = sorted(CODECS)
 
@@ -94,6 +94,34 @@ class TestErrors:
     def test_empty_payload(self):
         with pytest.raises(EncodingError, match="empty"):
             decode(b"")
+
+    @pytest.mark.parametrize("name", ALL_CODEC_NAMES + ["multiset"])
+    def test_damaged_chunk_is_an_encoding_error(self, name):
+        """Truncated anywhere, or with a byte flipped, a chunk decodes to
+        some ID list or raises EncodingError -- zlib's and numpy's own
+        exceptions never leave the codec, by any of its three decoders."""
+        ids = np.array([3, 4, 5, 90, 91, 700, 70_000], dtype=np.uint64)
+        if name == "multiset":
+            chunk, one = encode_multiset(np.repeat(ids, 2)), decode_multiset
+        else:
+            chunk, one = get_codec(name).encode(IdList.from_ids(ids)), decode
+        damaged = [chunk[:cut] for cut in range(len(chunk))]
+        damaged += [
+            chunk[:i] + bytes([chunk[i] ^ bit]) + chunk[i + 1:]
+            for i in range(1, len(chunk)) for bit in (0x01, 0x80)
+        ]
+        for data in damaged:
+            for decoder, arg in ((one, data), (decode_chunks_batch, [chunk, data])):
+                try:
+                    decoder(arg)
+                except EncodingError:
+                    pass
+
+    def test_wah_fill_run_cannot_outgrow_its_header(self):
+        """A fill word claiming 2**61 words is refused before it is expanded."""
+        hostile = bytes([0x10, 0x00, 0x3F]) + ((1 << 63) | (1 << 61)).to_bytes(8, "little")
+        with pytest.raises(EncodingError, match="do not cover"):
+            decode(hostile)
 
 
 @pytest.mark.parametrize("name", ALL_CODEC_NAMES)

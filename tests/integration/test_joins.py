@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.server import BUILD_IDS
 from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.query import execute_plain, parse_query
@@ -127,7 +128,7 @@ def test_join_multiset_ids_used(tables, schemas):
     client = build_client("seabed", tables, schemas)
     result = client.query(Q3_FLAT)
     aggs = result.translation.requests[0].aggs
-    multisets = [a for a in aggs if getattr(a, "multiset", False)]
+    multisets = [a for a in aggs if getattr(a, "id_source", None) == BUILD_IDS]
     assert len(multisets) == 1
     assert multisets[0].column == "pageRank__ashe"
 

@@ -148,7 +148,7 @@ def test_server_query_roundtrip():
     q = srv.ServerQuery(
         table="sales",
         aggs=(
-            srv.AsheSum(column="rev_ashe", alias="s", multiset=True),
+            srv.AsheSum(column="rev_ashe", alias="s", id_source=srv.BUILD_IDS),
             srv.PaillierSum(column="rev_phe", alias="p", n_squared=7**40),
             srv.OreExtreme(kind="max", ore_column="c_ore", payload_column="c", alias="m"),
             srv.PlainAgg(column=None, func="count", alias="n"),
@@ -302,7 +302,8 @@ filters = st.recursive(
     max_leaves=5,
 )
 aggregates = st.one_of(
-    st.builds(srv.AsheSum, column=names, alias=st.text(max_size=4), multiset=st.booleans()),
+    st.builds(srv.AsheSum, column=names, alias=st.text(max_size=4),
+              id_source=st.sampled_from([srv.ROW_IDS, srv.BUILD_IDS])),
     st.builds(srv.PaillierSum, column=names, alias=st.text(max_size=4),
               n_squared=st.integers(2, 10**80)),
     st.builds(srv.OreExtreme, kind=st.sampled_from(["min", "max"]), ore_column=names,
