@@ -17,10 +17,12 @@ This benchmark measures what our kernels actually cost per operation:
 The per-row reference path is timed on a subsample (it is the slow side
 by construction) and normalised to ns/op.  Results land in
 ``BENCH_kernels.json`` with the enforced floors recorded alongside the
-measurements: batch ASHE pad streams and ORE partition compares must
-beat the per-row reference by **>= 5x** (in practice they are orders of
-magnitude faster; 5x is the regression tripwire).  CI re-verifies the
-recorded floors from the artifact.
+measurements: batch ASHE pad streams must beat the per-row reference by
+**>= 5x** and ORE partition compares by **>= 25x** (in practice they are
+orders of magnitude faster; the floors are regression tripwires -- the
+ORE one sits above what the gather/scatter kernel the bit-parallel one
+replaced could reach, 13x).  CI re-verifies the recorded floors from the
+artifact.
 """
 
 import json
@@ -42,7 +44,7 @@ REPEATS = 3
 #: Rows the slow per-row reference path is timed on (then normalised).
 REFERENCE_ROWS = 2_000
 #: Floors enforced in-bench and re-verified by CI from the artifact.
-FLOORS = {"ashe_pad_stream_ratio": 5.0, "ore_compare_ratio": 5.0}
+FLOORS = {"ashe_pad_stream_ratio": 5.0, "ore_compare_ratio": 25.0}
 PAPER_TABLE1_AES_NS = 47.0
 
 

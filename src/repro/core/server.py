@@ -60,7 +60,7 @@ from repro.engine.store import (
 from repro.engine.table import Partition, Table
 from repro.errors import ExecutionError, StorageError
 from repro.idlist import IdList, get_codec
-from repro.idlist.codec import encode_groups_vb_diff, encode_multiset
+from repro.idlist.codec import encode_groups_vb_diff, encode_mask, encode_multiset
 from repro.index import prune
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as obs_trace
@@ -157,30 +157,28 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
                               time.perf_counter() - t0, nrows * len(expr.tokens))
         return mask
     if isinstance(expr, OreCmp):
-        cipher = columns[expr.column]
         t0 = time.perf_counter() if _obs_metrics.enabled() else 0.0
-        cmp = ore_mod.compare_packed_arrays(
-            cipher, np.broadcast_to(np.asarray(expr.token, dtype=_U64), cipher.shape)
-        )
+        mask = ore_mod.filter_packed(columns[expr.column], expr.op, expr.token)
         if t0:
             observe_kernel_op("ore", "compare_column",
                               time.perf_counter() - t0, nrows)
-        return {
-            "<": cmp < 0, "<=": cmp <= 0, ">": cmp > 0, ">=": cmp >= 0,
-            "=": cmp == 0, "!=": cmp != 0,
-        }[expr.op]
+        return mask
     if isinstance(expr, FilterAnd):
-        mask = np.ones(nrows, dtype=bool)
+        mask = None  # select-all until a child narrows it
         for child in expr.children:
             sub = eval_filter(columns, child, nrows)
             if sub is not None:
-                mask &= sub
+                mask = sub if mask is None else mask & sub
+                if not mask.any():
+                    break
         return mask
     if isinstance(expr, FilterOr):
         mask = np.zeros(nrows, dtype=bool)
         for child in expr.children:
             sub = eval_filter(columns, child, nrows)
-            mask |= np.ones(nrows, dtype=bool) if sub is None else sub
+            if sub is None:
+                return None
+            mask |= sub
         return mask
     if isinstance(expr, FilterNot):
         sub = eval_filter(columns, expr.child, nrows)
@@ -436,8 +434,10 @@ def _flat_id_chunk(
     if source == ROW_IDS and probe_idx is None:
         if mask is None:
             ids = IdList.from_range(part.start_id, part.start_id + part.nrows)
-        else:
+        elif raw:
             ids = IdList.from_mask(mask, part.start_id)
+        else:
+            return encode_mask(mask, part.start_id)
     else:
         joined = source == BUILD_IDS
         arr = columns[JOIN_IDS_COLUMN] if joined else probe_idx.astype(_U64) + _U64(part.start_id)
@@ -1024,7 +1024,7 @@ def _flat_partial(
                 columns[agg.payload_column][sel],
                 _ids_at(part, probe_idx, sel),
             )
-        winner = _ore_tournament(cipher, agg.kind)
+        winner = ore_mod.argextreme_packed(cipher, agg.kind)
         row = sel[winner : winner + 1]
         return (
             "extreme",
@@ -1067,11 +1067,6 @@ def _plain_partial(
     raise ExecutionError(f"unknown plain aggregation {agg.func!r}")
 
 
-def _ore_tournament(cipher: np.ndarray, kind: str) -> int:
-    """Index of the min/max row (the shared vectorised kernel tournament)."""
-    return ore_mod.argextreme_packed(cipher, kind)
-
-
 def _ore_quickselect(
     cipher: np.ndarray, payloads: np.ndarray, row_ids: np.ndarray, k: int
 ) -> tuple[Any, int]:
@@ -1081,9 +1076,7 @@ def _ore_quickselect(
         if n == 1:
             return _coerce_payload(payloads[0]), int(row_ids[0])
         pivot = cipher[n // 2]
-        cmp = ore_mod.compare_packed_arrays(
-            cipher, np.broadcast_to(pivot, cipher.shape)
-        )
+        cmp = ore_mod.compare_packed_arrays(cipher, pivot)
         less = cmp < 0
         equal = cmp == 0
         n_less = int(less.sum())

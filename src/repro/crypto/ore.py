@@ -18,8 +18,16 @@ Implementation notes:
 
 - Trits are packed two bits each into uint64 words, with the **most
   significant** message bit in the **lowest** bit pair, so "first differing
-  trit" becomes "lowest set bit pair of the XOR" -- found branch-free with
-  a count-trailing-zeros built from ``bitwise_count``.
+  trit" becomes "lowest set bit pair of the XOR".
+- Compare is bit-parallel (:func:`_differs_and_geq`).  Fold the XOR to
+  one bit per pair, ``d = (x | x >> 1) & 0x5555...``; ``low = d & -d`` then
+  isolates the first differing trit *in place* -- no count-trailing-zeros
+  to shift it down, no gather of the differing rows, no scatter of their
+  verdicts.  ``u == u' + 1 (mod 3)`` there means ``u`` equals the trit of
+  ``succ(b)`` (every trit incremented), i.e. ``low & fold(a ^ succ(b))``
+  is zero; equal words have ``low == 0`` and pass too, so that one test is
+  ``a >= b``, ``d != 0`` is ``a != b``, and every operator is a view of
+  the two.  Multi-word ciphertexts take the first differing word's verdict.
 - Columns encrypt in ``n`` vectorised passes (one per bit position), since
   the PRF input for position ``i`` is just ``(i, m >> (n-i+1))``.
 - Signed domains are handled by biasing with ``2^(n-1)`` before encryption,
@@ -60,42 +68,76 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _ctz64(x: np.ndarray) -> np.ndarray:
-    """Count trailing zeros of nonzero uint64 values, vectorised."""
-    lowbit = x & (~x + _U64(1))
-    return np.bitwise_count(lowbit - _U64(1)).astype(_U64)
+_PAIRS = _U64(0x5555555555555555)  # the low bit of every trit's bit pair
+_ONE = _U64(1)
+_BLOCK_ROWS = 1 << 14  # rows per kernel pass: its temporaries stay in cache
+
+# Every operator as a view of the kernel's two masks.
+_MASKS = {
+    ">=": lambda differs, geq: geq,
+    "<": lambda differs, geq: ~geq,
+    "!=": lambda differs, geq: differs,
+    "=": lambda differs, geq: ~differs,
+    ">": lambda differs, geq: geq & differs,
+    "<=": lambda differs, geq: ~(geq & differs),
+}
 
 
-def compare_packed_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ORE comparison of two packed ciphertext arrays.
+def _succ(b):
+    """Packed trits, each incremented mod 3 (00 -> 01 -> 10 -> 00)."""
+    return ((b & _PAIRS) << _ONE) | (~(b | (b >> _ONE)) & _PAIRS)
 
-    Both arrays are ``(N, num_words)`` uint64; the result is int8 in
-    {-1, 0, +1} per row.  Requires no key material: this is the public
-    Compare algorithm, used by the server's vectorised min/max tournament
-    and median quickselect.
+
+def _differs_and_geq(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The one Compare kernel: per row of ``a``, ``(a != b, a >= b)``.
+
+    ``a`` is ``(N, words)``; ``b`` is the same shape or one ``(words,)``
+    token.  See the module's implementation notes for the identity.
     """
     a = np.asarray(a, dtype=_U64)
     b = np.asarray(b, dtype=_U64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise CryptoError("compare_packed_arrays expects equal (N, words) arrays")
-    n, words = a.shape
-    result = np.zeros(n, dtype=np.int8)
-    undecided = np.ones(n, dtype=bool)
-    for w in range(words):
-        if not undecided.any():
+    if a.ndim != 2 or a.shape[1] == 0 or b.shape not in (a.shape, a.shape[1:]):
+        raise CryptoError("ORE compare expects (N, words) against the same or one token")
+    if a.shape[0] > _BLOCK_ROWS:
+        spans = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, a.shape[0], _BLOCK_ROWS)]
+        blocks = [_differs_and_geq(a[s], b if b.ndim == 1 else b[s]) for s in spans]
+        return tuple(np.concatenate(masks) for masks in zip(*blocks))
+    differs = geq = None
+    for w in range(a.shape[1]):
+        col, tok = a[:, w], b[..., w]
+        d = col ^ tok
+        d |= d >> _ONE
+        d &= _PAIRS
+        g = col ^ _succ(tok)
+        g |= g >> _ONE
+        g &= d & -d
+        if differs is None:
+            differs, geq = d != 0, g == 0
+        else:  # this word decides only the rows no earlier word did
+            geq = np.where(differs, geq, g == 0)
+            differs |= d != 0
+        if differs.all():
             break
-        x = (a[:, w] ^ b[:, w]) & np.where(undecided, ~_U64(0), _U64(0))
-        differs = x != 0
-        if not differs.any():
-            continue
-        xs = x[differs]
-        shift = (_ctz64(xs) >> _U64(1)) << _U64(1)
-        ua = (a[differs, w] >> shift) & _U64(3)
-        ub = (b[differs, w] >> shift) & _U64(3)
-        greater = ua == (ub + _U64(1)) % _U64(3)
-        result[differs] = np.where(greater, 1, -1).astype(np.int8)
-        undecided &= ~differs
-    return result
+    return differs, geq
+
+
+def compare_packed_arrays(a: np.ndarray, b) -> np.ndarray:
+    """Row-wise ORE comparison of a packed ciphertext array with another
+    (or with one token): int8 in {-1, 0, +1} per row.
+
+    Requires no key material: this is the public Compare algorithm, used
+    by the server's vectorised min/max tournament and median quickselect.
+    """
+    differs, geq = _differs_and_geq(a, b)
+    return (geq.view(np.int8) * np.int8(2) - np.int8(1)) * differs.view(np.int8)
+
+
+def filter_packed(cipher: np.ndarray, op: str, token) -> np.ndarray:
+    """Boolean mask for ``cipher <op> token`` -- the one mask, not a
+    three-way compare to derive it from."""
+    if op not in _MASKS:
+        raise CryptoError(f"unsupported ORE comparison operator {op!r}")
+    return _MASKS[op](*_differs_and_geq(cipher, token))
 
 
 def argextreme_packed(cipher: np.ndarray, kind: str) -> int:
@@ -270,58 +312,11 @@ class OreScheme:
         Returns int8 array: -1 (less), 0 (equal), +1 (greater).  This runs
         on the *server*; it uses only public ciphertext material.
         """
-        c = np.asarray(cipher, dtype=_U64)
-        if c.ndim != 2 or c.shape[1] != self.num_words:
-            raise CryptoError("ciphertext array has the wrong shape")
-        result = np.zeros(c.shape[0], dtype=np.int8)
-        undecided = np.ones(c.shape[0], dtype=bool)
-        for w in range(self.num_words):
-            if not undecided.any():
-                break
-            col = c[:, w]
-            tok = _U64(token[w])
-            x = (col ^ tok) & np.where(undecided, ~_U64(0), _U64(0))
-            differs = x != 0
-            if not differs.any():
-                continue
-            xs = x[differs]
-            shift = (_ctz64(xs) >> _U64(1)) << _U64(1)
-            u = (col[differs] >> shift) & _U64(3)
-            ut = (tok >> shift) & _U64(3)
-            greater = u == (ut + _U64(1)) % _U64(3)
-            result[differs] = np.where(greater, 1, -1).astype(np.int8)
-            undecided &= ~differs
-        return result
-
-    # -- predicate helpers ------------------------------------------------------
+        return compare_packed_arrays(cipher, token)
 
     def filter_column(self, cipher: np.ndarray, op: str, token: tuple[int, ...]) -> np.ndarray:
         """Boolean mask for ``column <op> constant`` on the server."""
-        cmp = self.compare_column(cipher, token)
-        if op == "<":
-            return cmp < 0
-        if op == "<=":
-            return cmp <= 0
-        if op == ">":
-            return cmp > 0
-        if op == ">=":
-            return cmp >= 0
-        if op == "=":
-            return cmp == 0
-        if op == "!=":
-            return cmp != 0
-        raise CryptoError(f"unsupported ORE comparison operator {op!r}")
-
-    def argmax_column(self, cipher: np.ndarray) -> int:
-        """Index of the row with the largest plaintext (server-side scan)."""
-        if cipher.shape[0] == 0:
-            raise CryptoError("argmax of an empty ORE column")
-        return argextreme_packed(cipher, "max")
-
-    def argmin_column(self, cipher: np.ndarray) -> int:
-        if cipher.shape[0] == 0:
-            raise CryptoError("argmin of an empty ORE column")
-        return argextreme_packed(cipher, "min")
+        return filter_packed(cipher, op, token)
 
     def first_diff_index(self, a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
         """The leakage function: 1-based index of the first differing bit.

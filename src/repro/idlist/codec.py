@@ -18,6 +18,13 @@ A chunk encodes the IDs one partition selected for one *row set*: the
 server emits one chunk per partition for a flat request and one per
 (group, partition) for a grouped one -- never one per aggregate -- and
 the client decodes each exactly once (:mod:`repro.core.decryptor`).
+
+A flat row set's chunk picks its container from the mask's shape
+(:func:`encode_mask`): the ``seabed`` pipeline's bytes for contiguous and
+clustered selections -- everything Section 6.4 measured -- and a plain
+bitmap of the selected span once the run-coded stream cannot be smaller
+(:mod:`repro.idlist.bitmap` has the rule and the sizes).  Both are flags
+of the one self-describing format: the decoder is never told.
 """
 
 from __future__ import annotations
@@ -147,6 +154,22 @@ CODECS["seabed"] = IdListCodec(
     "seabed", use_ranges=True, use_diff=True, deflate_level=1
 )
 CODECS["groupby"] = IdListCodec("groupby", use_ranges=False, use_diff=True)
+
+
+def encode_mask(mask: np.ndarray, start_id: int) -> bytes | None:
+    """A flat row set's chunk for one partition's selection mask (row ``j``
+    has ID ``start_id + j``; ``None``: no row selected): a plain bitmap of
+    the selected span where the run-coded stream cannot be smaller, the
+    ``seabed`` codec's bytes otherwise."""
+    ids = IdList.from_mask(mask, start_id)
+    if ids.is_empty():
+        return None
+    first = int(ids.starts[0])
+    span = int(ids.ends[-1]) - first + 1
+    if 2 * ids.num_runs >= (span + 7) // 8:
+        bits = mask[first - start_id : first - start_id + span]
+        return bytes([_FLAG_BITMAP_PLAIN]) + bitmap.plain_write(first, bits)
+    return CODECS["seabed"].encode(ids)
 
 
 _FLAG_MULTISET = 0x40

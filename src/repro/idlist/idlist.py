@@ -69,22 +69,23 @@ class IdList:
         arr = arr.astype(_U64)
         if arr.size > 1 and np.any(arr[1:] <= arr[:-1]):
             raise EncodingError("IDs must be strictly increasing")
-        return cls._from_sorted_unique(arr)
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, offset: int = 0) -> "IdList":
-        """Build from a boolean selection mask; row ``j`` gets ID ``offset+j``."""
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return cls.empty()
-        return cls._from_sorted_unique(idx.astype(_U64) + _U64(offset))
-
-    @classmethod
-    def _from_sorted_unique(cls, arr: np.ndarray) -> "IdList":
         breaks = np.flatnonzero(np.diff(arr) != _ONE)
         starts = arr[np.r_[0, breaks + 1]]
         ends = arr[np.r_[breaks, arr.size - 1]]
         return cls(starts, ends, _validated=True)
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, offset: int = 0) -> "IdList":
+        """Build from a boolean selection mask; row ``j`` gets ID ``offset+j``."""
+        # With a cleared bit either side, the mask's value changes alternate
+        # run start, run stop: no ID array, no diff over one.
+        if not np.any(mask):
+            return cls.empty()
+        padded = np.zeros(len(mask) + 2, dtype=bool)
+        padded[1:-1] = mask
+        bounds = np.flatnonzero(padded[1:] != padded[:-1]).astype(_U64)
+        bounds += _U64(offset)
+        return cls(bounds[0::2], bounds[1::2] - _ONE, _validated=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,24 +135,7 @@ class IdList:
 
     def union(self, other: "IdList") -> "IdList":
         """Merge two ID lists (duplicate IDs collapse; ASHE never makes any)."""
-        if self.is_empty():
-            return other
-        if other.is_empty():
-            return self
-        starts = np.concatenate([self._starts, other._starts])
-        ends = np.concatenate([self._ends, other._ends])
-        order = np.argsort(starts, kind="stable")
-        s, e = starts[order], ends[order]
-        cummax_e = np.maximum.accumulate(e)
-        new_group = np.empty(s.size, dtype=bool)
-        new_group[0] = True
-        # A run starts a new merged group when it begins after the furthest
-        # end so far plus one (adjacent runs coalesce).
-        new_group[1:] = s[1:] > cummax_e[:-1] + _ONE
-        group_starts = np.flatnonzero(new_group)
-        merged_s = s[new_group]
-        merged_e = np.maximum.reduceat(e, group_starts)
-        return IdList(merged_s, merged_e, _validated=True)
+        return IdList.union_all((self, other))
 
     @staticmethod
     def union_all(parts: Iterable["IdList"]) -> "IdList":

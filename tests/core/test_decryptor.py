@@ -22,7 +22,7 @@ from repro.core.translator import QueryTranslator
 from repro.crypto.keys import KeyChain
 from repro.errors import DecryptionError
 from repro.idlist import IdList, get_codec
-from repro.idlist.codec import encode_multiset
+from repro.idlist.codec import encode_mask, encode_multiset
 from repro.query.parser import parse_query
 
 KEY = b"d" * 32
@@ -137,6 +137,7 @@ class TestMalformedReplies:
     is a typed DecryptionError -- never an unpadded (wrong) number."""
 
     CHUNK = get_codec("seabed").encode(IdList.from_range(5, 15))
+    BITMAP = encode_mask(np.arange(64) % 2 == 0, 1000)  # offset: a 2-byte varint
 
     @pytest.mark.parametrize("id_sets", [
         {},  # no set at all
@@ -157,7 +158,11 @@ class TestMalformedReplies:
         lambda c: c[:1],  # header only
         lambda c: b"",  # empty chunk
         lambda c: bytes([c[0] & ~0x04]) + c[1:],  # Deflate flag cleared
-    ], ids=["truncated", "header-only", "empty", "flag-flip"])
+        lambda c: TestMalformedReplies.BITMAP[:-1],  # header/payload mismatch
+        lambda c: TestMalformedReplies.BITMAP[:2],  # header ends mid-varint
+        lambda c: b"\x08\x05\x00\xff",  # nbits = 0 with a payload
+    ], ids=["truncated", "header-only", "empty", "flag-flip",
+            "bitmap-mismatch", "bitmap-header", "bitmap-zero-bits"])
     def test_flat_damaged_chunk(self, env, mangle):
         state, factory, translator = env
         tq = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))

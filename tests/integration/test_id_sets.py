@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
+from repro.idlist import IdList
 from repro.idlist import codec as idcodec
 from repro.query import execute_plain, parse_query
 
@@ -119,6 +120,21 @@ class TestCountGates:
         aggregates = len(ashe_columns(splashe))
         assert 0 <= splashe.result_bytes - single.result_bytes <= 8 * aggregates
 
+    def test_a_scattered_half_ships_a_bitmap_per_partition(self, stored):
+        """The chunk's container changes the reply's bytes and nothing
+        else: the client pads the same runs of the same partitions."""
+        ts = dataset(3200)["ts"]
+        runs = IdList.from_mask((ts >= 250) & (ts < 750)).num_runs
+        before = prf_evals(stored)
+        result = stored.query("SELECT sum(m0), count(*) FROM t WHERE ts >= 250 AND ts < 750")
+        # The parent commit's count for this query, 2 per run of the selection.
+        assert prf_evals(stored) - before == 2 * runs == 1550
+        # 100-row partitions: a bitmap of the partition plus header and sum
+        # each (the run-coded chunks came to 1430 bytes).
+        assert result.result_bytes <= 32 * (100 / 8 + 16)
+        (job,) = result.request_metrics
+        assert (job.partitions_total, job.partitions_skipped) == (32, 0)
+
     def test_each_id_set_is_decoded_once_per_decrypt(self, tmp_path, monkeypatch):
         session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=1)
         session.create_plan(schema(), SAMPLES[:-1])
@@ -142,12 +158,18 @@ class TestCountGates:
 
 # -- differential test --------------------------------------------------------
 
+# ts is uniform on [0, 1000): a range's width is its selectivity in
+# thousandths -- nothing, about one row, 1%, 5%, 12.5%, 50%, 87.5%, everything
+# -- so the flat chunks take both containers (bitmap where scattered rows are
+# dense enough, run-coded otherwise).
+WIDTHS = [0, 1, 10, 50, 125, 500, 875, 1000]
+RANGES = st.tuples(st.sampled_from(WIDTHS), st.integers(0, 1000)).map(
+    lambda b: f"ts >= {min(b[1], 1000 - b[0])} AND ts < {min(b[1], 1000 - b[0]) + b[0]}"
+)
+TIERS = st.integers(0, 3).map(lambda v: f"tier = {v}")
 FILTERS = st.one_of(
-    st.none(),
-    st.integers(0, 3).map(lambda v: f"tier = {v}"),
-    st.tuples(st.integers(0, 1000), st.integers(0, 1000)).map(
-        lambda b: f"ts >= {min(b)} AND ts < {max(b)}"
-    ),
+    st.none(), TIERS, RANGES,
+    st.tuples(TIERS, RANGES).map(" AND ".join),  # DET and ORE masks and-ed
 )
 
 
@@ -182,7 +204,19 @@ def test_rows_equal_plaintext_under_every_placement(placed):
         got = writer.query(sql, expected_groups=expected_groups)
         assert normalise(got.rows) == normalise(execute_plain({"t": truth}, parse_query(sql)))
 
+    def sweep():
+        """Every selectivity through the flat path, alone and under a DET mask."""
+        for width in WIDTHS:
+            for lo in (0, (1000 - width) // 2, 1000 - width):
+                for det in ("", "tier = 1 AND "):
+                    sql = (f"SELECT sum(m0), sum(m1), count(*) FROM t "
+                           f"WHERE {det}ts >= {lo} AND ts < {lo + width}")
+                    assert normalise(writer.query(sql).rows) == normalise(
+                        execute_plain({"t": truth}, parse_query(sql))
+                    ), sql
+
     check()
+    sweep()
     total = "SELECT sum(m0), sum(m1), count(*) FROM t"  # the ablation, every placement
     assert normalise(writer.query(total, compress_at="driver").rows) == normalise(
         execute_plain({"t": truth}, parse_query(total))
@@ -195,3 +229,4 @@ def test_rows_equal_plaintext_under_every_placement(placed):
         truth = {k: np.concatenate([truth[k], batch[k]]) for k in truth}
     writer.compact_table("t")
     check()
+    sweep()
