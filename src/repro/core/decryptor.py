@@ -6,12 +6,14 @@ plaintext executor would return:
 
 - ASHE aggregates: a reply carries the ID set of each *row set* (the
   whole selection of a flat request, one group of a grouped one) once,
-  beside the aggregates.  Each set is decoded exactly once per
+  beside the aggregates.  A flat set is decoded exactly once per
   ``decrypt`` call into one run list (chunks of adjacent partitions
   coalesce, so an unfiltered scan is one run); every ASHE column summed
   over those rows then costs one PRF pad over the runs (two evaluations
   per run; per occurrence for join multisets), added to the ciphertext
-  sum and interpreted as signed;
+  sum and interpreted as signed.  A grouped reply's sets are segments of
+  one stream per ID source, decoded in one pass and padded with one pad
+  array per ASHE column;
 - counts: read off the row set's ID count, or decrypt indicator sums;
 - averages / variances: the client-side division and combination
   (Monomi-style query splitting, Section 4.2);
@@ -24,8 +26,9 @@ plaintext executor would return:
 Nothing decoded or padded outlives the call.  No integrity checks are
 performed: the threat model is honest-but-curious (Section 4.6), so a
 malicious server could return bogus sums undetected; a reply that is
-*malformed* (an ASHE sum without its ID set, a truncated chunk) is a
-typed :class:`~repro.errors.DecryptionError`, never a number.
+*malformed* (an ASHE sum without its ID set, a truncated chunk, ragged
+or unsorted group columns) is a typed
+:class:`~repro.errors.DecryptionError`, never a number.
 """
 
 from __future__ import annotations
@@ -223,63 +226,51 @@ class DecryptionModule:
     ) -> dict[int, _RowSet]:
         """Open every group of a grouped reply in one pass.
 
-        Merges the inflated (key, suffix) entries back per key -- the
-        client-side half of the group-by optimisation -- then, per ID
-        source, decodes every group's chunks together and segments one big
-        pad array per ASHE column: thousands of per-group decodes become a
-        few numpy passes (the client-side analogue of the paper's
-        worker-side batching).
+        Merges the inflated (key, suffix) row sets per key at the sorted
+        key column's boundaries -- the client-side half of the group-by
+        optimisation -- then decodes each ID source's stream once and
+        pads each ASHE column with one pad array, summed per key: a few
+        numpy passes whatever the number of groups (the client-side
+        analogue of the paper's worker-side batching).
         """
-        merged: dict[int, tuple[dict[str, list], list[srv.IdSets]]] = {}
-        for key, _suffix, payloads, id_sets in response.groups:
-            pieces, sets = merged.setdefault(key, ({a: [] for a in aggs}, []))
-            for alias, payload in payloads.items():
-                if payload is not None:
-                    pieces[alias].append(payload)
-            sets.append(id_sets)
-        opened = {key: _RowSet({}, {}) for key in merged}
-        key_sets = [srv.gather_id_sets(sets) for _, sets in merged.values()]
-        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for source in srv.id_sources(aggs.values()):
-            per_key = [sets.get(source, ()) for sets in key_sets]
-            ids, per_chunk = idcodec.decode_chunks_batch(
-                [c for part in per_key for c in part]
+        rows = response.groups
+        if rows is None or set(rows.values) != set(aggs):
+            raise DecryptionError("a grouped reply's columns do not match its request")
+        try:
+            rows.validate(distinct=True)
+        except EncodingError as exc:
+            raise DecryptionError(f"malformed grouped reply: {exc}") from exc
+        rows = rows.merge(srv.group_reducers(aggs.values()), by_suffix=False)
+        opened = {key: _RowSet({}, {}) for key in rows.keys.tolist()}
+        bounds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for source, segments in rows.ids.items():
+            ids, per_segment = idcodec.decode_chunks_batch(
+                segments.stream, segments.seg_ends
             )
-            # Chunks were flattened in key order, so each key's IDs are one
-            # contiguous slice of ``ids``, delimited by ``bounds``.
-            chunk_ends = np.cumsum(np.fromiter(map(len, per_key), np.int64, len(per_key)))
-            bounds = np.append(0, np.append(0, np.cumsum(per_chunk))[chunk_ends])
-            decoded[source] = ids, bounds
-            for row_set, count in zip(opened.values(), np.diff(bounds).tolist()):
+            # A key's segments are contiguous, so its IDs are one slice.
+            key_bounds = np.append(0, np.cumsum(per_segment))[segments.group_segs]
+            bounds[source] = ids, per_segment, key_bounds
+            for row_set, count in zip(opened.values(), np.diff(key_bounds).tolist()):
                 row_set.counts[source] = count
         for alias, agg in aggs.items():
-            column = [
-                srv.merge_payloads(agg, pieces[alias]) for pieces, _ in merged.values()
-            ]
+            column = rows.values[alias]
             if isinstance(agg, srv.AsheSum):
-                values = self._unpad_groups(agg, column, *decoded[agg.id_source])
+                ids, per_segment, key_bounds = bounds.get(agg.id_source, (None,) * 3)
+                if ids is None or column.dtype != np.uint64 or bool(
+                    np.any(key_bounds[1:] == key_bounds[:-1])
+                ):
+                    raise DecryptionError("an ASHE sum arrived without its ID set")
+                pads = np.add.reduceat(self._factory.ashe(agg.column).pad_array(
+                    ids, per_segment), key_bounds[:-1])
+                values = (column + pads).view(np.int64).tolist()  # wrapping, read signed
+            elif isinstance(agg, srv.PaillierSum):
+                values = [self._decrypt_payload(("paillier", v), agg, {})
+                          for v in column.tolist()]
             else:
-                values = [self._decrypt_payload(p, agg, {}) for p in column]
+                values = column.tolist()
             for row_set, value in zip(opened.values(), values):
                 row_set.values[alias] = value
         return opened
-
-    def _unpad_groups(
-        self, agg: srv.AsheSum, column: list[Any], ids: np.ndarray, bounds: np.ndarray
-    ) -> list[int | None]:
-        """Decrypt one ASHE column's per-key sums: one pad array over every
-        key's IDs, segmented per key by wrapping prefix sums."""
-        prefix = np.zeros(ids.size + 1, dtype=np.uint64)
-        np.cumsum(self._factory.ashe(agg.column).pad_array(ids), out=prefix[1:])
-        pads = (prefix[bounds[1:]] - prefix[bounds[:-1]]).tolist()
-        out: list[int | None] = []
-        for payload, pad, lo, hi in zip(column, pads, bounds.tolist(), bounds[1:].tolist()):
-            if payload is not None and lo == hi:
-                raise DecryptionError("an ASHE sum arrived without its ID set")
-            out.append(
-                None if payload is None else to_signed((payload[1] + pad) & MASK64)
-            )
-        return out
 
     def _decrypt_extreme(self, payload: Any, agg: srv.AggOp, mode: str) -> Any:
         if payload is None:
@@ -353,7 +344,10 @@ class DecryptionModule:
             assert item.extreme_ref is not None and item.extreme_mode is not None
             req, alias = item.extreme_ref
             reply = replies[req]
-            _flat_row_set(reply)  # extremes only exist in flat replies
+            if reply.response.kind == "grouped":  # a public column's, per group
+                row_set = row_set_of(reply)
+                return None if row_set is None else row_set.values.get(alias)
+            _flat_row_set(reply)  # encrypted extremes only exist in flat replies
             value = self._decrypt_extreme(
                 reply.response.flat.get(alias), reply.aggs[alias], item.extreme_mode
             )
@@ -363,9 +357,6 @@ class DecryptionModule:
         raise DecryptionError(f"cannot assemble output kind {item.kind!r}")
 
     # -- grouped results -------------------------------------------------------------
-
-    def _decode_group_key(self, tq: TranslatedQuery, key: int) -> Any:
-        return self._decode_group_keys(tq, [key])[key]
 
     def _decode_group_keys(self, tq: TranslatedQuery, keys: list[int]) -> dict[int, Any]:
         """Decode every group key in one batch-kernel call (key -> value)."""
@@ -500,3 +491,4 @@ def _flat_row_set(reply: _Reply) -> _RowSet:
     if not isinstance(reply.opened, _RowSet):
         raise DecryptionError("flat lookup against a grouped response")
     return reply.opened
+

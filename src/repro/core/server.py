@@ -18,11 +18,12 @@ Supported physical operations:
 - plain and Paillier aggregation for the NoEnc / CryptDB-style baselines;
 - ORE min/max via a vectorised pairwise tournament and median via
   quickselect, using only the public Compare;
-- group-by with per-group ASHE sums, one ID chunk per (group, partition)
-  (:data:`GROUP_CODEC`: VB+Diff, no ranges -- Section 4.5) and
-  the optional *group inflation* optimisation that appends a
-  pseudo-random suffix to group keys so small result sets still use all
-  reducers;
+- group-by with per-group ASHE sums and ID lists held as columns from
+  map task to reply (:mod:`repro.core.grouped`: one ID chunk per (group,
+  partition) in :data:`GROUP_CODEC` -- VB+Diff, no ranges, Section 4.5
+  -- as a segment of one stream) and the optional *group inflation*
+  optimisation that appends a pseudo-random suffix to group keys so
+  small result sets still use all reducers;
 - broadcast hash joins on DET columns, with multiset ID collection for
   build-side ASHE aggregates (and probe rows duplicate keys replicate);
 - **zone-map pruning** (:mod:`repro.index`): before dispatching a map
@@ -36,6 +37,7 @@ Supported physical operations:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import os
@@ -45,6 +47,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.grouped import GroupedRows, IdSegments
 from repro.crypto import ore as ore_mod
 from repro.crypto.kernel import observe_kernel_op
 from repro.crypto.prf import MASK64
@@ -280,23 +283,24 @@ IdSets = dict[str, list[bytes]]
 class ServerResponse:
     """What travels back to the proxy.
 
-    A row set -- a flat request's whole selection, or one ``(key,
-    suffix)`` group -- is a pair: payloads by alias (``("ashe", wrapped
-    sum)``, ``("plain", value)``, ``("paillier", product)``,
-    ``("extreme", ...)``; ``None``: no row selected) and its
-    :data:`IdSets`.  IDs travel once per row set: each ``AsheSum`` reads
-    the set its ``id_source`` names; no payload carries a chunk.
+    A flat request's row set -- its whole selection -- is a pair:
+    payloads by alias (``("ashe", wrapped sum)``, ``("plain", value)``,
+    ``("paillier", product)``, ``("extreme", ...)``; ``None``: no row
+    selected) and its :data:`IdSets`.  IDs travel once per row set: each
+    ``AsheSum`` reads the set its ``id_source`` names; no payload carries
+    a chunk.
 
     ``flat``: ``flat`` + ``id_sets``.  ``partial`` (shard worker ->
     coordinator): ``flat`` maps aliases to pre-merged piece lists.
-    ``grouped``: ``groups`` of ``(key, suffix, payloads, id sets)``.
-    ``scan``: ``flat`` holds the projected ``columns`` and row ``ids``.
+    ``grouped``: ``groups``, every ``(key, suffix)`` row set as columns
+    -- one value column per alias, one ID stream per source.  ``scan``:
+    ``flat`` holds the projected ``columns`` and row ``ids``.
     """
 
     kind: str  # "flat" | "partial" | "grouped" | "scan"
     flat: dict[str, Any] = field(default_factory=dict)
     id_sets: IdSets = field(default_factory=dict)
-    groups: list[tuple[int, int, dict[str, Any], IdSets]] = field(default_factory=list)
+    groups: GroupedRows | None = None
     metrics: JobMetrics = field(default_factory=JobMetrics)
     payload_bytes: int = 0
 
@@ -367,10 +371,12 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 # payload is a path + index, not pickled columns); resolve_partition maps
 # the worker's local slice through the per-process reader cache.
 #
-# A map task's partial of a row set is one tuple: a payload per ``q.aggs``
-# entry, then an ID chunk per ``id_sources(q.aggs)`` entry (``None``: no
-# row).  Positional, not keyed: a grouped map emits one per (group,
-# partition); the driver / reducer builds the reply's dicts and ``IdSets``.
+# A flat map task's partial of its row set is one tuple: a payload per
+# ``q.aggs`` entry, then an ID chunk per ``id_sources(q.aggs)`` entry
+# (``None``: no row); the driver builds the reply's dicts and ``IdSets``.
+# A grouped map task's partial is its partition's row sets as columns
+# (:class:`GroupedRows`), which the shuffle, the reducers and the reply
+# keep: one value column per alias, one ID stream per source.
 # ---------------------------------------------------------------------------
 
 
@@ -511,81 +517,88 @@ def _merge_flat(
 
 def grouped_map_task(
     part: Partition | PartitionRef, q: ServerQuery, build: dict[str, Any] | None
-) -> dict[tuple[int, int], tuple]:
-    """Per-partition (group key, suffix) -> partial of the group's row set."""
+) -> GroupedRows | None:
+    """One partition's (group key, suffix) row sets as columns (``None``:
+    no row selected)."""
     inflation = max(1, q.inflation)
     part = resolve_partition(part)
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
-        return {}
+        return None
     columns, probe_idx = view
     nrows = part.nrows if probe_idx is None else len(probe_idx)
     mask = eval_filter(columns, q.filter, nrows)
     sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
     if sel.size == 0:
-        return {}
-    keys = columns[q.group_by][sel]
-    keys = keys.astype(_U64, copy=False)
+        return None
     ids = _ids_at(part, probe_idx, sel)
-    # Group-by optimisation (Section 4.5): append a pseudo-random
-    # suffix to multiply the number of reduce keys.
-    suffix = (ids % _U64(inflation)).astype(np.int64) if inflation > 1 else None
-    if suffix is None:
-        order = np.argsort(keys, kind="stable")
-        sorted_suffix = np.zeros(sel.size, dtype=np.int64)
-    else:
-        order = np.lexsort((suffix, keys))
-        sorted_suffix = suffix[order]
-    sorted_keys = keys[order]
-    sorted_ids = ids[order]
+    keys, code = np.unique(columns[q.group_by][sel].astype(_U64, copy=False),
+                           return_inverse=True)
+    if inflation > 1:
+        # Group-by optimisation (Section 4.5): append a pseudo-random
+        # suffix to multiply the number of reduce keys.
+        code = code * inflation + (ids % _U64(inflation)).astype(np.int64)
+    # By (key, suffix), then row position: a stable sort by key, in one
+    # argsort of distinct integers.
+    order = np.argsort(code << 32 | np.arange(sel.size))
+    counts = np.bincount(code)
+    present = np.flatnonzero(counts)
+    starts = np.append(0, np.cumsum(counts[present])[:-1])
     sorted_sel = sel[order]
-    new_group = np.empty(sorted_keys.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (sorted_keys[1:] != sorted_keys[:-1]) | (
-        sorted_suffix[1:] != sorted_suffix[:-1]
+    return GroupedRows(
+        keys[present // inflation], present % inflation,
+        {agg.alias: _group_values(agg, columns, sorted_sel, starts) for agg in q.aggs},
+        {
+            source: _group_id_segments(
+                columns[JOIN_IDS_COLUMN][sorted_sel] if source == BUILD_IDS else ids[order],
+                starts, q,
+            )
+            for source in id_sources(q.aggs)
+        },
     )
-    starts = np.flatnonzero(new_group)
-    bounds = np.append(starts, sorted_keys.size)
-    # One list per partial slot, each holding every group's entry.
-    slots = [_group_partials(agg, columns, sorted_sel, starts, bounds) for agg in q.aggs]
-    slots += [
-        _group_id_chunks(
-            columns[JOIN_IDS_COLUMN][sorted_sel] if source == BUILD_IDS else sorted_ids,
-            starts, bounds, q,
-        )
-        for source in id_sources(q.aggs)
-    ]
-    group_keys = zip(sorted_keys[starts].tolist(), sorted_suffix[starts].tolist())
-    return dict(zip(group_keys, zip(*slots) if slots else itertools.repeat(())))
 
 
-def _group_id_chunks(
-    ids: np.ndarray, starts: np.ndarray, bounds: np.ndarray, q: ServerQuery
-) -> list[bytes]:
-    """Every group's ID chunk for one source, encoded once per partition."""
+def _group_id_segments(ids: np.ndarray, starts: np.ndarray, q: ServerQuery) -> IdSegments:
+    """Every group's ID chunk for one source, encoded once per partition
+    as one segment each."""
     if q.join is not None:
         unordered = ids[1:] <= ids[:-1]
         unordered[starts[1:] - 1] = False  # a new group may start lower
         if bool(unordered.any()):
             # Join-replicated rows: a multiset inside some group.
-            return [encode_multiset(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    # GROUP_CODEC chunks for every group at once, sliced from one stream.
-    return encode_groups_vb_diff(ids, starts, bounds)
+            chunks = [encode_multiset(g) for g in np.split(ids, starts[1:])]
+            stream = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+            seg_ends = np.cumsum([len(c) for c in chunks])
+            return IdSegments(stream, seg_ends, np.arange(starts.size + 1))
+    # GROUP_CODEC chunks for every group at once, as one stream.
+    return IdSegments(*encode_groups_vb_diff(ids, starts), np.arange(starts.size + 1))
 
 
-def group_reduce_task(
-    shard: dict[tuple[int, int], list[tuple]], aggs: tuple[AggOp, ...]
-) -> list[tuple[int, int, dict[str, Any], IdSets]]:
-    """Merge one reducer's shard of (key, suffix) partials into row sets."""
-    id_slots = _id_slots(aggs)
-    merged: list[tuple[int, int, dict[str, Any], IdSets]] = []
-    for key, entries in shard.items():
-        per_agg = {}
-        for slot, agg in enumerate(aggs):
-            pieces = [e[slot] for e in entries if e[slot] is not None]
-            per_agg[agg.alias] = merge_payloads(agg, pieces)
-        merged.append((key[0], key[1], per_agg, _collect_id_sets(id_slots, entries)))
-    return merged
+def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows:
+    """Merge one reducer's sorted slice of (key, suffix) partials into row
+    sets: one ``reduceat`` per column, segment lists joined."""
+    return rows.merge(group_reducers(aggs))
+
+
+def group_reducers(aggs: Iterable[AggOp]) -> dict[str, Any]:
+    """How each alias's column merges over runs of rows or of partials."""
+    return {agg.alias: _group_reducer(agg) for agg in aggs}
+
+
+def empty_groups(aggs: Sequence[AggOp]) -> GroupedRows:
+    """Grouped row sets with no entry: nothing selected, or an empty shard."""
+    nothing = IdSegments(np.empty(0, np.uint8), np.empty(0, np.int64), np.zeros(1, np.int64))
+    return GroupedRows(np.empty(0, _U64), np.empty(0, np.int64), {
+        a.alias: np.empty(0, object if isinstance(a, PaillierSum) else
+                          _U64 if isinstance(a, AsheSum) else np.int64) for a in aggs
+    }, dict.fromkeys(id_sources(aggs), nothing))
+
+
+def merge_groups(parts: list[GroupedRows], aggs: Sequence[AggOp]) -> GroupedRows:
+    """Several replies' row sets as one, in part order within a row set."""
+    return GroupedRows.concat(parts or [empty_groups(aggs)]).sorted().merge(
+        group_reducers(aggs)
+    )
 
 
 class SeabedServer:
@@ -937,48 +950,31 @@ class SeabedServer:
         )
         stage.partitions_total = len(parts) + skipped
         stage.partitions_skipped = skipped
+        partials = [p for p in map_out if p is not None] or [empty_groups(q.aggs)]
 
+        def shuffle() -> tuple[GroupedRows, np.ndarray]:
+            # One sort on (key, suffix) over every partition's partials:
+            # each row set's partials become adjacent, in partition order.
+            rows = GroupedRows.concat(partials).sorted()
+            return rows, np.append(rows.run_starts(), len(rows))
+
+        rows, bounds = self.cluster.run_driver("shuffle-partition", shuffle, metrics)
         # Shuffle: every (key, suffix) partial crosses the network once.
-        n = len(q.aggs)  # a partial: n payloads, then the ID chunks
-        shuffle_bytes = sum(
-            9 + sum(_payload_nbytes(v) for v in entry[:n] if v is not None)
-            + sum(map(len, entry[n:]))
-            for partial_map in map_out
-            for entry in partial_map.values()
-        )
-        total_keys = len({k for partial_map in map_out for k in partial_map})
-        num_reducers = max(1, min(self.cluster.config.cores, total_keys))
         # Few distinct keys mean few active receivers: the bandwidth
         # bottleneck group inflation exists to fix (Section 4.5).
-        self.cluster.account_shuffle(metrics, shuffle_bytes, num_reducers)
-
-        def shard() -> list[dict[tuple[int, int], list[Any]]]:
-            # The shuffle partitioner: each (key, suffix) entry is routed
-            # to its reducer exactly once -- O(total entries).
-            shards: list[dict[tuple[int, int], list[Any]]] = [
-                {} for _ in range(num_reducers)
-            ]
-            for partial_map in map_out:
-                for key, entry in partial_map.items():
-                    shards[hash(key) % num_reducers].setdefault(key, []).append(entry)
-            return shards
-
-        shards = self.cluster.run_driver("shuffle-partition", shard, metrics)
-
-        reduce_calls = [(shards[r], q.aggs) for r in range(num_reducers)]
+        distinct = len(bounds) - 1
+        num_reducers = max(1, min(self.cluster.config.cores, distinct))
+        self.cluster.account_shuffle(
+            metrics, sum(p.nbytes() for p in partials), num_reducers
+        )
+        # Range partitioning: each reducer merges a contiguous run of keys.
+        cuts = bounds[np.arange(num_reducers + 1) * distinct // num_reducers].tolist()
+        reduce_calls = [(rows.slice(lo, hi), q.aggs) for lo, hi in zip(cuts[:-1], cuts[1:])]
         reduced, _ = self.cluster.map_stage(
             "group-reduce", group_reduce_task, reduce_calls, metrics
         )
-        return grouped_response([entry for shard in reduced for entry in shard])
-
-
-def grouped_response(
-    groups: list[tuple[int, int, dict[str, Any], IdSets]]
-) -> ServerResponse:
-    payload_bytes = sum(
-        9 + row_set_nbytes(per_agg.values(), id_sets) for _, _, per_agg, id_sets in groups
-    )
-    return ServerResponse(kind="grouped", groups=groups, payload_bytes=payload_bytes)
+        groups = GroupedRows.concat(reduced)
+        return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
 
 # ---------------------------------------------------------------------------
@@ -1146,47 +1142,40 @@ def merge_payloads(agg: AggOp, pieces: list[Any]) -> Any:
     raise ExecutionError(f"unknown aggregation op {type(agg).__name__}")
 
 
-def _group_partials(
-    agg: AggOp,
-    columns: dict[str, np.ndarray],
-    sorted_sel: np.ndarray,
-    starts: np.ndarray,
-    bounds: np.ndarray,
-) -> list[Any]:
-    """Per-group partials, vectorised where the operator allows."""
-    ngroups = len(starts)
+def _group_values(
+    agg: AggOp, columns: dict[str, np.ndarray], sorted_sel: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """One partition's per-group column for ``agg``: its reducer over each
+    group's run of the rows sorted by group."""
+    reduce = _group_reducer(agg)
+    if isinstance(agg, PlainAgg) and agg.func == "count":
+        return reduce(np.ones(sorted_sel.size, dtype=np.int64), starts)
+    values = columns[agg.column][sorted_sel]
+    if isinstance(agg, PlainAgg) and agg.func == "sumsq":
+        values = values.astype(np.int64) ** 2
+    return reduce(values, starts)
+
+
+_PLAIN_REDUCERS = {"count": np.add.reduceat, "sum": np.add.reduceat,
+                   "sumsq": np.add.reduceat, "min": np.minimum.reduceat,
+                   "max": np.maximum.reduceat}
+
+
+def _paillier_products(cipher: np.ndarray, starts: np.ndarray, n2: int) -> np.ndarray:
+    out = np.empty(starts.size, dtype=object)
+    for g, run in enumerate(np.split(cipher, starts[1:])):
+        out[g] = functools.reduce(lambda total, c: total * c % n2, run.tolist(), 1)
+    return out
+
+
+def _group_reducer(agg: AggOp) -> Any:
+    """``reduce(column, run_starts)`` for a groupable aggregate: uint64
+    ``np.add.reduceat`` wraps like ``MASK64``, so ASHE sums merge exactly."""
     if isinstance(agg, AsheSum):
-        cipher = columns[agg.column][sorted_sel]
-        return [("ashe", total) for total in np.add.reduceat(cipher, starts).tolist()]
-    if isinstance(agg, PlainAgg):
-        if agg.func == "count":
-            return [("plain", int(bounds[g + 1] - bounds[g])) for g in range(ngroups)]
-        values = columns[agg.column][sorted_sel]
-        if agg.func == "sum":
-            sums = np.add.reduceat(values, starts)
-            return [("plain", int(sums[g])) for g in range(ngroups)]
-        if agg.func == "sumsq":
-            v64 = values.astype(np.int64)
-            sums = np.add.reduceat(v64 * v64, starts)
-            return [("plain", int(sums[g])) for g in range(ngroups)]
-        if agg.func == "min":
-            mins = np.minimum.reduceat(values, starts)
-            return [("plain", _coerce_payload(mins[g])) for g in range(ngroups)]
-        if agg.func == "max":
-            maxs = np.maximum.reduceat(values, starts)
-            return [("plain", _coerce_payload(maxs[g])) for g in range(ngroups)]
-        raise ExecutionError(f"plain {agg.func!r} is not groupable")
+        return np.add.reduceat
+    if isinstance(agg, PlainAgg) and agg.func in _PLAIN_REDUCERS:
+        return _PLAIN_REDUCERS[agg.func]
     if isinstance(agg, PaillierSum):
-        cipher = columns[agg.column][sorted_sel]
-        out = []
-        n2 = agg.n_squared
-        for g in range(ngroups):
-            lo, hi = int(bounds[g]), int(bounds[g + 1])
-            total = 1
-            for c in cipher[lo:hi].tolist():
-                total = (total * c) % n2
-            out.append(("paillier", total))
-        return out
-    raise ExecutionError(
-        f"{type(agg).__name__} is not supported inside GROUP BY"
-    )
+        return functools.partial(_paillier_products, n2=agg.n_squared)
+    name = f"plain {agg.func}" if isinstance(agg, PlainAgg) else type(agg).__name__
+    raise ExecutionError(f"{name} is not supported inside GROUP BY")

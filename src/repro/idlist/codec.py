@@ -14,10 +14,12 @@ Bitmap codecs bypass stages 1-3.  The named combinations in
 :data:`CODECS` are the exact series of Figure 8(a)/(b) plus the group-by
 codec (VB+Diff without ranges, Section 4.5) and baselines.
 
-A chunk encodes the IDs one partition selected for one *row set*: the
-server emits one chunk per partition for a flat request and one per
-(group, partition) for a grouped one -- never one per aggregate -- and
-the client decodes each exactly once (:mod:`repro.core.decryptor`).
+A chunk encodes the IDs one partition selected for one *row set* --
+never one per aggregate -- and the client decodes each exactly once
+(:mod:`repro.core.decryptor`).  A flat request ships one chunk per
+partition; a grouped one ships, per ID source, the (group, partition)
+chunks as segments of one stream (:func:`encode_groups_vb_diff` writes
+it, :func:`decode_chunks_batch` reads it back in one pass).
 
 A flat row set's chunk picks its container from the mask's shape
 (:func:`encode_mask`): the ``seabed`` pipeline's bytes for contiguous and
@@ -176,31 +178,34 @@ _FLAG_MULTISET = 0x40
 
 
 def encode_groups_vb_diff(
-    sorted_ids: np.ndarray, starts: np.ndarray, bounds: np.ndarray
-) -> list[bytes]:
-    """Encode many per-group ID lists in two vectorised passes.
+    sorted_ids: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode many per-group ID lists as segments of one stream.
 
     ``sorted_ids`` holds every selected row ID ordered by (group, id);
-    ``starts``/``bounds`` delimit the groups.  Diff-encoding the whole
-    array (re-anchoring each group's first element to its absolute ID) and
-    variable-byte-packing once lets each group's payload be a byte *slice*
-    of the shared stream -- the per-group Python cost drops to a slice and
-    a header byte.  Output chunks decode with the standard self-describing
-    decoder (VB+Diff, the paper's group-by codec).
+    group ``g`` starts at ``starts[g]``.  Diff-encoding the whole array
+    (re-anchoring each group's first element to its absolute ID) and
+    variable-byte-packing it once, one byte of room left before each
+    group for its flag, yields ``(stream, seg_ends)``: a uint8 array in
+    which group ``g``'s segment ends at ``seg_ends[g]`` and is byte for
+    byte the paper's group-by chunk (VB+Diff) of that group alone.
     """
     ids = np.asarray(sorted_ids, dtype=np.uint64)
     if ids.size == 0:
-        return []
+        return np.empty(0, np.uint8), np.empty(0, np.int64)
     seq = np.empty_like(ids)
     seq[0] = ids[0]
-    seq[1:] = ids[1:] - ids[:-1]
+    np.subtract(ids[1:], ids[:-1], out=seq[1:])
     seq[starts] = ids[starts]  # re-anchor each group
-    payload, offsets = varbyte.encode_with_offsets(seq)
-    header = bytes([_FLAG_DIFF])
-    return [
-        header + payload[offsets[int(starts[g])] : offsets[int(bounds[g + 1])]]
-        for g in range(len(starts))
-    ]
+    nbytes = varbyte.byte_lengths(seq)
+    flagged = np.zeros(ids.size, dtype=np.uint8)
+    flagged[starts] = 1
+    row_ends = np.cumsum(nbytes + flagged, dtype=np.int64)
+    pos = row_ends - nbytes
+    stream = np.empty(int(row_ends[-1]), dtype=np.uint8)
+    stream[pos[starts] - 1] = _FLAG_DIFF
+    varbyte.write_at(seq, nbytes, stream, pos)
+    return stream, row_ends[np.append(starts[1:], ids.size) - 1]
 
 
 def encode_multiset(ids: np.ndarray, deflate_level: int | None = 1) -> bytes:
@@ -325,47 +330,59 @@ def is_multiset_payload(data: bytes) -> bool:
     return bool(data) and bool(data[0] & _FLAG_MULTISET)
 
 
-def decode_chunks_batch(chunks: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """Decode many chunks into one ID array plus per-chunk counts.
+def decode_chunks_batch(
+    stream: np.ndarray, seg_ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a stream of group-codec segments into one ID array plus
+    per-segment counts.
 
-    The client receives one encoded chunk per (group, partition) -- easily
-    thousands per query -- so per-chunk Python overhead dominates naive
-    decoding.  When every chunk uses the group-by VB+Diff format this
-    joins the chunks whole, masks the header bytes out, decodes the
-    payload in a handful of numpy passes and splits on vectorised chunk
-    boundaries; other formats fall back to per-chunk decoding.
+    Segment ``i`` is ``stream[seg_ends[i - 1]:seg_ends[i]]`` (from 0 for
+    the first), one chunk as :func:`encode_groups_vb_diff` or
+    :func:`encode_multiset` wrote it.  When every segment is VB+Diff the
+    header bytes are masked out, the payload decodes in a handful of
+    numpy passes and splits on vectorised segment boundaries; a stream
+    holding multiset segments (a join's) decodes segment by segment.  A
+    segment that is empty, ends inside a value or carries any other flag
+    is an :class:`EncodingError`.
 
-    Returns ``(ids, counts)`` where ``counts[i]`` is chunk ``i``'s ID count
-    and ``ids`` is their concatenation in chunk order (duplicates preserved
-    for multiset chunks).
+    Returns ``(ids, counts)`` where ``counts[i]`` is segment ``i``'s ID
+    count and ``ids`` is their concatenation in segment order (duplicates
+    preserved for multiset segments).
     """
-    if not chunks:
+    stream = np.asarray(stream, dtype=np.uint8)
+    seg_ends = np.asarray(seg_ends, dtype=np.int64)
+    if seg_ends.size == 0:
         return np.empty(0, np.uint64), np.empty(0, np.int64)
-    lengths = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
-    raw = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-    byte_ends = np.cumsum(lengths)
-    headers = byte_ends - lengths
-    if int(lengths.min()) > 1 and bool(np.all(raw[headers] == _FLAG_DIFF)):
-        is_payload = np.ones(raw.size, dtype=bool)
-        is_payload[headers] = False
-        payload = raw[is_payload]
-        seq = varbyte.decode(payload)
-        # Values per chunk: terminal bytes (high bit clear) per byte span.
-        terminal_cum = np.cumsum((payload & 0x80) == 0)
-        value_ends = terminal_cum[byte_ends - np.arange(1, len(chunks) + 1) - 1]
-        starts = np.zeros(len(chunks), dtype=np.int64)
-        starts[1:] = value_ends[:-1]
-        counts = value_ends - starts
-        # Segmented cumsum: each chunk's first value is absolute.
-        totals = np.cumsum(seq, dtype=np.uint64)
-        base = np.zeros(len(chunks), dtype=np.uint64)
-        base[1:] = totals[starts[1:] - 1]
-        return totals - np.repeat(base, counts), counts
-    pieces = [
-        decode_multiset(c) if is_multiset_payload(c) else decode(c).to_ids()
-        for c in chunks
-    ]
-    counts = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    heads = np.append(0, seg_ends[:-1])
+    shortest = int((seg_ends - heads).min())
+    if int(seg_ends[-1]) != stream.size or shortest < 1:
+        raise EncodingError("ID segments do not tile their stream")
+    if shortest > 1 and bool(np.all(stream[heads] == _FLAG_DIFF)):
+        if bool(np.any(stream[seg_ends - 1] & 0x80)):
+            raise EncodingError("an ID segment ends inside a varbyte value")
+        # A flag byte reads as a one-byte value of its own: decode the
+        # stream whole, then find and drop the flags' values.
+        values, ends = varbyte.decode_with_ends(stream)
+        at_flag = np.zeros(stream.size, dtype=bool)
+        at_flag[heads] = True
+        is_flag = at_flag[ends]
+        flags = np.flatnonzero(is_flag)
+        # Segmented cumsum: each segment's first value is absolute, so a
+        # flag's slot takes minus the previous segment's sum.
+        values[flags] = 0
+        values[flags[1:]] = -np.add.reduceat(values, flags)[:-1]
+        np.cumsum(values, out=values)
+        return values[~is_flag], np.diff(np.append(flags, ends.size)) - 1
+    pieces = [np.empty(0, np.uint64)]
+    for lo, hi in zip(heads.tolist(), seg_ends.tolist()):
+        segment = stream[lo:hi].tobytes()
+        if segment[0] & _FLAG_MULTISET:
+            pieces.append(decode_multiset(segment))
+        elif segment[0] == _FLAG_DIFF:
+            pieces.append(decode(segment).to_ids())
+        else:
+            raise EncodingError(f"unknown ID segment flag {segment[0]:#04x}")
+    counts = np.fromiter(map(len, pieces[1:]), dtype=np.int64, count=seg_ends.size)
     return np.concatenate(pieces), counts
 
 

@@ -25,7 +25,9 @@ and aggregate ops, :class:`~repro.core.server.ServerResponse`,
 and numpy buffers, i.e. the ciphertexts -- are *not* JSON-encoded: the
 envelope stores an index into the raw buffer region, so ciphertext
 batches and encrypted results ship as flat memory with a JSON envelope
-for metadata only.
+for metadata only.  A grouped reply is columns
+(:class:`~repro.core.grouped.GroupedRows`): a few buffers whatever its
+number of groups, checked structurally as it is decoded.
 
 Malformed input never escapes as a raw ``struct``/``json``/``OSError``:
 truncated frames, bad magic, version skew, unknown tags and oversized
@@ -43,13 +45,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.core import grouped
 from repro.core import server as srv
 from repro.engine import metrics as em
 from repro.engine.storage import decode_object_column, encode_object_column
 from repro.errors import CodecError
 
 MAGIC = b"SBNW"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: Upper bound on a single frame; a corrupt length prefix fails fast
 #: instead of attempting a multi-gigabyte read.  It therefore also bounds
@@ -79,6 +82,8 @@ _DATACLASSES: dict[str, type] = {
         srv.ServerJoin,
         srv.ServerQuery,
         srv.ServerResponse,
+        grouped.GroupedRows,
+        grouped.IdSegments,
         em.StageMetrics,
         em.JobMetrics,
     )
@@ -164,7 +169,10 @@ def _unpack(tree: Any, buffers: list[memoryview]) -> Any:
                 raise CodecError(
                     f"unexpected fields for {tree['t']}: {sorted(set(fields) - known)}"
                 )
-            return cls(**fields)
+            value = cls(**fields)
+            if isinstance(value, grouped.GroupedRows):
+                value.validate()  # ragged columns, untiled ID streams
+            return value
     except CodecError:
         raise
     except Exception as exc:  # noqa: BLE001 -- any malformed node is a codec error

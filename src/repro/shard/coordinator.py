@@ -448,20 +448,22 @@ class ShardCoordinator:
         method: str,
         kwargs_for: Any,
     ) -> list[srv.ServerResponse]:
-        """Run one RPC per shard concurrently, with replica failover."""
+        """Run one RPC per shard concurrently, with replica failover: a
+        thread per shard but the first, which this thread calls itself
+        (a routed query's one shard costs no thread)."""
         if not shards:
             return []
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+
+        def call(shard: int) -> tuple[Any, int]:
+            return self.store.call_shard(shard, method, **kwargs_for(shard))
+
+        with ThreadPoolExecutor(max_workers=max(1, len(shards) - 1)) as pool:
             # copy_context(): the scatter threads inherit the caller's
             # ambient span, so per-shard worker spans parent correctly.
             futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    lambda s=s: self.store.call_shard(s, method, **kwargs_for(s)),
-                )
-                for s in shards
+                pool.submit(contextvars.copy_context().run, call, s) for s in shards[1:]
             ]
-            outcomes = [f.result() for f in futures]
+            outcomes = [call(shards[0])] + [f.result() for f in futures]
         responses = []
         for response, failovers in outcomes:
             responses.append(response)
@@ -519,26 +521,12 @@ class ShardCoordinator:
         responses: list[srv.ServerResponse],
         metrics: JobMetrics,
     ) -> srv.ServerResponse:
-        def merge() -> list[tuple[int, int, dict[str, Any], srv.IdSets]]:
-            combined: dict[tuple[int, int], list[Any]] = {}
-            for resp in responses:
-                for key, sfx, per_agg, id_sets in resp.groups:
-                    combined.setdefault((key, sfx), []).append((per_agg, id_sets))
-            groups: list[tuple[int, int, dict[str, Any], srv.IdSets]] = []
-            for (key, sfx), entries in combined.items():
-                per: dict[str, Any] = {}
-                for agg in q.aggs:
-                    pieces = [
-                        e[agg.alias] for e, _ in entries
-                        if e.get(agg.alias) is not None
-                    ]
-                    per[agg.alias] = srv.merge_payloads(agg, pieces)
-                ids = srv.gather_id_sets(ids for _, ids in entries)
-                groups.append((key, sfx, per, ids))
-            return groups
-
-        groups = self.cluster.run_driver("gather-merge", merge, metrics)
-        return srv.grouped_response(groups)
+        groups = self.cluster.run_driver(
+            "gather-merge",  # shard-id order: each row set's IDs stay in row-id order
+            lambda: srv.merge_groups([resp.groups for resp in responses], q.aggs),
+            metrics,
+        )
+        return srv.ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
     def scan(
         self,

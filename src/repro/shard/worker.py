@@ -125,7 +125,7 @@ class _ShardWorker:
         if self.server.get(alias) is None:
             # Empty shard: nothing to aggregate, the partial is vacuous.
             if q.group_by is not None:
-                return srv.ServerResponse(kind="grouped", groups=[])
+                return srv.ServerResponse(kind="grouped", groups=srv.empty_groups(q.aggs))
             return srv.ServerResponse(
                 kind="partial", flat={agg.alias: [] for agg in q.aggs}
             )

@@ -5,6 +5,7 @@ the decryptor's own contract: payload handling, chunk accumulation,
 validation, and group-key decoding.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -16,13 +17,15 @@ from repro.core import server as srv
 from repro.core.crypto_factory import CryptoFactory
 from repro.core.decryptor import DecryptionModule
 from repro.core.encryptor import ClientTableState, EncryptionModule
+from repro.core.grouped import GroupedRows, IdSegments
 from repro.core.planner import Planner
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.translator import QueryTranslator
 from repro.crypto.keys import KeyChain
-from repro.errors import DecryptionError
+from repro.errors import CodecError, DecryptionError
 from repro.idlist import IdList, get_codec
 from repro.idlist.codec import encode_mask, encode_multiset
+from repro.net import codec as wire
 from repro.query.parser import parse_query
 
 KEY = b"d" * 32
@@ -52,6 +55,21 @@ AGGS = {"a": srv.AsheSum("x__ashe", "a")}
 
 def flat_reply(flat, id_sets=None):
     return srv.ServerResponse(kind="flat", flat=flat, id_sets=id_sets or {})
+
+
+def grouped_reply(alias, keys, sums, chunks_per_key):
+    """A grouped reply: key ``i``'s ASHE sum ``sums[i]`` and its ID chunks
+    ``chunks_per_key[i]``, as segments of one row-ID stream."""
+    chunks = [c for per_key in chunks_per_key for c in per_key]
+    return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        np.array(keys, dtype=np.uint64), np.zeros(len(keys), dtype=np.int64),
+        {alias: np.array(sums, dtype=np.uint64)},
+        {srv.ROW_IDS: IdSegments(
+            np.frombuffer(b"".join(chunks), dtype=np.uint8).copy(),
+            np.cumsum([len(c) for c in chunks], dtype=np.int64),
+            np.cumsum([0] + [len(c) for c in chunks_per_key], dtype=np.int64),
+        )},
+    ))
 
 
 class TestPayloadDecryption:
@@ -177,10 +195,7 @@ class TestMalformedReplies:
         alias = tq.requests[0].aggs[0].alias
         key = factory.det("g__det").encrypt_one(3)
         good = get_codec("groupby").encode(IdList.from_range(0, 4))
-        reply = srv.ServerResponse(kind="grouped", groups=[
-            (key, 0, {alias: ("ashe", 1)}, {srv.ROW_IDS: [good]}),
-            (key + 1, 0, {alias: ("ashe", 2)}, {}),
-        ])
+        reply = grouped_reply(alias, [key, key + 1], [1, 2], [[good], []])
         with pytest.raises(DecryptionError, match="without its ID set"):
             DecryptionModule(state, factory).decrypt(tq, [reply])
 
@@ -190,9 +205,7 @@ class TestMalformedReplies:
         alias = tq.requests[0].aggs[0].alias
         key = factory.det("g__det").encrypt_one(3)
         dangling = bytes([0x02, 0x85])  # VB+Diff header, continuation never ends
-        reply = srv.ServerResponse(kind="grouped", groups=[
-            (key, 0, {alias: ("ashe", 1)}, {srv.ROW_IDS: [dangling]}),
-        ])
+        reply = grouped_reply(alias, [key], [1], [[dangling]])
         with pytest.raises(DecryptionError, match="malformed ID set"):
             DecryptionModule(state, factory).decrypt(tq, [reply])
 
@@ -210,10 +223,7 @@ class TestMalformedReplies:
         for tq, reply in (
             (flat, flat_reply({flat.requests[0].aggs[0].alias: ("ashe", 7)},
                               {srv.ROW_IDS: chunks})),
-            (grouped, srv.ServerResponse(kind="grouped", groups=[
-                (key, 0, {grouped.requests[0].aggs[0].alias: ("ashe", 7)},
-                 {srv.ROW_IDS: chunks}),
-            ])),
+            (grouped, grouped_reply(grouped.requests[0].aggs[0].alias, [key], [7], [chunks])),
         ):
             try:
                 module.decrypt(tq, [reply])
@@ -232,6 +242,115 @@ class TestMalformedReplies:
             )
 
 
+@pytest.fixture(scope="module")
+def grouped_case(env):
+    """A well-formed grouped reply over twelve rows in two partitions
+    (IDs 0-5, 6-11), three groups, and the rows it decrypts to."""
+    state, factory, translator = env
+    tq = translator.translate(parse_query("SELECT g, sum(x), count(*) FROM t GROUP BY g"))
+    cipher = factory.ashe("x__ashe").encrypt_column(np.arange(12) * 5, start_id=0)
+    det = factory.det("g__det")
+    tokens = {det.encrypt_one(g): g for g in range(3)}
+    codec = get_codec("groupby")
+    keys, sums, chunks = [], [], []
+    for token in sorted(tokens):
+        ids = np.flatnonzero(np.arange(12) % 3 == tokens[token]).astype(np.uint64)
+        keys.append(token)
+        sums.append(int(cipher[ids].sum()))
+        chunks.append([codec.encode(IdList.from_ids(ids[ids < 6])),
+                       codec.encode(IdList.from_ids(ids[ids >= 6]))])
+    reply = grouped_reply(tq.requests[0].aggs[0].alias, keys, sums, chunks)
+    rows = [{"g": g, "sum(x)": int((np.arange(12)[np.arange(12) % 3 == g] * 5).sum()),
+             "count(*)": 4} for g in range(3)]
+    return tq, reply, rows
+
+
+def _swap(arr, data):
+    i, j = data.draw(st.lists(st.integers(0, arr.size - 1), min_size=2, max_size=2,
+                              unique=True).map(sorted))
+    arr[[i, j]] = arr[[j, i]]
+
+
+def _mutate(rows, kind, data):
+    """Break one field of ``rows`` the way ``kind`` names."""
+    segments = rows.ids[srv.ROW_IDS]
+    entries, nsegs = len(rows), segments.seg_ends.size
+    alias = next(iter(rows.values))
+    other_size = st.integers(0, 2 * entries).filter(lambda n: n != entries)
+    if kind == "ragged-values":
+        rows.values[alias] = np.resize(rows.values[alias], data.draw(other_size))
+    elif kind == "ragged-suffixes":
+        rows.suffixes = np.zeros(data.draw(other_size), dtype=np.int64)
+    elif kind == "ragged-keys":
+        rows.keys = np.resize(rows.keys, data.draw(other_size))
+    elif kind == "unsorted-keys":
+        _swap(rows.keys, data)
+    elif kind == "duplicate-keys":
+        i, j = data.draw(st.lists(st.integers(0, entries - 1), min_size=2, max_size=2,
+                                  unique=True))
+        rows.keys[j] = rows.keys[i]
+    elif kind == "seg-ends-order":
+        _swap(segments.seg_ends, data)
+    elif kind == "seg-ends-range":
+        segments.seg_ends[data.draw(st.integers(0, nsegs - 1))] = (
+            segments.stream.size + data.draw(st.integers(1, 100)))
+    elif kind == "seg-ends-short":
+        segments.seg_ends[-1] -= data.draw(st.integers(1, int(segments.seg_ends[-1])))
+    elif kind == "group-segs-order":
+        _swap(segments.group_segs, data)
+    elif kind == "group-segs-range":
+        segments.group_segs[data.draw(st.integers(0, entries))] = (
+            nsegs + data.draw(st.integers(1, 10)))
+    elif kind == "group-segs-short":
+        segments.group_segs[-1] -= data.draw(st.integers(1, nsegs))
+    elif kind == "truncated-stream":
+        segments.stream = segments.stream[:-data.draw(st.integers(1, segments.stream.size))]
+    elif kind == "unknown-flag":
+        heads = np.append(0, segments.seg_ends[:-1])
+        segments.stream[heads[data.draw(st.integers(0, nsegs - 1))]] = data.draw(
+            st.sampled_from([0x00, 0x01, 0x03, 0x07, 0x08, 0x10, 0x20, 0x80, 0x82]))
+    elif kind == "empty-group":
+        g = data.draw(st.integers(0, entries - 1))
+        segments.group_segs[g + 1] = segments.group_segs[g]
+    else:
+        raise AssertionError(kind)
+
+
+class TestMalformedGroupedReplies:
+    """Every field a grouped reply is made of, broken: the client answers
+    with a DecryptionError, the wire with a CodecError -- never an
+    IndexError / ValueError, never a number."""
+
+    KINDS = ["ragged-values", "ragged-suffixes", "ragged-keys", "unsorted-keys",
+             "duplicate-keys", "seg-ends-order", "seg-ends-range", "seg-ends-short",
+             "group-segs-order", "group-segs-range", "group-segs-short",
+             "truncated-stream", "unknown-flag", "empty-group"]
+
+    def test_the_unbroken_reply_decrypts(self, env, grouped_case):
+        state, factory, _ = env
+        tq, reply, rows = grouped_case
+        assert DecryptionModule(state, factory).decrypt(tq, [reply]) == rows
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_broken_field_stays_typed(self, env, grouped_case, kind, data):
+        state, factory, _ = env
+        tq, reply, _ = grouped_case
+        broken = copy.deepcopy(reply)
+        _mutate(broken.groups, kind, data)
+        module = DecryptionModule(state, factory)
+        with pytest.raises(DecryptionError):
+            module.decrypt(tq, [broken])
+        try:
+            _, arrived = wire.decode_frame(wire.encode_frame("rep", broken))
+        except CodecError:
+            return
+        with pytest.raises(DecryptionError):
+            module.decrypt(tq, [arrived])
+
+
 class TestResponseValidation:
     def test_response_count_mismatch(self, env):
         state, factory, translator = env
@@ -246,5 +365,5 @@ class TestResponseValidation:
             parse_query("SELECT g, sum(x) FROM t GROUP BY g")
         )
         module = DecryptionModule(state, factory)
-        det = factory.det("g__det")
-        assert module._decode_group_key(tq, det.encrypt_one(3)) == 3
+        token = factory.det("g__det").encrypt_one(3)
+        assert module._decode_group_keys(tq, [token]) == {token: 3}

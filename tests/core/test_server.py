@@ -209,6 +209,18 @@ class TestOreExtremes:
         assert server.execute(q).flat["md"][1] == 4
 
 
+def chunks_by_group(rows, source=srv.ROW_IDS):
+    """Each (key, suffix) row set's ID chunks: its segments, in order."""
+    ids = rows.ids[source]
+    heads = np.append(0, ids.seg_ends[:-1])
+    chunks = [ids.stream[lo:hi].tobytes() for lo, hi in zip(heads, ids.seg_ends)]
+    segs = ids.group_segs.tolist()
+    return {
+        pair: chunks[segs[g]:segs[g + 1]]
+        for g, pair in enumerate(zip(rows.keys.tolist(), rows.suffixes.tolist()))
+    }
+
+
 class TestGroupBy:
     def test_plain_grouped_sums(self, cluster):
         keys = np.array([0, 1, 0, 1, 2], dtype=np.int64)
@@ -219,10 +231,9 @@ class TestGroupBy:
         )
         resp = server.execute(q)
         assert resp.kind == "grouped"
-        totals = {}
-        for key, _suffix, payloads, _ids in resp.groups:
-            totals[key] = totals.get(key, 0) + payloads["s"][1]
-        assert totals == {0: 40, 1: 60, 2: 50}
+        rows = resp.groups
+        rows.validate(distinct=True)  # one entry per key, sorted
+        assert dict(zip(rows.keys.tolist(), rows.values["s"].tolist())) == {0: 40, 1: 60, 2: 50}
 
     def test_inflation_multiplies_entries_but_preserves_sums(self, cluster):
         keys = np.zeros(64, dtype=np.int64)
@@ -232,12 +243,11 @@ class TestGroupBy:
                                group_by="k", inflation=1)
         inflated = srv.ServerQuery(table="t", aggs=(srv.PlainAgg("v", "sum", "s"),),
                                    group_by="k", inflation=4)
-        r1 = server.execute(base)
-        r4 = server.execute(inflated)
-        assert len({(k, s) for k, s, _, _ in r1.groups}) == 1
-        assert len({(k, s) for k, s, _, _ in r4.groups}) == 4
-        assert sum(p["s"][1] for _, _, p, _ in r1.groups) == 64
-        assert sum(p["s"][1] for _, _, p, _ in r4.groups) == 64
+        r1 = server.execute(base).groups
+        r4 = server.execute(inflated).groups
+        assert (len(r1), len(r4)) == (1, 4)
+        assert r4.suffixes.tolist() == [0, 1, 2, 3]
+        assert int(r1.values["s"].sum()) == int(r4.values["s"].sum()) == 64
 
     def test_group_ids_use_the_group_codec(self, cluster):
         keys = np.arange(40, dtype=np.int64) % 3
@@ -248,25 +258,37 @@ class TestGroupBy:
             group_by="k",
         ))
         want = srv.get_codec(srv.GROUP_CODEC)
-        for key, _suffix, payloads, id_sets in resp.groups:
-            rows = np.flatnonzero(keys == key).astype(np.uint64)
-            assert payloads == {"a": ("ashe", rows.size), "b": ("ashe", rows.size)}
-            chunks = id_sets[srv.ROW_IDS]  # one per partition, shared by a and b
+        rows = resp.groups
+        assert rows.values["a"].dtype == np.uint64 and set(rows.ids) == {srv.ROW_IDS}
+        for g, ((key, _), chunks) in enumerate(chunks_by_group(rows).items()):
+            selected = np.flatnonzero(keys == key).astype(np.uint64)
+            assert rows.values["a"][g] == rows.values["b"][g] == selected.size
+            # one chunk per partition, shared by a and b
             assert chunks == [
-                want.encode(srv.IdList.from_ids(rows[rows < 20])),
-                want.encode(srv.IdList.from_ids(rows[rows >= 20])),
+                want.encode(srv.IdList.from_ids(selected[selected < 20])),
+                want.encode(srv.IdList.from_ids(selected[selected >= 20])),
             ]
         assert resp.payload_bytes == sum(
-            9 + 16 + sum(map(len, ids[srv.ROW_IDS])) for *_, ids in resp.groups
+            9 + 16 + sum(map(len, chunks)) for chunks in chunks_by_group(rows).values()
         )
 
     def test_group_keys_without_aggregates(self, cluster):
-        """A map partial with no slots still names its groups."""
+        """A map partial with no columns still names its groups."""
         server = make_server(cluster, {"k": np.arange(12, dtype=np.int64) % 3}, parts=2)
-        resp = server.execute(srv.ServerQuery(table="t", aggs=(), group_by="k"))
-        assert sorted((k, p, ids) for k, _, p, ids in resp.groups) == [
-            (0, {}, {}), (1, {}, {}), (2, {}, {}),
-        ]
+        rows = server.execute(srv.ServerQuery(table="t", aggs=(), group_by="k")).groups
+        assert rows.keys.tolist() == [0, 1, 2]
+        assert rows.values == {} and rows.ids == {}
+
+    def test_nothing_selected_is_an_empty_reply(self, cluster):
+        server = make_server(cluster, {"k": np.arange(8, dtype=np.int64),
+                                       "a__ashe": np.ones(8, np.uint64)}, parts=2)
+        resp = server.execute(srv.ServerQuery(
+            table="t", aggs=(srv.AsheSum("a__ashe", "a"),), group_by="k",
+            filter=srv.PlainCmp("k", ">", 100),
+        ))
+        assert len(resp.groups) == 0 and resp.payload_bytes == 0
+        assert resp.groups.values["a"].dtype == np.uint64
+        assert resp.metrics.stage("group-reduce").num_tasks == 1
 
     def test_grouped_shuffle_accounted(self, cluster):
         keys = np.arange(50, dtype=np.int64) % 5
@@ -350,6 +372,6 @@ class TestJoin:
         first, second = resp.id_sets[srv.ROW_IDS]
         assert is_multiset_payload(first) and decode_multiset(first).tolist() == [0, 0, 1]
         assert codec_decode(second) == srv.IdList.from_ids(np.array([2], np.uint64))
-        grouped = server.execute(dataclasses.replace(q, group_by="fk"))
-        ids = {key: sets[srv.ROW_IDS] for key, _sfx, _p, sets in grouped.groups}
-        assert decode_multiset(ids[0][0]).tolist() == [0, 0]
+        grouped = server.execute(dataclasses.replace(q, group_by="fk")).groups
+        chunks = chunks_by_group(grouped)
+        assert decode_multiset(chunks[(0, 0)][0]).tolist() == [0, 0]

@@ -136,6 +136,48 @@ class TestAggregation:
         assert scheme.prf_evals - before == 2
 
 
+class TestPadArray:
+    """Per-ID pads: one stream over a dense hull, one per dense stretch of
+    pieces when the hull spans several ID spaces (a sharded reply), two
+    evaluations per ID otherwise -- the same pads every way."""
+
+    STRIDE = 1 << 44  # the shard ID stride
+
+    def ids_and_pieces(self, rng, spaces):
+        pieces = [np.sort(rng.choice(2000, 1500, replace=False)).astype(np.uint64)
+                  + np.uint64(space * self.STRIDE) for space in spaces for _ in range(3)]
+        return np.concatenate(pieces), np.array([len(p) for p in pieces])
+
+    def reference(self, scheme, ids):
+        return scheme._prf.eval_many(ids) - scheme._prf.eval_many(ids - np.uint64(1))
+
+    @pytest.mark.parametrize("spaces", [[0], [0, 1], [2, 0, 1]])
+    def test_stretches_pad_like_the_reference(self, scheme, spaces):
+        ids, pieces = self.ids_and_pieces(np.random.default_rng(len(spaces)), spaces)
+        before = scheme.prf_evals
+        assert scheme.pad_array(ids, pieces).tolist() == self.reference(scheme, ids).tolist()
+        hull = scheme.prf_evals - before
+        assert hull <= 2 * ids.size
+        if len(spaces) > 1:
+            before = scheme.prf_evals
+            assert scheme.pad_array(ids).tolist() == self.reference(scheme, ids).tolist()
+            assert scheme.prf_evals - before == 2 * ids.size > hull
+
+    def test_scattered_pieces_fall_back(self, scheme):
+        ids = np.array([5, 10**6, 3 * 10**9], dtype=np.uint64)
+        pads = scheme.pad_array(ids, np.array([1, 0, 1, 1]))
+        assert pads.tolist() == self.reference(scheme, ids).tolist()
+
+    def test_many_small_stretches_fall_back(self, scheme):
+        # 400 isolated IDs: 400 one-ID streams would make as many
+        # evaluations as the scattered path, but 400 pad_range calls.
+        ids = np.arange(400, dtype=np.uint64) * np.uint64(1000)
+        before = scheme.prf_evals
+        pads = scheme.pad_array(ids, np.ones(400, dtype=np.int64))
+        assert pads.tolist() == self.reference(scheme, ids).tolist()
+        assert scheme.prf_evals - before == 2 * ids.size
+
+
 class TestSecuritySanity:
     """Cheap observable consequences of IND-CPA (Appendix A.1)."""
 

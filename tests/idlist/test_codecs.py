@@ -111,9 +111,11 @@ class TestErrors:
             for i in range(1, len(chunk)) for bit in (0x01, 0x80)
         ]
         for data in damaged:
-            for decoder, arg in ((one, data), (decode_chunks_batch, [chunk, data])):
+            segments = np.frombuffer(chunk + data, dtype=np.uint8)
+            seg_ends = np.array([len(chunk), len(chunk) + len(data)], dtype=np.int64)
+            for decoder, args in ((one, (data,)), (decode_chunks_batch, (segments, seg_ends))):
                 try:
-                    decoder(arg)
+                    decoder(*args)
                 except EncodingError:
                     pass
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
+from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.idlist import IdList
 from repro.idlist import codec as idcodec
 from repro.query import execute_plain, parse_query
@@ -230,3 +231,136 @@ def test_rows_equal_plaintext_under_every_placement(placed):
     writer.compact_table("t")
     check()
     sweep()
+
+
+# -- GROUP BY differential ----------------------------------------------------------
+
+GROUP_DIMS = ["one", "user", "u512", "rid"]  # 1, 7, 512 groups; more than a partition's rows
+CHANNELS = {"web": 500, "app": 300, "store": 20, "phone": 10, "mail": 5}
+JOIN = "SELECT user, sum(w), sum(m0), count(*) FROM g JOIN b ON bk = key GROUP BY user"
+GROUP_SAMPLES = [
+    *(f"SELECT {dim}, sum(m0), sum(m1), min(qty), max(qty), count(*) FROM g GROUP BY {dim}"
+      for dim in [*GROUP_DIMS, "city"]),
+    "SELECT sum(m0) FROM g WHERE tier = 1",
+    "SELECT sum(m0) FROM g WHERE ts >= 5 AND ts < 10",
+    "SELECT channel, sum(m0), count(*) FROM g GROUP BY channel",
+    JOIN,
+]
+CORES = 20  # so the expected-groups hints below give inflation 1, 3 and 10
+INFLATION_HINTS = {1: None, 3: 7, 10: 2}
+
+
+def group_schemas():
+    probe = TableSchema("g", [
+        ColumnSpec("m0", dtype="int", sensitive=True, nbits=32),
+        ColumnSpec("m1", dtype="int", sensitive=True, nbits=32),
+        ColumnSpec("qty", dtype="int"),  # public: min / max run in the clear
+        *(ColumnSpec(dim, dtype="int", sensitive=True) for dim in GROUP_DIMS),
+        ColumnSpec("tier", dtype="int", sensitive=True),
+        ColumnSpec("ts", dtype="int", sensitive=True, nbits=32),
+        # SPLASHE enhanced: the infrequent values share a DET-grouped catch-all.
+        ColumnSpec("channel", dtype="str", sensitive=True, value_counts=CHANNELS),
+        ColumnSpec("city", dtype="str", sensitive=True),
+        ColumnSpec("bk", dtype="int", sensitive=True),
+    ])
+    build = TableSchema("b", [
+        ColumnSpec("key", dtype="int", sensitive=True),
+        ColumnSpec("w", dtype="int", sensitive=True),
+    ])
+    return probe, build
+
+
+def group_data(n, seed):
+    rng = np.random.default_rng(seed)
+    weights = np.array(list(CHANNELS.values()), dtype=float)
+    return {
+        "m0": rng.integers(-500, 1000, n),
+        "m1": rng.integers(0, 1000, n),
+        "qty": rng.integers(-50, 50, n),
+        "one": np.zeros(n, dtype=np.int64),
+        "user": rng.integers(0, 7, n),
+        "u512": rng.permutation(np.arange(n) % 512),
+        "rid": rng.integers(0, 10**6, n),
+        "tier": rng.integers(0, 3, n),
+        "ts": rng.integers(0, 1000, n),
+        "channel": rng.choice(list(CHANNELS), n, p=weights / weights.sum()),
+        "city": rng.choice(CITIES, n),
+        "bk": rng.integers(0, 20, n),
+    }
+
+
+#: Every probe-side key twice or not at all: a joined row is summed (and
+#: its ID padded) once per match, so ID segments become multisets.
+BUILD_ROWS = {"key": np.repeat(np.arange(0, 20, 2), 2), "w": np.arange(1, 21)}
+
+
+def group_cases():
+    """(sql, inflation): every group count under every filter -- none,
+    DET, ORE, one that selects nothing -- with sum/avg/count/min/max mixes
+    and each inflation; the SPLASHE catch-all; groups living on one shard."""
+    filters = ["", "WHERE tier = 1", "WHERE ts >= 250 AND ts < 750", "WHERE tier = 7"]
+    mixes = ["sum(m0), count(*)", "avg(m1), sum(m0), min(qty)",
+             "sum(m0), sum(m1), max(qty), count(*)", "min(qty), max(qty), avg(m0)"]
+    cases = [
+        (f"SELECT {dim}, {mixes[i % len(mixes)]} FROM g {where} GROUP BY {dim}",
+         list(INFLATION_HINTS)[i % len(INFLATION_HINTS)])
+        for i, (dim, where) in enumerate(
+            (dim, where) for dim in GROUP_DIMS for where in filters
+        )
+    ]
+    return cases + [
+        ("SELECT channel, sum(m0), avg(m0), count(*) FROM g GROUP BY channel", 1),
+        # Sharded, every city's rows live on one shard: a group only one
+        # shard's reply holds.
+        ("SELECT city, sum(m1), max(qty), count(*) FROM g GROUP BY city", 3),
+    ]
+
+
+def check_group_cases(session, tables, join):
+    for sql, inflation in group_cases() + ([(JOIN, 1)] if join else []):
+        got = session.query(sql, expected_groups=INFLATION_HINTS[inflation])
+        assert got.translation.inflation == inflation
+        assert normalise(got.rows) == normalise(execute_plain(tables, parse_query(sql))), sql
+
+
+def test_grouped_rows_equal_plaintext_under_every_placement(placed):
+    probe, build = group_schemas()
+    session = placed.new_session(mode="seabed", master_key=MASTER_KEY, seed=3,
+                                 cluster=SimulatedCluster(ClusterConfig(cores=CORES)))
+    session.create_plan(probe, GROUP_SAMPLES)
+    session.create_plan(build, GROUP_SAMPLES)
+    truth = group_data(900, seed=8)
+    writer, _ = placed.persist(session, "g", truth, shard_key="city", num_partitions=6)
+    if placed.remote:  # a remote session's cluster only sizes the inflation factor
+        writer.cluster.close()
+        writer.cluster = SimulatedCluster(ClusterConfig(cores=CORES))
+    # Joins need the build side beside a single store (sharded joins are a
+    # typed error).
+    join = not placed.sharded
+    if join:
+        writer.upload("b", BUILD_ROWS, num_partitions=2)
+    check_group_cases(writer, {"g": truth, "b": BUILD_ROWS}, join)
+    # Two appends + a compaction: compacted partitions absorb several ID
+    # spans, so a group's segments no longer arrive in ID order.
+    for seed in (9, 10):
+        batch = group_data(150, seed=seed)
+        writer.append_rows("g", batch)
+        truth = {k: np.concatenate([truth[k], batch[k]]) for k in truth}
+    writer.compact_table("g")
+    check_group_cases(writer, {"g": truth, "b": BUILD_ROWS}, join)
+
+
+def test_grouped_rows_equal_plaintext_on_the_processes_backend():
+    probe, build = group_schemas()
+    cluster = SimulatedCluster(ClusterConfig(cores=CORES, backend="processes", workers=2))
+    session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3, cluster=cluster)
+    try:
+        session.create_plan(probe, GROUP_SAMPLES)
+        session.create_plan(build, GROUP_SAMPLES)
+        truth = group_data(900, seed=8)
+        session.upload("g", truth, num_partitions=6)
+        session.upload("b", BUILD_ROWS, num_partitions=2)
+        check_group_cases(session, {"g": truth, "b": BUILD_ROWS}, join=True)
+    finally:
+        session.close()
+        cluster.close()

@@ -15,11 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import server as srv
+from repro.core.grouped import GroupedRows, IdSegments
+from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.engine.table import Partition, Table
 from repro.engine.transport import CALL, REPLY
 from repro.errors import CodecError
 from repro.net import codec, rpc
+from repro.shard.worker import _ShardWorker
 
 
 def same(a, b) -> bool:
@@ -186,20 +189,17 @@ def test_server_response_roundtrip():
         kind="grouped",
         flat={"total": ("ashe", 3)},
         id_sets={srv.BUILD_IDS: [b"\x01\x02", b""]},
-        groups=[
-            (7, 0, {"s": ("paillier", 10**45), "m": ("extreme", 5, 2, (1, 0, 2))},
-             {srv.ROW_IDS: [b"\x02\x05"]}),
-        ],
+        groups=GroupedRows(
+            np.array([7, 2**64 - 1], dtype=np.uint64), np.array([0, 3]),
+            {"s": np.array([10**45, 3], dtype=object), "n": np.array([4, -1])},
+            {srv.ROW_IDS: IdSegments(np.array([2, 5, 2, 1, 3], dtype=np.uint8),
+                                     np.array([2, 5]), np.array([0, 1, 2]))},
+        ),
         metrics=metrics,
         payload_bytes=4096,
     )
     got = roundtrip(resp, kind="rep")
-    assert got.kind == resp.kind
-    assert got.flat == resp.flat
-    assert got.id_sets == resp.id_sets
-    assert got.groups == resp.groups
-    assert got.payload_bytes == resp.payload_bytes
-    assert got.metrics == resp.metrics
+    assert same(got, resp)
 
 
 def test_unknown_dataclass_rejected():
@@ -224,12 +224,13 @@ def test_version_skew_rejected():
 
 
 def test_previous_wire_version_rejected():
-    """v2 replies nested ID chunks inside every ASHE payload; a v2 peer
-    must fail the handshake typed, not be mis-parsed."""
-    assert codec.WIRE_VERSION == 3
+    """v3 replies carried a grouped result as one tuple per group and one
+    chunk per (group, partition); a v3 peer must fail the handshake
+    typed, not be mis-parsed."""
+    assert codec.WIRE_VERSION == 4
     frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
-    frame[8:10] = struct.pack("<H", 2)
-    with pytest.raises(CodecError, match="peer speaks v2, this end v3"):
+    frame[8:10] = struct.pack("<H", 3)
+    with pytest.raises(CodecError, match="peer speaks v3, this end v4"):
         codec.decode_frame(bytes(frame))
 
 
@@ -355,11 +356,21 @@ responses = st.one_of(
               id_sets=id_sets,
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("grouped"),
-              groups=st.lists(
-                  st.tuples(u64, st.integers(0, 3),
-                            st.dictionaries(aliases, st.none() | payloads, max_size=3),
-                            id_sets),
-                  max_size=4),
+              groups=st.lists(st.binary(min_size=1, max_size=12), max_size=4).flatmap(
+                  lambda chunks: st.builds(
+                      lambda keys, values: GroupedRows(
+                          np.sort(np.array(keys, dtype=np.uint64)),
+                          np.zeros(len(chunks), dtype=np.int64), values,
+                          {srv.ROW_IDS: IdSegments(
+                              np.frombuffer(b"".join(chunks), dtype=np.uint8).copy(),
+                              np.cumsum([len(c) for c in chunks], dtype=np.int64),
+                              np.arange(len(chunks) + 1))},
+                      ),
+                      st.lists(u64, min_size=len(chunks), max_size=len(chunks)),
+                      st.dictionaries(aliases, st.lists(
+                          u64, min_size=len(chunks), max_size=len(chunks),
+                      ).map(lambda xs: np.array(xs, dtype=np.uint64)), max_size=3),
+                  )),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("scan"),
               flat=st.fixed_dictionaries({
@@ -453,3 +464,56 @@ def test_append_batch_with_paillier_columns_roundtrips():
     assert got.partitions[0].columns["amount__phe"].dtype == object
     assert list(got.partitions[0].columns["amount__phe"]) == list(paillier)
     assert same(got.partitions[0].columns["amount__ashe"], np.arange(3, dtype=np.uint64))
+
+
+# -- a grouped reply is a few buffers, whatever its groups -------------------------
+
+
+def frame_shape(frame: bytes) -> tuple[int, int]:
+    """(raw buffers, JSON envelope bytes) of one encoded frame."""
+    _, _, env_len = struct.unpack_from("<4sHI", frame, 4)
+    envelope = json.loads(frame[14 : 14 + env_len])
+    return len(envelope["buffers"]), env_len
+
+
+def _grouped_table(name: str = "t") -> Table:
+    """512 groups in every one of 32 partitions, three ASHE columns."""
+    rows = 32 * 2048
+    rng = np.random.default_rng(5)
+    return Table.from_columns(name, {
+        "k": (np.arange(rows) % 512).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15),
+        **{c: rng.integers(0, 2**63, rows).astype(np.uint64) for c in ("a", "b", "c")},
+    }, num_partitions=32)
+
+
+GROUPED_Q = srv.ServerQuery(table="t", aggs=tuple(srv.AsheSum(c, c) for c in "abc"),
+                            group_by="k")
+
+
+def _check_grouped_frame(frame: bytes, reply) -> None:
+    buffers, envelope = frame_shape(frame)
+    assert buffers <= 16 and envelope < 4096, (buffers, envelope)
+    ids = reply.groups.ids[srv.ROW_IDS]
+    assert (len(reply.groups), ids.seg_ends.size) == (512, 512 * 32)
+
+
+def test_a_grouped_reply_frame_is_a_few_buffers():
+    """512 groups x 32 partitions: one buffer per column and per ID
+    array, not one per (group, partition) chunk."""
+    server = srv.SeabedServer(SimulatedCluster(ClusterConfig()))
+    server.register(_grouped_table())
+    reply = server.execute(GROUPED_Q)
+    frame = codec.encode_frame("rep", reply)
+    _check_grouped_frame(frame, reply)
+    assert same(codec.decode_frame(frame)[1], reply)
+
+
+def test_a_shard_workers_grouped_reply_frame_is_a_few_buffers(tmp_path):
+    worker = _ShardWorker(0, str(tmp_path), ClusterConfig())
+    try:
+        worker.append("t", 0, codec.pack_table(_grouped_table()), None)
+        worker.reopen("t", 0)  # serve the committed generation
+        reply = worker.execute(0, GROUPED_Q)
+        _check_grouped_frame(codec.encode_frame(REPLY, {"ok": True, "result": reply}), reply)
+    finally:
+        worker.shutdown()
