@@ -2,9 +2,11 @@
 
 Section 4.5: driver-side compression can compress better (one combined
 list) but serialises the work at the driver, which the paper found to be
-a bottleneck; Seabed compresses at the workers.  We measure both paths.
+a bottleneck; Seabed compresses at the workers.  We measure both paths
+by setting ``ServerQuery.compress_at`` on the translated requests.
 """
 
+from dataclasses import replace
 
 from repro.bench import ResultSink, format_table
 from repro.core.session import SeabedSession
@@ -30,7 +32,11 @@ def test_ablation_compression_site(benchmark, scale, paper_cluster):
 
     def run_both():
         for site in ("worker", "driver"):
-            r = client.query(sql, compress_at=site)
+            prepared = client.prepare(sql)
+            prepared.translation.requests = [
+                replace(q, compress_at=site) for q in prepared.translation.requests
+            ]
+            r = prepared.execute()
             driver_stage = [
                 s for m in r.request_metrics for s in m.stages if s.name == "merge"
             ][0]

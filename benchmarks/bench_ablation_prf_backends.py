@@ -69,6 +69,7 @@ def test_ablation_straggler_injection(benchmark):
     """Section 6.2 observes GC stragglers hurting short jobs most; inject
     them and measure the relative slowdown of short vs long stages."""
     from repro.engine.cluster import ClusterConfig, SimulatedCluster
+    from repro.engine.metrics import JobMetrics
 
     results = {}
 
@@ -78,9 +79,8 @@ def test_ablation_straggler_injection(benchmark):
                 cores=16, task_startup_s=0.004, job_startup_s=0.0,
                 straggler_prob=prob, straggler_factor=10.0, seed=3,
             ))
-            short_tasks = [lambda: sum(range(2_000)) for _ in range(64)]
-            job = cluster.new_job()
-            cluster.run_stage("short", short_tasks, job)
+            job = JobMetrics()
+            cluster.map_stage("short", sum, [(range(2_000),)] * 64, job)
             results[prob] = cluster.model([job]).server_s
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

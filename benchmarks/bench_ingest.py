@@ -145,8 +145,6 @@ def test_ingest_throughput(benchmark, scale):
                     "seconds": compact_s,
                 },
             )
-            writer.cluster.close()
-            resaver.cluster.close()
 
     benchmark.pedantic(experiment, rounds=1, iterations=1, warmup_rounds=0)
 

@@ -120,7 +120,6 @@ def test_pruning_speedup(benchmark, scale):
                     "user_det": index["columns"].get("user__det", {}),
                 },
             )
-            session.cluster.close()
 
     benchmark.pedantic(experiment, rounds=1, iterations=1, warmup_rounds=0)
 

@@ -197,7 +197,6 @@ def test_shard_scatter_gather(benchmark, scale):
                 ),
             )
             sharded.close()
-            single.cluster.close()
 
     benchmark.pedantic(experiment, rounds=1, iterations=1, warmup_rounds=0)
 

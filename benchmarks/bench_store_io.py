@@ -1,25 +1,12 @@
-"""Persistent-store I/O: cold attach vs re-encrypt, and dispatch volume.
+"""Persistent-store I/O: cold attach vs re-encrypt.
 
 The paper's deployment model uploads an encrypted dataset *once* and has
 analytics jobs attach to it repeatedly (Sections 5-6).  This benchmark
-quantifies the two wins the partition store (:mod:`repro.engine.store`)
-delivers:
-
-1. **Cold open vs re-encrypt** -- attaching a stored table
-   (``SeabedSession.open_table``: sidecar parse + memory maps) against
-   rebuilding it from plaintext (``create_plan`` + ``upload``, the cost
-   every fresh process paid before the store existed).
-
-2. **Stage dispatch volume on the ``processes`` backend** -- the bytes a
-   stage pickles to pool workers per query, measured with the backend's
-   ``track_dispatch`` hook over the identical aggregation query, in
-   three configurations: pickled whole partitions (in-memory table with
-   ``spill_to_store=False`` -- the historical baseline), the zero-copy
-   *auto-spill* path (in-memory table, default config: the server spills
-   it to a scratch mmap store on register and dispatches
-   ``PartitionRef``s), and an explicitly store-backed table.  The
-   acceptance floor is a >= 10x reduction vs the pickled baseline for
-   both ref-shipping paths.
+quantifies what the partition store (:mod:`repro.engine.store`) buys
+there: attaching a stored table (``SeabedSession.open_table``: sidecar
+parse + memory maps) against rebuilding it from plaintext
+(``create_plan`` + ``upload``, the cost every fresh process paid before
+the store existed).
 
 Results go to ``results/store_io.txt`` and machine-readably to
 ``BENCH_store.json`` at the repository root.
@@ -37,14 +24,11 @@ import numpy as np
 from repro.bench import ResultSink, format_table
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.store import disk_bytes
 from repro.ops import OPS
 from repro.workloads import synthetic
 
 PARTITIONS = 32
-WORKERS = 2
-DISPATCH_TARGET = 10.0
 MASTER_KEY = b"bench-store-io-master-key-32-by!"
 
 QUERY = "SELECT sum(value), count(*) FROM synth WHERE sel < 500000"
@@ -61,33 +45,17 @@ def _schema(rows: int) -> tuple[TableSchema, dict[str, np.ndarray]]:
     return schema, columns
 
 
-def _fresh_session(backend: str = "serial", spill: bool = True) -> SeabedSession:
-    cluster = SimulatedCluster(ClusterConfig(
-        backend=backend, workers=WORKERS, spill_to_store=spill,
-    ))
-    return SeabedSession(mode="seabed", master_key=MASTER_KEY, cluster=cluster)
+def _fresh_session() -> SeabedSession:
+    return SeabedSession(mode="seabed", master_key=MASTER_KEY)
 
 
-def _build_and_upload(
-    rows: int, backend: str = "serial", spill: bool = True
-) -> tuple[SeabedSession, float]:
+def _build_and_upload(rows: int) -> tuple[SeabedSession, float]:
     schema, columns = _schema(rows)
-    session = _fresh_session(backend, spill)
+    session = _fresh_session()
     t0 = time.perf_counter()
     session.create_plan(schema, ["SELECT sum(value) FROM synth"])
     session.upload("synth", columns, num_partitions=PARTITIONS)
     return session, time.perf_counter() - t0
-
-
-def _measure_dispatch(session: SeabedSession) -> int:
-    """Actual bytes the processes backend pickles for one QUERY."""
-    backend = session.cluster.backend
-    backend.track_dispatch = True
-    backend.dispatched_bytes = 0
-    result = session.query(QUERY)
-    assert result.rows, "dispatch query returned nothing"
-    backend.track_dispatch = False
-    return backend.dispatched_bytes
 
 
 def test_store_io(benchmark, scale):
@@ -105,7 +73,6 @@ def test_store_io(benchmark, scale):
             path = writer.save_table("synth", store_dir)
             save_s = time.perf_counter() - t0
             store_bytes = disk_bytes(path)
-            writer.cluster.close()
 
             # -- cold attach: fresh session, memory maps, no encryption -----
             attach = _fresh_session()
@@ -122,24 +89,6 @@ def test_store_io(benchmark, scale):
             }
             assert not encrypt_ops, f"cold attach re-encrypted: {encrypt_ops}"
             assert reopened == baseline, "stored table answered differently"
-            attach.cluster.close()
-
-            # -- dispatch volume under the processes backend ----------------
-            # Baseline: spilling disabled, stages pickle whole partitions.
-            inmem, _ = _build_and_upload(rows, backend="processes", spill=False)
-            inmem_bytes = _measure_dispatch(inmem)
-            inmem.cluster.close()
-
-            # Default config: the server auto-spills the uploaded table to
-            # a scratch mmap store, so dispatch ships refs.
-            spilled, _ = _build_and_upload(rows, backend="processes")
-            autospill_bytes = _measure_dispatch(spilled)
-            spilled.cluster.close()
-
-            mapped = _fresh_session(backend="processes")
-            mapped.open_table(path)
-            store_dispatch_bytes = _measure_dispatch(mapped)
-            mapped.cluster.close()
 
             record.update(
                 rows=rows,
@@ -150,16 +99,6 @@ def test_store_io(benchmark, scale):
                 cold_open_s=cold_open_s,
                 cold_first_query_s=first_query_s,
                 open_speedup_vs_reencrypt=reencrypt_s / max(cold_open_s, 1e-12),
-                dispatch={
-                    "query": QUERY,
-                    "workers": WORKERS,
-                    "inmemory_bytes": inmem_bytes,
-                    "autospill_bytes": autospill_bytes,
-                    "store_bytes": store_dispatch_bytes,
-                    "reduction_x": inmem_bytes / max(store_dispatch_bytes, 1),
-                    "autospill_reduction_x": inmem_bytes / max(autospill_bytes, 1),
-                    "target_x": DISPATCH_TARGET,
-                },
             )
 
     benchmark.pedantic(experiment, rounds=1, iterations=1, warmup_rounds=0)
@@ -172,7 +111,6 @@ def test_store_io(benchmark, scale):
     out = Path(__file__).resolve().parent.parent / "BENCH_store.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
-    reduction = record["dispatch"]["reduction_x"]
     with ResultSink("store_io") as sink:
         sink.emit(format_table(
             ["Path", "seconds"],
@@ -188,18 +126,6 @@ def test_store_io(benchmark, scale):
                 f"{record['open_speedup_vs_reencrypt']:.0f}x cheaper than re-encrypting"
             ),
         ))
-        sink.emit(format_table(
-            ["Dispatch payload per query (processes backend)", "bytes"],
-            [
-                ["in-memory partitions, spill off (pickled columns)",
-                 record["dispatch"]["inmemory_bytes"]],
-                ["in-memory partitions, auto-spilled (refs, workers mmap)",
-                 record["dispatch"]["autospill_bytes"]],
-                ["store-backed partitions (refs, workers mmap)",
-                 record["dispatch"]["store_bytes"]],
-            ],
-            title=f"Stage dispatch reduced {reduction:.0f}x (target >= {DISPATCH_TARGET:.0f}x)",
-        ))
 
     # Attach-vs-reencrypt is only a meaningful comparison once encryption
     # costs real time; at BENCH_QUICK sizes both sides are milliseconds
@@ -208,12 +134,3 @@ def test_store_io(benchmark, scale):
         assert record["open_speedup_vs_reencrypt"] > 1.0, (
             "attaching a store should beat re-encrypting the dataset"
         )
-    assert reduction >= DISPATCH_TARGET, (
-        f"store-backed dispatch is only {reduction:.1f}x smaller "
-        f"(target {DISPATCH_TARGET:.0f}x)"
-    )
-    autospill = record["dispatch"]["autospill_reduction_x"]
-    assert autospill >= DISPATCH_TARGET, (
-        f"auto-spilled dispatch is only {autospill:.1f}x smaller than "
-        f"pickled columns (target {DISPATCH_TARGET:.0f}x)"
-    )

@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -53,15 +52,9 @@ from repro.crypto.kernel import observe_kernel_op
 from repro.crypto.prf import MASK64
 from repro.engine.cluster import SimulatedCluster
 from repro.engine.metrics import JobMetrics
-from repro.engine.store import (
-    PartitionRef,
-    dispatch_payload,
-    open_store,
-    resolve_partition,
-    write_store,
-)
+from repro.engine.store import PartitionRef, dispatch_payload, resolve_partition
 from repro.engine.table import Partition, Table
-from repro.errors import ExecutionError, StorageError
+from repro.errors import ExecutionError
 from repro.idlist import IdList, get_codec
 from repro.idlist.codec import encode_groups_vb_diff, encode_mask, encode_multiset
 from repro.index import prune
@@ -360,16 +353,16 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 # ---------------------------------------------------------------------------
 # Stage task bodies
 #
-# These are the units of work the cluster's execution backend dispatches.
-# They are deliberately top-level functions taking (Partition, query-slice)
-# arguments -- never closures over server state -- so the ``processes``
-# backend can pickle them to pool workers, exactly as Spark serialises its
-# task closures to executors.  Everything they touch is public material:
-# ciphertexts, comparison tokens, and row IDs.
+# These are the units of work ``SimulatedCluster.map_stage`` runs and
+# times, one call per partition (or reducer).  They are top-level functions
+# taking (Partition, query-slice) arguments -- never closures over server
+# state -- so each call is a self-contained task, the shape Spark gives its
+# task closures.  Everything they touch is public material: ciphertexts,
+# comparison tokens, and row IDs.
 #
-# Store-backed partitions arrive as PartitionRef descriptors (the dispatch
-# payload is a path + index, not pickled columns); resolve_partition maps
-# the worker's local slice through the per-process reader cache.
+# Store-backed partitions arrive as PartitionRef descriptors (a path +
+# index + generation); resolve_partition maps the snapshot they name
+# through the per-process reader cache.
 #
 # A flat map task's partial of its row set is one tuple: a payload per
 # ``q.aggs`` entry, then an ID chunk per ``id_sources(q.aggs)`` entry
@@ -621,36 +614,9 @@ class SeabedServer:
         # locally registered Table; execute()/scan() delegate by name, so
         # the whole prepared-query/translation layer above is untouched.
         self._sharded: dict[str, Any] = {}
-        self._spill_seq = itertools.count()
 
     def register(self, table: Table) -> None:
-        self._tables[table.name] = self._spill_if_needed(table)
-
-    def _spill_if_needed(self, table: Table) -> Table:
-        """Give in-memory tables an mmap store backing under the
-        ``processes`` backend.
-
-        Process-pool workers resolve ``PartitionRef(path, index,
-        generation)`` against their own reader cache, so stage dispatch
-        ships a few dozen bytes per partition instead of pickled
-        ciphertext columns -- the zero-copy contract store-backed tables
-        already enjoy.  Spilling is best-effort: a table with columns the
-        store cannot hold stays in memory (and pays the pickling cost).
-        """
-        cfg = self.cluster.config
-        if cfg.backend != "processes" or not cfg.spill_to_store:
-            return table
-        if not table.partitions or all(p.ref is not None for p in table.partitions):
-            return table
-        path = os.path.join(
-            self.cluster.scratch_dir(),
-            f"spill-{table.name}-{next(self._spill_seq)}",
-        )
-        try:
-            write_store(table, path)
-        except StorageError:
-            return table
-        return open_store(path)
+        self._tables[table.name] = table
 
     def unregister(self, name: str) -> None:
         """Drop a registered table (and its compiled zone maps), if any."""
@@ -704,7 +670,7 @@ class SeabedServer:
         if coordinator is not None:
             return coordinator.execute(q)
         table = self.table(q.table)
-        metrics = self.cluster.new_job()
+        metrics = JobMetrics()
         build = self._prepare_join(q, metrics)
         parts, skipped = self._surviving_partitions(table, q)
         if q.group_by is None:
@@ -712,7 +678,7 @@ class SeabedServer:
         else:
             response = self._execute_grouped(q, parts, skipped, build, metrics)
         response.metrics = metrics
-        self.cluster.account_result_transfer(metrics, response.payload_bytes)
+        metrics.result_bytes += response.payload_bytes
         return response
 
     def _maybe_log_slow(self, q: ServerQuery, metrics: JobMetrics | None) -> None:
@@ -812,7 +778,7 @@ class SeabedServer:
         if coordinator is not None:
             return coordinator.scan(table_name, columns, filt)
         table = self.table(table_name)
-        metrics = self.cluster.new_job()
+        metrics = JobMetrics()
         columns = tuple(columns)
         kept, skipped = self._filter_survivors(table, filt)
         calls = [
@@ -842,7 +808,7 @@ class SeabedServer:
         response = ServerResponse(kind="scan", payload_bytes=payload_bytes)
         response.flat = {"columns": cols, "ids": ids}
         response.metrics = metrics
-        self.cluster.account_result_transfer(metrics, payload_bytes)
+        metrics.result_bytes += payload_bytes
         return response
 
     # -- join build ------------------------------------------------------------
@@ -875,7 +841,7 @@ class SeabedServer:
             a.nbytes if a.dtype != object else 256 * len(a)
             for a in build["payloads"].values()
         )
-        self.cluster.account_shuffle(metrics, build_bytes)
+        metrics.shuffles.append((build_bytes, 0))
         return build
 
     # -- flat aggregation -------------------------------------------------------
@@ -889,11 +855,9 @@ class SeabedServer:
         metrics: JobMetrics,
         final: bool,
     ) -> ServerResponse:
-        # Under the processes backend, q and the broadcast build side are
-        # pickled once per partition call -- the cost a real cluster pays
-        # as broadcast volume (already accounted in _prepare_join).  Store-
-        # backed partitions dispatch as refs; workers map them locally.
-        # ``parts`` already excludes zone-map-pruned partitions.
+        # The broadcast build side rides every partition call (its volume
+        # is accounted in _prepare_join).  ``parts`` already excludes
+        # zone-map-pruned partitions.
         calls = [(dispatch_payload(part), q, build) for part in parts]
         partials, stage = self.cluster.map_stage(
             "aggregate", flat_map_task, calls, metrics
@@ -964,9 +928,7 @@ class SeabedServer:
         # bottleneck group inflation exists to fix (Section 4.5).
         distinct = len(bounds) - 1
         num_reducers = max(1, min(self.cluster.config.cores, distinct))
-        self.cluster.account_shuffle(
-            metrics, sum(p.nbytes() for p in partials), num_reducers
-        )
+        metrics.shuffles.append((sum(p.nbytes() for p in partials), num_reducers))
         # Range partitioning: each reducer merges a contiguous run of keys.
         cuts = bounds[np.arange(num_reducers + 1) * distinct // num_reducers].tolist()
         reduce_calls = [(rows.slice(lo, hi), q.aggs) for lo, hi in zip(cuts[:-1], cuts[1:])]

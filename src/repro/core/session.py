@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from threading import Lock
 from typing import Any, Hashable, Iterable, Mapping
@@ -222,13 +221,11 @@ class PreparedQuery:
         scan_filter: Any = None,
         scan_physical: dict[str, tuple[str, str]] | None = None,
         expected_groups: int | None = None,
-        compress_at: str = "worker",
     ):
         self._session = session
         self.query = query
         self.kind = "agg" if translated is not None else "scan"
         self.expected_groups = expected_groups
-        self.compress_at = compress_at
         self.param_names = query_params(query)
         self._translated = translated
         self._decryptor = decryptor
@@ -776,11 +773,11 @@ class SeabedSession:
         identically, in the same order -- on *every* replica of the shard
         as a new generation of partition files published atomically
         (appends need the full replica chain alive; queries need one
-        survivor).  Concurrent readers on any backend keep seeing their
-        own snapshot.  The append *commits* when the client-state
-        sidecar's row watermarks are rewritten -- a writer killed
-        anywhere in between is rolled back by the next append (or ignored
-        by the next attach).
+        survivor).  Concurrent readers keep seeing their own snapshot.
+        The append *commits* when the client-state sidecar's row
+        watermarks are rewritten -- a writer killed anywhere in between
+        is rolled back by the next append (or ignored by the next
+        attach).
 
         ``num_partitions`` defaults to slicing each store's batch into
         partitions of ``cluster.config.append_partition_rows`` rows.
@@ -1137,7 +1134,6 @@ class SeabedSession:
         self,
         query: str | Query | QueryBuilder,
         expected_groups: int | None = None,
-        compress_at: str = "worker",
     ) -> PreparedQuery:
         """Translate once; execute many times.
 
@@ -1149,11 +1145,11 @@ class SeabedSession:
         OPS.bump("prepare")
         q = self._as_query(query)
         if q.is_aggregation():
-            return self._prepare_aggregation(q, expected_groups, compress_at)
+            return self._prepare_aggregation(q, expected_groups)
         return self._prepare_scan(q)
 
     def _prepare_aggregation(
-        self, q: Query, expected_groups: int | None, compress_at: str
+        self, q: Query, expected_groups: int | None
     ) -> PreparedQuery:
         state = self._state(q.table)
         factory = self._entry(q.table).factory
@@ -1177,16 +1173,12 @@ class SeabedSession:
             expected_groups=expected_groups,
             join=server_join,
         )
-        if compress_at != "worker":
-            translated.requests = [
-                replace(r, compress_at=compress_at) for r in translated.requests
-            ]
         decryptor = DecryptionModule(
             state, self._decrypt_factory(q), paillier=self._paillier
         )
         return PreparedQuery(
             self, q, translated=translated, decryptor=decryptor,
-            expected_groups=expected_groups, compress_at=compress_at,
+            expected_groups=expected_groups,
         )
 
     def _prepare_scan(self, q: Query) -> PreparedQuery:
@@ -1227,7 +1219,6 @@ class SeabedSession:
         self,
         query: str | Query | QueryBuilder,
         expected_groups: int | None = None,
-        compress_at: str = "worker",
         user: str | None = None,
         timeout: float | None = None,
         **params: Any,
@@ -1248,7 +1239,7 @@ class SeabedSession:
                 "data; use scan() for row-level projections"
             )
         self._validate_params(q, params)
-        prepared, lifted = self._cached_prepare(q, expected_groups, compress_at)
+        prepared, lifted = self._cached_prepare(q, expected_groups)
         return prepared.execute(user=user, timeout=timeout, **lifted, **params)
 
     def scan(
@@ -1264,29 +1255,23 @@ class SeabedSession:
         if q.is_aggregation():
             raise TranslationError("scan() is for projection queries; use query()")
         self._validate_params(q, params)
-        prepared, lifted = self._cached_prepare(q, None, "worker")
+        prepared, lifted = self._cached_prepare(q, None)
         return prepared.execute(user=user, timeout=timeout, **lifted, **params)
 
     def query_many(
         self,
         queries: Iterable[Any],
         expected_groups: int | None = None,
-        compress_at: str = "worker",
         user: str | None = None,
-        max_in_flight: int | None = None,
         timeout: float | None = None,
     ) -> list[QueryResult]:
-        """Execute a batch of independent queries, results in input order.
+        """Execute a batch of independent queries, in order; results in
+        input order.
 
         This is the "millions of users" traffic shape: each entry is
         translated (or served from the translation cache), executed, and
-        decrypted independently, so the batch fans out through the
-        cluster's execution backend.  With the ``serial`` backend (the
-        default) queries run sequentially; with ``threads`` or
-        ``processes`` up to ``max_in_flight`` queries (default: the
-        backend's worker count) are in flight at once on a driver-side
-        thread pool, and their server stages share the backend's worker
-        pool.
+        decrypted independently.  Every entry is validated before the
+        first one runs.
 
         Batch entries may be:
 
@@ -1300,24 +1285,15 @@ class SeabedSession:
           applies).
         """
         jobs = [
-            self._batch_job(item, expected_groups, compress_at, user, timeout)
+            self._batch_job(item, expected_groups, user, timeout)
             for item in queries
         ]
-        backend = self.cluster.backend
-        if backend.name == "serial" or len(jobs) <= 1:
-            return [job() for job in jobs]
-        width = max_in_flight or backend.workers
-        with ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="seabed-query"
-        ) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            return [f.result() for f in futures]
+        return [job() for job in jobs]
 
     def _batch_job(
         self,
         item: Any,
         expected_groups: int | None,
-        compress_at: str,
         user: str | None,
         timeout: float | None = None,
     ):
@@ -1350,8 +1326,7 @@ class SeabedSession:
         query = item
         per_query_groups = groups
         return lambda: self.query(
-            query, expected_groups=per_query_groups,
-            compress_at=compress_at, user=user, timeout=timeout,
+            query, expected_groups=per_query_groups, user=user, timeout=timeout,
         )
 
     def linear_regression(
@@ -1469,16 +1444,14 @@ class SeabedSession:
             )
 
     def _cached_prepare(
-        self, q: Query, expected_groups: int | None, compress_at: str
+        self, q: Query, expected_groups: int | None
     ) -> tuple[PreparedQuery, dict[str, Any]]:
         shape, values = self._parameterize(q)
-        key = (shape, expected_groups, compress_at)
+        key = (shape, expected_groups)
         prepared = self._cache.get(key)
         if prepared is None:
             OPS.bump("cache_miss")
-            prepared = self.prepare(
-                shape, expected_groups=expected_groups, compress_at=compress_at
-            )
+            prepared = self.prepare(shape, expected_groups=expected_groups)
             self._cache.put(key, prepared)
         else:
             OPS.bump("cache_hit")

@@ -165,8 +165,8 @@ class InstrumentedKernel:
         return getattr(self._kernel, name)
 
     def __reduce__(self):
-        # Explicit so pickling (process backends, shard workers) never
-        # routes through __getattr__ forwarding.
+        # Explicit so copying or pickling never routes through
+        # __getattr__ forwarding (which recurses before _kernel is set).
         return (InstrumentedKernel, (self._kernel, self._scheme))
 
     def __repr__(self) -> str:

@@ -7,22 +7,20 @@ deliberately transparent equivalent:
 - :mod:`repro.engine.table` -- partitioned columnar tables (the "HDFS +
   cached RDD" role), with contiguous row IDs per partition.
 - :mod:`repro.engine.cluster` -- a :class:`SimulatedCluster` that executes
-  per-partition tasks for real and measures them, and ``model()``, the
-  one pure function that turns those measurements into paper-scale
-  latency: it schedules the measured durations onto N simulated cores
-  and charges shuffle and client transfer to a bandwidth/latency link.
-- :mod:`repro.engine.backends` -- pluggable execution backends (serial /
-  threads / processes) that decide how those task bodies actually run on
-  the host, turning the simulated cluster into a genuinely parallel one
-  while leaving the per-task measurements the model reads untouched.
+  per-partition tasks for real, in the calling thread, and measures them,
+  and ``model()``, the one pure function that turns those measurements
+  into paper-scale latency: it schedules the measured durations onto N
+  simulated cores and charges shuffle and client transfer to a
+  bandwidth/latency link.  It is the only account of multi-core scaling.
 - :mod:`repro.engine.metrics` -- per-stage and per-job measurements
   (task seconds, wall-clock, bytes, counters); nothing modelled.
-- :mod:`repro.engine.storage` -- table (de)serialisation and the disk /
+- :mod:`repro.engine.storage` -- table serialisation and the disk /
   memory accounting behind the paper's Table 5.
 - :mod:`repro.engine.store` -- the persistent columnar partition store:
   encrypted columns as raw little-endian buffers on disk, loaded back as
-  read-only memory maps and dispatched to workers as ``(path, index)``
-  refs instead of pickled partitions.
+  read-only memory maps; stage tasks receive ``(path, index,
+  generation)`` refs and resolve them through a per-process reader
+  cache.
 - :mod:`repro.engine.rdd` -- a small row-oriented RDD API (map / filter /
   reduce / reduceByKey) mirroring the Spark API targeted by the paper's
   query translator (Table 2).
@@ -35,7 +33,6 @@ here; only the placement of tasks onto cores is simulated, and only by
 whoever calls ``model()`` -- production telemetry carries measurements.
 """
 
-from repro.engine.backends import ExecutionBackend, make_backend
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.engine.rdd import RDD
@@ -44,7 +41,6 @@ from repro.engine.table import Partition, Table
 
 __all__ = [
     "ClusterConfig",
-    "ExecutionBackend",
     "JobMetrics",
     "Partition",
     "PartitionRef",
@@ -52,7 +48,6 @@ __all__ = [
     "SimulatedCluster",
     "StageMetrics",
     "Table",
-    "make_backend",
     "open_store",
     "resolve_partition",
     "write_store",

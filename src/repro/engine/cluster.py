@@ -25,17 +25,19 @@ effect on job latency can be studied without waiting for a real GC.
 
 from __future__ import annotations
 
+# Imported for its effect on the process heap, not for its names: without
+# it ingest-mixed's perf/ calibration kernel reads ~25% faster (malloc
+# state, ROADMAP item 1(b)) and every calibrated metric 35-50% worse while
+# raw latency does not move.  Delete together with item 1(b)'s fix.
+import concurrent.futures.process  # noqa: F401
 import heapq
 import os
-import tempfile
-import threading
 import time
 from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from repro.engine import store
-from repro.engine.backends import ExecutionBackend, TimedResult, make_backend
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.errors import ExecutionError
 from repro.obs import trace as obs_trace
@@ -48,23 +50,15 @@ MBPS = 1e6 / 8
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for the deployment: how stages really run, and the
-    parameters of the time model (read only by :func:`model`).
+    """Knobs for the deployment, and the parameters of the time model
+    (read only by :func:`model`).
 
     Model defaults approximate the paper's testbed: 100-core jobs see a
     ~0.6 s floor from job/task creation (Figure 6a), a 2 Gbps client
-    link, and a fast intra-cluster network.
-
-    Execution-backend knobs (see :mod:`repro.engine.backends`):
-
-    - ``backend`` selects how task bodies actually run: ``"serial"``
-      (the default -- one after another on the calling thread, exactly
-      the seed behaviour), ``"threads"`` (a ``ThreadPoolExecutor``;
-      numpy kernels release the GIL so stages overlap on real cores),
-      or ``"processes"`` (a ``ProcessPoolExecutor`` for CPU-bound
-      pure-Python stages such as Paillier products; stage bodies must
-      be picklable top-level functions, which the server's are).
-    - ``workers`` sizes the pool; ``0`` means one worker per host CPU.
+    link, and a fast intra-cluster network.  Stages always run in the
+    calling thread; ``cores`` is how many cores :func:`model` schedules
+    their measured task times onto, which is this repository's only
+    account of multi-core scaling (Figures 6-7).
 
     ``storage_dir`` is the deployment's durable storage root: relative
     store names passed to ``EncryptedTable.save`` / ``SeabedSession.
@@ -77,11 +71,6 @@ class ClusterConfig:
     batches); store compaction then merges runs of small append
     generations back into full-size partitions (sized, by default, like
     the store's own largest generation).
-
-    The choice of backend changes only the stage wall-clock
-    (``StageMetrics.wall_time``, ``JobMetrics.real_time``); :func:`model`
-    places the per-task measured durations onto ``cores`` simulated
-    cores, so figure benchmarks are backend-independent.
     """
 
     cores: int = 16
@@ -94,17 +83,9 @@ class ClusterConfig:
     straggler_prob: float = 0.0
     straggler_factor: float = 8.0
     seed: int = 0
-    backend: str = "serial"  # "serial" | "threads" | "processes"
-    workers: int = 0  # pool width; 0 -> one worker per host CPU
     storage_dir: str | None = None  # root for persistent partition stores
     append_partition_rows: int = 65_536  # target rows per appended partition
     reader_keep_generations: int = 4  # superseded snapshots cached per store
-    #: Under the ``processes`` backend, spill in-memory tables to a
-    #: scratch mmap store on register so stage dispatch ships tiny
-    #: ``PartitionRef``s instead of pickled ciphertext columns.  Off
-    #: buys back the one-time spill write for short-lived tables (and
-    #: gives benchmarks the pickled-column baseline).
-    spill_to_store: bool = True
     #: Slow-query threshold (seconds of measured execution time).  When
     #: set, queries whose ``JobMetrics.real_time`` crosses it emit a
     #: structured ``slow_query`` event on the ``repro.obs`` logger and
@@ -115,11 +96,6 @@ class ClusterConfig:
         if self.cores < 1:
             raise ExecutionError(
                 f"cluster must have at least one core, got {self.cores}"
-            )
-        if self.workers < 0:
-            raise ExecutionError(
-                f"workers must be 0 (one per host CPU) or positive, "
-                f"got {self.workers}"
             )
         if self.append_partition_rows < 1:
             raise ExecutionError(
@@ -146,9 +122,6 @@ class ClusterConfig:
             client_bandwidth_bytes_s=bandwidth_bytes_s,
             client_latency_s=latency_s,
         )
-
-    def with_backend(self, backend: str, workers: int = 0) -> "ClusterConfig":
-        return replace(self, backend=backend, workers=workers)
 
     def with_storage(self, storage_dir: str | None) -> "ClusterConfig":
         return replace(self, storage_dir=storage_dir)
@@ -240,69 +213,18 @@ def model(jobs: Iterable[JobMetrics], config: ClusterConfig) -> ModelledTime:
 class SimulatedCluster:
     """Executes stages of tasks and measures them.
 
-    Task bodies run through a pluggable :class:`ExecutionBackend`
-    (serial / threads / processes); each task's seconds and the stage's
-    wall-clock are recorded.  :meth:`model` turns finished jobs into
-    paper-scale latency under this cluster's config.
+    Every task body runs in the calling thread, one after another; each
+    task's seconds and the stage's wall-clock are recorded.
+    :meth:`model` turns finished jobs into paper-scale latency under this
+    cluster's config, scheduling those task times onto ``cores``.
     """
 
-    def __init__(
-        self,
-        config: ClusterConfig | None = None,
-        backend: ExecutionBackend | None = None,
-    ):
+    def __init__(self, config: ClusterConfig | None = None):
         self.config = config or ClusterConfig()
         if self.config.reader_keep_generations != store.reader_keep_generations():
             store.set_reader_keep_generations(self.config.reader_keep_generations)
-        self.backend = backend or make_backend(
-            self.config.backend, self.config.workers or None
-        )
-        # Zero-copy spill root (see scratch_dir); created lazily because
-        # most clusters never need it.
-        self._scratch: tempfile.TemporaryDirectory | None = None
-        self._scratch_lock = threading.Lock()
-
-    def scratch_dir(self) -> str:
-        """Scratch root for zero-copy spill stores, created on first use.
-
-        The server spills in-memory tables here when workers live in
-        other processes, so stage dispatch ships mmap-backed
-        ``PartitionRef``s instead of pickled ciphertext columns.  Removed
-        by :meth:`close` (and by the interpreter's tempdir finalizer as a
-        backstop).
-        """
-        with self._scratch_lock:
-            if self._scratch is None:
-                self._scratch = tempfile.TemporaryDirectory(prefix="seabed-spill-")
-            return self._scratch.name
-
-    def close(self) -> None:
-        """Shut down any worker pool held by the backend and remove any
-        spill stores (idempotent)."""
-        self.backend.close()
-        with self._scratch_lock:
-            scratch, self._scratch = self._scratch, None
-        if scratch is not None:
-            scratch.cleanup()
 
     # -- stage execution -----------------------------------------------------
-
-    def run_stage(
-        self,
-        name: str,
-        tasks: Sequence[Callable[[], T]],
-        metrics: JobMetrics | None = None,
-    ) -> tuple[list[T], StageMetrics]:
-        """Run every task and measure it.
-
-        Tasks are zero-arg callables (closures allowed); the ``processes``
-        backend executes this legacy form in-process.  New code should
-        prefer :meth:`map_stage`, which every backend can parallelise.
-        """
-        wall0 = time.perf_counter()
-        timed = self.backend.run_tasks(list(tasks))
-        wall = time.perf_counter() - wall0
-        return self._finish_stage(name, timed, wall, metrics)
 
     def map_stage(
         self,
@@ -311,32 +233,20 @@ class SimulatedCluster:
         calls: Sequence[tuple],
         metrics: JobMetrics | None = None,
     ) -> tuple[list[T], StageMetrics]:
-        """Run ``fn(*call)`` per call through the backend.
-
-        ``fn`` must be a top-level function and the call tuples picklable
-        so the ``processes`` backend can ship them to workers -- the same
-        contract Spark imposes on task closures.
-        """
+        """Run ``fn(*call)`` per call, in order, timing each call."""
         wall0 = time.perf_counter()
-        timed = self.backend.map_calls(fn, list(calls))
-        wall = time.perf_counter() - wall0
-        return self._finish_stage(name, timed, wall, metrics)
-
-    def _finish_stage(
-        self,
-        name: str,
-        timed: Sequence[TimedResult],
-        wall: float,
-        metrics: JobMetrics | None,
-    ) -> tuple[list, StageMetrics]:
-        stage = StageMetrics(
-            name=name, task_times=[elapsed for _, elapsed in timed], wall_time=wall
-        )
+        results: list[T] = []
+        task_times: list[float] = []
+        for call in calls:
+            t0 = time.perf_counter()
+            results.append(fn(*call))
+            task_times.append(time.perf_counter() - t0)
+        end = time.perf_counter()
+        stage = StageMetrics(name=name, task_times=task_times, wall_time=end - wall0)
         if metrics is not None:
             metrics.add_stage(stage)
-        end = time.perf_counter()
-        obs_trace.record_span(f"stage:{name}", end - wall, end, tasks=stage.num_tasks)
-        return [result for result, _ in timed], stage
+        obs_trace.record_span(f"stage:{name}", wall0, end, tasks=stage.num_tasks)
+        return results, stage
 
     def run_driver(
         self, name: str, fn: Callable[[], T], metrics: JobMetrics | None = None
@@ -353,20 +263,7 @@ class SimulatedCluster:
         obs_trace.record_span(f"stage:{name}", t0, t0 + elapsed, tasks=1)
         return result
 
-    # -- volume accounting and the model ---------------------------------------
-
-    def account_shuffle(
-        self, metrics: JobMetrics, nbytes: int, receivers: int = 0
-    ) -> None:
-        """Record a shuffle of ``nbytes`` into ``receivers`` reduce tasks
-        (0: a broadcast or gather, not spread over reducers)."""
-        metrics.shuffles.append((nbytes, receivers))
-
-    def account_result_transfer(self, metrics: JobMetrics, nbytes: int) -> None:
-        metrics.result_bytes += nbytes
-
-    def new_job(self) -> JobMetrics:
-        return JobMetrics()
+    # -- the model -------------------------------------------------------------
 
     def model(self, jobs: Iterable[JobMetrics]) -> ModelledTime:
         """:func:`model` under this cluster's config."""

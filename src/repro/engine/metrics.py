@@ -20,8 +20,7 @@ class StageMetrics:
 
     ``task_times`` are the measured seconds of each task body;
     ``wall_time`` is the real elapsed time the stage took on this host,
-    which depends on the cluster's execution backend (serial / threads /
-    processes) and the physical core count.  ``driver`` marks
+    its tasks run one after another in the calling thread.  ``driver`` marks
     single-threaded driver-side work (merge, re-encode...), which ran as
     one serial piece rather than as schedulable tasks.
 

@@ -30,7 +30,7 @@ class RDD:
                  metrics: JobMetrics | None = None):
         self._cluster = cluster
         self._partitions = partitions
-        self.metrics = metrics if metrics is not None else cluster.new_job()
+        self.metrics = metrics if metrics is not None else JobMetrics()
 
     # -- constructors ----------------------------------------------------------
 
@@ -80,9 +80,11 @@ class RDD:
         return self._stage("mapPartitions", fn)
 
     def _stage(self, name: str, fn: Callable[[list[Any]], list[Any]]) -> "RDD":
-        tasks = [lambda rows=rows: fn(rows) for rows in self._partitions]
-        results, _ = self._cluster.run_stage(name, tasks, self.metrics)
+        results, _ = self._cluster.map_stage(name, fn, self._calls(), self.metrics)
         return RDD(self._cluster, results, self.metrics)
+
+    def _calls(self) -> list[tuple[list[Any]]]:
+        return [(rows,) for rows in self._partitions]
 
     # -- actions ---------------------------------------------------------------
 
@@ -90,8 +92,7 @@ class RDD:
         return [r for rows in self._partitions for r in rows]
 
     def count(self) -> int:
-        tasks = [lambda rows=rows: len(rows) for rows in self._partitions]
-        results, _ = self._cluster.run_stage("count", tasks, self.metrics)
+        results, _ = self._cluster.map_stage("count", len, self._calls(), self.metrics)
         return sum(results)
 
     def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
@@ -105,10 +106,8 @@ class RDD:
                 acc = fn(acc, r)
             return [acc]
 
-        partials, _ = self._cluster.run_stage(
-            "reduce",
-            [lambda rows=rows: reduce_partition(rows) for rows in self._partitions],
-            self.metrics,
+        partials, _ = self._cluster.map_stage(
+            "reduce", reduce_partition, self._calls(), self.metrics
         )
         flat = [p[0] for p in partials if p]
         if not flat:
@@ -134,16 +133,14 @@ class RDD:
                 bucket[key] = fn(bucket[key], value) if key in bucket else value
             return buckets
 
-        map_out, _ = self._cluster.run_stage(
-            "shuffle-map",
-            [lambda rows=rows: combine(rows) for rows in self._partitions],
-            self.metrics,
+        map_out, _ = self._cluster.map_stage(
+            "shuffle-map", combine, self._calls(), self.metrics
         )
         # Model shuffle volume: every (key, value) pair crossing the wire.
         shuffle_bytes = sum(
             32 * len(bucket) for buckets in map_out for bucket in buckets
         )
-        self._cluster.account_shuffle(self.metrics, shuffle_bytes)
+        self.metrics.shuffles.append((shuffle_bytes, 0))
 
         def merge_reducer(idx: int) -> list[tuple[Any, Any]]:
             merged: dict[Any, Any] = {}
@@ -152,9 +149,8 @@ class RDD:
                     merged[key] = fn(merged[key], value) if key in merged else value
             return list(merged.items())
 
-        reduced, _ = self._cluster.run_stage(
-            "shuffle-reduce",
-            [lambda i=i: merge_reducer(i) for i in range(reducers)],
+        reduced, _ = self._cluster.map_stage(
+            "shuffle-reduce", merge_reducer, [(i,) for i in range(reducers)],
             self.metrics,
         )
         return RDD(self._cluster, reduced, self.metrics)

@@ -30,7 +30,7 @@ import zlib
 
 import numpy as np
 
-from repro.engine.table import Partition, Table
+from repro.engine.table import Table
 from repro.errors import ExecutionError
 
 _MAGIC = b"SBED"
@@ -100,7 +100,6 @@ def atomic_write_json(target: str, payload: dict) -> None:
     fsync_dir(os.path.dirname(target) or ".")
 
 _DTYPE_TAGS: dict[str, int] = {"int64": 0, "uint64": 1, "float64": 2, "object": 3, "bool": 4}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
 def encode_object_column(arr: np.ndarray) -> bytes:
@@ -175,40 +174,6 @@ def serialize_table(table: Table, compress: bool = False) -> bytes:
             )
             buf.write(payload)
     return buf.getvalue()
-
-
-def deserialize_table(data: bytes) -> Table:
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ExecutionError("not a serialized Seabed table")
-    version, name_len = struct.unpack("<HH", buf.read(4))
-    if version != _VERSION:
-        raise ExecutionError(f"unsupported table format version {version}")
-    name = buf.read(name_len).decode()
-    (num_partitions,) = struct.unpack("<I", buf.read(4))
-    partitions = []
-    for _ in range(num_partitions):
-        start_id, num_columns = struct.unpack("<QI", buf.read(12))
-        columns: dict[str, np.ndarray] = {}
-        for _ in range(num_columns):
-            (cname_len,) = struct.unpack("<H", buf.read(2))
-            cname = buf.read(cname_len).decode()
-            tag, ndim, rows, width, compressed, payload_len = struct.unpack(
-                "<BBIIBQ", buf.read(19)
-            )
-            payload = buf.read(payload_len)
-            if compressed:
-                payload = zlib.decompress(payload)
-            dtype_name = _TAG_DTYPES[tag]
-            if dtype_name == "object":
-                arr = decode_object_column(payload, rows)
-            else:
-                arr = np.frombuffer(payload, dtype=np.dtype(dtype_name)).copy()
-                if ndim == 2:
-                    arr = arr.reshape(rows, width)
-            columns[cname] = arr
-        partitions.append(Partition(columns=columns, start_id=start_id))
-    return Table(name, partitions)
 
 
 def disk_size(table: Table, compress: bool = False) -> int:

@@ -35,12 +35,12 @@ store exactly at its previous generation.  :func:`compact_store` merges
 runs of small append generations back into full-size partitions so scan
 parallelism stays healthy under a drip of small batches.
 
-**Snapshot consistency.**  :class:`PartitionRef` -- the tiny picklable
-descriptor stage dispatch ships instead of column payloads -- carries
+**Snapshot consistency.**  :class:`PartitionRef` -- the tiny
+descriptor stage dispatch passes instead of column payloads -- carries
 the generation counter it was created at.  The per-process reader cache
 (:func:`resolve_partition` / :func:`reader_at`) is keyed on ``(path,
-generation)``, so a worker in any execution backend resolves a ref
-against the exact snapshot its query planned over: generations are
+generation)``, so a stage task resolves a ref against the exact
+snapshot its query planned over: generations are
 append-only, which lets an older snapshot be reconstructed from a newer
 manifest, and a query therefore sees the store wholly pre- or wholly
 post-append, never torn.  Only compaction retires old snapshots; a ref
@@ -987,7 +987,7 @@ def current_generation(path: str | os.PathLike) -> int:
 def reader(path: str | os.PathLike) -> StoreReader:
     """Open (or reuse) the cached reader for the store's *current* state.
 
-    Pool worker processes call this through :func:`resolve_partition`, so
+    Stage tasks call this through :func:`resolve_partition`, so
     each process parses a store's manifest once per generation and keeps
     its maps open across stages.  A cheap manifest stat guards the cache:
     a store advanced by *any* process (every mutation replaces the
@@ -1001,7 +1001,7 @@ def reader(path: str | os.PathLike) -> StoreReader:
 def reader_at(path: str | os.PathLike, generation: int) -> StoreReader:
     """Open (or reuse) the cached reader for one pinned snapshot.
 
-    This is what makes concurrent reads append-safe on every backend: a
+    This is what makes concurrent reads append-safe: a
     :class:`PartitionRef` created at generation G resolves through the
     G-keyed reader even after later appends, because generations are
     append-only and snapshot G is reconstructable from any newer

@@ -54,7 +54,7 @@ CRASH_STATUS = 70
 CALL, REPLY = "wreq", "wrep"
 
 # Live handles, reaped at interpreter exit.  Workers are non-daemonic
-# (they may run process pools), so multiprocessing's own atexit hook
+# (see WorkerHandle.__init__), so multiprocessing's own atexit hook
 # would *join* them -- and a parent that crashed before shutting its
 # workers down would hang on workers still blocked in recv().  This
 # hook registers later, therefore runs earlier (LIFO), and kills every
@@ -134,9 +134,9 @@ class WorkerHandle:
         parent, child = Pipe()
         self._conn = parent
         self._lock = threading.Lock()
-        # Not daemonic: workers may run process-pool backends internally,
-        # and daemonic processes cannot have children.  Orphan safety
-        # comes from the serve loop instead -- when the parent dies, its
+        # Not daemonic: a worker stops through close() or _reap_workers,
+        # never through multiprocessing's exit-time terminate().  The
+        # orphan guard is the serve loop -- when the parent dies, its
         # pipe end closes and the loop exits on EOF.
         self.process = Process(
             target=main,

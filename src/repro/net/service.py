@@ -59,8 +59,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port; the bound port is on the handle
-    backend: str = "serial"  # execution backend for hosted queries
-    workers: int = 0
     storage_dir: str | None = None
     pruning: bool = True
     auth_required: bool = True
@@ -109,11 +107,7 @@ class SeabedService:
     ):
         self.config = config or ServiceConfig()
         self.cluster = SimulatedCluster(
-            ClusterConfig(
-                backend=self.config.backend,
-                workers=self.config.workers,
-                storage_dir=self.config.storage_dir,
-            )
+            ClusterConfig(storage_dir=self.config.storage_dir)
         )
         self.server = srv.SeabedServer(self.cluster, pruning=self.config.pruning)
         self._local = LocalTransport(self.server, self.cluster)
@@ -480,7 +474,6 @@ class SeabedService:
             self._thread.join(timeout=10)
         self._pool.shutdown(wait=False, cancel_futures=True)
         self._local.close()
-        self.cluster.close()
 
 
 @dataclass
@@ -550,10 +543,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--sharded", action="append", default=[], help="sharded table root (repeat)"
     )
-    parser.add_argument(
-        "--backend", default="serial", choices=["serial", "threads", "processes"]
-    )
-    parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--storage-dir", default=None)
     parser.add_argument("--max-in-flight", type=int, default=4)
     parser.add_argument("--queue-depth", type=int, default=16)
@@ -578,8 +567,6 @@ def main(argv: list[str] | None = None) -> None:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        workers=args.workers,
         storage_dir=args.storage_dir,
         pruning=not args.no_pruning,
         auth_required=not args.no_auth,

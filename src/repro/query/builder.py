@@ -263,7 +263,6 @@ class QueryBuilder:
         self,
         *args: Any,
         expected_groups: int | None = None,
-        compress_at: str = "worker",
         user: str | None = None,
         **params: Any,
     ) -> "QueryResult":
@@ -289,18 +288,12 @@ class QueryBuilder:
             )
         bound.update(params)
         return session.query(
-            query, expected_groups=expected_groups,
-            compress_at=compress_at, user=user, **bound,
+            query, expected_groups=expected_groups, user=user, **bound,
         )
 
-    def prepare(
-        self,
-        expected_groups: int | None = None,
-        compress_at: str = "worker",
-    ) -> "PreparedQuery":
+    def prepare(self, expected_groups: int | None = None) -> "PreparedQuery":
         return self._require_session().prepare(
-            self.build(), expected_groups=expected_groups,
-            compress_at=compress_at,
+            self.build(), expected_groups=expected_groups
         )
 
     def __repr__(self) -> str:

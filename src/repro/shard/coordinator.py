@@ -476,7 +476,7 @@ class ShardCoordinator:
                 "joins are not supported on sharded tables: the build side "
                 "would have to be broadcast across shard processes"
             )
-        metrics = self.cluster.new_job()
+        metrics = JobMetrics()
         shards = self._surviving_shards(q)
         metrics.shards_total = self.store.topology.num_shards
         metrics.shards_skipped = metrics.shards_total - len(shards)
@@ -489,7 +489,7 @@ class ShardCoordinator:
         else:
             response = self._merge_grouped(q, responses, metrics)
         response.metrics = metrics
-        self.cluster.account_result_transfer(metrics, response.payload_bytes)
+        metrics.result_bytes += response.payload_bytes
         return response
 
     def _merge_flat(
@@ -534,7 +534,7 @@ class ShardCoordinator:
         columns: Sequence[str],
         filt: Any = None,
     ) -> srv.ServerResponse:
-        metrics = self.cluster.new_job()
+        metrics = JobMetrics()
         columns = tuple(columns)
         survivors = self.route_filter(filt) if filt is not None else None
         shards = sorted(survivors) if survivors is not None else list(self.store.shards)
@@ -587,5 +587,5 @@ class ShardCoordinator:
         response = srv.ServerResponse(kind="scan", payload_bytes=payload_bytes)
         response.flat = {"columns": cols, "ids": ids}
         response.metrics = metrics
-        self.cluster.account_result_transfer(metrics, payload_bytes)
+        metrics.result_bytes += payload_bytes
         return response

@@ -145,9 +145,6 @@ class _ShardWorker:
             return None
         return self.server.scan(alias, columns, filt)
 
-    def shutdown(self) -> None:
-        self.cluster.close()
-
     def handlers(self) -> dict[str, Any]:
         return {
             "ping": self.ping,
@@ -159,7 +156,6 @@ class _ShardWorker:
             "rollup": self.rollup,
             "execute": self.execute,
             "scan": self.scan,
-            "shutdown": self.shutdown,
         }
 
 
@@ -172,7 +168,4 @@ def shard_worker_main(
     """Process entry point: build the worker and serve until shutdown."""
     obs_trace.set_process_label(f"shard-node-{node_id}")
     worker = _ShardWorker(node_id, node_dir, config)
-    try:
-        transport.serve(conn, worker.handlers())
-    finally:
-        worker.cluster.close()
+    transport.serve(conn, worker.handlers())

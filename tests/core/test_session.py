@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import PreparedQuery, SeabedSession, TranslationCache
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import PlanningError, TranslationError
 from repro.ops import OPS
 from repro.query.builder import col
@@ -223,17 +222,14 @@ class TestQueryManyOverrides:
         with pytest.raises(TranslationError, match="parameter mapping"):
             session.query_many([(p, 3)])
 
-    def test_threaded_batch_matches_serial(self):
-        threaded = SeabedSession(
-            mode="seabed", seed=5,
-            cluster=SimulatedCluster(ClusterConfig(backend="threads", workers=4)),
-        )
-        data = _populate(threaded)
+    def test_batch_results_in_input_order(self, sess):
+        session, data = sess
         queries = [
             f"SELECT sum(value), count(*) FROM events WHERE hour = {h}"
             for h in range(10)
         ]
-        results = threaded.query_many(queries)
+        assert session.query_many([]) == []
+        results = session.query_many(queries)
         for h, result in enumerate(results):
             mask = data["hour"] == h
             assert result.rows[0]["count(*)"] == int(mask.sum())

@@ -1,18 +1,19 @@
 """Tests for the simulated cluster (repro.engine.cluster)."""
 
+import threading
+import time
 from copy import deepcopy
 from dataclasses import replace
 
 import pytest
 
-from repro.engine.backends import SerialBackend, ThreadBackend
 from repro.engine.cluster import ClusterConfig, SimulatedCluster, makespan, model
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.errors import ExecutionError
+from repro.obs import trace as obs_trace
 
 
 def double(x):
-    """Top-level so process backends could pickle it."""
     return 2 * x
 
 
@@ -43,7 +44,7 @@ class TestMakespan:
 class TestStageExecution:
     def test_results_in_order(self):
         cluster = SimulatedCluster(ClusterConfig(cores=2))
-        results, stage = cluster.run_stage("s", [lambda i=i: i * i for i in range(5)])
+        results, stage = cluster.map_stage("s", lambda i: i * i, [(i,) for i in range(5)])
         assert results == [0, 1, 4, 9, 16]
         assert stage.num_tasks == 5
 
@@ -52,23 +53,23 @@ class TestStageExecution:
         # task body's own seconds, whatever the config says.
         config = ClusterConfig(cores=1, task_startup_s=0.5, job_startup_s=5.0)
         cluster = SimulatedCluster(config)
-        job = cluster.new_job()
-        _, stage = cluster.run_stage("s", [lambda: None, lambda: None], job)
+        job = JobMetrics()
+        _, stage = cluster.map_stage("s", lambda: None, [(), ()], job)
         assert max(stage.task_times) < 0.5 and job.real_time < 0.5
         assert not stage.driver
         assert cluster.model([job]).server_s >= 5.0 + 2 * 0.5
 
     def test_metrics_accumulate(self):
         cluster = SimulatedCluster(ClusterConfig(cores=2))
-        job = cluster.new_job()
-        cluster.run_stage("a", [lambda: 1], job)
-        cluster.run_stage("b", [lambda: 2], job)
+        job = JobMetrics()
+        cluster.map_stage("a", double, [(1,)], job)
+        cluster.map_stage("b", double, [(2,)], job)
         assert [s.name for s in job.stages] == ["a", "b"]
         assert cluster.model([job]).server_s >= cluster.config.job_startup_s
 
     def test_driver_work_counts_once(self):
         cluster = SimulatedCluster(ClusterConfig(cores=8))
-        job = cluster.new_job()
+        job = JobMetrics()
         out = cluster.run_driver("merge", lambda: 42, job)
         assert out == 42
         assert job.stage("merge").num_tasks == 1
@@ -82,49 +83,106 @@ class TestStageExecution:
 
     def test_wall_time_recorded(self):
         cluster = SimulatedCluster(ClusterConfig(cores=2))
-        job = cluster.new_job()
-        cluster.run_stage("a", [lambda: 1], job)
-        cluster.map_stage("b", double, [(1,)], job)
+        job = JobMetrics()
+        cluster.map_stage("a", double, [(1,)], job)
+        cluster.run_driver("b", lambda: 1, job)
         assert all(s.wall_time > 0.0 for s in job.stages)
         assert job.real_time == pytest.approx(sum(s.wall_time for s in job.stages))
 
 
-class TestBackendSelection:
-    def test_serial_is_default(self):
-        cluster = SimulatedCluster()
-        assert isinstance(cluster.backend, SerialBackend)
+STAGE_SIZES = [0, 1, 2, 7, 33]
 
-    def test_config_selects_backend(self):
-        cluster = SimulatedCluster(ClusterConfig(backend="threads", workers=3))
-        try:
-            assert isinstance(cluster.backend, ThreadBackend)
-            assert cluster.backend.workers == 3
-        finally:
-            cluster.close()
 
-    def test_with_backend_builder(self):
-        config = ClusterConfig().with_backend("processes", workers=4)
-        assert (config.backend, config.workers) == ("processes", 4)
+@pytest.mark.parametrize("n", STAGE_SIZES)
+class TestMapStage:
+    """The one executor: every call runs in the calling thread, in order,
+    and is timed on its own."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExecutionError, match="unknown execution backend"):
-            SimulatedCluster(ClusterConfig(backend="mapreduce"))
+    def test_results_match_direct_calls(self, n):
+        calls = [(i, i + 3) for i in range(n)]
+        results, _ = SimulatedCluster().map_stage("s", pow, calls)
+        assert results == [pow(*c) for c in calls]
 
-    def test_injected_backend_wins(self):
-        backend = SerialBackend()
-        cluster = SimulatedCluster(ClusterConfig(backend="threads"), backend=backend)
-        assert cluster.backend is backend
+    def test_one_task_time_per_call(self, n):
+        _, stage = SimulatedCluster().map_stage("s", double, [(i,) for i in range(n)])
+        assert stage.num_tasks == n
+        assert all(t >= 0.0 for t in stage.task_times)
+        assert stage.wall_time >= stage.total_cpu - 1e-9  # float rounding only
 
-    def test_same_results_across_backends(self):
-        calls = [(i,) for i in range(8)]
-        serial = SimulatedCluster(ClusterConfig(backend="serial"))
-        threads = SimulatedCluster(ClusterConfig(backend="threads", workers=2))
-        try:
-            r1, _ = serial.map_stage("s", double, calls)
-            r2, _ = threads.map_stage("s", double, calls)
-            assert r1 == r2
-        finally:
-            threads.close()
+    def test_runs_in_the_calling_thread(self, n):
+        ident = threading.get_ident()
+        results, _ = SimulatedCluster().map_stage(
+            "s", lambda _: threading.get_ident(), [(i,) for i in range(n)]
+        )
+        assert results == [ident] * n
+
+    def test_calls_run_one_after_another_in_order(self, n):
+        log = []
+
+        def body(i):
+            log.append(("start", i))
+            log.append(("end", i))
+            return i
+
+        SimulatedCluster().map_stage("s", body, [(i,) for i in range(n)])
+        assert log == [(e, i) for i in range(n) for e in ("start", "end")]
+
+    def test_stage_appended_to_job(self, n):
+        job = JobMetrics()
+        _, stage = SimulatedCluster().map_stage(
+            "scan", double, [(i,) for i in range(n)], job
+        )
+        assert job.stages == [stage]
+        assert stage.name == "scan" and not stage.driver
+        assert job.real_time == stage.wall_time
+
+    def test_task_time_measures_the_body(self, n):
+        _, stage = SimulatedCluster().map_stage(
+            "s", time.sleep, [(0.002,) for _ in range(min(n, 3))]
+        )
+        assert all(t >= 0.002 for t in stage.task_times)
+
+    def test_span_records_task_count(self, n):
+        obs_trace.set_enabled(True)
+        tracer = obs_trace.get_tracer()
+        tracer.clear()
+        SimulatedCluster().map_stage("traced", double, [(i,) for i in range(n)])
+        (span,) = [s for s in tracer.spans() if s.name == "stage:traced"]
+        tracer.clear()
+        assert span.attributes["tasks"] == n
+        assert span.end >= span.start
+
+    def test_model_schedules_the_measured_times(self, n):
+        job = JobMetrics()
+        cluster = SimulatedCluster(ClusterConfig(cores=4))
+        _, stage = cluster.map_stage("s", double, [(i,) for i in range(n)], job)
+        assert cluster.model([job]) == model([job], cluster.config)
+        assert makespan(stage.task_times, 4) <= stage.total_cpu + 1e-12
+
+
+class TestMapStageFailures:
+    def test_exception_propagates_and_records_no_stage(self):
+        job = JobMetrics()
+
+        def body(i):
+            if i == 2:
+                raise ValueError("task 2 failed")
+            return i
+
+        with pytest.raises(ValueError, match="task 2 failed"):
+            SimulatedCluster().map_stage("s", body, [(i,) for i in range(5)], job)
+        assert job.stages == []
+
+    def test_closures_and_unpicklable_arguments_accepted(self):
+        # Nothing is pickled: a generator argument and a closure over local
+        # state go straight to the task body.
+        seen = []
+        results, _ = SimulatedCluster().map_stage(
+            "s", lambda gen: seen.append(sum(gen)) or len(seen),
+            [((x for x in range(k)),) for k in range(4)],
+        )
+        assert results == [1, 2, 3, 4]
+        assert seen == [0, 0, 1, 3]
 
 
 def job_of(*stages, shuffles=(), result_bytes=0, client_time=0.0):
@@ -211,8 +269,8 @@ class TestModelStragglers:
     def test_cluster_model_is_the_function_under_its_config(self):
         config = ClusterConfig(cores=2, straggler_prob=0.5, seed=3)
         cluster = SimulatedCluster(config)
-        job = cluster.new_job()
-        cluster.run_stage("s", [lambda: None] * 20, job)
+        job = JobMetrics()
+        cluster.map_stage("s", lambda: None, [()] * 20, job)
         assert cluster.model([job]) == model([job], config)
 
 
@@ -246,10 +304,7 @@ class TestModelNetwork:
 
     def test_accounting_records_volume_only(self):
         cluster = SimulatedCluster(ClusterConfig())
-        job = cluster.new_job()
-        cluster.account_shuffle(job, 1_000_000)
-        cluster.account_shuffle(job, 500, receivers=4)
-        cluster.account_result_transfer(job, 2048)
+        job = JobMetrics(shuffles=[(1_000_000, 0), (500, 4)], result_bytes=2048)
         assert job.shuffles == [(1_000_000, 0), (500, 4)]
         assert job.shuffle_bytes == 1_000_500
         assert job.result_bytes == 2048
@@ -284,7 +339,6 @@ class TestModelPurity:
 
 class TestJobMetrics:
     def test_stage_lookup_missing(self):
-        cluster = SimulatedCluster()
-        job = cluster.new_job()
+        job = JobMetrics()
         with pytest.raises(KeyError):
             job.stage("nope")

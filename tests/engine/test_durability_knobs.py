@@ -47,10 +47,6 @@ class TestFsyncDirFallback:
 
 
 class TestConfigValidation:
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ExecutionError, match="workers"):
-            ClusterConfig(workers=-1)
-
     def test_nonpositive_append_partition_rows_rejected(self):
         with pytest.raises(ExecutionError, match="append_partition_rows"):
             ClusterConfig(append_partition_rows=0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine.storage import (
-    deserialize_table,
+    decode_object_column,
     disk_size,
+    encode_object_column,
     memory_size,
     serialize_table,
 )
@@ -31,51 +32,55 @@ def build_table() -> Table:
     )
 
 
-class TestRoundTrip:
-    def test_full_round_trip(self):
-        table = build_table()
-        restored = deserialize_table(serialize_table(table))
-        assert restored.name == table.name
-        assert restored.num_partitions == table.num_partitions
-        for col in table.column_names:
-            orig, back = table.column(col), restored.column(col)
-            if orig.dtype == object:
-                assert [int(x) for x in orig] == [int(x) for x in back]
-            else:
-                assert np.array_equal(orig, back)
-
-    def test_round_trip_compressed(self):
-        table = build_table()
-        restored = deserialize_table(serialize_table(table, compress=True))
-        assert np.array_equal(restored.column("i"), table.column("i"))
-
-    def test_partition_start_ids_preserved(self):
-        table = build_table()
-        restored = deserialize_table(serialize_table(table))
-        assert [p.start_id for p in restored.partitions] == [
-            p.start_id for p in table.partitions
-        ]
-
-    def test_2d_shape_preserved(self):
-        restored = deserialize_table(serialize_table(build_table()))
-        assert restored.column("ore").shape == (20, 2)
+COLUMNS = {
+    "int64": lambda n: np.arange(n, dtype=np.int64) - 7,
+    "uint64": lambda n: np.arange(n, dtype=np.uint64) * np.uint64(2**40),
+    "float64": lambda n: np.linspace(0.0, 1.0, n),
+    "bool": lambda n: np.arange(n) % 3 == 0,
+    "ore-2d": lambda n: np.arange(2 * n, dtype=np.uint64).reshape(n, 2),
+}
 
 
-class TestBoolColumns:
-    def test_bool_round_trip(self):
-        table = Table.from_columns(
-            "flags", {"b": np.array([True, False, True])}, 1
-        )
-        restored = deserialize_table(serialize_table(table))
-        assert restored.column("b").tolist() == [True, False, True]
-        assert restored.column("b").dtype == np.bool_
+class TestFixedWidthLayout:
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_each_row_costs_its_itemsize(self, kind):
+        def size(n):
+            return disk_size(Table.from_columns("t", {"c": COLUMNS[kind](n)}, 1))
+
+        arr = COLUMNS[kind](1)
+        assert size(11) - size(10) == arr.itemsize * arr[0].size
+        assert size(10) == size(0) + 10 * (size(1) - size(0))
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_compression_never_grows_a_table(self, kind):
+        rng = np.random.default_rng(1)
+        col = COLUMNS[kind](500)
+        noisy = rng.permutation(col.ravel()).reshape(col.shape)
+        for arr in (col, noisy):
+            table = Table.from_columns("t", {"c": arr}, 2)
+            assert disk_size(table, compress=True) <= disk_size(table)
+
+
+class TestObjectColumnCodec:
+    """The big-int framing that the store and the wire codec share."""
+
+    @pytest.mark.parametrize("values", [
+        [0],
+        [1, -1],
+        [2**2047, 2**2047 - 1],
+        [-(2**100), 2**100, 0, 255, 256],
+        [(1 << 64) + i for i in range(50)],
+        [],
+    ], ids=["zero", "unit", "paillier-width", "signs", "run", "empty"])
+    def test_round_trip(self, values):
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = values
+        back = decode_object_column(encode_object_column(arr), len(values))
+        assert back.dtype == object
+        assert back.tolist() == values
 
 
 class TestValidation:
-    def test_bad_magic(self):
-        with pytest.raises(ExecutionError, match="not a serialized"):
-            deserialize_table(b"JUNKxxxx")
-
     def test_unsupported_dtype(self):
         table = Table.from_columns("t", {"s": np.array(["a", "b"])}, 1)
         with pytest.raises(ExecutionError, match="unsupported column dtype"):
@@ -83,6 +88,13 @@ class TestValidation:
 
 
 class TestSizeAccounting:
+    def test_disk_size_is_the_serialized_length(self):
+        table = build_table()
+        flags = Table.from_columns("flags", {"b": np.array([True, False, True])}, 1)
+        for t in (table, flags):
+            for compress in (False, True):
+                assert disk_size(t, compress) == len(serialize_table(t, compress))
+
     def test_compression_shrinks_repetitive_data(self):
         table = Table.from_columns("t", {"z": np.zeros(10_000, dtype=np.int64)}, 2)
         assert disk_size(table, compress=True) < disk_size(table) / 50

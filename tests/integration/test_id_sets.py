@@ -9,6 +9,8 @@ test checks the answers under every placement, before and after an
 append + compaction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -219,7 +221,11 @@ def test_rows_equal_plaintext_under_every_placement(placed):
     check()
     sweep()
     total = "SELECT sum(m0), sum(m1), count(*) FROM t"  # the ablation, every placement
-    assert normalise(writer.query(total, compress_at="driver").rows) == normalise(
+    ablation = writer.prepare(total)
+    ablation.translation.requests = [
+        replace(r, compress_at="driver") for r in ablation.translation.requests
+    ]
+    assert normalise(ablation.execute().rows) == normalise(
         execute_plain({"t": truth}, parse_query(total))
     )
     # Append + compact: compacted partitions absorb several ID spans and
@@ -332,7 +338,6 @@ def test_grouped_rows_equal_plaintext_under_every_placement(placed):
     truth = group_data(900, seed=8)
     writer, _ = placed.persist(session, "g", truth, shard_key="city", num_partitions=6)
     if placed.remote:  # a remote session's cluster only sizes the inflation factor
-        writer.cluster.close()
         writer.cluster = SimulatedCluster(ClusterConfig(cores=CORES))
     # Joins need the build side beside a single store (sharded joins are a
     # typed error).
@@ -348,19 +353,3 @@ def test_grouped_rows_equal_plaintext_under_every_placement(placed):
         truth = {k: np.concatenate([truth[k], batch[k]]) for k in truth}
     writer.compact_table("g")
     check_group_cases(writer, {"g": truth, "b": BUILD_ROWS}, join)
-
-
-def test_grouped_rows_equal_plaintext_on_the_processes_backend():
-    probe, build = group_schemas()
-    cluster = SimulatedCluster(ClusterConfig(cores=CORES, backend="processes", workers=2))
-    session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3, cluster=cluster)
-    try:
-        session.create_plan(probe, GROUP_SAMPLES)
-        session.create_plan(build, GROUP_SAMPLES)
-        truth = group_data(900, seed=8)
-        session.upload("g", truth, num_partitions=6)
-        session.upload("b", BUILD_ROWS, num_partitions=2)
-        check_group_cases(session, {"g": truth, "b": BUILD_ROWS}, join=True)
-    finally:
-        session.close()
-        cluster.close()

@@ -3,10 +3,10 @@
 ``SeabedSession.append_rows`` must encrypt only its batch (proved via
 the OPS counters), publish it atomically (a writer killed at any labelled
 crash point leaves a store that reopens cleanly at the committed state),
-keep concurrent readers on consistent snapshots across every execution
-backend, and compose with compaction.  The append / killed-writer /
-stale-session / compaction cases take the table's placement (one store,
-a local worker fleet, a fleet behind a service) as one more input.
+keep concurrent readers on consistent snapshots, and compose with
+compaction.  The append / killed-writer / stale-session / compaction
+cases take the table's placement (one store, a local worker fleet, a
+fleet behind a service) as one more input.
 """
 
 import os
@@ -27,7 +27,6 @@ from repro.engine.store import (
 from repro.errors import StorageError
 from repro.ops import OPS
 
-BACKENDS = ["serial", "threads", "processes"]
 COUNTRIES = ["us", "ca", "in", "uk"]
 MASTER_KEY = b"ingest-tests-master-key-32-byte!"
 
@@ -197,49 +196,31 @@ class TestAppendRows:
 
 
 class TestConcurrentReaders:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reader_pinned_to_its_snapshot_during_append(self, tmp_path, backend):
+    def test_reader_pinned_to_its_snapshot_during_append(self, tmp_path):
         """A session attached before an append keeps answering from its
-        own snapshot on every backend -- wholly pre-append, never torn --
-        and a re-attach sees the append in full."""
+        own snapshot -- wholly pre-append, never torn -- and a re-attach
+        sees the append in full."""
         writer, path = build_writer(tmp_path)
         expected_before = rows_of(writer, TOTAL)
 
-        cluster = SimulatedCluster(ClusterConfig(backend=backend, workers=2))
-        pinned = SeabedSession(
-            mode="seabed", master_key=MASTER_KEY, cluster=cluster
-        )
+        pinned = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         pinned.open_table(path)
-        try:
-            writer.append_rows("sales", dataset(n=100, seed=23))
-            assert rows_of(pinned, TOTAL) == expected_before
-            assert pinned.query(COUNT).rows[0]["count(*)"] == 600
-        finally:
-            cluster.close()
+        writer.append_rows("sales", dataset(n=100, seed=23))
+        assert rows_of(pinned, TOTAL) == expected_before
+        assert pinned.query(COUNT).rows[0]["count(*)"] == 600
 
-        after = SeabedSession(
-            mode="seabed", master_key=MASTER_KEY,
-            cluster=SimulatedCluster(ClusterConfig(backend=backend, workers=2)),
-        )
+        after = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         after.open_table(path)
-        try:
-            assert after.query(COUNT).rows[0]["count(*)"] == 700
-            assert rows_of(after, TOTAL) == rows_of(writer, TOTAL)
-        finally:
-            after.cluster.close()
+        assert after.query(COUNT).rows[0]["count(*)"] == 700
+        assert rows_of(after, TOTAL) == rows_of(writer, TOTAL)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_writer_sees_appends_immediately(self, tmp_path, backend):
-        cluster = SimulatedCluster(ClusterConfig(backend=backend, workers=2))
-        writer, path = build_writer(tmp_path, cluster=cluster)
-        try:
-            total = 600
-            for seed in (31, 32, 33):
-                writer.append_rows("sales", dataset(n=50, seed=seed))
-                total += 50
-                assert writer.query(COUNT).rows[0]["count(*)"] == total
-        finally:
-            cluster.close()
+    def test_writer_sees_appends_immediately(self, tmp_path):
+        writer, path = build_writer(tmp_path)
+        total = 600
+        for seed in (31, 32, 33):
+            writer.append_rows("sales", dataset(n=50, seed=seed))
+            total += 50
+            assert writer.query(COUNT).rows[0]["count(*)"] == total
 
     def test_interleaved_reads_never_torn(self, tmp_path):
         """Re-attaching between appends only ever observes generation

@@ -6,6 +6,8 @@ what the plaintext executor returns, in all three modes (NoEnc, Seabed,
 Paillier baseline).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,12 @@ class TestCompressionSiteAblation:
         client = build_client("seabed", dataset)
         sql = "SELECT sum(amount) FROM sales WHERE amount > 250"
         want = execute_plain({"sales": data}, parse_query(sql))
-        got = client.query(sql, compress_at="driver")
+        prepared = client.prepare(sql)
+        prepared.translation.requests = [
+            replace(r, compress_at="driver") for r in prepared.translation.requests
+        ]
+        got = prepared.execute()
+        assert got.translation.requests[0].compress_at == "driver"
         assert normalise(got.rows) == normalise(want)
 
 

@@ -1,10 +1,10 @@
 """Pruned execution is bit-identical to a full scan -- always.
 
 The zone-map index may only ever *skip work*, never change an answer:
-across random predicates (hypothesis), across serial/threads/processes
-backends, across append/compact store generations, and under injected
-bloom false positives.  Every test here runs the same query with
-pruning on and off and requires exactly equal rows.
+across random predicates (hypothesis), across append/compact store
+generations, and under injected bloom false positives.  Every test here
+runs the same query with pruning on and off and requires exactly equal
+rows.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.index.bloom import BloomFilter
 from repro.query.ast import (
     Aggregate,
@@ -31,7 +30,6 @@ from repro.workloads.synthetic import clustered_ids
 
 MASTER_KEY = b"pruning-equivalence-master-key-3"
 COUNTRIES = ["us", "ca", "in", "uk"]
-BACKENDS = ["serial", "threads", "processes"]
 N = 600
 USERS = 40
 SESSIONS = 3000  # high cardinality: per-partition DET stats become blooms
@@ -96,21 +94,15 @@ def stores(tmp_path_factory):
     return paths
 
 
-def attach(path, backend="serial", workers=2):
-    cluster = SimulatedCluster(ClusterConfig(backend=backend, workers=workers))
-    session = SeabedSession(mode="seabed", master_key=MASTER_KEY, cluster=cluster)
+def attach(path):
+    session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
     session.open_table(path)
     return session
 
 
 @pytest.fixture(scope="module")
-def sessions(stores):
-    built = {}
-    for backend in BACKENDS:
-        built[backend] = attach(stores["appended"], backend)
-    yield built
-    for session in built.values():
-        session.cluster.close()
+def appended(stores):
+    return attach(stores["appended"])
 
 
 def run_both(session, query, expected_groups=None, scan=False):
@@ -188,40 +180,39 @@ aggregates = st.lists(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(aggs=aggregates, where=st.one_of(st.none(), predicates))
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_flat_pruning_bit_identical(sessions, backend, aggs, where):
+def test_flat_pruning_bit_identical(appended, aggs, where):
     query = Query(select=tuple(aggs), table="sales", where=where)
-    run_both(sessions[backend], query)
+    run_both(appended, query)
 
 
 @given(dim=st.sampled_from(["year", "country"]),
        where=st.one_of(st.none(), leaves))
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_grouped_pruning_bit_identical(sessions, dim, where):
+def test_grouped_pruning_bit_identical(appended, dim, where):
     query = Query(
         select=(ColumnRef(dim), Aggregate("sum", "amount", "s"),
                 Aggregate("count", None, "c")),
         table="sales", where=where, group_by=(dim,),
     )
-    run_both(sessions["serial"], query, expected_groups=4)
+    run_both(appended, query, expected_groups=4)
 
 
 @given(where=st.one_of(ts_predicates, user_predicates, year_predicates))
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_scan_pruning_bit_identical(sessions, where):
+def test_scan_pruning_bit_identical(appended, where):
     query = Query(
         select=(ColumnRef("user"), ColumnRef("amount")),
         table="sales", where=where,
     )
-    run_both(sessions["serial"], query, scan=True)
+    run_both(appended, query, scan=True)
 
 
-# -- generations and backends (deterministic) ---------------------------------
+# -- generations (deterministic) -----------------------------------------------
 
 SELECTIVE = [
     ("SELECT sum(amount), count(*) FROM sales WHERE user = 2", None),
@@ -234,41 +225,21 @@ SELECTIVE = [
 @pytest.mark.parametrize("store", ["base", "appended", "compacted"])
 def test_every_generation_state_prunes_identically(stores, store):
     session = attach(stores[store])
-    try:
-        skipped = [
-            run_both(session, sql, expected_groups=groups)
-            for sql, groups in SELECTIVE
-        ]
-        # Selective point/range queries actually skip work on every
-        # store state (the floors; equality is asserted inside run_both).
-        assert skipped[0] > 0 and skipped[1] > 0
-    finally:
-        session.cluster.close()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_every_backend_prunes_identically(sessions, backend):
-    for sql, groups in SELECTIVE:
-        skipped = run_both(sessions[backend], sql, expected_groups=groups)
-        if "WHERE user" in sql:
-            assert skipped > 0
-
-
-def test_backends_agree_on_pruned_rows(sessions):
-    for sql, groups in SELECTIVE:
-        rows = [
-            sessions[b].query(sql, expected_groups=groups).rows
-            for b in BACKENDS
-        ]
-        assert rows[0] == rows[1] == rows[2]
+    skipped = [
+        run_both(session, sql, expected_groups=groups)
+        for sql, groups in SELECTIVE
+    ]
+    # Selective point/range queries actually skip work on every
+    # store state (the floors; equality is asserted inside run_both).
+    assert skipped[0] > 0 and skipped[1] > 0
 
 
 # -- bloom false positives ----------------------------------------------------
 
-def test_bloom_false_positives_never_drop_rows(sessions, monkeypatch):
+def test_bloom_false_positives_never_drop_rows(appended, monkeypatch):
     """A bloom 'maybe' on an absent token keeps the partition: saturating
     every bloom answer to 'maybe' must cost skips, never rows."""
-    session = sessions["serial"]
+    session = appended
     sql = "SELECT sum(amount), count(*) FROM sales WHERE sess = :s"
     values = [7, 123, 1500, SESSIONS + 5]
     baseline = {
@@ -285,8 +256,8 @@ def test_bloom_false_positives_never_drop_rows(sessions, monkeypatch):
         assert skipped <= baseline[v][1]  # false positives only cost scans
 
 
-def test_bloom_artifacts_exist_on_the_high_cardinality_column(sessions):
-    summary = sessions["serial"].stats("sales")
+def test_bloom_artifacts_exist_on_the_high_cardinality_column(appended):
+    summary = appended.stats("sales")
     det = summary["columns"]["sess__det"]
     assert det["blooms"] > 0
     assert summary["partitions_with_stats"] == summary["partitions"]
@@ -320,17 +291,14 @@ def test_rebuild_index_recomputes_missing_stats(stores, tmp_path):
     json.dump(manifest, open(manifest_path, "w"))
 
     session = attach(path)
-    try:
-        sql = "SELECT sum(amount), count(*) FROM sales WHERE user = 2"
-        before = session.query(sql)
-        assert sum(m.partitions_skipped for m in before.request_metrics) == 0
-        assert session.stats("sales")["partitions_with_stats"] == 0
+    sql = "SELECT sum(amount), count(*) FROM sales WHERE user = 2"
+    before = session.query(sql)
+    assert sum(m.partitions_skipped for m in before.request_metrics) == 0
+    assert session.stats("sales")["partitions_with_stats"] == 0
 
-        summary = session.encrypted_table("sales").rebuild_index()
-        assert summary["partitions_with_stats"] == summary["partitions"] > 0
+    summary = session.encrypted_table("sales").rebuild_index()
+    assert summary["partitions_with_stats"] == summary["partitions"] > 0
 
-        after = session.query(sql)
-        assert after.rows == before.rows
-        assert sum(m.partitions_skipped for m in after.request_metrics) > 0
-    finally:
-        session.cluster.close()
+    after = session.query(sql)
+    assert after.rows == before.rows
+    assert sum(m.partitions_skipped for m in after.request_metrics) > 0

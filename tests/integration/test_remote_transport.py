@@ -1,8 +1,7 @@
 """Remote transport equivalence: a session over the wire must be
 bit-identical to a session over LocalTransport on the same store.
 
-One persisted ciphertext store (plus one sharded root), three server
-processes -- one per execution backend -- each launched with
+One persisted ciphertext store (plus one sharded root), served by
 ``python -m repro.net.service`` in its own OS process.  Every query,
 scan and aggregate, including prepared-query reuse and sharded
 scatter-gather, must return exactly what a local session attached to
@@ -116,11 +115,10 @@ def _spawn_server(tmp_path, *args, **popen_kwargs):
     return proc, (addr["host"], addr["port"])
 
 
-@pytest.fixture(scope="module", params=["serial", "threads", "processes"])
-def server(request, store_path, tmp_path_factory):
+@pytest.fixture(scope="module")
+def server(store_path, tmp_path_factory):
     proc, address = _spawn_server(
-        tmp_path_factory.mktemp(f"srv-{request.param}"),
-        "--store", store_path, "--backend", request.param, "--workers", "2",
+        tmp_path_factory.mktemp("srv"), "--store", store_path
     )
     yield address
     proc.terminate()

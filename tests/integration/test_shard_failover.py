@@ -58,7 +58,7 @@ def sessions(tmp_path):
     baseline.create_plan(SCHEMA, SAMPLE_QUERIES)
     baseline.upload("sales", _batch())
 
-    config = ClusterConfig(storage_dir=str(tmp_path), workers=2)
+    config = ClusterConfig(storage_dir=str(tmp_path))
     session = SeabedSession(
         master_key=KEY, seed=2, cluster=SimulatedCluster(config)
     )

@@ -5,10 +5,9 @@ master key, same seed, same plan) persisted under each placement: one
 partition store, a fleet of process-isolated shard workers, and that
 fleet behind a service.  Every query -- ASHE sums, grouped partials, ORE
 extremes and medians, routed DET point lookups -- must decrypt to
-exactly the reference answer, across worker-internal execution backends
-and across appended and compacted generations.  A hypothesis sweep then
-compares random queries against the plaintext executor directly, with
-the placement as one more input.
+exactly the reference answer, across appended and compacted
+generations.  A hypothesis sweep then compares random queries against
+the plaintext executor directly, with the placement as one more input.
 """
 
 import numpy as np
@@ -90,11 +89,8 @@ def make_single():
     return session
 
 
-def make_sharded(tmp_path, backend="serial", replicas=2, num_shards=4):
-    config = ClusterConfig(
-        storage_dir=str(tmp_path), backend=backend, workers=2,
-        append_partition_rows=128,
-    )
+def make_sharded(tmp_path, replicas=2, num_shards=4):
+    config = ClusterConfig(storage_dir=str(tmp_path), append_partition_rows=128)
     session = SeabedSession(
         master_key=KEY, seed=1, cluster=SimulatedCluster(config)
     )
@@ -186,18 +182,6 @@ class TestEquivalence:
         # empty sum decrypts to None exactly as single-store does.
         assert metrics.shards_skipped == metrics.shards_total
         assert_same_rows(result.rows, [{"sum(amount)": None}])
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_worker_internal_backends_equivalent(tmp_path, single, backend):
-    session = make_sharded(tmp_path, backend=backend)
-    try:
-        for query in CHECK_QUERIES[:4]:
-            assert_same_rows(
-                session.query(query).rows, single.query(query).rows
-            )
-    finally:
-        session.close()
 
 
 def test_compacted_generations_equivalent(tmp_path, single):

@@ -327,7 +327,7 @@ class TestIntrospectionOps:
 class TestFailoverTracing:
     @pytest.fixture
     def replicated(self, tmp_path):
-        config = ClusterConfig(storage_dir=str(tmp_path), workers=2)
+        config = ClusterConfig(storage_dir=str(tmp_path))
         session = SeabedSession(master_key=KEY, seed=2,
                                 cluster=SimulatedCluster(config))
         _plan(session)

@@ -510,10 +510,7 @@ def test_a_grouped_reply_frame_is_a_few_buffers():
 
 def test_a_shard_workers_grouped_reply_frame_is_a_few_buffers(tmp_path):
     worker = _ShardWorker(0, str(tmp_path), ClusterConfig())
-    try:
-        worker.append("t", 0, codec.pack_table(_grouped_table()), None)
-        worker.reopen("t", 0)  # serve the committed generation
-        reply = worker.execute(0, GROUPED_Q)
-        _check_grouped_frame(codec.encode_frame(REPLY, {"ok": True, "result": reply}), reply)
-    finally:
-        worker.shutdown()
+    worker.append("t", 0, codec.pack_table(_grouped_table()), None)
+    worker.reopen("t", 0)  # serve the committed generation
+    reply = worker.execute(0, GROUPED_Q)
+    _check_grouped_frame(codec.encode_frame(REPLY, {"ok": True, "result": reply}), reply)
