@@ -1,8 +1,9 @@
 """Result recording for the benchmark harness.
 
 Each benchmark writes its rendered table both to stdout and to
-``results/<name>.txt`` under the repository root, so EXPERIMENTS.md can
-reference stable artifacts and reruns can be diffed.
+``results/<name>.txt`` under the repository root: the artifact to read a
+benchmark's result from and to diff between reruns (``results/`` is not
+under version control; rerun the benchmark to regenerate it).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Every benchmark prints its reproduction of a paper table or figure as an
 aligned text table so `pytest benchmarks/ --benchmark-only -s` output can
-be compared against the paper directly, and EXPERIMENTS.md can embed the
-same renderings.
+be compared against the paper directly; the same renderings are what
+:mod:`repro.bench.harness` writes to ``results/<name>.txt``.
 """
 
 from __future__ import annotations

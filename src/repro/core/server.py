@@ -52,7 +52,6 @@ from repro.crypto.kernel import observe_kernel_op
 from repro.crypto.prf import MASK64
 from repro.engine.cluster import SimulatedCluster
 from repro.engine.metrics import JobMetrics
-from repro.engine.store import PartitionRef, dispatch_payload, resolve_partition
 from repro.engine.table import Partition, Table
 from repro.errors import ExecutionError
 from repro.idlist import IdList, get_codec
@@ -360,9 +359,9 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 # task closures.  Everything they touch is public material: ciphertexts,
 # comparison tokens, and row IDs.
 #
-# Store-backed partitions arrive as PartitionRef descriptors (a path +
-# index + generation); resolve_partition maps the snapshot they name
-# through the per-process reader cache.
+# A store-backed partition is the registered table's own Partition, whose
+# columns map the generation that table was opened at: a query keeps
+# reading that snapshot whatever the store publishes meanwhile.
 #
 # A flat map task's partial of its row set is one tuple: a payload per
 # ``q.aggs`` entry, then an ID chunk per ``id_sources(q.aggs)`` entry
@@ -374,10 +373,9 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 
 
 def scan_map_task(
-    part: Partition | PartitionRef, columns: tuple[str, ...], filt: FilterExpr | None
+    part: Partition, columns: tuple[str, ...], filt: FilterExpr | None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Filtered projection of one partition: selected columns + row IDs."""
-    part = resolve_partition(part)
     mask = eval_filter(part.columns, filt, part.nrows)
     ids = np.arange(part.nrows, dtype=_U64) + _U64(part.start_id)
     if mask is None:
@@ -453,12 +451,11 @@ def _flat_id_chunk(
 
 
 def flat_map_task(
-    part: Partition | PartitionRef, q: ServerQuery, build: dict[str, Any] | None
+    part: Partition, q: ServerQuery, build: dict[str, Any] | None
 ) -> tuple | None:
     """One partition's partial of a flat (ungrouped) query's row set: the
     selected rows' IDs are built and encoded once per source, whatever
     the number of ASHE aggregates."""
-    part = resolve_partition(part)
     # Without a join, view row j is partition row j (probe_idx None).
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
@@ -509,12 +506,11 @@ def _merge_flat(
 
 
 def grouped_map_task(
-    part: Partition | PartitionRef, q: ServerQuery, build: dict[str, Any] | None
+    part: Partition, q: ServerQuery, build: dict[str, Any] | None
 ) -> GroupedRows | None:
     """One partition's (group key, suffix) row sets as columns (``None``:
     no row selected)."""
     inflation = max(1, q.inflation)
-    part = resolve_partition(part)
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
         return None
@@ -781,9 +777,7 @@ class SeabedServer:
         metrics = JobMetrics()
         columns = tuple(columns)
         kept, skipped = self._filter_survivors(table, filt)
-        calls = [
-            (dispatch_payload(part), columns, filt) for part in kept
-        ]
+        calls = [(part, columns, filt) for part in kept]
         parts, stage = self.cluster.map_stage("scan", scan_map_task, calls, metrics)
         stage.partitions_total = len(table.partitions)
         stage.partitions_skipped = skipped
@@ -858,7 +852,7 @@ class SeabedServer:
         # The broadcast build side rides every partition call (its volume
         # is accounted in _prepare_join).  ``parts`` already excludes
         # zone-map-pruned partitions.
-        calls = [(dispatch_payload(part), q, build) for part in parts]
+        calls = [(part, q, build) for part in parts]
         partials, stage = self.cluster.map_stage(
             "aggregate", flat_map_task, calls, metrics
         )
@@ -908,7 +902,7 @@ class SeabedServer:
         build: dict[str, Any] | None,
         metrics: JobMetrics,
     ) -> ServerResponse:
-        calls = [(dispatch_payload(part), q, build) for part in parts]
+        calls = [(part, q, build) for part in parts]
         map_out, stage = self.cluster.map_stage(
             "group-map", grouped_map_task, calls, metrics
         )

@@ -32,7 +32,6 @@ from repro.core import persistence as ps
 from repro.engine.store import (
     FIRST_GENERATION,
     MANIFEST_NAME,
-    _evict_cached,
     append_store,
     compact_store,
     open_store,
@@ -237,7 +236,6 @@ class StoreHost:
             return 0
         if committed == 0:
             dropped = len(store_generations(self.path))
-            _evict_cached(self.path)
             shutil.rmtree(self.path)
         else:
             dropped = truncate_store(self.path, committed)
@@ -492,13 +490,13 @@ class LocalTransport(Transport):
 
     def close(self) -> None:
         """Shut down hosted worker fleets and unmap the stores this
-        transport saved or attached: the server stops serving them and
-        their cached readers (one descriptor per column file) go."""
+        transport saved or attached: the server stops serving them, which
+        drops their tables and with them their maps (one descriptor per
+        column file)."""
         for fleet in self._fleets.values():
             fleet.close()
-        for name, path in self._stores.items():
+        for name in self._stores:
             self.server.unregister(name)
-            _evict_cached(path)
         self._stores.clear()
 
 

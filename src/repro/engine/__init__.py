@@ -18,9 +18,9 @@ deliberately transparent equivalent:
   memory accounting behind the paper's Table 5.
 - :mod:`repro.engine.store` -- the persistent columnar partition store:
   encrypted columns as raw little-endian buffers on disk, loaded back as
-  read-only memory maps; stage tasks receive ``(path, index,
-  generation)`` refs and resolve them through a per-process reader
-  cache.
+  read-only memory maps.  An opened table is one generation's snapshot
+  and stage tasks receive its partitions, so a query keeps reading that
+  snapshot while appends and compactions publish newer ones.
 - :mod:`repro.engine.rdd` -- a small row-oriented RDD API (map / filter /
   reduce / reduceByKey) mirroring the Spark API targeted by the paper's
   query translator (Table 2).
@@ -36,19 +36,17 @@ whoever calls ``model()`` -- production telemetry carries measurements.
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.engine.rdd import RDD
-from repro.engine.store import PartitionRef, open_store, resolve_partition, write_store
+from repro.engine.store import open_store, write_store
 from repro.engine.table import Partition, Table
 
 __all__ = [
     "ClusterConfig",
     "JobMetrics",
     "Partition",
-    "PartitionRef",
     "RDD",
     "SimulatedCluster",
     "StageMetrics",
     "Table",
     "open_store",
-    "resolve_partition",
     "write_store",
 ]

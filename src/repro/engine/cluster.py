@@ -25,10 +25,15 @@ effect on job latency can be studied without waiting for a real GC.
 
 from __future__ import annotations
 
-# Imported for its effect on the process heap, not for its names: without
-# it ingest-mixed's perf/ calibration kernel reads ~25% faster (malloc
-# state, ROADMAP item 1(b)) and every calibrated metric 35-50% worse while
-# raw latency does not move.  Delete together with item 1(b)'s fix.
+# Imported for its effect on the process heap, not for its names -- and it
+# is not a fix.  ingest-mixed's perf/ calibration kernel lands in one of
+# two malloc states, and which one is chosen by the heap layout, not by
+# this code: on a 2-vCPU host the same tree read 18 ms calibration /
+# 139 MB peak RSS from one checkout directory and 24 ms / 117 MB from a
+# directory with a longer name; without this import it read 26-28 ms, and
+# with MALLOC_MMAP_THRESHOLD_ pinned 31-32 ms, both at ~116 MB.
+# Uncalibrated latency moved in none of these.  The cure belongs in perf/
+# (ROADMAP item 1(b)); delete this import with it.
 import concurrent.futures.process  # noqa: F401
 import heapq
 import os
@@ -37,7 +42,6 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from repro.engine import store
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.errors import ExecutionError
 from repro.obs import trace as obs_trace
@@ -85,7 +89,6 @@ class ClusterConfig:
     seed: int = 0
     storage_dir: str | None = None  # root for persistent partition stores
     append_partition_rows: int = 65_536  # target rows per appended partition
-    reader_keep_generations: int = 4  # superseded snapshots cached per store
     #: Slow-query threshold (seconds of measured execution time).  When
     #: set, queries whose ``JobMetrics.real_time`` crosses it emit a
     #: structured ``slow_query`` event on the ``repro.obs`` logger and
@@ -101,11 +104,6 @@ class ClusterConfig:
             raise ExecutionError(
                 f"append_partition_rows must be positive, "
                 f"got {self.append_partition_rows}"
-            )
-        if self.reader_keep_generations < 1:
-            raise ExecutionError(
-                f"reader_keep_generations must be at least 1, "
-                f"got {self.reader_keep_generations}"
             )
         if self.slow_query_s is not None and self.slow_query_s < 0:
             raise ExecutionError(
@@ -221,8 +219,6 @@ class SimulatedCluster:
 
     def __init__(self, config: ClusterConfig | None = None):
         self.config = config or ClusterConfig()
-        if self.config.reader_keep_generations != store.reader_keep_generations():
-            store.set_reader_keep_generations(self.config.reader_keep_generations)
 
     # -- stage execution -----------------------------------------------------
 

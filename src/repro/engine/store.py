@@ -35,17 +35,17 @@ store exactly at its previous generation.  :func:`compact_store` merges
 runs of small append generations back into full-size partitions so scan
 parallelism stays healthy under a drip of small batches.
 
-**Snapshot consistency.**  :class:`PartitionRef` -- the tiny
-descriptor stage dispatch passes instead of column payloads -- carries
-the generation counter it was created at.  The per-process reader cache
-(:func:`resolve_partition` / :func:`reader_at`) is keyed on ``(path,
-generation)``, so a stage task resolves a ref against the exact
-snapshot its query planned over: generations are
-append-only, which lets an older snapshot be reconstructed from a newer
-manifest, and a query therefore sees the store wholly pre- or wholly
-post-append, never torn.  Only compaction retires old snapshots; a ref
-from before a compaction fails with a clear :class:`StorageError`
-instead of silently reading reshuffled partitions.
+**Snapshot consistency.**  :func:`open_store` returns a :class:`Table`
+whose partitions are read-only maps of one generation's files, and that
+table *is* the snapshot: the server registers it and hands its
+:class:`Partition` objects to stage tasks, so a query keeps reading the
+generation it was planned over whatever appends, compactions or store
+replacements happen meanwhile (a map stays valid after its file is
+unlinked).  Generations are append-only, so an older snapshot can also be
+re-opened from a newer manifest (``open_store(path, generation=G)``) and a
+query sees the store wholly pre- or wholly post-append, never torn.  Only
+compaction retires old snapshots; re-opening one fails with a clear
+:class:`StorageError` instead of silently reading reshuffled partitions.
 
 **Zone maps.**  Every generation entry carries per-partition zone-map
 statistics (:mod:`repro.index.zonemap`): ORE
@@ -69,8 +69,6 @@ import json
 import math
 import os
 import shutil
-import threading
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -108,24 +106,6 @@ _DTYPE_SPECS: dict[str, str] = {
     "object": "object",
 }
 _SPEC_DTYPES = {v: k for k, v in _DTYPE_SPECS.items()}
-
-
-@dataclass(frozen=True)
-class PartitionRef:
-    """Picklable handle to one stored partition: what stage dispatch ships.
-
-    ``generation`` pins the snapshot the ref belongs to; ``index`` is the
-    partition's position in that snapshot's flattened partition list;
-    ``store_id`` is the identity of the store that minted the ref, so a
-    ref from a store that was wholesale *replaced* at the same path fails
-    loudly instead of reading the replacement's rows.  ``None`` values
-    resolve against the store's current state.
-    """
-
-    path: str
-    index: int
-    generation: int | None = None
-    store_id: str | None = None
 
 
 def _partition_dir(index: int) -> str:
@@ -258,7 +238,6 @@ def write_store(
             raise StorageError(
                 f"store already exists at {path!r}; pass overwrite=True to replace"
             )
-        _evict_cached(path)
         for entry in os.listdir(path):
             if (
                 entry == MANIFEST_NAME
@@ -286,8 +265,8 @@ def write_store(
         "version": FORMAT_VERSION,
         "table": table.name,
         # Random identity: preserved by appends/compaction, fresh on every
-        # rewrite, so reader caches can tell "the same store advanced"
-        # from "a different store replaced this path".
+        # rewrite ("the same store advanced" vs "a different store
+        # replaced this path").
         "store_id": os.urandom(8).hex(),
         "generation": FIRST_GENERATION,
         "num_rows": generation["num_rows"],
@@ -354,7 +333,7 @@ def _sweep_unreferenced(path: str, manifest: dict) -> None:
     manifest no longer names them, so nothing else ever would.  Writers
     call this after every successful publish.  Safe against concurrent
     readers: an unreferenced directory can only belong to a snapshot the
-    manifest already retired, which new resolutions refuse anyway.
+    manifest already retired, which re-opening refuses anyway.
     """
     referenced = set()
     for gen in manifest["generations"]:
@@ -373,10 +352,10 @@ def _remove_generation_dirs(path: str, entries: list[dict]) -> None:
     """Delete the directories of retired generation entries.
 
     Root-dwelling generations (``dir == ""``, i.e. generation 1) have
-    their partition directories removed individually.  In-flight readers
-    holding open maps keep working (POSIX keeps unlinked bytes readable);
-    *new* resolutions of retired generations fail at the manifest level
-    with a clear error instead.
+    their partition directories removed individually.  Tables already
+    holding maps of them keep working (POSIX keeps unlinked bytes
+    readable); *re-opening* a retired generation fails at the manifest
+    level with a clear error instead.
     """
     for gen in entries:
         if gen["dir"]:
@@ -508,7 +487,7 @@ def truncate_store(path: str | os.PathLike, num_rows: int) -> int:
     died in between leaves an uncommitted generation the next writer
     rolls back here.  ``num_rows`` must land exactly on a generation
     boundary.  The generation counter is *not* rewound -- retired ids
-    are never reused, so stale refs can always be detected.
+    are never reused, so a retired snapshot can always be detected.
 
     Returns the number of generations dropped (0 when already there).
     """
@@ -583,8 +562,8 @@ def compact_store(
     ids it absorbed (``compacted_from``) and, per output partition, the
     source row-ID spans it covers (``source_spans_hex``, the span-group
     codec).  Retired generation directories are deleted after the
-    manifest is published -- snapshots older than the compaction are no
-    longer reconstructable, and refs pinned to them fail loudly.
+    manifest is published -- snapshots older than the compaction can no
+    longer be re-opened (tables already open keep their maps).
 
     Returns a stats dict, or ``None`` when nothing needed compacting.
     """
@@ -723,11 +702,6 @@ def compact_store(
     _remove_generation_dirs(path, replaced)
     _sweep_stale_tmp(path)
     _sweep_unreferenced(path, manifest)
-    # Compaction retires every older snapshot: evict this process's
-    # cached readers for them so a stale ref fails with the manifest's
-    # clear "compacted away" error instead of a missing-file one.
-    # (Other processes have no cache entry and hit that check directly.)
-    _evict_cached_below(path, counter)
     return {
         "merged_runs": len(runs),
         "generations_before": len(gens),
@@ -755,24 +729,16 @@ class StoreReader:
 
     def __init__(self, path: str | os.PathLike, generation: int | None = None):
         self.path = os.path.abspath(os.fspath(path))
-        # Stat before parse: if the manifest is replaced in between, the
-        # recorded signature is stale and the cache revalidates -- the
-        # safe direction.
-        self.signature = _manifest_signature(os.path.join(self.path, MANIFEST_NAME))
         manifest = _read_manifest(self.path)
         self.manifest = manifest
         self.table_name: str = manifest["table"]
-        self.store_id: str | None = manifest.get("store_id")
-        self.current_generation: int = int(manifest["generation"])
-        self.generation: int = (
-            self.current_generation if generation is None else int(generation)
-        )
-        if self.generation > self.current_generation:
+        current = int(manifest["generation"])
+        self.generation: int = current if generation is None else int(generation)
+        if self.generation > current:
             raise StorageError(
                 f"store at {self.path!r} has no generation "
-                f"{self.generation} yet (manifest is at "
-                f"{self.current_generation}); the ref is stale or the "
-                "store was replaced"
+                f"{self.generation} yet (manifest is at {current}); the "
+                "snapshot is stale or the store was replaced"
             )
         included = [
             g for g in manifest["generations"] if int(g["id"]) <= self.generation
@@ -794,7 +760,6 @@ class StoreReader:
                 f"store at {self.path!r} has no snapshot at generation "
                 f"{self.generation} (compacted away?)"
             )
-        self.generations = included
         self._entries: list[dict] = []
         starts_all: list[int] = []
         counts_all: list[int] = []
@@ -821,7 +786,6 @@ class StoreReader:
         self._starts = np.asarray(starts_all, dtype=np.uint64)
         self._counts = np.asarray(counts_all, dtype=np.uint64)
         self._partitions: dict[int, Partition] = {}
-        self._lock = threading.Lock()
         #: Per-partition zone-map statistics.
         self.zone_maps: list[dict | None] = [
             entry.get("stats") for entry in self._entries
@@ -841,19 +805,16 @@ class StoreReader:
 
     def partition(self, index: int) -> Partition:
         """The partition at ``index``, memory-mapped and cached."""
-        with self._lock:
-            part = self._partitions.get(index)
-            if part is None:
-                part = self._load_partition(index)
-                self._partitions[index] = part
-            return part
+        part = self._partitions.get(index)
+        if part is None:
+            part = self._partitions[index] = self._load_partition(index)
+        return part
 
     def release(self, index: int) -> None:
         """Drop the cached partition at ``index`` (its maps close once
         no slice references them); compaction releases fully consumed
         sources so a large run never pins the whole table."""
-        with self._lock:
-            self._partitions.pop(index, None)
+        self._partitions.pop(index, None)
 
     def table(self) -> Table:
         """Materialise the snapshot (column data stays memory-mapped)."""
@@ -895,11 +856,7 @@ class StoreReader:
                     "overwritten?)"
                 )
             columns[name] = self._load_column(target, spec, rows, expected)
-        return Partition(
-            columns=columns,
-            start_id=int(self._starts[index]),
-            ref=PartitionRef(self.path, index, self.generation, self.store_id),
-        )
+        return Partition(columns=columns, start_id=int(self._starts[index]))
 
     def _load_column(
         self, target: str, spec: dict, rows: int, nbytes: int
@@ -923,168 +880,14 @@ class StoreReader:
         return np.memmap(target, dtype=dtype, mode="r", shape=shape)
 
 
-# ---------------------------------------------------------------------------
-# The per-process reader cache (worker-side resolution)
-# ---------------------------------------------------------------------------
-
-_READERS: dict[tuple[str, str | None, int], StoreReader] = {}
-_READERS_LOCK = threading.Lock()
-#: path -> (manifest stat signature, generation counter, store id); lets
-#: the hot path discover the current state with a stat instead of a parse.
-_STATE_CACHE: dict[str, tuple[tuple, int, str | None]] = {}
-#: Superseded snapshots to keep mapped per store: enough for in-flight
-#: queries over recent generations without pinning every old map forever.
-#: Per-process; shard workers apply ``ClusterConfig.reader_keep_generations``
-#: through :func:`set_reader_keep_generations` so N co-resident workers
-#: don't multiply the mapped-snapshot footprint.
-_KEEP_GENERATIONS = 4
-
-
-def reader_keep_generations() -> int:
-    """This process's reader-cache retention bound (snapshots per store)."""
-    return _KEEP_GENERATIONS
-
-
-def set_reader_keep_generations(keep: int) -> None:
-    """Set how many superseded snapshots stay cached per store (>= 1)."""
-    global _KEEP_GENERATIONS
-    keep = int(keep)
-    if keep < 1:
-        raise StorageError(
-            f"reader_keep_generations must be at least 1, got {keep}"
-        )
-    _KEEP_GENERATIONS = keep
-
-
-def _manifest_signature(manifest_path: str) -> tuple | None:
-    """Identity of the manifest file on disk (rewrites replace the inode)."""
-    try:
-        st = os.stat(manifest_path)
-    except OSError:
-        return None
-    return (st.st_ino, st.st_mtime_ns, st.st_size)
-
-
-def _current_state(path: str) -> tuple[int, str | None, tuple | None]:
-    """(generation counter, store id, manifest signature), stat-guarded."""
-    signature = _manifest_signature(os.path.join(path, MANIFEST_NAME))
-    with _READERS_LOCK:
-        cached = _STATE_CACHE.get(path)
-        if cached is not None and cached[0] == signature:
-            return cached[1], cached[2], signature
-    manifest = _read_manifest(path)
-    state = (int(manifest["generation"]), manifest.get("store_id"))
-    with _READERS_LOCK:
-        _STATE_CACHE[path] = (signature, state[0], state[1])
-    return state[0], state[1], signature
-
-
-def current_generation(path: str | os.PathLike) -> int:
-    """The store's generation counter right now (stat-guarded cache)."""
-    return _current_state(os.path.abspath(os.fspath(path)))[0]
-
-
-def reader(path: str | os.PathLike) -> StoreReader:
-    """Open (or reuse) the cached reader for the store's *current* state.
-
-    Stage tasks call this through :func:`resolve_partition`, so
-    each process parses a store's manifest once per generation and keeps
-    its maps open across stages.  A cheap manifest stat guards the cache:
-    a store advanced by *any* process (every mutation replaces the
-    manifest atomically, so its inode changes) is re-opened at its new
-    generation -- and a store wholesale *replaced* at the same path gets
-    a fresh store id, so its old readers can never be served.
-    """
-    return reader_at(path, current_generation(path))
-
-
-def reader_at(path: str | os.PathLike, generation: int) -> StoreReader:
-    """Open (or reuse) the cached reader for one pinned snapshot.
-
-    This is what makes concurrent reads append-safe: a
-    :class:`PartitionRef` created at generation G resolves through the
-    G-keyed reader even after later appends, because generations are
-    append-only and snapshot G is reconstructable from any newer
-    manifest.  A cache hit is honoured only while the manifest is
-    byte-identical to the one the reader was opened against; any store
-    mutation since (an append, or a compaction that may have *retired*
-    this snapshot) re-opens the snapshot, which re-runs the
-    compacted-away validation in :class:`StoreReader` -- so a worker
-    process that cached a snapshot before a compaction elsewhere gets
-    the documented :class:`StorageError` instead of reading deleted
-    files.  Readers more than :data:`_KEEP_GENERATIONS` behind a newly
-    opened snapshot are evicted from this process's cache.
-    """
-    key = os.path.abspath(os.fspath(path))
-    _, store_id, signature = _current_state(key)
-    with _READERS_LOCK:
-        found = _READERS.get((key, store_id, generation))
-        if found is not None and found.signature == signature:
-            return found
-    built = StoreReader(key, generation=generation)
-    with _READERS_LOCK:
-        _READERS[(key, store_id, generation)] = built
-        for cached_key in [
-            k for k in _READERS
-            if k[0] == key and k[2] <= generation - _KEEP_GENERATIONS
-        ]:
-            del _READERS[cached_key]
-        return built
-
-
-def _evict_cached(path: str) -> None:
-    key = os.path.abspath(path)
-    with _READERS_LOCK:
-        _STATE_CACHE.pop(key, None)
-        for cached_key in [k for k in _READERS if k[0] == key]:
-            del _READERS[cached_key]
-
-
-def _evict_cached_below(path: str, generation: int) -> None:
-    key = os.path.abspath(path)
-    with _READERS_LOCK:
-        for cached_key in [
-            k for k in _READERS if k[0] == key and k[2] < generation
-        ]:
-            del _READERS[cached_key]
-
-
 def open_store(path: str | os.PathLike, generation: int | None = None) -> Table:
     """Attach to a stored table: manifest parse + memory maps, no copies.
 
     ``generation`` pins a snapshot (see :class:`StoreReader`); the
-    default is the store's current state.
+    default is the store's current state.  Every call maps the files
+    afresh; the returned table's maps are released with the table.
     """
-    if generation is None:
-        return reader(path).table()
-    return reader_at(path, generation).table()
-
-
-def resolve_partition(part: Partition | PartitionRef) -> Partition:
-    """Turn a dispatched :class:`PartitionRef` back into a partition.
-
-    In-memory partitions pass through untouched; refs resolve through the
-    per-process reader cache *at the ref's pinned generation*, so a
-    worker's first touch of a snapshot maps its files and every later
-    stage is a dictionary lookup -- and a query planned before an append
-    keeps reading its own snapshot.
-    """
-    if isinstance(part, PartitionRef):
-        if part.generation is None:
-            return reader(part.path).partition(part.index)
-        resolved = reader_at(part.path, part.generation)
-        if part.store_id is not None and resolved.store_id != part.store_id:
-            raise StorageError(
-                f"the store at {part.path!r} was replaced since this query "
-                "planned (store identity changed); re-open the table"
-            )
-        return resolved.partition(part.index)
-    return part
-
-
-def dispatch_payload(part: Partition) -> Partition | PartitionRef:
-    """What a stage should ship for ``part``: its ref when store-backed."""
-    return part.ref if part.ref is not None else part
+    return StoreReader(path, generation).table()
 
 
 def disk_bytes(path: str | os.PathLike) -> int:

@@ -14,7 +14,7 @@ Columns are numpy arrays: ``int64`` plaintext / dictionary codes,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,15 +25,14 @@ from repro.errors import ExecutionError
 class Partition:
     """One horizontal slice of a table.
 
-    ``ref`` is set when the partition's columns are memory-mapped views of
-    a persistent store (:mod:`repro.engine.store`): a small picklable
-    ``(path, index)`` descriptor that workers resolve locally, so stage
-    dispatch ships the descriptor instead of the column payloads.
+    A stored table's partitions hold read-only memory maps of one
+    generation's column files (:mod:`repro.engine.store`); stage tasks
+    receive the partition objects themselves, so a query reads exactly
+    the snapshot its table was opened at.
     """
 
     columns: dict[str, np.ndarray]
     start_id: int
-    ref: Any = None  # repro.engine.store.PartitionRef | None
 
     def __post_init__(self) -> None:
         lengths = {name: len(arr) for name, arr in self.columns.items()}
@@ -64,8 +63,8 @@ class Table:
     ``store_path`` names the persistent store the partitions were
     memory-mapped from (None for purely in-memory tables) and
     ``store_generation`` the store's generation counter at the moment
-    the table was opened -- the snapshot every partition ref of this
-    table resolves against, no matter how far the store advances.
+    the table was opened -- the snapshot its partitions map, no matter
+    how far the store advances.
 
     ``zone_maps``, when present, is the per-partition zone-map statistics
     list (aligned with ``partitions``; entries may be None) parsed from

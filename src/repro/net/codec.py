@@ -244,9 +244,9 @@ def decode_frame(frame: bytes) -> tuple[str, Any]:
 
 def pack_table(table: Any) -> dict[str, Any]:
     """Wire form of an in-memory ciphertext batch: name plus raw
-    partition columns.  Store refs and zone maps never travel -- appended
-    batches are in-memory by construction, and the receiving end derives
-    its own index when it persists the batch."""
+    partition columns.  No store path, generation or zone map travels --
+    appended batches are in-memory by construction, and the receiving end
+    derives its own index when it persists the batch."""
     return {
         "name": table.name,
         "partitions": [

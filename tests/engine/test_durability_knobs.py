@@ -1,4 +1,4 @@
-"""Directory-fsync degradation and cluster durability/caching knobs."""
+"""Directory-fsync degradation and cluster durability knobs."""
 
 import errno
 import os
@@ -7,9 +7,8 @@ import warnings
 import pytest
 
 from repro.engine import storage
-from repro.engine import store as store_mod
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
-from repro.errors import ExecutionError, StorageError
+from repro.engine.cluster import ClusterConfig
+from repro.errors import ExecutionError
 
 
 class TestFsyncDirFallback:
@@ -50,23 +49,3 @@ class TestConfigValidation:
     def test_nonpositive_append_partition_rows_rejected(self):
         with pytest.raises(ExecutionError, match="append_partition_rows"):
             ClusterConfig(append_partition_rows=0)
-
-    def test_nonpositive_reader_keep_generations_rejected(self):
-        with pytest.raises(ExecutionError, match="reader_keep_generations"):
-            ClusterConfig(reader_keep_generations=0)
-
-
-class TestReaderRetentionKnob:
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        kept = store_mod.reader_keep_generations()
-        yield
-        store_mod.set_reader_keep_generations(kept)
-
-    def test_setter_validates(self):
-        with pytest.raises(StorageError, match="at least 1"):
-            store_mod.set_reader_keep_generations(0)
-
-    def test_cluster_applies_config_knob(self):
-        SimulatedCluster(ClusterConfig(reader_keep_generations=2))
-        assert store_mod.reader_keep_generations() == 2

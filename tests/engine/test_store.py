@@ -10,16 +10,12 @@ import pytest
 from repro.engine.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    PartitionRef,
     StoreReader,
     disk_bytes,
-    dispatch_payload,
     open_store,
-    reader,
-    resolve_partition,
     write_store,
 )
-from repro.engine.table import Partition, Table
+from repro.engine.table import Table
 from repro.errors import StorageError
 
 
@@ -73,16 +69,6 @@ class TestRoundTrip:
         big = open_store(path).partitions[0].column("big")
         assert big.dtype == object
         assert isinstance(big[0], int) and big[0] >> 99
-
-    def test_partition_refs_assigned(self, tmp_path):
-        path = write_store(build_table(), tmp_path / "mixed")
-        reopened = open_store(path)
-        for index, part in enumerate(reopened.partitions):
-            ref = part.ref
-            assert (ref.path, ref.index, ref.generation) == (
-                os.path.abspath(path), index, 1,
-            )
-            assert ref.store_id  # minted by write_store
 
     def test_column_meta_recorded(self, tmp_path):
         path = write_store(
@@ -165,56 +151,31 @@ class TestCorruption:
             open_store(path)
 
 
-class TestDispatch:
-    def test_dispatch_payload_prefers_refs(self, tmp_path):
-        path = write_store(build_table(), tmp_path / "s")
-        stored = open_store(path)
-        ref = dispatch_payload(stored.partitions[1])
-        assert (ref.path, ref.index, ref.generation) == (
-            os.path.abspath(path), 1, 1,
-        )
-        inmem = build_table().partitions[0]
-        assert dispatch_payload(inmem) is inmem
-
-    def test_resolve_partition_round_trip(self, tmp_path):
-        table = build_table()
-        path = write_store(table, tmp_path / "s")
-        ref = PartitionRef(os.path.abspath(path), 2)
-        part = resolve_partition(ref)
-        assert isinstance(part, Partition)
-        assert part.start_id == table.partitions[2].start_id
-        assert np.array_equal(part.column("i"), table.partitions[2].column("i"))
-        # Second resolution hits the per-process reader cache.
-        assert resolve_partition(ref) is part
-
-    def test_resolve_passthrough_for_inmemory(self):
-        part = build_table().partitions[0]
-        assert resolve_partition(part) is part
-
+class TestReader:
     def test_out_of_range_partition(self, tmp_path):
         path = write_store(build_table(partitions=3), tmp_path / "s")
         with pytest.raises(StorageError, match="no partition"):
             StoreReader(path).partition(9)
 
-    def test_reader_cache_detects_external_rewrite(self, tmp_path):
-        """A store rewritten by *another* process (simulated here by a
-        manifest replacement the local cache never saw) must not be
-        served from stale maps -- the manifest stat guards the cache."""
-        path = write_store(build_table(rows=24, partitions=4), tmp_path / "s")
-        stale = reader(path)
+    def test_open_store_sees_external_rewrite(self, tmp_path):
+        """A store rewritten by *another* process (simulated here by
+        moving a new manifest and partitions in under the path) is what
+        the next open_store reads; a table opened before the rewrite
+        keeps reading its own maps."""
+        table = build_table(rows=24, partitions=4)
+        path = write_store(table, tmp_path / "s")
+        stale = open_store(path)
         assert stale.num_partitions == 4
         # Rewrite out-of-band: stage elsewhere, then move the new
-        # manifest + partitions in (new inode, no in-process eviction).
+        # manifest + partitions in.
         other = write_store(build_table(rows=12, partitions=2), tmp_path / "o")
         for entry in os.listdir(path):
             target = os.path.join(path, entry)
             shutil.rmtree(target) if os.path.isdir(target) else os.remove(target)
         for entry in os.listdir(other):
             os.rename(os.path.join(other, entry), os.path.join(path, entry))
-        fresh = reader(path)
-        assert fresh is not stale
-        assert fresh.num_partitions == 2
         assert open_store(path).num_partitions == 2
+        assert_tables_equal(table, stale)
 
 
 class TestValidation:

@@ -12,14 +12,10 @@ import pytest
 from repro.engine.store import (
     CRASH_POINT_ENV,
     MANIFEST_NAME,
-    PartitionRef,
     append_store,
     compact_store,
-    current_generation,
     disk_bytes,
     open_store,
-    reader_at,
-    resolve_partition,
     snapshot_generation,
     store_generations,
     store_num_rows,
@@ -104,13 +100,13 @@ class TestAppend:
         with pytest.raises(StorageError, match="holds table"):
             append_store(build_table(rows=4, base_id=24, name="other"), path)
 
-    def test_appended_refs_carry_generation(self, tmp_path):
+    def test_appended_snapshot_carries_generation(self, tmp_path):
         path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
         append_store(build_table(rows=10, partitions=1, base_id=24), path)
-        ref = open_store(path).partitions[-1].ref
-        assert (ref.path, ref.index, ref.generation) == (
-            os.path.abspath(path), 3, 2,
-        )
+        reopened = open_store(path)
+        assert reopened.store_generation == 2
+        assert reopened.store_path == os.path.abspath(path)
+        assert reopened.partitions[-1].start_id == 24
 
 
 class TestSnapshots:
@@ -120,16 +116,17 @@ class TestSnapshots:
         snapshot = open_store(path)
         append_store(build_table(rows=10, partitions=1, base_id=24), path)
 
-        # The pinned snapshot (and its refs) keep resolving generation 1.
+        # The held snapshot keeps its generation-1 partitions, and
+        # generation 1 re-opens from the newer manifest.
         assert snapshot.num_rows == 24
-        ref = snapshot.partitions[0].ref
-        assert ref.generation == 1
-        part = resolve_partition(ref)
-        assert np.array_equal(
-            np.asarray(part.column("u")), np.asarray(first.partitions[0].column("u"))
-        )
-        assert reader_at(path, 1).num_rows == 24
-        assert open_store(path, generation=1).num_rows == 24
+        assert snapshot.store_generation == 1
+        reopened = open_store(path, generation=1)
+        assert reopened.num_rows == 24
+        for part in (snapshot.partitions[0], reopened.partitions[0]):
+            assert np.array_equal(
+                np.asarray(part.column("u")),
+                np.asarray(first.partitions[0].column("u")),
+            )
         assert open_store(path).num_rows == 34
 
     def test_snapshot_generation_boundaries(self, tmp_path):
@@ -140,28 +137,9 @@ class TestSnapshots:
         assert snapshot_generation(path, 30) is None
         assert snapshot_generation(path, 99) is None
 
-    def test_legacy_ref_resolves_current(self, tmp_path):
-        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
-        part = resolve_partition(PartitionRef(os.path.abspath(path), 2))
-        assert part.start_id == 16
-
-    def test_ref_from_replaced_store_fails_loudly(self, tmp_path):
-        """write_store(overwrite=True) mints a new store identity; refs
-        from the replaced store must not silently read the new data."""
-        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
-        stale_ref = open_store(path).partitions[0].ref
-        write_store(
-            build_table(rows=12, partitions=2, seed=9), path, overwrite=True
-        )
-        with pytest.raises(StorageError, match="replaced"):
-            resolve_partition(stale_ref)
-        # refs from the replacement resolve fine
-        assert resolve_partition(open_store(path).partitions[0].ref).nrows == 6
-
-    def test_cached_snapshot_revalidates_after_compaction(self, tmp_path):
-        """A reader cached at generation G (e.g. in a worker process)
-        must not survive a compaction that retired G: the manifest
-        signature changed, so the cache hit revalidates and raises."""
+    def test_retired_snapshot_fails_after_compaction_elsewhere(self, tmp_path):
+        """Once another process compacts generation G away, re-opening
+        G is a typed error, not a read of reshuffled partitions."""
         path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
         base = 24
         for i in range(3):
@@ -169,10 +147,9 @@ class TestSnapshots:
                 build_table(rows=5, partitions=1, base_id=base, seed=30 + i), path
             )
             base += 5
-        gen = current_generation(path)
-        assert reader_at(path, gen).num_rows == 39  # now cached
-        # Compact from ANOTHER process: this process's cache entry is
-        # untouched, so only the signature revalidation can catch it.
+        snapshot = open_store(path)
+        assert snapshot.num_rows == 39
+        gen = snapshot.store_generation
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -184,7 +161,7 @@ class TestSnapshots:
         )
         assert proc.returncode == 0, proc.stderr
         with pytest.raises(StorageError, match="compacted"):
-            reader_at(path, gen)
+            open_store(path, generation=gen)
 
 
 class TestTruncate:
@@ -263,12 +240,12 @@ class TestCompact:
         path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
         assert compact_store(path) is None
 
-    def test_stale_refs_fail_loudly_after_compaction(self, tmp_path):
+    def test_retired_snapshot_fails_loudly_after_compaction(self, tmp_path):
         path, _ = self.build_fragmented(tmp_path)
-        stale_ref = open_store(path).partitions[-1].ref
+        stale = open_store(path).store_generation
         assert compact_store(path) is not None
-        with pytest.raises(StorageError, match="compacted|no snapshot"):
-            reader_at(path, stale_ref.generation)
+        with pytest.raises(StorageError, match="compacted"):
+            open_store(path, generation=stale)
 
     def test_compact_everything_when_all_generations_small(self, tmp_path):
         path, total = self.build_fragmented(tmp_path)

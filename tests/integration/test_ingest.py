@@ -15,12 +15,14 @@ import sys
 
 import numpy as np
 import pytest
+from placement import PLACEMENTS
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.store import (
     CRASH_POINT_ENV,
+    MANIFEST_NAME,
     store_generations,
     store_num_rows,
 )
@@ -237,6 +239,35 @@ class TestConcurrentReaders:
             probe.open_table(path)
             observed.add(probe.query(COUNT).rows[0]["count(*)"])
         assert observed <= valid
+
+
+class TestPinnedSnapshot:
+    # Placements where each session holds its own snapshot of the store; a
+    # service's sessions share the service's one.
+    @pytest.mark.parametrize("placed", PLACEMENTS[:2], indirect=True)
+    def test_pinned_session_outlives_compaction_of_its_generation(self, placed):
+        """A session attached at generation G keeps answering from G, bit
+        for bit, after another session appends and compacts G away: its
+        tables hold G's partitions, which no later store change unmaps."""
+        writer, path = build_placed(placed)
+        writer.append_rows("sales", dataset(n=100, seed=61))
+        pinned = attach(placed, path)
+        grouped = rows_of(pinned, GROUPED, expected_groups=4)
+        total = rows_of(pinned, TOTAL)
+
+        for seed in (62, 63, 64):
+            writer.append_rows("sales", dataset(n=100, seed=seed))
+        assert all(placed.compactions(writer.compact_table("sales")))
+        stores = [d for d, _, files in os.walk(path) if MANIFEST_NAME in files]
+        assert stores and all(
+            any(2 in gen["compacted_from"] for gen in store_generations(store))
+            for store in stores
+        )
+
+        assert rows_of(pinned, GROUPED, expected_groups=4) == grouped
+        assert rows_of(pinned, TOTAL) == total
+        assert pinned.query(COUNT).rows[0]["count(*)"] == 700
+        assert attach(placed, path).query(COUNT).rows[0]["count(*)"] == 1000
 
 
 class TestMultiWriter:

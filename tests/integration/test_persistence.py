@@ -211,7 +211,8 @@ class TestClose:
         """Every column file of an opened store costs a descriptor (its
         memory map); closing the session that saved or attached the store
         must give them all back, or a process that cycles through stores
-        runs out.
+        runs out.  Each round also compacts, so maps of generations the
+        compaction retired must come back too.
 
         Only descriptors on files under ``tmp_path`` are counted: the
         process holds thousands of others by this point of a full run,
@@ -236,7 +237,10 @@ class TestClose:
         for round_ in range(5):
             session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
             session.open_table(path)
-            session.append_rows("sales", dataset(n=50, seed=20 + round_)[1])
+            for seed in (20 + 2 * round_, 21 + 2 * round_):
+                session.append_rows("sales", dataset(n=50, seed=seed)[1])
+            assert session.query(FLAT).rows
+            assert session.compact_table("sales") is not None
             assert session.query(FLAT).rows
             assert open_fds() > before
             session.close()
