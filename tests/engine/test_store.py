@@ -178,6 +178,34 @@ class TestReader:
         assert_tables_equal(table, stale)
 
 
+    def test_partition_mapped_once_until_released(self, tmp_path):
+        path = write_store(build_table(partitions=3), tmp_path / "s")
+        reader = StoreReader(path)
+        first = reader.partition(1)
+        assert reader.partition(1) is first
+        reader.release(1)
+        again = reader.partition(1)
+        assert again is not first
+        assert np.array_equal(np.asarray(again.column("u")), np.asarray(first.column("u")))
+
+    def test_every_open_maps_afresh(self, tmp_path):
+        path = write_store(build_table(partitions=3), tmp_path / "s")
+        a, b = open_store(path), open_store(path)
+        for pa, pb in zip(a.partitions, b.partitions):
+            assert pa is not pb
+            assert pa.column("u") is not pb.column("u")
+        assert_tables_equal(a, b)
+
+    def test_manifest_shape_disagreeing_with_file_rejected(self, tmp_path):
+        path = write_store(build_table(), tmp_path / "s")
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        manifest = json.load(open(manifest_path))
+        manifest["columns"]["u"]["width"] = 2
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(StorageError, match="shape needs"):
+            open_store(path)
+
+
 class TestValidation:
     def test_unsupported_dtype_rejected(self, tmp_path):
         table = Table.from_columns(

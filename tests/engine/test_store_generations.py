@@ -24,7 +24,7 @@ from repro.engine.store import (
 )
 from repro.engine.table import Table
 from repro.errors import StorageError
-from repro.idlist.codec import decode_span_groups
+from repro.idlist.codec import decode_span_groups, encode_id_spans
 
 
 def build_table(rows=24, partitions=3, base_id=0, seed=7, name="mixed"):
@@ -164,6 +164,117 @@ class TestSnapshots:
             open_store(path, generation=gen)
 
 
+def edit_manifest(path, edit):
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+class TestSnapshotChecks:
+    """Every check a snapshot open makes is a typed ``StorageError``."""
+
+    def appended(self, tmp_path):
+        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
+        append_store(build_table(rows=10, partitions=2, base_id=24), path)
+        return path
+
+    def test_generation_from_the_future_rejected(self, tmp_path):
+        path = self.appended(tmp_path)
+        with pytest.raises(StorageError, match="no generation 3 yet"):
+            open_store(path, generation=3)
+
+    def test_generation_below_the_first_has_no_snapshot(self, tmp_path):
+        path = self.appended(tmp_path)
+        with pytest.raises(StorageError, match="no snapshot at generation 0"):
+            open_store(path, generation=0)
+
+    def test_non_contiguous_spans_rejected(self, tmp_path):
+        path = self.appended(tmp_path)
+
+        def shift_appended_spans(manifest):
+            gen = manifest["generations"][1]
+            gen["spans_hex"] = encode_id_spans(
+                np.asarray([25, 30], dtype=np.uint64),
+                np.asarray([5, 5], dtype=np.uint64),
+            ).hex()
+
+        edit_manifest(path, shift_appended_spans)
+        with pytest.raises(StorageError, match="not contiguous"):
+            open_store(path)
+        # The generation-1 snapshot never reads the bad spans.
+        assert open_store(path, generation=1).num_rows == 24
+
+    def test_span_count_mismatch_rejected(self, tmp_path):
+        path = self.appended(tmp_path)
+        edit_manifest(
+            path, lambda manifest: manifest["generations"][1]["partitions"].pop()
+        )
+        with pytest.raises(StorageError, match="span count"):
+            open_store(path)
+
+    def test_damaged_appended_generation_leaves_earlier_snapshot_readable(
+        self, tmp_path
+    ):
+        path = self.appended(tmp_path)
+        target = os.path.join(path, "gen-000002", "part-00000", "u.bin")
+        with open(target, "r+b") as fh:
+            fh.truncate(os.path.getsize(target) - 8)
+        with pytest.raises(StorageError, match="truncated"):
+            open_store(path)
+        assert np.array_equal(
+            column_across(path, "u", generation=1),
+            np.asarray(build_table(rows=24, partitions=3).column("u")),
+        )
+
+    def test_missing_file_in_appended_generation_rejected(self, tmp_path):
+        path = self.appended(tmp_path)
+        os.remove(os.path.join(path, "gen-000002", "part-00001", "big.bin"))
+        with pytest.raises(StorageError, match="missing column file"):
+            open_store(path)
+        assert open_store(path, generation=1).num_rows == 24
+
+
+class TestHeldSnapshot:
+    """A table already opened keeps reading its own generation's maps
+    after the files behind them are unlinked."""
+
+    def test_held_table_reads_after_truncate_unlinks_its_files(self, tmp_path):
+        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
+        appended = build_table(rows=10, partitions=1, base_id=24, seed=8)
+        append_store(appended, path)
+        held = open_store(path)
+        assert truncate_store(path, 24) == 1
+        assert not os.path.exists(os.path.join(path, "gen-000002"))
+        assert held.num_rows == 34
+        assert np.array_equal(
+            np.asarray(held.partitions[-1].column("u")),
+            np.asarray(appended.partitions[0].column("u")),
+        )
+        assert open_store(path).num_rows == 24
+
+    def test_held_table_reads_after_compaction_unlinks_its_files(self, tmp_path):
+        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
+        base = 24
+        for i in range(4):
+            append_store(
+                build_table(rows=5, partitions=1, base_id=base, seed=40 + i), path
+            )
+            base += 5
+        held = open_store(path)
+        before = column_across(path, "u")
+        assert compact_store(path, target_rows=base) is not None
+        assert not os.path.exists(os.path.join(path, "part-00000"))
+        assert held.num_partitions == 7
+        assert np.array_equal(
+            np.concatenate([np.asarray(p.column("u")) for p in held.partitions]),
+            before,
+        )
+        assert [p.start_id for p in held.partitions] == [0, 8, 16, 24, 29, 34, 39]
+
+
 class TestTruncate:
     def test_truncate_drops_uncommitted_generations(self, tmp_path):
         path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
@@ -180,7 +291,7 @@ class TestTruncate:
         append_store(build_table(rows=10, partitions=1, base_id=24), path)
         truncate_store(path, 24)
         # The counter is not rewound: the next append gets a fresh id, so
-        # refs pinned to the rolled-back generation can never alias it.
+        # a snapshot pinned to the rolled-back generation can never alias it.
         assert append_store(build_table(rows=8, partitions=1, base_id=24), path) == 3
 
     def test_truncate_to_non_boundary_rejected(self, tmp_path):
