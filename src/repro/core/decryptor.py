@@ -11,9 +11,10 @@ plaintext executor would return:
   coalesce, so an unfiltered scan is one run); every ASHE column summed
   over those rows then costs one PRF pad over the runs (two evaluations
   per run; per occurrence for join multisets), added to the ciphertext
-  sum and interpreted as signed.  A grouped reply's sets are segments of
-  one stream per ID source, decoded in one pass and padded with one pad
-  array per ASHE column;
+  sum and interpreted as signed.  A grouped reply carries, per ID source,
+  each partition's flat chunk and a code per ID naming its group: every
+  chunk is decoded once, and each ASHE column costs one pad array over
+  all of them, summed per group;
 - counts: read off the row set's ID count, or decrypt indicator sums;
 - averages / variances: the client-side division and combination
   (Monomi-style query splitting, Section 4.2);
@@ -27,7 +28,7 @@ Nothing decoded or padded outlives the call.  No integrity checks are
 performed: the threat model is honest-but-curious (Section 4.6), so a
 malicious server could return bogus sums undetected; a reply that is
 *malformed* (an ASHE sum without its ID set, a truncated chunk, ragged
-or unsorted group columns) is a typed
+or unsorted group columns, codes that do not match their chunk) is a typed
 :class:`~repro.errors.DecryptionError`, never a number.
 """
 
@@ -42,6 +43,7 @@ import numpy as np
 from repro.core import server as srv
 from repro.core.crypto_factory import CryptoFactory
 from repro.core.encryptor import ClientTableState
+from repro.core.grouped import IdPiece
 from repro.core.translator import OutputItem, Ref, TranslatedQuery
 from repro.crypto.ashe import MASK64, AsheScheme, to_signed
 from repro.crypto.paillier import PaillierScheme
@@ -60,6 +62,25 @@ class _IdSet(NamedTuple):
 
     def pad(self, scheme: AsheScheme) -> int:
         return scheme.pad_for(self.runs) + scheme.pad_for_multiset(self.multiset)
+
+
+def _decode_chunk(chunk: bytes) -> np.ndarray:
+    """A chunk's IDs in the order it encodes them (a multiset's sorted)."""
+    if idcodec.is_multiset_payload(chunk):
+        return idcodec.decode_multiset(chunk)
+    return idcodec.decode(chunk).to_ids()
+
+
+def _decode_pieces(pieces: list[IdPiece]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One source's pieces decoded: every ID, its row set, and how many
+    IDs each piece holds."""
+    ids = [_decode_chunk(piece.chunk) for piece in pieces]
+    sizes = np.array([i.size for i in ids], dtype=np.int64)
+    if any(size != piece.codes.size for size, piece in zip(sizes.tolist(), pieces)):
+        raise DecryptionError("a code column does not match its chunk's IDs")
+    if not pieces:
+        return np.empty(0, np.uint64), np.empty(0, np.intp), sizes
+    return np.concatenate(ids), np.concatenate([p.codes for p in pieces]), sizes
 
 
 def _decode_id_set(chunks: list[bytes]) -> _IdSet:
@@ -228,10 +249,11 @@ class DecryptionModule:
 
         Merges the inflated (key, suffix) row sets per key at the sorted
         key column's boundaries -- the client-side half of the group-by
-        optimisation -- then decodes each ID source's stream once and
-        pads each ASHE column with one pad array, summed per key: a few
-        numpy passes whatever the number of groups (the client-side
-        analogue of the paper's worker-side batching).
+        optimisation -- then decodes each ID source's chunks once and
+        pads each ASHE column with one pad array over all of them, summed
+        per key by its codes: a few numpy passes whatever the number of
+        groups (the client-side analogue of the paper's worker-side
+        batching).
         """
         rows = response.groups
         if rows is None or set(rows.values) != set(aggs):
@@ -242,26 +264,21 @@ class DecryptionModule:
             raise DecryptionError(f"malformed grouped reply: {exc}") from exc
         rows = rows.merge(srv.group_reducers(aggs.values()), by_suffix=False)
         opened = {key: _RowSet({}, {}) for key in rows.keys.tolist()}
-        bounds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for source, segments in rows.ids.items():
-            ids, per_segment = idcodec.decode_chunks_batch(
-                segments.stream, segments.seg_ends
-            )
-            # A key's segments are contiguous, so its IDs are one slice.
-            key_bounds = np.append(0, np.cumsum(per_segment))[segments.group_segs]
-            bounds[source] = ids, per_segment, key_bounds
-            for row_set, count in zip(opened.values(), np.diff(key_bounds).tolist()):
+        decoded: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        for source, pieces in rows.ids.items():
+            ids, codes, sizes = _decode_pieces(pieces)
+            counts = np.bincount(codes, minlength=len(rows))
+            decoded[source] = ids, codes, sizes, counts
+            for row_set, count in zip(opened.values(), counts.tolist()):
                 row_set.counts[source] = count
         for alias, agg in aggs.items():
             column = rows.values[alias]
             if isinstance(agg, srv.AsheSum):
-                ids, per_segment, key_bounds = bounds.get(agg.id_source, (None,) * 3)
-                if ids is None or column.dtype != np.uint64 or bool(
-                    np.any(key_bounds[1:] == key_bounds[:-1])
-                ):
+                ids, codes, sizes, counts = decoded.get(agg.id_source, (None,) * 4)
+                if ids is None or column.dtype != np.uint64 or not counts.all():
                     raise DecryptionError("an ASHE sum arrived without its ID set")
-                pads = np.add.reduceat(self._factory.ashe(agg.column).pad_array(
-                    ids, per_segment), key_bounds[:-1])
+                pads = np.zeros(len(rows), dtype=np.uint64)  # uint64 adds wrap
+                np.add.at(pads, codes, self._factory.ashe(agg.column).pad_array(ids, sizes))
                 values = (column + pads).view(np.int64).tolist()  # wrapping, read signed
             elif isinstance(agg, srv.PaillierSum):
                 values = [self._decrypt_payload(("paillier", v), agg, {})

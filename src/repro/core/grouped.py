@@ -2,16 +2,23 @@
 
 A GROUP BY result is a collection of row sets, one per ``(group key,
 inflation suffix)``.  Every hop holds it as one :class:`GroupedRows` -- a
-map task's partial, the shuffle and each reducer's slice of it, a shard
-worker's reply, the coordinator's merge, the reply the decryptor opens --
-so nothing builds a Python object per (group, partition): a key and a
-suffix column, one value column per aggregate alias (wrapped uint64 ASHE
-sums, plain values, Python ints for Paillier) and, per ID source, the row
-sets' ID lists as segments of one byte stream (:class:`IdSegments`).  A
-segment is byte for byte the group-by codec's chunk of one (group,
-partition), flag included, and a row set's segments follow partition
-(then shard) order; sorting and merging move segments whole, so shuffle
-and reply bytes are the chunks' sum, as Figure 9a counts them.
+map task's partial, each reducer's slice of the shuffle, a shard worker's
+reply, the coordinator's merge, the reply the decryptor opens -- so nothing
+builds a Python object per (group, partition): a key and a suffix column,
+one value column per aggregate alias (wrapped uint64 ASHE sums, plain
+values, Python ints for Paillier) and, per ID source, the selected IDs as
+:class:`IdPiece` s.  A piece is one partition's selection encoded exactly
+as a flat query ships it (a bitmap, run-coded or multiset chunk of
+:mod:`repro.idlist.codec`) plus a code column naming the row set of each
+of those IDs, in the order the chunk decodes to.
+
+A code always indexes the row sets of the :class:`GroupedRows` that
+carries it.  Whatever renumbers row sets -- the shuffle's sort and
+reduce, the coordinator's merge, the client's suffix merge -- remaps
+every code column with one gather; chunks are never re-encoded.  Codes
+are the narrowest of uint8 / uint16 / uint32 that holds the row-set count
+(:func:`code_dtype`).  ID pieces skip the reducers: only the row-set
+columns cross the shuffle, and the pieces go from map task to driver.
 """
 
 from __future__ import annotations
@@ -22,25 +29,15 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import EncodingError
+from repro.idlist.codec import ROW_SET_FLAGS
 
 #: Merges a column's runs: ``reduce(column, run_starts) -> merged column``.
 Reducer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _offsets(counts) -> np.ndarray:
-    return np.append(0, np.cumsum(counts, dtype=np.int64))
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) ...])`` as ones with a jump at each
-    range's start, cumulated."""
-    keep = lengths > 0
-    starts, lengths = starts[keep], lengths[keep]
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    if out.size:
-        out[0] = starts[0]
-        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-    return np.cumsum(out, out=out)
+def code_dtype(entries: int) -> np.dtype:
+    """The narrowest of uint8 / uint16 / uint32 that holds ``entries``."""
+    return np.min_scalar_type(entries)
 
 
 def _check(ok: bool, what: str) -> None:
@@ -48,51 +45,33 @@ def _check(ok: bool, what: str) -> None:
         raise EncodingError(f"malformed grouped rows: {what}")
 
 
-@dataclass
-class IdSegments:
-    """One ID source's lists: segment ``s`` is ``stream[seg_ends[s - 1]:
-    seg_ends[s]]`` (from 0), row set ``g``'s are ``group_segs[g]:group_segs[g + 1]``."""
+def _run_index(starts: np.ndarray, n: int) -> np.ndarray:
+    """For each of ``n`` sorted entries, the run (from ``starts``) it is in."""
+    step = np.zeros(n, dtype=code_dtype(starts.size))
+    step[starts[1:]] = 1
+    return np.cumsum(step, dtype=step.dtype)
 
-    stream: np.ndarray  # uint8
-    seg_ends: np.ndarray  # int64[S]
-    group_segs: np.ndarray  # int64[G + 1]
+
+@dataclass
+class IdPiece:
+    """One partition's selected IDs under one ID source: a flat chunk and,
+    per ID in the order the chunk decodes to, the index of its row set."""
+
+    chunk: bytes
+    codes: np.ndarray  # code_dtype(row sets)[IDs in the chunk]
 
     def validate(self, entries: int) -> None:
-        ends, segs = self.seg_ends, self.group_segs
-        _check(all(isinstance(a, np.ndarray) and a.ndim == 1 for a in (self.stream, ends, segs))
-               and self.stream.dtype == np.uint8 and ends.dtype == segs.dtype == np.int64,
-               "ID segments are not 1-D uint8 / int64 arrays")
-        _check(int(ends[-1] if ends.size else 0) == self.stream.size
-               and bool((np.diff(ends, prepend=0) > 0).all()), "segments do not tile the stream")
-        _check(segs.size == entries + 1 and int(segs[0]) == 0 and int(segs[-1]) == ends.size
-               and bool((segs[1:] >= segs[:-1]).all()), "row sets do not cover the segments")
+        codes = self.codes
+        _check(isinstance(self.chunk, bytes) and len(self.chunk) > 0
+               and self.chunk[0] in ROW_SET_FLAGS,
+               "an ID chunk carries an unknown flag")
+        _check(isinstance(codes, np.ndarray) and codes.ndim == 1 and codes.size > 0
+               and codes.dtype == code_dtype(entries),
+               "a code column is not 1-D of the row-set count's width")
+        _check(int(codes.max()) < entries, "a code names no row set")
 
-    @staticmethod
-    def concat(parts: list[IdSegments]) -> IdSegments:
-        bytes_before, segs_before = _offsets([p.stream.size for p in parts]), _offsets(
-            [p.seg_ends.size for p in parts])
-        return IdSegments(
-            np.concatenate([p.stream for p in parts]),
-            np.concatenate([p.seg_ends + b for p, b in zip(parts, bytes_before)]),
-            np.concatenate([[0], *(p.group_segs[1:] + s for p, s in zip(parts, segs_before))]),
-        )
-
-    def take(self, order: np.ndarray) -> IdSegments:
-        """The row sets ``order`` names, segments moved whole by one fancy
-        index into the stream."""
-        per_set = np.diff(self.group_segs)[order]
-        segs = _ranges(self.group_segs[:-1][order], per_set)
-        heads = np.append(0, self.seg_ends[:-1])
-        lengths = (self.seg_ends - heads)[segs]
-        return IdSegments(self.stream[_ranges(heads[segs], lengths)],
-                          np.cumsum(lengths), _offsets(per_set))
-
-    def slice(self, lo: int, hi: int) -> IdSegments:
-        """Row sets ``lo:hi``, sharing the stream's memory."""
-        s0, s1 = int(self.group_segs[lo]), int(self.group_segs[hi])
-        b0, b1 = (int(self.seg_ends[s - 1]) if s else 0 for s in (s0, s1))
-        return IdSegments(self.stream[b0:b1], self.seg_ends[s0:s1] - b0,
-                          self.group_segs[lo:hi + 1] - s0)
+    def renumbered(self, index: np.ndarray) -> IdPiece:
+        return IdPiece(self.chunk, index[self.codes])
 
 
 @dataclass
@@ -104,15 +83,15 @@ class GroupedRows:
     keys: np.ndarray  # uint64[G]
     suffixes: np.ndarray  # int64[G]
     values: dict[str, np.ndarray]  # alias -> column[G]
-    ids: dict[str, IdSegments]  # ID source -> its lists
+    ids: dict[str, list[IdPiece]]  # ID source -> its pieces, in partition order
 
     def __len__(self) -> int:
         return self.keys.size
 
     def validate(self, distinct: bool = False) -> None:
         """:class:`EncodingError` unless every column has one entry per row
-        set and the segments tile each stream (``distinct``: and the
-        (key, suffix) pairs strictly increase)."""
+        set and every code names one (``distinct``: and the (key, suffix)
+        pairs strictly increase)."""
         keys, suffixes = self.keys, self.suffixes
         _check(isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype == np.uint64
                and isinstance(suffixes, np.ndarray) and suffixes.shape == keys.shape
@@ -121,48 +100,68 @@ class GroupedRows:
             isinstance(c, np.ndarray) and c.shape == keys.shape for c in self.values.values()
         ), "an aggregate column does not have one value per row set")
         _check(isinstance(self.ids, dict) and all(
-            isinstance(s, IdSegments) for s in self.ids.values()), "ID lists are not segments")
-        for segments in self.ids.values():
-            segments.validate(keys.size)
+            isinstance(pieces, list) and all(isinstance(p, IdPiece) for p in pieces)
+            for pieces in self.ids.values()), "ID lists are not pieces")
+        for pieces in self.ids.values():
+            for piece in pieces:
+                piece.validate(keys.size)
         if distinct:
             rising = (keys[1:] > keys[:-1]) | (
                 (keys[1:] == keys[:-1]) & (suffixes[1:] > suffixes[:-1]))
             _check(bool(rising.all()), "(key, suffix) pairs are not sorted and distinct")
 
-    def nbytes(self) -> int:
+    def nbytes(self, ids: bool = True) -> int:
         """Bytes on the network: 9 per row set (key, suffix), 8 per value
-        (a Paillier product: its length), and the ID segments."""
-        total = 9 * len(self) + sum(s.stream.size for s in self.ids.values())
+        (a Paillier product: its length), and (``ids``) the ID pieces."""
+        total = 9 * len(self)
         for column in self.values.values():
             total += (sum((int(v).bit_length() + 7) // 8 for v in column.tolist())
                       if column.dtype == object else 8 * column.size)
+        if ids:
+            total += sum(len(p.chunk) + p.codes.nbytes
+                         for pieces in self.ids.values() for p in pieces)
         return total
 
     @staticmethod
     def concat(parts: list[GroupedRows]) -> GroupedRows:
-        """The parts back to back; empty ones are skipped, so their
-        placeholder dtypes never promote a column."""
+        """The parts' row-set columns back to back, with no ID pieces (a
+        code indexes its own part's row sets); empty parts are skipped, so
+        their placeholder dtypes never promote a column."""
         parts = [p for p in parts if len(p)] or parts[:1]
         if len(parts) == 1:
-            return parts[0]
+            return parts[0].slice(0, len(parts[0]))
         return GroupedRows(
             np.concatenate([p.keys for p in parts]), np.concatenate([p.suffixes for p in parts]),
-            {a: np.concatenate([p.values[a] for p in parts]) for a in parts[0].values},
-            {s: IdSegments.concat([p.ids[s] for p in parts]) for s in parts[0].ids},
+            {a: np.concatenate([p.values[a] for p in parts]) for a in parts[0].values}, {},
         )
 
-    def slice(self, lo: int, hi: int) -> GroupedRows:
-        return GroupedRows(self.keys[lo:hi], self.suffixes[lo:hi],
-                           {a: c[lo:hi] for a, c in self.values.items()},
-                           {s: seg.slice(lo, hi) for s, seg in self.ids.items()})
+    @staticmethod
+    def shuffle(parts: list[GroupedRows]) -> tuple[GroupedRows, dict[str, list[IdPiece]]]:
+        """The parts' row-set columns sorted by (key, suffix) -- stable, so
+        a row set's entries keep part order -- and every part's ID pieces
+        with their codes renumbered, by one gather each, to the runs of
+        equal (key, suffix): the row sets :meth:`merge` makes of them."""
+        parts = [p for p in parts if len(p)] or parts[:1]
+        rows = GroupedRows.concat(parts)
+        order = np.lexsort((rows.suffixes, rows.keys))
+        rows = GroupedRows(rows.keys[order], rows.suffixes[order],
+                           {a: c[order] for a, c in rows.values.items()}, {})
+        run = _run_index(rows.run_starts(), len(rows))
+        index = np.empty_like(run)
+        index[order] = run
+        ids: dict[str, list[IdPiece]] = {source: [] for source in parts[0].ids}
+        lo = 0
+        for part in parts:
+            own = index[lo:lo + len(part)]
+            lo += len(part)
+            for source, pieces in part.ids.items():
+                ids[source] += [piece.renumbered(own) for piece in pieces]
+        return rows, ids
 
-    def sorted(self) -> GroupedRows:
-        """By (key, suffix); stable, so equal pairs keep their order --
-        partition order after a shuffle, shard order at the coordinator."""
-        order = np.lexsort((self.suffixes, self.keys))
-        return GroupedRows(self.keys[order], self.suffixes[order],
-                           {a: c[order] for a, c in self.values.items()},
-                           {s: seg.take(order) for s, seg in self.ids.items()})
+    def slice(self, lo: int, hi: int) -> GroupedRows:
+        """Row sets ``lo:hi``' columns, with no ID pieces."""
+        return GroupedRows(self.keys[lo:hi], self.suffixes[lo:hi],
+                           {a: c[lo:hi] for a, c in self.values.items()}, {})
 
     def run_starts(self, by_suffix: bool = True) -> np.ndarray:
         """Where each run of equal key (and suffix) starts."""
@@ -173,14 +172,13 @@ class GroupedRows:
 
     def merge(self, reducers: dict[str, Reducer], by_suffix: bool = True) -> GroupedRows:
         """One row set per run of equal key (and suffix): each column by
-        its alias's reducer, the segment lists joined in place."""
+        its alias's reducer, each code column by one gather."""
         starts = self.run_starts(by_suffix)
         if starts.size == len(self):
             return self
-        bounds = np.append(starts, len(self))
+        run = _run_index(starts, len(self))
         return GroupedRows(
             self.keys[starts], self.suffixes[starts],
             {a: reducers[a](c, starts) for a, c in self.values.items()},
-            {s: IdSegments(seg.stream, seg.seg_ends, seg.group_segs[bounds])
-             for s, seg in self.ids.items()},
+            {s: [piece.renumbered(run) for piece in pieces] for s, pieces in self.ids.items()},
         )

@@ -18,12 +18,13 @@ Supported physical operations:
 - plain and Paillier aggregation for the NoEnc / CryptDB-style baselines;
 - ORE min/max via a vectorised pairwise tournament and median via
   quickselect, using only the public Compare;
-- group-by with per-group ASHE sums and ID lists held as columns from
-  map task to reply (:mod:`repro.core.grouped`: one ID chunk per (group,
-  partition) in :data:`GROUP_CODEC` -- VB+Diff, no ranges, Section 4.5
-  -- as a segment of one stream) and the optional *group inflation*
-  optimisation that appends a pseudo-random suffix to group keys so
-  small result sets still use all reducers;
+- group-by with per-group ASHE sums held as columns from map task to
+  reply (:mod:`repro.core.grouped`) and, per partition and ID source,
+  the flat path's ID chunk plus a code column naming each ID's group --
+  the server already learns each row's group from the DET key column --
+  and the optional *group inflation* optimisation that appends a
+  pseudo-random suffix to group keys so small result sets still use all
+  reducers;
 - broadcast hash joins on DET columns, with multiset ID collection for
   build-side ASHE aggregates (and probe rows duplicate keys replicate);
 - **zone-map pruning** (:mod:`repro.index`): before dispatching a map
@@ -46,7 +47,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.grouped import GroupedRows, IdSegments
+from repro.core.grouped import GroupedRows, IdPiece, code_dtype
 from repro.crypto import ore as ore_mod
 from repro.crypto.kernel import observe_kernel_op
 from repro.crypto.prf import MASK64
@@ -55,7 +56,7 @@ from repro.engine.metrics import JobMetrics
 from repro.engine.table import Partition, Table
 from repro.errors import ExecutionError
 from repro.idlist import IdList, get_codec
-from repro.idlist.codec import encode_groups_vb_diff, encode_mask, encode_multiset
+from repro.idlist.codec import encode_mask, encode_multiset
 from repro.index import prune
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as obs_trace
@@ -190,9 +191,8 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
 ROW_IDS = "rows"  # the query table's selected rows
 BUILD_IDS = "build"  # the join build side's rows, once per match (a multiset)
 
-#: Codecs of a flat and of a grouped request's ID sets (Section 4.5).
+#: Codec of a run-coded ID chunk (Section 4.5), flat or grouped.
 FLAT_CODEC = "seabed"
-GROUP_CODEC = "groupby"  # what encode_groups_vb_diff writes
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,9 @@ class ServerResponse:
     ``flat``: ``flat`` + ``id_sets``.  ``partial`` (shard worker ->
     coordinator): ``flat`` maps aliases to pre-merged piece lists.
     ``grouped``: ``groups``, every ``(key, suffix)`` row set as columns
-    -- one value column per alias, one ID stream per source.  ``scan``:
-    ``flat`` holds the projected ``columns`` and row ``ids``.
+    -- one value column per alias, per source one ID chunk and code
+    column per partition.  ``scan``: ``flat`` holds the projected
+    ``columns`` and row ``ids``.
     """
 
     kind: str  # "flat" | "partial" | "grouped" | "scan"
@@ -367,8 +368,9 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 # ``q.aggs`` entry, then an ID chunk per ``id_sources(q.aggs)`` entry
 # (``None``: no row); the driver builds the reply's dicts and ``IdSets``.
 # A grouped map task's partial is its partition's row sets as columns
-# (:class:`GroupedRows`), which the shuffle, the reducers and the reply
-# keep: one value column per alias, one ID stream per source.
+# (:class:`GroupedRows`): one value column per alias, which the shuffle
+# and the reducers merge, and per ID source the flat chunk of the
+# partition's selection with a code per ID, which goes to the driver.
 # ---------------------------------------------------------------------------
 
 
@@ -509,7 +511,8 @@ def grouped_map_task(
     part: Partition, q: ServerQuery, build: dict[str, Any] | None
 ) -> GroupedRows | None:
     """One partition's (group key, suffix) row sets as columns (``None``:
-    no row selected)."""
+    no row selected); per ID source, the selection's flat chunk and each
+    selected row's row set."""
     inflation = max(1, q.inflation)
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
@@ -520,52 +523,46 @@ def grouped_map_task(
     sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
     if sel.size == 0:
         return None
-    ids = _ids_at(part, probe_idx, sel)
-    keys, code = np.unique(columns[q.group_by][sel].astype(_U64, copy=False),
-                           return_inverse=True)
+    # One sort groups the rows by key; the order of a group's rows does
+    # not matter, its IDs travel in the partition's chunk.
+    key = columns[q.group_by][sel].astype(_U64, copy=False)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.append(True, key[1:] != key[:-1])
+    keys = key[first]
+    code = np.empty(sel.size, dtype=np.int64)
+    code[order] = np.cumsum(first) - 1
     if inflation > 1:
         # Group-by optimisation (Section 4.5): append a pseudo-random
         # suffix to multiply the number of reduce keys.
+        ids = _ids_at(part, probe_idx, sel)
         code = code * inflation + (ids % _U64(inflation)).astype(np.int64)
-    # By (key, suffix), then row position: a stable sort by key, in one
-    # argsort of distinct integers.
-    order = np.argsort(code << 32 | np.arange(sel.size))
+        order = np.argsort(code)
     counts = np.bincount(code)
     present = np.flatnonzero(counts)
     starts = np.append(0, np.cumsum(counts[present])[:-1])
+    if present.size < counts.size:  # inflation left some (key, suffix) empty
+        code = (np.cumsum(counts > 0) - 1)[code]
+    code = code.astype(code_dtype(present.size))
     sorted_sel = sel[order]
     return GroupedRows(
         keys[present // inflation], present % inflation,
         {agg.alias: _group_values(agg, columns, sorted_sel, starts) for agg in q.aggs},
         {
-            source: _group_id_segments(
-                columns[JOIN_IDS_COLUMN][sorted_sel] if source == BUILD_IDS else ids[order],
-                starts, q,
-            )
+            source: [IdPiece(
+                _flat_id_chunk(source, part, columns, mask, probe_idx, raw=False),
+                # A build-side multiset chunk decodes its IDs sorted.
+                code[np.argsort(columns[JOIN_IDS_COLUMN][sel], kind="stable")]
+                if source == BUILD_IDS else code,
+            )]
             for source in id_sources(q.aggs)
         },
     )
 
 
-def _group_id_segments(ids: np.ndarray, starts: np.ndarray, q: ServerQuery) -> IdSegments:
-    """Every group's ID chunk for one source, encoded once per partition
-    as one segment each."""
-    if q.join is not None:
-        unordered = ids[1:] <= ids[:-1]
-        unordered[starts[1:] - 1] = False  # a new group may start lower
-        if bool(unordered.any()):
-            # Join-replicated rows: a multiset inside some group.
-            chunks = [encode_multiset(g) for g in np.split(ids, starts[1:])]
-            stream = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-            seg_ends = np.cumsum([len(c) for c in chunks])
-            return IdSegments(stream, seg_ends, np.arange(starts.size + 1))
-    # GROUP_CODEC chunks for every group at once, as one stream.
-    return IdSegments(*encode_groups_vb_diff(ids, starts), np.arange(starts.size + 1))
-
-
 def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows:
     """Merge one reducer's sorted slice of (key, suffix) partials into row
-    sets: one ``reduceat`` per column, segment lists joined."""
+    sets: one ``reduceat`` per column."""
     return rows.merge(group_reducers(aggs))
 
 
@@ -576,18 +573,18 @@ def group_reducers(aggs: Iterable[AggOp]) -> dict[str, Any]:
 
 def empty_groups(aggs: Sequence[AggOp]) -> GroupedRows:
     """Grouped row sets with no entry: nothing selected, or an empty shard."""
-    nothing = IdSegments(np.empty(0, np.uint8), np.empty(0, np.int64), np.zeros(1, np.int64))
     return GroupedRows(np.empty(0, _U64), np.empty(0, np.int64), {
         a.alias: np.empty(0, object if isinstance(a, PaillierSum) else
                           _U64 if isinstance(a, AsheSum) else np.int64) for a in aggs
-    }, dict.fromkeys(id_sources(aggs), nothing))
+    }, {source: [] for source in id_sources(aggs)})
 
 
 def merge_groups(parts: list[GroupedRows], aggs: Sequence[AggOp]) -> GroupedRows:
-    """Several replies' row sets as one, in part order within a row set."""
-    return GroupedRows.concat(parts or [empty_groups(aggs)]).sorted().merge(
-        group_reducers(aggs)
-    )
+    """Several partials' row sets as one, in part order within a row set."""
+    rows, ids = GroupedRows.shuffle(parts or [empty_groups(aggs)])
+    merged = rows.merge(group_reducers(aggs))
+    merged.ids = ids
+    return merged
 
 
 class SeabedServer:
@@ -672,7 +669,7 @@ class SeabedServer:
         if q.group_by is None:
             response = self._execute_flat(q, parts, skipped, build, metrics, final)
         else:
-            response = self._execute_grouped(q, parts, skipped, build, metrics)
+            response = self._execute_grouped(q, parts, skipped, build, metrics, final)
         response.metrics = metrics
         metrics.result_bytes += response.payload_bytes
         return response
@@ -884,12 +881,10 @@ class SeabedServer:
         shard's "client" is the coordinator: gathering the partials
         crosses the cluster network once per shard.
 
-        Grouped queries fall through to :meth:`execute`: every groupable
-        partial is associative, so per-shard group results merge exactly
-        coordinator-side (duplicate keys are combined there).
+        A grouped partial is one :func:`merge_groups` over the map
+        outputs, with no shuffle: every groupable column is associative,
+        so the coordinator's merge of the shards' row sets is the reduce.
         """
-        if q.group_by is not None:
-            return self.execute(q)
         return self._execute_query(q, final=False)
 
     # -- grouped aggregation ------------------------------------------------------
@@ -901,6 +896,7 @@ class SeabedServer:
         skipped: int,
         build: dict[str, Any] | None,
         metrics: JobMetrics,
+        final: bool,
     ) -> ServerResponse:
         calls = [(part, q, build) for part in parts]
         map_out, stage = self.cluster.map_stage(
@@ -909,20 +905,26 @@ class SeabedServer:
         stage.partitions_total = len(parts) + skipped
         stage.partitions_skipped = skipped
         partials = [p for p in map_out if p is not None] or [empty_groups(q.aggs)]
+        if not final:
+            groups = self.cluster.run_driver(
+                "partial-merge", lambda: merge_groups(partials, q.aggs), metrics
+            )
+            return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
-        def shuffle() -> tuple[GroupedRows, np.ndarray]:
-            # One sort on (key, suffix) over every partition's partials:
-            # each row set's partials become adjacent, in partition order.
-            rows = GroupedRows.concat(partials).sorted()
-            return rows, np.append(rows.run_starts(), len(rows))
+        def shuffle() -> tuple[GroupedRows, dict[str, list[IdPiece]], np.ndarray]:
+            # One sort on (key, suffix) over every partition's row-set
+            # columns: each row set's partials become adjacent, in
+            # partition order; the ID pieces stay at the driver.
+            rows, ids = GroupedRows.shuffle(partials)
+            return rows, ids, np.append(rows.run_starts(), len(rows))
 
-        rows, bounds = self.cluster.run_driver("shuffle-partition", shuffle, metrics)
-        # Shuffle: every (key, suffix) partial crosses the network once.
-        # Few distinct keys mean few active receivers: the bandwidth
+        rows, ids, bounds = self.cluster.run_driver("shuffle-partition", shuffle, metrics)
+        # Shuffle: every (key, suffix) partial's columns cross the network
+        # once.  Few distinct keys mean few active receivers: the bandwidth
         # bottleneck group inflation exists to fix (Section 4.5).
         distinct = len(bounds) - 1
         num_reducers = max(1, min(self.cluster.config.cores, distinct))
-        metrics.shuffles.append((sum(p.nbytes() for p in partials), num_reducers))
+        metrics.shuffles.append((sum(p.nbytes(ids=False) for p in partials), num_reducers))
         # Range partitioning: each reducer merges a contiguous run of keys.
         cuts = bounds[np.arange(num_reducers + 1) * distinct // num_reducers].tolist()
         reduce_calls = [(rows.slice(lo, hi), q.aggs) for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -930,6 +932,7 @@ class SeabedServer:
             "group-reduce", group_reduce_task, reduce_calls, metrics
         )
         groups = GroupedRows.concat(reduced)
+        groups.ids = ids
         return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
 

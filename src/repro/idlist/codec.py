@@ -14,12 +14,12 @@ Bitmap codecs bypass stages 1-3.  The named combinations in
 :data:`CODECS` are the exact series of Figure 8(a)/(b) plus the group-by
 codec (VB+Diff without ranges, Section 4.5) and baselines.
 
-A chunk encodes the IDs one partition selected for one *row set* --
+A chunk encodes the IDs one partition selected for one request --
 never one per aggregate -- and the client decodes each exactly once
 (:mod:`repro.core.decryptor`).  A flat request ships one chunk per
-partition; a grouped one ships, per ID source, the (group, partition)
-chunks as segments of one stream (:func:`encode_groups_vb_diff` writes
-it, :func:`decode_chunks_batch` reads it back in one pass).
+partition and ID source; a grouped one ships the same chunk plus a code
+column naming each ID's group (:mod:`repro.core.grouped`), so the
+``groupby`` codec below is a Figure 8 series, not a wire format.
 
 A flat row set's chunk picks its container from the mask's shape
 (:func:`encode_mask`): the ``seabed`` pipeline's bytes for contiguous and
@@ -177,37 +177,6 @@ def encode_mask(mask: np.ndarray, start_id: int) -> bytes | None:
 _FLAG_MULTISET = 0x40
 
 
-def encode_groups_vb_diff(
-    sorted_ids: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode many per-group ID lists as segments of one stream.
-
-    ``sorted_ids`` holds every selected row ID ordered by (group, id);
-    group ``g`` starts at ``starts[g]``.  Diff-encoding the whole array
-    (re-anchoring each group's first element to its absolute ID) and
-    variable-byte-packing it once, one byte of room left before each
-    group for its flag, yields ``(stream, seg_ends)``: a uint8 array in
-    which group ``g``'s segment ends at ``seg_ends[g]`` and is byte for
-    byte the paper's group-by chunk (VB+Diff) of that group alone.
-    """
-    ids = np.asarray(sorted_ids, dtype=np.uint64)
-    if ids.size == 0:
-        return np.empty(0, np.uint8), np.empty(0, np.int64)
-    seq = np.empty_like(ids)
-    seq[0] = ids[0]
-    np.subtract(ids[1:], ids[:-1], out=seq[1:])
-    seq[starts] = ids[starts]  # re-anchor each group
-    nbytes = varbyte.byte_lengths(seq)
-    flagged = np.zeros(ids.size, dtype=np.uint8)
-    flagged[starts] = 1
-    row_ends = np.cumsum(nbytes + flagged, dtype=np.int64)
-    pos = row_ends - nbytes
-    stream = np.empty(int(row_ends[-1]), dtype=np.uint8)
-    stream[pos[starts] - 1] = _FLAG_DIFF
-    varbyte.write_at(seq, nbytes, stream, pos)
-    return stream, row_ends[np.append(starts[1:], ids.size) - 1]
-
-
 def encode_multiset(ids: np.ndarray, deflate_level: int | None = 1) -> bytes:
     """Encode an ID *multiset* (duplicates allowed) -- the join path.
 
@@ -330,60 +299,13 @@ def is_multiset_payload(data: bytes) -> bool:
     return bool(data) and bool(data[0] & _FLAG_MULTISET)
 
 
-def decode_chunks_batch(
-    stream: np.ndarray, seg_ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a stream of group-codec segments into one ID array plus
-    per-segment counts.
-
-    Segment ``i`` is ``stream[seg_ends[i - 1]:seg_ends[i]]`` (from 0 for
-    the first), one chunk as :func:`encode_groups_vb_diff` or
-    :func:`encode_multiset` wrote it.  When every segment is VB+Diff the
-    header bytes are masked out, the payload decodes in a handful of
-    numpy passes and splits on vectorised segment boundaries; a stream
-    holding multiset segments (a join's) decodes segment by segment.  A
-    segment that is empty, ends inside a value or carries any other flag
-    is an :class:`EncodingError`.
-
-    Returns ``(ids, counts)`` where ``counts[i]`` is segment ``i``'s ID
-    count and ``ids`` is their concatenation in segment order (duplicates
-    preserved for multiset segments).
-    """
-    stream = np.asarray(stream, dtype=np.uint8)
-    seg_ends = np.asarray(seg_ends, dtype=np.int64)
-    if seg_ends.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    heads = np.append(0, seg_ends[:-1])
-    shortest = int((seg_ends - heads).min())
-    if int(seg_ends[-1]) != stream.size or shortest < 1:
-        raise EncodingError("ID segments do not tile their stream")
-    if shortest > 1 and bool(np.all(stream[heads] == _FLAG_DIFF)):
-        if bool(np.any(stream[seg_ends - 1] & 0x80)):
-            raise EncodingError("an ID segment ends inside a varbyte value")
-        # A flag byte reads as a one-byte value of its own: decode the
-        # stream whole, then find and drop the flags' values.
-        values, ends = varbyte.decode_with_ends(stream)
-        at_flag = np.zeros(stream.size, dtype=bool)
-        at_flag[heads] = True
-        is_flag = at_flag[ends]
-        flags = np.flatnonzero(is_flag)
-        # Segmented cumsum: each segment's first value is absolute, so a
-        # flag's slot takes minus the previous segment's sum.
-        values[flags] = 0
-        values[flags[1:]] = -np.add.reduceat(values, flags)[:-1]
-        np.cumsum(values, out=values)
-        return values[~is_flag], np.diff(np.append(flags, ends.size)) - 1
-    pieces = [np.empty(0, np.uint64)]
-    for lo, hi in zip(heads.tolist(), seg_ends.tolist()):
-        segment = stream[lo:hi].tobytes()
-        if segment[0] & _FLAG_MULTISET:
-            pieces.append(decode_multiset(segment))
-        elif segment[0] == _FLAG_DIFF:
-            pieces.append(decode(segment).to_ids())
-        else:
-            raise EncodingError(f"unknown ID segment flag {segment[0]:#04x}")
-    counts = np.fromiter(map(len, pieces[1:]), dtype=np.int64, count=seg_ends.size)
-    return np.concatenate(pieces), counts
+#: Header bytes of the chunks a query's row set ships: the ``seabed``
+#: pipeline's, a plain bitmap's (:func:`encode_mask`) and a multiset's.
+ROW_SET_FLAGS = frozenset({
+    _FLAG_RANGES | _FLAG_DIFF | _FLAG_DEFLATE,
+    _FLAG_BITMAP_PLAIN,
+    _FLAG_MULTISET | _FLAG_DIFF | _FLAG_DEFLATE,
+})
 
 
 def get_codec(name: str) -> IdListCodec:

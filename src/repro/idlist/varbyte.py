@@ -3,14 +3,11 @@
 Table 3 of the paper lists VB encoding as the final packing stage of the
 ID-list pipeline: each integer is stored in the minimum number of 7-bit
 groups, with the high bit of each byte flagging continuation; scalar
-reference implementations are kept for property tests.  The coder is
-:func:`byte_lengths` / :func:`write_at` and :func:`decode_with_ends`:
-numpy passes over the values at least ``j`` bytes long (at most 10
-passes), which also let the group-by codec splice flag bytes in and find
-value boundaries.  :func:`encode` / :func:`encode_with_offsets` /
-:func:`decode` are the byte-sized passes it replaces, kept only while
-the flat ID-list path (appends, flat replies) still calls them; both
-write and read the same bytes.
+reference implementations are kept for property tests.  This is the one
+coder: :func:`encode` (a pass per byte position, over the values at
+least that long) and :func:`decode` (one ``reduceat`` over the stream's
+7-bit groups) serve every ID chunk, flat or grouped, and the store's
+row-ID spans.
 """
 
 from __future__ import annotations
@@ -73,55 +70,6 @@ def decode(data: bytes | np.ndarray) -> np.ndarray:
     positions = np.arange(b.size, dtype=np.int64) - np.repeat(group_starts, lengths)
     contributions = (b & 0x7F).astype(_U64) << (positions.astype(_U64) * _SEVEN)
     return np.add.reduceat(contributions, group_starts)
-
-
-def byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Bytes each uint64 value's code takes (1-10), as uint8."""
-    nbytes = np.ones(values.size, dtype=np.uint8)
-    limit = 0x7F
-    top = int(values.max()) if values.size else 0
-    while top > limit:
-        nbytes += values > _U64(limit)
-        limit = (limit << 7) | 0x7F
-    return nbytes
-
-
-def write_at(values: np.ndarray, nbytes: np.ndarray, out: np.ndarray, pos: np.ndarray) -> None:
-    """Write value ``i``'s code to ``out[pos[i]:pos[i] + nbytes[i]]``
-    (``nbytes`` from :func:`byte_lengths`), leaving the rest of ``out`` --
-    room for bytes the caller splices in -- alone: one uint8 scatter per
-    byte position, over the values at least that long."""
-    out[pos] = (values.astype(np.uint8) & 0x7F) | ((nbytes > 1).view(np.uint8) << 7)
-    idx = np.flatnonzero(nbytes > 1)
-    for j in range(1, int(nbytes.max()) if nbytes.size else 0):
-        longer = nbytes[idx] > j + 1
-        low7 = (values[idx] >> _U64(7 * j)).astype(np.uint8) & 0x7F
-        out[pos[idx] + j] = low7 | (longer.view(np.uint8) << 7)
-        idx = idx[longer]
-
-
-def decode_with_ends(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a uint8 stream; also return each value's last byte index.
-
-    Horner from each value's last (most significant) byte, one gather per
-    byte position over the values at least that long -- value-sized
-    passes, where :func:`decode` makes byte-sized uint64 ones."""
-    ends = np.flatnonzero(data < 0x80)
-    if data.size and (ends.size == 0 or int(ends[-1]) != data.size - 1):
-        raise EncodingError("truncated varbyte stream (dangling continuation)")
-    lengths = np.empty_like(ends)
-    if ends.size:
-        lengths[0] = ends[0] + 1
-        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-    width = int(lengths.max()) if ends.size else 0
-    if width > 10:
-        raise EncodingError("varbyte group longer than 10 bytes (not a uint64)")
-    values = (data[ends] & 0x7F).astype(_U64)
-    idx = np.flatnonzero(lengths > 1)
-    for j in range(1, width):
-        values[idx] = (values[idx] << _SEVEN) | (data[ends[idx] - j] & 0x7F)
-        idx = idx[lengths[idx] > j + 1]
-    return values, ends
 
 
 def encode_scalar(values) -> bytes:

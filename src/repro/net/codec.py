@@ -27,7 +27,10 @@ envelope stores an index into the raw buffer region, so ciphertext
 batches and encrypted results ship as flat memory with a JSON envelope
 for metadata only.  A grouped reply is columns
 (:class:`~repro.core.grouped.GroupedRows`): a few buffers whatever its
-number of groups, checked structurally as it is decoded.
+number of groups, plus an ID chunk and a code column per partition,
+checked structurally as it is decoded (every code names a row set of the
+reply, in the row-set count's width; every chunk flag is one a row set
+ships).
 
 Malformed input never escapes as a raw ``struct``/``json``/``OSError``:
 truncated frames, bad magic, version skew, unknown tags and oversized
@@ -52,7 +55,7 @@ from repro.engine.storage import decode_object_column, encode_object_column
 from repro.errors import CodecError
 
 MAGIC = b"SBNW"
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: Upper bound on a single frame; a corrupt length prefix fails fast
 #: instead of attempting a multi-gigabyte read.  It therefore also bounds
@@ -83,7 +86,7 @@ _DATACLASSES: dict[str, type] = {
         srv.ServerQuery,
         srv.ServerResponse,
         grouped.GroupedRows,
-        grouped.IdSegments,
+        grouped.IdPiece,
         em.StageMetrics,
         em.JobMetrics,
     )
@@ -171,7 +174,7 @@ def _unpack(tree: Any, buffers: list[memoryview]) -> Any:
                 )
             value = cls(**fields)
             if isinstance(value, grouped.GroupedRows):
-                value.validate()  # ragged columns, untiled ID streams
+                value.validate()  # ragged columns, stray codes, unknown flags
             return value
     except CodecError:
         raise

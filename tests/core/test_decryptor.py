@@ -17,14 +17,14 @@ from repro.core import server as srv
 from repro.core.crypto_factory import CryptoFactory
 from repro.core.decryptor import DecryptionModule
 from repro.core.encryptor import ClientTableState, EncryptionModule
-from repro.core.grouped import GroupedRows, IdSegments
+from repro.core.grouped import GroupedRows, IdPiece, code_dtype
 from repro.core.planner import Planner
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.translator import QueryTranslator
 from repro.crypto.keys import KeyChain
 from repro.errors import CodecError, DecryptionError
 from repro.idlist import IdList, get_codec
-from repro.idlist.codec import encode_mask, encode_multiset
+from repro.idlist.codec import ROW_SET_FLAGS, encode_mask, encode_multiset
 from repro.net import codec as wire
 from repro.query.parser import parse_query
 
@@ -57,18 +57,14 @@ def flat_reply(flat, id_sets=None):
     return srv.ServerResponse(kind="flat", flat=flat, id_sets=id_sets or {})
 
 
-def grouped_reply(alias, keys, sums, chunks_per_key):
-    """A grouped reply: key ``i``'s ASHE sum ``sums[i]`` and its ID chunks
-    ``chunks_per_key[i]``, as segments of one row-ID stream."""
-    chunks = [c for per_key in chunks_per_key for c in per_key]
+def grouped_reply(alias, keys, sums, pieces):
+    """A grouped reply: key ``i``'s ASHE sum ``sums[i]``, and the row-ID
+    ``pieces`` as (chunk, the index of each of its IDs' key) pairs."""
+    dtype = code_dtype(len(keys))
     return srv.ServerResponse(kind="grouped", groups=GroupedRows(
         np.array(keys, dtype=np.uint64), np.zeros(len(keys), dtype=np.int64),
         {alias: np.array(sums, dtype=np.uint64)},
-        {srv.ROW_IDS: IdSegments(
-            np.frombuffer(b"".join(chunks), dtype=np.uint8).copy(),
-            np.cumsum([len(c) for c in chunks], dtype=np.int64),
-            np.cumsum([0] + [len(c) for c in chunks_per_key], dtype=np.int64),
-        )},
+        {srv.ROW_IDS: [IdPiece(chunk, np.array(codes, dtype=dtype)) for chunk, codes in pieces]},
     ))
 
 
@@ -194,18 +190,21 @@ class TestMalformedReplies:
         tq = translator.translate(parse_query("SELECT g, sum(x) FROM t GROUP BY g"))
         alias = tq.requests[0].aggs[0].alias
         key = factory.det("g__det").encrypt_one(3)
-        good = get_codec("groupby").encode(IdList.from_range(0, 4))
-        reply = grouped_reply(alias, [key, key + 1], [1, 2], [[good], []])
+        reply = grouped_reply(alias, [key, key + 1], [1, 2], [(self.CHUNK, [0] * 10)])
         with pytest.raises(DecryptionError, match="without its ID set"):
             DecryptionModule(state, factory).decrypt(tq, [reply])
 
-    def test_grouped_damaged_chunk(self, env):
+    @pytest.mark.parametrize("chunk", [
+        CHUNK[: len(CHUNK) // 2],  # truncated Deflate stream
+        BITMAP[:-1],  # header/payload mismatch
+        b"\x08\x05\x00\xff",  # nbits = 0 with a payload
+    ], ids=["truncated", "bitmap-mismatch", "bitmap-zero-bits"])
+    def test_grouped_damaged_chunk(self, env, chunk):
         state, factory, translator = env
         tq = translator.translate(parse_query("SELECT g, sum(x) FROM t GROUP BY g"))
         alias = tq.requests[0].aggs[0].alias
         key = factory.det("g__det").encrypt_one(3)
-        dangling = bytes([0x02, 0x85])  # VB+Diff header, continuation never ends
-        reply = grouped_reply(alias, [key], [1], [[dangling]])
+        reply = grouped_reply(alias, [key], [1], [(chunk, [0])])
         with pytest.raises(DecryptionError, match="malformed ID set"):
             DecryptionModule(state, factory).decrypt(tq, [reply])
 
@@ -223,7 +222,8 @@ class TestMalformedReplies:
         for tq, reply in (
             (flat, flat_reply({flat.requests[0].aggs[0].alias: ("ashe", 7)},
                               {srv.ROW_IDS: chunks})),
-            (grouped, grouped_reply(grouped.requests[0].aggs[0].alias, [key], [7], [chunks])),
+            (grouped, grouped_reply(grouped.requests[0].aggs[0].alias, [key], [7],
+                                    [(chunk, [0] * (1 + len(chunk) % 3)) for chunk in chunks])),
         ):
             try:
                 module.decrypt(tq, [reply])
@@ -245,21 +245,19 @@ class TestMalformedReplies:
 @pytest.fixture(scope="module")
 def grouped_case(env):
     """A well-formed grouped reply over twelve rows in two partitions
-    (IDs 0-5, 6-11), three groups, and the rows it decrypts to."""
+    (IDs 0-5, 6-11; one piece each), three groups, and the rows it
+    decrypts to."""
     state, factory, translator = env
     tq = translator.translate(parse_query("SELECT g, sum(x), count(*) FROM t GROUP BY g"))
     cipher = factory.ashe("x__ashe").encrypt_column(np.arange(12) * 5, start_id=0)
     det = factory.det("g__det")
     tokens = {det.encrypt_one(g): g for g in range(3)}
-    codec = get_codec("groupby")
-    keys, sums, chunks = [], [], []
-    for token in sorted(tokens):
-        ids = np.flatnonzero(np.arange(12) % 3 == tokens[token]).astype(np.uint64)
-        keys.append(token)
-        sums.append(int(cipher[ids].sum()))
-        chunks.append([codec.encode(IdList.from_ids(ids[ids < 6])),
-                       codec.encode(IdList.from_ids(ids[ids >= 6]))])
-    reply = grouped_reply(tq.requests[0].aggs[0].alias, keys, sums, chunks)
+    keys = sorted(tokens)
+    sums = [int(cipher[np.arange(12) % 3 == tokens[token]].sum()) for token in keys]
+    code_of = {tokens[token]: code for code, token in enumerate(keys)}
+    pieces = [(get_codec("seabed").encode(IdList.from_range(lo, lo + 6)),
+               [code_of[i % 3] for i in range(lo, lo + 6)]) for lo in (0, 6)]
+    reply = grouped_reply(tq.requests[0].aggs[0].alias, keys, sums, pieces)
     rows = [{"g": g, "sum(x)": int((np.arange(12)[np.arange(12) % 3 == g] * 5).sum()),
              "count(*)": 4} for g in range(3)]
     return tq, reply, rows
@@ -273,8 +271,9 @@ def _swap(arr, data):
 
 def _mutate(rows, kind, data):
     """Break one field of ``rows`` the way ``kind`` names."""
-    segments = rows.ids[srv.ROW_IDS]
-    entries, nsegs = len(rows), segments.seg_ends.size
+    pieces = rows.ids[srv.ROW_IDS]
+    piece = pieces[data.draw(st.integers(0, len(pieces) - 1))]
+    entries = len(rows)
     alias = next(iter(rows.values))
     other_size = st.integers(0, 2 * entries).filter(lambda n: n != entries)
     if kind == "ragged-values":
@@ -289,29 +288,25 @@ def _mutate(rows, kind, data):
         i, j = data.draw(st.lists(st.integers(0, entries - 1), min_size=2, max_size=2,
                                   unique=True))
         rows.keys[j] = rows.keys[i]
-    elif kind == "seg-ends-order":
-        _swap(segments.seg_ends, data)
-    elif kind == "seg-ends-range":
-        segments.seg_ends[data.draw(st.integers(0, nsegs - 1))] = (
-            segments.stream.size + data.draw(st.integers(1, 100)))
-    elif kind == "seg-ends-short":
-        segments.seg_ends[-1] -= data.draw(st.integers(1, int(segments.seg_ends[-1])))
-    elif kind == "group-segs-order":
-        _swap(segments.group_segs, data)
-    elif kind == "group-segs-range":
-        segments.group_segs[data.draw(st.integers(0, entries))] = (
-            nsegs + data.draw(st.integers(1, 10)))
-    elif kind == "group-segs-short":
-        segments.group_segs[-1] -= data.draw(st.integers(1, nsegs))
-    elif kind == "truncated-stream":
-        segments.stream = segments.stream[:-data.draw(st.integers(1, segments.stream.size))]
+    elif kind == "code-past-the-end":
+        piece.codes[data.draw(st.integers(0, piece.codes.size - 1))] = data.draw(
+            st.integers(entries, 255))
+    elif kind == "code-length":
+        size = data.draw(st.integers(0, 2 * piece.codes.size).filter(
+            lambda n: n != piece.codes.size))
+        piece.codes = np.resize(piece.codes, size)
+    elif kind == "code-dtype":
+        piece.codes = piece.codes.astype(data.draw(st.sampled_from(
+            [np.int8, np.int64, np.uint16, np.uint32, np.uint64, np.float64, bool])))
     elif kind == "unknown-flag":
-        heads = np.append(0, segments.seg_ends[:-1])
-        segments.stream[heads[data.draw(st.integers(0, nsegs - 1))]] = data.draw(
-            st.sampled_from([0x00, 0x01, 0x03, 0x07, 0x08, 0x10, 0x20, 0x80, 0x82]))
+        flag = data.draw(st.integers(0, 255).filter(lambda f: f not in ROW_SET_FLAGS))
+        piece.chunk = bytes([flag]) + piece.chunk[1:]
+    elif kind == "truncated-chunk":
+        piece.chunk = piece.chunk[:data.draw(st.integers(0, len(piece.chunk) - 1))]
     elif kind == "empty-group":
         g = data.draw(st.integers(0, entries - 1))
-        segments.group_segs[g + 1] = segments.group_segs[g]
+        for p in pieces:
+            p.codes[p.codes == g] = (g + 1) % entries
     else:
         raise AssertionError(kind)
 
@@ -322,9 +317,8 @@ class TestMalformedGroupedReplies:
     IndexError / ValueError, never a number."""
 
     KINDS = ["ragged-values", "ragged-suffixes", "ragged-keys", "unsorted-keys",
-             "duplicate-keys", "seg-ends-order", "seg-ends-range", "seg-ends-short",
-             "group-segs-order", "group-segs-range", "group-segs-short",
-             "truncated-stream", "unknown-flag", "empty-group"]
+             "duplicate-keys", "code-past-the-end", "code-length", "code-dtype",
+             "unknown-flag", "truncated-chunk", "empty-group"]
 
     def test_the_unbroken_reply_decrypts(self, env, grouped_case):
         state, factory, _ = env

@@ -17,6 +17,7 @@ from repro.crypto.prf import SplitMix64Prf
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.table import Table
 from repro.errors import ExecutionError
+from repro.idlist import codec as idcodec
 from repro.idlist.codec import decode as codec_decode
 
 KEY = b"0123456789abcdef0123456789abcdef"
@@ -209,16 +210,18 @@ class TestOreExtremes:
         assert server.execute(q).flat["md"][1] == 4
 
 
-def chunks_by_group(rows, source=srv.ROW_IDS):
-    """Each (key, suffix) row set's ID chunks: its segments, in order."""
-    ids = rows.ids[source]
-    heads = np.append(0, ids.seg_ends[:-1])
-    chunks = [ids.stream[lo:hi].tobytes() for lo, hi in zip(heads, ids.seg_ends)]
-    segs = ids.group_segs.tolist()
-    return {
-        pair: chunks[segs[g]:segs[g + 1]]
-        for g, pair in enumerate(zip(rows.keys.tolist(), rows.suffixes.tolist()))
-    }
+def ids_by_group(rows, source=srv.ROW_IDS):
+    """Each (key, suffix) row set's IDs, read off the pieces' codes."""
+    out = {pair: [] for pair in zip(rows.keys.tolist(), rows.suffixes.tolist())}
+    pairs = list(out)
+    for piece in rows.ids[source]:
+        chunk = piece.chunk
+        ids = idcodec.decode_multiset(chunk) if idcodec.is_multiset_payload(chunk) else (
+            codec_decode(chunk).to_ids())
+        assert ids.size == piece.codes.size
+        for i, code in zip(ids.tolist(), piece.codes.tolist()):
+            out[pairs[code]].append(i)
+    return out
 
 
 class TestGroupBy:
@@ -249,28 +252,31 @@ class TestGroupBy:
         assert r4.suffixes.tolist() == [0, 1, 2, 3]
         assert int(r1.values["s"].sum()) == int(r4.values["s"].sum()) == 64
 
-    def test_group_ids_use_the_group_codec(self, cluster):
+    def test_group_ids_are_the_flat_chunk_per_partition(self, cluster):
         keys = np.arange(40, dtype=np.int64) % 3
         cols = {"k": keys, "a__ashe": np.ones(40, np.uint64), "b__ashe": np.ones(40, np.uint64)}
         server = make_server(cluster, cols, parts=2)
         resp = server.execute(srv.ServerQuery(
             table="t", aggs=(srv.AsheSum("a__ashe", "a"), srv.AsheSum("b__ashe", "b")),
-            group_by="k",
+            group_by="k", filter=srv.PlainCmp("k", "!=", 1),
         ))
-        want = srv.get_codec(srv.GROUP_CODEC)
         rows = resp.groups
         assert rows.values["a"].dtype == np.uint64 and set(rows.ids) == {srv.ROW_IDS}
-        for g, ((key, _), chunks) in enumerate(chunks_by_group(rows).items()):
-            selected = np.flatnonzero(keys == key).astype(np.uint64)
-            assert rows.values["a"][g] == rows.values["b"][g] == selected.size
-            # one chunk per partition, shared by a and b
-            assert chunks == [
-                want.encode(srv.IdList.from_ids(selected[selected < 20])),
-                want.encode(srv.IdList.from_ids(selected[selected >= 20])),
-            ]
-        assert resp.payload_bytes == sum(
-            9 + 16 + sum(map(len, chunks)) for chunks in chunks_by_group(rows).values()
-        )
+        # one piece per partition, shared by a and b: the chunk a flat
+        # query ships for the same selection, and one uint8 code per row
+        pieces = rows.ids[srv.ROW_IDS]
+        selected = keys != 1
+        assert [p.chunk for p in pieces] == [idcodec.encode_mask(selected[:20], 0),
+                                             idcodec.encode_mask(selected[20:], 20)]
+        assert [p.codes.tolist() for p in pieces] == [
+            [0 if k == 0 else 1 for k in keys[:20] if k != 1],
+            [0 if k == 0 else 1 for k in keys[20:] if k != 1],
+        ]
+        for g, ((key, _), ids) in enumerate(ids_by_group(rows).items()):
+            assert ids == np.flatnonzero(keys == key).tolist()
+            assert rows.values["a"][g] == rows.values["b"][g] == len(ids)
+        assert resp.payload_bytes == 2 * (9 + 16) + sum(
+            len(p.chunk) + p.codes.size for p in pieces)
 
     def test_group_keys_without_aggregates(self, cluster):
         """A map partial with no columns still names its groups."""
@@ -336,8 +342,7 @@ class TestJoin:
         resp = server.execute(q)
         tag, total = resp.flat["s"]
         chunks = resp.id_sets[srv.BUILD_IDS]
-        from repro.idlist.codec import decode_multiset
-        pad = sum(scheme.pad_for_multiset(decode_multiset(c)) for c in chunks)
+        pad = sum(scheme.pad_for_multiset(idcodec.decode_multiset(c)) for c in chunks)
         from repro.crypto.ashe import to_signed
         got = to_signed((total + pad) & (2**64 - 1))
         # 2x100 + 1x200 + 3x300 = 1300
@@ -346,8 +351,6 @@ class TestJoin:
     def test_duplicate_build_keys_make_the_probe_ids_a_multiset(self, cluster):
         """A probe row matching two build rows is summed twice, so its ID
         travels twice (a multiset chunk), never deduplicated."""
-        from repro.idlist.codec import decode_multiset, is_multiset_payload
-
         build = Table.from_columns("build", {
             "key": np.array([0, 0, 1], dtype=np.uint64),
             "w": np.array([1, 2, 3], dtype=np.int64),
@@ -370,8 +373,11 @@ class TestJoin:
         resp = server.execute(q)
         assert resp.flat["s"] == ("ashe", 2 * 10 + 20 + 30)
         first, second = resp.id_sets[srv.ROW_IDS]
-        assert is_multiset_payload(first) and decode_multiset(first).tolist() == [0, 0, 1]
+        assert idcodec.is_multiset_payload(first)
+        assert idcodec.decode_multiset(first).tolist() == [0, 0, 1]
         assert codec_decode(second) == srv.IdList.from_ids(np.array([2], np.uint64))
         grouped = server.execute(dataclasses.replace(q, group_by="fk")).groups
-        chunks = chunks_by_group(grouped)
-        assert decode_multiset(chunks[(0, 0)][0]).tolist() == [0, 0]
+        first, second = grouped.ids[srv.ROW_IDS]
+        assert idcodec.is_multiset_payload(first.chunk)
+        assert not idcodec.is_multiset_payload(second.chunk)
+        assert ids_by_group(grouped) == {(0, 0): [0, 0], (1, 0): [1, 2]}

@@ -233,8 +233,8 @@ class TestGroupByRewrites:
         assert tq.requests[0].inflation == 16
 
     def test_group_codec_drops_ranges(self):
-        """Section 4.5: group-by results use VB+Diff without ranges."""
-        codec = srv.get_codec(srv.GROUP_CODEC)
+        """Section 4.5: the paper's group-by codec is VB+Diff without ranges."""
+        codec = srv.get_codec("groupby")
         assert codec.use_diff and not codec.use_ranges
 
 

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import server as srv
+from repro.core.grouped import code_dtype
 from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.query import execute_plain
+from repro.engine.cluster import ClusterConfig, SimulatedCluster
+from repro.query import execute_plain, parse_query
 from repro.query.ast import (
     Aggregate,
     And,
@@ -172,3 +175,117 @@ def test_grouped_queries_equivalent(client, dim, where):
     want = execute_plain({"sales": DATA}, query)
     got = client.query(query, expected_groups=4)
     assert_rows_match(got.rows, want)
+
+
+# -- code widths --------------------------------------------------------------
+# A grouped reply names each ID's row set by a code in the narrowest of
+# uint8 / uint16 / uint32 that holds the row-set count.  One group column
+# per side of each step (1, 255 | 256, 65,537 groups), under dense (one run
+# per partition), scattered (bitmap chunks) and sparse (run-coded chunks)
+# selections, with inflation off and on, over a join with duplicate build
+# keys, single-store and sharded-local: every answer is execute_plain's.
+
+WIDTHS = [1, 255, 256, 65_537]
+WIDE_ROWS = 98_304
+WIDE_FILTERS = {
+    "all": "",
+    "dense": "WHERE ts >= 24576",
+    "scattered": "WHERE tier IN (1, 2, 3, 4, 5, 6, 7, 8)",
+    "sparse": "WHERE tier = 1",
+}
+WIDE_CORES = 512  # the hints inflate 1, 255 and 256 groups to 512, 765, 512 row sets
+WIDE_JOIN = "SELECT g{n}, sum(w), sum(amount), count(*) FROM wide JOIN wb ON bk = key GROUP BY g{n}"
+
+
+def _wide_data():
+    rng = np.random.default_rng(23)
+    data = {f"g{n}": rng.permutation(np.arange(WIDE_ROWS) % n) for n in WIDTHS}
+    data.update(amount=rng.integers(-1000, 1000, WIDE_ROWS), ts=np.arange(WIDE_ROWS),
+                tier=rng.integers(0, 64, WIDE_ROWS), bk=rng.integers(0, 16, WIDE_ROWS))
+    return data
+
+
+WIDE = _wide_data()
+#: Every even join key twice, odd ones never: joined rows repeat, so
+#: both sides' ID chunks are multisets.
+WIDE_BUILD = {"key": np.repeat(np.arange(0, 16, 2), 2), "w": np.arange(1, 17)}
+
+
+@pytest.fixture(scope="module")
+def wide_sessions(tmp_path_factory):
+    probe = TableSchema("wide", [
+        ColumnSpec("amount", dtype="int", sensitive=True, nbits=32),
+        ColumnSpec("ts", dtype="int", sensitive=True, nbits=32),
+        ColumnSpec("tier", dtype="int", sensitive=True),
+        ColumnSpec("bk", dtype="int", sensitive=True),
+        *(ColumnSpec(f"g{n}", dtype="int", sensitive=True) for n in WIDTHS),
+    ])
+    build = TableSchema("wb", [ColumnSpec("key", dtype="int", sensitive=True),
+                               ColumnSpec("w", dtype="int", sensitive=True)])
+    samples = [
+        *(f"SELECT g{n}, sum(amount), count(*) FROM wide GROUP BY g{n}" for n in WIDTHS),
+        "SELECT sum(amount) FROM wide WHERE ts >= 5", "SELECT sum(amount) FROM wide WHERE tier = 1",
+        WIDE_JOIN.format(n=1),
+    ]
+    sessions = {}
+    for placement in ("single-store", "sharded-local"):
+        session = SeabedSession(master_key=b"w" * 32, mode="seabed", seed=2,
+                                cluster=SimulatedCluster(ClusterConfig(cores=WIDE_CORES)))
+        session.create_plan(probe, samples)
+        session.create_plan(build, samples)
+        if placement == "single-store":
+            session.upload("wide", WIDE, num_partitions=8)
+            session.upload("wb", WIDE_BUILD, num_partitions=2)
+        else:
+            session.shard_table("wide", "bk", str(tmp_path_factory.mktemp("wide") / "wide"),
+                                num_shards=2)
+            session.upload("wide", WIDE)
+        sessions[placement] = session
+    yield sessions
+    for session in sessions.values():
+        session.close()
+
+
+def _replies(monkeypatch):
+    """Every grouped reply the sessions' servers send, as they send it."""
+    replies = []
+    execute = srv.SeabedServer.execute
+    monkeypatch.setattr(srv.SeabedServer, "execute",
+                        lambda self, q: replies.append(execute(self, q)) or replies[-1])
+    return replies
+
+
+def _check_widths(replies):
+    for reply in replies:
+        pieces = [p for ps in reply.groups.ids.values() for p in ps]
+        assert pieces and {p.codes.dtype for p in pieces} == {code_dtype(len(reply.groups))}
+
+
+@pytest.mark.parametrize("placement", ["single-store", "sharded-local"])
+@pytest.mark.parametrize("where", list(WIDE_FILTERS))
+@pytest.mark.parametrize("groups", WIDTHS)
+def test_grouped_rows_at_every_code_width(wide_sessions, placement, where, groups, monkeypatch):
+    sql = (f"SELECT g{groups}, sum(amount), count(*) FROM wide {WIDE_FILTERS[where]} "
+           f"GROUP BY g{groups}")
+    want = sorted(execute_plain({"wide": WIDE}, parse_query(sql)), key=str)
+    replies = _replies(monkeypatch)
+    for hint in (None, groups):  # inflation off, then on below WIDE_CORES groups
+        got = wide_sessions[placement].query(sql, expected_groups=hint)
+        assert sorted(got.rows, key=str) == want
+    _check_widths(replies)
+    if where == "all":  # every group selected, none inflated: the width of the count
+        assert replies[0].groups.ids[srv.ROW_IDS][0].codes.dtype == (
+            np.uint8 if groups < 256 else np.uint16 if groups < 65_536 else np.uint32)
+
+
+@pytest.mark.parametrize("groups", WIDTHS)
+def test_grouped_join_with_duplicate_build_keys_at_every_code_width(wide_sessions, groups,
+                                                                    monkeypatch):
+    sql = WIDE_JOIN.format(n=groups)
+    want = sorted(execute_plain({"wide": WIDE, "wb": WIDE_BUILD}, parse_query(sql)), key=str)
+    replies = _replies(monkeypatch)
+    for hint in (None, groups):
+        got = wide_sessions["single-store"].query(sql, expected_groups=hint)
+        assert sorted(got.rows, key=str) == want
+    _check_widths(replies)
+    assert {len(reply.groups.ids) for reply in replies} == {2}  # probe and build IDs

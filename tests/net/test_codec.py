@@ -15,12 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import server as srv
-from repro.core.grouped import GroupedRows, IdSegments
+from repro.core.grouped import GroupedRows, IdPiece, code_dtype
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.engine.table import Partition, Table
 from repro.engine.transport import CALL, REPLY
 from repro.errors import CodecError
+from repro.idlist.codec import ROW_SET_FLAGS, encode_mask
 from repro.net import codec, rpc
 from repro.shard.worker import _ShardWorker
 
@@ -192,8 +193,8 @@ def test_server_response_roundtrip():
         groups=GroupedRows(
             np.array([7, 2**64 - 1], dtype=np.uint64), np.array([0, 3]),
             {"s": np.array([10**45, 3], dtype=object), "n": np.array([4, -1])},
-            {srv.ROW_IDS: IdSegments(np.array([2, 5, 2, 1, 3], dtype=np.uint8),
-                                     np.array([2, 5]), np.array([0, 1, 2]))},
+            {srv.ROW_IDS: [IdPiece(b"\x08\x02\x05", np.array([1, 0, 1], dtype=np.uint8)),
+                           IdPiece(b"\x07\x01", np.array([0], dtype=np.uint8))]},
         ),
         metrics=metrics,
         payload_bytes=4096,
@@ -224,14 +225,62 @@ def test_version_skew_rejected():
 
 
 def test_previous_wire_version_rejected():
-    """v3 replies carried a grouped result as one tuple per group and one
-    chunk per (group, partition); a v3 peer must fail the handshake
-    typed, not be mis-parsed."""
-    assert codec.WIRE_VERSION == 4
+    """v4 replies carried a grouped result's IDs as one stream of (group,
+    partition) segments; a v4 peer must fail the handshake typed, not be
+    mis-parsed."""
+    assert codec.WIRE_VERSION == 5
     frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
-    frame[8:10] = struct.pack("<H", 3)
-    with pytest.raises(CodecError, match="peer speaks v3, this end v4"):
+    frame[8:10] = struct.pack("<H", 4)
+    with pytest.raises(CodecError, match="peer speaks v4, this end v5"):
         codec.decode_frame(bytes(frame))
+
+
+def _pieces_reply(codes, chunk=None, entries=3):
+    """A grouped reply of ``entries`` row sets over IDs 0-3 in one piece."""
+    return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        np.arange(entries, dtype=np.uint64), np.zeros(entries, dtype=np.int64),
+        {"a": np.ones(entries, dtype=np.uint64)},
+        {srv.ROW_IDS: [IdPiece(chunk or encode_mask(np.ones(4, bool), 0), codes)]},
+    ))
+
+
+@pytest.mark.parametrize("codes, chunk, match", [
+    (np.array([0, 1, 3, 2], np.uint8), None, "a code names no row set"),
+    (np.array([0, 1, 255, 2], np.uint8), None, "a code names no row set"),
+    (np.array([0, 1, 2, 2], np.int64), None, "row-set count's width"),
+    (np.array([0, 1, 2, 2], np.uint16), None, "row-set count's width"),
+    (np.array([0.0, 1.0, 2.0, 2.0]), None, "row-set count's width"),
+    (np.array([[0, 1], [2, 2]], np.uint8), None, "row-set count's width"),
+    (np.array([], np.uint8), None, "row-set count's width"),
+    (np.array([0, 1, 2, 2], np.uint8), b"\x02\x00\x01\x01\x01", "unknown flag"),
+    (np.array([0, 1, 2, 2], np.uint8), b"\x80\x00", "unknown flag"),
+], ids=["code-past-the-end", "code-255", "int64-codes", "wider-codes", "float-codes",
+        "2-d-codes", "no-codes", "vb-diff-flag", "grouped-span-flag"])
+def test_a_malformed_id_piece_is_a_codec_error(codes, chunk, match):
+    """What the codec can see without decoding a chunk: every code names a
+    row set, in the row-set count's width, and every chunk flag is one a
+    row set ships.  (A code column whose length differs from its chunk's
+    ID count needs the decode: the decryptor raises DecryptionError.)"""
+    frame = codec.encode_frame("rep", _pieces_reply(codes, chunk))
+    with pytest.raises(CodecError, match=match):
+        codec.decode_frame(frame)
+
+
+def test_a_code_column_is_not_checked_against_its_chunk_on_the_wire():
+    short = _pieces_reply(np.array([0, 1, 2], np.uint8))
+    assert same(roundtrip(short, kind="rep"), short)
+
+
+@pytest.mark.parametrize("entries, dtype", [
+    (1, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+    (65_536, np.uint32), (65_537, np.uint32),
+])
+def test_the_code_width_is_the_narrowest_that_holds_the_row_set_count(entries, dtype):
+    assert code_dtype(entries) == dtype
+    codes = np.array([0, entries - 1, 0, entries - 1], dtype=dtype)
+    reply = _pieces_reply(codes, entries=entries)
+    got = roundtrip(reply, kind="rep")
+    assert got.groups.ids[srv.ROW_IDS][0].codes.dtype == dtype and same(got, reply)
 
 
 def test_reply_frame_carries_an_id_chunk_once_per_row_set():
@@ -356,20 +405,22 @@ responses = st.one_of(
               id_sets=id_sets,
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("grouped"),
-              groups=st.lists(st.binary(min_size=1, max_size=12), max_size=4).flatmap(
-                  lambda chunks: st.builds(
-                      lambda keys, values: GroupedRows(
+              groups=st.integers(0, 4).flatmap(
+                  lambda n: st.builds(
+                      lambda keys, values, pieces: GroupedRows(
                           np.sort(np.array(keys, dtype=np.uint64)),
-                          np.zeros(len(chunks), dtype=np.int64), values,
-                          {srv.ROW_IDS: IdSegments(
-                              np.frombuffer(b"".join(chunks), dtype=np.uint8).copy(),
-                              np.cumsum([len(c) for c in chunks], dtype=np.int64),
-                              np.arange(len(chunks) + 1))},
+                          np.zeros(n, dtype=np.int64), values, {srv.ROW_IDS: pieces},
                       ),
-                      st.lists(u64, min_size=len(chunks), max_size=len(chunks)),
+                      st.lists(u64, min_size=n, max_size=n),
                       st.dictionaries(aliases, st.lists(
-                          u64, min_size=len(chunks), max_size=len(chunks),
+                          u64, min_size=n, max_size=n,
                       ).map(lambda xs: np.array(xs, dtype=np.uint64)), max_size=3),
+                      st.lists(st.builds(
+                          lambda flag, payload, codes: IdPiece(
+                              bytes([flag]) + payload, np.array(codes, dtype=code_dtype(n))),
+                          st.sampled_from(sorted(ROW_SET_FLAGS)), st.binary(max_size=12),
+                          st.lists(st.integers(0, max(n - 1, 0)), min_size=1, max_size=6),
+                      ), max_size=3 * (n > 0)),
                   )),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("scan"),
@@ -492,14 +543,15 @@ GROUPED_Q = srv.ServerQuery(table="t", aggs=tuple(srv.AsheSum(c, c) for c in "ab
 
 def _check_grouped_frame(frame: bytes, reply) -> None:
     buffers, envelope = frame_shape(frame)
-    assert buffers <= 16 and envelope < 4096, (buffers, envelope)
-    ids = reply.groups.ids[srv.ROW_IDS]
-    assert (len(reply.groups), ids.seg_ends.size) == (512, 512 * 32)
+    assert buffers <= 8 + 2 * 32 and envelope < 8192, (buffers, envelope)
+    pieces = reply.groups.ids[srv.ROW_IDS]
+    assert (len(reply.groups), len(pieces)) == (512, 32)
+    assert all(p.codes.dtype == np.uint16 and p.codes.size == 2048 for p in pieces)
 
 
 def test_a_grouped_reply_frame_is_a_few_buffers():
-    """512 groups x 32 partitions: one buffer per column and per ID
-    array, not one per (group, partition) chunk."""
+    """512 groups x 32 partitions: one buffer per column, and a chunk and
+    a code column per partition, not one buffer per (group, partition)."""
     server = srv.SeabedServer(SimulatedCluster(ClusterConfig()))
     server.register(_grouped_table())
     reply = server.execute(GROUPED_Q)
