@@ -12,9 +12,9 @@ plaintext executor would return:
   over those rows then costs one PRF pad over the runs (two evaluations
   per run; per occurrence for join multisets), added to the ciphertext
   sum and interpreted as signed.  A grouped reply carries, per ID source,
-  each partition's flat chunk and a code per ID naming its group: every
-  chunk is decoded once, and each ASHE column costs one pad array over
-  all of them, summed per group;
+  each partition's flat chunk and a code per ID naming its group: chunks
+  are decoded once, in blocks of pieces, and each ASHE column pads a block
+  from one PRF stream over its hull, summed per group;
 - counts: read off the row set's ID count, or decrypt indicator sums;
 - averages / variances: the client-side division and combination
   (Monomi-style query splitting, Section 4.2);
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,23 +64,65 @@ class _IdSet(NamedTuple):
         return scheme.pad_for(self.runs) + scheme.pad_for_multiset(self.multiset)
 
 
-def _decode_chunk(chunk: bytes) -> np.ndarray:
-    """A chunk's IDs in the order it encodes them (a multiset's sorted)."""
-    if idcodec.is_multiset_payload(chunk):
-        return idcodec.decode_multiset(chunk)
-    return idcodec.decode(chunk).to_ids()
+#: IDs a grouped reply's open holds at a time, unless one piece alone is
+#: larger: 128 KB of uint64, L2-sized.
+BLOCK_IDS = 16_384
 
 
-def _decode_pieces(pieces: list[IdPiece]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One source's pieces decoded: every ID, its row set, and how many
-    IDs each piece holds."""
-    ids = [_decode_chunk(piece.chunk) for piece in pieces]
-    sizes = np.array([i.size for i in ids], dtype=np.int64)
-    if any(size != piece.codes.size for size, piece in zip(sizes.tolist(), pieces)):
-        raise DecryptionError("a code column does not match its chunk's IDs")
-    if not pieces:
-        return np.empty(0, np.uint64), np.empty(0, np.intp), sizes
-    return np.concatenate(ids), np.concatenate([p.codes for p in pieces]), sizes
+def _blocks(pieces: list[IdPiece]) -> Iterator[tuple[list, list, int, int, bool]]:
+    """One source's pieces decoded in blocks ``(parts, codes, lo, hi, seamless)``,
+    a piece's runs or multiset IDs counted against its codes before any ID
+    exists.  A block closes before a piece that would take it past
+    :data:`BLOCK_IDS` IDs or its hull past two PRF evaluations per ID."""
+    parts: list = []  # seamless: the parts, in order, are the IDs lo..hi
+    for piece in pieces:
+        if idcodec.is_multiset_payload(piece.chunk):
+            part = idcodec.decode_multiset(piece.chunk)
+            size, run = part.size, False
+        else:
+            part = idcodec.decode(piece.chunk)
+            run = part.num_runs == 1
+            size = int(part.ends[0] - part.starts[0]) + 1 if run else part.count()
+        if size != piece.codes.size:
+            raise DecryptionError("a code column does not match its chunk's IDs")
+        a, b = ((int(part.starts[0]), int(part.ends[-1])) if isinstance(part, IdList)
+                else (int(part.min()), int(part.max())))
+        if parts and n + size <= BLOCK_IDS and max(b, hi) - min(a, lo) + 2 <= 2 * (n + size):
+            parts.append(part)
+            codes.append(piece.codes)
+            lo, hi, n, seamless = min(a, lo), max(b, hi), n + size, seamless and run and a == hi + 1
+            continue
+        if parts:
+            yield parts, codes, lo, hi, seamless
+        parts, codes, lo, hi, n, seamless = [part], [piece.codes], a, b, size, run
+    if parts:
+        yield parts, codes, lo, hi, seamless
+
+
+def _open_pieces(pieces: list[IdPiece], schemes: dict[str, AsheScheme],
+                 entries: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One ID source's row-set counts and its row-set pad sums per ASHE
+    column (by alias), a block at a time: one stream over a block's hull,
+    continued from the block below where they touch (a contiguous selection
+    costs rows + 1 evaluations), or a lone sparse piece's scattered pads."""
+    counts = np.zeros(entries, dtype=np.int64)
+    sums = {alias: np.zeros(entries, dtype=np.uint64) for alias in schemes}  # adds wrap
+    priors: dict[str, int | None] = {}
+    last = None  # the previous block's highest ID, if its streams reach it
+    for parts, codes, lo, hi, seamless in _blocks(pieces):
+        codes = np.concatenate(codes)
+        counts += np.bincount(codes, minlength=entries)
+        ids = None if seamless else np.concatenate(
+            [part.to_ids() if isinstance(part, IdList) else part for part in parts])
+        dense = hi - lo + 2 <= 2 * codes.size
+        priors = priors if dense and lo - 1 == last else dict.fromkeys(schemes)
+        last = hi if dense else None
+        at = slice(None) if seamless else (ids - np.uint64(lo)).view(np.int64)
+        for alias, scheme in schemes.items():
+            if dense:
+                pads, priors[alias] = scheme.pad_stream(lo, hi - lo + 1, priors[alias])
+            np.add.at(sums[alias], codes, pads[at] if dense else scheme.pad_array(ids))
+    return counts, sums
 
 
 def _decode_id_set(chunks: list[bytes]) -> _IdSet:
@@ -249,11 +291,11 @@ class DecryptionModule:
 
         Merges the inflated (key, suffix) row sets per key at the sorted
         key column's boundaries -- the client-side half of the group-by
-        optimisation -- then decodes each ID source's chunks once and
-        pads each ASHE column with one pad array over all of them, summed
-        per key by its codes: a few numpy passes whatever the number of
-        groups (the client-side analogue of the paper's worker-side
-        batching).
+        optimisation -- then opens each ID source's pieces in blocks of at
+        most :data:`BLOCK_IDS` IDs (:func:`_open_pieces`), summed per key by
+        their codes: a few numpy passes per block whatever the number of
+        groups, and no array as large as the reply (the paper's batched
+        PRF, partition by partition, Sections 4.3 and 4.6).
         """
         rows = response.groups
         if rows is None or set(rows.values) != set(aggs):
@@ -264,22 +306,21 @@ class DecryptionModule:
             raise DecryptionError(f"malformed grouped reply: {exc}") from exc
         rows = rows.merge(srv.group_reducers(aggs.values()), by_suffix=False)
         opened = {key: _RowSet({}, {}) for key in rows.keys.tolist()}
-        decoded: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        pads: dict[str, np.ndarray] = {}
         for source, pieces in rows.ids.items():
-            ids, codes, sizes = _decode_pieces(pieces)
-            counts = np.bincount(codes, minlength=len(rows))
-            decoded[source] = ids, codes, sizes, counts
+            counts, sums = _open_pieces(pieces, {
+                alias: self._factory.ashe(agg.column) for alias, agg in aggs.items()
+                if isinstance(agg, srv.AsheSum) and agg.id_source == source}, len(rows))
+            if counts.all():  # no row set of an ASHE sum may be empty
+                pads.update(sums)
             for row_set, count in zip(opened.values(), counts.tolist()):
                 row_set.counts[source] = count
         for alias, agg in aggs.items():
             column = rows.values[alias]
             if isinstance(agg, srv.AsheSum):
-                ids, codes, sizes, counts = decoded.get(agg.id_source, (None,) * 4)
-                if ids is None or column.dtype != np.uint64 or not counts.all():
+                if alias not in pads or column.dtype != np.uint64:
                     raise DecryptionError("an ASHE sum arrived without its ID set")
-                pads = np.zeros(len(rows), dtype=np.uint64)  # uint64 adds wrap
-                np.add.at(pads, codes, self._factory.ashe(agg.column).pad_array(ids, sizes))
-                values = (column + pads).view(np.int64).tolist()  # wrapping, read signed
+                values = (column + pads[alias]).view(np.int64).tolist()  # wrapping, read signed
             elif isinstance(agg, srv.PaillierSum):
                 values = [self._decrypt_payload(("paillier", v), agg, {})
                           for v in column.tolist()]

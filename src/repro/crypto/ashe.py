@@ -30,16 +30,6 @@ from repro.idlist import IdList
 _U64 = np.uint64
 _ONE = _U64(1)
 
-#: What one :meth:`AsheScheme.pad_range` call costs beyond its evaluations,
-#: counted in scattered PRF evaluations: 10 us per call against 27 ns per
-#: evaluation with the AES-NI PRF (~360), 15 us against 16 ns with
-#: splitmix64 (~920), measured on a 2-vCPU x86-64 Xeon.
-_STREAM_CALL_EVALS = 512
-
-#: Number of AES-equivalent PRF evaluations per decryption is tracked so the
-#: benchmarks can report the paper's "average AES operations" statistic.
-
-
 def to_signed(value: int) -> int:
     """Interpret a ``Z_{2^64}`` group element as a two's-complement int64+."""
     value &= MASK64
@@ -210,51 +200,46 @@ class AsheScheme:
         """
         return self._pad_sum(ids)
 
-    def pad_array(self, ids: np.ndarray, pieces: np.ndarray | None = None) -> np.ndarray:
-        """Per-ID pads ``F(i) - F(i-1)`` as a uint64 array (wrapping).
+    def pad_array(self, ids: np.ndarray) -> np.ndarray:
+        """Per-ID pads ``F(i) - F(i-1)`` as a uint64 array (wrapping): the
+        grouped decryptor's path for a lone piece too sparse for one
+        :meth:`pad_stream` over its hull (see :meth:`_pads_for`)."""
+        return self._pads_for(np.asarray(ids, dtype=_U64))
 
-        The batched group-decryption path sums this array per group with
-        ``np.add.reduceat`` instead of paying per-group call overhead;
-        ``pieces`` cuts ``ids`` into consecutive runs of compact range (its
-        ID segments, see :meth:`_pads_for`).
-        """
-        return self._pads_for(np.asarray(ids, dtype=_U64), pieces)
+    def pad_stream(self, start_id: int, count: int,
+                   prior: int | None = None) -> tuple[np.ndarray, int]:
+        """:meth:`pad_range`'s pads and ``F(start_id + count - 1)``.  Passing
+        ``prior = F(start_id - 1)`` -- what the stream just below returned --
+        saves that evaluation: adjacent streams cost rows + 1, as one does."""
+        fresh = prior is None
+        stream = self._prf.eval_range(start_id - fresh, count + fresh)
+        self._bump(count + fresh)
+        pads = np.diff(stream) if fresh else np.diff(stream, prepend=_U64(prior))
+        return pads, int(stream[-1])
 
     def pad_for_multiset(self, ids: np.ndarray) -> int:
-        """Pad correction for a duplicate-bearing ID array (join results)."""
+        """Pad correction for a duplicate-bearing ID array (join results:
+        each occurrence of a replicated build-side row adds its own pad)."""
         arr = np.asarray(ids, dtype=_U64)
         if arr.size == 0:
             return 0
         return int(np.add.reduce(self._pads_for(arr))) & MASK64
 
-    def decrypt_sum_multiset(self, value: int, ids: np.ndarray) -> int:
-        """Decrypt an aggregate whose ID collection contains duplicates.
-
-        Joins replicate build-side rows, so their identifiers form a true
-        multiset (Section 3.1); each occurrence contributes its own pad,
-        which is why the paper's join-heavy queries see smaller speedups.
-        """
-        arr = np.asarray(ids, dtype=_U64)
-        if arr.size == 0:
-            return to_signed(value)
-        total = int(np.add.reduce(self._pads_for(arr))) & MASK64
-        return to_signed((value + total) & MASK64)
-
     # -- internals ---------------------------------------------------------
 
-    def _pads_for(self, arr: np.ndarray, pieces: np.ndarray | None = None) -> np.ndarray:
+    def _pads_for(self, arr: np.ndarray) -> np.ndarray:
         """Per-ID pads for an arbitrary uint64 ID array.
 
-        Three strategies, chosen by density.  Scan results and group decodes
-        are usually *dense* (most of a partition survives the filter), so
-        one contiguous :meth:`pad_range` stream over ``[min, max]`` costs
+        Two strategies, chosen by density.  Scan results are usually
+        *dense* (most of a partition survives the filter), so one
+        contiguous :meth:`pad_range` stream over ``[min, max]`` costs
         ``span + 1`` PRF evaluations with every adjacent pair sharing a
         boundary -- instead of two scattered evaluations per row.  The
         stream path is taken only when ``span + 1 <= 2 * n``, so it never
-        evaluates the PRF more often than the scattered path would.  A
-        sparse hull that ``pieces`` shows to be a few dense stretches -- a
-        sharded reply spans every shard's ID space -- gets one stream per
-        stretch (:meth:`_stretch_pads`).
+        evaluates the PRF more often than the scattered path would.  The
+        grouped decryptor opens a reply in blocks that are dense by the same
+        rule (:meth:`pad_stream`) and comes here only with a lone piece too
+        sparse for one stream, never with a hull across shards' ID spaces.
         """
         if arr.size == 0:
             return np.empty(0, _U64)
@@ -264,37 +249,9 @@ class AsheScheme:
         if span + 1 <= 2 * arr.size:
             stream = self.pad_range(lo, span)
             return stream[arr - _U64(lo)]
-        stretched = None if pieces is None else self._stretch_pads(arr, pieces)
-        if stretched is not None:
-            return stretched
         pads = self._prf.eval_many(arr) - self._prf.eval_many(arr - _ONE)
         self._bump(2 * arr.size)
         return pads
-
-    def _stretch_pads(self, arr: np.ndarray, pieces: np.ndarray) -> np.ndarray | None:
-        """Pads from one stream per stretch of overlapping or nearby pieces,
-        or ``None`` where the streams would cost more than the scattered
-        path's ``2 * n`` evaluations.  A stretch costs ``span + 2``
-        evaluations plus its :meth:`pad_range` call (:data:`_STREAM_CALL_EVALS`),
-        so a gap between pieces is bridged while it is cheaper than the
-        call a new stretch would make."""
-        counts = pieces[pieces > 0]
-        starts = np.append(0, np.cumsum(counts)[:-1])
-        lo, hi = np.minimum.reduceat(arr, starts), np.maximum.reduceat(arr, starts)
-        order = np.argsort(lo, kind="stable")
-        lo, reach = lo[order], np.maximum.accumulate(hi[order])
-        gap = lo[1:] - reach[:-1]  # wraps where pieces overlap; masked below
-        fresh = np.append(True, (lo[1:] > reach[:-1]) & (gap > _U64(_STREAM_CALL_EVALS)))
-        firsts = np.flatnonzero(fresh)
-        spans = (reach[np.append(firsts[1:], lo.size) - 1] - lo[firsts]).tolist()
-        if sum(spans) + (2 + _STREAM_CALL_EVALS) * len(spans) > 2 * arr.size:
-            return None
-        stream = np.concatenate([self.pad_range(int(a), s + 1)
-                                 for a, s in zip(lo[firsts].tolist(), spans)])
-        which = np.empty(lo.size, dtype=np.intp)
-        which[order] = np.cumsum(fresh) - 1
-        base = np.append(0, np.cumsum(spans[:-1]) + np.arange(1, len(spans))).astype(_U64)
-        return stream[arr + np.repeat((base - lo[firsts])[which], counts)]
 
     def _pad_sum(self, ids: IdList) -> int:
         """``sum_{i in S} (F(i) - F(i-1))`` = ``sum_runs F(end) - F(start-1)``."""

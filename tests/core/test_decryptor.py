@@ -7,6 +7,7 @@ validation, and group-key decoding.
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,8 @@ def _mutate(rows, kind, data):
         piece.chunk = bytes([flag]) + piece.chunk[1:]
     elif kind == "truncated-chunk":
         piece.chunk = piece.chunk[:data.draw(st.integers(0, len(piece.chunk) - 1))]
+    elif kind == "huge-run":  # 13 bytes claiming 2^40 IDs
+        piece.chunk = get_codec("seabed").encode(IdList.from_range(0, 1 << 40))
     elif kind == "empty-group":
         g = data.draw(st.integers(0, entries - 1))
         for p in pieces:
@@ -318,7 +321,7 @@ class TestMalformedGroupedReplies:
 
     KINDS = ["ragged-values", "ragged-suffixes", "ragged-keys", "unsorted-keys",
              "duplicate-keys", "code-past-the-end", "code-length", "code-dtype",
-             "unknown-flag", "truncated-chunk", "empty-group"]
+             "unknown-flag", "truncated-chunk", "huge-run", "empty-group"]
 
     def test_the_unbroken_reply_decrypts(self, env, grouped_case):
         state, factory, _ = env
@@ -343,6 +346,38 @@ class TestMalformedGroupedReplies:
             return
         with pytest.raises(DecryptionError):
             module.decrypt(tq, [arrived])
+
+
+class TestBlockedOpen:
+    """A grouped reply is opened in blocks of pieces: nothing in the open is
+    as large as the reply."""
+
+    GROUPS, PARTITIONS, ROWS = 512, 32, 9_600
+
+    def test_peak_memory_is_bounded_by_the_block(self, env):
+        """512 groups over 32 partitions of 9,600 rows: 307,200 IDs, whose
+        uint64 IDs alone would be 2.4 MB; decrypting traces under 2 MB."""
+        state, factory, translator = env
+        tq = translator.translate(parse_query("SELECT g, sum(x), count(*) FROM t GROUP BY g"))
+        rng = np.random.default_rng(31)
+        keys = np.sort(factory.det("g__det").encrypt_column(np.arange(self.GROUPS)))
+        codes = [rng.permutation(np.arange(self.ROWS) % self.GROUPS).astype(np.uint16)
+                 for _ in range(self.PARTITIONS)]
+        pieces = [(get_codec("seabed").encode(IdList.from_range(p * self.ROWS,
+                                                                 (p + 1) * self.ROWS)), c)
+                  for p, c in enumerate(codes)]
+        reply = grouped_reply(tq.requests[0].aggs[0].alias, keys,
+                              rng.integers(0, 1 << 63, self.GROUPS), pieces)
+        module = DecryptionModule(state, factory)
+        tracemalloc.start()
+        try:
+            rows = module.decrypt(tq, [reply])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == self.GROUPS
+        assert sum(row["count(*)"] for row in rows) == self.PARTITIONS * self.ROWS
+        assert peak < 2 << 20, f"decrypt peaked at {peak / 2**20:.2f} MB"
 
 
 class TestResponseValidation:

@@ -6,6 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import server as srv
+from repro.core.crypto_factory import CryptoFactory
+from repro.core.decryptor import DecryptionModule
+from repro.core.encryptor import ClientTableState
+from repro.core.grouped import GroupedRows, IdPiece, code_dtype
+from repro.core.planner import Planner
+from repro.core.schema import ColumnSpec, TableSchema
+from repro.core.translator import QueryTranslator
 from repro.crypto.ashe import (
     AsheCiphertext,
     AsheScheme,
@@ -13,8 +21,13 @@ from repro.crypto.ashe import (
     from_signed,
     to_signed,
 )
+from repro.crypto.keys import KeyChain
 from repro.crypto.prf import Blake2Prf, SplitMix64Prf
 from repro.errors import CryptoError, DecryptionError
+from repro.idlist import IdList, get_codec
+from repro.idlist.codec import encode_multiset
+from repro.query.executor import execute_plain
+from repro.query.parser import parse_query
 
 KEY = b"0123456789abcdef0123456789abcdef"
 
@@ -136,46 +149,122 @@ class TestAggregation:
         assert scheme.prf_evals - before == 2
 
 
+def _run(lo, hi):
+    return np.arange(lo, hi, dtype=np.uint64)
+
+
+STRIDE = 1 << 44  # the shard ID stride
+CHUNK = {"run": get_codec("seabed").encode, "runs": get_codec("seabed").encode,
+         "bitmap": get_codec("bitmap").encode}
+
+
 class TestPadArray:
-    """Per-ID pads: one stream over a dense hull, one per dense stretch of
-    pieces when the hull spans several ID spaces (a sharded reply), two
-    evaluations per ID otherwise -- the same pads every way."""
+    """Per-ID pads as the grouped decryptor takes them: its blocked open
+    (:mod:`repro.core.decryptor`) over pieces of every chunk kind and
+    layout decrypts to the plaintext executor's rows, within two PRF
+    evaluations per ID, and a contiguous selection costs rows + 1."""
 
-    STRIDE = 1 << 44  # the shard ID stride
+    SQL = "SELECT g, sum(x), count(*) FROM t GROUP BY g"
 
-    def ids_and_pieces(self, rng, spaces):
-        pieces = [np.sort(rng.choice(2000, 1500, replace=False)).astype(np.uint64)
-                  + np.uint64(space * self.STRIDE) for space in spaces for _ in range(3)]
-        return np.concatenate(pieces), np.array([len(p) for p in pieces])
+    @pytest.fixture(scope="class", params=["splitmix64", "blake2"])
+    def env(self, request):
+        schema = TableSchema("t", [ColumnSpec("x", dtype="int", sensitive=True),
+                                   ColumnSpec("g", dtype="int", sensitive=True)])
+        enc, _ = Planner("seabed").plan(schema, [parse_query(self.SQL)])
+        state = ClientTableState(schema=schema, enc_schema=enc)
+        factory = CryptoFactory(KeyChain(KEY), "t", prf_backend=request.param)
+        return state, factory, QueryTranslator(state, factory).translate(parse_query(self.SQL))
 
-    def reference(self, scheme, ids):
-        return scheme._prf.eval_many(ids) - scheme._prf.eval_many(ids - np.uint64(1))
-
-    @pytest.mark.parametrize("spaces", [[0], [0, 1], [2, 0, 1]])
-    def test_stretches_pad_like_the_reference(self, scheme, spaces):
-        ids, pieces = self.ids_and_pieces(np.random.default_rng(len(spaces)), spaces)
+    def open(self, env, pieces, seed=0):
+        """Encrypt one row per ID occurrence in ``pieces`` ((chunk kind,
+        IDs) pairs), decrypt the grouped reply they make; returns the rows,
+        ``execute_plain``'s rows, the ASHE PRF evaluations and the IDs."""
+        state, factory, tq = env
+        scheme = factory.ashe("x__ashe")
+        rng = np.random.default_rng(seed)
+        ids = np.concatenate([np.sort(piece) for _, piece in pieces])
+        distinct, at = np.unique(ids, return_inverse=True)  # a row per distinct ID
+        x = rng.integers(-1000, 1000, distinct.size)[at]
+        g = rng.integers(0, 5, distinct.size)[at]
+        prf = scheme.wrapped._prf
+        cipher = x.view(np.uint64) - (prf.eval_many(ids) - prf.eval_many(ids - np.uint64(1)))
+        present = np.unique(g)
+        tokens = factory.det("g__det").encrypt_column(present)
+        rank = np.empty(present.size, dtype=np.int64)
+        rank[np.argsort(tokens)] = np.arange(present.size)
+        codes = rank[np.searchsorted(present, g)].astype(code_dtype(present.size))
+        sums = np.zeros(present.size, dtype=np.uint64)
+        np.add.at(sums, codes, cipher)
+        bounds = np.cumsum([0] + [piece.size for _, piece in pieces])
+        chunks = [IdPiece(encode_multiset(np.sort(piece)) if kind == "multiset"
+                          else CHUNK[kind](IdList.from_ids(np.sort(piece))), codes[lo:hi])
+                  for (kind, piece), lo, hi in zip(pieces, bounds[:-1], bounds[1:])]
+        reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+            np.sort(tokens), np.zeros(present.size, dtype=np.int64),
+            {tq.requests[0].aggs[0].alias: sums}, {srv.ROW_IDS: chunks}))
         before = scheme.prf_evals
-        assert scheme.pad_array(ids, pieces).tolist() == self.reference(scheme, ids).tolist()
-        hull = scheme.prf_evals - before
-        assert hull <= 2 * ids.size
-        if len(spaces) > 1:
-            before = scheme.prf_evals
-            assert scheme.pad_array(ids).tolist() == self.reference(scheme, ids).tolist()
-            assert scheme.prf_evals - before == 2 * ids.size > hull
+        rows = DecryptionModule(state, factory).decrypt(tq, [reply])
+        evals = scheme.prf_evals - before
+        expected = execute_plain({"t": {"x": x, "g": g}}, tq.query)
+        by_g = sorted(rows, key=lambda r: r["g"]), sorted(expected, key=lambda r: r["g"])
+        return *by_g, evals, ids.size
 
-    def test_scattered_pieces_fall_back(self, scheme):
-        ids = np.array([5, 10**6, 3 * 10**9], dtype=np.uint64)
-        pads = scheme.pad_array(ids, np.array([1, 0, 1, 1]))
-        assert pads.tolist() == self.reference(scheme, ids).tolist()
+    CONTIGUOUS = {
+        "one-run": [("run", _run(0, 100)), ("run", _run(100, 250)), ("run", _run(250, 400))],
+        "boundary-inside-a-run": [("run", _run(5, 9005)), ("run", _run(9005, 18005)),
+                                  ("run", _run(18005, 27005))],
+        "piece-larger-than-a-block": [("run", _run(0, 700)), ("run", _run(700, 40700)),
+                                      ("run", _run(40700, 40701))],
+        "one-id-pieces": [("run", _run(i, i + 1)) for i in range(3, 40)],
+    }
 
-    def test_many_small_stretches_fall_back(self, scheme):
-        # 400 isolated IDs: 400 one-ID streams would make as many
-        # evaluations as the scattered path, but 400 pad_range calls.
-        ids = np.arange(400, dtype=np.uint64) * np.uint64(1000)
+    @pytest.mark.parametrize("case", sorted(CONTIGUOUS))
+    def test_contiguous_selection_costs_rows_plus_one(self, env, case):
+        rows, expected, evals, n = self.open(env, self.CONTIGUOUS[case])
+        assert rows == expected
+        assert evals == n + 1
+
+    SCATTERED = {
+        "run-coded": [("runs", _run(0, 3000)[np.arange(3000) % 7 != 3]),
+                      ("runs", _run(3000, 5000)[np.arange(2000) % 5 < 3])],
+        "plain-bitmap": [("bitmap", _run(0, 4000)[::3]), ("bitmap", _run(4000, 8000)[1::2])],
+        "sparse-bitmap": [("bitmap", _run(0, 50_000)[::10])],
+        "join-multiset": [("multiset", np.repeat(_run(0, 300), 3)),
+                          ("multiset", np.repeat(_run(300, 600)[::2], 2))],
+        "out-of-order": [("run", _run(500, 800)), ("runs", _run(0, 300)[::2]),
+                         ("run", _run(300, 500)), ("bitmap", _run(800, 1200)[::2])],
+        "one-id-pieces": [("run", _run(i, i + 1)) for i in (7, 900, 3, 5, 10**6, 4, 2**40)],
+        "two-shards": [("run", _run(s * STRIDE, s * STRIDE + 3000)) for s in (0, 1)]
+        + [("runs", _run(s * STRIDE + 3000, s * STRIDE + 9000)[::4]) for s in (0, 1)],
+        "three-shards": [("run", _run(s * STRIDE + 1, s * STRIDE + 20_000)) for s in (2, 0, 1)]
+        + [("multiset", np.repeat(_run(s * STRIDE + 50, s * STRIDE + 90), 2)) for s in (1, 2)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(SCATTERED))
+    def test_pieces_decrypt_within_two_evaluations_per_id(self, env, case):
+        rows, expected, evals, n = self.open(env, self.SCATTERED[case], seed=len(case))
+        assert rows == expected
+        assert evals <= 2 * n
+
+    def test_shard_spaces_cost_one_stream_each(self, env):
+        # Blocks never span two ID spaces: each shard's run is one stream.
+        pieces = [("run", _run(s * STRIDE, s * STRIDE + 5000)) for s in (2, 0, 1)]
+        rows, expected, evals, n = self.open(env, pieces)
+        assert rows == expected
+        assert evals == n + 3
+
+    def test_pad_array_matches_the_reference(self, scheme):
+        for ids in (_run(10, 60), _run(0, 10**6)[::10**4], np.array([5, 10**9, 3], np.uint64)):
+            reference = scheme._prf.eval_many(ids) - scheme._prf.eval_many(ids - np.uint64(1))
+            assert scheme.pad_array(ids).tolist() == reference.tolist()
+
+    def test_a_stream_continued_from_its_prior_is_one_stream(self, scheme):
         before = scheme.prf_evals
-        pads = scheme.pad_array(ids, np.ones(400, dtype=np.int64))
-        assert pads.tolist() == self.reference(scheme, ids).tolist()
-        assert scheme.prf_evals - before == 2 * ids.size
+        head, last = scheme.pad_stream(100, 40)
+        tail, end = scheme.pad_stream(140, 60, last)
+        assert scheme.prf_evals - before == 101
+        assert np.concatenate([head, tail]).tolist() == scheme.pad_range(100, 100).tolist()
+        assert end == scheme._prf.eval_one(199)
 
 
 class TestSecuritySanity:
