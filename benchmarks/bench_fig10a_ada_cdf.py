@@ -35,7 +35,7 @@ def test_fig10a_response_time_cdf(benchmark, clients):
     def run_all():
         for q in queries:
             for mode, client in clients.items():
-                result = client.query(q.sql, expected_groups=q.num_groups)
+                result = client.query(q.sql)
                 times[mode].append(
                     client.cluster.model(result.request_metrics).total_s)
 

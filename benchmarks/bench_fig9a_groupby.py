@@ -1,9 +1,17 @@
 """Figure 9a: group-by latency vs number of groups.
 
-Paper: with very few groups Seabed suffers a reducer bottleneck that the
-group-inflation optimisation fixes ("Seabed - optimized"); Seabed beats
-Paillier by 5-10x, the gap narrowing as groups grow and shuffle dominates;
-NoEnc stays cheapest throughout.
+Paper: with very few groups Seabed suffers a reducer bottleneck that
+group-key inflation fixes ("Seabed - optimized"); Seabed beats Paillier by
+5-10x, the gap narrowing as groups grow and shuffle dominates; NoEnc stays
+cheapest throughout.
+
+The "Seabed - optimized" series is not reproduced.  The bottleneck was
+dense per-group ID lists crossing the shuffle into few reducers; here a
+grouped map task sends its IDs to the driver as one chunk per partition,
+and only a key and one value per aggregate cross the shuffle.  Measured
+on this model before inflation was removed (100 cores, 64 partitions,
+10 groups), inflation lost: 67.0 vs 68.2 ms modelled at 200k rows, 88.0
+vs 92.4 ms at 1M and 163.7 vs 176.6 ms at 4M.
 """
 
 
@@ -43,24 +51,20 @@ def test_fig9a_groupby(benchmark, scale):
     ))
     group_counts = scale["fig9a_groups"]
     sql = "SELECT grp, sum(value) FROM synth GROUP BY grp"
-    series = {"NoEnc": [], "Paillier": [], "Seabed": [], "Seabed-optimized": []}
+    series = {"NoEnc": [], "Paillier": [], "Seabed": []}
 
     def sweep():
         for groups in group_counts:
             plain = _client("plain", rows, groups, cluster, scale)
             seabed = _client("seabed", rows, groups, cluster, scale)
             paillier = _client("paillier", rows, groups, cluster, scale)
-            def total_s(client, **hints):
-                result = client.query(sql, **hints)
+            def total_s(client):
+                result = client.query(sql)
                 return cluster.model(result.request_metrics).total_s
 
             series["NoEnc"].append(total_s(plain))
             series["Paillier"].append(total_s(paillier))
-            # Unoptimised Seabed: no expected-groups hint -> no inflation.
             series["Seabed"].append(total_s(seabed))
-            series["Seabed-optimized"].append(
-                total_s(seabed, expected_groups=groups)
-            )
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
@@ -73,20 +77,18 @@ def test_fig9a_groupby(benchmark, scale):
             ["Groups"] + list(series), table_rows,
             title=f"Figure 9a: group-by latency vs group count ({rows:,} rows)",
         ))
-        small = 0  # the few-groups regime the optimisation targets
         sink.emit(format_table(
             ["Shape check", "Paper", "Measured"],
             [
-                ("optimized <= unoptimized at few groups", "yes", str(
-                    series["Seabed-optimized"][small]
-                    <= series["Seabed"][small] * 1.05
-                )),
-                ("Paillier / Seabed-opt across sweep", "5-10x", " / ".join(
-                    f"{series['Paillier'][i] / series['Seabed-optimized'][i]:.1f}x"
+                ("optimized <= unoptimized at few groups", "yes",
+                 "not reproduced: no ID list crosses the shuffle "
+                 "(inflation measured 88.0 vs 92.4 ms, 1M rows, 10 groups)"),
+                ("Paillier / Seabed across sweep", "5-10x", " / ".join(
+                    f"{series['Paillier'][i] / series['Seabed'][i]:.1f}x"
                     for i in range(len(group_counts))
                 )),
                 ("NoEnc cheapest everywhere", "yes", str(all(
-                    series["NoEnc"][i] <= series["Seabed-optimized"][i] * 1.05
+                    series["NoEnc"][i] <= series["Seabed"][i] * 1.05
                     for i in range(len(group_counts))
                 ))),
             ],
@@ -94,4 +96,4 @@ def test_fig9a_groupby(benchmark, scale):
         ))
 
     for i in range(len(group_counts)):
-        assert series["Paillier"][i] > series["Seabed-optimized"][i]
+        assert series["Paillier"][i] > series["Seabed"][i]

@@ -79,21 +79,15 @@ def test_prepared_reuse_vs_cold_translation(scale):
     #    call paid before the session API; prepare() bypasses the cache) ------
     t0 = time.perf_counter()
     for entry in log:
-        session.prepare(
-            entry.sql,
-            expected_groups=entry.num_groups if entry.num_groups > 1 else None,
-        )
+        session.prepare(entry.sql)
     cold_translate_s = time.perf_counter() - t0
 
     # -- prepared: translate each template once, re-bind per query ------------
     templates = {}
     t0 = time.perf_counter()
-    for (template, _), entry in zip(jobs, log):
+    for template, _ in jobs:
         if template not in templates:
-            templates[template] = session.prepare(
-                template,
-                expected_groups=24 if entry.num_groups > 1 else None,
-            )
+            templates[template] = session.prepare(template)
     prepare_once_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     for template, params in jobs:
@@ -116,14 +110,12 @@ def test_prepared_reuse_vs_cold_translation(scale):
     replay = log[:NUM_REPLAY]
     t0 = time.perf_counter()
     for entry in replay:
-        groups = entry.num_groups if entry.num_groups > 1 else None
-        session.prepare(entry.sql, expected_groups=groups).execute()
+        session.prepare(entry.sql).execute()
     cold_wall_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for entry in replay:
-        groups = entry.num_groups if entry.num_groups > 1 else None
-        session.query(entry.sql, expected_groups=groups)
+        session.query(entry.sql)
     cached_wall_s = time.perf_counter() - t0
     cache_stats = session.cache_stats()
 

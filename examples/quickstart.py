@@ -146,7 +146,7 @@ for sql in [
     "SELECT sum(amount), count(*) FROM sales WHERE country = 'in'",
     "SELECT country, avg(amount) FROM sales GROUP BY country",
 ]:
-    result = session.query(sql, expected_groups=len(COUNTRIES))
+    result = session.query(sql)
     print(f"\n{sql}")
     for row in result.rows[:5]:
         print(f"   {row}")
@@ -187,9 +187,9 @@ if args.persist or args.append or args.pruned:
 
     store_root = args.persist or tempfile.mkdtemp(prefix="seabed-quickstart-")
     sql = "SELECT country, sum(amount) FROM sales GROUP BY country"
-    expected = session.query(sql, expected_groups=len(COUNTRIES)).rows
+    expected = session.query(sql).rows
     fresh, handle = persist_round_trip(session, "sales", store_root, MASTER_KEY)
-    reopened = fresh.query(sql, expected_groups=len(COUNTRIES)).rows
+    reopened = fresh.query(sql).rows
     match = sorted(map(str, expected)) == sorted(map(str, reopened))
     print(f"\npersisted to {handle.store_path} and re-attached from a fresh "
           f"session (zero re-encryption): results identical = {match}")
@@ -293,9 +293,8 @@ if args.shards:
     print("   rows per shard:", dict(sorted(sharded.shard_rows().items())))
 
     sql = "SELECT country, sum(amount) FROM sales GROUP BY country"
-    expected = sorted(map(str, session.query(
-        sql, expected_groups=len(COUNTRIES)).rows))
-    gathered = shard_session.query(sql, expected_groups=len(COUNTRIES))
+    expected = sorted(map(str, session.query(sql).rows))
+    gathered = shard_session.query(sql)
     match = sorted(map(str, gathered.rows)) == expected
     print(f"   scatter-gathered group-by identical to single-store = {match}")
     assert match, "sharded group-by answered differently"
@@ -315,7 +314,7 @@ if args.shards:
             s for s, n in sharded.shard_rows().items() if n > 0)
         primary = sharded.store.replica_nodes(victim_shard)[0]
         sharded.arm_exit(primary, "execute", after=1)
-        recovered = shard_session.query(sql, expected_groups=len(COUNTRIES))
+        recovered = shard_session.query(sql)
         failovers = sum(m.failovers for m in recovered.request_metrics)
         match = sorted(map(str, recovered.rows)) == expected
         print(f"   killed node {primary} mid-query: {failovers} failover, "
@@ -339,8 +338,8 @@ if args.serve:
             handle.address, token, mode="seabed", master_key=MASTER_KEY)
         remote.open_table(path)
         sql = "SELECT country, sum(amount) FROM sales GROUP BY country"
-        over_wire = remote.query(sql, expected_groups=len(COUNTRIES))
-        local_rows = session.query(sql, expected_groups=len(COUNTRIES)).rows
+        over_wire = remote.query(sql)
+        local_rows = session.query(sql).rows
         match = over_wire.rows == local_rows
         print(f"   remote session over the socket answered identically = {match}")
         assert match, "the wire changed an answer"
@@ -359,7 +358,7 @@ if args.serve:
             print("\ntelemetry: one traced query, stitched across processes")
             obs_trace.get_tracer().clear()
             with obs_trace.span("quickstart:traced-query"):
-                remote.query(sql, expected_groups=len(COUNTRIES))
+                remote.query(sql)
                 ctx = obs_trace.current_context()
             spans = obs_trace.get_tracer().spans(trace_id=ctx["trace_id"])
             procs = {s.process for s in spans}

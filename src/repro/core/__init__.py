@@ -14,8 +14,8 @@ This package is the paper's Figure 5 in code:
 - :mod:`repro.core.translator` -- rewrites plaintext queries for the
   encrypted schema (Section 4.4, Table 2).
 - :mod:`repro.core.server` -- the untrusted server: filter evaluation over
-  tokens, ASHE aggregation with ID-list construction, group-by with
-  optional inflation (Section 4.5).
+  tokens, ASHE aggregation with ID-list construction, group-by with one
+  row set per group key (Section 4.5).
 - :mod:`repro.core.decryptor` -- client-side decryption and
   post-processing (Section 4.6).
 - :mod:`repro.core.session` -- the :class:`SeabedSession` facade tying it

@@ -18,8 +18,8 @@ plaintext executor would return:
 - counts: read off the row set's ID count, or decrypt indicator sums;
 - averages / variances: the client-side division and combination
   (Monomi-style query splitting, Section 4.2);
-- group keys: DET-decrypt and dictionary-decode, and merge the groups the
-  group-inflation optimisation split apart;
+- group keys: DET-decrypt and dictionary-decode (a reply holds one row
+  set per key);
 - SPLASHE group-by: assemble per-value rows from the splayed sums and the
   enhanced-mode catch-all grouped request, using indicator counts to
   suppress empty groups (dummy rows decrypt to zero and vanish here).
@@ -28,7 +28,8 @@ Nothing decoded or padded outlives the call.  No integrity checks are
 performed: the threat model is honest-but-curious (Section 4.6), so a
 malicious server could return bogus sums undetected; a reply that is
 *malformed* (an ASHE sum without its ID set, a truncated chunk, ragged
-or unsorted group columns, codes that do not match their chunk) is a typed
+or unsorted group columns, a repeated group key, codes that do not match
+their chunk) is a typed
 :class:`~repro.errors.DecryptionError`, never a number.
 """
 
@@ -289,13 +290,12 @@ class DecryptionModule:
     ) -> dict[int, _RowSet]:
         """Open every group of a grouped reply in one pass.
 
-        Merges the inflated (key, suffix) row sets per key at the sorted
-        key column's boundaries -- the client-side half of the group-by
-        optimisation -- then opens each ID source's pieces in blocks of at
-        most :data:`BLOCK_IDS` IDs (:func:`_open_pieces`), summed per key by
-        their codes: a few numpy passes per block whatever the number of
-        groups, and no array as large as the reply (the paper's batched
-        PRF, partition by partition, Sections 4.3 and 4.6).
+        A validated reply holds one row set per key.  Each ID source's
+        pieces open in blocks of at most :data:`BLOCK_IDS` IDs
+        (:func:`_open_pieces`), summed per key by their codes: a few numpy
+        passes per block whatever the number of groups, and no array as
+        large as the reply (the paper's batched PRF, partition by
+        partition, Sections 4.3 and 4.6).
         """
         rows = response.groups
         if rows is None or set(rows.values) != set(aggs):
@@ -304,7 +304,6 @@ class DecryptionModule:
             rows.validate(distinct=True)
         except EncodingError as exc:
             raise DecryptionError(f"malformed grouped reply: {exc}") from exc
-        rows = rows.merge(srv.group_reducers(aggs.values()), by_suffix=False)
         opened = {key: _RowSet({}, {}) for key in rows.keys.tolist()}
         pads: dict[str, np.ndarray] = {}
         for source, pieces in rows.ids.items():

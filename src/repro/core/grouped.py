@@ -1,24 +1,24 @@
 """Grouped row sets as columns (paper Section 4.5).
 
-A GROUP BY result is a collection of row sets, one per ``(group key,
-inflation suffix)``.  Every hop holds it as one :class:`GroupedRows` -- a
-map task's partial, each reducer's slice of the shuffle, a shard worker's
-reply, the coordinator's merge, the reply the decryptor opens -- so nothing
-builds a Python object per (group, partition): a key and a suffix column,
-one value column per aggregate alias (wrapped uint64 ASHE sums, plain
-values, Python ints for Paillier) and, per ID source, the selected IDs as
-:class:`IdPiece` s.  A piece is one partition's selection encoded exactly
-as a flat query ships it (a bitmap, run-coded or multiset chunk of
-:mod:`repro.idlist.codec`) plus a code column naming the row set of each
-of those IDs, in the order the chunk decodes to.
+A GROUP BY result is a collection of row sets, one per group key.  Every
+hop holds it as one :class:`GroupedRows` -- a map task's partial, each
+reducer's slice of the shuffle, a shard worker's reply, the coordinator's
+merge, the reply the decryptor opens -- so nothing builds a Python object
+per (group, partition): a key column, one value column per aggregate alias
+(wrapped uint64 ASHE sums, plain values, Python ints for Paillier) and,
+per ID source, the selected IDs as :class:`IdPiece` s.  A piece is one
+partition's selection encoded exactly as a flat query ships it (a bitmap,
+run-coded or multiset chunk of :mod:`repro.idlist.codec`) plus a code
+column naming the row set of each of those IDs, in the order the chunk
+decodes to.
 
 A code always indexes the row sets of the :class:`GroupedRows` that
 carries it.  Whatever renumbers row sets -- the shuffle's sort and
-reduce, the coordinator's merge, the client's suffix merge -- remaps
-every code column with one gather; chunks are never re-encoded.  Codes
-are the narrowest of uint8 / uint16 / uint32 that holds the row-set count
-(:func:`code_dtype`).  ID pieces skip the reducers: only the row-set
-columns cross the shuffle, and the pieces go from map task to driver.
+reduce, the coordinator's merge -- remaps every code column with one
+gather; chunks are never re-encoded.  Codes are the narrowest of uint8 /
+uint16 / uint32 that holds the row-set count (:func:`code_dtype`).  ID
+pieces skip the reducers: only the row-set columns cross the shuffle, and
+the pieces go from map task to driver.
 """
 
 from __future__ import annotations
@@ -76,12 +76,11 @@ class IdPiece:
 
 @dataclass
 class GroupedRows:
-    """Row sets as columns; a reply's are sorted by (key, suffix), no pair
-    twice.  What a peer sends is checked (:meth:`validate`) by the wire
-    codec as it decodes, and by the decryptor before it opens a reply."""
+    """Row sets as columns; a reply's are sorted by key, no key twice.
+    What a peer sends is checked (:meth:`validate`) by the wire codec as
+    it decodes, and by the decryptor before it opens a reply."""
 
     keys: np.ndarray  # uint64[G]
-    suffixes: np.ndarray  # int64[G]
     values: dict[str, np.ndarray]  # alias -> column[G]
     ids: dict[str, list[IdPiece]]  # ID source -> its pieces, in partition order
 
@@ -90,12 +89,11 @@ class GroupedRows:
 
     def validate(self, distinct: bool = False) -> None:
         """:class:`EncodingError` unless every column has one entry per row
-        set and every code names one (``distinct``: and the (key, suffix)
-        pairs strictly increase)."""
-        keys, suffixes = self.keys, self.suffixes
-        _check(isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype == np.uint64
-               and isinstance(suffixes, np.ndarray) and suffixes.shape == keys.shape
-               and suffixes.dtype == np.int64, "keys / suffixes are not uint64 / int64 [G]")
+        set and every code names one (``distinct``: and the keys strictly
+        increase)."""
+        keys = self.keys
+        _check(isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype == np.uint64,
+               "keys are not uint64[G]")
         _check(isinstance(self.values, dict) and all(
             isinstance(c, np.ndarray) and c.shape == keys.shape for c in self.values.values()
         ), "an aggregate column does not have one value per row set")
@@ -106,14 +104,12 @@ class GroupedRows:
             for piece in pieces:
                 piece.validate(keys.size)
         if distinct:
-            rising = (keys[1:] > keys[:-1]) | (
-                (keys[1:] == keys[:-1]) & (suffixes[1:] > suffixes[:-1]))
-            _check(bool(rising.all()), "(key, suffix) pairs are not sorted and distinct")
+            _check(bool((keys[1:] > keys[:-1]).all()), "keys are not sorted and distinct")
 
     def nbytes(self, ids: bool = True) -> int:
-        """Bytes on the network: 9 per row set (key, suffix), 8 per value
-        (a Paillier product: its length), and (``ids``) the ID pieces."""
-        total = 9 * len(self)
+        """Bytes on the network: 8 per row set (its key), 8 per value (a
+        Paillier product: its length), and (``ids``) the ID pieces."""
+        total = 8 * len(self)
         for column in self.values.values():
             total += (sum((int(v).bit_length() + 7) // 8 for v in column.tolist())
                       if column.dtype == object else 8 * column.size)
@@ -131,21 +127,20 @@ class GroupedRows:
         if len(parts) == 1:
             return parts[0].slice(0, len(parts[0]))
         return GroupedRows(
-            np.concatenate([p.keys for p in parts]), np.concatenate([p.suffixes for p in parts]),
+            np.concatenate([p.keys for p in parts]),
             {a: np.concatenate([p.values[a] for p in parts]) for a in parts[0].values}, {},
         )
 
     @staticmethod
     def shuffle(parts: list[GroupedRows]) -> tuple[GroupedRows, dict[str, list[IdPiece]]]:
-        """The parts' row-set columns sorted by (key, suffix) -- stable, so
-        a row set's entries keep part order -- and every part's ID pieces
-        with their codes renumbered, by one gather each, to the runs of
-        equal (key, suffix): the row sets :meth:`merge` makes of them."""
+        """The parts' row-set columns sorted by key -- stable, so a row
+        set's entries keep part order -- and every part's ID pieces with
+        their codes renumbered, by one gather each, to the runs of equal
+        key: the row sets :meth:`merge` makes of them."""
         parts = [p for p in parts if len(p)] or parts[:1]
         rows = GroupedRows.concat(parts)
-        order = np.lexsort((rows.suffixes, rows.keys))
-        rows = GroupedRows(rows.keys[order], rows.suffixes[order],
-                           {a: c[order] for a, c in rows.values.items()}, {})
+        order = np.argsort(rows.keys, kind="stable")
+        rows = GroupedRows(rows.keys[order], {a: c[order] for a, c in rows.values.items()}, {})
         run = _run_index(rows.run_starts(), len(rows))
         index = np.empty_like(run)
         index[order] = run
@@ -160,25 +155,22 @@ class GroupedRows:
 
     def slice(self, lo: int, hi: int) -> GroupedRows:
         """Row sets ``lo:hi``' columns, with no ID pieces."""
-        return GroupedRows(self.keys[lo:hi], self.suffixes[lo:hi],
-                           {a: c[lo:hi] for a, c in self.values.items()}, {})
+        return GroupedRows(self.keys[lo:hi], {a: c[lo:hi] for a, c in self.values.items()}, {})
 
-    def run_starts(self, by_suffix: bool = True) -> np.ndarray:
-        """Where each run of equal key (and suffix) starts."""
+    def run_starts(self) -> np.ndarray:
+        """Where each run of equal key starts."""
         change = self.keys[1:] != self.keys[:-1]
-        if by_suffix:
-            change |= self.suffixes[1:] != self.suffixes[:-1]
         return np.flatnonzero(np.concatenate(([len(self) > 0], change)))
 
-    def merge(self, reducers: dict[str, Reducer], by_suffix: bool = True) -> GroupedRows:
-        """One row set per run of equal key (and suffix): each column by
-        its alias's reducer, each code column by one gather."""
-        starts = self.run_starts(by_suffix)
+    def merge(self, reducers: dict[str, Reducer]) -> GroupedRows:
+        """One row set per run of equal key: each column by its alias's
+        reducer, each code column by one gather."""
+        starts = self.run_starts()
         if starts.size == len(self):
             return self
         run = _run_index(starts, len(self))
         return GroupedRows(
-            self.keys[starts], self.suffixes[starts],
+            self.keys[starts],
             {a: reducers[a](c, starts) for a, c in self.values.items()},
             {s: [piece.renumbered(run) for piece in pieces] for s, pieces in self.ids.items()},
         )

@@ -21,10 +21,7 @@ Supported physical operations:
 - group-by with per-group ASHE sums held as columns from map task to
   reply (:mod:`repro.core.grouped`) and, per partition and ID source,
   the flat path's ID chunk plus a code column naming each ID's group --
-  the server already learns each row's group from the DET key column --
-  and the optional *group inflation* optimisation that appends a
-  pseudo-random suffix to group keys so small result sets still use all
-  reducers;
+  the server already learns each row's group from the DET key column;
 - broadcast hash joins on DET columns, with multiset ID collection for
   build-side ASHE aggregates (and probe rows duplicate keys replicate);
 - **zone-map pruning** (:mod:`repro.index`): before dispatching a map
@@ -262,7 +259,6 @@ class ServerQuery:
     filter: FilterExpr | None = None
     join: ServerJoin | None = None
     group_by: str | None = None
-    inflation: int = 1
     compress_at: str = "worker"  # "worker" | "driver" (ablation)
 
 
@@ -284,7 +280,7 @@ class ServerResponse:
 
     ``flat``: ``flat`` + ``id_sets``.  ``partial`` (shard worker ->
     coordinator): ``flat`` maps aliases to pre-merged piece lists.
-    ``grouped``: ``groups``, every ``(key, suffix)`` row set as columns
+    ``grouped``: ``groups``, every group key's row set as columns
     -- one value column per alias, per source one ID chunk and code
     column per partition.  ``scan``: ``flat`` holds the projected
     ``columns`` and row ``ids``.
@@ -510,10 +506,9 @@ def _merge_flat(
 def grouped_map_task(
     part: Partition, q: ServerQuery, build: dict[str, Any] | None
 ) -> GroupedRows | None:
-    """One partition's (group key, suffix) row sets as columns (``None``:
+    """One partition's row sets, one per group key, as columns (``None``:
     no row selected); per ID source, the selection's flat chunk and each
     selected row's row set."""
-    inflation = max(1, q.inflation)
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
         return None
@@ -530,23 +525,12 @@ def grouped_map_task(
     key = key[order]
     first = np.append(True, key[1:] != key[:-1])
     keys = key[first]
-    code = np.empty(sel.size, dtype=np.int64)
+    starts = np.flatnonzero(first)
+    code = np.empty(sel.size, dtype=code_dtype(keys.size))
     code[order] = np.cumsum(first) - 1
-    if inflation > 1:
-        # Group-by optimisation (Section 4.5): append a pseudo-random
-        # suffix to multiply the number of reduce keys.
-        ids = _ids_at(part, probe_idx, sel)
-        code = code * inflation + (ids % _U64(inflation)).astype(np.int64)
-        order = np.argsort(code)
-    counts = np.bincount(code)
-    present = np.flatnonzero(counts)
-    starts = np.append(0, np.cumsum(counts[present])[:-1])
-    if present.size < counts.size:  # inflation left some (key, suffix) empty
-        code = (np.cumsum(counts > 0) - 1)[code]
-    code = code.astype(code_dtype(present.size))
     sorted_sel = sel[order]
     return GroupedRows(
-        keys[present // inflation], present % inflation,
+        keys,
         {agg.alias: _group_values(agg, columns, sorted_sel, starts) for agg in q.aggs},
         {
             source: [IdPiece(
@@ -561,8 +545,8 @@ def grouped_map_task(
 
 
 def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows:
-    """Merge one reducer's sorted slice of (key, suffix) partials into row
-    sets: one ``reduceat`` per column."""
+    """Merge one reducer's sorted slice of partials into one row set per
+    key: one ``reduceat`` per column."""
     return rows.merge(group_reducers(aggs))
 
 
@@ -573,7 +557,7 @@ def group_reducers(aggs: Iterable[AggOp]) -> dict[str, Any]:
 
 def empty_groups(aggs: Sequence[AggOp]) -> GroupedRows:
     """Grouped row sets with no entry: nothing selected, or an empty shard."""
-    return GroupedRows(np.empty(0, _U64), np.empty(0, np.int64), {
+    return GroupedRows(np.empty(0, _U64), {
         a.alias: np.empty(0, object if isinstance(a, PaillierSum) else
                           _U64 if isinstance(a, AsheSum) else np.int64) for a in aggs
     }, {source: [] for source in id_sources(aggs)})
@@ -912,16 +896,15 @@ class SeabedServer:
             return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
         def shuffle() -> tuple[GroupedRows, dict[str, list[IdPiece]], np.ndarray]:
-            # One sort on (key, suffix) over every partition's row-set
-            # columns: each row set's partials become adjacent, in
-            # partition order; the ID pieces stay at the driver.
+            # One sort by key over every partition's row-set columns:
+            # each row set's partials become adjacent, in partition
+            # order; the ID pieces stay at the driver.
             rows, ids = GroupedRows.shuffle(partials)
             return rows, ids, np.append(rows.run_starts(), len(rows))
 
         rows, ids, bounds = self.cluster.run_driver("shuffle-partition", shuffle, metrics)
-        # Shuffle: every (key, suffix) partial's columns cross the network
-        # once.  Few distinct keys mean few active receivers: the bandwidth
-        # bottleneck group inflation exists to fix (Section 4.5).
+        # Shuffle: every partial's row-set columns cross the network once;
+        # few distinct keys mean few active receivers.
         distinct = len(bounds) - 1
         num_reducers = max(1, min(self.cluster.config.cores, distinct))
         metrics.shuffles.append((sum(p.nbytes(ids=False) for p in partials), num_reducers))

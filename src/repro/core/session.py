@@ -220,12 +220,10 @@ class PreparedQuery:
         decryptor: DecryptionModule,
         scan_filter: Any = None,
         scan_physical: dict[str, tuple[str, str]] | None = None,
-        expected_groups: int | None = None,
     ):
         self._session = session
         self.query = query
         self.kind = "agg" if translated is not None else "scan"
-        self.expected_groups = expected_groups
         self.param_names = query_params(query)
         self._translated = translated
         self._decryptor = decryptor
@@ -1130,11 +1128,7 @@ class SeabedSession:
 
     # -- preparation ---------------------------------------------------------------
 
-    def prepare(
-        self,
-        query: str | Query | QueryBuilder,
-        expected_groups: int | None = None,
-    ) -> PreparedQuery:
+    def prepare(self, query: str | Query | QueryBuilder) -> PreparedQuery:
         """Translate once; execute many times.
 
         Aggregation queries compile to a server-request template,
@@ -1145,12 +1139,10 @@ class SeabedSession:
         OPS.bump("prepare")
         q = self._as_query(query)
         if q.is_aggregation():
-            return self._prepare_aggregation(q, expected_groups)
+            return self._prepare_aggregation(q)
         return self._prepare_scan(q)
 
-    def _prepare_aggregation(
-        self, q: Query, expected_groups: int | None
-    ) -> PreparedQuery:
+    def _prepare_aggregation(self, q: Query) -> PreparedQuery:
         state = self._state(q.table)
         factory = self._entry(q.table).factory
         join_context = None
@@ -1167,19 +1159,11 @@ class SeabedSession:
             ),
             join_context=join_context,
         )
-        translated = translator.translate(
-            q,
-            cores=self.cluster.config.cores,
-            expected_groups=expected_groups,
-            join=server_join,
-        )
+        translated = translator.translate(q, join=server_join)
         decryptor = DecryptionModule(
             state, self._decrypt_factory(q), paillier=self._paillier
         )
-        return PreparedQuery(
-            self, q, translated=translated, decryptor=decryptor,
-            expected_groups=expected_groups,
-        )
+        return PreparedQuery(self, q, translated=translated, decryptor=decryptor)
 
     def _prepare_scan(self, q: Query) -> PreparedQuery:
         """Resolve a projection: ``SELECT cols FROM t WHERE ...``.
@@ -1218,7 +1202,6 @@ class SeabedSession:
     def query(
         self,
         query: str | Query | QueryBuilder,
-        expected_groups: int | None = None,
         user: str | None = None,
         timeout: float | None = None,
         **params: Any,
@@ -1239,7 +1222,7 @@ class SeabedSession:
                 "data; use scan() for row-level projections"
             )
         self._validate_params(q, params)
-        prepared, lifted = self._cached_prepare(q, expected_groups)
+        prepared, lifted = self._cached_prepare(q)
         return prepared.execute(user=user, timeout=timeout, **lifted, **params)
 
     def scan(
@@ -1255,13 +1238,12 @@ class SeabedSession:
         if q.is_aggregation():
             raise TranslationError("scan() is for projection queries; use query()")
         self._validate_params(q, params)
-        prepared, lifted = self._cached_prepare(q, None)
+        prepared, lifted = self._cached_prepare(q)
         return prepared.execute(user=user, timeout=timeout, **lifted, **params)
 
     def query_many(
         self,
         queries: Iterable[Any],
-        expected_groups: int | None = None,
         user: str | None = None,
         timeout: float | None = None,
     ) -> list[QueryResult]:
@@ -1275,59 +1257,28 @@ class SeabedSession:
 
         Batch entries may be:
 
-        - SQL strings, :class:`Query` ASTs, or builders -- run with the
-          batch-level ``expected_groups``;
-        - ``(query, expected_groups)`` pairs -- per-query override, so a
-          mixed batch does not inflate every entry by one group count;
+        - SQL strings, :class:`Query` ASTs, or builders;
         - :class:`PreparedQuery` instances, optionally as
           ``(prepared, {param: value})`` pairs -- executed directly with
-          zero translation (their own prepare-time ``expected_groups``
-          applies).
+          zero translation.
         """
-        jobs = [
-            self._batch_job(item, expected_groups, user, timeout)
-            for item in queries
-        ]
+        jobs = [self._batch_job(item, user, timeout) for item in queries]
         return [job() for job in jobs]
 
-    def _batch_job(
-        self,
-        item: Any,
-        expected_groups: int | None,
-        user: str | None,
-        timeout: float | None = None,
-    ):
-        groups = expected_groups
+    def _batch_job(self, item: Any, user: str | None, timeout: float | None = None):
         if isinstance(item, tuple):
-            if len(item) != 2:
+            if len(item) != 2 or not isinstance(item[0], PreparedQuery):
+                raise TranslationError("batch tuples must be (PreparedQuery, params)")
+            prepared, params = item
+            if not isinstance(params, Mapping):
                 raise TranslationError(
-                    "batch tuples must be (query, expected_groups) or "
-                    "(PreparedQuery, params)"
+                    "a PreparedQuery batch tuple takes a parameter "
+                    "mapping as its second element"
                 )
-            first, second = item
-            if isinstance(first, PreparedQuery):
-                if not isinstance(second, Mapping):
-                    raise TranslationError(
-                        "a PreparedQuery batch tuple takes a parameter "
-                        "mapping as its second element"
-                    )
-                return lambda: first.execute(
-                    user=user, timeout=timeout, **dict(second)
-                )
-            if not (second is None or isinstance(second, int)):
-                raise TranslationError(
-                    "per-query expected_groups must be int or None, "
-                    f"got {type(second).__name__}"
-                )
-            item, groups = first, second
+            return lambda: prepared.execute(user=user, timeout=timeout, **dict(params))
         if isinstance(item, PreparedQuery):
-            prepared = item
-            return lambda: prepared.execute(user=user, timeout=timeout)
-        query = item
-        per_query_groups = groups
-        return lambda: self.query(
-            query, expected_groups=per_query_groups, user=user, timeout=timeout,
-        )
+            return lambda: item.execute(user=user, timeout=timeout)
+        return lambda: self.query(item, user=user, timeout=timeout)
 
     def linear_regression(
         self,
@@ -1443,16 +1394,13 @@ class SeabedSession:
                 f"{list(names)!r}"
             )
 
-    def _cached_prepare(
-        self, q: Query, expected_groups: int | None
-    ) -> tuple[PreparedQuery, dict[str, Any]]:
+    def _cached_prepare(self, q: Query) -> tuple[PreparedQuery, dict[str, Any]]:
         shape, values = self._parameterize(q)
-        key = (shape, expected_groups)
-        prepared = self._cache.get(key)
+        prepared = self._cache.get(shape)
         if prepared is None:
             OPS.bump("cache_miss")
-            prepared = self.prepare(shape, expected_groups=expected_groups)
-            self._cache.put(key, prepared)
+            prepared = self.prepare(shape)
+            self._cache.put(shape, prepared)
         else:
             OPS.bump("cache_hit")
         return prepared, values

@@ -2,8 +2,8 @@
 
 Rewrites a plaintext :class:`~repro.query.ast.Query` into one or more
 :class:`~repro.core.server.ServerQuery` requests plus an output program
-the decryption module interprets.  The three rewrites Table 2 highlights
-all happen here:
+the decryption module interprets.  Table 2's rewrites happen here, but
+for its group-by optimisation:
 
 1. **ID preservation** -- every ASHE aggregate implicitly carries the row
    identifier column (our server ops track IDs natively).
@@ -11,10 +11,12 @@ all happen here:
    vanish; the aggregation retargets the per-value splayed columns (plus a
    DET filter on the catch-all column for enhanced-SPLASHE infrequent
    values, each of which becomes its own small request).
-3. **Group-by optimisation** -- when the expected number of groups is
-   smaller than the worker count, group keys are inflated with a
-   pseudo-random suffix (Section 4.5) and the client merges the inflated
-   groups back together.
+3. **Group-by** -- a GROUP BY on a DET dimension groups on its token
+   column, one row set per group key; on a splayed dimension the
+   per-value columns *are* the groups.  The optimisation (Section 4.5)
+   spreads few groups over more reduce keys; it is not done, because
+   only a key and one value per aggregate cross the shuffle per row set,
+   never an ID list, so the few-reducer bottleneck it fixes cannot arise.
 
 Constants are encrypted with the matching scheme's token function, so the
 server sees only ciphertext comparisons.
@@ -154,7 +156,6 @@ class TranslatedQuery:
     group_dim: str | None = None
     group_request: int | None = None  # request carrying grouped results
     group_decode: str | None = None  # "plain" | "det" | "splashe_det"
-    inflation: int = 1
     splashe_group_codes: list[int] = field(default_factory=list)
     category: str = "S"  # S | CPre | CPost | 2R (paper Tables 4 and 6)
 
@@ -170,14 +171,6 @@ class _Selector:
 def _max_category(a: str, b: str) -> str:
     order = {"S": 0, "CPre": 1, "CPost": 2, "2R": 3}
     return a if order[a] >= order[b] else b
-
-
-def inflation_factor(expected_groups: int, cores: int) -> int:
-    """Section 4.5: inflate the group count to roughly the worker count
-    when the result is expected to have fewer groups than workers."""
-    if expected_groups <= 0 or expected_groups >= cores:
-        return 1
-    return max(1, -(-cores // expected_groups))
 
 
 class QueryTranslator:
@@ -202,8 +195,6 @@ class QueryTranslator:
     def translate(
         self,
         query: Query,
-        cores: int = 16,
-        expected_groups: int | None = None,
         join: srv.ServerJoin | None = None,
     ) -> TranslatedQuery:
         OPS.bump("translate")
@@ -225,9 +216,7 @@ class QueryTranslator:
             )
         base_filter, selectors = self.split_predicate(query.where)
         if query.group_by:
-            return self._translate_grouped(
-                query, base_filter, selectors, join, cores, expected_groups
-            )
+            return self._translate_grouped(query, base_filter, selectors, join)
         return self._translate_flat(query, base_filter, selectors, join)
 
     # -- helpers ----------------------------------------------------------------
@@ -723,8 +712,6 @@ class QueryTranslator:
         base_filter: srv.FilterExpr | None,
         selectors: list[_Selector],
         join: srv.ServerJoin | None,
-        cores: int,
-        expected_groups: int | None,
     ) -> TranslatedQuery:
         if len(query.group_by) != 1:
             raise TranslationError(
@@ -745,12 +732,8 @@ class QueryTranslator:
             raise TranslationError(
                 f"cannot GROUP BY a {plan.kind}-encrypted column"
             )
-        inflation = 1
-        if self._mode == "seabed" and expected_groups is not None:
-            inflation = inflation_factor(expected_groups, cores)
         builder = _RequestBuilder(
-            self, query.table, base_filter, join,
-            group_by=group_column, inflation=inflation,
+            self, query.table, base_filter, join, group_by=group_column
         )
         outputs: list[OutputItem] = []
         category = "S"
@@ -774,7 +757,7 @@ class QueryTranslator:
         return TranslatedQuery(
             query=query, requests=builder.finish(), outputs=outputs,
             shape="grouped", group_dim=dim, group_request=0,
-            group_decode=decode, inflation=inflation, category=category,
+            group_decode=decode, category=category,
         )
 
     def _translate_splashe_group(
@@ -894,7 +877,6 @@ class _RequestBuilder:
         base_filter: srv.FilterExpr | None,
         join: srv.ServerJoin | None,
         group_by: str | None = None,
-        inflation: int = 1,
         offset: int = 0,
     ):
         self._tr = translator
@@ -902,7 +884,6 @@ class _RequestBuilder:
         self._filter = base_filter
         self._join = join
         self._group_by = group_by
-        self._inflation = inflation
         self._main_aggs: list[srv.AggOp] = []
         self._extra: list[tuple[srv.FilterExpr, srv.AggOp]] = []
         self._ashe_cache: dict[tuple[str, str], Ref] = {}
@@ -966,7 +947,6 @@ class _RequestBuilder:
             filter=self._filter,
             join=self._join,
             group_by=self._group_by,
-            inflation=self._inflation,
         )]
         for extra_filter, agg in self._extra:
             combined: srv.FilterExpr = (
@@ -975,6 +955,6 @@ class _RequestBuilder:
             )
             requests.append(srv.ServerQuery(
                 table=self._table, aggs=(agg,), filter=combined, join=self._join,
-                group_by=self._group_by, inflation=self._inflation,
+                group_by=self._group_by,
             ))
         return requests

@@ -169,9 +169,9 @@ def model(jobs: Iterable[JobMetrics], config: ClusterConfig) -> ModelledTime:
     bytes over the links in use: ``shuffle_bandwidth_bytes_s`` is the
     *aggregate* fabric bandwidth and every receiving node pulls through a
     1/cores share of it, so a shuffle into fewer reducers than cores is
-    bottlenecked on the few active links -- the effect the paper's
-    group-inflation optimisation exists to fix (Section 4.5); 0 receivers
-    means all links.  The network pays the result's trip over the client
+    bottlenecked on the few active links -- the paper's bottleneck when a
+    few groups' dense ID lists cross the shuffle (Section 4.5); 0
+    receivers means all links.  The network pays the result's trip over the client
     link; the client's time is the measured ``client_time``.
 
     Pure: reads ``jobs`` and ``config``, mutates neither, and is

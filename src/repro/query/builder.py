@@ -262,7 +262,6 @@ class QueryBuilder:
     def execute(
         self,
         *args: Any,
-        expected_groups: int | None = None,
         user: str | None = None,
         **params: Any,
     ) -> "QueryResult":
@@ -287,14 +286,10 @@ class QueryBuilder:
                 "and by name"
             )
         bound.update(params)
-        return session.query(
-            query, expected_groups=expected_groups, user=user, **bound,
-        )
+        return session.query(query, user=user, **bound)
 
-    def prepare(self, expected_groups: int | None = None) -> "PreparedQuery":
-        return self._require_session().prepare(
-            self.build(), expected_groups=expected_groups
-        )
+    def prepare(self) -> "PreparedQuery":
+        return self._require_session().prepare(self.build())
 
     def __repr__(self) -> str:
         try:

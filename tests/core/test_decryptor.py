@@ -63,7 +63,7 @@ def grouped_reply(alias, keys, sums, pieces):
     ``pieces`` as (chunk, the index of each of its IDs' key) pairs."""
     dtype = code_dtype(len(keys))
     return srv.ServerResponse(kind="grouped", groups=GroupedRows(
-        np.array(keys, dtype=np.uint64), np.zeros(len(keys), dtype=np.int64),
+        np.array(keys, dtype=np.uint64),
         {alias: np.array(sums, dtype=np.uint64)},
         {srv.ROW_IDS: [IdPiece(chunk, np.array(codes, dtype=dtype)) for chunk, codes in pieces]},
     ))
@@ -279,8 +279,9 @@ def _mutate(rows, kind, data):
     other_size = st.integers(0, 2 * entries).filter(lambda n: n != entries)
     if kind == "ragged-values":
         rows.values[alias] = np.resize(rows.values[alias], data.draw(other_size))
-    elif kind == "ragged-suffixes":
-        rows.suffixes = np.zeros(data.draw(other_size), dtype=np.int64)
+    elif kind == "repeated-key":  # still sorted: two row sets share a key
+        i = data.draw(st.integers(0, entries - 2))
+        rows.keys[i + 1] = rows.keys[i]
     elif kind == "ragged-keys":
         rows.keys = np.resize(rows.keys, data.draw(other_size))
     elif kind == "unsorted-keys":
@@ -319,7 +320,7 @@ class TestMalformedGroupedReplies:
     with a DecryptionError, the wire with a CodecError -- never an
     IndexError / ValueError, never a number."""
 
-    KINDS = ["ragged-values", "ragged-suffixes", "ragged-keys", "unsorted-keys",
+    KINDS = ["ragged-values", "repeated-key", "ragged-keys", "unsorted-keys",
              "duplicate-keys", "code-past-the-end", "code-length", "code-dtype",
              "unknown-flag", "truncated-chunk", "huge-run", "empty-group"]
 

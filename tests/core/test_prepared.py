@@ -101,8 +101,7 @@ class TestZeroTranslationReexecution:
     def test_grouped_prepared_query(self, sess):
         session, data = sess
         prepared = session.prepare(
-            "SELECT hour, sum(amount) FROM visits WHERE hour <= :hi GROUP BY hour",
-            expected_groups=24,
+            "SELECT hour, sum(amount) FROM visits WHERE hour <= :hi GROUP BY hour"
         )
         rows = prepared.execute(hi=3).rows
         assert {r["hour"] for r in rows} == {0, 1, 2, 3}

@@ -211,16 +211,16 @@ class TestOreExtremes:
 
 
 def ids_by_group(rows, source=srv.ROW_IDS):
-    """Each (key, suffix) row set's IDs, read off the pieces' codes."""
-    out = {pair: [] for pair in zip(rows.keys.tolist(), rows.suffixes.tolist())}
-    pairs = list(out)
+    """Each key's row set's IDs, read off the pieces' codes."""
+    out = {key: [] for key in rows.keys.tolist()}
+    keys = list(out)
     for piece in rows.ids[source]:
         chunk = piece.chunk
         ids = idcodec.decode_multiset(chunk) if idcodec.is_multiset_payload(chunk) else (
             codec_decode(chunk).to_ids())
         assert ids.size == piece.codes.size
         for i, code in zip(ids.tolist(), piece.codes.tolist()):
-            out[pairs[code]].append(i)
+            out[keys[code]].append(i)
     return out
 
 
@@ -237,20 +237,6 @@ class TestGroupBy:
         rows = resp.groups
         rows.validate(distinct=True)  # one entry per key, sorted
         assert dict(zip(rows.keys.tolist(), rows.values["s"].tolist())) == {0: 40, 1: 60, 2: 50}
-
-    def test_inflation_multiplies_entries_but_preserves_sums(self, cluster):
-        keys = np.zeros(64, dtype=np.int64)
-        vals = np.ones(64, dtype=np.int64)
-        server = make_server(cluster, {"k": keys, "v": vals}, parts=2)
-        base = srv.ServerQuery(table="t", aggs=(srv.PlainAgg("v", "sum", "s"),),
-                               group_by="k", inflation=1)
-        inflated = srv.ServerQuery(table="t", aggs=(srv.PlainAgg("v", "sum", "s"),),
-                                   group_by="k", inflation=4)
-        r1 = server.execute(base).groups
-        r4 = server.execute(inflated).groups
-        assert (len(r1), len(r4)) == (1, 4)
-        assert r4.suffixes.tolist() == [0, 1, 2, 3]
-        assert int(r1.values["s"].sum()) == int(r4.values["s"].sum()) == 64
 
     def test_group_ids_are_the_flat_chunk_per_partition(self, cluster):
         keys = np.arange(40, dtype=np.int64) % 3
@@ -272,10 +258,10 @@ class TestGroupBy:
             [0 if k == 0 else 1 for k in keys[:20] if k != 1],
             [0 if k == 0 else 1 for k in keys[20:] if k != 1],
         ]
-        for g, ((key, _), ids) in enumerate(ids_by_group(rows).items()):
+        for g, (key, ids) in enumerate(ids_by_group(rows).items()):
             assert ids == np.flatnonzero(keys == key).tolist()
             assert rows.values["a"][g] == rows.values["b"][g] == len(ids)
-        assert resp.payload_bytes == 2 * (9 + 16) + sum(
+        assert resp.payload_bytes == 2 * (8 + 16) + sum(
             len(p.chunk) + p.codes.size for p in pieces)
 
     def test_group_keys_without_aggregates(self, cluster):
@@ -380,4 +366,4 @@ class TestJoin:
         first, second = grouped.ids[srv.ROW_IDS]
         assert idcodec.is_multiset_payload(first.chunk)
         assert not idcodec.is_multiset_payload(second.chunk)
-        assert ids_by_group(grouped) == {(0, 0): [0, 0], (1, 0): [1, 2]}
+        assert ids_by_group(grouped) == {0: [0, 0], 1: [1, 2]}

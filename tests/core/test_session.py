@@ -72,15 +72,18 @@ class TestTranslationCache:
         session.query("SELECT sum(value), count(*) FROM events WHERE hour = 1")
         assert session.cache_stats()["size"] == 3
 
-    def test_expected_groups_is_part_of_the_key(self, sess):
+    def test_a_group_count_hint_is_an_unknown_parameter(self, sess):
+        """``expected_groups`` is gone: a caller still passing it reaches
+        ``**params`` and is told so, not silently ignored."""
         session, _ = sess
         sql = "SELECT hour, sum(value) FROM events GROUP BY hour"
-        r1 = session.query(sql, expected_groups=4)
-        r2 = session.query(sql)
-        assert session.cache_stats()["size"] == 2
-        assert r1.translation.inflation > 1  # 4 groups inflated toward 16 cores
-        assert r2.translation.inflation == 1
-        assert r1.rows == r2.rows  # inflation is invisible in the results
+        unknown = r"unknown parameters \['expected_groups'\]"
+        with pytest.raises(TranslationError, match=unknown):
+            session.query(sql, expected_groups=4)
+        builder = session.table("events").group_by("hour").sum("value")
+        with pytest.raises(TranslationError, match=unknown):
+            builder.execute(expected_groups=4)
+        assert session.cache_stats()["size"] == 0
 
     def test_replanning_invalidates_cache(self, sess):
         session, data = sess
@@ -118,7 +121,7 @@ class TestFluentSurface:
             .where(col("hour") > 20)
             .group_by("hour")
             .sum("value")
-            .execute(expected_groups=24)
+            .execute()
         )
         assert {r["hour"] for r in result.rows} == {21, 22, 23}
         for row in result.rows:
@@ -173,30 +176,6 @@ class TestFluentSurface:
 
 
 class TestQueryManyOverrides:
-    def test_per_query_expected_groups(self, sess):
-        session, data = sess
-        grouped = "SELECT hour, sum(value) FROM events GROUP BY hour"
-        flat = "SELECT sum(value) FROM events"
-        results = session.query_many([
-            (grouped, 4),
-            flat,
-            (grouped, None),
-        ])
-        assert results[0].translation.inflation > 1  # inflated toward 16 cores
-        assert results[2].translation.inflation == 1
-        assert results[0].rows == results[2].rows
-        assert results[1].rows[0]["sum(value)"] == int(data["value"].sum())
-
-    def test_flat_queries_unaffected_by_batch_groups(self, sess):
-        session, data = sess
-        total = int(data["value"].sum())
-        results = session.query_many(
-            ["SELECT sum(value) FROM events", ("SELECT count(*) FROM events", None)],
-            expected_groups=4,
-        )
-        assert results[0].rows[0]["sum(value)"] == total
-        assert results[1].rows[0]["count(*)"] == len(data["value"])
-
     def test_prepared_instances_in_batch(self, sess):
         session, data = sess
         p_flat = session.prepare("SELECT count(*) FROM events")
@@ -216,8 +195,10 @@ class TestQueryManyOverrides:
         session, _ = sess
         with pytest.raises(TranslationError, match="batch tuples"):
             session.query_many([("a", "b", "c")])
-        with pytest.raises(TranslationError, match="expected_groups must be int"):
-            session.query_many([("SELECT count(*) FROM events", "four")])
+        grouped = "SELECT hour, sum(value) FROM events GROUP BY hour"
+        for stale in ((grouped, 4), (grouped, None)):  # a (query, group count) pair
+            with pytest.raises(TranslationError, match="batch tuples"):
+                session.query_many([stale])
         p = session.prepare("SELECT count(*) FROM events")
         with pytest.raises(TranslationError, match="parameter mapping"):
             session.query_many([(p, 3)])

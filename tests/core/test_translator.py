@@ -12,7 +12,7 @@ from repro.core.crypto_factory import CryptoFactory
 from repro.core.encryptor import ClientTableState, EncryptionModule
 from repro.core.planner import Planner
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.core.translator import QueryTranslator, inflation_factor
+from repro.core.translator import QueryTranslator
 from repro.crypto.keys import KeyChain
 from repro.errors import TranslationError
 from repro.query.parser import parse_query
@@ -224,33 +224,10 @@ class TestGroupByRewrites:
                 "SELECT year, gender, sum(amount) FROM t GROUP BY year, gender"
             ))
 
-    def test_inflation_applied_when_groups_fewer_than_cores(self, translator):
-        tq = translator.translate(
-            parse_query("SELECT year, sum(amount) FROM t GROUP BY year"),
-            cores=64, expected_groups=4,
-        )
-        assert tq.inflation == 16
-        assert tq.requests[0].inflation == 16
-
     def test_group_codec_drops_ranges(self):
         """Section 4.5: the paper's group-by codec is VB+Diff without ranges."""
         codec = srv.get_codec("groupby")
         assert codec.use_diff and not codec.use_ranges
-
-
-class TestInflationFactor:
-    def test_fewer_groups_than_cores(self):
-        assert inflation_factor(10, 100) == 10
-
-    def test_more_groups_than_cores(self):
-        assert inflation_factor(1000, 100) == 1
-
-    def test_zero_groups(self):
-        assert inflation_factor(0, 100) == 1
-
-    def test_paper_example(self):
-        """Section 4.5's example: 10 groups, 100 workers -> x10."""
-        assert inflation_factor(10, 100) == 10
 
 
 class TestCategories:

@@ -200,8 +200,7 @@ class TestPadArray:
                           else CHUNK[kind](IdList.from_ids(np.sort(piece))), codes[lo:hi])
                   for (kind, piece), lo, hi in zip(pieces, bounds[:-1], bounds[1:])]
         reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
-            np.sort(tokens), np.zeros(present.size, dtype=np.int64),
-            {tq.requests[0].aggs[0].alias: sums}, {srv.ROW_IDS: chunks}))
+            np.sort(tokens), {tq.requests[0].aggs[0].alias: sums}, {srv.ROW_IDS: chunks}))
         before = scheme.prf_evals
         rows = DecryptionModule(state, factory).decrypt(tq, [reply])
         evals = scheme.prf_evals - before

@@ -294,7 +294,7 @@ class TestModelNetwork:
     def test_few_receivers_bottleneck_the_shuffle(self):
         # 1 MB into R reducers on a 10-core, 1 MB/s fabric: each node
         # pulls at 0.1 MB/s, so R active links move it in 10/R seconds --
-        # the effect group inflation (Section 4.5) exists to fix.
+        # the paper's few-groups shuffle bottleneck (Section 4.5).
         config = FREE.with_cores(10)
         cost = lambda r: model([job_of(shuffles=[(1_000_000, r)])], config).server_s
         assert cost(1) == pytest.approx(10.0)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.idlist import IdList
 from repro.idlist import codec as idcodec
 from repro.query import execute_plain, parse_query
@@ -185,12 +184,11 @@ def queries(draw):
     group = draw(st.sampled_from([None, "user", "region"]))
     if group == "region":  # SPLASHE: only m0 was splayed, and no filter
         cells = [c for c in cells if "(m0)" in c or c == "count(*)"] or ["sum(m0)"]
-        return f"SELECT region, {', '.join(cells)} FROM t GROUP BY region", None
+        return f"SELECT region, {', '.join(cells)} FROM t GROUP BY region"
     where = draw(FILTERS)
     sql = f"SELECT {'user, ' * (group == 'user')}{', '.join(cells)} FROM t"
     sql += f" WHERE {where}" * (where is not None) + " GROUP BY user" * (group == "user")
-    # expected_groups below the core count inflates the group keys.
-    return sql, draw(st.sampled_from([None, 2, 7])) if group else None
+    return sql
 
 
 def test_rows_equal_plaintext_under_every_placement(placed):
@@ -199,12 +197,11 @@ def test_rows_equal_plaintext_under_every_placement(placed):
     truth = dataset(900, seed=4)
     writer, _ = placed.persist(session, "t", truth, shard_key="city", num_partitions=6)
 
-    @given(case=queries())
+    @given(sql=queries())
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=list(HealthCheck))
-    def check(case):
-        sql, expected_groups = case
-        got = writer.query(sql, expected_groups=expected_groups)
+    def check(sql):
+        got = writer.query(sql)
         assert normalise(got.rows) == normalise(execute_plain({"t": truth}, parse_query(sql)))
 
     def sweep():
@@ -252,8 +249,6 @@ GROUP_SAMPLES = [
     "SELECT channel, sum(m0), count(*) FROM g GROUP BY channel",
     JOIN,
 ]
-CORES = 20  # so the expected-groups hints below give inflation 1, 3 and 10
-INFLATION_HINTS = {1: None, 3: 7, 10: 2}
 
 
 def group_schemas():
@@ -301,44 +296,39 @@ BUILD_ROWS = {"key": np.repeat(np.arange(0, 20, 2), 2), "w": np.arange(1, 21)}
 
 
 def group_cases():
-    """(sql, inflation): every group count under every filter -- none,
-    DET, ORE, one that selects nothing -- with sum/avg/count/min/max mixes
-    and each inflation; the SPLASHE catch-all; groups living on one shard."""
+    """Every group count under every filter -- none, DET, ORE, one that
+    selects nothing -- with sum/avg/count/min/max mixes; the SPLASHE
+    catch-all; groups living on one shard."""
     filters = ["", "WHERE tier = 1", "WHERE ts >= 250 AND ts < 750", "WHERE tier = 7"]
     mixes = ["sum(m0), count(*)", "avg(m1), sum(m0), min(qty)",
              "sum(m0), sum(m1), max(qty), count(*)", "min(qty), max(qty), avg(m0)"]
     cases = [
-        (f"SELECT {dim}, {mixes[i % len(mixes)]} FROM g {where} GROUP BY {dim}",
-         list(INFLATION_HINTS)[i % len(INFLATION_HINTS)])
+        f"SELECT {dim}, {mixes[i % len(mixes)]} FROM g {where} GROUP BY {dim}"
         for i, (dim, where) in enumerate(
             (dim, where) for dim in GROUP_DIMS for where in filters
         )
     ]
     return cases + [
-        ("SELECT channel, sum(m0), avg(m0), count(*) FROM g GROUP BY channel", 1),
+        "SELECT channel, sum(m0), avg(m0), count(*) FROM g GROUP BY channel",
         # Sharded, every city's rows live on one shard: a group only one
         # shard's reply holds.
-        ("SELECT city, sum(m1), max(qty), count(*) FROM g GROUP BY city", 3),
+        "SELECT city, sum(m1), max(qty), count(*) FROM g GROUP BY city",
     ]
 
 
 def check_group_cases(session, tables, join):
-    for sql, inflation in group_cases() + ([(JOIN, 1)] if join else []):
-        got = session.query(sql, expected_groups=INFLATION_HINTS[inflation])
-        assert got.translation.inflation == inflation
+    for sql in group_cases() + ([JOIN] if join else []):
+        got = session.query(sql)
         assert normalise(got.rows) == normalise(execute_plain(tables, parse_query(sql))), sql
 
 
 def test_grouped_rows_equal_plaintext_under_every_placement(placed):
     probe, build = group_schemas()
-    session = placed.new_session(mode="seabed", master_key=MASTER_KEY, seed=3,
-                                 cluster=SimulatedCluster(ClusterConfig(cores=CORES)))
+    session = placed.new_session(mode="seabed", master_key=MASTER_KEY, seed=3)
     session.create_plan(probe, GROUP_SAMPLES)
     session.create_plan(build, GROUP_SAMPLES)
     truth = group_data(900, seed=8)
     writer, _ = placed.persist(session, "g", truth, shard_key="city", num_partitions=6)
-    if placed.remote:  # a remote session's cluster only sizes the inflation factor
-        writer.cluster = SimulatedCluster(ClusterConfig(cores=CORES))
     # Joins need the build side beside a single store (sharded joins are a
     # typed error).
     join = not placed.sharded

@@ -131,9 +131,7 @@ class TestAppendRows:
             for k in ("country", "city", "amount", "year")
         }
         bulk.upload("sales", merged, num_partitions=5)
-        assert rows_of(writer, GROUPED, expected_groups=4) == rows_of(
-            bulk, GROUPED, expected_groups=4
-        )
+        assert rows_of(writer, GROUPED) == rows_of(bulk, GROUPED)
         assert rows_of(writer, TOTAL) == rows_of(bulk, TOTAL)
 
     def test_append_grows_dictionaries(self, placed):
@@ -148,10 +146,7 @@ class TestAppendRows:
         fresh = attach(placed, path)
         got = {
             r["city"]: r["count(*)"]
-            for r in fresh.query(
-                "SELECT city, count(*) FROM sales GROUP BY city",
-                expected_groups=4,
-            ).rows
+            for r in fresh.query("SELECT city, count(*) FROM sales GROUP BY city").rows
         }
         assert "ber" in got
         assert sum(got.values()) == 650
@@ -252,7 +247,7 @@ class TestPinnedSnapshot:
         writer, path = build_placed(placed)
         writer.append_rows("sales", dataset(n=100, seed=61))
         pinned = attach(placed, path)
-        grouped = rows_of(pinned, GROUPED, expected_groups=4)
+        grouped = rows_of(pinned, GROUPED)
         total = rows_of(pinned, TOTAL)
 
         for seed in (62, 63, 64):
@@ -264,7 +259,7 @@ class TestPinnedSnapshot:
             for store in stores
         )
 
-        assert rows_of(pinned, GROUPED, expected_groups=4) == grouped
+        assert rows_of(pinned, GROUPED) == grouped
         assert rows_of(pinned, TOTAL) == total
         assert pinned.query(COUNT).rows[0]["count(*)"] == 700
         assert attach(placed, path).query(COUNT).rows[0]["count(*)"] == 1000
@@ -297,17 +292,17 @@ class TestCompaction:
         writer, path = build_placed(placed)
         for seed in range(51, 57):
             writer.append_rows("sales", dataset(n=20, seed=seed))
-        expected = rows_of(writer, GROUPED, expected_groups=4)
+        expected = rows_of(writer, GROUPED)
         merged = placed.compactions(writer.compact_table("sales"))
         assert all(stats is not None for stats in merged)
         assert all(
             stats["partitions_after"] < stats["partitions_before"]
             for stats in merged
         )
-        assert rows_of(writer, GROUPED, expected_groups=4) == expected
+        assert rows_of(writer, GROUPED) == expected
 
         fresh = attach(placed, path)
-        assert rows_of(fresh, GROUPED, expected_groups=4) == expected
+        assert rows_of(fresh, GROUPED) == expected
 
     def test_compact_noop_without_small_generations(self, placed):
         writer, _ = build_placed(placed)
@@ -327,14 +322,14 @@ class TestCompaction:
             writer.append_rows("sales", dataset(n=20, seed=seed, cities=["nyc"]))
         rows = writer.encrypted_table("sales").shard_rows().values()
         assert sorted(rows) == ([0, 0, 720] if placed.sharded else [720])
-        expected = rows_of(writer, GROUPED, expected_groups=4)
+        expected = rows_of(writer, GROUPED)
 
         merged = placed.compactions(writer.compact_table("sales"))
         assert sorted(stats is not None for stats in merged) == sorted(
             n > 0 for n in rows
         )
-        assert rows_of(writer, GROUPED, expected_groups=4) == expected
-        assert rows_of(attach(placed, path), GROUPED, expected_groups=4) == expected
+        assert rows_of(writer, GROUPED) == expected
+        assert rows_of(attach(placed, path), GROUPED) == expected
 
     def test_ingest_stream_replays_the_flagship_workload(self, tmp_path):
         """The ad-analytics table replayed as arriving traffic: first
@@ -360,7 +355,7 @@ class TestCompaction:
         )
         assert len(stats) == 3
         sql = "SELECT hour, sum(measure00) FROM ad_analytics GROUP BY hour"
-        got = session.query(sql, expected_groups=24).rows
+        got = session.query(sql).rows
         want_total = int(np.asarray(data.columns["measure00"]).sum())
         assert sum(r["sum(measure00)"] for r in got) == want_total
 

@@ -97,12 +97,12 @@ def rows_of(session, sql, **kwargs):
 class TestRoundTrip:
     def test_identical_results_zero_reencryption(self, placed):
         reference, path = persist(placed)
-        expected_grouped = rows_of(reference, GROUPED, expected_groups=4)
+        expected_grouped = rows_of(reference, GROUPED)
         expected_flat = rows_of(reference, FLAT)
 
         before = OPS.snapshot()
         fresh = placed.attach(path, mode="seabed", master_key=MASTER_KEY)
-        assert rows_of(fresh, GROUPED, expected_groups=4) == expected_grouped
+        assert rows_of(fresh, GROUPED) == expected_grouped
         assert rows_of(fresh, FLAT) == expected_flat
         delta = OPS.delta(before)
         assert not any(op.startswith("encrypt") for op in delta), delta
@@ -114,7 +114,7 @@ class TestRoundTrip:
     def test_bit_for_bit_after_fresh_attach(self, tmp_path):
         writer = build_session()
         expected = {
-            GROUPED: rows_of(writer, GROUPED, expected_groups=4),
+            GROUPED: rows_of(writer, GROUPED),
             FLAT: rows_of(writer, FLAT),
         }
         expected_scan = sorted(map(str, writer.scan(SCAN).rows))
@@ -123,8 +123,7 @@ class TestRoundTrip:
         fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         fresh.open_table(path)
         for sql, rows in expected.items():
-            groups = 4 if sql is GROUPED else None
-            assert rows_of(fresh, sql, expected_groups=groups) == rows
+            assert rows_of(fresh, sql) == rows
         assert sorted(map(str, fresh.scan(SCAN).rows)) == expected_scan
 
     def test_prepared_queries_on_attached_table(self, placed):
@@ -356,6 +355,4 @@ print(session.save_table("sales", {os.fspath(store_dir)!r}))
         session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         session.open_table(path)
         local = build_session()
-        assert rows_of(session, GROUPED, expected_groups=4) == rows_of(
-            local, GROUPED, expected_groups=4
-        )
+        assert rows_of(session, GROUPED) == rows_of(local, GROUPED)

@@ -100,7 +100,7 @@ def test_query_matches_ground_truth(client, dataset, sql):
     if client.mode != "seabed" and "GROUP BY country" in sql and "var" in sql:
         pytest.skip("not applicable")
     want = execute_plain({"sales": data}, parse_query(sql))
-    got = client.query(sql, expected_groups=8)
+    got = client.query(sql)
     assert normalise(got.rows) == normalise(want), sql
 
 
@@ -148,17 +148,6 @@ class TestMetrics:
         r_seabed = seabed.query(sql)
         r_paillier = paillier.query(sql)
         assert server_compute(r_seabed) < server_compute(r_paillier)
-
-    def test_group_inflation_changes_request(self, dataset):
-        client = build_client("seabed", dataset)
-        result = client.query(
-            "SELECT year, sum(amount) FROM sales GROUP BY year",
-            expected_groups=3,
-        )
-        assert result.translation.inflation > 1
-        # Rows still correct (checked in the parametrised test); here we
-        # confirm the inflated request really went out.
-        assert result.translation.requests[0].inflation > 1
 
 
 class TestCompressionSiteAblation:

@@ -14,7 +14,6 @@ from repro.core import server as srv
 from repro.core.grouped import code_dtype
 from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.query import execute_plain, parse_query
 from repro.query.ast import (
     Aggregate,
@@ -173,7 +172,7 @@ def test_grouped_queries_equivalent(client, dim, where):
         table="sales", where=where, group_by=(dim,),
     )
     want = execute_plain({"sales": DATA}, query)
-    got = client.query(query, expected_groups=4)
+    got = client.query(query)
     assert_rows_match(got.rows, want)
 
 
@@ -182,8 +181,8 @@ def test_grouped_queries_equivalent(client, dim, where):
 # uint8 / uint16 / uint32 that holds the row-set count.  One group column
 # per side of each step (1, 255 | 256, 65,537 groups), under dense (one run
 # per partition), scattered (bitmap chunks) and sparse (run-coded chunks)
-# selections, with inflation off and on, over a join with duplicate build
-# keys, single-store and sharded-local: every answer is execute_plain's.
+# selections, over a join with duplicate build keys, single-store and
+# sharded-local: every answer is execute_plain's.
 
 WIDTHS = [1, 255, 256, 65_537]
 WIDE_ROWS = 98_304
@@ -193,7 +192,6 @@ WIDE_FILTERS = {
     "scattered": "WHERE tier IN (1, 2, 3, 4, 5, 6, 7, 8)",
     "sparse": "WHERE tier = 1",
 }
-WIDE_CORES = 512  # the hints inflate 1, 255 and 256 groups to 512, 765, 512 row sets
 WIDE_JOIN = "SELECT g{n}, sum(w), sum(amount), count(*) FROM wide JOIN wb ON bk = key GROUP BY g{n}"
 
 
@@ -229,8 +227,7 @@ def wide_sessions(tmp_path_factory):
     ]
     sessions = {}
     for placement in ("single-store", "sharded-local"):
-        session = SeabedSession(master_key=b"w" * 32, mode="seabed", seed=2,
-                                cluster=SimulatedCluster(ClusterConfig(cores=WIDE_CORES)))
+        session = SeabedSession(master_key=b"w" * 32, mode="seabed", seed=2)
         session.create_plan(probe, samples)
         session.create_plan(build, samples)
         if placement == "single-store":
@@ -269,11 +266,10 @@ def test_grouped_rows_at_every_code_width(wide_sessions, placement, where, group
            f"GROUP BY g{groups}")
     want = sorted(execute_plain({"wide": WIDE}, parse_query(sql)), key=str)
     replies = _replies(monkeypatch)
-    for hint in (None, groups):  # inflation off, then on below WIDE_CORES groups
-        got = wide_sessions[placement].query(sql, expected_groups=hint)
-        assert sorted(got.rows, key=str) == want
+    got = wide_sessions[placement].query(sql)
+    assert sorted(got.rows, key=str) == want
     _check_widths(replies)
-    if where == "all":  # every group selected, none inflated: the width of the count
+    if where == "all":  # every group selected: the width of the count
         assert replies[0].groups.ids[srv.ROW_IDS][0].codes.dtype == (
             np.uint8 if groups < 256 else np.uint16 if groups < 65_536 else np.uint32)
 
@@ -284,8 +280,7 @@ def test_grouped_join_with_duplicate_build_keys_at_every_code_width(wide_session
     sql = WIDE_JOIN.format(n=groups)
     want = sorted(execute_plain({"wide": WIDE, "wb": WIDE_BUILD}, parse_query(sql)), key=str)
     replies = _replies(monkeypatch)
-    for hint in (None, groups):
-        got = wide_sessions["single-store"].query(sql, expected_groups=hint)
-        assert sorted(got.rows, key=str) == want
+    got = wide_sessions["single-store"].query(sql)
+    assert sorted(got.rows, key=str) == want
     _check_widths(replies)
     assert {len(reply.groups.ids) for reply in replies} == {2}  # probe and build IDs

@@ -175,7 +175,6 @@ def test_server_query_roundtrip():
             payload_columns=("d1", "d2"),
         ),
         group_by="region_det",
-        inflation=4,
         compress_at="driver",
     )
     got = roundtrip(q)
@@ -191,7 +190,7 @@ def test_server_response_roundtrip():
         flat={"total": ("ashe", 3)},
         id_sets={srv.BUILD_IDS: [b"\x01\x02", b""]},
         groups=GroupedRows(
-            np.array([7, 2**64 - 1], dtype=np.uint64), np.array([0, 3]),
+            np.array([7, 2**64 - 1], dtype=np.uint64),
             {"s": np.array([10**45, 3], dtype=object), "n": np.array([4, -1])},
             {srv.ROW_IDS: [IdPiece(b"\x08\x02\x05", np.array([1, 0, 1], dtype=np.uint8)),
                            IdPiece(b"\x07\x01", np.array([0], dtype=np.uint8))]},
@@ -225,20 +224,63 @@ def test_version_skew_rejected():
 
 
 def test_previous_wire_version_rejected():
-    """v4 replies carried a grouped result's IDs as one stream of (group,
-    partition) segments; a v4 peer must fail the handshake typed, not be
-    mis-parsed."""
-    assert codec.WIRE_VERSION == 5
+    """v5 requests carried a group-key inflation factor and v5 grouped
+    replies a suffix per row set; a v5 peer must fail the handshake typed,
+    not be mis-parsed."""
+    assert codec.WIRE_VERSION == 6
     frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
-    frame[8:10] = struct.pack("<H", 4)
-    with pytest.raises(CodecError, match="peer speaks v4, this end v5"):
+    frame[8:10] = struct.pack("<H", 5)
+    with pytest.raises(CodecError, match="peer speaks v5, this end v6"):
         codec.decode_frame(bytes(frame))
+
+
+def _with_field(frame: bytes, cls: str, name: str, node, buffer: bytes = b"") -> bytes:
+    """``frame`` re-spliced with one more field ``name`` (envelope ``node``,
+    whose ``"i"`` -- if any -- indexes the appended ``buffer``) on its
+    ``cls`` dataclass: a field this wire version no longer has."""
+    _, _, env_len = struct.unpack_from("<4sHI", frame, 4)
+    envelope = json.loads(frame[14:14 + env_len])
+
+    def splice(tree) -> bool:
+        if isinstance(tree, list):
+            return any(splice(v) for v in tree)
+        if not isinstance(tree, dict):
+            return False
+        if tree.get("!") == "d" and tree["t"] == cls:
+            tree["f"][name] = node
+            return True
+        return any(splice(v) for v in tree.values())
+
+    assert splice(envelope["body"])
+    if buffer:
+        node["i"] = len(envelope["buffers"])
+        envelope["buffers"].append(len(buffer))
+    env = json.dumps(envelope).encode()
+    payload = (struct.pack("<4sHI", codec.MAGIC, codec.WIRE_VERSION, len(env)) + env
+               + frame[14 + env_len:] + buffer)
+    return struct.pack("<I", len(payload)) + payload
+
+
+def test_a_request_with_an_inflation_factor_is_rejected():
+    frame = codec.encode_frame("req", GROUPED_Q)
+    assert codec.decode_frame(frame) == ("req", GROUPED_Q)
+    with pytest.raises(CodecError, match=r"unexpected fields for ServerQuery: \['inflation'\]"):
+        codec.decode_frame(_with_field(frame, "ServerQuery", "inflation", 4))
+
+
+def test_a_reply_with_group_suffixes_is_rejected():
+    frame = codec.encode_frame("rep", _pieces_reply(np.array([0, 1, 2, 2], np.uint8)))
+    codec.decode_frame(frame)
+    suffixes = np.zeros(3, dtype=np.int64)
+    node = {"!": "nd", "d": suffixes.dtype.str, "s": [3]}
+    with pytest.raises(CodecError, match=r"unexpected fields for GroupedRows: \['suffixes'\]"):
+        codec.decode_frame(_with_field(frame, "GroupedRows", "suffixes", node, suffixes.tobytes()))
 
 
 def _pieces_reply(codes, chunk=None, entries=3):
     """A grouped reply of ``entries`` row sets over IDs 0-3 in one piece."""
     return srv.ServerResponse(kind="grouped", groups=GroupedRows(
-        np.arange(entries, dtype=np.uint64), np.zeros(entries, dtype=np.int64),
+        np.arange(entries, dtype=np.uint64),
         {"a": np.ones(entries, dtype=np.uint64)},
         {srv.ROW_IDS: [IdPiece(chunk or encode_mask(np.ones(4, bool), 0), codes)]},
     ))
@@ -369,7 +411,6 @@ queries = st.builds(
     aggs=st.lists(aggregates, min_size=1, max_size=3).map(tuple),
     filter=st.none() | filters,
     group_by=st.none() | names,
-    inflation=st.integers(1, 4),
 )
 payloads = st.one_of(
     st.tuples(st.just("ashe"), st.integers(0, 2**64 - 1)),
@@ -408,8 +449,8 @@ responses = st.one_of(
               groups=st.integers(0, 4).flatmap(
                   lambda n: st.builds(
                       lambda keys, values, pieces: GroupedRows(
-                          np.sort(np.array(keys, dtype=np.uint64)),
-                          np.zeros(n, dtype=np.int64), values, {srv.ROW_IDS: pieces},
+                          np.sort(np.array(keys, dtype=np.uint64)), values,
+                          {srv.ROW_IDS: pieces},
                       ),
                       st.lists(u64, min_size=n, max_size=n),
                       st.dictionaries(aliases, st.lists(
