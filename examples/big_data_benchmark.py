@@ -3,9 +3,9 @@
 
 Runs all four BDB query families over encrypted data, with the paper's
 simplifications: Q2 matches deterministically encrypted sourceIP prefixes
-(client pre-processing), Q4's external-script phase stays plaintext (run
-through the Spark-like RDD API) and only its phase-2 aggregation is
-encrypted.
+(client pre-processing), Q4's external-script phase stays plaintext (a
+flatMap + reduceByKey on the simulated cluster, ``bdb.count_links``) and
+only its phase-2 aggregation is encrypted.
 
 Run:  python examples/big_data_benchmark.py
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.session import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.engine.rdd import RDD
 from repro.workloads import bdb
 
 data = bdb.generate(num_rankings=2_000, num_uservisits=20_000, seed=0)
@@ -55,17 +54,12 @@ for variant in ("A", "B", "C"):
 
 print("\n=== Q4: external script (plaintext phase 1) + encrypted phase 2 ===")
 docs = bdb.generate_crawl_documents(500, data.rankings["pageURL"], seed=1)
-rdd = RDD.parallelize(client.cluster, docs, num_partitions=4)
-link_counts = (
-    rdd.flat_map(bdb.extract_links)
-    .reduce_by_key(lambda a, b: a + b)
-    .collect()
-)
-print(f"  phase 1 (plaintext word-count UDF via RDD): "
+link_counts, _ = bdb.count_links(client.cluster, docs, num_partitions=4)
+print(f"  phase 1 (plaintext flatMap + reduceByKey on the cluster): "
       f"{len(link_counts):,} distinct link targets")
 
-urls = [u for u, _ in link_counts]
-counts = np.array([c for _, c in link_counts], dtype=np.int64)
+urls = list(link_counts)
+counts = np.array(list(link_counts.values()), dtype=np.int64)
 phase2_schema = TableSchema("linkcounts", [
     ColumnSpec("target", dtype="str", sensitive=True,
                distinct_values=sorted(set(urls))),

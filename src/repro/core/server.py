@@ -895,6 +895,11 @@ class SeabedServer:
             )
             return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
+        # The single store keeps its reducers rather than the shard worker's
+        # one serial ``partial-merge``: on BDB Q2A (30k visits, 32 cores,
+        # 512-bit Paillier) that merge took Paillier's modelled server time
+        # 16.6 -> 52.7 ms and Paillier/Seabed from 6.0x to ~39x, against Fig
+        # 9b-c's narrow gap.  Reducers won at every group count measured.
         def shuffle() -> tuple[GroupedRows, dict[str, list[IdPiece]], np.ndarray]:
             # One sort by key over every partition's row-set columns:
             # each row set's partials become adjacent, in partition
@@ -906,10 +911,10 @@ class SeabedServer:
         # Shuffle: every partial's row-set columns cross the network once;
         # few distinct keys mean few active receivers.
         distinct = len(bounds) - 1
-        num_reducers = max(1, min(self.cluster.config.cores, distinct))
-        metrics.shuffles.append((sum(p.nbytes(ids=False) for p in partials), num_reducers))
+        reducers = max(1, min(self.cluster.config.cores, distinct))
+        metrics.shuffles.append((sum(p.nbytes(ids=False) for p in partials), reducers))
         # Range partitioning: each reducer merges a contiguous run of keys.
-        cuts = bounds[np.arange(num_reducers + 1) * distinct // num_reducers].tolist()
+        cuts = bounds[np.arange(reducers + 1) * distinct // reducers].tolist()
         reduce_calls = [(rows.slice(lo, hi), q.aggs) for lo, hi in zip(cuts[:-1], cuts[1:])]
         reduced, _ = self.cluster.map_stage(
             "group-reduce", group_reduce_task, reduce_calls, metrics

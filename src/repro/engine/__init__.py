@@ -21,9 +21,6 @@ deliberately transparent equivalent:
   read-only memory maps.  An opened table is one generation's snapshot
   and stage tasks receive its partitions, so a query keeps reading that
   snapshot while appends and compactions publish newer ones.
-- :mod:`repro.engine.rdd` -- a small row-oriented RDD API (map / filter /
-  reduce / reduceByKey) mirroring the Spark API targeted by the paper's
-  query translator (Table 2).
 
 The simulation preserves the *shape* of the paper's scaling experiments
 (latency vs rows, vs cores, vs selectivity) because every code path that
@@ -35,7 +32,6 @@ whoever calls ``model()`` -- production telemetry carries measurements.
 
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
-from repro.engine.rdd import RDD
 from repro.engine.store import open_store, write_store
 from repro.engine.table import Partition, Table
 
@@ -43,7 +39,6 @@ __all__ = [
     "ClusterConfig",
     "JobMetrics",
     "Partition",
-    "RDD",
     "SimulatedCluster",
     "StageMetrics",
     "Table",

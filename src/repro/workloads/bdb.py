@@ -14,9 +14,9 @@ simplifications applied:
 - Q3 joins the two tables on destURL = pageURL with a visitDate range,
   grouping revenue and average pageRank by sourceIP.
 - Q4's external-script phase stays plaintext in the paper; phase 1 is a
-  word-count style flat-map over synthetic crawl documents (exercised via
-  the RDD API) and phase 2 aggregates the resulting counts under
-  encryption.
+  word-count style flatMap + reduceByKey over synthetic crawl documents
+  (:func:`count_links`, run on the simulated cluster) and phase 2
+  aggregates the resulting counts under encryption.
 
 adRevenue is fixed-point cents (integers), the standard trick for
 aggregating currency with integer-only homomorphic schemes.
@@ -24,11 +24,14 @@ aggregating currency with integer-only homomorphic schemes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.schema import ColumnSpec, TableSchema
+from repro.engine.cluster import SimulatedCluster
+from repro.engine.metrics import JobMetrics
 from repro.errors import SeabedError
 from repro.workloads.distributions import zipf_choice
 
@@ -192,3 +195,40 @@ def extract_links(document: tuple[str, str]) -> list[tuple[str, int]]:
         for token in contents.split()
         if token.startswith("href=")
     ]
+
+
+def count_links(
+    cluster: SimulatedCluster, documents: list[tuple[str, str]], num_partitions: int
+) -> tuple[dict[str, int], JobMetrics]:
+    """Q4 phase 1 as Spark runs it: ``flatMap(extract_links)`` over at most
+    ``num_partitions`` equal document slices, then ``reduceByKey(+)`` over
+    ``cluster.config.cores`` reducers.
+
+    Each ``flatMap`` task counts its links into one hash bucket per
+    reducer (the map-side combine); each (bucket, url) entry crosses the
+    shuffle as 32 bytes, and each ``shuffle-reduce`` task sums one bucket.
+    """
+    reducers = cluster.config.cores
+    size = max(1, -(-len(documents) // max(1, num_partitions)))
+    slices = [documents[i : i + size] for i in range(0, len(documents), size)]
+    metrics = JobMetrics()
+
+    def extract_and_combine(docs: list[tuple[str, str]]) -> list[Counter[str]]:
+        buckets: list[Counter[str]] = [Counter() for _ in range(reducers)]
+        for doc in docs:
+            for url, one in extract_links(doc):
+                buckets[hash(url) % reducers][url] += one
+        return buckets
+
+    def merge_bucket(idx: int) -> Counter[str]:
+        merged: Counter[str] = Counter()
+        for buckets in map_out:
+            merged.update(buckets[idx])
+        return merged
+
+    map_out, _ = cluster.map_stage("flatMap", extract_and_combine, [(d,) for d in slices], metrics)
+    metrics.shuffles.append((32 * sum(len(b) for buckets in map_out for b in buckets), 0))
+    reduced, _ = cluster.map_stage(
+        "shuffle-reduce", merge_bucket, [(i,) for i in range(reducers)], metrics
+    )
+    return {url: n for bucket in reduced for url, n in bucket.items()}, metrics

@@ -70,14 +70,10 @@ def test_q4_phase2_aggregation(data):
     from collections import Counter
 
     from repro.core.schema import ColumnSpec, TableSchema
-    from repro.engine.rdd import RDD
 
     client = SeabedSession(master_key=b"b" * 32, mode="seabed", seed=6)
     docs = bdb.generate_crawl_documents(60, data.rankings["pageURL"], seed=2)
-    rdd = RDD.parallelize(client.cluster, docs, num_partitions=3)
-    counted = dict(
-        rdd.flat_map(bdb.extract_links).reduce_by_key(lambda a, b: a + b).collect()
-    )
+    counted, _ = bdb.count_links(client.cluster, docs, num_partitions=3)
     expected = Counter()
     for doc in docs:
         for url, one in bdb.extract_links(doc):

@@ -1,8 +1,11 @@
 """Tests for the workload generators (repro.workloads)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import SeabedError
 from repro.workloads import adanalytics, bdb, distributions, mdx, synthetic, tpcds
 
@@ -88,6 +91,53 @@ class TestBdb:
         pairs = bdb.extract_links(docs[0])
         assert pairs and all(count == 1 for _url, count in pairs)
         assert all(url in set(data.rankings["pageURL"]) for url, _c in pairs)
+
+
+class TestCountLinks:
+    """Q4 phase 1: flatMap + reduceByKey on the simulated cluster."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        urls = bdb.generate(num_rankings=40, num_uservisits=10, seed=0).rankings["pageURL"]
+        return bdb.generate_crawl_documents(30, urls, seed=3)
+
+    @pytest.mark.parametrize("cores", [1, 4, 32])
+    @pytest.mark.parametrize("num_partitions", [1, 3, 45])
+    def test_counts_match_a_direct_count(self, docs, num_partitions, cores):
+        cluster = SimulatedCluster(ClusterConfig(cores=cores))
+        counts, _ = bdb.count_links(cluster, docs, num_partitions)
+        expected = Counter()
+        for doc in docs:
+            for url, one in bdb.extract_links(doc):
+                expected[url] += one
+        assert counts == dict(expected)
+
+    @pytest.mark.parametrize("num_partitions, slices", [(1, 1), (3, 3), (4, 4), (7, 6), (45, 30)])
+    def test_one_map_task_per_slice_and_cores_reducers(self, docs, num_partitions, slices):
+        cluster = SimulatedCluster(ClusterConfig(cores=4))
+        _, metrics = bdb.count_links(cluster, docs, num_partitions)
+        assert [(s.name, s.num_tasks) for s in metrics.stages] == [
+            ("flatMap", slices), ("shuffle-reduce", 4),
+        ]
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 45])
+    def test_shuffle_bytes_are_32_per_map_side_entry(self, docs, num_partitions):
+        # Buckets partition a slice's distinct urls, so the map side holds
+        # one (bucket, url) entry per distinct url per slice.
+        size = -(-len(docs) // min(num_partitions, len(docs)))
+        entries = sum(
+            len({url for doc in docs[i : i + size] for url, _one in bdb.extract_links(doc)})
+            for i in range(0, len(docs), size)
+        )
+        cluster = SimulatedCluster(ClusterConfig(cores=4))
+        _, metrics = bdb.count_links(cluster, docs, num_partitions)
+        assert metrics.shuffles == [(32 * entries, 0)]
+
+    def test_no_documents_count_nothing(self):
+        counts, metrics = bdb.count_links(SimulatedCluster(ClusterConfig(cores=4)), [], 3)
+        assert counts == {}
+        assert [s.num_tasks for s in metrics.stages] == [0, 4]
+        assert metrics.shuffles == [(0, 0)]
 
 
 class TestAdAnalytics:
