@@ -43,9 +43,10 @@ class CryptoFactory:
         self._ashe: dict[str, InstrumentedKernel] = {}
         self._det: dict[str, InstrumentedKernel] = {}
         self._ore: dict[str, InstrumentedKernel] = {}
-        # query_many() decrypts on several threads; the lock keeps the
-        # check-then-insert below from constructing a scheme twice (the
-        # loser's per-scheme op counters would be silently discarded).
+        # One session may be shared by several caller threads; the lock
+        # keeps the check-then-insert below from constructing a scheme
+        # twice (the loser's per-scheme op counters would be silently
+        # discarded).
         self._lock = threading.Lock()
 
     @property

@@ -26,6 +26,7 @@ from __future__ import annotations
 import abc
 import os
 import shutil
+import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core import persistence as ps
@@ -282,6 +283,11 @@ class LocalTransport(Transport):
 
     local = True
 
+    #: Serialises fleet start: two threads attaching one not-yet-hosted
+    #: sharded root must spawn one fleet, not two (the loser's workers
+    #: would outlive close()).  Process-wide, since fleet starts are rare.
+    _fleet_lock = threading.Lock()
+
     def __init__(self, server: "SeabedServer", cluster: "SimulatedCluster"):
         self.server = server
         self.cluster = cluster
@@ -458,8 +464,10 @@ class LocalTransport(Transport):
         if sharding is None:
             self.server.register(open_committed_store(resolved, payload))
             self._stores[name] = resolved
-        elif name not in self._fleets:
-            self._host_fleet(resolved, name, sharding)
+        else:
+            with self._fleet_lock:
+                if name not in self._fleets:
+                    self._host_fleet(resolved, name, sharding)
         return {"name": name}
 
     def _host_fleet(self, root: str, name: str, sharding: dict[str, Any]) -> None:

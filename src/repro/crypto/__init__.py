@@ -1,11 +1,20 @@
 """Cryptographic substrate for Seabed.
 
+Each scheme has array-in / array-out batch operations for exactly what
+the planner picks it for, beside a per-value reference path
+(``encrypt_one`` / ``decrypt_one`` / ``encrypt(m, i)``) that tests and
+microbenchmarks check the batch operations against:
+
+- ASHE: ``encrypt_column``, ``decrypt_column`` and ``pad_range`` (sums);
+- DET: ``encrypt_column``, ``decrypt_column`` and ``compare_column``
+  (equality);
+- ORE: ``encrypt_column`` and ``compare_column`` (order);
+- Paillier: ``encrypt_column`` and ``decrypt_column`` (the baseline).
+
 Modules:
 
-- :mod:`repro.crypto.kernel` -- the batch :class:`Kernel` protocol every
-  scheme implements (``encrypt_column`` / ``decrypt_column`` /
-  ``compare_column`` / ``pad_range``, array-in / array-out) and the
-  plaintext :class:`PlainKernel`.
+- :mod:`repro.crypto.kernel` -- timing of the batch operations into the
+  metrics registry (:class:`~repro.crypto.kernel.InstrumentedKernel`).
 - :mod:`repro.crypto.prf` -- keyed pseudo-random functions (BLAKE2b,
   vectorised SplitMix64 family, from-scratch AES-CTR, and the batch
   AES-NI path through the ``cryptography`` package).
@@ -23,14 +32,6 @@ Modules:
 
 from repro.crypto.ashe import AsheCiphertext, AsheScheme
 from repro.crypto.det import DetScheme, DictionaryEncoder
-from repro.crypto.kernel import (
-    KERNEL_OPS,
-    Kernel,
-    KernelUnsupported,
-    PlainKernel,
-    kernel_ops,
-    validate_kernel,
-)
 from repro.crypto.keys import KeyChain
 from repro.crypto.ore import OreScheme
 from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
@@ -53,17 +54,11 @@ __all__ = [
     "DetScheme",
     "DictionaryEncoder",
     "HAVE_AESNI",
-    "KERNEL_OPS",
-    "Kernel",
-    "KernelUnsupported",
     "KeyChain",
     "OreScheme",
     "PaillierKeyPair",
     "PaillierScheme",
-    "PlainKernel",
     "Prf",
     "SplitMix64Prf",
-    "kernel_ops",
     "prf_from_name",
-    "validate_kernel",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crypto.prf import MASK64, Prf
-from repro.errors import CryptoError, DecryptionError, KernelUnsupported
+from repro.errors import CryptoError, DecryptionError
 from repro.idlist import IdList
 
 _U64 = np.uint64
@@ -79,16 +79,12 @@ class AsheScheme:
     Identifier 0 is allowed; its pad reaches back to ``F_k(2^64 - 1)``.
     """
 
-    #: Kernel-protocol ops this scheme cannot provide: ASHE ciphertexts
-    #: reveal no order, so there is no compare.
-    KERNEL_UNSUPPORTED = frozenset({"compare_column"})
-
     def __init__(self, prf: Prf):
         self._prf = prf
         self.prf_evals = 0  # running count, for the paper's AES-op statistic
-        # query_many() decrypts on several threads; `+=` on the counter is
-        # not atomic, so bumps go through a lock (one acquisition per
-        # vectorised call, not per row).
+        # One session may be shared by several caller threads; `+=` on the
+        # counter is not atomic, so bumps go through a lock (one
+        # acquisition per vectorised call, not per row).
         self._evals_lock = threading.Lock()
 
     def _bump(self, evals: int) -> None:
@@ -154,10 +150,6 @@ class AsheScheme:
         if c.size == 0:
             return np.empty(0, np.int64)
         return (c + self.pad_range(start_id, c.size)).view(np.int64)
-
-    def compare_column(self, cipher: np.ndarray, token) -> np.ndarray:
-        """ASHE reveals no order; the Kernel op is structurally absent."""
-        raise KernelUnsupported("ASHE ciphertexts do not support comparison")
 
     def decrypt_rows(self, cipher: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Decrypt scattered single rows (scan results).

@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.crypto.prf import MASK64
-from repro.errors import CryptoError, KernelUnsupported
+from repro.errors import CryptoError
 
 _U64 = np.uint64
 _MASK32 = 0xFFFFFFFF
@@ -58,10 +58,6 @@ class DetScheme:
     """Deterministic 64-bit PRP: 4-round Feistel over 32-bit halves."""
 
     ROUNDS = 4
-
-    #: Kernel-protocol ops this scheme cannot provide: DET is a
-    #: permutation with no additive mask stream.
-    KERNEL_UNSUPPORTED = frozenset({"pad_range"})
 
     def __init__(self, key: bytes, backend: str = "fast"):
         if len(key) < 16:
@@ -129,8 +125,8 @@ class DetScheme:
     def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
         """Encrypt an int column (codes) into uint64 DET ciphertexts.
 
-        ``start_id`` is accepted for Kernel-protocol uniformity and
-        ignored: DET ciphertexts do not depend on row identity.
+        ``start_id`` is ignored (DET ciphertexts do not depend on row
+        identity); ``InstrumentedKernel`` forwards ASHE's signature.
         """
         v = np.asarray(values)
         x = v.astype(np.int64, copy=False).view(_U64) if v.dtype != _U64 else v
@@ -156,10 +152,6 @@ class DetScheme:
         """
         c = np.asarray(cipher, dtype=_U64)
         return np.where(c == _U64(int(token)), 0, 1).astype(np.int8)
-
-    def pad_range(self, start_id: int, count: int) -> np.ndarray:
-        """DET has no additive mask stream."""
-        raise KernelUnsupported("DET has no pad stream")
 
     def token(self, m: int) -> int:
         """Equality token for a query constant (same as encryption)."""

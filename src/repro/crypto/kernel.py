@@ -1,87 +1,39 @@
-"""The batch crypto-kernel protocol: array-in / array-out primitives.
+"""Instrumentation for the schemes' batch crypto operations.
 
 Seabed's performance story (Table 1, Figures 6-7) only holds when the
 crypto primitives are *batch* operations over whole columns -- the same
 lesson the "Computing on Masked Data" line of work draws for masked-data
-analytics.  Every scheme in this package therefore implements one uniform
-:class:`Kernel` protocol:
+analytics.  Each scheme has exactly the array-in / array-out operations
+the planner's choice of it implies (paper Sections 3 and 4.2):
 
-- ``encrypt_column(values, start_id=0)`` -- encrypt a whole column.
-  ``start_id`` is the first row identifier; schemes whose ciphertexts do
-  not depend on row identity (DET, ORE, Paillier, plain) accept and
-  ignore it.
-- ``decrypt_column(cipher, start_id=0)`` -- the inverse.
-- ``compare_column(cipher, token)`` -- server-side predicate evaluation
-  of a whole ciphertext column against one query token, with no key
-  material.
-- ``pad_range(start_id, count)`` -- the per-row pad stream for a
-  contiguous identifier range (ASHE's telescoping masks; zeros for
-  plaintext).
+=========  ==========================================================
+Scheme     Batch operations
+=========  ==========================================================
+ASHE       ``encrypt_column`` / ``decrypt_column`` (rows get IDs from
+           ``start_id``) and ``pad_range(start_id, count)``, the
+           telescoping pad stream of a contiguous ID range
+DET        ``encrypt_column`` / ``decrypt_column`` and
+           ``compare_column(cipher, token)``, equality as int8
+ORE        ``encrypt_column`` and ``compare_column(cipher, token)``,
+           the order sign as int8; CLWW ciphertexts are not invertible
+Paillier   ``encrypt_column`` / ``decrypt_column`` over object arrays
+=========  ==========================================================
 
-Operations that are cryptographically meaningless for a scheme (ORE
-cannot be decrypted, Paillier reveals no order) raise
-:class:`~repro.errors.KernelUnsupported`; each scheme declares them in
-``KERNEL_UNSUPPORTED`` so capability checks need no trial calls.
+An operation a scheme cannot run is simply absent.  The per-value entry
+points (``encrypt_one`` / ``decrypt_one`` / ``encrypt(m, i)``) are the
+*reference path* the property tests and ``benchmarks/bench_kernels.py``
+measure the batch operations against.
 
-The per-value entry points (``encrypt_one`` / ``decrypt_one`` /
-``encrypt(m, i)``) are the *reference path* the property tests and
-``benchmarks/bench_kernels.py`` measure the batch kernels against.
+This module times those batch calls: :func:`observe_kernel_op` folds one
+call into the metrics registry, and :class:`InstrumentedKernel` wraps a
+scheme so each of its batch calls is observed.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Protocol, runtime_checkable
 
-import numpy as np
-
-from repro.errors import CryptoError, KernelUnsupported
 from repro.obs import metrics as _obs_metrics
-
-_U64 = np.uint64
-
-#: The four batch-kernel operations, in protocol order.
-KERNEL_OPS = ("encrypt_column", "decrypt_column", "compare_column", "pad_range")
-
-
-@runtime_checkable
-class Kernel(Protocol):
-    """Structural type for a batch crypto kernel (see module docstring)."""
-
-    def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
-        ...
-
-    def decrypt_column(self, cipher: np.ndarray, start_id: int = 0) -> np.ndarray:
-        ...
-
-    def compare_column(self, cipher: np.ndarray, token) -> np.ndarray:
-        ...
-
-    def pad_range(self, start_id: int, count: int) -> np.ndarray:
-        ...
-
-
-def kernel_ops(kernel: object) -> dict[str, bool]:
-    """Which of the four kernel ops ``kernel`` actually supports.
-
-    Uses the scheme's declared ``KERNEL_UNSUPPORTED`` set -- no trial
-    calls, so probing a capability never costs an exception.
-    """
-    unsupported = frozenset(getattr(kernel, "KERNEL_UNSUPPORTED", ()))
-    return {op: op not in unsupported for op in KERNEL_OPS}
-
-
-def validate_kernel(kernel: object) -> None:
-    """Raise :class:`CryptoError` unless ``kernel`` satisfies the protocol."""
-    if not isinstance(kernel, Kernel):
-        missing = [op for op in KERNEL_OPS if not callable(getattr(kernel, op, None))]
-        raise CryptoError(
-            f"{type(kernel).__name__} does not implement the Kernel protocol "
-            f"(missing: {', '.join(missing) or 'nothing?'})"
-        )
-
-
-# -- kernel instrumentation --------------------------------------------------
 
 #: ns/op buckets for per-scheme kernel timings: 1 ns .. 100 us per value.
 KERNEL_NS_BUCKETS = (
@@ -114,12 +66,13 @@ def observe_kernel_op(scheme: str, op: str, seconds: float, values: int) -> None
 
 
 class InstrumentedKernel:
-    """Transparent timing wrapper around any :class:`Kernel`.
+    """Transparent timing wrapper around one scheme instance.
 
-    Times the four batch operations into :func:`observe_kernel_op` and
-    forwards everything else (``token_for``, ``KERNEL_UNSUPPORTED``,
-    scheme-specific helpers) to the wrapped instance, so callers that
-    duck-type against scheme attributes keep working unchanged.
+    Times the batch operations into :func:`observe_kernel_op` and forwards
+    everything else (``token``, ``prf_evals``, the per-value reference
+    path) to the wrapped instance, so callers that duck-type against
+    scheme attributes keep working unchanged.  Calling a batch operation
+    the wrapped scheme lacks raises ``AttributeError``.
     """
 
     __slots__ = ("_kernel", "_scheme")
@@ -173,51 +126,4 @@ class InstrumentedKernel:
         return f"InstrumentedKernel({self._scheme}, {self._kernel!r})"
 
 
-# -- the trivial kernel ------------------------------------------------------
-
-
-class PlainKernel:
-    """The identity "scheme": plaintext columns behind the Kernel protocol.
-
-    The NoEnc baseline flows through the same batch interface as the
-    encrypted schemes, so the execution tier has exactly one calling
-    convention regardless of mode.
-    """
-
-    KERNEL_UNSUPPORTED: frozenset[str] = frozenset()
-
-    def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
-        v = np.asarray(values)
-        if v.ndim != 1:
-            raise CryptoError("encrypt_column expects a 1-D array")
-        return v.astype(np.int64, copy=False)
-
-    def decrypt_column(self, cipher: np.ndarray, start_id: int = 0) -> np.ndarray:
-        c = np.asarray(cipher)
-        if c.ndim != 1:
-            raise CryptoError("decrypt_column expects a 1-D array")
-        return c.astype(np.int64, copy=False)
-
-    def compare_column(self, cipher: np.ndarray, token) -> np.ndarray:
-        """Sign of ``cipher - token`` as int8 (-1 / 0 / +1) per row."""
-        c = np.asarray(cipher, dtype=np.int64)
-        t = np.int64(int(token))
-        return np.sign(c - t).astype(np.int8)
-
-    def pad_range(self, start_id: int, count: int) -> np.ndarray:
-        """Plaintext needs no masking: the pad stream is all zeros."""
-        if count < 0:
-            raise CryptoError(f"negative pad range count: {count}")
-        return np.zeros(count, dtype=_U64)
-
-
-__all__ = [
-    "KERNEL_OPS",
-    "InstrumentedKernel",
-    "Kernel",
-    "KernelUnsupported",
-    "PlainKernel",
-    "kernel_ops",
-    "observe_kernel_op",
-    "validate_kernel",
-]
+__all__ = ["InstrumentedKernel", "observe_kernel_op"]

@@ -41,7 +41,7 @@ import hashlib
 import numpy as np
 
 from repro.crypto.prf import MASK64
-from repro.errors import CryptoError, KernelUnsupported
+from repro.errors import CryptoError
 
 _U64 = np.uint64
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
@@ -174,10 +174,6 @@ def argextreme_packed(cipher: np.ndarray, kind: str) -> int:
 class OreScheme:
     """CLWW order-revealing encryption over ``nbits``-bit integers."""
 
-    #: Kernel-protocol ops this scheme cannot provide: CLWW ciphertexts are
-    #: not invertible (comparison-only), and there is no pad stream.
-    KERNEL_UNSUPPORTED = frozenset({"decrypt_column", "pad_range"})
-
     def __init__(self, key: bytes, nbits: int = 32, signed: bool = True,
                  backend: str = "fast"):
         if len(key) < 16:
@@ -265,8 +261,8 @@ class OreScheme:
     def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
         """Encrypt a column; returns a ``(N, num_words)`` uint64 array.
 
-        ``start_id`` is accepted for Kernel-protocol uniformity and
-        ignored: ORE ciphertexts do not depend on row identity.
+        ``start_id`` is ignored (ORE ciphertexts do not depend on row
+        identity); ``InstrumentedKernel`` forwards ASHE's signature.
         """
         v = self._to_domain_np(values)
         out = np.zeros((v.size, self.num_words), dtype=_U64)
@@ -278,14 +274,6 @@ class OreScheme:
             word, slot = divmod(i - 1, _TRITS_PER_WORD)
             out[:, word] |= trit << _U64(2 * slot)
         return out
-
-    def decrypt_column(self, cipher: np.ndarray, start_id: int = 0) -> np.ndarray:
-        """CLWW ciphertexts are comparison-only; decryption does not exist."""
-        raise KernelUnsupported("ORE ciphertexts cannot be decrypted")
-
-    def pad_range(self, start_id: int, count: int) -> np.ndarray:
-        """ORE has no additive mask stream."""
-        raise KernelUnsupported("ORE has no pad stream")
 
     def token(self, m: int) -> tuple[int, ...]:
         """Comparison token for a query constant (same as encryption)."""

@@ -24,7 +24,7 @@ from random import Random
 
 import numpy as np
 
-from repro.errors import CryptoError, KernelUnsupported
+from repro.errors import CryptoError
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
 
@@ -100,10 +100,6 @@ class PaillierScheme:
     Randomness for encryption blinding comes from a dedicated RNG;  pass
     ``seed`` for reproducible ciphertexts in tests.
     """
-
-    #: Kernel-protocol ops this scheme cannot provide: Paillier is
-    #: semantically secure (no comparison) and has no pad stream.
-    KERNEL_UNSUPPORTED = frozenset({"compare_column", "pad_range"})
 
     def __init__(self, keys: PaillierKeyPair, seed: int | None = None,
                  blinding_pool: int | None = None):
@@ -187,8 +183,8 @@ class PaillierScheme:
     def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
         """Encrypt each element; returns a dtype=object array of big ints.
 
-        ``start_id`` is accepted for Kernel-protocol uniformity and
-        ignored.  Paillier ciphertexts are arbitrary-precision ints, so
+        ``start_id`` is ignored: Paillier ciphertexts do not depend on row
+        identity.  They are arbitrary-precision ints, so
         the batch path is a loop -- exactly the per-row cost the paper's
         baseline measurements charge Paillier for.
         """
@@ -208,14 +204,6 @@ class PaillierScheme:
         for j, ct in enumerate(c.tolist()):
             out[j] = self.decrypt_crt(int(ct))
         return out
-
-    def compare_column(self, cipher: np.ndarray, token) -> np.ndarray:
-        """Paillier is semantically secure; no server-side comparison."""
-        raise KernelUnsupported("Paillier ciphertexts do not support comparison")
-
-    def pad_range(self, start_id: int, count: int) -> np.ndarray:
-        """Paillier has no additive mask stream."""
-        raise KernelUnsupported("Paillier has no pad stream")
 
     def aggregate(self, cipher: np.ndarray, mask: np.ndarray | None = None) -> int:
         """Server-side SUM: the big-int product of selected ciphertexts."""

@@ -194,8 +194,8 @@ class AesCtrPrf(Prf):
         key = _require_key(key, minimum=16)
         self._aes = Aes128(key[:16])
         # One (block index, block bytes) pair, kept in a single attribute
-        # so concurrent readers (query_many fans decryption out across
-        # threads) always see a consistent index/bytes snapshot.
+        # so concurrent readers (caller threads sharing one session)
+        # always see a consistent index/bytes snapshot.
         self._cache: tuple[int, bytes] = (-1, b"")
 
     def eval_one(self, i: int) -> int:

@@ -38,7 +38,7 @@ import concurrent.futures.process  # noqa: F401
 import heapq
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -110,19 +110,6 @@ class ClusterConfig:
                 f"slow_query_s must be None or non-negative, "
                 f"got {self.slow_query_s}"
             )
-
-    def with_cores(self, cores: int) -> "ClusterConfig":
-        return replace(self, cores=cores)
-
-    def with_client_link(self, bandwidth_bytes_s: float, latency_s: float) -> "ClusterConfig":
-        return replace(
-            self,
-            client_bandwidth_bytes_s=bandwidth_bytes_s,
-            client_latency_s=latency_s,
-        )
-
-    def with_storage(self, storage_dir: str | None) -> "ClusterConfig":
-        return replace(self, storage_dir=storage_dir)
 
     def resolve_store_path(self, name_or_path: str) -> str:
         """Resolve a store name against ``storage_dir`` (absolute paths and

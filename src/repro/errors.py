@@ -2,6 +2,13 @@
 
 Every error raised deliberately by this package derives from
 :class:`SeabedError`, so callers can catch one type at the proxy boundary.
+
+A class here names a condition that arises at run time: bad input from
+outside the program, a failed check on stored or received data, a lost
+peer.  Using a scheme for an operation it does not support is a
+programming error, not such a condition: each crypto scheme has only the
+batch operations it can run (see :mod:`repro.crypto.kernel`), so calling
+a missing one raises ``AttributeError`` and no class here stands for it.
 """
 
 from __future__ import annotations
@@ -13,16 +20,6 @@ class SeabedError(Exception):
 
 class CryptoError(SeabedError):
     """A cryptographic operation failed (bad key size, domain overflow...)."""
-
-
-class KernelUnsupported(CryptoError):
-    """A scheme does not implement this batch-kernel operation.
-
-    The :class:`~repro.crypto.kernel.Kernel` protocol is uniform across
-    schemes, but not every operation is meaningful everywhere (ORE
-    ciphertexts cannot be decrypted; Paillier reveals no order).  Callers
-    that probe capabilities catch this one type.
-    """
 
 
 class EncodingError(SeabedError):

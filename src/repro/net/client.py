@@ -60,6 +60,18 @@ _IDEMPOTENT = {
 }
 
 
+#: Seconds to wait for the TCP connect and the hello handshake.
+CONNECT_TIMEOUT = 10.0
+#: Per-request budget, seconds, when a call passes no ``timeout=``; it
+#: rides in the envelope so the service enforces it too.
+DEFAULT_TIMEOUT = 60.0
+#: Attempts an idempotent op gets, each after a failure on a fresh
+#: connection; any other op gets one.
+ATTEMPTS = 3
+#: Seconds slept before the second attempt, doubling before each later one.
+BACKOFF = 0.05
+
+
 class RemoteTransport(Transport):
     """Socket client for a :class:`~repro.net.service.SeabedService`.
 
@@ -79,10 +91,6 @@ class RemoteTransport(Transport):
         token: str | None = None,
         *,
         user: str | None = None,
-        connect_timeout: float = 10.0,
-        default_timeout: float | None = 60.0,
-        retries: int = 3,
-        backoff: float = 0.05,
     ):
         if isinstance(address, str):
             host, _, port = address.rpartition(":")
@@ -94,10 +102,10 @@ class RemoteTransport(Transport):
         self.address = address
         self._token = token
         self._user = user
-        self._connect_timeout = connect_timeout
-        self._default_timeout = default_timeout
-        self._retries = max(1, retries)
-        self._backoff = backoff
+        self._connect_timeout = CONNECT_TIMEOUT
+        self._default_timeout = DEFAULT_TIMEOUT
+        self._retries = ATTEMPTS
+        self._backoff = BACKOFF
         self._sock: socket.socket | None = None
         self.server_info: dict[str, Any] | None = None
         self._connect()  # fail fast on bad address / bad token
@@ -331,10 +339,6 @@ def connect(
     token: str | None = None,
     *,
     user: str | None = None,
-    connect_timeout: float = 10.0,
-    default_timeout: float | None = 60.0,
-    retries: int = 3,
-    backoff: float = 0.05,
     **session_kwargs: Any,
 ):
     """Open a :class:`~repro.core.session.SeabedSession` against a remote
@@ -342,15 +346,7 @@ def connect(
     usual session arguments -- keys stay on this side of the wire."""
     from repro.core.session import SeabedSession
 
-    transport = RemoteTransport(
-        address,
-        token,
-        user=user,
-        connect_timeout=connect_timeout,
-        default_timeout=default_timeout,
-        retries=retries,
-        backoff=backoff,
-    )
+    transport = RemoteTransport(address, token, user=user)
     return SeabedSession(transport=transport, **session_kwargs)
 
 

@@ -53,6 +53,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 
+#: Threads executing request bodies (the asyncio loop never blocks).
+EXECUTOR_THREADS = 8
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables for one service instance."""
@@ -70,8 +74,6 @@ class ServiceConfig:
     #: Server-side cap on any single request, seconds (None = unbounded).
     #: A client's per-call ``timeout=`` can only tighten it.
     request_timeout: float | None = 30.0
-    #: Threads executing request bodies (the asyncio loop never blocks).
-    executor_threads: int = 8
     #: Backoff hint carried in Backpressure replies, seconds.
     retry_after: float = 0.05
 
@@ -116,7 +118,7 @@ class SeabedService:
         self._tokens: dict[str, str] = {}  # token -> user
         self._tenants: dict[str, _Tenant] = {}
         self._pool = ThreadPoolExecutor(
-            max_workers=self.config.executor_threads,
+            max_workers=EXECUTOR_THREADS,
             thread_name_prefix="seabed-svc",
         )
         self._loop: asyncio.AbstractEventLoop | None = None

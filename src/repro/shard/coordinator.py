@@ -162,9 +162,6 @@ class ShardedStore:
         """The nodes hosting ``shard``, primary first (failover order)."""
         return self.ring.replica_chain(shard)  # type: ignore[return-value]
 
-    def hosted_shards(self, node: int) -> list[int]:
-        return [s for s in self.shards if node in self.replica_nodes(s)]
-
     def mark_dead(self, node: int) -> None:
         with self._lock:
             self.dead.add(node)

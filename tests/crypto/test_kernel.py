@@ -1,10 +1,12 @@
-"""Tests for the batch crypto-kernel protocol (repro.crypto.kernel).
+"""Tests for the schemes' batch crypto operations and their
+instrumentation (repro.crypto.kernel).
 
-Three concerns live here:
+Four concerns live here:
 
-- **Protocol conformance**: all five schemes satisfy :class:`Kernel`,
-  declare their unsupported ops, and the declared-absent ops raise
-  :class:`KernelUnsupported`.
+- **Instrumentation**: each batch operation a
+  :class:`~repro.core.crypto_factory.CryptoFactory` scheme is wrapped for
+  feeds ``seabed_kernel_values_total`` and ``seabed_kernel_ns_per_op``
+  through :class:`InstrumentedKernel` and returns the scheme's own result.
 - **Bit-identity**: every batch kernel is proven identical to the
   per-row reference path (``encrypt_one`` / ``decrypt_one`` /
   ``compare_words``) with hypothesis, across dtypes, empty arrays, and
@@ -15,6 +17,7 @@ Three concerns live here:
   ``decrypt_column`` is hammered from many threads.
 """
 
+import copy
 import threading
 
 import numpy as np
@@ -22,19 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.crypto_factory import CryptoFactory
 from repro.crypto.ashe import AsheScheme
 from repro.crypto.det import DetScheme
-from repro.crypto.kernel import (
-    KERNEL_OPS,
-    Kernel,
-    PlainKernel,
-    kernel_ops,
-    validate_kernel,
-)
+from repro.crypto.kernel import InstrumentedKernel, observe_kernel_op
+from repro.crypto.keys import KeyChain
 from repro.crypto.ore import OreScheme, argextreme_packed
 from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
 from repro.crypto.prf import HAVE_AESNI, MASK64, AesCtrPrf, AesNiCtrPrf, SplitMix64Prf
-from repro.errors import CryptoError, KernelUnsupported
+from repro.errors import CryptoError
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 KEY = b"0123456789abcdef"
 
@@ -62,74 +63,110 @@ def paillier() -> PaillierScheme:
     return PaillierScheme(PaillierKeyPair.generate(bits=256, seed=7), seed=7)
 
 
-# -- protocol conformance ----------------------------------------------------
+# -- instrumentation ---------------------------------------------------------
 
 
-class TestProtocol:
-    def test_all_schemes_satisfy_kernel(self, ashe, det, ore, paillier):
-        for scheme in (ashe, det, ore, paillier, PlainKernel()):
-            assert isinstance(scheme, Kernel)
-            validate_kernel(scheme)
-
-    def test_validate_rejects_non_kernel(self):
-        class Half:
-            def encrypt_column(self, values, start_id=0):
-                return values
-
-        with pytest.raises(CryptoError, match="decrypt_column"):
-            validate_kernel(Half())
-
-    def test_capability_maps(self, ashe, det, ore, paillier):
-        assert kernel_ops(PlainKernel()) == {op: True for op in KERNEL_OPS}
-        assert kernel_ops(ashe)["compare_column"] is False
-        assert kernel_ops(ashe)["pad_range"] is True
-        assert kernel_ops(det) == {
-            "encrypt_column": True, "decrypt_column": True,
-            "compare_column": True, "pad_range": False,
-        }
-        assert kernel_ops(ore) == {
-            "encrypt_column": True, "decrypt_column": False,
-            "compare_column": True, "pad_range": False,
-        }
-        assert kernel_ops(paillier)["compare_column"] is False
-
-    def test_declared_absent_ops_raise(self, ashe, det, ore, paillier):
-        one = np.ones(1, dtype=np.uint64)
-        with pytest.raises(KernelUnsupported):
-            ashe.compare_column(one, 0)
-        with pytest.raises(KernelUnsupported):
-            det.pad_range(0, 4)
-        with pytest.raises(KernelUnsupported):
-            ore.decrypt_column(one)
-        with pytest.raises(KernelUnsupported):
-            ore.pad_range(0, 4)
-        with pytest.raises(KernelUnsupported):
-            paillier.compare_column(one, 0)
-
-    def test_kernel_unsupported_is_a_crypto_error(self):
-        assert issubclass(KernelUnsupported, CryptoError)
+@pytest.fixture
+def registry(monkeypatch):
+    """A fresh process-wide metrics registry for one test."""
+    reg = MetricsRegistry()
+    monkeypatch.setattr(obs_metrics, "_REGISTRY", reg)
+    return reg
 
 
-class TestPlainKernel:
-    def test_round_trip(self):
-        plain = PlainKernel()
-        values = np.array([-5, 0, 7, 2**40], dtype=np.int64)
-        assert np.array_equal(plain.decrypt_column(plain.encrypt_column(values)), values)
+@pytest.fixture(scope="module")
+def factory() -> CryptoFactory:
+    return CryptoFactory(KeyChain(KEY), "t")
 
-    def test_compare_is_sign(self):
-        cmp = PlainKernel().compare_column(np.array([1, 5, 9]), 5)
-        assert cmp.dtype == np.int8
-        assert cmp.tolist() == [-1, 0, 1]
 
-    def test_pad_range_is_zeros(self):
-        pads = PlainKernel().pad_range(123, 6)
-        assert pads.dtype == np.uint64 and not pads.any() and pads.size == 6
+_VALUES = np.array([3, -1, 4, 1, -5], dtype=np.int64)
 
-    def test_rejects_matrices_and_negative_counts(self):
-        with pytest.raises(CryptoError):
-            PlainKernel().encrypt_column(np.zeros((2, 2)))
-        with pytest.raises(CryptoError):
-            PlainKernel().pad_range(0, -1)
+
+def _call(factory, scheme: str, op: str):
+    """One (scheme, op) the factory wraps: the wrapped instance, the bare
+    scheme behind it, and a call of ``op`` on either with ``len(_VALUES)``
+    values."""
+    wrapped = {"ashe": factory.ashe, "det": factory.det, "ore": factory.ore}[scheme]("c")
+    bare = wrapped.wrapped
+    if op == "encrypt_column":
+        return wrapped, bare, lambda k: k.encrypt_column(_VALUES, 7)
+    if op == "pad_range":
+        return wrapped, bare, lambda k: k.pad_range(7, len(_VALUES))
+    cipher = bare.encrypt_column(_VALUES, 7)
+    if op == "decrypt_column":
+        return wrapped, bare, lambda k: k.decrypt_column(cipher, 7)
+    token = bare.token(4)
+    return wrapped, bare, lambda k: k.compare_column(cipher, token)
+
+
+#: Every batch operation a :class:`CryptoFactory` scheme is wrapped for.
+WRAPPED_OPS = [
+    ("ashe", "encrypt_column"), ("ashe", "decrypt_column"), ("ashe", "pad_range"),
+    ("det", "encrypt_column"), ("det", "decrypt_column"), ("det", "compare_column"),
+    ("ore", "encrypt_column"), ("ore", "compare_column"),
+]
+
+
+class TestInstrumentedKernel:
+    @pytest.mark.parametrize("scheme,op", WRAPPED_OPS)
+    def test_call_records_values_and_one_observation(self, factory, registry, scheme, op):
+        wrapped, bare, call = _call(factory, scheme, op)
+        call(wrapped)
+        values = registry.counter("seabed_kernel_values_total")
+        ns = registry.histogram("seabed_kernel_ns_per_op")
+        assert values.value(scheme=scheme, op=op) == len(_VALUES)
+        assert values.total() == len(_VALUES)
+        assert ns.count(scheme=scheme, op=op) == 1
+        assert ns.sum(scheme=scheme, op=op) > 0
+
+    @pytest.mark.parametrize("scheme,op", WRAPPED_OPS)
+    def test_returns_the_wrapped_result(self, factory, scheme, op):
+        wrapped, bare, call = _call(factory, scheme, op)
+        out = call(wrapped)
+        assert out.dtype == call(bare).dtype
+        assert np.array_equal(out, call(bare))
+
+    def test_missing_batch_op_is_an_attribute_error(self, factory):
+        with pytest.raises(AttributeError):
+            factory.ore("c").decrypt_column(np.zeros((1, 2), np.uint64))
+        with pytest.raises(AttributeError):
+            factory.det("c").pad_range(0, 4)
+
+    def test_forwards_other_attributes(self, factory):
+        det, ore, ashe = factory.det("c"), factory.ore("c"), factory.ashe("c")
+        assert det.token(9) == det.wrapped.token(9) == det.encrypt_one(9)
+        assert ore.token(-2) == ore.wrapped.encrypt_one(-2)
+        before = ashe.prf_evals
+        ashe.pad_range(0, 10)
+        assert ashe.prf_evals == ashe.wrapped.prf_evals == before + 11
+
+    def test_copy_round_trips_through_reduce(self, factory):
+        wrapped = factory.det("c")
+        clone = copy.copy(wrapped)
+        assert isinstance(clone, InstrumentedKernel)
+        assert clone.wrapped is wrapped.wrapped
+        assert repr(clone) == repr(wrapped)
+        assert np.array_equal(clone.encrypt_column(_VALUES), wrapped.encrypt_column(_VALUES))
+
+
+class TestObserveKernelOp:
+    def test_zero_values_record_nothing(self, registry):
+        observe_kernel_op("ashe", "pad_range", 0.001, 0)
+        assert registry.metrics() == []
+
+    def test_disabled_registry_records_nothing(self, registry):
+        obs_metrics.set_enabled(False)
+        try:
+            observe_kernel_op("ashe", "pad_range", 0.001, 10)
+        finally:
+            obs_metrics.set_enabled(True)
+        assert registry.metrics() == []
+
+    def test_records_ns_per_value(self, registry):
+        observe_kernel_op("ore", "compare_column", 2e-6, 100)
+        ns = registry.histogram("seabed_kernel_ns_per_op")
+        assert ns.count(scheme="ore", op="compare_column") == 1
+        assert ns.sum(scheme="ore", op="compare_column") == pytest.approx(20.0)
 
 
 # -- batch kernels vs the per-row reference path -----------------------------

@@ -207,15 +207,15 @@ class TestModelPlacement:
 
     def test_two_cores_balance(self):
         job = job_of(StageMetrics("map", [3.0, 3.0, 2.0, 1.0]))
-        assert model([job], FREE.with_cores(2)).server_s == pytest.approx(5.0)
+        assert model([job], replace(FREE, cores=2)).server_s == pytest.approx(5.0)
 
     def test_enough_cores_is_max(self):
         job = job_of(StageMetrics("map", [1.0, 2.0, 3.0]))
-        assert model([job], FREE.with_cores(100)).server_s == pytest.approx(3.0)
+        assert model([job], replace(FREE, cores=100)).server_s == pytest.approx(3.0)
 
     def test_stages_run_one_after_another(self):
         job = job_of(StageMetrics("map", [0.4, 0.4]), StageMetrics("reduce", [0.1]))
-        assert model([job], FREE.with_cores(2)).server_s == pytest.approx(0.5)
+        assert model([job], replace(FREE, cores=2)).server_s == pytest.approx(0.5)
 
     def test_driver_stage_is_serial_and_pays_no_task_startup(self):
         job = job_of(StageMetrics("merge", [0.3], driver=True))
@@ -228,7 +228,7 @@ class TestModelStartup:
         job = job_of(StageMetrics("s", [0.0, 0.0]))
         config = replace(FREE, task_startup_s=0.5)
         assert model([job], config).server_s == pytest.approx(1.0)
-        assert model([job], config.with_cores(2)).server_s == pytest.approx(0.5)
+        assert model([job], replace(config, cores=2)).server_s == pytest.approx(0.5)
 
     def test_job_startup_per_job(self):
         config = replace(FREE, job_startup_s=0.25)
@@ -282,7 +282,8 @@ class TestModelNetwork:
 
     def test_slow_link_config(self):
         fast = ClusterConfig()
-        slow = fast.with_client_link(10e6 / 8, 0.1)  # 10 Mbps / 100 ms
+        slow = replace(fast, client_bandwidth_bytes_s=10e6 / 8,
+                       client_latency_s=0.1)  # 10 Mbps / 100 ms
         job = job_of(result_bytes=100_000)
         assert model([job], slow).network_s > model([job], fast).network_s * 10
 
@@ -295,7 +296,7 @@ class TestModelNetwork:
         # 1 MB into R reducers on a 10-core, 1 MB/s fabric: each node
         # pulls at 0.1 MB/s, so R active links move it in 10/R seconds --
         # the paper's few-groups shuffle bottleneck (Section 4.5).
-        config = FREE.with_cores(10)
+        config = replace(FREE, cores=10)
         cost = lambda r: model([job_of(shuffles=[(1_000_000, r)])], config).server_s
         assert cost(1) == pytest.approx(10.0)
         assert cost(2) == pytest.approx(5.0)
@@ -319,8 +320,10 @@ class TestModelNetwork:
         assert (t.server_s, t.network_s, t.client_s) == pytest.approx((0.5, 0.1, 0.2))
         assert t.total_s == pytest.approx(0.8)
 
-    def test_with_cores_builder(self):
-        assert ClusterConfig(cores=4).with_cores(64).cores == 64
+    def test_replace_revalidates(self):
+        assert replace(ClusterConfig(cores=4), cores=64).cores == 64
+        with pytest.raises(ExecutionError, match="at least one core"):
+            replace(ClusterConfig(cores=4), cores=0)
 
 
 class TestModelPurity:

@@ -10,6 +10,12 @@ generations.  A hypothesis sweep then compares random queries against
 the plaintext executor directly, with the placement as one more input.
 """
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +23,9 @@ from hypothesis import strategies as st
 from placement import PLACEMENTS, Placement
 
 from repro.core.schema import ColumnSpec, TableSchema
+from repro.core.server import SeabedServer
 from repro.core.session import SeabedSession
+from repro.core.transport import LocalTransport
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.query import execute_plain
 from repro.query.ast import Aggregate, ColumnRef, Comparison, InList, Query
@@ -214,6 +222,60 @@ def test_reattach_equivalent(tmp_path, single):
             )
     finally:
         fresh.close()
+
+
+def _live(pids):
+    """The pids in ``pids`` still running (neither gone nor zombie)."""
+    live = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if state != "Z":
+            live.append(pid)
+    return live
+
+
+def test_concurrent_attach_hosts_one_fleet(tmp_path):
+    """Two threads attaching one committed root through one transport
+    spawn one fleet, and close() leaves none of its workers behind."""
+    shards = 2
+    make_sharded(tmp_path, replicas=1, num_shards=shards).close()
+    cluster = SimulatedCluster(ClusterConfig(storage_dir=str(tmp_path)))
+    transport = LocalTransport(SeabedServer(cluster), cluster)
+    before = {p.pid for p in multiprocessing.active_children()}
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def attach():
+        try:
+            barrier.wait()
+            transport.attach("sales")
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=attach) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    spawned = {p.pid for p in multiprocessing.active_children()} - before
+    try:
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert list(transport._fleets) == ["sales"]
+        assert len(_live(spawned)) == shards
+        transport.close()
+        deadline = time.monotonic() + 15
+        while _live(spawned) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live(spawned) == []
+    finally:
+        transport.close()
+        for pid in _live(spawned):  # a leaked worker would block exit
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_uncommitted_append_rolled_back_on_reattach(tmp_path, single):

@@ -7,6 +7,8 @@ attributes) and must pass a real service hosting real ciphertext stores
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ class TestServiceIsKeyless:
         document persistence already proves safe: audit the payload the
         server would hold."""
         session = _loaded_session()
-        session.cluster.config = session.cluster.config.with_storage(str(tmp_path))
+        session.cluster.config = replace(session.cluster.config, storage_dir=str(tmp_path))
         path = session.encrypted_table("sales").save("sales_store")
         import json
         import os

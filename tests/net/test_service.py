@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.errors import AuthError, Backpressure, CodecError, TransportError
+from repro.net import client as client_mod
 from repro.net import codec
 from repro.net.client import RemoteTransport
 from repro.net.service import SeabedService, ServiceConfig
@@ -322,6 +323,61 @@ class TestWireErrors:
             session.close()
         finally:
             h.stop()
+
+
+class TestRetries:
+    """A transport failure replays an idempotent op on a fresh connection
+    after the client's backoff; any other op fails after one attempt."""
+
+    @pytest.fixture
+    def spied(self, handle, monkeypatch):
+        """A connected session, plus the ops it writes and the
+        reconnects and sleeps it makes from here on."""
+        session = _session(handle, handle.mint_token("alice"))
+        session.upload("sales", _data())
+        transport = session.transport
+        seen = {"ops": [], "connects": 0, "sleeps": []}
+        real_connect, real_write = transport._connect, codec.write_frame
+
+        def connect():
+            seen["connects"] += 1
+            real_connect()
+
+        def write_frame(sock, kind, body):
+            if kind == "req":
+                seen["ops"].append(body["op"])
+            return real_write(sock, kind, body)
+
+        monkeypatch.setattr(transport, "_connect", connect)
+        monkeypatch.setattr(codec, "write_frame", write_frame)
+        monkeypatch.setattr(client_mod.time, "sleep", seen["sleeps"].append)
+        yield session, seen
+        session.close()
+
+    def test_idempotent_op_replays_once_on_a_fresh_connection(self, spied):
+        session, seen = spied
+        query = "SELECT count(*) FROM sales"
+        want = session.query(query).rows
+        seen["ops"].clear()
+        old = session.transport._sock
+        old.shutdown(socket.SHUT_RDWR)  # the connection dies underneath
+        assert session.query(query).rows == want
+        assert seen["ops"] == ["execute", "execute"]
+        assert seen["connects"] == 1
+        assert seen["sleeps"] == [client_mod.BACKOFF]
+        assert session.transport._sock is not old
+
+    def test_non_idempotent_op_is_not_replayed(self, spied):
+        session, seen = spied
+        transport = session.transport
+        transport._sock.shutdown(socket.SHUT_RDWR)
+        with pytest.raises(TransportError, match="after 1 attempt"):
+            transport.commit_state("sales", {})
+        assert seen["ops"] == ["commit_state"]
+        assert seen["connects"] == 0 and seen["sleeps"] == []
+        assert transport._sock is None  # dropped; the next op re-dials
+        assert session.query("SELECT count(*) FROM sales").rows[0]["count(*)"] == 120
+        assert seen["connects"] == 1
 
 
 class TestServiceLifecycle:
