@@ -12,6 +12,10 @@ batch and enforces the CI floor: the append must be at least
 The op counters additionally *prove* (not infer from timings) that the
 append encrypted exactly the batch's rows, and a compaction pass records
 how merging the small append generations restores full-size partitions.
+A structural floor with no timing in it: at two table sizes, the view an
+append serves afterwards maps exactly the batch's partitions
+(``partitions_mapped_per_append``) -- the rest are shared with the view
+it replaces, so an append costs O(batch), not O(table).
 
 Results go to ``results/ingest.txt`` and machine-readably to
 ``BENCH_ingest.json`` at the repository root.
@@ -23,6 +27,7 @@ import platform
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from repro.bench import ResultSink, format_table
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
-from repro.engine.store import store_generations
+from repro.engine.store import StoreReader, store_generations
 from repro.ops import OPS
 from repro.workloads import synthetic
 
@@ -74,6 +79,23 @@ def _fresh_session() -> SeabedSession:
     return SeabedSession(mode="seabed", master_key=MASTER_KEY, cluster=cluster)
 
 
+def _mapped_per_append(session: SeabedSession, columns: dict) -> dict:
+    """Append ``columns`` to ``synth`` and count the partitions mapped
+    (``StoreReader._load_partition`` calls) against those written."""
+    path = session.encrypted_table("synth").store_path
+    table_partitions = sum(g["num_partitions"] for g in store_generations(path))
+    with mock.patch.object(
+        StoreReader, "_load_partition", autospec=True,
+        side_effect=StoreReader._load_partition,
+    ) as load:
+        session.append_rows("synth", columns)
+    return {
+        "table_partitions": table_partitions,
+        "batch_partitions": store_generations(path)[-1]["num_partitions"],
+        "mapped": load.call_count,
+    }
+
+
 def test_ingest_throughput(benchmark, scale):
     rows = scale["ingest_rows"]
     batch_rows = max(1, int(rows * BATCH_FRACTION))
@@ -115,8 +137,18 @@ def test_ingest_throughput(benchmark, scale):
                 "append and re-upload answered differently"
             )
 
+            # -- an append maps only its own generation ----------------
+            small = _fresh_session()
+            small.create_plan(_schema(), SAMPLES)
+            small.upload("synth", _columns(batch_rows, seed=3), num_partitions=4)
+            small.save_table("synth", os.path.join(tmp, "small"))
+            mapped = [
+                _mapped_per_append(small, batch),
+                _mapped_per_append(writer, _columns(batch_rows, seed=11)),
+            ]
+
             # -- compaction keeps scan parallelism healthy --------------
-            for i in range(COMPACT_APPENDS):
+            for i in range(1, COMPACT_APPENDS):
                 writer.append_rows("synth", _columns(batch_rows, seed=11 + i))
             gens_before = store_generations(
                 writer.encrypted_table("synth").store_path
@@ -136,6 +168,7 @@ def test_ingest_throughput(benchmark, scale):
                 resave_s=resave_s,
                 speedup_x=resave_s / max(append_s, 1e-12),
                 speedup_target=SPEEDUP_TARGET,
+                partitions_mapped_per_append=mapped,
                 compaction={
                     "appends": COMPACT_APPENDS + 1,
                     "generations_before": len(gens_before),
@@ -186,6 +219,12 @@ def test_ingest_throughput(benchmark, scale):
             title=f"Compaction after {comp['appends']} small appends",
         ))
 
+    for entry in record["partitions_mapped_per_append"]:
+        assert entry["mapped"] == entry["batch_partitions"], (
+            f"appending to a {entry['table_partitions']}-partition table "
+            f"mapped {entry['mapped']} partitions, not the batch's "
+            f"{entry['batch_partitions']}"
+        )
     assert record["speedup_x"] >= SPEEDUP_TARGET, (
         f"appending a 1% batch is only {record['speedup_x']:.1f}x cheaper "
         f"than a full re-encrypt + re-save (target {SPEEDUP_TARGET:.0f}x)"

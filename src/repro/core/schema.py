@@ -295,9 +295,6 @@ class EncryptedSchema:
             out.extend(plan.physical_columns())
         return out
 
-    def plans_of_kind(self, kind: str) -> list[ColumnPlan]:
-        return [p for p in self.plans.values() if p.kind == kind]
-
 
 # -- physical column naming -------------------------------------------------
 

@@ -254,9 +254,10 @@ class StoreHost:
 
     def reopen(self) -> None:
         """Serve the store's latest snapshot (nothing, while the store
-        does not exist)."""
+        does not exist).  Partitions the served view already maps are
+        kept, so an append or compaction maps only what it wrote."""
         if self.exists():
-            self.server.register(open_store(self.path))
+            self.server.register(open_store(self.path, served=self.server.get(self.name)))
         else:
             self.server.unregister(self.name)
 
@@ -449,11 +450,11 @@ class LocalTransport(Transport):
                 "when the table is saved to a partition store"
             )
         summary = rebuild_stats(registered.store_path)
-        # The refreshed view stays pinned to the snapshot this session
-        # attached at, so an uncommitted generation remains invisible.
-        self.server.register(
-            open_store(registered.store_path, generation=registered.store_generation)
-        )
+        # The refreshed view keeps its maps and stays pinned to this
+        # session's snapshot, so an uncommitted generation stays invisible.
+        self.server.register(open_store(
+            registered.store_path, registered.store_generation, registered
+        ))
         return summary
 
     def attach(self, path: str) -> dict[str, Any]:

@@ -89,11 +89,11 @@ def atomic_write_json(target: str, payload: dict) -> None:
     """Durably publish a JSON document: temp file + fsync + ``os.replace``
     + directory fsync.  Readers see the old document or the new one in
     full, never a partial write -- this is the commit primitive both the
-    partition-store manifest and the client-state sidecar rely on."""
+    partition-store manifest and the client-state sidecar rely on.
+    Compact ``json.dumps`` runs the C encoder; ``indent`` would not."""
     tmp = target + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, target)

@@ -761,6 +761,10 @@ class StoreReader:
                 f"{self.generation} (compacted away?)"
             )
         self._entries: list[dict] = []
+        #: Each partition's identity.  A directory never names two
+        #: contents under one ``store_id``: generation ids are never
+        #: rewound, and a rewrite mints a new id.
+        self.keys: list[tuple] = []
         starts_all: list[int] = []
         counts_all: list[int] = []
         next_id: int | None = None
@@ -771,18 +775,22 @@ class StoreReader:
                     f"store at {self.path!r}: generation {gen['id']} span "
                     "count does not match its partitions"
                 )
-            for part, start, count in zip(gen["partitions"], starts, counts):
-                if next_id is not None and int(start) != next_id:
+            for part, start, count in zip(
+                gen["partitions"], starts.tolist(), counts.tolist()
+            ):
+                if next_id is not None and start != next_id:
                     raise StorageError(
                         f"store at {self.path!r}: snapshot at generation "
                         f"{self.generation} is not contiguous (expected row "
-                        f"ID {next_id}, got {int(start)}); it was compacted "
+                        f"ID {next_id}, got {start}); it was compacted "
                         "away or the manifest is corrupt -- re-open the table"
                     )
-                next_id = int(start) + int(count)
+                next_id = start + count
                 self._entries.append(part)
-                starts_all.append(int(start))
-                counts_all.append(int(count))
+                files = tuple(sorted(part["files"].items()))
+                self.keys.append((manifest["store_id"], part["dir"], start, count, files))
+                starts_all.append(start)
+                counts_all.append(count)
         self._starts = np.asarray(starts_all, dtype=np.uint64)
         self._counts = np.asarray(counts_all, dtype=np.uint64)
         self._partitions: dict[int, Partition] = {}
@@ -816,15 +824,19 @@ class StoreReader:
         sources so a large run never pins the whole table."""
         self._partitions.pop(index, None)
 
-    def table(self) -> Table:
-        """Materialise the snapshot (column data stays memory-mapped)."""
-        parts = [self.partition(i) for i in range(self.num_partitions)]
+    def table(self, served: Table | None = None) -> Table:
+        """Materialise the snapshot (column data stays memory-mapped),
+        sharing the partitions of ``served`` whose ``keys`` it keeps."""
+        mapped = {}
+        if served is not None and served.store_path == self.path:
+            mapped = dict(zip(served.store_keys, served.partitions))
         return Table(
             self.table_name,
-            parts,
+            [mapped.get(k) or self.partition(i) for i, k in enumerate(self.keys)],
             store_path=self.path,
             store_generation=self.generation,
             zone_maps=list(self.zone_maps),
+            store_keys=self.keys,
         )
 
     # -- internals -----------------------------------------------------------
@@ -880,14 +892,19 @@ class StoreReader:
         return np.memmap(target, dtype=dtype, mode="r", shape=shape)
 
 
-def open_store(path: str | os.PathLike, generation: int | None = None) -> Table:
+def open_store(
+    path: str | os.PathLike,
+    generation: int | None = None,
+    served: Table | None = None,
+) -> Table:
     """Attach to a stored table: manifest parse + memory maps, no copies.
 
     ``generation`` pins a snapshot (see :class:`StoreReader`); the
-    default is the store's current state.  Every call maps the files
-    afresh; the returned table's maps are released with the table.
+    default is the store's current state.  Partitions whose files are
+    unchanged are shared with ``served``, the table the result replaces;
+    the rest are mapped.  A map lives as long as the last table holding it.
     """
-    return StoreReader(path, generation).table()
+    return StoreReader(path, generation).table(served)
 
 
 def disk_bytes(path: str | os.PathLike) -> int:

@@ -69,7 +69,8 @@ class Table:
     ``zone_maps``, when present, is the per-partition zone-map statistics
     list (aligned with ``partitions``; entries may be None) parsed from
     the store manifest -- what the server's pruning planner consults
-    before dispatching a stage (:mod:`repro.index`).
+    before dispatching a stage (:mod:`repro.index`); ``store_keys``
+    names each partition's files (:class:`~repro.engine.store.StoreReader`).
     """
 
     def __init__(
@@ -79,6 +80,7 @@ class Table:
         store_path: str | None = None,
         store_generation: int | None = None,
         zone_maps: list[dict | None] | None = None,
+        store_keys: list[tuple] | None = None,
     ):
         self.name = name
         self.partitions = partitions
@@ -90,6 +92,7 @@ class Table:
                 f"{len(partitions)} partitions"
             )
         self.zone_maps = zone_maps
+        self.store_keys = store_keys
         self._validate()
 
     def _validate(self) -> None:
@@ -173,12 +176,6 @@ class Table:
 
     def memory_bytes(self) -> int:
         return sum(p.memory_bytes() for p in self.partitions)
-
-    def repartition(self, num_partitions: int) -> "Table":
-        columns = {name: self.column(name) for name in self.column_names}
-        return Table.from_columns(
-            self.name, columns, num_partitions=num_partitions, base_id=self.base_id
-        )
 
     def __repr__(self) -> str:
         return (

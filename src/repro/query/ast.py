@@ -93,14 +93,6 @@ class Comparison:
         if self.op not in self._OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    @property
-    def is_equality(self) -> bool:
-        return self.op == "="
-
-    @property
-    def is_range(self) -> bool:
-        return self.op in ("<", "<=", ">", ">=")
-
 
 @dataclass(frozen=True)
 class InList:

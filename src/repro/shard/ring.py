@@ -150,10 +150,6 @@ class HashRing:
         ]
         return tuple(chain)
 
-    def preference(self, key: int) -> tuple[str | int, ...]:
-        """The replica chain of the key's owner (who may serve the key)."""
-        return self.replica_chain(self.owner(key))
-
     def __repr__(self) -> str:
         return (
             f"HashRing(members={len(self.members)}, vnodes={self.vnodes}, "

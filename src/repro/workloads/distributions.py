@@ -31,11 +31,3 @@ def zipf_choice(
 ) -> np.ndarray:
     """Sample ``size`` codes in ``[0, cardinality)`` with Zipf skew."""
     return rng.choice(cardinality, size=size, p=zipf_probabilities(cardinality, exponent))
-
-
-def expected_counts(
-    cardinality: int, rows: int, exponent: float = 1.1
-) -> dict[int, int]:
-    """Expected per-code occurrence counts (planner ``value_counts``)."""
-    probs = zipf_probabilities(cardinality, exponent)
-    return {code: int(round(p * rows)) for code, p in enumerate(probs)}

@@ -69,7 +69,6 @@ class TestColumnPlans:
         with pytest.raises(PlanningError, match="no plan"):
             enc.plan("z")
         assert enc.physical_columns() == ["a"]
-        assert enc.plans_of_kind("plain") == [enc.plan("a")]
 
     def test_naming_helpers(self):
         assert sc.ashe_col("x") == "x__ashe"

@@ -76,12 +76,6 @@ class TestAccess:
     def test_column_names_sorted(self):
         assert make_table().column_names == ["a", "b"]
 
-    def test_repartition_preserves_data(self):
-        t = make_table(60, 3)
-        r = t.repartition(7)
-        assert r.num_partitions == 7
-        assert r.column("a").tolist() == t.column("a").tolist()
-
     def test_memory_accounting_object_columns(self):
         plain = Table.from_columns("t", {"a": np.arange(10, dtype=np.int64)}, 1)
         objs = np.empty(10, dtype=object)

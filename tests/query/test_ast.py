@@ -36,11 +36,6 @@ class TestComparisonValidation:
         with pytest.raises(ValueError, match="unknown comparison"):
             Comparison("x", "~", 1)
 
-    def test_kind_flags(self):
-        assert Comparison("x", "=", 1).is_equality
-        assert Comparison("x", "<", 1).is_range
-        assert not Comparison("x", "!=", 1).is_range
-
 
 class TestStructuralHelpers:
     def test_measures_and_dimensions(self):

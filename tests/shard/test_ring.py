@@ -130,9 +130,3 @@ def test_replica_chains_deterministic_and_distinct(members, replicas):
 
     # Chains walk one shared circle, so hosting duty is exactly R each.
     assert all(n == replicas for n in coverage(a).values())
-
-
-def test_preference_is_owner_chain():
-    ring = HashRing(list(range(4)), vnodes=32, replicas=3)
-    for key in KEYS[:64].tolist():
-        assert ring.preference(key) == ring.replica_chain(ring.owner(key))

@@ -21,10 +21,6 @@ class TestDistributions:
         codes = distributions.zipf_choice(rng, 10, 1000)
         assert codes.min() >= 0 and codes.max() < 10
 
-    def test_expected_counts(self):
-        counts = distributions.expected_counts(5, 1000)
-        assert sum(counts.values()) == pytest.approx(1000, abs=5)
-
     def test_bad_cardinality(self):
         with pytest.raises(SeabedError):
             distributions.zipf_probabilities(0)
