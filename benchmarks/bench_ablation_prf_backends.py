@@ -1,4 +1,4 @@
-"""Ablation: PRF backend choice (the AES-NI substitution, DESIGN.md S4).
+"""Ablation: PRF backend choice (the AES-NI substitution).
 
 Compares ASHE column throughput across the three PRF backends: the
 vectorised SplitMix64 stand-in for hardware AES, the cryptographic BLAKE2b

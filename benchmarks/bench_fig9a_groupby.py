@@ -42,9 +42,9 @@ def test_fig9a_groupby(benchmark, scale):
     from repro.engine.cluster import ClusterConfig, SimulatedCluster
 
     rows = scale["fig9a_rows"]
-    # Startup floor *and* shuffle bandwidth scale with the dataset
-    # (DESIGN.md Section 4): the paper's reducer-bandwidth bottleneck only
-    # exists relative to its 1.75B-row shuffles.
+    # Startup floor *and* shuffle bandwidth scale down with the dataset,
+    # which is 10^3-10^4x smaller than the paper's: its reducer-bandwidth
+    # bottleneck only exists relative to its 1.75B-row shuffles.
     cluster = SimulatedCluster(ClusterConfig(
         cores=100, job_startup_s=0.0005, task_startup_s=2e-5,
         shuffle_bandwidth_bytes_s=2e6,

@@ -15,7 +15,10 @@ how merging the small append generations restores full-size partitions.
 A structural floor with no timing in it: at two table sizes, the view an
 append serves afterwards maps exactly the batch's partitions
 (``partitions_mapped_per_append``) -- the rest are shared with the view
-it replaces, so an append costs O(batch), not O(table).
+it replaces, so an append costs O(batch), not O(table).  Two more: one
+``append_rows`` calls ``os.fsync`` fewer than ``FSYNC_CEILING`` times
+(``fsyncs_per_append``), and every partition directory holds one file
+(``files_per_partition``, the distinct file counts).
 
 Results go to ``results/ingest.txt`` and machine-readably to
 ``BENCH_ingest.json`` at the repository root.
@@ -43,6 +46,10 @@ PARTITIONS = 32
 BATCH_FRACTION = 0.01
 SPEEDUP_TARGET = 10.0
 COMPACT_APPENDS = 4
+#: One append_rows must call os.fsync fewer times than this.  Each batch
+#: partition costs two (its one file and its directory), the store
+#: directory, manifest and sidecar five: 7 for a one-partition batch.
+FSYNC_CEILING = 10
 #: Sensitive measures, each planned with sum + min/max + var support
 #: (ASHE cipher + squares + ORE columns) -- a slice of the ad-analytics
 #: table's 18-measure shape, so re-encryption cost is representative.
@@ -148,15 +155,20 @@ def test_ingest_throughput(benchmark, scale):
             ]
 
             # -- compaction keeps scan parallelism healthy --------------
+            # (its appends also count fsyncs: untimed, so the wrapper is free)
             for i in range(1, COMPACT_APPENDS):
-                writer.append_rows("synth", _columns(batch_rows, seed=11 + i))
-            gens_before = store_generations(
-                writer.encrypted_table("synth").store_path
-            )
+                with mock.patch.object(os, "fsync", wraps=os.fsync) as fsync:
+                    writer.append_rows("synth", _columns(batch_rows, seed=11 + i))
+            path = writer.encrypted_table("synth").store_path
+            gens_before = store_generations(path)
             t0 = time.perf_counter()
             compaction = writer.compact_table("synth")
             compact_s = time.perf_counter() - t0
             assert compaction is not None, "compaction found nothing to merge"
+            files_per_partition = sorted({
+                len(files) for dirpath, _, files in os.walk(path)
+                if os.path.basename(dirpath).startswith("part-")
+            })
 
             record.update(
                 rows=rows,
@@ -169,6 +181,9 @@ def test_ingest_throughput(benchmark, scale):
                 speedup_x=resave_s / max(append_s, 1e-12),
                 speedup_target=SPEEDUP_TARGET,
                 partitions_mapped_per_append=mapped,
+                fsyncs_per_append=fsync.call_count,
+                fsync_ceiling=FSYNC_CEILING,
+                files_per_partition=files_per_partition,
                 compaction={
                     "appends": COMPACT_APPENDS + 1,
                     "generations_before": len(gens_before),
@@ -218,6 +233,11 @@ def test_ingest_throughput(benchmark, scale):
             ],
             title=f"Compaction after {comp['appends']} small appends",
         ))
+        sink.emit(
+            f"one append_rows: {record['fsyncs_per_append']} fsyncs "
+            f"(ceiling < {FSYNC_CEILING}); files per partition directory: "
+            f"{record['files_per_partition']}"
+        )
 
     for entry in record["partitions_mapped_per_append"]:
         assert entry["mapped"] == entry["batch_partitions"], (
@@ -225,6 +245,14 @@ def test_ingest_throughput(benchmark, scale):
             f"mapped {entry['mapped']} partitions, not the batch's "
             f"{entry['batch_partitions']}"
         )
+    assert record["fsyncs_per_append"] < FSYNC_CEILING, (
+        f"one append_rows called os.fsync {record['fsyncs_per_append']} "
+        f"times (ceiling: fewer than {FSYNC_CEILING})"
+    )
+    assert record["files_per_partition"] == [1], (
+        f"partition directories hold {record['files_per_partition']} files, "
+        "not one each"
+    )
     assert record["speedup_x"] >= SPEEDUP_TARGET, (
         f"appending a 1% batch is only {record['speedup_x']:.1f}x cheaper "
         f"than a full re-encrypt + re-save (target {SPEEDUP_TARGET:.0f}x)"

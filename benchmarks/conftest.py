@@ -2,8 +2,9 @@
 
 Scales are configurable through ``SEABED_BENCH_SCALE`` (small | medium |
 large); the default ``small`` keeps the full suite runnable on a laptop in
-minutes while preserving every shape the paper reports (see DESIGN.md
-Section 4 on scale substitution).  Results are written to ``results/``.
+minutes while preserving every shape the paper reports (the datasets are
+10^3-10^4x smaller than the paper's, so start-up costs shrink with them).
+Results are written to ``results/``.
 
 ``BENCH_QUICK=1`` overrides everything with the ``quick`` scale: the
 same benchmark shapes at CI-friendly sizes, so every PR exercises the
@@ -117,7 +118,7 @@ def scale() -> dict:
 def paper_cluster():
     """A cluster shaped like the paper's testbed: 100 cores, 2 Gbps client
     link (Section 6.1) -- with job/task startup costs scaled down by the
-    same factor as the datasets (DESIGN.md Section 4).
+    same factor as the datasets.
 
     The paper's ~0.6 s NoEnc floor is task-creation overhead against
     *billions* of rows; running 10^3-10^4x smaller data against the

@@ -173,6 +173,12 @@ def _max_category(a: str, b: str) -> str:
     return a if order[a] >= order[b] else b
 
 
+def _key_output(outputs: list[OutputItem], dim: str) -> None:
+    # An unselected group key is decrypted too: rows are ordered by it.
+    if all(item.kind != "group_key" for item in outputs):
+        outputs.append(OutputItem(name=dim, kind="group_key"))
+
+
 class QueryTranslator:
     """Translator bound to one table's client-side state."""
 
@@ -754,6 +760,7 @@ class QueryTranslator:
             out, cat = self._translate_aggregate(item, selectors, builder, join)
             outputs.append(out)
             category = _max_category(category, cat)
+        _key_output(outputs, dim)
         return TranslatedQuery(
             query=query, requests=builder.finish(), outputs=outputs,
             shape="grouped", group_dim=dim, group_request=0,
@@ -826,6 +833,7 @@ class QueryTranslator:
                     )
                 out.splashe[role] = per_code
             outputs.append(out)
+        _key_output(outputs, dim)
         requests = builder.finish()
         group_request = None
         if grouped_builder is not None:

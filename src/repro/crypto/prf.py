@@ -19,7 +19,8 @@ This module provides three interchangeable backends:
   for every test in this repository and it vectorises over numpy arrays,
   which restores the throughput relationship the paper obtains from
   AES-NI (PRF evaluation far cheaper than Paillier, tens of ns per
-  element).  DESIGN.md documents this substitution.
+  element).  It stands in for the paper's AES-NI PRF, whose cryptographic
+  equivalent here is :class:`AesNiCtrPrf`.
 - :class:`AesCtrPrf` -- our from-scratch AES-128 in counter mode.  One AES
   block yields two 64-bit PRF outputs, mirroring the paper's optimisation
   of carving multiple pseudo-random numbers out of a single AES operation

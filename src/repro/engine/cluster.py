@@ -1,8 +1,8 @@
 """The simulated cluster: real task execution, and the Spark time model.
 
-Substitution note (DESIGN.md Section 4): the paper measures a Spark
-deployment on up to 100 Azure cores.  Here every task body executes for
-real and :class:`SimulatedCluster` only *measures* it -- per-task
+Substitution note: the paper measures a Spark deployment on up to 100
+Azure cores; one host stands in for it.  Here every task body executes
+for real and :class:`SimulatedCluster` only *measures* it -- per-task
 seconds, stage wall-clock, bytes moved -- into a
 :class:`~repro.engine.metrics.JobMetrics`.  Nothing modelled is stored,
 shipped or published.

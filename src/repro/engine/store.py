@@ -12,19 +12,20 @@ Layout of one store directory::
     <store>/
       manifest.json          # format version, generation log, spans
       part-00000/            # generation 1: the initial bulk upload
-        revenue__ashe.bin    # raw little-endian numpy buffer
-        country__det.bin
-        ...
-      part-00001/...
+        columns.bin          # every column, back to back
+      part-00001/columns.bin
       gen-000002/            # one directory per appended generation
-        part-00000/...
+        part-00000/columns.bin
       gen-000003/...
 
-Every numeric column is written as its raw C-contiguous little-endian
-buffer and loaded back as a read-only :class:`numpy.memmap` view, so a
-partition larger than RAM streams from the OS page cache.  Paillier
-ciphertext columns (``object`` dtype big-ints) reuse the varint framing
-of :mod:`repro.engine.storage` and load eagerly.
+A partition is one file: its columns' raw C-contiguous little-endian
+buffers in sorted-name order, each starting at an 8-byte-aligned offset
+that the reader derives from the manifest's per-column byte counts.  One
+fsync makes a partition durable, and one read-only :class:`numpy.memmap`
+of the file serves every numeric column as a view, so a partition larger
+than RAM streams from the OS page cache.  Paillier ciphertext columns
+(``object`` dtype big-ints) reuse the varint framing of
+:mod:`repro.engine.storage` and are decoded eagerly from their byte range.
 
 **Generations.**  The manifest is a log of *generations*: the initial
 bulk write is generation 1 and every :func:`append_store` adds one more,
@@ -85,10 +86,12 @@ from repro.idlist.codec import decode_id_spans, encode_id_spans, encode_span_gro
 from repro.index.zonemap import build_partition_stats, stats_summary
 
 FORMAT_NAME = "seabed-store"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: Manifest versions this build can read.
-READABLE_VERSIONS = (3,)
+READABLE_VERSIONS = (4,)
 MANIFEST_NAME = "manifest.json"
+#: The one file in a partition directory.
+PARTITION_FILE = "columns.bin"
 FIRST_GENERATION = 1
 
 #: Crash-injection hook for the crash-safety suite: when this variable
@@ -114,12 +117,6 @@ def _partition_dir(index: int) -> str:
 
 def _generation_dir(gen_id: int) -> str:
     return f"gen-{gen_id:06d}"
-
-
-def _column_filename(name: str) -> str:
-    if not name or name in (".", "..") or os.sep in name or "\x00" in name:
-        raise StorageError(f"column name {name!r} is not storable")
-    return f"{name}.bin"
 
 
 def _maybe_crash(point: str) -> None:
@@ -160,38 +157,46 @@ def _column_specs(table: Table, column_meta: dict[str, str] | None) -> dict[str,
     return columns
 
 
-def _write_partition_files(
+def _column_offsets(sizes: dict[str, int]) -> tuple[dict[str, int], int]:
+    """Each column's offset in ``columns.bin`` and the file's size, from
+    the per-column byte counts: sorted names, 8-byte-aligned starts."""
+    offsets: dict[str, int] = {}
+    end = 0
+    for name in sorted(sizes):
+        offsets[name] = end = end + -end % 8
+        end += int(sizes[name])
+    return offsets, end
+
+
+def _write_partition_file(
     part_dir: str, columns: dict[str, dict], part: Partition
 ) -> dict[str, int]:
-    """Write one partition's column files; returns per-file byte counts.
+    """Write one partition's ``columns.bin``; returns per-column byte counts.
 
-    Every file is fsynced before it is counted: the manifest (and then
+    The file is fsynced once before it is counted: the manifest (and then
     the sidecar watermark) will claim these bytes durable, so they must
     actually reach the platter before that commit record does.
     """
     os.makedirs(part_dir, exist_ok=True)
-    files: dict[str, int] = {}
-    for name, spec in columns.items():
-        arr = part.column(name)
-        actual = _column_spec(name, arr)
-        if (actual["dtype"], actual["width"]) != (spec["dtype"], spec["width"]):
-            raise StorageError(
-                f"column {name!r} changes dtype/shape across partitions"
+    sizes: dict[str, int] = {}
+    with open(os.path.join(part_dir, PARTITION_FILE), "wb") as fh:
+        for name in sorted(columns):
+            spec, arr = columns[name], part.column(name)
+            actual = _column_spec(name, arr)
+            if (actual["dtype"], actual["width"]) != (spec["dtype"], spec["width"]):
+                raise StorageError(
+                    f"column {name!r} changes dtype/shape across partitions"
+                )
+            fh.write(bytes(-fh.tell() % 8))
+            sizes[name] = fh.write(
+                encode_object_column(arr)
+                if spec["dtype"] == "object"
+                else np.ascontiguousarray(arr, dtype=np.dtype(spec["dtype"]))
             )
-        target = os.path.join(part_dir, _column_filename(name))
-        with open(target, "wb") as fh:
-            if spec["dtype"] == "object":
-                payload = encode_object_column(arr)
-                fh.write(payload)
-                files[name] = len(payload)
-            else:
-                buf = np.ascontiguousarray(arr, dtype=np.dtype(spec["dtype"]))
-                buf.tofile(fh)
-                files[name] = int(buf.nbytes)
-            fh.flush()
-            os.fsync(fh.fileno())
+        fh.flush()
+        os.fsync(fh.fileno())
     fsync_dir(part_dir)
-    return files
+    return sizes
 
 
 def _generation_entry(
@@ -206,14 +211,6 @@ def _generation_entry(
         "spans_hex": encode_id_spans(starts, counts).hex(),
         "partitions": partitions,
     }
-
-
-def _write_manifest(path: str, manifest: dict) -> None:
-    """Atomically publish ``manifest`` (temp file + fsync + replace +
-    directory fsync).  The replace is the visibility point of every store
-    mutation -- readers either see the old manifest or the new one, never
-    a partial write."""
-    atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
 
 
 def write_store(
@@ -239,11 +236,7 @@ def write_store(
                 f"store already exists at {path!r}; pass overwrite=True to replace"
             )
         for entry in os.listdir(path):
-            if (
-                entry == MANIFEST_NAME
-                or entry.startswith("part-")
-                or entry.startswith("gen-")
-            ):
+            if entry == MANIFEST_NAME or entry.startswith(("part-", "gen-")):
                 target = os.path.join(path, entry)
                 shutil.rmtree(target) if os.path.isdir(target) else os.remove(target)
     os.makedirs(path, exist_ok=True)
@@ -252,7 +245,7 @@ def write_store(
     partitions = []
     for index, part in enumerate(table.partitions):
         part_dir = os.path.join(path, _partition_dir(index))
-        files = _write_partition_files(part_dir, columns, part)
+        files = _write_partition_file(part_dir, columns, part)
         partitions.append({
             "dir": _partition_dir(index),
             "files": files,
@@ -273,7 +266,7 @@ def write_store(
         "columns": columns,
         "generations": [generation],
     }
-    _write_manifest(path, manifest)
+    atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
     return path
 
 
@@ -397,7 +390,7 @@ def append_store(
 
     The batch's ``base_id`` must continue the store's row-ID sequence
     exactly (the high-water mark -- what keeps ASHE pads telescoping and
-    ID lists range-compressible).  The write is atomic: column files are
+    ID lists range-compressible).  The write is atomic: partition files are
     staged under ``gen-NNNNNN.tmp``, renamed into place, and the updated
     manifest is published last via ``os.replace``; a writer killed at any
     point leaves the previous generation fully intact.
@@ -429,7 +422,7 @@ def append_store(
     partitions = []
     for index, part in enumerate(table.partitions):
         part_dir = os.path.join(staging, _partition_dir(index))
-        files = _write_partition_files(part_dir, columns, part)
+        files = _write_partition_file(part_dir, columns, part)
         partitions.append({
             "dir": f"{dir_name}/{_partition_dir(index)}",
             "files": files,
@@ -447,7 +440,7 @@ def append_store(
     manifest["generations"].append(_generation_entry(gen_id, dir_name, table, partitions))
     manifest["generation"] = gen_id
     manifest["num_rows"] = int(manifest["num_rows"]) + table.num_rows
-    _write_manifest(path, manifest)
+    atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
     _maybe_crash("append:after-manifest")
     _sweep_stale_tmp(path)
     _sweep_unreferenced(path, manifest)
@@ -510,7 +503,7 @@ def truncate_store(path: str | os.PathLike, num_rows: int) -> int:
     dropped = manifest["generations"][len(keep):]
     manifest["generations"] = keep
     manifest["num_rows"] = num_rows
-    _write_manifest(path, manifest)
+    atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
     _remove_generation_dirs(path, dropped)
     _sweep_stale_tmp(path)
     _sweep_unreferenced(path, manifest)
@@ -653,7 +646,7 @@ def compact_store(
                 columns={n: np.concatenate(p) for n, p in pieces.items()},
                 start_id=base + lo,
             )
-            files = _write_partition_files(
+            files = _write_partition_file(
                 os.path.join(staging, _partition_dir(out)),
                 manifest["columns"],
                 out_part,
@@ -697,7 +690,7 @@ def compact_store(
     _maybe_crash("compact:after-rename")
     manifest["generations"] = new_generations
     manifest["generation"] = counter
-    _write_manifest(path, manifest)
+    atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
     _maybe_crash("compact:after-manifest")
     _remove_generation_dirs(path, replaced)
     _sweep_stale_tmp(path)
@@ -849,47 +842,43 @@ class StoreReader:
             )
         entry = self._entries[index]
         rows = int(self._counts[index])
-        part_dir = os.path.join(self.path, entry["dir"])
-        columns: dict[str, np.ndarray] = {}
-        for name, spec in self.manifest["columns"].items():
-            target = os.path.join(part_dir, _column_filename(name))
-            expected = int(entry["files"][name])
-            try:
-                actual = os.path.getsize(target)
-            except OSError:
-                raise StorageError(
-                    f"store at {self.path!r}: missing column file "
-                    f"{entry['dir']}/{name}.bin"
-                ) from None
-            if actual != expected:
-                raise StorageError(
-                    f"store at {self.path!r}: column file {entry['dir']}/{name}.bin "
-                    f"is {actual} bytes, manifest says {expected} (truncated or "
-                    "overwritten?)"
-                )
-            columns[name] = self._load_column(target, spec, rows, expected)
-        return Partition(columns=columns, start_id=int(self._starts[index]))
-
-    def _load_column(
-        self, target: str, spec: dict, rows: int, nbytes: int
-    ) -> np.ndarray:
-        if spec["dtype"] == "object":
-            with open(target, "rb") as fh:
-                return decode_object_column(fh.read(), rows)
-        dtype = np.dtype(spec["dtype"])
-        width = int(spec["width"])
-        shape = (rows,) if spec["ndim"] == 1 else (rows, width)
-        if rows * width * dtype.itemsize != nbytes:
+        specs = self.manifest["columns"]
+        where = f"store at {self.path!r}: {entry['dir']}/{PARTITION_FILE}"
+        if set(entry["files"]) != set(specs):
             raise StorageError(
-                f"store at {self.path!r}: {os.path.basename(target)} holds "
-                f"{nbytes} bytes but the manifest shape needs "
-                f"{rows * width * dtype.itemsize}"
+                f"{where} holds columns {sorted(entry['files'])}, the store "
+                f"has {sorted(specs)}"
             )
-        if rows == 0:
-            return np.empty(shape, dtype=dtype)
-        # mode="r" maps the ciphertexts read-only: partitions stream from
-        # the page cache and no task can mutate stored data in place.
-        return np.memmap(target, dtype=dtype, mode="r", shape=shape)
+        offsets, end = _column_offsets(entry["files"])
+        target = os.path.join(self.path, entry["dir"], PARTITION_FILE)
+        try:
+            actual = os.path.getsize(target)
+        except OSError:
+            raise StorageError(f"{where}: missing column file") from None
+        if actual != end:
+            raise StorageError(
+                f"{where} is {actual} bytes, manifest says {end} (truncated "
+                "or overwritten?)"
+            )
+        # One map per partition; mode="r" maps the ciphertexts read-only:
+        # partitions stream from the page cache and no task can mutate
+        # stored data in place.  A zero-row partition's file is empty.
+        raw = np.memmap(target, mode="r") if end else np.empty(0, np.uint8)
+        columns: dict[str, np.ndarray] = {}
+        for name, spec in specs.items():
+            chunk = raw[offsets[name] : offsets[name] + int(entry["files"][name])]
+            if spec["dtype"] == "object":
+                columns[name] = decode_object_column(chunk.tobytes(), rows)
+                continue
+            dtype, width = np.dtype(spec["dtype"]), int(spec["width"])
+            shape = (rows,) if spec["ndim"] == 1 else (rows, width)
+            if rows * width * dtype.itemsize != chunk.size:
+                raise StorageError(
+                    f"{where}: column {name!r} holds {chunk.size} bytes but "
+                    f"the manifest shape needs {rows * width * dtype.itemsize}"
+                )
+            columns[name] = chunk.view(dtype).reshape(shape) if rows else np.empty(shape, dtype)
+        return Partition(columns=columns, start_id=int(self._starts[index]))
 
 
 def open_store(
@@ -908,7 +897,7 @@ def open_store(
 
 
 def disk_bytes(path: str | os.PathLike) -> int:
-    """Total bytes the store occupies on disk (column files + manifest)."""
+    """Total bytes the store occupies on disk (partition files + manifest)."""
     path = os.fspath(path)
     total = 0
     for dirpath, _, filenames in os.walk(path):
@@ -937,7 +926,7 @@ def rebuild_stats(path: str | os.PathLike) -> dict[str, Any]:
             snapshot.partition(index), manifest["columns"]
         )
         snapshot.release(index)
-    _write_manifest(path, manifest)
+    atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
     return store_stats(path)
 
 

@@ -164,13 +164,13 @@ def execute_plain(tables: Mapping[str, Columns], query: Query) -> list[ResultRow
             {name: _scalar(selected[name][j]) for name in out_cols}
             for j in range(int(mask.sum()))
         ]
-        return _order_and_limit(rows, query)
+        return order_and_limit(rows, query)
 
     if query.group_by:
         rows = _grouped_aggregation(selected, query)
     else:
         rows = [_flat_aggregation(selected, query, int(mask.sum()))]
-    return _order_and_limit(rows, query)
+    return order_and_limit(rows, query)
 
 
 def tables_get(tables: Mapping[str, Columns], name: str) -> Columns:
@@ -244,15 +244,12 @@ def _numeric(arr: Any) -> np.ndarray:
 
 
 def order_and_limit(rows: list[ResultRow], query: Query) -> list[ResultRow]:
-    """Apply ORDER BY / deterministic group ordering / LIMIT to result rows.
+    """Apply ORDER BY / group-key ordering / LIMIT to result rows, then
+    drop the group keys the query groups by but does not select.
 
     Shared by the plaintext executor and the Seabed decryption module so
-    both pipelines emit rows in identical order.
+    both pipelines emit the same rows in identical order.
     """
-    return _order_and_limit(rows, query)
-
-
-def _order_and_limit(rows: list[ResultRow], query: Query) -> list[ResultRow]:
     for name, descending in reversed(query.order_by):
         rows.sort(key=lambda r: r[name], reverse=descending)
     if not query.order_by and query.group_by:
@@ -260,4 +257,8 @@ def _order_and_limit(rows: list[ResultRow], query: Query) -> list[ResultRow]:
         rows.sort(key=lambda r: tuple(str(r[g]) for g in query.group_by))
     if query.limit is not None:
         rows = rows[: query.limit]
+    selected = {item.name for item in query.select if isinstance(item, ColumnRef)}
+    hidden = [g for g in query.group_by if g not in selected]
+    if hidden:
+        rows = [{k: v for k, v in row.items() if k not in hidden} for row in rows]
     return rows

@@ -1,6 +1,6 @@
 """The advertising-analytics workload (paper Section 6.6, Figure 10).
 
-Substitution note (DESIGN.md Section 4): the paper uses a proprietary
+Substitution note: the paper uses a proprietary
 enterprise dataset (759M rows, 33 dimensions, 18 measures; 10 of each
 sensitive) and a 168,352-query production log.  Both are reproduced
 synthetically from the published shape:

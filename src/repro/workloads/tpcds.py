@@ -1,7 +1,7 @@
 """A feature catalog of the 99 TPC-DS queries (paper Table 4).
 
-Substitution note (DESIGN.md Section 4): the paper classified the TPC-DS
-query set manually.  We reproduce that analysis with a feature catalog
+Substitution note: the paper classified the TPC-DS query set
+manually.  We reproduce that analysis with a feature catalog
 derived from the public TPC-DS v2 query templates: each query is tagged
 with the structural features that determine Seabed support, and the
 category comes from the shared classifier.

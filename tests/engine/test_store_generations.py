@@ -12,6 +12,7 @@ import pytest
 from repro.engine.store import (
     CRASH_POINT_ENV,
     MANIFEST_NAME,
+    PARTITION_FILE,
     append_store,
     compact_store,
     disk_bytes,
@@ -52,6 +53,21 @@ def column_across(path, name, generation=None):
 
 
 class TestAppend:
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_append_fsyncs_two_per_partition_plus_three(
+        self, tmp_path, monkeypatch, partitions
+    ):
+        """Per partition: its file and its directory.  Then the store
+        directory after the rename, and the manifest's temp file and
+        directory."""
+        path = write_store(build_table(rows=24, partitions=3), tmp_path / "s")
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
+        batch = build_table(rows=12, partitions=partitions, base_id=24, seed=8)
+        append_store(batch, path)
+        assert len(calls) == 2 * partitions + 3
+
     def test_append_round_trip(self, tmp_path):
         first = build_table(rows=24, partitions=3)
         path = write_store(first, tmp_path / "s")
@@ -219,7 +235,7 @@ class TestSnapshotChecks:
         self, tmp_path
     ):
         path = self.appended(tmp_path)
-        target = os.path.join(path, "gen-000002", "part-00000", "u.bin")
+        target = os.path.join(path, "gen-000002", "part-00000", PARTITION_FILE)
         with open(target, "r+b") as fh:
             fh.truncate(os.path.getsize(target) - 8)
         with pytest.raises(StorageError, match="truncated"):
@@ -231,7 +247,7 @@ class TestSnapshotChecks:
 
     def test_missing_file_in_appended_generation_rejected(self, tmp_path):
         path = self.appended(tmp_path)
-        os.remove(os.path.join(path, "gen-000002", "part-00001", "big.bin"))
+        os.remove(os.path.join(path, "gen-000002", "part-00001", PARTITION_FILE))
         with pytest.raises(StorageError, match="missing column file"):
             open_store(path)
         assert open_store(path, generation=1).num_rows == 24

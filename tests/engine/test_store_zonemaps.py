@@ -48,7 +48,7 @@ class TestEmission:
     def test_write_store_emits_v3_stats(self, tmp_path):
         path = write_store(build_table(), tmp_path / "s")
         manifest = manifest_of(path)
-        assert manifest["version"] == FORMAT_VERSION == 3
+        assert manifest["version"] == FORMAT_VERSION == 4
         for part in manifest["generations"][0]["partitions"]:
             stats = part["stats"]
             assert stats["rows"] > 0 and stats["nulls"] == 0
@@ -86,10 +86,11 @@ class TestRebuild:
         rebuild_stats(path)
         assert manifest_of(path)["generations"] == before["generations"]
 
-    @pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, FORMAT_VERSION + 1])
     def test_other_format_versions_rejected(self, tmp_path, version):
         """Only the current manifest format is read: the pre-generational
-        (v1) and pre-zone-map (v2) formats never shipped."""
+        (v1) and pre-zone-map (v2) formats never shipped, and v3's one
+        file per column is not read."""
         path = write_store(build_table(), tmp_path / "s")
         manifest = manifest_of(path)
         manifest["version"] = version

@@ -104,7 +104,29 @@ def test_query_matches_ground_truth(client, dataset, sql):
     assert normalise(got.rows) == normalise(want), sql
 
 
-class TestIncrementalUpload:
+UNSELECTED_KEY = [
+    "SELECT sum(amount) FROM sales GROUP BY year",
+    "SELECT count(*), sum(amount) FROM sales GROUP BY country",
+    "SELECT sum(amount) AS total FROM sales GROUP BY year ORDER BY total DESC LIMIT 2",
+]
+
+
+@pytest.mark.parametrize("sql", UNSELECTED_KEY)
+def test_unselected_group_key_orders_rows_then_leaves_them(client, dataset, sql):
+    """SQL returns only the selected columns: a GROUP BY key that is not
+    selected still orders the rows, and no row carries it."""
+    data = dataset[0]
+    key = sql.split("GROUP BY ")[1].split()[0]
+    keyed = sql.replace("SELECT ", f"SELECT {key}, ", 1)
+    want = [
+        {k: v for k, v in row.items() if k != key}
+        for row in execute_plain({"sales": data}, parse_query(keyed))
+    ]
+    assert normalise(execute_plain({"sales": data}, parse_query(sql))) == normalise(want)
+    assert normalise(client.query(sql).rows) == normalise(want), sql
+
+
+
     def test_second_batch_extends_results(self, dataset):
         data, schema, samples = dataset
         client = SeabedSession(master_key=b"q" * 32, mode="seabed", seed=3)
