@@ -174,8 +174,8 @@ def _max_category(a: str, b: str) -> str:
 
 
 def _key_output(outputs: list[OutputItem], dim: str) -> None:
-    # An unselected group key is decrypted too: rows are ordered by it.
-    if all(item.kind != "group_key" for item in outputs):
+    # An unselected key is decrypted too, to order rows by, unless an output is named like it.
+    if all(item.name != dim for item in outputs):
         outputs.append(OutputItem(name=dim, kind="group_key"))
 
 

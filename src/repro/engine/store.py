@@ -266,6 +266,7 @@ def write_store(
         "columns": columns,
         "generations": [generation],
     }
+    # The manifest replace is the visibility point of every store mutation.
     atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
     return path
 

@@ -257,7 +257,7 @@ def order_and_limit(rows: list[ResultRow], query: Query) -> list[ResultRow]:
         rows.sort(key=lambda r: tuple(str(r[g]) for g in query.group_by))
     if query.limit is not None:
         rows = rows[: query.limit]
-    selected = {item.name for item in query.select if isinstance(item, ColumnRef)}
+    selected = {item.output_name() for item in query.select}
     hidden = [g for g in query.group_by if g not in selected]
     if hidden:
         rows = [{k: v for k, v in row.items() if k not in hidden} for row in rows]

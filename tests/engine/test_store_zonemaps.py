@@ -45,7 +45,7 @@ def strip_stats(path):
 
 
 class TestEmission:
-    def test_write_store_emits_v3_stats(self, tmp_path):
+    def test_write_store_emits_v4_stats(self, tmp_path):
         path = write_store(build_table(), tmp_path / "s")
         manifest = manifest_of(path)
         assert manifest["version"] == FORMAT_VERSION == 4

@@ -126,7 +126,21 @@ def test_unselected_group_key_orders_rows_then_leaves_them(client, dataset, sql)
     assert normalise(client.query(sql).rows) == normalise(want), sql
 
 
+def test_aggregate_aliased_to_group_key_keeps_its_output(client, dataset):
+    """An aggregate named like the unselected group key is a selected column:
+    each row keeps it, holding the aggregate, not the key."""
+    data = dataset[0]
+    sql = "SELECT sum(amount) AS year FROM sales GROUP BY year"
+    want = execute_plain({"sales": data}, parse_query(sql))
+    totals = execute_plain(
+        {"sales": data},
+        parse_query("SELECT year, sum(amount) AS total FROM sales GROUP BY year"),
+    )
+    assert sorted(row["year"] for row in want) == sorted(row["total"] for row in totals)
+    assert normalise(client.query(sql).rows) == normalise(want)
 
+
+class TestIncrementalUpload:
     def test_second_batch_extends_results(self, dataset):
         data, schema, samples = dataset
         client = SeabedSession(master_key=b"q" * 32, mode="seabed", seed=3)
