@@ -3,7 +3,8 @@
 Section 4.2: "We choose a different secret key k for each new column we
 encrypt."  The factory derives one subkey per physical column (or per join
 group, so equi-join columns in different tables share DET ciphertexts) and
-caches scheme instances.
+caches scheme instances.  An ASHE column's group is its plan's (``ashe_bits``,
+:meth:`~repro.core.schema.EncryptedSchema.ashe_bits`), else ``Z_2^64``.
 
 Every instance is handed out behind an
 :class:`~repro.crypto.kernel.InstrumentedKernel` wrapper, so the batch
@@ -15,6 +16,7 @@ all other attributes to the scheme, so callers are none the wiser.
 from __future__ import annotations
 
 import threading
+from typing import Mapping
 
 from repro.crypto.ashe import AsheScheme
 from repro.crypto.det import DetScheme
@@ -34,8 +36,10 @@ class CryptoFactory:
         prf_backend: str = "splitmix64",
         det_backend: str = "fast",
         ore_backend: str = "fast",
+        ashe_bits: Mapping[str, int] | None = None,
     ):
         self._keychain = keychain
+        self._ashe_bits = dict(ashe_bits or {})
         self._table = table
         self._prf_backend = prf_backend
         self._det_backend = det_backend
@@ -60,7 +64,8 @@ class CryptoFactory:
             if physical_column not in self._ashe:
                 key = self._keychain.column_key(self._table, physical_column, "ashe")
                 self._ashe[physical_column] = InstrumentedKernel(
-                    AsheScheme(prf_from_name(self._prf_backend, key)), "ashe"
+                    AsheScheme(prf_from_name(self._prf_backend, key),
+                               self._ashe_bits.get(physical_column, 64)), "ashe"
                 )
             return self._ashe[physical_column]
 

@@ -46,7 +46,7 @@ from repro.core.crypto_factory import CryptoFactory
 from repro.core.encryptor import ClientTableState
 from repro.core.grouped import IdPiece
 from repro.core.translator import OutputItem, Ref, TranslatedQuery
-from repro.crypto.ashe import MASK64, AsheScheme, to_signed
+from repro.crypto.ashe import AsheScheme
 from repro.crypto.paillier import PaillierScheme
 from repro.errors import DecryptionError, EncodingError
 from repro.idlist import IdList
@@ -262,8 +262,8 @@ class DecryptionModule:
             selected = ids.get(agg.id_source) if isinstance(agg, srv.AsheSum) else None
             if selected is None or not selected.size:
                 raise DecryptionError("an ASHE sum arrived without its ID set")
-            pad = selected.pad(self._factory.ashe(agg.column))
-            return to_signed((payload[1] + pad) & MASK64)
+            scheme = self._factory.ashe(agg.column)
+            return scheme.wrap(payload[1] + selected.pad(scheme))
         if tag == "plain":
             return payload[1]
         if tag == "paillier":
@@ -306,10 +306,12 @@ class DecryptionModule:
             raise DecryptionError(f"malformed grouped reply: {exc}") from exc
         opened = {key: _RowSet({}, {}) for key in rows.keys.tolist()}
         pads: dict[str, np.ndarray] = {}
+        schemes = {alias: self._factory.ashe(agg.column) for alias, agg in aggs.items()
+                   if isinstance(agg, srv.AsheSum)}
         for source, pieces in rows.ids.items():
             counts, sums = _open_pieces(pieces, {
-                alias: self._factory.ashe(agg.column) for alias, agg in aggs.items()
-                if isinstance(agg, srv.AsheSum) and agg.id_source == source}, len(rows))
+                alias: scheme for alias, scheme in schemes.items()
+                if aggs[alias].id_source == source}, len(rows))
             if counts.all():  # no row set of an ASHE sum may be empty
                 pads.update(sums)
             for row_set, count in zip(opened.values(), counts.tolist()):
@@ -319,7 +321,7 @@ class DecryptionModule:
             if isinstance(agg, srv.AsheSum):
                 if alias not in pads or column.dtype != np.uint64:
                     raise DecryptionError("an ASHE sum arrived without its ID set")
-                values = (column + pads[alias]).view(np.int64).tolist()  # wrapping, read signed
+                values = schemes[alias].wrap(column + pads[alias]).tolist()
             elif isinstance(agg, srv.PaillierSum):
                 values = [self._decrypt_payload(("paillier", v), agg, {})
                           for v in column.tolist()]

@@ -23,10 +23,11 @@ import numpy as np
 from repro.core import schema as sc
 from repro.core import splashe
 from repro.core.crypto_factory import CryptoFactory
+from repro.crypto.ashe import check_overflow_headroom
 from repro.crypto.det import DictionaryEncoder
 from repro.crypto.paillier import PaillierScheme
 from repro.engine.table import Table
-from repro.errors import PlanningError
+from repro.errors import DecryptionError, PlanningError
 from repro.ops import OPS
 
 _I64 = np.int64
@@ -247,6 +248,30 @@ class EncryptionModule:
             out[others_column] = self._factory.ashe(others_column).encrypt_column(
                 other_col, start_id
             )
+
+
+def check_headroom(state: ClientTableState, rows: int) -> None:
+    """Refuse a table of ``rows`` rows (summed over its shards) whose ASHE
+    sums could wrap: a ``Z_2^32`` indicator counts at most ``2^32 - 1``
+    rows, and a measure with a declared ``max_abs`` keeps ``max_abs x rows``
+    below ``2^63``.  Uploads and appends call it before encrypting."""
+    enc = state.enc_schema
+    if rows >= 1 << 32 and enc.ashe_bits():
+        raise PlanningError(
+            f"table {enc.table!r} would hold {rows} rows, but its SPLASHE "
+            "indicators are ASHE over Z_2^32 and count at most 2^32 - 1"
+        )
+    measures = {name for name, plan in enc.plans.items() if plan.kind == "ashe"}
+    for plan in enc.plans.values():
+        if isinstance(plan, (sc.SplasheBasicPlan, sc.SplasheEnhancedPlan)):
+            measures.update(plan.measure_columns)
+    for name in sorted(measures):
+        bound = state.schema.column(name).max_abs
+        try:
+            if bound is not None:
+                check_overflow_headroom(bound, rows)
+        except DecryptionError as exc:
+            raise PlanningError(f"column {name!r}: {exc}") from None
 
 
 def encode_domain(domain: list[Any], values: np.ndarray) -> np.ndarray:

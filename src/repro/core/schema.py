@@ -35,7 +35,7 @@ class ColumnSpec:
     ``distinct_values`` (the domain) enables SPLASHE; ``value_counts``
     (expected frequency distribution) enables *enhanced* SPLASHE
     (Section 3.4 requires knowing the distribution, not exact counts).
-    ``max_abs`` lets the planner verify 64-bit aggregation headroom;
+    ``max_abs`` bounds a measure's sums, checked by uploads and appends;
     ``nbits`` sizes the ORE domain for range-filtered columns.
     """
 
@@ -197,8 +197,11 @@ class SplasheBasicPlan:
         except ValueError:
             return None
 
+    def indicators(self) -> list[str]:
+        return list(self.indicator_columns)
+
     def physical_columns(self) -> list[str]:
-        cols = list(self.indicator_columns)
+        cols = self.indicators()
         for per_code in self.measure_columns.values():
             cols.extend(per_code)
         return cols
@@ -237,9 +240,11 @@ class SplasheEnhancedPlan:
     def is_frequent(self, code: int) -> bool:
         return code in self.frequent_codes
 
+    def indicators(self) -> list[str]:
+        return [self.others_indicator, *self.indicator_columns.values()]
+
     def physical_columns(self) -> list[str]:
-        cols = [self.det_column, self.others_indicator]
-        cols.extend(self.indicator_columns.values())
+        cols = [self.det_column, *self.indicators()]
         for per_code in self.measure_columns.values():
             cols.extend(per_code.values())
         cols.extend(self.others_measure.values())
@@ -294,6 +299,16 @@ class EncryptedSchema:
         for plan in self.plans.values():
             out.extend(plan.physical_columns())
         return out
+
+    def ashe_bits(self) -> dict[str, int]:
+        """The ASHE columns over ``Z_2^32``: every SPLASHE indicator, whose
+        sum counts rows.  Every other ASHE column is over ``Z_2^64``."""
+        return {
+            column: 32
+            for plan in self.plans.values()
+            if isinstance(plan, (SplasheBasicPlan, SplasheEnhancedPlan))
+            for column in plan.indicators()
+        }
 
 
 # -- physical column naming -------------------------------------------------

@@ -8,7 +8,8 @@ module.
 Supported physical operations:
 
 - filter evaluation over plaintext, DET-token and ORE-token predicates;
-- ASHE aggregation: wrapping uint64 sums plus ID-list construction.  The
+- ASHE aggregation: sums wrapping in the column's dtype (uint32 SPLASHE
+  indicators), carried as uint64 partials, plus ID-list construction.  The
   ID list belongs to the *selected row set*, not to a column: it is built
   and encoded once per partition per ID source (:data:`ROW_IDS`;
   :data:`BUILD_IDS` under a join) and travels once per row set, beside
@@ -941,7 +942,9 @@ def _flat_partial(
         selected = cipher if mask is None else cipher[mask]
         if selected.size == 0:
             return None
-        return ("ashe", int(np.add.reduce(selected)) & MASK64)
+        # Summed in the column's own dtype (a uint32 indicator wraps mod
+        # 2^32, which its decryption reduces to anyway).
+        return ("ashe", int(np.add.reduce(selected, dtype=selected.dtype)))
     if isinstance(agg, PlainAgg):
         return _plain_partial(agg, columns, mask)
     if isinstance(agg, PaillierSum):
@@ -1100,6 +1103,8 @@ def _group_values(
     values = columns[agg.column][sorted_sel]
     if isinstance(agg, PlainAgg) and agg.func == "sumsq":
         values = values.astype(np.int64) ** 2
+    if isinstance(agg, AsheSum):  # a uint32 indicator's sums, widened
+        return reduce(values, starts).astype(_U64, copy=False)
     return reduce(values, starts)
 
 

@@ -45,7 +45,7 @@ from repro.core import server as srv
 from repro.core.access import AccessController
 from repro.core.crypto_factory import CryptoFactory
 from repro.core.decryptor import DecryptionModule
-from repro.core.encryptor import ClientTableState, EncryptionModule
+from repro.core.encryptor import ClientTableState, EncryptionModule, check_headroom
 from repro.core.planner import Planner, PlannerReport
 from repro.core.translator import (
     QueryTranslator,
@@ -654,7 +654,8 @@ class SeabedSession:
         self._tables[schema.name] = _TableEntry(
             state=state,
             factory=CryptoFactory(
-                self._keychain, schema.name, prf_backend=self._prf_backend
+                self._keychain, schema.name, prf_backend=self._prf_backend,
+                ashe_bits=enc_schema.ashe_bits(),
             ),
             cursors={0: replace(state)},
         )
@@ -730,6 +731,8 @@ class SeabedSession:
                 encrypt_seconds=stats.encrypt_seconds,
                 physical_columns=stats.physical_columns,
             )
+        check_headroom(entry.state, entry.state.num_rows
+                       + len(next(iter(columns.values()), ())))
         t0 = time.perf_counter()
         encrypted = self._encryptor(entry).encrypt_batch(
             entry.cursors[0], columns, num_partitions=num_partitions or 8
@@ -786,6 +789,7 @@ class SeabedSession:
         nrows = len(next(iter(arrays.values()))) if arrays else 0
         if nrows == 0:
             raise StorageError("append batch is empty")
+        check_headroom(entry.state, entry.state.num_rows + nrows)
         encryptor = self._encryptor(entry)
         column_meta = self._column_meta(entry.state)
         target = max(1, self.cluster.config.append_partition_rows)
@@ -977,7 +981,8 @@ class SeabedSession:
         self._tables[name] = _TableEntry(
             state=state,
             factory=CryptoFactory(
-                self._keychain, name, prf_backend=attach["prf_backend"]
+                self._keychain, name, prf_backend=attach["prf_backend"],
+                ashe_bits=state.enc_schema.ashe_bits(),
             ),
             cursors={
                 shard: replace(state, next_row_id=next_id, num_rows=rows)

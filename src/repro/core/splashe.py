@@ -159,8 +159,6 @@ def splay_enhanced_measure(
 # Storage model (planner budget + Figure 10b)
 # ---------------------------------------------------------------------------
 
-BYTES_PER_CELL = 8  # ASHE and DET ciphertexts are one uint64 each
-
 
 def basic_storage_cells(cardinality: int, num_measures: int) -> int:
     """Physical columns for basic SPLASHE: d indicators + d per measure."""

@@ -1,6 +1,6 @@
 """ASHE: additively symmetric homomorphic encryption (paper Section 3.1).
 
-The scheme, over the additive group ``Z_n`` with ``n = 2^64`` here:
+The scheme, over the additive group ``Z_n`` with ``n = 2^bits``:
 
 - ``Enc_k(m, i) = ((m - F_k(i) + F_k(i-1)) mod n, {i})``
 - ``(c1, S1) + (c2, S2) = ((c1 + c2) mod n, S1 u S2)``
@@ -11,9 +11,11 @@ The pads telescope over consecutive identifiers: decrypting the sum of rows
 of the range length (Section 3.2).  With the ID list stored as runs (see
 :mod:`repro.idlist`), decryption costs two PRF calls *per run*.
 
-We use ``n = 2^64`` so ciphertext arithmetic is native uint64 wraparound,
-which numpy vectorises; signed plaintexts round-trip through two's
-complement (:func:`to_signed`).
+A measure uses ``n = 2^64``: native uint64 wraparound, which numpy
+vectorises, with signed plaintexts in two's complement (:func:`to_signed`).
+A SPLASHE indicator, whose sums count rows, uses ``n = 2^32``: uint32
+ciphertexts, the low halves of the 64-bit ones, opened as unsigned counts.
+Sums may be carried mod ``2^64`` either way, as ``2^32`` divides it.
 """
 
 from __future__ import annotations
@@ -77,10 +79,16 @@ class AsheScheme:
     The caller supplies identifiers (Seabed's encryption module assigns
     consecutive row IDs per table so that range telescoping applies).
     Identifier 0 is allowed; its pad reaches back to ``F_k(2^64 - 1)``.
+    ``bits`` is the group: 64 (signed measures) or 32 (unsigned counts).
     """
 
-    def __init__(self, prf: Prf):
+    def __init__(self, prf: Prf, bits: int = 64):
+        if bits not in (32, 64):
+            raise CryptoError(f"ASHE is over Z_2^32 or Z_2^64, not Z_2^{bits}")
         self._prf = prf
+        self.bits = bits
+        self.dtype = np.dtype(np.uint32 if bits == 32 else _U64)
+        self._mask = (1 << bits) - 1
         self.prf_evals = 0  # running count, for the paper's AES-op statistic
         # One session may be shared by several caller threads; `+=` on the
         # counter is not atomic, so bumps go through a lock (one
@@ -102,11 +110,18 @@ class AsheScheme:
         """
         pad = self._prf.eval_one(i) - self._prf.eval_one((i - 1) & MASK64)
         self._bump(2)
-        return AsheCiphertext((from_signed(m) - pad) & MASK64, IdList.from_range(i, i + 1))
+        return AsheCiphertext((from_signed(m) - pad) & self._mask, IdList.from_range(i, i + 1))
 
     def decrypt(self, ct: AsheCiphertext) -> int:
-        """Decrypt to a signed integer (sum of the encrypted plaintexts)."""
-        return to_signed((ct.value + self._pad_sum(ct.ids)) & MASK64)
+        """Decrypt to the sum of the encrypted plaintexts."""
+        return self.wrap(ct.value + self._pad_sum(ct.ids))
+
+    def wrap(self, total):
+        """A padded sum (an int, or a uint64 array) read as a plaintext:
+        signed int64 over ``Z_{2^64}``, an unsigned count over ``Z_{2^32}``."""
+        if isinstance(total, np.ndarray):
+            return (total if self.bits == 64 else total & _U64(self._mask)).view(np.int64)
+        return to_signed(total) if self.bits == 64 else total & self._mask
 
     def add(self, a: AsheCiphertext, b: AsheCiphertext) -> AsheCiphertext:
         return a + b
@@ -132,24 +147,24 @@ class AsheScheme:
     def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
         """Encrypt a column whose rows get IDs ``start_id .. start_id+n-1``.
 
-        Returns the uint64 ciphertext array; the IDs are implicit (the
-        caller records ``start_id``).
+        Returns the ciphertext array in :attr:`dtype`; the IDs are
+        implicit (the caller records ``start_id``).
         """
         v = np.asarray(values)
         if v.ndim != 1:
             raise CryptoError("encrypt_column expects a 1-D array")
         if v.size == 0:
-            return np.empty(0, _U64)
+            return np.empty(0, self.dtype)
         plain = v.astype(np.int64, copy=False).view(_U64) if v.dtype != _U64 else v
         # c[j] = m[j] - (F(start+j) - F(start+j-1))
-        return plain - self.pad_range(start_id, v.size)
+        return (plain - self.pad_range(start_id, v.size)).astype(self.dtype, copy=False)
 
     def decrypt_column(self, cipher: np.ndarray, start_id: int = 0) -> np.ndarray:
         """Invert :meth:`encrypt_column`; returns int64 plaintexts."""
         c = np.asarray(cipher, dtype=_U64)
         if c.size == 0:
             return np.empty(0, np.int64)
-        return (c + self.pad_range(start_id, c.size)).view(np.int64)
+        return self.wrap(c + self.pad_range(start_id, c.size))
 
     def decrypt_rows(self, cipher: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Decrypt scattered single rows (scan results).
@@ -159,7 +174,7 @@ class AsheScheme:
         each.
         """
         c = np.asarray(cipher, dtype=_U64)
-        return (c + self._pads_for(np.asarray(ids, dtype=_U64))).view(np.int64)
+        return self.wrap(c + self._pads_for(np.asarray(ids, dtype=_U64)))
 
     def aggregate(
         self, cipher: np.ndarray, mask: np.ndarray | None, start_id: int
@@ -167,22 +182,19 @@ class AsheScheme:
         """Server-side SUM over (optionally masked) ciphertext rows.
 
         This is the hot path a Seabed worker executes per partition: a
-        wrapping uint64 reduction plus ID-list construction.  No key
-        material is involved.
+        reduction that wraps in the column's own dtype, plus ID-list
+        construction.  No key material is involved.
         """
-        c = np.asarray(cipher, dtype=_U64)
+        c = np.asarray(cipher)
+        selected = c if mask is None else c[mask]
+        total = int(np.add.reduce(selected, dtype=c.dtype)) if selected.size else 0
         if mask is None:
-            total = int(np.add.reduce(c)) & MASK64 if c.size else 0
-            ids = IdList.from_range(start_id, start_id + c.size)
-        else:
-            selected = c[mask]
-            total = int(np.add.reduce(selected)) & MASK64 if selected.size else 0
-            ids = IdList.from_mask(mask, offset=start_id)
-        return AsheCiphertext(total, ids)
+            return AsheCiphertext(total, IdList.from_range(start_id, start_id + c.size))
+        return AsheCiphertext(total, IdList.from_mask(mask, offset=start_id))
 
     def decrypt_sum(self, value: int, ids: IdList) -> int:
-        """Decrypt an aggregated value given its ID list (signed result)."""
-        return to_signed((value + self._pad_sum(ids)) & MASK64)
+        """Decrypt an aggregated value given its ID list."""
+        return self.wrap(value + self._pad_sum(ids))
 
     def pad_for(self, ids: IdList) -> int:
         """The pad correction for an ID list (two PRF evals per run).

@@ -1,40 +1,24 @@
-"""Table serialisation and size accounting.
+"""Durable-write primitives, the big-int column framing, and memory size.
 
 The paper stores tables in HDFS with protobuf serialisation and reports
-per-dataset disk and in-memory sizes (Table 5).  This module provides the
-equivalent: a compact self-describing binary format for partitioned
-columnar tables, plus the size accounting used by the Table 5 benchmark.
-
-Format (all integers little-endian):
-
-    magic  "SBED"  | u16 version | u16 name_len | name bytes
-    u32 num_partitions
-    per partition: u64 start_id | u32 num_columns
-      per column: u16 name_len | name | u8 dtype_tag | u8 ndim |
-                  u32 rows | u32 width | u8 compressed | u64 payload_len |
-                  payload
-
-dtype tags: 0=int64, 1=uint64, 2=float64, 3=object (varint-framed
-big-ints, for Paillier ciphertext columns), 4=bool.
+per-dataset disk and in-memory sizes (Table 5).  Here the disk format is
+the partition store (:mod:`repro.engine.store`, whose ``disk_bytes`` is
+Table 5's disk column); this module holds what the store and the wire
+codec share -- fsync helpers, the atomic JSON publish, the length-prefixed
+framing of Paillier big-int columns -- and Table 5's memory estimate.
 """
 
 from __future__ import annotations
 
 import errno
-import io
 import json
 import os
 import struct
 import warnings
-import zlib
 
 import numpy as np
 
 from repro.engine.table import Table
-from repro.errors import ExecutionError
-
-_MAGIC = b"SBED"
-_VERSION = 1
 
 # Errnos meaning "this filesystem does not support fsync on a directory
 # fd" (overlayfs and some container volume drivers return these).  Not
@@ -99,8 +83,6 @@ def atomic_write_json(target: str, payload: dict) -> None:
     os.replace(tmp, target)
     fsync_dir(os.path.dirname(target) or ".")
 
-_DTYPE_TAGS: dict[str, int] = {"int64": 0, "uint64": 1, "float64": 2, "object": 3, "bool": 4}
-
 
 def encode_object_column(arr: np.ndarray) -> bytes:
     """Length-prefixed big-endian big-ints (sign carried in a lead byte).
@@ -128,57 +110,6 @@ def decode_object_column(data: bytes, rows: int) -> np.ndarray:
         offset += length
         out[j] = -value if sign else value
     return out
-
-
-def serialize_table(table: Table, compress: bool = False) -> bytes:
-    """Serialise a table; ``compress`` applies per-column Deflate."""
-    buf = io.BytesIO()
-    name = table.name.encode()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<HH", _VERSION, len(name)))
-    buf.write(name)
-    buf.write(struct.pack("<I", table.num_partitions))
-    for part in table.partitions:
-        buf.write(struct.pack("<QI", part.start_id, len(part.columns)))
-        for cname in sorted(part.columns):
-            arr = part.columns[cname]
-            dtype_name = arr.dtype.name if arr.dtype != object else "object"
-            if dtype_name not in _DTYPE_TAGS:
-                raise ExecutionError(f"unsupported column dtype {arr.dtype} in {cname!r}")
-            if arr.dtype == object:
-                payload = encode_object_column(arr)
-                width = 1
-                rows = len(arr)
-            else:
-                payload = np.ascontiguousarray(arr).tobytes()
-                rows = arr.shape[0]
-                width = 1 if arr.ndim == 1 else arr.shape[1]
-            compressed = 0
-            if compress:
-                packed = zlib.compress(payload, 1)
-                if len(packed) < len(payload):
-                    payload, compressed = packed, 1
-            encoded_name = cname.encode()
-            buf.write(struct.pack("<H", len(encoded_name)))
-            buf.write(encoded_name)
-            buf.write(
-                struct.pack(
-                    "<BBIIBQ",
-                    _DTYPE_TAGS[dtype_name],
-                    arr.ndim,
-                    rows,
-                    width,
-                    compressed,
-                    len(payload),
-                )
-            )
-            buf.write(payload)
-    return buf.getvalue()
-
-
-def disk_size(table: Table, compress: bool = False) -> int:
-    """Bytes the table occupies in cloud storage (Table 5, "Disk size")."""
-    return len(serialize_table(table, compress=compress))
 
 
 def memory_size(table: Table) -> int:

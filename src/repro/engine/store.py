@@ -86,9 +86,9 @@ from repro.idlist.codec import decode_id_spans, encode_id_spans, encode_span_gro
 from repro.index.zonemap import build_partition_stats, stats_summary
 
 FORMAT_NAME = "seabed-store"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 #: Manifest versions this build can read.
-READABLE_VERSIONS = (4,)
+READABLE_VERSIONS = (5,)
 MANIFEST_NAME = "manifest.json"
 #: The one file in a partition directory.
 PARTITION_FILE = "columns.bin"
@@ -104,6 +104,7 @@ CRASH_POINT_ENV = "SEABED_STORE_CRASH_POINT"
 _DTYPE_SPECS: dict[str, str] = {
     "int64": "<i8",
     "uint64": "<u8",
+    "uint32": "<u4",  # ASHE over Z_2^32: SPLASHE indicators
     "float64": "<f8",
     "bool": "|b1",
     "object": "object",

@@ -7,8 +7,9 @@ encoding can telescope ID lists.  A :class:`Table` is a list of
 space without gaps.
 
 Columns are numpy arrays: ``int64`` plaintext / dictionary codes,
-``uint64`` ASHE or DET ciphertexts, 2-D ``uint64`` ORE trit words, or
-``object`` arrays of Python big-ints for Paillier.
+``uint64`` ASHE or DET ciphertexts (``uint32`` for a SPLASHE indicator's
+ASHE over ``Z_2^32``), 2-D ``uint64`` ORE trit words, or ``object``
+arrays of Python big-ints for Paillier.
 """
 
 from __future__ import annotations

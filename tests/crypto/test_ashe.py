@@ -266,6 +266,63 @@ class TestPadArray:
         assert end == scheme._prf.eval_one(199)
 
 
+class TestIndicatorWidth:
+    """ASHE over Z_2^32, the group of every SPLASHE indicator column."""
+
+    @pytest.fixture(params=[Blake2Prf, SplitMix64Prf], ids=lambda c: c.name)
+    def narrow(self, request) -> AsheScheme:
+        return AsheScheme(request.param(KEY), bits=32)
+
+    def test_round_trip(self, narrow):
+        values = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int64)
+        enc = narrow.encrypt_column(values, start_id=1000)
+        assert enc.dtype == np.uint32
+        assert narrow.decrypt_column(enc, 1000).tolist() == values.tolist()
+        assert narrow.decrypt_rows(enc[::3], np.arange(1000, 1008, 3)).tolist() == [0, 0, 0]
+        assert narrow.decrypt(narrow.encrypt(1, 7)) == 1
+
+    def test_wrapping_sums_decrypt_exactly_to_the_largest_count(self, narrow):
+        # Plaintexts summing to 2^32 - 1, under ciphertexts whose sum wraps
+        # 2^32 many times: the native uint32 reduce, a uint64 partial and a
+        # grouped reduceat all decrypt to the exact unsigned count.
+        values = np.ones(1000, dtype=np.int64)
+        values[0] = 2**32 - 1000
+        enc = narrow.encrypt_column(values, start_id=50)
+        assert int(enc.astype(np.uint64).sum()) >= 2**32
+        ids = IdList.from_range(50, 1050)
+        native = int(np.add.reduce(enc, dtype=enc.dtype))
+        assert narrow.decrypt_sum(native, ids) == 2**32 - 1
+        assert narrow.decrypt_sum(int(enc.astype(np.uint64).sum()), ids) == 2**32 - 1
+        ct = narrow.aggregate(enc, None, start_id=50)
+        assert narrow.decrypt(ct) == 2**32 - 1
+        grouped = np.add.reduceat(enc, [0, 500]).astype(np.uint64)
+        pads = np.array([narrow.pad_for(IdList.from_range(50, 550)),
+                         narrow.pad_for(IdList.from_range(550, 1050))], dtype=np.uint64)
+        assert narrow.wrap(grouped + pads).tolist() == [2**32 - 501, 500]
+
+    def test_narrow_ciphertext_is_the_low_half_of_the_wide_one(self, narrow):
+        wide = AsheScheme(narrow._prf)
+        values = np.array([0, 1, 1, 0, 1, 5, -3], dtype=np.int64)
+        for start in (0, 12345, 2**44):
+            low = narrow.encrypt_column(values, start)
+            full = wide.encrypt_column(values, start)
+            assert low.tolist() == (full & np.uint64(0xFFFFFFFF)).tolist()
+        assert narrow.encrypt(1, 9).value == wide.encrypt(1, 9).value & 0xFFFFFFFF
+
+    def test_only_the_two_groups(self):
+        with pytest.raises(CryptoError, match="Z_2\\^16"):
+            AsheScheme(SplitMix64Prf(KEY), bits=16)
+
+    def test_factory_takes_the_width_from_its_map(self):
+        factory = CryptoFactory(KeyChain(KEY), "t", ashe_bits={"d@0__ind": 32})
+        assert factory.ashe("d@0__ind").bits == 32
+        assert factory.ashe("m__ashe").bits == 64
+        wide = CryptoFactory(KeyChain(KEY), "t").ashe("d@0__ind")
+        ones = np.ones(4, dtype=np.int64)
+        assert factory.ashe("d@0__ind").encrypt_column(ones, 3).tolist() == (
+            wide.encrypt_column(ones, 3) & np.uint64(0xFFFFFFFF)).tolist()
+
+
 class TestSecuritySanity:
     """Cheap observable consequences of IND-CPA (Appendix A.1)."""
 

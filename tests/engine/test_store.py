@@ -122,6 +122,25 @@ class TestPartitionFile:
                 assert isinstance(col, np.memmap), name
                 assert col.flags.aligned and not col.flags.writeable, name
 
+    def test_uint32_column_costs_four_bytes_a_cell(self, tmp_path):
+        rows = 13  # partitions of 6 and 7 rows: 24 bytes need no pad, 28 pad to 32
+        columns = {
+            "a__ind": np.arange(rows, dtype=np.uint32) * np.uint32(2**28),
+            "b__ashe": np.arange(rows, dtype=np.uint64),
+        }
+        path = write_store(Table.from_columns("t", columns, 2), tmp_path / "s")
+        manifest = json.load(open(os.path.join(path, MANIFEST_NAME)))
+        assert manifest["columns"]["a__ind"]["dtype"] == "<u4"
+        for part, size in zip(manifest["generations"][0]["partitions"], (6, 7)):
+            assert part["files"] == {"a__ind": 4 * size, "b__ashe": 8 * size}
+            file = os.path.join(path, part["dir"], PARTITION_FILE)
+            assert os.path.getsize(file) == -(-4 * size // 8) * 8 + 8 * size
+        reopened = open_store(path)
+        for name, expected in columns.items():
+            got = np.concatenate([p.column(name) for p in reopened.partitions])
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert all(p.column(name).flags.aligned for p in reopened.partitions)
+
     def test_zero_row_partition_writes_an_empty_file(self, tmp_path):
         table = Table("t", [Partition(
             columns={
