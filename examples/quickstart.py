@@ -6,9 +6,10 @@ Demonstrates the full Seabed loop from the paper's Figure 5:
 1. describe the plaintext schema (what is sensitive, what the domains are),
 2. let the planner pick encryption schemes from sample queries,
 3. upload data (the session encrypts; the server sees only ciphertexts),
-4. query three ways -- SQL strings (translation cached by shape), the
-   fluent builder, and a PreparedQuery that translates once and re-binds
-   parameters on every execute.
+4. query three ways, all in SQL text -- literal SQL strings (translation
+   cached by shape), ``:name`` placeholders bound by ``query(**params)``,
+   and a PreparedQuery that translates once and re-binds parameters on
+   every execute.
 
 Run:  python examples/quickstart.py [--persist DIR] [--append]
 
@@ -52,7 +53,7 @@ import tempfile
 
 import numpy as np
 
-from repro import SeabedSession, col
+from repro import SeabedSession
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.ops import OPS
 
@@ -157,15 +158,11 @@ for sql in [
           f"result {result.result_bytes} bytes | "
           f"modelled end-to-end {modelled.total_s*1e3:.1f} ms]")
 
-# -- 4b. the fluent builder ----------------------------------------------------------
-result = (
-    session.table("sales")
-    .where(col("year") == 2015)
-    .min("amount")
-    .max("amount")
-    .execute()
+# -- 4b. a :name placeholder bound per call -------------------------------------------
+result = session.query(
+    "SELECT min(amount), max(amount) FROM sales WHERE year = :year", year=2015
 )
-print("\nbuilder: min/max of 2015 sales ->", result.rows[0])
+print("\nparameterised: min/max of 2015 sales ->", result.rows[0])
 
 # -- 4c. prepare once, execute per tenant -------------------------------------------
 prepared = session.prepare(

@@ -9,12 +9,11 @@ the paper's Spark deployment.
 Public entry points:
 
 - :class:`repro.core.session.SeabedSession` -- the client-side session
-  facade (plan, upload, fluent ``table()`` builder, ``prepare``/cached
-  ``query``, scan, linear_regression).
+  facade (plan, upload, ``prepare``/cached ``query`` over SQL text, scan,
+  linear_regression).
 - :class:`repro.core.session.PreparedQuery` -- translate once, execute
-  many times with bound parameters.
-- :class:`repro.query.builder.QueryBuilder` / :func:`col` -- the fluent
-  query builder, and :class:`repro.query.ast.Param` for placeholders.
+  many times with bound parameters (``:name`` placeholders in the SQL,
+  :class:`repro.query.ast.Param` in a parsed query).
 - :class:`repro.core.session.EncryptedTable` -- the one table handle
   (save / append / compact, and the sharding levers).
 - :class:`repro.core.schema.TableSchema` / :class:`ColumnSpec` -- schema
@@ -37,13 +36,11 @@ __all__ = [
     "LocalTransport",
     "Param",
     "PreparedQuery",
-    "QueryBuilder",
     "RemoteTransport",
     "SeabedSession",
     "TableSchema",
     "Transport",
     "__version__",
-    "col",
     "connect",
     "serve",
 ]
@@ -53,8 +50,6 @@ _LAZY = {
     "SeabedSession": ("repro.core.session", "SeabedSession"),
     "EncryptedTable": ("repro.core.session", "EncryptedTable"),
     "PreparedQuery": ("repro.core.session", "PreparedQuery"),
-    "QueryBuilder": ("repro.query.builder", "QueryBuilder"),
-    "col": ("repro.query.builder", "col"),
     "Param": ("repro.query.ast", "Param"),
     "ColumnSpec": ("repro.core.schema", "ColumnSpec"),
     "TableSchema": ("repro.core.schema", "TableSchema"),

@@ -34,16 +34,12 @@ class CryptoFactory:
         keychain: KeyChain,
         table: str,
         prf_backend: str = "splitmix64",
-        det_backend: str = "fast",
-        ore_backend: str = "fast",
         ashe_bits: Mapping[str, int] | None = None,
     ):
         self._keychain = keychain
         self._ashe_bits = dict(ashe_bits or {})
         self._table = table
         self._prf_backend = prf_backend
-        self._det_backend = det_backend
-        self._ore_backend = ore_backend
         self._ashe: dict[str, InstrumentedKernel] = {}
         self._det: dict[str, InstrumentedKernel] = {}
         self._ore: dict[str, InstrumentedKernel] = {}
@@ -77,9 +73,7 @@ class CryptoFactory:
                     key = self._keychain.derive("join", join_group, "det")
                 else:
                     key = self._keychain.column_key(self._table, physical_column, "det")
-                self._det[cache_key] = InstrumentedKernel(
-                    DetScheme(key, backend=self._det_backend), "det"
-                )
+                self._det[cache_key] = InstrumentedKernel(DetScheme(key), "det")
             return self._det[cache_key]
 
     def ore(self, physical_column: str, nbits: int = 32,
@@ -89,8 +83,6 @@ class CryptoFactory:
             if cache_key not in self._ore:
                 key = self._keychain.column_key(self._table, physical_column, "ore")
                 self._ore[cache_key] = InstrumentedKernel(
-                    OreScheme(key, nbits=nbits, signed=signed,
-                              backend=self._ore_backend),
-                    "ore",
+                    OreScheme(key, nbits=nbits, signed=signed), "ore"
                 )
             return self._ore[cache_key]

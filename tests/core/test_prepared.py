@@ -227,10 +227,10 @@ class TestPreparedScan:
 
 
 class TestPreparedRepr:
-    def test_repr_and_sql_round_trip(self, sess):
+    def test_repr_names_table_and_params(self, sess):
         session, _ = sess
         prepared = session.prepare(
             "SELECT count(*) FROM visits WHERE hour BETWEEN :lo AND :hi"
         )
         assert "visits" in repr(prepared)
-        assert parse_query(prepared.sql()) == prepared.query
+        assert "['lo', 'hi']" in repr(prepared)

@@ -15,7 +15,7 @@ from repro.crypto.ashe import AsheScheme
 from repro.crypto.ore import OreScheme
 from repro.crypto.prf import SplitMix64Prf
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
-from repro.engine.table import Table
+from repro.engine.table import Partition, Table
 from repro.errors import ExecutionError
 from repro.idlist import codec as idcodec
 from repro.idlist.codec import decode as codec_decode
@@ -114,6 +114,31 @@ class TestFlatAggregation:
             (total + scheme.pad_for(combined) - scheme.pad_for(combined)) & (2**64 - 1),
             combined,
         ) == values[:50].sum()
+
+    @pytest.mark.parametrize("bits", [64, 32])
+    @pytest.mark.parametrize("select", ["all", "partial", "none"])
+    def test_ashe_partial_matches_the_reference_sum(self, bits, select):
+        # The server sums ASHE ciphertexts itself; AsheScheme.aggregate is
+        # the reference sum it must equal (None for an empty selection).
+        scheme = AsheScheme(SplitMix64Prf(KEY), bits)
+        values = np.arange(1, 301, dtype=np.int64) * 7919
+        cipher = scheme.encrypt_column(values, start_id=1000)
+        assert cipher.dtype == np.dtype("<u8" if bits == 64 else "<u4")
+        mask = {
+            "all": None,
+            "partial": np.arange(cipher.size) % 3 != 1,
+            "none": np.zeros(cipher.size, dtype=bool),
+        }[select]
+        part = Partition({"c": cipher}, start_id=1000)
+        got = srv._flat_partial(srv.AsheSum("c", "s"), part.columns, mask, part, None)
+        want = scheme.aggregate(cipher, mask, start_id=1000)
+        if select == "none":
+            assert got is None and want.value == 0
+        else:
+            assert got == ("ashe", want.value)
+            assert scheme.decrypt_sum(got[1], want.ids) == int(
+                values.sum() if mask is None else values[mask].sum()
+            )
 
     def test_empty_selection_returns_none(self, cluster):
         server = make_server(cluster, {"v": np.arange(10, dtype=np.int64)})

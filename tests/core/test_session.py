@@ -1,13 +1,18 @@
-"""SeabedSession facade: translation cache, batching, constructor surface."""
+"""SeabedSession facade: translation cache and constructor surface."""
 
 import numpy as np
 import pytest
 
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.core.session import PreparedQuery, SeabedSession, TranslationCache
+from repro.core.session import (
+    EncryptedTable,
+    PreparedQuery,
+    SeabedSession,
+    TranslationCache,
+)
 from repro.errors import PlanningError, TranslationError
 from repro.ops import OPS
-from repro.query.builder import col
+from repro.query.parser import parse_query
 
 
 def _populate(session, n=3000, seed=11):
@@ -80,9 +85,8 @@ class TestTranslationCache:
         unknown = r"unknown parameters \['expected_groups'\]"
         with pytest.raises(TranslationError, match=unknown):
             session.query(sql, expected_groups=4)
-        builder = session.table("events").group_by("hour").sum("value")
         with pytest.raises(TranslationError, match=unknown):
-            builder.execute(expected_groups=4)
+            session.query(parse_query(sql), expected_groups=4)
         assert session.cache_stats()["size"] == 0
 
     def test_replanning_invalidates_cache(self, sess):
@@ -113,108 +117,38 @@ class TestTranslationCache:
         assert OPS.delta(before).get("prepare") == 1
 
 
-class TestFluentSurface:
-    def test_table_builder_is_session_bound(self, sess):
+class TestSqlSurface:
+    def test_parsed_query_runs_like_its_text(self, sess):
         session, data = sess
-        result = (
-            session.table("events")
-            .where(col("hour") > 20)
-            .group_by("hour")
-            .sum("value")
-            .execute()
-        )
-        assert {r["hour"] for r in result.rows} == {21, 22, 23}
-        for row in result.rows:
+        sql = "SELECT hour, sum(value) FROM events WHERE hour > 20 GROUP BY hour"
+        text_rows = session.query(sql).rows
+        assert session.query(parse_query(sql)).rows == text_rows
+        assert {r["hour"] for r in text_rows} == {21, 22, 23}
+        for row in text_rows:
             assert row["sum(value)"] == int(
                 data["value"][data["hour"] == row["hour"]].sum()
             )
+        assert session.cache_stats()["size"] == 1  # one shape, one entry
 
-    def test_builder_execute_with_params(self, sess):
+    def test_grouped_params_bind_per_call(self, sess):
         session, data = sess
-        from repro.query.ast import Param
-
-        result = (
-            session.table("events")
-            .where(col("hour") == Param("h"))
-            .count()
-            .execute(h=5)
-        )
-        assert result.rows[0]["count(*)"] == int((data["hour"] == 5).sum())
-
-    def test_builder_params_use_the_translation_cache(self, sess):
-        session, data = sess
-        from repro.query.ast import Param
-
-        builder = (
-            session.table("events")
-            .where(col("hour") == Param("h"))
-            .count()
-        )
+        sql = "SELECT hour, sum(value) FROM events WHERE hour <= :hi GROUP BY hour"
         before = OPS.snapshot()
-        for h in (1, 2, 3, 4):
-            got = builder.execute(h=h).rows[0]["count(*)"]
-            assert got == int((data["hour"] == h).sum())
-        delta = OPS.delta(before)
-        assert delta.get("translate", 0) <= 1  # one shape, one translation
-        # Positional binding follows declaration order too.
-        got = builder.execute(6).rows[0]["count(*)"]
-        assert got == int((data["hour"] == 6).sum())
+        for hi in (3, 23):
+            rows = session.query(sql, hi=hi).rows
+            assert {r["hour"] for r in rows} == set(range(hi + 1))
+            assert sum(r["sum(value)"] for r in rows) == int(
+                data["value"][data["hour"] <= hi].sum()
+            )
+        assert OPS.delta(before).get("translate", 0) <= 1
 
-    def test_builder_prepare(self, sess):
+    def test_scan_takes_a_parsed_query(self, sess):
         session, data = sess
-        from repro.query.ast import Param
-
-        prepared = (
-            session.table("events")
-            .where(col("hour") <= Param("hi"))
-            .sum("value")
-            .prepare()
+        sql = "SELECT value FROM events WHERE hour = :h"
+        got = session.scan(parse_query(sql), h=7).rows
+        assert sorted(r["value"] for r in got) == sorted(
+            data["value"][data["hour"] == 7].tolist()
         )
-        assert isinstance(prepared, PreparedQuery)
-        got = prepared.execute(hi=23).rows[0]["sum(value)"]
-        assert got == int(data["value"].sum())
-
-
-class TestQueryManyOverrides:
-    def test_prepared_instances_in_batch(self, sess):
-        session, data = sess
-        p_flat = session.prepare("SELECT count(*) FROM events")
-        p_param = session.prepare("SELECT count(*) FROM events WHERE hour = :h")
-        before = OPS.snapshot()
-        results = session.query_many([
-            p_flat,
-            (p_param, {"h": 3}),
-            (p_param, {"h": 9}),
-        ])
-        assert OPS.delta(before).get("translate", 0) == 0
-        assert results[0].rows[0]["count(*)"] == len(data["hour"])
-        assert results[1].rows[0]["count(*)"] == int((data["hour"] == 3).sum())
-        assert results[2].rows[0]["count(*)"] == int((data["hour"] == 9).sum())
-
-    def test_malformed_batch_items_rejected(self, sess):
-        session, _ = sess
-        with pytest.raises(TranslationError, match="batch tuples"):
-            session.query_many([("a", "b", "c")])
-        grouped = "SELECT hour, sum(value) FROM events GROUP BY hour"
-        for stale in ((grouped, 4), (grouped, None)):  # a (query, group count) pair
-            with pytest.raises(TranslationError, match="batch tuples"):
-                session.query_many([stale])
-        p = session.prepare("SELECT count(*) FROM events")
-        with pytest.raises(TranslationError, match="parameter mapping"):
-            session.query_many([(p, 3)])
-
-    def test_batch_results_in_input_order(self, sess):
-        session, data = sess
-        queries = [
-            f"SELECT sum(value), count(*) FROM events WHERE hour = {h}"
-            for h in range(10)
-        ]
-        assert session.query_many([]) == []
-        results = session.query_many(queries)
-        for h, result in enumerate(results):
-            mask = data["hour"] == h
-            assert result.rows[0]["count(*)"] == int(mask.sum())
-            assert result.rows[0]["sum(value)"] == int(data["value"][mask].sum())
 
 
 class TestSessionSurface:
@@ -222,6 +156,7 @@ class TestSessionSurface:
         import importlib
 
         import repro
+        import repro.query
 
         with pytest.raises(AttributeError):
             repro.SeabedClient
@@ -232,6 +167,15 @@ class TestSessionSurface:
         session = SeabedSession(mode="seabed", seed=5)
         with pytest.raises(AttributeError):
             session.server = object()
+        # SQL text (or its parsed Query) is the one way to say a query.
+        for name in ("QueryBuilder", "col"):
+            assert not hasattr(repro, name)
+        assert not hasattr(repro.query, "render_sql")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.query.builder")
+        for cls, name in ((SeabedSession, "table"), (SeabedSession, "query_many"),
+                          (EncryptedTable, "builder"), (PreparedQuery, "sql")):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
     def test_result_types_importable_from_session(self):
         from repro.core.session import LinRegResult, QueryResult, UploadStats

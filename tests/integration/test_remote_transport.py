@@ -146,6 +146,11 @@ class TestBitIdentity:
     def test_queries_bit_identical(self, local, remote, query):
         assert remote.query(query).rows == local.query(query).rows
 
+    def test_one_connection_serves_a_sequence(self, local, remote):
+        # Back-to-back requests on one connection, shapes repeating.
+        for query in QUERIES[:4] + QUERIES[:2]:
+            assert remote.query(query).rows == local.query(query).rows
+
     def test_scan_bit_identical(self, local, remote):
         assert remote.scan(SCAN).rows == local.scan(SCAN).rows
 
@@ -154,11 +159,6 @@ class TestBitIdentity:
         p_local, p_remote = local.prepare(sql), remote.prepare(sql)
         for cut in (0, 17, 45):
             assert p_remote.execute(cut=cut).rows == p_local.execute(cut=cut).rows
-
-    def test_query_many_bit_identical(self, local, remote):
-        got = remote.query_many(QUERIES[:4])
-        want = local.query_many(QUERIES[:4])
-        assert [r.rows for r in got] == [r.rows for r in want]
 
     def test_wire_time_accounted_remotely_only(self, local, remote):
         q = "SELECT sum(amount) FROM sales"

@@ -200,10 +200,6 @@ class TestTimeouts:
         # generous timeout: passes through the whole prepared path
         result = session.query("SELECT count(*) FROM sales", timeout=20.0)
         assert result.rows[0]["count(*)"] == 120
-        results = session.query_many(
-            ["SELECT count(*) FROM sales"] * 3, timeout=20.0
-        )
-        assert all(r.rows[0]["count(*)"] == 120 for r in results)
         session.close()
 
     def test_storage_bytes_timeout_overridden_per_call(self, slow_handle):

@@ -12,6 +12,7 @@ from repro.query.ast import (
     InList,
     Not,
     Or,
+    Param,
 )
 from repro.query.parser import parse_query
 
@@ -99,6 +100,25 @@ class TestPredicates:
         q = parse_query("SELECT sum(a) FROM t WHERE d BETWEEN 5 AND 10")
         assert q.where == Between("d", 5, 10)
 
+    def test_param_placeholders(self):
+        q = parse_query("SELECT sum(a) FROM t WHERE h = :x")
+        assert q.where == Comparison("h", "=", Param("x"))
+        q = parse_query("SELECT sum(a) FROM t WHERE d BETWEEN :lo AND :hi")
+        assert q.where == Between("d", Param("lo"), Param("hi"))
+        q = parse_query("SELECT sum(a) FROM t WHERE c IN (:a, 2)")
+        assert q.where == InList("c", (Param("a"), 2))
+
+    def test_escaped_backslash_and_quote(self):
+        q = parse_query(r"SELECT sum(a) FROM t WHERE s = 'o\'brien \\ co'")
+        assert q.where.value == "o'brien \\ co"
+
+    def test_nested_boolean_precedence(self):
+        q = parse_query(
+            "SELECT count(*) FROM t WHERE a > 1 AND (b > 2 OR c > 3) OR NOT d = 4"
+        )
+        a, b, c = (Comparison(n, ">", v) for n, v in (("a", 1), ("b", 2), ("c", 3)))
+        assert q.where == Or((And((a, Or((b, c)))), Not(Comparison("d", "=", 4))))
+
 
 class TestClauses:
     def test_group_by_multiple(self):
@@ -145,6 +165,20 @@ class TestErrors:
     def test_error_carries_position(self):
         with pytest.raises(ParseError, match="position"):
             parse_query("SELECT sum(a) FROM t WHERE = 3")
+
+    def test_empty_select_rejected(self):
+        with pytest.raises(ParseError):
+            parse_query("SELECT FROM t")
+
+    def test_empty_in_list_rejected(self):
+        with pytest.raises(ParseError, match="expected a literal"):
+            parse_query("SELECT sum(a) FROM t WHERE c IN ()")
+
+    def test_negative_literal_rejected(self):
+        # The dialect has no unary minus: a negative bound is an error,
+        # never silently read as a positive one.
+        with pytest.raises(ParseError, match="unexpected character '-'"):
+            parse_query("SELECT sum(a) FROM t WHERE b > -1")
 
     def test_count_star_only(self):
         with pytest.raises(ValueError, match="not meaningful"):
