@@ -1,6 +1,6 @@
 """Service layer: concurrent-session load generator and backpressure gate.
 
-An asyncio Seabed server (README section "Service layer") hosts one
+A threaded Seabed server (README section "Service layer") hosts one
 persisted ciphertext store; ``service_sessions`` concurrent sessions
 drive a mixed workload against it over real sockets -- mostly reads
 (prepared aggregates, grouped queries) with one designated writer

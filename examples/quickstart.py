@@ -38,7 +38,7 @@ shard, and a worker is killed mid-query to show replica failover --
 every answer identical to the single-store session.
 
 With ``--serve`` it demos the service layer: the table is persisted,
-hosted by an asyncio Seabed server on a localhost socket, and queried
+hosted by a threaded Seabed server on a localhost socket, and queried
 through a second session over ``RemoteTransport`` with a bearer token
 -- answers bit-identical to the in-process session, and the keyless
 audit runs *inside the serving process* to show it holds no keys.
@@ -329,7 +329,7 @@ if args.serve:
     path = session.encrypted_table("sales").save(os.path.join(store_dir, "sales"))
     with repro.serve(stores=[path]) as handle:
         token = handle.mint_token("quickstart")
-        print(f"\nservice layer: asyncio server on {handle.host}:{handle.port}, "
+        print(f"\nservice layer: threaded server on {handle.host}:{handle.port}, "
               f"bearer-token auth, keys never leave the client")
         remote = repro.connect(
             handle.address, token, mode="seabed", master_key=MASTER_KEY)

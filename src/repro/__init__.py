@@ -23,7 +23,7 @@ Public entry points:
 - :mod:`repro.workloads` -- dataset and query-set generators used by the
   benchmark harness.
 - :func:`repro.serve` / :func:`repro.connect` -- host stores behind the
-  asyncio TCP service and open sessions against it over the wire
+  threaded TCP service and open sessions against it over the wire
   (:mod:`repro.net`).
 """
 

@@ -26,12 +26,14 @@ Failure model: a worker that dies mid-call surfaces as
 :class:`WorkerDied` (an :class:`~repro.errors.ExecutionError`), raised
 from ``EOFError``/``BrokenPipeError`` or from a dead-process check --
 never as a hang, and never confused with an error the worker reported.
+Under a :func:`repro.net.rpc.deadline` a call waits only for what is left
+of it: a worker that overruns is killed and reported as dead too.
 
 Fail points: ``arm_exit(method, after)`` arms the *server* loop to call
 ``os._exit(70)`` immediately before replying to the ``after``-th
 subsequent invocation of ``method`` -- the same hard-kill style the
 store's crash fail points use, simulating a machine loss at the worst
-moment (work done, reply lost).
+moment (work done, reply lost); ``arm_stall`` hangs one instead.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
+import time
 import weakref
 from multiprocessing import Pipe, Process, connection
 from typing import Any, Callable, Mapping
@@ -79,16 +82,17 @@ def serve(conn: connection.Connection, handlers: Mapping[str, Callable[..., Any]
     """Run a worker's request loop until ``shutdown`` or a closed pipe.
 
     ``handlers`` maps method names to callables invoked as
-    ``handler(**args)``.  Two methods are built in: ``__arm_exit__``
-    (install a fail point) and ``shutdown`` (clean exit; a handler named
-    ``shutdown`` runs first if provided).
+    ``handler(**args)``.  Three methods are built in: ``__arm_exit__``
+    and ``__arm_stall__`` (install a fail point) and ``shutdown`` (clean
+    exit; a handler named ``shutdown`` runs first if provided).
     """
-    armed: dict[str, int] = {}
-
-    def arm_exit(method: str, after: int) -> None:
-        armed[method] = int(after)
-
-    handlers = {"shutdown": lambda: None, **handlers, "__arm_exit__": arm_exit}
+    armed: dict[str, int] = {}  # method -> calls left before os._exit
+    stalls: dict[str, float] = {}  # method -> seconds its next call sleeps
+    handlers = {
+        "shutdown": lambda: None, **handlers,
+        "__arm_exit__": lambda method, after: armed.update({method: int(after)}),
+        "__arm_stall__": lambda method, seconds: stalls.update({method: float(seconds)}),
+    }
 
     def run(op: str, args: dict[str, Any]) -> Any:
         return rpc.handler(handlers, "worker", op)(**args)
@@ -107,6 +111,8 @@ def serve(conn: connection.Connection, handlers: Mapping[str, Callable[..., Any]
         except CodecError as exc:
             reply = rpc.error_reply(exc)
         else:
+            if op in stalls:
+                time.sleep(stalls.pop(op))
             reply = rpc.answer(op, args, trace, run, "worker")
         if reply["ok"] and op in armed:
             armed[op] -= 1
@@ -157,24 +163,31 @@ class WorkerHandle:
             return False  # process object released after death
 
     def call(self, method: str, /, **kwargs: Any) -> Any:
-        """Invoke ``method`` on the worker and wait for its reply."""
+        """Invoke ``method`` on the worker and wait for its reply -- under
+        a deadline, no longer than what is left of it."""
+        budget = rpc.remaining()
+        if budget is not None and budget <= 0:
+            raise ExecutionError(f"no time left to call {method!r} on {self.name!r}")
         frame = codec.encode_frame(
             CALL, rpc.request(method, kwargs, trace=obs_trace.current_context())
         )
         with self._lock:
             try:
                 self._conn.send_bytes(frame)
+                if budget is not None and not self._conn.poll(max(rpc.remaining(), 0)):
+                    raise TimeoutError("it overran the request's deadline")
                 data = self._conn.recv_bytes()
             except (EOFError, BrokenPipeError, OSError) as exc:
-                # The pipe fd closes a beat before the child becomes
-                # reapable; join it so ``alive`` reads False (and the
-                # zombie is collected) by the time callers handle this.
-                # Release our end of the pipe too: a worker that dies
-                # during the handshake used to leak the parent-side fd
-                # for the handle's lifetime (one fd pair per respawn).
-                self._release()
+                # Kill a hung worker (the TimeoutError above).  A dead
+                # one's pipe fd closes a beat before it becomes reapable:
+                # join it so ``alive`` reads False (and the zombie is
+                # collected) by the time callers handle this, and release
+                # our pipe end (a worker that died during the handshake
+                # used to leak it, one fd pair per respawn).
+                self.kill()
                 raise WorkerDied(
-                    f"worker {self.name!r} died during {method!r}"
+                    f"worker {self.name!r} died during {method!r}: "
+                    f"{str(exc) or type(exc).__name__}"
                 ) from exc
         kind, reply = codec.decode_frame(data)
         if kind != REPLY:
@@ -185,6 +198,11 @@ class WorkerHandle:
         """Arm the worker to ``os._exit`` before replying to the
         ``after``-th subsequent call of ``method`` (fail-point injection)."""
         self.call("__arm_exit__", method=method, after=after)
+
+    def arm_stall(self, method: str, seconds: float) -> None:
+        """Arm the worker to sleep ``seconds`` before serving the next
+        call of ``method`` (fail-point injection)."""
+        self.call("__arm_stall__", method=method, seconds=seconds)
 
     def _release(self) -> None:
         """Close the parent-side pipe fd and collect the child process

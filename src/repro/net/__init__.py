@@ -3,7 +3,7 @@
 Seabed's threat model (Section 3) is a *keyless* cloud server executing
 analytics over ciphertexts on behalf of remote clients.  This package
 makes that boundary real: :mod:`repro.net.service` hosts one or more
-:class:`~repro.core.server.SeabedServer` stores behind an asyncio TCP
+:class:`~repro.core.server.SeabedServer` stores behind a threaded TCP
 listener with bearer-token auth and per-tenant admission control;
 :mod:`repro.net.client` provides :class:`RemoteTransport`, a socket
 client that plugs into :class:`~repro.core.session.SeabedSession`
@@ -25,7 +25,7 @@ from importlib import import_module
 from typing import Any
 
 # Lazy re-exports (same idiom as the package root): importing
-# ``repro.net.codec`` alone must not drag in asyncio service machinery.
+# ``repro.net.codec`` alone must not drag in the service machinery.
 _LAZY = {
     "RemoteTransport": "repro.net.client",
     "connect": "repro.net.client",

@@ -16,11 +16,12 @@ Frame kinds: ``hello`` / ``req`` / ``rep`` between client and service,
 (:mod:`repro.engine.transport`); past the ``hello``, every body is a
 :mod:`repro.net.rpc` request or reply.
 
-The envelope is a JSON tree in which every non-JSON-native value is a
-tagged object (``{"!": tag, ...}``): tuples, dicts (whose keys need not
-be strings), bytes, numpy arrays and scalars, and the registered request
-/response dataclasses (:class:`~repro.core.server.ServerQuery`, filter
-and aggregate ops, :class:`~repro.core.server.ServerResponse`,
+The envelope is a JSON tree: JSON scalars, lists and string-keyed dicts
+ship as themselves, and every other value is a tagged object (``{"!":
+tag, ...}``): tuples, dicts with other keys (or a ``"!"`` key), bytes,
+numpy arrays and scalars, and the registered request/response
+dataclasses (:class:`~repro.core.server.ServerQuery`, filter and
+aggregate ops, :class:`~repro.core.server.ServerResponse`,
 :class:`~repro.engine.metrics.JobMetrics`...).  Bulk payloads -- bytes
 and numpy buffers, i.e. the ciphertexts -- are *not* JSON-encoded: the
 envelope stores an index into the raw buffer region, so ciphertext
@@ -55,7 +56,7 @@ from repro.engine.storage import decode_object_column, encode_object_column
 from repro.errors import CodecError
 
 MAGIC = b"SBNW"
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 #: Upper bound on a single frame; a corrupt length prefix fails fast
 #: instead of attempting a multi-gigabyte read.  It therefore also bounds
@@ -64,40 +65,50 @@ MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct("<4sHI")  # magic, version, envelope length
 
-#: Dataclasses allowed on the wire, by class name.  Anything outside
-#: this registry is rejected at encode *and* decode time, so a peer
-#: cannot smuggle arbitrary object construction through the codec.
-_DATACLASSES: dict[str, type] = {
-    cls.__name__: cls
+#: Dataclasses allowed on the wire, with their field names.  Anything
+#: outside this registry is rejected at encode *and* decode time, so a
+#: peer cannot smuggle arbitrary object construction through the codec.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
     for cls in (
-        srv.PlainCmp,
-        srv.DetEq,
-        srv.DetIn,
-        srv.OreCmp,
-        srv.FilterAnd,
-        srv.FilterOr,
-        srv.FilterNot,
-        srv.AsheSum,
-        srv.PlainAgg,
-        srv.PaillierSum,
-        srv.OreExtreme,
-        srv.OreMedian,
-        srv.ServerJoin,
-        srv.ServerQuery,
-        srv.ServerResponse,
-        grouped.GroupedRows,
-        grouped.IdPiece,
-        em.StageMetrics,
-        em.JobMetrics,
+        srv.PlainCmp, srv.DetEq, srv.DetIn, srv.OreCmp, srv.FilterAnd,
+        srv.FilterOr, srv.FilterNot, srv.AsheSum, srv.PlainAgg, srv.PaillierSum,
+        srv.OreExtreme, srv.OreMedian, srv.ServerJoin, srv.ServerQuery,
+        srv.ServerResponse, grouped.GroupedRows, grouped.IdPiece,
+        em.StageMetrics, em.JobMetrics,
     )
 }
+_DATACLASSES = {cls.__name__: (cls, frozenset(names)) for cls, names in _FIELDS.items()}
+
+#: Values that are their own JSON form; callers test ``type(v) in
+#: _LEAVES`` inline so a leaf costs no call (a subclass takes the slow path).
+_LEAVES = frozenset({type(None), bool, int, float, str})
 
 
 def _pack(value: Any, buffers: list[bytes]) -> Any:
     """Lower ``value`` to a JSON-safe tree, appending bulk payloads to
     ``buffers``."""
-    if value is None or isinstance(value, (bool, str)):
+    if type(value) in _LEAVES:
         return value
+    if isinstance(value, dict):
+        if "!" not in value and all(type(k) is str for k in value):
+            return {
+                k: v if type(v) in _LEAVES else _pack(v, buffers)
+                for k, v in value.items()
+            }
+        return {
+            "!": "m",
+            "v": [[_pack(k, buffers), _pack(v, buffers)] for k, v in value.items()],
+        }
+    if isinstance(value, list):
+        return [v if type(v) in _LEAVES else _pack(v, buffers) for v in value]
+    names = _FIELDS.get(type(value))
+    if names is not None:
+        fields = {}
+        for name in names:
+            v = getattr(value, name)
+            fields[name] = v if type(v) in _LEAVES else _pack(v, buffers)
+        return {"!": "d", "t": type(value).__name__, "f": fields}
     if isinstance(value, (int, float)):
         # Python's json round-trips arbitrary-precision ints (Paillier
         # ciphertexts) and non-finite floats natively.
@@ -107,13 +118,6 @@ def _pack(value: Any, buffers: list[bytes]) -> Any:
         return {"!": "b", "i": len(buffers) - 1}
     if isinstance(value, tuple):
         return {"!": "t", "v": [_pack(v, buffers) for v in value]}
-    if isinstance(value, list):
-        return [_pack(v, buffers) for v in value]
-    if isinstance(value, dict):
-        return {
-            "!": "m",
-            "v": [[_pack(k, buffers), _pack(v, buffers)] for k, v in value.items()],
-        }
     if isinstance(value, np.ndarray):
         if value.dtype == object:
             buffers.append(encode_object_column(value))
@@ -127,26 +131,19 @@ def _pack(value: Any, buffers: list[bytes]) -> Any:
         }
     if isinstance(value, np.generic):
         return {"!": "ns", "d": value.dtype.str, "v": value.item()}
-    if dataclasses.is_dataclass(value) and type(value).__name__ in _DATACLASSES:
-        return {
-            "!": "d",
-            "t": type(value).__name__,
-            "f": {
-                f.name: _pack(getattr(value, f.name), buffers)
-                for f in dataclasses.fields(value)
-            },
-        }
     raise CodecError(f"cannot encode {type(value).__name__} on the wire")
 
 
 def _unpack(tree: Any, buffers: list[memoryview]) -> Any:
-    if tree is None or isinstance(tree, (bool, int, float, str)):
-        return tree
-    if isinstance(tree, list):
-        return [_unpack(v, buffers) for v in tree]
-    if not isinstance(tree, dict):
+    if type(tree) is list:
+        return [v if type(v) in _LEAVES else _unpack(v, buffers) for v in tree]
+    if type(tree) is not dict:
+        if type(tree) in _LEAVES:
+            return tree
         raise CodecError(f"malformed envelope node of type {type(tree).__name__}")
-    tag = tree.get("!")
+    if "!" not in tree:  # a string-keyed dict
+        return {k: v if type(v) in _LEAVES else _unpack(v, buffers) for k, v in tree.items()}
+    tag = tree["!"]
     try:
         if tag == "b":
             return bytes(buffers[tree["i"]])
@@ -163,16 +160,19 @@ def _unpack(tree: Any, buffers: list[memoryview]) -> Any:
         if tag == "ns":
             return np.dtype(tree["d"]).type(tree["v"])
         if tag == "d":
-            cls = _DATACLASSES.get(tree["t"])
+            cls, known = _DATACLASSES.get(tree["t"], (None, None))
             if cls is None:
                 raise CodecError(f"unknown dataclass {tree['t']!r} on the wire")
-            fields = {name: _unpack(v, buffers) for name, v in tree["f"].items()}
-            known = {f.name for f in dataclasses.fields(cls)}
-            if set(fields) - known:
+            if type(tree["f"]) is not dict:
+                raise CodecError(f"{tree['t']} fields are not an object")
+            if not known.issuperset(tree["f"]):
                 raise CodecError(
-                    f"unexpected fields for {tree['t']}: {sorted(set(fields) - known)}"
+                    f"unexpected fields for {tree['t']}: {sorted(set(tree['f']) - known)}"
                 )
-            value = cls(**fields)
+            value = cls(**{
+                name: v if type(v) in _LEAVES else _unpack(v, buffers)
+                for name, v in tree["f"].items()
+            })
             if isinstance(value, grouped.GroupedRows):
                 value.validate()  # ragged columns, stray codes, unknown flags
             return value
@@ -183,13 +183,16 @@ def _unpack(tree: Any, buffers: list[memoryview]) -> Any:
     raise CodecError(f"unknown envelope tag {tag!r}")
 
 
+#: One encoder for every frame (``json.dumps`` with options builds one per call).
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def encode_frame(kind: str, body: Any) -> bytes:
     """Serialise one message to a complete frame (length prefix included)."""
     buffers: list[bytes] = []
     tree = _pack(body, buffers)
-    envelope = json.dumps(
-        {"kind": kind, "buffers": [len(b) for b in buffers], "body": tree},
-        separators=(",", ":"),
+    envelope = _ENCODE_JSON(
+        {"kind": kind, "buffers": [len(b) for b in buffers], "body": tree}
     ).encode()
     payload = _HEADER.pack(MAGIC, WIRE_VERSION, len(envelope))
     frame = b"".join([payload, envelope, *buffers])
@@ -217,8 +220,6 @@ def decode_payload(payload: bytes | memoryview) -> tuple[str, Any]:
         kind = envelope["kind"]
         lengths = envelope["buffers"]
         tree = envelope["body"]
-    except CodecError:
-        raise
     except Exception as exc:  # noqa: BLE001 -- malformed JSON/shape
         raise CodecError(f"malformed frame envelope: {exc}") from exc
     if not isinstance(kind, str) or not isinstance(lengths, list):
@@ -271,8 +272,6 @@ def unpack_table(data: dict[str, Any]) -> Any:
                 for p in data["partitions"]
             ],
         )
-    except CodecError:
-        raise
     except Exception as exc:  # noqa: BLE001 -- malformed batch is a codec error
         raise CodecError(f"malformed table batch on the wire: {exc}") from exc
 

@@ -15,17 +15,41 @@ trace, span the handler, exception -> typed reply, finished spans ride
 home) for the serving end, and :func:`unwrap` (ingest the spans, re-raise
 the :mod:`repro.errors` class) for the calling end.  ``trace`` is the
 :func:`repro.obs.trace.current_context` pair; a peer that sends none, or
-something malformed, just gets a local-only trace.  ``timeout`` travels
-on both hops; the service enforces it, shard workers do not yet.
+something malformed, just gets a local-only trace.  The service enforces
+a request's ``timeout`` and runs its handler under a :func:`deadline`: a
+shard-worker call waits only for what is left of it, then kills the worker.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.access import AccessError  # noqa: F401 -- a wire-visible SeabedError
 from repro.errors import Backpressure, CodecError, SeabedError, TransportError
 from repro.obs import trace as obs_trace
+
+#: ``time.monotonic()`` by which the request being served must be answered.
+_DEADLINE: ContextVar[float | None] = ContextVar("rpc_deadline", default=None)
+
+
+@contextmanager
+def deadline(at: float | None) -> Iterator[None]:
+    """Run the block under the absolute deadline ``at`` (monotonic
+    seconds; None = unbounded), which :func:`remaining` reports."""
+    token = _DEADLINE.set(at)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def remaining() -> float | None:
+    """Seconds left before the current deadline, or None if there is none."""
+    at = _DEADLINE.get()
+    return None if at is None else at - time.monotonic()
 
 
 def request(

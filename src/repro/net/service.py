@@ -1,8 +1,8 @@
-"""Asyncio Seabed service: the untrusted server as a real process.
+"""Threaded Seabed service: the untrusted server as a real process.
 
 Hosts one or more :class:`~repro.core.server.SeabedServer` stores behind
-a TCP listener speaking the :mod:`repro.net.codec` frame protocol, so
-many concurrent :class:`~repro.core.session.SeabedSession` clients (via
+a TCP listener speaking the :mod:`repro.net.codec` frame protocol, with
+one blocking thread per connection, so many concurrent sessions (via
 :class:`~repro.net.client.RemoteTransport`) can query, scan, append to
 and compact the same ciphertext stores from other processes or hosts.
 
@@ -30,14 +30,14 @@ in-process via :func:`serve`.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import secrets
 import signal
-import struct
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent import futures
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable
@@ -53,7 +53,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 
-#: Threads executing request bodies (the asyncio loop never blocks).
+#: Threads executing request bodies (a connection thread waits for its
+#: request's body no longer than the server-side timeout).
 EXECUTOR_THREADS = 8
 
 
@@ -87,16 +88,6 @@ _TABLE_OPS = (
 )
 
 
-class _Tenant:
-    """Per-user admission state, touched only on the event loop."""
-
-    __slots__ = ("sem", "waiting")
-
-    def __init__(self, max_in_flight: int):
-        self.sem = asyncio.Semaphore(max_in_flight)
-        self.waiting = 0
-
-
 class SeabedService:
     """One keyless server process: stores, auth, admission, dispatch."""
 
@@ -116,15 +107,20 @@ class SeabedService:
         self.access = AccessController()
         self._ops = self._handlers()
         self._tokens: dict[str, str] = {}  # token -> user
-        self._tenants: dict[str, _Tenant] = {}
-        self._pool = ThreadPoolExecutor(
+        # Per-tenant admission: requests executing, and waiting for a slot.
+        self._running: Counter[str] = Counter()
+        self._waiting: Counter[str] = Counter()
+        self._pool = futures.ThreadPoolExecutor(
             max_workers=EXECUTOR_THREADS,
             thread_name_prefix="seabed-svc",
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self.bound: tuple[str, int] | None = None
+        # Guards admission, open connections and ``_closed``; admission
+        # waiters sleep on it.
+        self._cond = threading.Condition()
+        self._closed = False
+        self._listener: socket.socket | None = None
+        self._conns: set[socket.socket] = set()
+        self._thread: threading.Thread | None = None  # the accept loop
         if not self.config.auth_required:
             self.access.grant("anonymous")
         # Entirely key-free: a store is served at its committed snapshot,
@@ -172,7 +168,7 @@ class SeabedService:
             raise AuthError(f"token for user {user!r} has been revoked")
         return user
 
-    # -- request execution (executor threads) ------------------------------
+    # -- request execution (request pool threads) -------------------------
 
     def _handlers(self) -> dict[str, Callable[[str, dict[str, Any]], Any]]:
         """Op name -> ``handler(user, args)``: the access check on the
@@ -250,16 +246,19 @@ class SeabedService:
         return rpc.handler(self._ops, "service", op)(user, args)
 
     def _admitted(
-        self, user: str, queue_wait: float, op: str, args: dict[str, Any]
+        self, user: str, queue_wait: float, deadline: float | None,
+        op: str, args: dict[str, Any],
     ) -> Any:
-        """Executor-thread body of one admitted request, run by
-        :func:`rpc.answer` inside the ``service:<op>`` span: the op plus
-        the service's own accounting (queue wait, latency histogram)."""
+        """Pool-thread body of one admitted request, run by
+        :func:`rpc.answer` inside the ``service:<op>`` span: the op, under
+        the request's deadline, plus the service's own accounting (queue
+        wait, latency histogram)."""
         started = time.perf_counter()
         if queue_wait > 0:
             obs_trace.record_span("service:queue_wait", started - queue_wait, started)
         try:
-            result = self._run_op(user, op, args)
+            with rpc.deadline(deadline):
+                result = self._run_op(user, op, args)
         finally:
             obs_metrics.get_registry().histogram(
                 "seabed_service_request_seconds",
@@ -270,40 +269,40 @@ class SeabedService:
             result.metrics.queue_wait = queue_wait
         return result
 
-    # -- admission + dispatch (event loop) ---------------------------------
+    # -- admission + dispatch (connection threads) -------------------------
 
-    def _tenant(self, user: str) -> _Tenant:
-        tenant = self._tenants.get(user)
-        if tenant is None:
-            tenant = self._tenants[user] = _Tenant(self.config.max_in_flight)
-        return tenant
-
-    async def _admit(self, tenant: _Tenant) -> bool:
-        """Take one in-flight slot, or report overload.  The wait queue
-        is bounded: beyond ``queue_depth`` waiters the caller gets an
-        immediate Backpressure reply instead of an unbounded stall."""
-        if not tenant.sem.locked():
-            await tenant.sem.acquire()
+    def _admit(self, user: str) -> bool:
+        """Take one of ``user``'s in-flight slots, or report overload.  The
+        wait queue is bounded: beyond ``queue_depth`` waiters the caller
+        gets an immediate Backpressure reply instead of an unbounded stall."""
+        running, waiting, limit = self._running, self._waiting, self.config.max_in_flight
+        with self._cond:
+            if running[user] >= limit:
+                if waiting[user] >= self.config.queue_depth:
+                    return False
+                waiting[user] += 1
+                while running[user] >= limit and not self._closed:
+                    self._cond.wait()
+                waiting[user] -= 1
+                if self._closed:
+                    return False
+            running[user] += 1
             return True
-        if tenant.waiting >= self.config.queue_depth:
-            return False
-        tenant.waiting += 1
-        try:
-            await tenant.sem.acquire()
-        finally:
-            tenant.waiting -= 1
-        return True
 
-    async def _dispatch(self, user: str, body: Any) -> dict[str, Any]:
+    def _release(self, user: str) -> None:
+        with self._cond:
+            self._running[user] -= 1
+            self._cond.notify_all()
+
+    def _dispatch(self, user: str, body: Any) -> dict[str, Any]:
         try:
             op, args, requested, trace = rpc.parse(body)
         except CodecError as exc:
             return rpc.error_reply(exc)
         if op == "ping":
             return {"ok": True, "result": {"server": "seabed", "user": user}}
-        tenant = self._tenant(user)
         queued_at = time.monotonic()
-        if not await self._admit(tenant):
+        if not self._admit(user):
             obs_metrics.get_registry().counter(
                 "seabed_backpressure_total",
                 "Requests rejected by per-tenant admission control.",
@@ -317,163 +316,126 @@ class SeabedService:
                     retry_after=self.config.retry_after,
                 )
             )
-        queue_wait = time.monotonic() - queued_at
-        # The client's per-call budget can only tighten the service's cap.
+        admitted = time.monotonic()
+        # The client's per-call budget can only tighten the service's cap;
+        # the body's own RPCs (shard workers) get what is left of it.
         timeout = min(
             (t for t in (requested, self.config.request_timeout) if t is not None),
             default=None,
         )
-        assert self._loop is not None
-        # run_in_executor does not propagate contextvars; answer()
-        # re-installs the caller's trace context on the executor thread.
-        future = self._loop.run_in_executor(
-            self._pool,
+        future = self._pool.submit(
+            rpc.answer, op, args, trace,
             partial(
-                rpc.answer, op, args, trace,
-                partial(self._admitted, user, queue_wait), "service", tenant=user,
+                self._admitted, user, admitted - queued_at,
+                None if timeout is None else admitted + timeout,
             ),
+            "service", tenant=user,
         )
-        # The slot is held until the executor thread actually finishes --
-        # a timed-out request keeps consuming its budget rather than
-        # letting a tenant stack abandoned work.  The callback also
-        # retrieves the exception so abandoned futures never warn.
-        future.add_done_callback(
-            lambda f: (tenant.sem.release(), f.cancelled() or f.exception())
-        )
+        # The slot is held until the pool thread actually finishes -- a
+        # timed-out request keeps consuming its budget rather than letting
+        # a tenant stack abandoned work.
+        future.add_done_callback(lambda _: self._release(user))
         try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout)
-        except (asyncio.TimeoutError, TimeoutError):
+            return future.result(timeout)
+        except futures.TimeoutError:
             return rpc.error_reply(
                 TransportError(f"request {op!r} timed out after {timeout}s server-side")
             )
 
     # -- connection handling -----------------------------------------------
 
-    async def _read(self, reader: asyncio.StreamReader) -> tuple[str, Any]:
-        header = await reader.readexactly(4)
-        (length,) = struct.unpack("<I", header)
-        if length > codec.MAX_FRAME_BYTES:
-            raise CodecError(
-                f"peer announced a {length}-byte frame (cap {codec.MAX_FRAME_BYTES})"
-            )
-        return codec.decode_payload(await reader.readexactly(length))
-
-    async def _write(
-        self, writer: asyncio.StreamWriter, kind: str, body: Any
-    ) -> None:
+    def _write(self, sock: socket.socket, kind: str, body: Any) -> None:
         try:
             frame = codec.encode_frame(kind, body)
         except CodecError as exc:  # unencodable or oversized result
             frame = codec.encode_frame(kind, rpc.error_reply(exc))
-        writer.write(frame)
-        await writer.drain()
+        sock.sendall(frame)
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_conn(self, sock: socket.socket) -> None:
+        """One connection's thread: hello, then request/reply until the
+        peer hangs up or :meth:`stop` shuts the socket down."""
+        user, reply_kind = None, "hello"
         try:
-            try:
-                kind, hello = await self._read(reader)
-                if kind != "hello":
-                    raise AuthError(f"expected hello, got {kind!r} frame")
-                user = self._authenticate(hello)
-            except (CodecError, AuthError) as exc:
-                await self._write(writer, "hello", rpc.error_reply(exc))
-                return
-            await self._write(
-                writer,
-                "hello",
-                {
-                    "ok": True,
-                    "result": {
-                        "server": "seabed",
-                        "wire_version": codec.WIRE_VERSION,
-                        "user": user,
-                    },
-                },
-            )
             while True:
                 try:
-                    kind, body = await self._read(reader)
-                    if kind != "req":
+                    kind, body = codec.read_frame(sock)
+                    if user is None:
+                        if kind != "hello":
+                            raise AuthError(f"expected hello, got {kind!r} frame")
+                        user = self._authenticate(body)
+                        reply = {"ok": True, "result": {
+                            "server": "seabed", "wire_version": codec.WIRE_VERSION, "user": user,
+                        }}
+                    elif kind != "req":
                         raise CodecError(f"unexpected {kind!r} frame")
-                except asyncio.IncompleteReadError:
-                    return  # client went away
-                except CodecError as exc:
-                    # Unparseable input: answer typed, then drop the
-                    # connection (the stream may be out of sync).
-                    await self._write(writer, "rep", rpc.error_reply(exc))
+                    else:
+                        reply = self._dispatch(user, body)
+                except (CodecError, AuthError) as exc:
+                    # Unparseable input, a failed hello or a hang-up
+                    # (mid-)frame: answer typed, then drop the connection.
+                    self._write(sock, reply_kind, rpc.error_reply(exc))
                     return
-                await self._write(writer, "rep", await self._dispatch(user, body))
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-write; nothing to answer
-        except asyncio.CancelledError:
-            pass  # service shutting down mid-connection; drop cleanly
+                self._write(sock, reply_kind, reply)
+                reply_kind = "rep"
+        except (OSError, RuntimeError, futures.CancelledError):
+            pass  # peer vanished mid-write, or the service stopped (pool shut down)
         finally:
-            writer.close()
-            try:
-                # A task cancelled during shutdown re-raises CancelledError
-                # from any await; the transport is closed either way.
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+            with self._cond:
+                self._conns.discard(sock)
+            sock.close()
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _serve_forever(
-        self, ready: threading.Event, holder: dict[str, Any]
-    ) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
-        sock = server.sockets[0].getsockname()
-        self.bound = (sock[0], sock[1])
-        holder["bound"] = self.bound
-        ready.set()
-        async with server:
-            await self._stop.wait()
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return  # stop() shut the listener down
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._cond:
+                if self._closed:
+                    sock.close()
+                    return
+                self._conns.add(sock)
+            threading.Thread(
+                target=self._serve_conn, args=(sock,),
+                name="seabed-svc-conn", daemon=True,
+            ).start()
 
     def start(self) -> "ServiceHandle":
-        """Run the listener on a background thread; returns a handle with
-        the bound address once the socket is accepting."""
+        """Bind the listener and accept on a background thread; returns a
+        handle with the bound address."""
         if self._thread is not None:
             raise TransportError("service already started")
-        ready = threading.Event()
-        holder: dict[str, Any] = {}
-
-        def run() -> None:
-            try:
-                asyncio.run(self._serve_forever(ready, holder))
-            except Exception as exc:  # noqa: BLE001 -- surfaced to start()
-                holder["error"] = exc
-            finally:
-                ready.set()
-
+        host, port = self.config.host, self.config.port
+        try:
+            family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+            self._listener = socket.create_server((host, port), family=family, backlog=128)
+        except OSError as exc:
+            raise TransportError(f"service failed to start: {exc}") from exc
+        host, port = self._listener.getsockname()[:2]
         self._thread = threading.Thread(
-            target=run, name="seabed-service", daemon=True
+            target=self._accept, args=(self._listener,), name="seabed-service", daemon=True
         )
         self._thread.start()
-        ready.wait(timeout=30)
-        if "error" in holder:
-            raise TransportError(f"service failed to start: {holder['error']}")
-        if "bound" not in holder:
-            raise TransportError("service failed to bind within 30s")
-        host, port = holder["bound"]
         return ServiceHandle(self, host, port)
 
     def stop(self) -> None:
-        """Stop accepting, close the listener and join the loop thread.
-        Idempotent."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:
-                pass  # loop already closed
+        """Stop accepting, hang up every connection (an in-flight request's
+        thread ends with its body) and join the accept thread.  Idempotent."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+            for sock in [self._listener, *self._conns]:
+                try:
+                    if sock is not None:
+                        sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # never connected, or already closed
         if self._thread is not None:
             self._thread.join(timeout=10)
+            self._listener.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
         self._local.close()
 

@@ -1,7 +1,7 @@
 """Lightweight distributed tracing for the Seabed reproduction.
 
 One client query crosses up to three kinds of OS process -- the client,
-the asyncio service, and the fork+pipe shard workers -- and the paper's
+the threaded service, and the fork+pipe shard workers -- and the paper's
 whole argument is about *where* the time goes (Figures 6-10).  This
 module gives every layer the same primitive: a :class:`Span` with a
 monotonic start/end, free-form attributes, and a parent id, held in an

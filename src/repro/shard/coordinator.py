@@ -194,28 +194,24 @@ class ShardedStore:
             cached = self._rollups.get(shard)
         if cached is not None:
             return cached[1]
-        for node in self.replica_nodes(shard):
-            if node in self.dead:
-                continue
-            try:
-                generation, stats = self.workers[node].call(
-                    "rollup", table=self.topology.table, shard_id=shard
-                )
-            except WorkerDied:
-                self.mark_dead(node)
-                continue
-            with self._lock:
-                self._rollups[shard] = (int(generation), stats)
-            return stats
-        return None  # no live replica answered; cannot prune
+        try:
+            (generation, stats), _ = self.call_shard(
+                shard, "rollup", table=self.topology.table, shard_id=shard
+            )
+        except ExecutionError:
+            return None  # no live replica answered; cannot prune
+        with self._lock:
+            self._rollups[shard] = (int(generation), stats)
+        return stats
 
     # -- failover-aware calls ----------------------------------------------
 
     def call_shard(self, shard: int, method: str, **kwargs: Any) -> tuple[Any, int]:
         """Call ``method`` on the first replica of ``shard`` that answers.
 
-        Walks the replica chain; a worker dying *during* the call marks
-        its node dead and retries the stage on the next replica.  Returns
+        Walks the replica chain; a worker dying *during* the call (or
+        killed for overrunning the request's deadline) marks its node dead
+        and retries the stage on the next replica.  Returns
         ``(result, failovers)`` where ``failovers`` counts mid-call
         deaths (pre-marked dead nodes are skipped without counting).
         """

@@ -8,13 +8,18 @@ recovery.  Appends, by contrast, must refuse to proceed with any dead
 replica in the chain (a partially acked write would fork the replicas).
 """
 
+import time
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TransportError
+from repro.net import rpc
 
 REGIONS = ["ber", "del", "lag", "lim", "osl", "rio", "sfo", "tok"]
 KEY = b"f" * 32
@@ -121,6 +126,49 @@ class TestQueryFailover:
         metrics = result.request_metrics[0]
         assert metrics.shards_total == 4
         assert sum(m.failovers for m in result.request_metrics) == 1
+
+
+class TestDeadline:
+    """A stalled (not dead) shard worker is killed when the request's
+    deadline passes, so the next request fails over to its replica."""
+
+    def test_stalled_primary_is_killed_then_failed_over(self, sessions):
+        session, table, baseline = sessions
+        primary = table.store.replica_nodes(_populated(table)[0])[0]
+        table.store.workers[primary].arm_stall("execute", 30.0)
+        started = time.monotonic()
+        with rpc.deadline(started + 1.0), pytest.raises(ExecutionError):
+            session.query(GROUPED)
+        assert time.monotonic() - started < 10.0
+        assert primary in table.store.dead
+        result = session.query(GROUPED)
+        assert _sorted_rows(result) == _sorted_rows(baseline.query(GROUPED))
+
+    def test_service_timeout_reaches_the_shard_workers(self, tmp_path):
+        writer = SeabedSession(
+            master_key=KEY, seed=2,
+            cluster=SimulatedCluster(ClusterConfig(storage_dir=str(tmp_path))),
+        )
+        writer.create_plan(SCHEMA, SAMPLE_QUERIES)
+        root = writer.shard_table("sales", "region", num_shards=2, replicas=2).root
+        writer.upload("sales", _batch())
+        want = _sorted_rows(writer.query(GROUPED))
+        writer.close()  # the service's fleet takes over the node directories
+        with repro.serve(sharded=[root], auth_required=False) as handle:
+            fleet = handle.service._local._fleets["sales"]
+            remote = repro.connect(handle.address, master_key=KEY, seed=2)
+            remote.open_sharded(root)
+            shard = next(s for s in fleet.shards if fleet.host(s).rows())
+            primary = fleet.replica_nodes(shard)[0]
+            fleet.workers[primary].arm_stall("execute", 30.0)
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                remote.query(GROUPED, timeout=1.0)
+            while primary not in fleet.dead and time.monotonic() - started < 10.0:
+                time.sleep(0.05)
+            assert primary in fleet.dead
+            assert _sorted_rows(remote.query(GROUPED)) == want
+            remote.close()
 
 
 class TestAppendSafety:

@@ -2,7 +2,7 @@
 stitched trace whose spans cover client encode, the wire, the service
 queue, the server's stages, and every contacted shard worker -- with
 span parentage holding across at least three OS processes (client,
-asyncio service, fork+pipe shard workers).
+threaded service, fork+pipe shard workers).
 
 Also covered: the ``metrics``/``trace`` introspection RPCs (Prometheus
 text a scraper can parse, kernel counters included), failover

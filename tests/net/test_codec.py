@@ -224,14 +224,57 @@ def test_version_skew_rejected():
 
 
 def test_previous_wire_version_rejected():
-    """v5 requests carried a group-key inflation factor and v5 grouped
-    replies a suffix per row set; a v5 peer must fail the handshake typed,
-    not be mis-parsed."""
-    assert codec.WIRE_VERSION == 6
+    """v6 shipped every dict in the tagged ``"m"`` form; v7 ships a
+    string-keyed dict as a plain JSON object, which a v6 peer would
+    mis-parse, so it must fail the handshake typed."""
+    assert codec.WIRE_VERSION == 7
     frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
-    frame[8:10] = struct.pack("<H", 5)
-    with pytest.raises(CodecError, match="peer speaks v5, this end v6"):
+    frame[8:10] = struct.pack("<H", 6)
+    with pytest.raises(CodecError, match="peer speaks v6, this end v7"):
         codec.decode_frame(bytes(frame))
+
+
+def _forged(body) -> bytes:
+    """A frame whose envelope body is the raw JSON tree ``body``."""
+    env = json.dumps({"kind": "req", "buffers": [], "body": body}).encode()
+    payload = struct.pack("<4sHI", codec.MAGIC, codec.WIRE_VERSION, len(env)) + env
+    return struct.pack("<I", len(payload)) + payload
+
+
+def _envelope_body(frame: bytes):
+    _, _, env_len = struct.unpack_from("<4sHI", frame, 4)
+    return json.loads(frame[14:14 + env_len])["body"]
+
+
+def test_a_string_keyed_dict_ships_as_a_plain_object():
+    body = {"op": "execute", "args": {"limit": 3, "names": ["a", None]}}
+    assert _envelope_body(codec.encode_frame("req", body)) == body
+    assert roundtrip(body) == body
+
+
+def test_a_string_keyed_dict_holding_a_bang_key_roundtrips():
+    body = {"!": "b", "i": 0, "nested": {"!": "d", "t": "KeyChain", "f": {}}}
+    tree = _envelope_body(codec.encode_frame("req", body))
+    assert tree["!"] == "m"  # tagged, so it cannot pass for a tag node
+    assert same(roundtrip(body), body)
+
+
+def test_a_dict_mixing_str_and_int_keys_roundtrips():
+    body = {"a": 1, 2: "b", "c": {3: (4, "d")}}
+    assert same(roundtrip(body), body)
+
+
+def test_a_plain_object_with_an_unknown_bang_value_is_a_codec_error():
+    with pytest.raises(CodecError, match="unknown envelope tag 'zz'"):
+        codec.decode_frame(_forged({"op": "x", "args": {"!": "zz", "v": []}}))
+    with pytest.raises(CodecError, match="unknown envelope tag None"):
+        codec.decode_frame(_forged({"!": None}))
+
+
+@pytest.mark.parametrize("fields", [[], "x", 7, None, [["table", "t"]]])
+def test_a_dataclass_node_whose_fields_are_not_an_object_is_a_codec_error(fields):
+    with pytest.raises(CodecError, match="fields are not an object"):
+        codec.decode_frame(_forged({"!": "d", "t": "DetEq", "f": fields}))
 
 
 def _with_field(frame: bytes, cls: str, name: str, node, buffer: bytes = b"") -> bytes:

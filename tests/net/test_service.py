@@ -1,9 +1,11 @@
 """Service-layer behavior: auth, admission control, timeouts, typed
-wire errors.  Everything here runs the real asyncio listener on
+wire errors.  Everything here runs the real threaded listener on
 localhost -- only the client and server share a process."""
 
 from __future__ import annotations
 
+import gc
+import os
 import socket
 import struct
 import threading
@@ -401,3 +403,83 @@ class TestServiceLifecycle:
                 service.start()
         finally:
             handle.stop()
+
+
+def _service_threads(exclude=()):
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith(("seabed-svc", "seabed-service")) and t not in exclude
+    ]
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _settles(predicate, seconds=10.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+class TestThreadHygiene:
+    """stop() hangs up every connection: no service thread and no socket
+    outlives it for longer than the request bodies still running."""
+
+    @staticmethod
+    def _baseline():
+        """(threads, open fds) once one serve/stop cycle has created the
+        process-wide state and earlier tests' service threads are gone."""
+        handle = repro.serve()
+        transport = RemoteTransport(handle.address, handle.mint_token("alice"))
+        transport._request("table_meta", {"table": "nope"})  # a pooled request
+        transport.close()
+        handle.stop()
+        assert _settles(lambda: not _service_threads())
+        gc.collect()
+        return set(threading.enumerate()), _open_fds()
+
+    def test_stop_with_an_idle_client_and_a_request_in_flight(self):
+        before, fds = self._baseline()
+        handle = repro.serve()
+        orig = handle.service._run_op
+        entered = threading.Event()
+
+        def slow(user, operation, args):
+            if operation == "compact":
+                entered.set()
+                time.sleep(1.0)
+            return orig(user, operation, args)
+
+        handle.service._run_op = slow
+        token = handle.mint_token("alice")
+        idle = RemoteTransport(handle.address, token)
+        busy = RemoteTransport(handle.address, token)
+        outcome = []
+
+        def call():
+            try:
+                busy._request("compact", {"table": "nope"})
+            except Exception as exc:  # noqa: BLE001 -- the connection is cut
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        assert entered.wait(10)
+        handle.stop()
+        for thread in _service_threads(before):
+            thread.join(timeout=5)
+        assert not [t.name for t in _service_threads(before) if t.is_alive()]
+        caller.join(timeout=10)
+        assert isinstance(outcome[0], TransportError)
+        idle.close()
+        busy.close()
+        assert _settles(lambda: _open_fds() == fds), (_open_fds(), fds)
+
+    def test_serve_stop_cycles_grow_neither_threads_nor_fds(self):
+        before, fds = self._baseline()
+        for _ in range(20):
+            self._baseline()
+        assert threading.active_count() <= len(before)
+        assert _settles(lambda: _open_fds() == fds), (_open_fds(), fds)

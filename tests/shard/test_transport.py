@@ -3,11 +3,12 @@
 import os
 import pickle
 import struct
+import time
 
 import pytest
 
 from repro.engine.transport import CALL, CRASH_STATUS, REPLY, WorkerDied, WorkerHandle
-from repro.errors import CodecError, StorageError, TransportError
+from repro.errors import CodecError, ExecutionError, StorageError, TransportError
 from repro.net import codec, rpc
 
 
@@ -140,6 +141,41 @@ class TestLifecycle:
         with pytest.raises(WorkerDied):
             worker.call("add", a=1, b=1)  # second dies before replying
         assert not worker.alive
+
+
+class TestDeadline:
+    """Under a request's deadline a call waits no longer than what is left
+    of it: a hung worker is killed, not waited on."""
+
+    def test_a_stalled_worker_is_killed_at_the_deadline(self, worker):
+        worker.arm_stall("add", 30.0)
+        started = time.monotonic()
+        with rpc.deadline(started + 0.5), pytest.raises(
+            WorkerDied, match="overran the request's deadline"
+        ):
+            worker.call("add", a=1, b=1)
+        assert 0.4 < time.monotonic() - started < 5.0
+        assert not worker.alive
+
+    def test_a_call_with_no_budget_left_leaves_the_worker_alone(self, worker):
+        with rpc.deadline(time.monotonic() - 1.0), pytest.raises(
+            ExecutionError, match="no time left"
+        ):
+            worker.call("add", a=1, b=1)
+        assert worker.alive and worker.call("add", a=1, b=1) == 12
+
+    def test_a_stall_inside_the_budget_is_answered(self, worker):
+        worker.arm_stall("add", 0.2)
+        with rpc.deadline(time.monotonic() + 20.0):
+            assert worker.call("add", a=2, b=2) == 14
+        assert worker.call("add", a=0, b=0) == 10  # the stall fired once
+
+    def test_the_deadline_is_scoped_to_its_block(self, worker):
+        assert rpc.remaining() is None
+        with rpc.deadline(time.monotonic() + 5.0):
+            assert 4.0 < rpc.remaining() <= 5.0
+            assert worker.call("add", a=0, b=0) == 10
+        assert rpc.remaining() is None
 
 
 class TestFdHygiene:
