@@ -46,7 +46,7 @@ import weakref
 from multiprocessing import Pipe, Process, connection
 from typing import Any, Callable, Mapping
 
-from repro.errors import CodecError, ExecutionError, SeabedError
+from repro.errors import CodecError, ExecutionError, SeabedError, ShardUnavailable
 from repro.net import codec, rpc
 from repro.obs import trace as obs_trace
 
@@ -164,14 +164,18 @@ class WorkerHandle:
 
     def call(self, method: str, /, **kwargs: Any) -> Any:
         """Invoke ``method`` on the worker and wait for its reply -- under
-        a deadline, no longer than what is left of it."""
-        budget = rpc.remaining()
-        if budget is not None and budget <= 0:
-            raise ExecutionError(f"no time left to call {method!r} on {self.name!r}")
+        a deadline, no longer than what is left of it.  Waiting for another
+        caller's turn on the worker counts against that budget; a call whose
+        budget runs out before it is sent leaves the worker alone."""
         frame = codec.encode_frame(
             CALL, rpc.request(method, kwargs, trace=obs_trace.current_context())
         )
-        with self._lock:
+        budget = rpc.remaining()
+        locked = self._lock.acquire(timeout=-1 if budget is None else max(budget, 0))
+        try:
+            budget = rpc.remaining()
+            if not locked or (budget is not None and budget <= 0):
+                raise ShardUnavailable(f"no time left to call {method!r} on {self.name!r}")
             try:
                 self._conn.send_bytes(frame)
                 if budget is not None and not self._conn.poll(max(rpc.remaining(), 0)):
@@ -189,6 +193,9 @@ class WorkerHandle:
                     f"worker {self.name!r} died during {method!r}: "
                     f"{str(exc) or type(exc).__name__}"
                 ) from exc
+        finally:
+            if locked:
+                self._lock.release()
         kind, reply = codec.decode_frame(data)
         if kind != REPLY:
             raise CodecError(f"expected a {REPLY!r} frame, got {kind!r}")

@@ -38,6 +38,11 @@ class ExecutionError(SeabedError):
     """The engine failed while executing a physical plan."""
 
 
+class ShardUnavailable(ExecutionError):
+    """No shard worker could take a call: every replica is dead, or the
+    request's deadline passed before the call could start."""
+
+
 class StorageError(SeabedError):
     """A persistent partition store is missing, corrupt, or incompatible."""
 

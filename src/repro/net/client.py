@@ -30,33 +30,16 @@ import time
 from typing import Any
 
 from repro.core.transport import Transport
-from repro.errors import (
-    AuthError,
-    Backpressure,
-    CodecError,
-    SeabedError,
-    TransportError,
-)
+from repro.errors import AuthError, Backpressure, CodecError, SeabedError, TransportError
 from repro.net import codec, rpc
 from repro.obs import trace as obs_trace
 
 #: Ops safe to replay on a fresh connection after a transport failure:
 #: pure reads, plus reconcile-style ops whose replay converges.
 _IDEMPOTENT = {
-    "ping",
-    "execute",
-    "scan",
-    "table_meta",
-    "storage_bytes",
-    "read_store_state",
-    "store_rows",
-    "store_stats",
-    "generations",
-    "audit",
-    "metrics",
-    "trace",
-    "reopen",
-    "attach",
+    "ping", "execute", "scan", "table_meta", "storage_bytes", "read_store_state",
+    "store_rows", "store_stats", "generations", "audit", "metrics", "trace",
+    "reopen", "attach",
 }
 
 
@@ -102,10 +85,6 @@ class RemoteTransport(Transport):
         self.address = address
         self._token = token
         self._user = user
-        self._connect_timeout = CONNECT_TIMEOUT
-        self._default_timeout = DEFAULT_TIMEOUT
-        self._retries = ATTEMPTS
-        self._backoff = BACKOFF
         self._sock: socket.socket | None = None
         self.server_info: dict[str, Any] | None = None
         self._connect()  # fail fast on bad address / bad token
@@ -114,9 +93,7 @@ class RemoteTransport(Transport):
 
     def _connect(self) -> None:
         try:
-            sock = socket.create_connection(
-                self.address, timeout=self._connect_timeout
-            )
+            sock = socket.create_connection(self.address, timeout=CONNECT_TIMEOUT)
         except OSError as exc:
             raise TransportError(
                 f"cannot reach seabed service at {self.address[0]}:"
@@ -175,13 +152,13 @@ class RemoteTransport(Transport):
         trace_ctx: dict[str, Any] | None,
         timeout: float | None,
     ) -> Any:
-        limit = timeout if timeout is not None else self._default_timeout
-        attempts = self._retries if op in _IDEMPOTENT else 1
+        limit = timeout if timeout is not None else DEFAULT_TIMEOUT
+        attempts = ATTEMPTS if op in _IDEMPOTENT else 1
         last: Exception | None = None
         envelope = rpc.request(op, args, timeout=limit, trace=trace_ctx)
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self._backoff * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF * (2 ** (attempt - 1)))
             try:
                 if self._sock is None:
                     self._connect()
@@ -200,10 +177,9 @@ class RemoteTransport(Transport):
                     f"request {op!r} timed out after {limit}s on the wire"
                 ) from exc
             except (OSError, CodecError) as exc:
-                if isinstance(exc, CodecError) and "version skew" in str(exc):
-                    self._drop()
-                    raise  # retrying cannot fix a protocol mismatch
                 self._drop()
+                if isinstance(exc, CodecError) and "version skew" in str(exc):
+                    raise  # retrying cannot fix a protocol mismatch
                 last = exc
                 continue
             if kind != "rep":

@@ -15,9 +15,10 @@ trace, span the handler, exception -> typed reply, finished spans ride
 home) for the serving end, and :func:`unwrap` (ingest the spans, re-raise
 the :mod:`repro.errors` class) for the calling end.  ``trace`` is the
 :func:`repro.obs.trace.current_context` pair; a peer that sends none, or
-something malformed, just gets a local-only trace.  The service enforces
-a request's ``timeout`` and runs its handler under a :func:`deadline`: a
-shard-worker call waits only for what is left of it, then kills the worker.
+something malformed, just gets a local-only trace.  The service answers
+a request within its ``timeout`` and runs the handler under a
+:func:`deadline` of its own cap, never the client's: a shard-worker call
+waits only for what is left of it, then kills the worker.
 """
 
 from __future__ import annotations

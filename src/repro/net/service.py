@@ -57,6 +57,12 @@ from repro.obs import trace as obs_trace
 #: request's body no longer than the server-side timeout).
 EXECUTOR_THREADS = 8
 
+#: Open connections (one thread each); the accept thread refuses more.
+MAX_CONNECTIONS = 128
+
+#: Seconds a new connection may take to send its hello before it is dropped.
+HELLO_TIMEOUT = 10.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -73,7 +79,8 @@ class ServiceConfig:
     #: before the service answers Backpressure (RETRY_LATER).
     queue_depth: int = 16
     #: Server-side cap on any single request, seconds (None = unbounded).
-    #: A client's per-call ``timeout=`` can only tighten it.
+    #: A client's per-call ``timeout=`` can only shorten its own wait; the
+    #: body, shard-worker calls included, runs under this cap alone.
     request_timeout: float | None = 30.0
     #: Backoff hint carried in Backpressure replies, seconds.
     retry_after: float = 0.05
@@ -317,17 +324,16 @@ class SeabedService:
                 )
             )
         admitted = time.monotonic()
-        # The client's per-call budget can only tighten the service's cap;
-        # the body's own RPCs (shard workers) get what is left of it.
-        timeout = min(
-            (t for t in (requested, self.config.request_timeout) if t is not None),
-            default=None,
-        )
+        # The client's per-call budget can only tighten how long it waits.
+        # The body's own RPCs get what is left of the service's cap alone: a
+        # shard worker that overruns it is killed, and no client picks that.
+        cap = self.config.request_timeout
+        timeout = min((t for t in (requested, cap) if t is not None), default=None)
         future = self._pool.submit(
             rpc.answer, op, args, trace,
             partial(
                 self._admitted, user, admitted - queued_at,
-                None if timeout is None else admitted + timeout,
+                None if cap is None else admitted + cap,
             ),
             "service", tenant=user,
         )
@@ -356,6 +362,7 @@ class SeabedService:
         peer hangs up or :meth:`stop` shuts the socket down."""
         user, reply_kind = None, "hello"
         try:
+            sock.settimeout(HELLO_TIMEOUT)  # cleared once the hello passes
             while True:
                 try:
                     kind, body = codec.read_frame(sock)
@@ -363,6 +370,7 @@ class SeabedService:
                         if kind != "hello":
                             raise AuthError(f"expected hello, got {kind!r} frame")
                         user = self._authenticate(body)
+                        sock.settimeout(None)
                         reply = {"ok": True, "result": {
                             "server": "seabed", "wire_version": codec.WIRE_VERSION, "user": user,
                         }}
@@ -394,9 +402,9 @@ class SeabedService:
                 return  # stop() shut the listener down
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._cond:
-                if self._closed:
-                    sock.close()
-                    return
+                if self._closed or len(self._conns) >= MAX_CONNECTIONS:
+                    sock.close()  # full, or stopping (the next accept fails)
+                    continue
                 self._conns.add(sock)
             threading.Thread(
                 target=self._serve_conn, args=(sock,),

@@ -48,7 +48,7 @@ from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.engine.table import Table
 from repro.engine.transport import WorkerDied, WorkerHandle
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ShardUnavailable
 from repro.index import prune
 from repro.net import codec
 from repro.obs import trace as obs_trace
@@ -198,8 +198,8 @@ class ShardedStore:
             (generation, stats), _ = self.call_shard(
                 shard, "rollup", table=self.topology.table, shard_id=shard
             )
-        except ExecutionError:
-            return None  # no live replica answered; cannot prune
+        except ShardUnavailable:
+            return None  # no live replica answered in time; cannot prune
         with self._lock:
             self._rollups[shard] = (int(generation), stats)
         return stats
@@ -234,7 +234,7 @@ class ShardedStore:
                     "shard:failover", now, now,
                     shard=shard, dead_node=node, method=method,
                 )
-        raise ExecutionError(
+        raise ShardUnavailable(
             f"all {self.topology.replicas} replica(s) of shard {shard} "
             f"are dead; cannot execute {method!r}"
         ) from last

@@ -144,7 +144,10 @@ class TestDeadline:
         result = session.query(GROUPED)
         assert _sorted_rows(result) == _sorted_rows(baseline.query(GROUPED))
 
-    def test_service_timeout_reaches_the_shard_workers(self, tmp_path):
+    @staticmethod
+    def _served(tmp_path, **config):
+        """(service handle, its fleet, a connected session, the answer)
+        for a 2-shard, 2-replica table behind a service."""
         writer = SeabedSession(
             master_key=KEY, seed=2,
             cluster=SimulatedCluster(ClusterConfig(storage_dir=str(tmp_path))),
@@ -154,21 +157,63 @@ class TestDeadline:
         writer.upload("sales", _batch())
         want = _sorted_rows(writer.query(GROUPED))
         writer.close()  # the service's fleet takes over the node directories
-        with repro.serve(sharded=[root], auth_required=False) as handle:
-            fleet = handle.service._local._fleets["sales"]
-            remote = repro.connect(handle.address, master_key=KEY, seed=2)
-            remote.open_sharded(root)
-            shard = next(s for s in fleet.shards if fleet.host(s).rows())
-            primary = fleet.replica_nodes(shard)[0]
+        handle = repro.serve(sharded=[root], auth_required=False, **config)
+        remote = repro.connect(handle.address, master_key=KEY, seed=2)
+        remote.open_sharded(root)
+        return handle, handle.service._local._fleets["sales"], remote, want
+
+    @staticmethod
+    def _primary(fleet):
+        shard = next(s for s in fleet.shards if fleet.host(s).rows())
+        return fleet.replica_nodes(shard)[0]
+
+    def test_service_cap_reaches_the_shard_workers(self, tmp_path):
+        handle, fleet, remote, want = self._served(tmp_path, request_timeout=1.0)
+        with handle:
+            primary = self._primary(fleet)
             fleet.workers[primary].arm_stall("execute", 30.0)
             started = time.monotonic()
             with pytest.raises(TransportError, match="timed out"):
-                remote.query(GROUPED, timeout=1.0)
+                remote.query(GROUPED)
             while primary not in fleet.dead and time.monotonic() - started < 10.0:
                 time.sleep(0.05)
             assert primary in fleet.dead
             assert _sorted_rows(remote.query(GROUPED)) == want
             remote.close()
+
+    def test_a_client_timeout_kills_no_worker(self, tmp_path):
+        """A client's own short budget times out only its wait: the body
+        runs to the end under the service's cap and every node lives."""
+        handle, fleet, remote, want = self._served(tmp_path)
+        with handle:
+            fleet.workers[self._primary(fleet)].arm_stall("execute", 0.5)
+            with pytest.raises(TransportError, match="timed out"):
+                remote.query(GROUPED, timeout=0.01)
+            time.sleep(1.0)  # the stalled body finishes, answered to no one
+            assert not fleet.dead
+            assert _sorted_rows(remote.query(GROUPED)) == want
+            assert not fleet.dead
+            remote.close()
+
+    def test_a_rollup_error_a_worker_reports_is_not_swallowed(self, sessions):
+        """Only an unavailable shard turns into "cannot prune"."""
+        _, table, _ = sessions
+        fleet, shard = table.store, _populated(table)[0]
+        primary = fleet.replica_nodes(shard)[0]
+        fleet.forget_rollup(shard)
+        fleet.workers[primary].call = _raises(ExecutionError("worker-side failure"))
+        with pytest.raises(ExecutionError, match="worker-side failure"):
+            fleet.rollup(shard)
+        for node in fleet.replica_nodes(shard):
+            fleet.kill_node(node)
+        assert fleet.rollup(shard) is None
+
+
+def _raises(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
 
 
 class TestAppendSafety:

@@ -19,6 +19,7 @@ from repro.core.schema import ColumnSpec, TableSchema
 from repro.errors import AuthError, Backpressure, CodecError, TransportError
 from repro.net import client as client_mod
 from repro.net import codec
+from repro.net import service as service_mod
 from repro.net.client import RemoteTransport
 from repro.net.service import SeabedService, ServiceConfig
 
@@ -483,3 +484,60 @@ class TestThreadHygiene:
             self._baseline()
         assert threading.active_count() <= len(before)
         assert _settles(lambda: _open_fds() == fds), (_open_fds(), fds)
+
+
+def _hung_up(sock: socket.socket) -> bool:
+    sock.settimeout(0.2)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+    except socket.timeout:
+        return False
+
+
+class TestUnauthenticatedPeers:
+    """A peer that never says hello costs a bounded thread for a bounded
+    time: the service holds at most MAX_CONNECTIONS connections and drops
+    one that has not passed its hello within HELLO_TIMEOUT."""
+
+    @staticmethod
+    def _idle(handle, n):
+        socks = [socket.create_connection(handle.address) for _ in range(n)]
+        time.sleep(0.3)  # let the accept thread take (or refuse) each one
+        return socks
+
+    def test_connections_past_the_cap_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(service_mod, "MAX_CONNECTIONS", 4)
+        handle = repro.serve()
+        try:
+            socks = self._idle(handle, 12)
+            conns = [t for t in _service_threads() if t.name == "seabed-svc-conn"]
+            assert len(conns) == 4
+            assert sum(map(_hung_up, socks)) == 8  # refused at once
+            for sock in socks:
+                sock.close()
+            assert _settles(lambda: not [
+                t for t in _service_threads() if t.name == "seabed-svc-conn"
+            ])
+            transport = RemoteTransport(handle.address, handle.mint_token("alice"))
+            assert transport._request("ping", {})["server"] == "seabed"
+            transport.close()
+        finally:
+            handle.stop()
+
+    def test_a_silent_peer_is_dropped_after_the_hello_timeout(self, monkeypatch):
+        monkeypatch.setattr(service_mod, "HELLO_TIMEOUT", 0.3)
+        handle = repro.serve()
+        try:
+            transport = RemoteTransport(handle.address, handle.mint_token("alice"))
+            (silent,) = self._idle(handle, 1)
+            silent.settimeout(5.0)
+            assert silent.recv(1) == b""  # the service hung up
+            silent.close()
+            time.sleep(0.4)  # past the hello timeout: an authenticated
+            # connection has none, so the idle client still gets answers
+            assert transport._request("ping", {})["server"] == "seabed"
+            transport.close()
+        finally:
+            handle.stop()

@@ -3,12 +3,13 @@
 import os
 import pickle
 import struct
+import threading
 import time
 
 import pytest
 
 from repro.engine.transport import CALL, CRASH_STATUS, REPLY, WorkerDied, WorkerHandle
-from repro.errors import CodecError, ExecutionError, StorageError, TransportError
+from repro.errors import CodecError, ExecutionError, ShardUnavailable, StorageError, TransportError
 from repro.net import codec, rpc
 
 
@@ -169,6 +170,20 @@ class TestDeadline:
         with rpc.deadline(time.monotonic() + 20.0):
             assert worker.call("add", a=2, b=2) == 14
         assert worker.call("add", a=0, b=0) == 10  # the stall fired once
+
+    def test_a_deadline_spent_waiting_for_the_worker_leaves_it_alone(self, worker):
+        worker.arm_stall("add", 1.0)
+        first = []
+        holder = threading.Thread(target=lambda: first.append(worker.call("add", a=1, b=2)))
+        holder.start()
+        time.sleep(0.2)  # the holder's call has the worker
+        started = time.monotonic()
+        with rpc.deadline(started + 0.3), pytest.raises(ShardUnavailable, match="no time left"):
+            worker.call("add", a=0, b=0)
+        assert time.monotonic() - started < 0.8  # did not wait out the stall
+        holder.join(timeout=10)
+        assert first == [13]
+        assert worker.alive and worker.call("add", a=0, b=0) == 10
 
     def test_the_deadline_is_scoped_to_its_block(self, worker):
         assert rpc.remaining() is None
