@@ -116,8 +116,10 @@ def test_ingest_throughput(benchmark, scale):
             # -- the streaming path: encrypt + append only the batch ----
             writer = _fresh_session()
             writer.create_plan(_schema(), SAMPLES)
-            writer.upload("synth", base, num_partitions=PARTITIONS)
-            writer.save_table("synth", os.path.join(tmp, "stream"))
+            writer.upload(
+                "synth", base, num_partitions=PARTITIONS,
+                path=os.path.join(tmp, "stream"),
+            )
             before = OPS.snapshot()
             t0 = time.perf_counter()
             stats = writer.append_rows("synth", batch)
@@ -129,7 +131,7 @@ def test_ingest_throughput(benchmark, scale):
             )
             streamed = writer.query(QUERY).rows
 
-            # -- the old path: re-encrypt everything, re-save -----------
+            # -- the old path: re-encrypt and re-write everything -------
             resaver = _fresh_session()
             resaver.create_plan(_schema(), SAMPLES)
             merged = {
@@ -137,8 +139,10 @@ def test_ingest_throughput(benchmark, scale):
                 for name in base
             }
             t0 = time.perf_counter()
-            resaver.upload("synth", merged, num_partitions=PARTITIONS)
-            resaver.save_table("synth", os.path.join(tmp, "resave"))
+            resaver.upload(
+                "synth", merged, num_partitions=PARTITIONS,
+                path=os.path.join(tmp, "resave"),
+            )
             resave_s = time.perf_counter() - t0
             assert resaver.query(QUERY).rows == streamed, (
                 "append and re-upload answered differently"
@@ -147,8 +151,10 @@ def test_ingest_throughput(benchmark, scale):
             # -- an append maps only its own generation ----------------
             small = _fresh_session()
             small.create_plan(_schema(), SAMPLES)
-            small.upload("synth", _columns(batch_rows, seed=3), num_partitions=4)
-            small.save_table("synth", os.path.join(tmp, "small"))
+            small.upload(
+                "synth", _columns(batch_rows, seed=3), num_partitions=4,
+                path=os.path.join(tmp, "small"),
+            )
             mapped = [
                 _mapped_per_append(small, batch),
                 _mapped_per_append(writer, _columns(batch_rows, seed=11)),

@@ -56,8 +56,9 @@ def _build_store(rows: int, tmp: str) -> tuple[SeabedSession, np.ndarray]:
         mode="seabed", master_key=MASTER_KEY, cluster=SimulatedCluster(ClusterConfig())
     )
     session.create_plan(schema, SAMPLES)
-    session.upload("synth", columns, num_partitions=PARTITIONS)
-    session.save_table("synth", os.path.join(tmp, "store"))
+    session.upload(
+        "synth", columns, num_partitions=PARTITIONS, path=os.path.join(tmp, "store")
+    )
     return session, users
 
 

@@ -84,8 +84,10 @@ def _columns(rows: int, seed: int = 7) -> dict:
 def _build_store(tmp: str, rows: int) -> str:
     writer = SeabedSession(master_key=MASTER_KEY, seed=2)
     writer.create_plan(_schema(), SAMPLES)
-    writer.upload("events", _columns(rows))
-    return writer.encrypted_table("events").save(os.path.join(tmp, "events"))
+    writer.upload(
+        "events", _columns(rows), num_partitions=8, path=os.path.join(tmp, "events")
+    )
+    return writer.save_table("events")
 
 
 def _drive(sessions: list, latencies: list) -> float:

@@ -5,14 +5,11 @@ NoEnc / Seabed / Paillier (2048-bit ciphertexts).  We build scaled
 versions of the synthetic and ad-analytics datasets, encrypt them under
 all three modes, and report sizes plus the blow-up factors.  The disk
 column is what the partition store that ships writes: ``disk_bytes`` of
-the ``save_table``d store (partition files, manifest and client-state
+the store the upload created (partition files, manifest and client-state
 sidecar), the figure ``perf/``'s ``stored_bytes_per_row`` also reads.
 Shape to check against the paper: Seabed costs ~1.1-2x NoEnc, Paillier
 3-15x (worse the more measure-heavy the table).
 """
-
-import os
-import tempfile
 
 import pytest
 
@@ -23,9 +20,9 @@ from repro.engine.store import disk_bytes
 from repro.workloads import adanalytics, synthetic
 
 
-def _sizes(client, table, store_dir):
+def _sizes(client, table):
     memory = memory_size(client.server.table(table))
-    return disk_bytes(client.save_table(table, store_dir)), memory
+    return disk_bytes(client.save_table(table)), memory
 
 
 @pytest.mark.parametrize("dataset_name", ["synthetic", "ad_analytics"])
@@ -45,16 +42,15 @@ def test_table5_storage(benchmark, scale, dataset_name):
     results = {}
 
     def build_all():
-        with tempfile.TemporaryDirectory(prefix="seabed-table5-") as tmp:
-            for mode in ("plain", "seabed", "paillier"):
-                client = SeabedSession(
-                    mode=mode, paillier_bits=scale["paillier_bits"],
-                    paillier_blinding_pool=32, seed=1,
-                )
-                client.create_plan(schema, samples, storage_budget=12.0)
-                client.upload(table, columns, num_partitions=8)
-                results[mode] = _sizes(client, table, os.path.join(tmp, mode))
-                client.close()
+        for mode in ("plain", "seabed", "paillier"):
+            client = SeabedSession(
+                mode=mode, paillier_bits=scale["paillier_bits"],
+                paillier_blinding_pool=32, seed=1,
+            )
+            client.create_plan(schema, samples, storage_budget=12.0)
+            client.upload(table, columns, num_partitions=8)
+            results[mode] = _sizes(client, table)
+            client.close()
 
     benchmark.pedantic(build_all, rounds=1, iterations=1)
 

@@ -10,8 +10,8 @@ SPLASHE storage report.
 Run:  python examples/ad_analytics.py
 """
 
-
 from repro.core.session import SeabedSession
+from repro.engine.store import disk_bytes
 from repro.workloads import adanalytics
 
 ROWS = 30_000
@@ -48,7 +48,7 @@ for q in queries[:9]:
     print(f"{q.num_groups:>7}  {times['plain']:>11.1f}  {times['seabed']:>12.1f}  "
           f"{times['paillier']:>14.1f}  {ratio:>12.2f}x")
 
-print("\nEncrypted storage footprint (server-visible bytes):")
+print("\nEncrypted storage footprint (server-visible bytes at rest):")
 for mode, client in clients.items():
-    size = client.server.storage_bytes("ad_analytics")
+    size = disk_bytes(client.save_table("ad_analytics"))
     print(f"  {mode:8s}: {size / 1e6:8.1f} MB")

@@ -10,6 +10,7 @@ Run:  python examples/ore_range_queries.py [--persist DIR]
 """
 
 import argparse
+import os
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from repro.crypto.ore import OreScheme
 parser = argparse.ArgumentParser(description="ORE range analytics")
 parser.add_argument(
     "--persist", metavar="DIR", default=None,
-    help="save the sensor table under DIR and re-attach it from a fresh client",
+    help="store the sensor table at DIR/sensor (it must not hold a store "
+         "yet) and re-attach it from a fresh client",
 )
 args = parser.parse_args()
 
@@ -43,7 +45,10 @@ client.create_plan(schema, [
     "SELECT min(reading), max(reading), median(reading) FROM sensor",
     "SELECT avg(reading) FROM sensor WHERE reading > 100",
 ])
-client.upload("sensor", data, num_partitions=8)
+client.upload(
+    "sensor", data, num_partitions=8,
+    path=args.persist and os.path.join(args.persist, "sensor"),
+)
 
 print("Window aggregates over ORE-filtered ranges:")
 for lo, hi in [(0, 4999), (10_000, 19_999), (30_000, 39_999)]:
@@ -74,8 +79,8 @@ if args.persist:
 
     sql = "SELECT min(reading), max(reading) FROM sensor"
     expected = client.query(sql).rows
-    fresh, handle = persist_round_trip(client, "sensor", args.persist, MASTER_KEY)
+    fresh, handle = persist_round_trip(client, "sensor", MASTER_KEY)
     reopened = fresh.query(sql).rows
     assert expected == reopened, (expected, reopened)
-    print(f"\npersisted to {handle.store_path}; fresh session answers "
+    print(f"\nstored at {handle.store_path}; fresh session answers "
           "identically (ORE trit words memory-mapped, zero re-encryption)")

@@ -13,22 +13,24 @@ Demonstrates the full Seabed loop from the paper's Figure 5:
 
 Run:  python examples/quickstart.py [--persist DIR] [--append]
 
-With ``--persist DIR`` the script also runs the deployment loop: save
-the encrypted table to a partition store under DIR, attach it from a
-fresh session (same master key, zero re-encryption), and check the
-reopened table answers identically.
+The upload writes the encrypted table to a partition store: at
+``DIR/sales`` with ``--persist DIR`` (DIR/sales must not hold a store
+yet), else under the session's scratch root, removed when the script
+ends.  ``--persist`` also runs the rest of the deployment loop: attach
+the store from a fresh session (same master key, zero re-encryption),
+and check the reopened table answers identically.
 
 With ``--append`` it then runs the ingestion lifecycle on that store:
 stream fresh batches in with ``append_rows`` (each encrypts only its
 batch and lands as a new store *generation*), inspect the generation
 log, and ``compact`` the small generations back into full-size
-partitions.  Implies a temporary store when ``--persist`` is not given.
+partitions.
 
 With ``--pruned`` it demos the zone-map index: time-clustered batches
 are appended (each covering a disjoint ``amount`` range, the way
 arriving traffic clusters by time), and a selective range query is run
 with and without pruning -- identical answers, most partitions never
-dispatched.  Also implies a temporary store when needed.
+dispatched.
 
 With ``--shards N`` it demos sharded multi-node execution: the same
 table is split across N process-isolated shard workers keyed on
@@ -49,7 +51,7 @@ add ``--table PATH`` to open a hosted store and run a count query.
 """
 
 import argparse
-import tempfile
+import os
 
 import numpy as np
 
@@ -60,7 +62,7 @@ from repro.ops import OPS
 parser = argparse.ArgumentParser(description="Seabed quickstart")
 parser.add_argument(
     "--persist", metavar="DIR", default=None,
-    help="save the table under DIR and re-attach it from a fresh session",
+    help="store the table at DIR/sales and re-attach it from a fresh session",
 )
 parser.add_argument(
     "--append", action="store_true",
@@ -137,7 +139,10 @@ for name, plan in session.encrypted_schema("sales").plans.items():
     print(f"  {name:10s} -> {plan.kind}")
 
 # -- 3. upload (encrypts client-side) ----------------------------------------------
-stats = session.upload("sales", data, num_partitions=8)
+stats = session.upload(
+    "sales", data, num_partitions=8,
+    path=args.persist and os.path.join(args.persist, "sales"),
+)
 print(f"\nUploaded {stats.rows:,} rows as {stats.physical_columns} physical "
       f"columns in {stats.encrypt_seconds:.2f}s")
 
@@ -182,13 +187,12 @@ print(f"\ntranslation cache: {session.cache_stats()}")
 if args.persist or args.append or args.pruned:
     from repro.workloads.persist import persist_round_trip
 
-    store_root = args.persist or tempfile.mkdtemp(prefix="seabed-quickstart-")
     sql = "SELECT country, sum(amount) FROM sales GROUP BY country"
     expected = session.query(sql).rows
-    fresh, handle = persist_round_trip(session, "sales", store_root, MASTER_KEY)
+    fresh, handle = persist_round_trip(session, "sales", MASTER_KEY)
     reopened = fresh.query(sql).rows
     match = sorted(map(str, expected)) == sorted(map(str, reopened))
-    print(f"\npersisted to {handle.store_path} and re-attached from a fresh "
+    print(f"\nstored at {handle.store_path} and re-attached from a fresh "
           f"session (zero re-encryption): results identical = {match}")
     assert match, "reopened store answered differently"
 
@@ -260,16 +264,10 @@ if args.pruned:
 
 # -- 8. optional sharded scatter-gather demo (--shards N) -----------------------------
 if args.shards:
-    from repro.engine.cluster import ClusterConfig, SimulatedCluster
-
     replicas = min(2, args.shards)
     print(f"\nsharded execution: {args.shards} worker processes, "
           f"{replicas} replicas per shard")
-    shard_root = tempfile.mkdtemp(prefix="seabed-quickstart-shards-")
-    shard_session = SeabedSession(
-        mode="seabed", master_key=MASTER_KEY,
-        cluster=SimulatedCluster(ClusterConfig(storage_dir=shard_root)),
-    )
+    shard_session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
     # The shard key must carry a DET ciphertext column so the ring can
     # route on its tokens; without the SPLASHE frequency hints the
     # planner gives `country` a DET plan instead.
@@ -321,12 +319,13 @@ if args.shards:
 
 # -- 9. optional service layer demo (--serve / --connect) -----------------------------
 if args.serve:
-    import os
-
     import repro
 
-    store_dir = tempfile.mkdtemp(prefix="seabed-quickstart-serve-")
-    path = session.encrypted_table("sales").save(os.path.join(store_dir, "sales"))
+    # The store holds whatever the sections above appended: the local
+    # reference is a session attached to that same committed state.
+    path = session.save_table("sales")
+    local = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    local.open_table(path)
     with repro.serve(stores=[path]) as handle:
         token = handle.mint_token("quickstart")
         print(f"\nservice layer: threaded server on {handle.host}:{handle.port}, "
@@ -336,7 +335,7 @@ if args.serve:
         remote.open_table(path)
         sql = "SELECT country, sum(amount) FROM sales GROUP BY country"
         over_wire = remote.query(sql)
-        local_rows = session.query(sql).rows
+        local_rows = local.query(sql).rows
         match = over_wire.rows == local_rows
         print(f"   remote session over the socket answered identically = {match}")
         assert match, "the wire changed an answer"
@@ -380,6 +379,7 @@ if args.serve:
                 for line in shown
             ), "the scrape is missing the request-latency histogram"
         remote.close()
+    local.close()
 
 if args.connect:
     import repro

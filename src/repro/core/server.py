@@ -575,9 +575,9 @@ def merge_groups(parts: list[GroupedRows], aggs: Sequence[AggOp]) -> GroupedRows
 class SeabedServer:
     """Holds registered encrypted tables and executes server queries.
 
-    ``pruning`` enables zone-map partition pruning for store-backed
-    tables (on by default; benchmarks and equivalence tests flip it to
-    measure and verify the unpruned path).
+    ``pruning`` enables zone-map partition pruning (on by default;
+    benchmarks and equivalence tests flip it to measure and verify the
+    unpruned path).
     """
 
     def __init__(self, cluster: SimulatedCluster, pruning: bool = True):
@@ -609,16 +609,6 @@ class SeabedServer:
         """The shard coordinator serving ``name``, if any."""
         return self._sharded.get(name)
 
-    def append(self, table: Table) -> None:
-        """Append a new upload batch to an existing table."""
-        existing = self._tables.get(table.name)
-        if existing is None:
-            self.register(table)
-            return
-        self._tables[table.name] = Table(
-            table.name, existing.partitions + table.partitions
-        )
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
@@ -626,11 +616,8 @@ class SeabedServer:
             raise ExecutionError(f"no table {name!r} registered on the server") from None
 
     def get(self, name: str) -> Table | None:
-        """The registered table, or ``None`` when nothing was uploaded yet."""
+        """The registered table, or ``None`` when nothing is served yet."""
         return self._tables.get(name)
-
-    def storage_bytes(self, name: str) -> int:
-        return self.table(name).memory_bytes()
 
     # -- execution -------------------------------------------------------------
 
@@ -709,11 +696,11 @@ class SeabedServer:
     ) -> tuple[list[Partition], int]:
         """Partitions the filter could match, plus how many were pruned.
 
-        Consults the table's zone maps (store-backed tables only);
-        in-memory tables and disabled pruning fall through to a full
-        dispatch.  Conservative by construction: any partition the index
-        cannot *prove* irrelevant is kept, so responses are bit-identical
-        to an unpruned run.
+        Consults the table's zone maps; a table without them (one built
+        in memory rather than opened from a store) and disabled pruning
+        fall through to a full dispatch.  Conservative by construction:
+        any partition the index cannot *prove* irrelevant is kept, so
+        responses are bit-identical to an unpruned run.
         """
         parts = table.partitions
         if not self.pruning:

@@ -20,7 +20,9 @@ handles -- and routes *every* read path (``query``, ``scan``,
   queries, so the same query template pays for translation once per
   session no matter how its constants vary.
 
-Tables have one lifecycle whatever their placement: ``upload`` /
+Tables have one lifecycle whatever their placement: create, attach,
+append.  The first ``upload`` of a planned table (or ``shard_table``)
+creates its store, every ingest after that is an append, and
 ``append_rows`` / ``compact_table`` / ``open_table`` drive a single
 store and a sharded worker fleet through the same code, because a
 single-store table is the one-shard case (:class:`EncryptedTable`).
@@ -118,16 +120,9 @@ class QueryResult:
 
 
 @dataclass
-class UploadStats:
-    table: str
-    rows: int
-    encrypt_seconds: float
-    physical_columns: int
-
-
-@dataclass
 class AppendStats:
-    """Outcome of one incremental append to a persisted table."""
+    """Outcome of one upload or append: a new generation of the table's
+    store(s)."""
 
     table: str
     rows: int
@@ -395,14 +390,14 @@ class EncryptedTable:
     :meth:`~SeabedSession.open_table`, :meth:`~SeabedSession.open_sharded`
     and :meth:`~SeabedSession.shard_table` -- one handle whatever the
     placement, because a single-store table is the one-shard case.  Its
-    job is the persistence loop of the paper's deployment model:
-    :meth:`save` writes the server-side ciphertexts to a partition store
-    (:mod:`repro.engine.store`) plus the client-state sidecar, and a
-    *fresh* session (same master key) attaches with ``open_table`` --
-    zero re-encryption, columns memory-mapped.  Queries go through the
-    ordinary session surface; the handle adds the distribution levers
-    (:meth:`shard_rows`, :attr:`topology`, and the fault injection the
-    failover tests and demos use).
+    job is the persistence loop of the paper's deployment model: the
+    table's ciphertexts live in a partition store
+    (:mod:`repro.engine.store`) beside the client-state sidecar from its
+    first upload on, and a *fresh* session (same master key) attaches
+    with ``open_table`` -- zero re-encryption, columns memory-mapped.
+    Queries go through the ordinary session surface; the handle adds the
+    distribution levers (:meth:`shard_rows`, :attr:`topology`, and the
+    fault injection the failover tests and demos use).
     """
 
     def __init__(self, session: "SeabedSession", name: str):
@@ -443,27 +438,6 @@ class EncryptedTable:
         this table's rows, or ``None`` for a single store."""
         return self._session._entry(self.name).topology
 
-    def save(self, path: str | None = None, overwrite: bool = False) -> str:
-        """Persist ciphertexts + client state; returns the store path.
-
-        ``path`` defaults to the table name, resolved against the
-        server side's ``storage_dir``.  The written directory holds only
-        public material plus the ``client_state.json`` sidecar (plaintext
-        dictionaries, no keys) -- see :mod:`repro.core.persistence`.
-        The server writes both halves on the session's behalf: it
-        already holds the ciphertexts, and the sidecar payload the
-        session hands over is key-free by construction.
-        """
-        session = self._session
-        resolved = session.transport.save_store(
-            self.name,
-            path or self.name,
-            session._column_meta(session.table_state(self.name)),
-            overwrite=overwrite,
-        )
-        session._commit_state(self.name)
-        return resolved
-
     def append(
         self, columns: Mapping[str, Any], num_partitions: int | None = None
     ) -> AppendStats:
@@ -480,13 +454,13 @@ class EncryptedTable:
 
     @property
     def generations(self) -> list[dict]:
-        """The store's generation log (empty for in-memory tables)."""
+        """The store's generation log, the first upload's included."""
         return self._session.transport.generations(self.name)
 
     def stats(self) -> dict:
         """Zone-map index summary: partition/row coverage and per-column
-        artifact counts (:func:`repro.engine.store.store_stats`).  An
-        in-memory table carries no index and reports zero coverage."""
+        artifact counts (:func:`repro.engine.store.store_stats`).  Every
+        generation carries its zone maps, the first upload's included."""
         return self._session.transport.store_stats(self.name)
 
     def rebuild_index(self) -> dict:
@@ -530,13 +504,16 @@ class _TableEntry:
     """Everything the session remembers about one table: the schema
     state (plans, dictionaries, total rows), its crypto factory, and the
     placement -- one row-ID cursor per shard plus the ring topology that
-    routes rows to them.  A single-store table is the entry with one
-    cursor (shard 0) and no topology."""
+    routes rows to them, and where the server side keeps the table's
+    store (or sharded root), ``None`` until the first upload creates it.
+    A single-store table is the entry with one cursor (shard 0) and no
+    topology."""
 
     state: ClientTableState
     factory: CryptoFactory
     cursors: dict[int, ClientTableState]
     topology: Any = None  # ShardTopology
+    path: str | None = None
 
     def recount(self) -> None:
         """The table holds what its cursors hold."""
@@ -698,42 +675,36 @@ class SeabedSession:
         table: str,
         columns: Mapping[str, Any],
         num_partitions: int | None = None,
-    ) -> UploadStats:
-        """Encrypt one plaintext batch and hand it to the server.
+        path: str | os.PathLike | None = None,
+    ) -> AppendStats:
+        """Encrypt one plaintext batch into ``table``'s store(s).
 
-        On an in-memory table the batch is appended to the server-side
-        partitions directly.  Once the table is **store-backed** (saved,
-        attached or sharded), the batch routes through :meth:`append_rows`
-        instead, so it lands durably in the partition store(s) --
-        appending to only the in-memory view would silently diverge from
-        what a fresh attach sees.  ``num_partitions`` defaults to 8 in
-        memory and to config-driven batch slicing for store appends.
+        The first upload of a planned table creates its store at
+        ``path`` -- resolved on the server side, defaulting to the table
+        name under ``storage_dir`` (or under the transport's scratch root
+        without one) -- by committing an empty key-free sidecar there and
+        attaching it, exactly as :meth:`shard_table` creates a sharded
+        table.  A path that already holds a store raises
+        :class:`~repro.errors.StorageError` and is left untouched.  The
+        batch itself, and every later upload, is :meth:`append_rows`.
         """
         entry = self._entry(table)
-        meta = self.transport.table_meta(table)
-        if meta is not None and meta["store_backed"]:
-            stats = self.append_rows(table, columns, num_partitions=num_partitions)
-            return UploadStats(
-                table=table,
-                rows=stats.rows,
-                encrypt_seconds=stats.encrypt_seconds,
-                physical_columns=stats.physical_columns,
+        if entry.path is None:
+            self._create(table, path)
+        elif path is not None:
+            raise StorageError(
+                f"table {table!r} already lives at {entry.path!r}; a store's "
+                "path is named at its first upload"
             )
-        check_headroom(entry.state, entry.state.num_rows
-                       + len(next(iter(columns.values()), ())))
-        t0 = time.perf_counter()
-        encrypted = self._encryptor(entry).encrypt_batch(
-            entry.cursors[0], columns, num_partitions=num_partitions or 8
+        return self.append_rows(table, columns, num_partitions=num_partitions)
+
+    def _create(self, table: str, path: str | os.PathLike | None) -> None:
+        """Commit ``table``'s empty sidecar at ``path`` and attach it."""
+        entry = self._entry(table)
+        resolved = self.transport.create_store(
+            path and os.fspath(path), self._state_payload(entry)
         )
-        elapsed = time.perf_counter() - t0
-        entry.recount()
-        self.transport.upload(encrypted)
-        return UploadStats(
-            table=table,
-            rows=encrypted.num_rows,
-            encrypt_seconds=elapsed,
-            physical_columns=len(encrypted.column_names),
-        )
+        entry.path = self.transport.attach(resolved)["path"]
 
     def _encryptor(self, entry: _TableEntry) -> EncryptionModule:
         return EncryptionModule(
@@ -888,7 +859,8 @@ class SeabedSession:
     def _reconcile(self, table: str, entry: _TableEntry) -> None:
         """Roll back store generations the sidecar never acknowledged
         (a previous writer died between manifest publish and sidecar
-        commit); refuse stores that are behind the client state.
+        commit); refuse stores that are behind the client state, and
+        tables no upload created yet.
 
         The *on-disk* sidecar is the commit record -- never this
         session's in-memory watermark, which may simply be stale because
@@ -897,13 +869,11 @@ class SeabedSession:
         committed generations; instead the stale session gets a clear
         error and must re-open the table.
         """
-        meta = self.transport.table_meta(table)
-        if meta is None or not meta["store_backed"]:
+        store_path = entry.path
+        if store_path is None:
             raise StorageError(
-                f"table {table!r} is not store-backed; upload() feeds "
-                "in-memory tables, save_table() makes them store-backed"
+                f"table {table!r} has no store yet; upload() creates it"
             )
-        store_path = meta["store_path"]
         on_record = ps.committed_cursors(self.transport.read_store_state(store_path))
         for shard, cursor in entry.cursors.items():
             _, committed = on_record.get(shard, (0, 0))
@@ -924,20 +894,19 @@ class SeabedSession:
         self._entry(name)  # raises if unknown
         return EncryptedTable(self, name)
 
-    def save_table(
-        self, name: str, path: str | None = None, overwrite: bool = False
-    ) -> str:
-        """Persist ``name``'s ciphertexts + client state to a partition
-        store; shorthand for ``encrypted_table(name).save(path)``."""
-        return self.encrypted_table(name).save(path, overwrite=overwrite)
+    def save_table(self, name: str) -> str:
+        """Where ``name``'s store (or sharded root) lives on the server
+        side.  Every upload already made it durable; this only names
+        the path a fresh session attaches with :meth:`open_table`."""
+        return self.encrypted_table(name).store_path
 
     def open_table(self, path: str) -> EncryptedTable:
         """Attach a persisted table without re-encrypting anything.
 
-        This is the paper's upload-once model: the store was written by
-        :meth:`EncryptedTable.save` or grown under :meth:`shard_table`
-        (possibly in another process); this session -- constructed with
-        the *same master key* -- reads the client-state sidecar, has the
+        This is the paper's upload-once model: the store was created by
+        an :meth:`upload` or :meth:`shard_table` (possibly in another
+        process); this session -- constructed with the *same master
+        key* -- reads the client-state sidecar, has the
         server side serve the ciphertexts from their committed state
         (memory-mapped columns; for a sharded root the worker fleet is
         respawned over the existing node directories and shard tails a
@@ -978,6 +947,7 @@ class SeabedSession:
             },
             topology=attach["topology"]
             and ShardTopology.from_dict(attach["topology"]),
+            path=info["path"],
         )
         # No cache invalidation needed: the name was unregistered until
         # now, so no cached translation can reference it, and attaching
@@ -1019,7 +989,7 @@ class SeabedSession:
         self,
         name: str,
         shard_key: str,
-        path: str | None = None,
+        path: str | os.PathLike | None = None,
         *,
         num_shards: int = 4,
         replicas: int = 1,
@@ -1035,7 +1005,7 @@ class SeabedSession:
         telescoping).  ``shard_key`` must carry a DET ciphertext column
         (a det-planned dimension, or a measure with a DET companion) --
         that is what point/IN predicates route through.  ``path``
-        defaults to the table name under the cluster's ``storage_dir``.
+        names the sharded root as it does a store at :meth:`upload`.
         """
         from repro.shard.coordinator import (  # lazy: avoids package cycle
             SHARD_ID_STRIDE,
@@ -1049,17 +1019,13 @@ class SeabedSession:
                 "(open_sharded) but cannot create them"
             )
         entry = self._entry(name)
-        if entry.topology is not None:
-            raise StorageError(f"table {name!r} is already sharded")
-        if entry.state.num_rows > 0:
+        if entry.path is not None:
             raise StorageError(
-                f"table {name!r} already holds {entry.state.num_rows} rows; "
+                f"table {name!r} already lives at {entry.path!r}; "
                 "shard_table must run before the first upload so rows are "
                 "routed to shards at encryption time"
             )
         key_column, _ = self._shard_key_column(entry.state, shard_key)
-        root = os.path.abspath(self.cluster.config.resolve_store_path(path or name))
-        os.makedirs(root, exist_ok=True)
         entry.topology = ShardTopology(
             table=name,
             shard_key=shard_key,
@@ -1076,8 +1042,11 @@ class SeabedSession:
         }
         # Commit the empty layout, then have the transport serve it: the
         # fleet is spawned by the same attach that re-opens it later.
-        ps.write_state_payload(root, self._state_payload(entry))
-        self.transport.attach(root)
+        try:
+            self._create(name, path)
+        except BaseException:
+            entry.topology, entry.cursors = None, {0: replace(entry.state)}
+            raise
         return EncryptedTable(self, name)
 
     def close(self) -> None:

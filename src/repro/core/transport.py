@@ -14,7 +14,9 @@ directly any more -- every server-side effect goes through a
 
 The method set is deliberately the *untrusted* half of the paper's
 split (Section 3): ciphertext batches in, encrypted responses and
-key-free client-state payloads out.  Nothing a transport carries ever
+key-free client-state payloads out.  Every table the server side holds
+is a partition store (or a sharded root of them) from the moment it is
+created: there is no in-memory tier.  Nothing a transport carries ever
 contains key material -- the sidecar payloads it ships are the same
 ``client_state.json`` documents :mod:`repro.core.persistence` already
 proves key-free, and :mod:`repro.net.audit` re-checks the invariant on
@@ -26,7 +28,9 @@ from __future__ import annotations
 import abc
 import os
 import shutil
+import tempfile
 import threading
+import weakref
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core import persistence as ps
@@ -37,6 +41,7 @@ from repro.engine.store import (
     compact_store,
     open_store,
     rebuild_stats,
+    remove_store,
     snapshot_generation,
     store_generations,
     store_num_rows,
@@ -91,10 +96,6 @@ class Transport(abc.ABC):
     # -- ingestion ---------------------------------------------------------
 
     @abc.abstractmethod
-    def upload(self, encrypted: "Table") -> None:
-        """Append one ciphertext batch to an in-memory table."""
-
-    @abc.abstractmethod
     def append_batch(
         self,
         table: str,
@@ -115,32 +116,23 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def table_meta(self, table: str) -> dict[str, Any] | None:
-        """Registration snapshot for ``table`` (``None`` when nothing is
-        registered): ``{"store_backed", "store_path", "num_partitions"}``;
-        a sharded table's ``store_path`` is its sharded root."""
-
-    @abc.abstractmethod
-    def storage_bytes(self, table: str) -> int:
-        """Server-side memory footprint of the registered ciphertexts."""
+        """``{"store_path"}`` of the served ``table`` (``None`` when it is
+        not served): its store, or a sharded table's root."""
 
     # -- persistence -------------------------------------------------------
 
     @abc.abstractmethod
-    def save_store(
-        self,
-        table: str,
-        path: str,
-        column_meta: dict[str, str],
-        overwrite: bool = False,
-    ) -> str:
-        """Write the registered ciphertexts to a partition store at
-        ``path`` (resolved server-side), register the store-backed view,
-        and return the resolved absolute path."""
+    def create_store(self, path: str | None, payload: dict[str, Any]) -> str:
+        """Commit ``payload``, the key-free sidecar of a table holding no
+        rows yet, at ``path`` (resolved server-side; ``None`` is the
+        table's name under the storage root) and return the resolved
+        absolute path.  A path already holding a store manifest or a
+        sidecar raises :class:`~repro.errors.StorageError` untouched."""
 
     @abc.abstractmethod
     def commit_state(self, table: str, payload: dict[str, Any]) -> None:
-        """Write the key-free client-state sidecar for a store-backed
-        table -- the commit point of saves and appends."""
+        """Write the table's key-free client-state sidecar -- the commit
+        point of every ingest."""
 
     @abc.abstractmethod
     def read_store_state(self, path: str) -> dict[str, Any]:
@@ -160,7 +152,7 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def reopen(self, table: str) -> None:
-        """Re-register the latest committed view of a store-backed table."""
+        """Re-register the latest committed view of the table's store(s)."""
 
     @abc.abstractmethod
     def compact(self, table: str, target_rows: int | None = None) -> Any:
@@ -174,7 +166,7 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def generations(self, table: str) -> list[dict]:
-        """The store's generation log (empty for in-memory tables)."""
+        """The store's generation log."""
 
     @abc.abstractmethod
     def rebuild_index(self, table: str) -> dict:
@@ -185,11 +177,11 @@ class Transport(abc.ABC):
         """Serve the persisted table at ``path`` from its committed
         state: a store is opened at its committed snapshot, a sharded
         root gets its worker fleet (spawned once, uncommitted shard tails
-        rolled back).  Returns ``{"name"}``."""
+        rolled back).  Returns ``{"name", "path"}``, ``path`` resolved."""
 
     def close(self) -> None:
         """Release transport resources (sockets, worker fleets, mapped
-        stores); idempotent."""
+        stores, a scratch storage root); idempotent."""
 
 
 class StoreHost:
@@ -229,15 +221,15 @@ class StoreHost:
         """Drop uncommitted generations; returns how many.
 
         Rolling back to zero rows -- a writer died during the store's
-        very first append -- removes the store entirely: a generation log
-        cannot be truncated below its first generation, and an empty
-        store is exactly "no store yet".
+        very first append -- removes the store (a sidecar beside it
+        stays): a generation log cannot be truncated below its first
+        generation, and an empty store is exactly "no store yet".
         """
         if not self.exists():
             return 0
         if committed == 0:
             dropped = len(store_generations(self.path))
-            shutil.rmtree(self.path)
+            remove_store(self.path)
         else:
             dropped = truncate_store(self.path, committed)
         if dropped:
@@ -280,7 +272,15 @@ class LocalTransport(Transport):
     """In-process transport: a :class:`SeabedServer` handle plus direct
     store filesystem access.  This is the repo's historical single-
     process mode, now behind the same interface the wire speaks -- and
-    the object the service hosts its stores and shard fleets through."""
+    the object the service hosts its stores and shard fleets through.
+
+    Without a cluster ``storage_dir``, tables created under their default
+    path live in one scratch root of this transport's own (``seabed-*``
+    under the system temporary directory), removed by :meth:`close` or,
+    failing that, when the transport is garbage-collected or the
+    interpreter exits.  Stores under a configured ``storage_dir`` are
+    never removed.
+    """
 
     local = True
 
@@ -294,9 +294,11 @@ class LocalTransport(Transport):
         self.cluster = cluster
         # Sharded tables: name -> ShardedStore (the worker fleet).
         self._fleets: dict[str, Any] = {}
-        # Stores this transport saved or attached (table name -> path);
-        # close() unmaps them.
+        # Single-store tables this transport created or attached (name ->
+        # path); close() unmaps them.
         self._stores: dict[str, str] = {}
+        self._scratch: str | None = None
+        self._remove_scratch: weakref.finalize | None = None
 
     # -- query path --------------------------------------------------------
 
@@ -317,9 +319,6 @@ class LocalTransport(Transport):
 
     # -- ingestion ---------------------------------------------------------
 
-    def upload(self, encrypted: "Table") -> None:
-        self.server.append(encrypted)
-
     def append_batch(
         self,
         table: str,
@@ -333,31 +332,16 @@ class LocalTransport(Transport):
 
     def table_meta(self, table: str) -> dict[str, Any] | None:
         fleet = self._fleets.get(table)
-        if fleet is not None:
-            return {
-                "store_backed": True,
-                "store_path": fleet.root,
-                "num_partitions": 0,
-            }
-        registered = self.server.get(table)
-        if registered is None:
-            return None
-        return {
-            "store_backed": registered.store_path is not None,
-            "store_path": registered.store_path,
-            "num_partitions": registered.num_partitions,
-        }
-
-    def storage_bytes(self, table: str) -> int:
-        return self.server.storage_bytes(table)
+        path = fleet.root if fleet is not None else self._stores.get(table)
+        return None if path is None else {"store_path": path}
 
     # -- persistence -------------------------------------------------------
 
     def _store_path(self, table: str) -> str:
-        store_path = self.server.table(table).store_path
-        if store_path is None:
-            raise StorageError(f"table {table!r} is not store-backed")
-        return store_path
+        meta = self.table_meta(table)
+        if meta is None:
+            raise ExecutionError(f"no table {table!r} registered on the server")
+        return meta["store_path"]
 
     def _hosts(self, table: str) -> dict[int, Any]:
         """What hosts each shard of ``table``: the shards' replica chains
@@ -374,36 +358,51 @@ class LocalTransport(Transport):
         except KeyError:
             raise StorageError(f"table {table!r} has no shard {shard}") from None
 
-    def save_store(
-        self,
-        table: str,
-        path: str,
-        column_meta: dict[str, str],
-        overwrite: bool = False,
-    ) -> str:
-        resolved = self.cluster.config.resolve_store_path(path)
-        write_store(
-            self.server.table(table),
-            resolved,
-            column_meta=column_meta,
-            overwrite=overwrite,
-        )
-        # The server-side table becomes the store-backed view: columns
-        # memory-map from the files just written, and incremental
-        # ingestion (append / compact) can target the store directly.
-        self.server.register(open_store(resolved))
-        self._stores[table] = os.path.abspath(resolved)
-        return self._stores[table]
+    def _resolve(self, path: str) -> str:
+        return os.path.abspath(self.cluster.config.resolve_store_path(path))
+
+    def _default_path(self, name: str) -> str:
+        """``name`` under ``storage_dir``, or under the scratch root."""
+        if self.cluster.config.storage_dir is not None:
+            return name
+        if self._scratch is None:
+            self._scratch = tempfile.mkdtemp(prefix="seabed-")
+            self._remove_scratch = weakref.finalize(
+                self, shutil.rmtree, self._scratch, ignore_errors=True
+            )
+        return os.path.join(self._scratch, name)
+
+    def _claim(self, name: str, path: str) -> None:
+        """A served name is one table: refuse serving ``name`` from
+        ``path`` while another path holds it (another tenant's table)."""
+        held = self.table_meta(name)
+        if held is not None and held["store_path"] != path:
+            raise StorageError(
+                f"a table named {name!r} is already served from "
+                f"{held['store_path']!r}"
+            )
+
+    def create_store(self, path: str | None, payload: dict[str, Any]) -> str:
+        name = payload["schema"]["name"]
+        resolved = self._resolve(path or self._default_path(name))
+        self._claim(name, resolved)
+        if any(
+            os.path.exists(os.path.join(resolved, held))
+            for held in (MANIFEST_NAME, ps.SIDECAR_NAME, ps.SHARDED_SIDECAR_NAME)
+        ):
+            raise StorageError(
+                f"{resolved!r} already holds a store; attach it with "
+                "open_table, or remove it first"
+            )
+        os.makedirs(resolved, exist_ok=True)
+        ps.write_state_payload(resolved, payload)
+        return resolved
 
     def commit_state(self, table: str, payload: dict[str, Any]) -> None:
-        meta = self.table_meta(table)
-        if meta is None or not meta["store_backed"]:
-            raise StorageError(f"table {table!r} is not store-backed")
-        ps.write_state_payload(meta["store_path"], payload)
+        ps.write_state_payload(self._store_path(table), payload)
 
     def read_store_state(self, path: str) -> dict[str, Any]:
-        resolved = self.cluster.config.resolve_store_path(path)
-        return ps.read_state_payload(resolved)
+        return ps.read_state_payload(self._resolve(path))
 
     def store_rows(self, table: str, shard: int) -> int:
         return self._host(table, shard).rows()
@@ -422,33 +421,13 @@ class LocalTransport(Transport):
         return stats if table in self._fleets else stats[0]
 
     def store_stats(self, table: str) -> dict:
-        meta = self.table_meta(table)
-        if meta is None:
-            raise ExecutionError(f"no table {table!r} registered on the server")
-        if not meta["store_backed"]:
-            # An in-memory table carries no index and reports zero coverage.
-            return {
-                "partitions": meta["num_partitions"],
-                "partitions_with_stats": 0,
-                "rows": 0,
-                "columns": {},
-                "generation": None,
-            }
-        return store_stats(meta["store_path"])
+        return store_stats(self._store_path(table))
 
     def generations(self, table: str) -> list[dict]:
-        meta = self.table_meta(table)
-        if meta is None or not meta["store_backed"]:
-            return []
-        return store_generations(meta["store_path"])
+        return store_generations(self._store_path(table))
 
     def rebuild_index(self, table: str) -> dict:
         registered = self.server.table(table)
-        if registered.store_path is None:
-            raise StorageError(
-                f"table {table!r} is not store-backed; zone maps are built "
-                "when the table is saved to a partition store"
-            )
         summary = rebuild_stats(registered.store_path)
         # The refreshed view keeps its maps and stays pinned to this
         # session's snapshot, so an uncommitted generation stays invisible.
@@ -458,18 +437,22 @@ class LocalTransport(Transport):
         return summary
 
     def attach(self, path: str) -> dict[str, Any]:
-        resolved = os.path.abspath(self.cluster.config.resolve_store_path(path))
+        resolved = self._resolve(path)
         payload = ps.read_state_payload(resolved)
         name = payload["schema"]["name"]
+        self._claim(name, resolved)
         sharding = payload.get("sharding")
         if sharding is None:
-            self.server.register(open_committed_store(resolved, payload))
             self._stores[name] = resolved
+            if int(payload["num_rows"]):
+                self.server.register(open_committed_store(resolved, payload))
+            else:  # created, nothing committed yet: nothing to serve
+                self.server.unregister(name)
         else:
             with self._fleet_lock:
                 if name not in self._fleets:
                     self._host_fleet(resolved, name, sharding)
-        return {"name": name}
+        return {"name": name, "path": resolved}
 
     def _host_fleet(self, root: str, name: str, sharding: dict[str, Any]) -> None:
         """Spawn the worker fleet over ``root``'s node directories and
@@ -498,15 +481,18 @@ class LocalTransport(Transport):
         self.server.register_sharded(name, ShardCoordinator(fleet, self.cluster))
 
     def close(self) -> None:
-        """Shut down hosted worker fleets and unmap the stores this
-        transport saved or attached: the server stops serving them, which
-        drops their tables and with them their maps (one descriptor per
-        column file)."""
+        """Shut down hosted worker fleets, unmap the stores this
+        transport created or attached -- the server stops serving them,
+        which drops their tables and with them their maps -- and remove
+        the scratch root, if one was made."""
         for fleet in self._fleets.values():
             fleet.close()
         for name in self._stores:
             self.server.unregister(name)
         self._stores.clear()
+        if self._remove_scratch is not None:
+            self._remove_scratch()
+            self._scratch = self._remove_scratch = None
 
 
 def open_committed_store(resolved: str, payload: dict[str, Any]) -> "Table":

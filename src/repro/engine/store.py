@@ -218,28 +218,19 @@ def write_store(
     table: Table,
     path: str | os.PathLike,
     column_meta: dict[str, str] | None = None,
-    overwrite: bool = False,
 ) -> str:
     """Persist ``table`` under ``path``; returns the absolute store path.
 
     This is the initial bulk write: the table becomes generation 1 (its
     partitions live at the store root).  ``column_meta`` attaches one opaque
     string per column to the manifest (the session records each physical
-    column's encryption class there).  An existing store is refused
-    unless ``overwrite=True``, in which case its partition directories,
-    generation directories and manifest are replaced.
+    column's encryption class there).  An existing store is refused; the
+    directory may hold anything else (a client-state sidecar, partitions
+    a dead writer never published -- swept once the manifest lands).
     """
     path = os.path.abspath(os.fspath(path))
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        if not overwrite:
-            raise StorageError(
-                f"store already exists at {path!r}; pass overwrite=True to replace"
-            )
-        for entry in os.listdir(path):
-            if entry == MANIFEST_NAME or entry.startswith(("part-", "gen-")):
-                target = os.path.join(path, entry)
-                shutil.rmtree(target) if os.path.isdir(target) else os.remove(target)
+    if os.path.exists(os.path.join(path, MANIFEST_NAME)):
+        raise StorageError(f"store already exists at {path!r}")
     os.makedirs(path, exist_ok=True)
 
     columns = _column_specs(table, column_meta)
@@ -253,6 +244,10 @@ def write_store(
             "stats": build_partition_stats(part, columns),
         })
 
+    # No staging rename here: the partitions are written but unpublished,
+    # the state an append's two pre-manifest crash points leave behind.
+    _maybe_crash("append:before-rename")
+    _maybe_crash("append:after-rename")
     generation = _generation_entry(FIRST_GENERATION, "", table, partitions)
     manifest = {
         "format": FORMAT_NAME,
@@ -269,7 +264,22 @@ def write_store(
     }
     # The manifest replace is the visibility point of every store mutation.
     atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
+    _maybe_crash("append:after-manifest")
+    _sweep_unreferenced(path, manifest)
     return path
+
+
+def remove_store(path: str | os.PathLike) -> None:
+    """Delete the store at ``path``, leaving every other file there (a
+    client-state sidecar) in place.  The manifest goes first: a writer
+    killed midway leaves unreferenced directories, never a torn store."""
+    path = os.path.abspath(os.fspath(path))
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
+    for entry in os.listdir(path):
+        if entry.startswith(("part-", "gen-")):
+            shutil.rmtree(os.path.join(path, entry), ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ from repro.obs import trace as obs_trace
 #: Ops safe to replay on a fresh connection after a transport failure:
 #: pure reads, plus reconcile-style ops whose replay converges.
 _IDEMPOTENT = {
-    "ping", "execute", "scan", "table_meta", "storage_bytes", "read_store_state",
-    "store_rows", "store_stats", "generations", "audit", "metrics", "trace",
-    "reopen", "attach",
+    "ping", "execute", "scan", "table_meta", "read_store_state", "store_rows",
+    "store_stats", "generations", "audit", "metrics", "trace", "reopen", "attach",
 }
 
 
@@ -210,9 +209,6 @@ class RemoteTransport(Transport):
             timeout=timeout,
         )
 
-    def upload(self, encrypted) -> None:
-        self._request("upload", {"batch": codec.pack_table(encrypted)})
-
     def append_batch(self, table, shard, encrypted, column_meta) -> int:
         return int(
             self._request(
@@ -229,25 +225,8 @@ class RemoteTransport(Transport):
     def table_meta(self, table: str) -> dict[str, Any] | None:
         return self._request("table_meta", {"table": table})
 
-    def storage_bytes(self, table: str) -> int:
-        return int(self._request("storage_bytes", {"table": table}))
-
-    def save_store(
-        self,
-        table: str,
-        path: str,
-        column_meta: dict[str, str],
-        overwrite: bool = False,
-    ) -> str:
-        return self._request(
-            "save_store",
-            {
-                "table": table,
-                "path": path,
-                "column_meta": dict(column_meta),
-                "overwrite": overwrite,
-            },
-        )
+    def create_store(self, path: str | None, payload: dict[str, Any]) -> str:
+        return self._request("create_store", {"path": path, "payload": payload})
 
     def commit_state(self, table: str, payload: dict[str, Any]) -> None:
         self._request("commit_state", {"table": table, "payload": payload})

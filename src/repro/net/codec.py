@@ -56,7 +56,7 @@ from repro.engine.storage import decode_object_column, encode_object_column
 from repro.errors import CodecError
 
 MAGIC = b"SBNW"
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 #: Upper bound on a single frame; a corrupt length prefix fails fast
 #: instead of attempting a multi-gigabyte read.  It therefore also bounds

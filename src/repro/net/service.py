@@ -89,9 +89,8 @@ class ServiceConfig:
 #: Ops that are the access check on ``args["table"]`` followed by the
 #: :class:`LocalTransport` method of the same name, called with ``args``.
 _TABLE_OPS = (
-    "table_meta", "storage_bytes", "save_store", "commit_state", "store_rows",
-    "truncate_store", "reopen", "compact", "store_stats", "generations",
-    "rebuild_index",
+    "table_meta", "commit_state", "store_rows", "truncate_store", "reopen",
+    "compact", "store_stats", "generations", "rebuild_index",
 )
 
 
@@ -202,11 +201,6 @@ class SeabedService:
             check(user, args["table"])
             return local.scan(args["table"], args["columns"], args.get("filter"))
 
-        def upload(user: str, args: dict[str, Any]) -> None:
-            batch = codec.unpack_table(args["batch"])
-            check(user, batch.name)
-            local.upload(batch)
-
         def append_batch(user: str, args: dict[str, Any]) -> int:
             check(user, args["table"])
             batch = codec.unpack_table(args["batch"])
@@ -218,6 +212,10 @@ class SeabedService:
             payload = local.read_store_state(args["path"])
             check(user, payload["schema"]["name"])
             return payload
+
+        def create_store(user: str, args: dict[str, Any]) -> str:
+            check(user, args["payload"]["schema"]["name"])
+            return local.create_store(args["path"], args["payload"])
 
         def attach(user: str, args: dict[str, Any]) -> dict[str, Any]:
             read_store_state(user, args)
@@ -244,7 +242,7 @@ class SeabedService:
             return {"spans": [s.to_dict() for s in spans]}
 
         handlers = {op: on_table(getattr(local, op)) for op in _TABLE_OPS}
-        for fn in (execute, scan, upload, append_batch, read_store_state,
+        for fn in (execute, scan, append_batch, read_store_state, create_store,
                    attach, audit, metrics, trace):
             handlers[fn.__name__] = fn
         return handlers

@@ -1,17 +1,17 @@
 """Persistence round-trips for workload loaders.
 
-Every workload loader builds a session, plans, and uploads; with a
-``--persist DIR`` flag (or the helper below) it additionally exercises
-the paper's deployment loop: save the encrypted table to a partition
-store, attach it from a *fresh* session holding the same master key, and
-verify the reopened table answers queries identically with zero
-re-encryption.  This is the cheapest end-to-end proof that a dataset
-uploaded once keeps serving analytics jobs from disk.
+Every workload loader builds a session, plans, and uploads -- and the
+first upload already wrote the encrypted table to a partition store
+(under ``--persist DIR`` at ``DIR/<table>``).  The helper below
+exercises the rest of the paper's deployment loop: attach that store
+from a *fresh* session holding the same master key, and verify the
+reopened table answers queries identically with zero re-encryption.
+This is the cheapest end-to-end proof that a dataset uploaded once
+keeps serving analytics jobs from disk.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.ops import OPS
@@ -23,12 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def persist_round_trip(
     session: "SeabedSession",
     table: str,
-    directory: str | os.PathLike,
     master_key: bytes,
-    overwrite: bool = True,
     **session_kwargs,
 ) -> tuple["SeabedSession", "EncryptedTable"]:
-    """Save ``table``, reattach it from a brand-new session, and prove the
+    """Reattach ``table``'s store from a brand-new session, and prove the
     attach performed zero encryption work.
 
     ``master_key`` must be the key ``session`` was constructed with (the
@@ -38,9 +36,7 @@ def persist_round_trip(
     """
     from repro.core.session import SeabedSession
 
-    store_path = session.save_table(
-        table, os.path.join(os.fspath(directory), table), overwrite=overwrite
-    )
+    store_path = session.save_table(table)
     fresh = SeabedSession(
         master_key=master_key, mode=session.mode, **session_kwargs
     )
@@ -64,8 +60,8 @@ def ingest_stream(
 ) -> list["AppendStats"]:
     """Drive a batch stream through incremental ingestion.
 
-    Appends every batch to ``table``'s partition store (the table must
-    already be persisted -- see ``EncryptedTable.save``), compacting
+    Appends every batch to ``table``'s partition store (its first
+    ``upload`` created it), compacting
     after every ``compact_every`` appends so a long drip of small
     batches does not erode scan parallelism.  Used with
     :func:`repro.workloads.adanalytics.stream_batches` this replays the

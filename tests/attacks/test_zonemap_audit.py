@@ -39,9 +39,9 @@ def stored_session(tmp_path_factory):
         "SELECT sum(amount), min(amount), max(amount) FROM sales WHERE amount > 5",
         "SELECT sum(amount) FROM sales WHERE user = 3",
     ])
-    session.upload("sales", data, num_partitions=6)
-    session.save_table(
-        "sales", str(tmp_path_factory.mktemp("audit") / "sales")
+    session.upload(
+        "sales", data, num_partitions=6,
+        path=tmp_path_factory.mktemp("audit") / "sales",
     )
     return session
 

@@ -178,10 +178,10 @@ class TestSessionSurface:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
     def test_result_types_importable_from_session(self):
-        from repro.core.session import LinRegResult, QueryResult, UploadStats
+        from repro.core.session import AppendStats, LinRegResult, QueryResult
 
         assert QueryResult([]).rows == []
-        assert UploadStats("t", 0, 0.0, 0).table == "t"
+        assert AppendStats("t", 0, 1, 0.0, 0.0, 0).table == "t"
         assert LinRegResult(1.0, 0.0, 1.0, 1, 2).real_time == 0.0
 
     def test_unknown_mode_rejected(self):

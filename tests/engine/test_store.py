@@ -14,6 +14,7 @@ from repro.engine.store import (
     StoreReader,
     disk_bytes,
     open_store,
+    remove_store,
     write_store,
 )
 from repro.engine.table import Partition, Table
@@ -183,17 +184,21 @@ class TestPartitionFile:
             open_store(path)
 
 
-class TestOverwrite:
+class TestExistingStore:
     def test_existing_store_refused(self, tmp_path):
         table = build_table()
         write_store(table, tmp_path / "s")
         with pytest.raises(StorageError, match="already exists"):
             write_store(table, tmp_path / "s")
 
-    def test_overwrite_replaces(self, tmp_path):
-        write_store(build_table(rows=24, partitions=4), tmp_path / "s")
+    def test_removed_store_is_rewritten_beside_other_files(self, tmp_path):
+        path = write_store(build_table(rows=24, partitions=4), tmp_path / "s")
+        with open(os.path.join(path, "client_state.json"), "w") as fh:
+            fh.write("{}")
+        remove_store(path)
+        assert os.listdir(path) == ["client_state.json"]
         table = build_table(rows=12, partitions=2)
-        path = write_store(table, tmp_path / "s", overwrite=True)
+        write_store(table, path)
         reopened = open_store(path)
         assert reopened.num_partitions == 2
         assert_tables_equal(table, reopened)

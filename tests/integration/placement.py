@@ -43,8 +43,11 @@ class Placement:
         table (``session`` itself unless a service now hosts it) and the
         path fresh sessions attach at."""
         if not self.sharded:
-            session.upload(table, columns, num_partitions=num_partitions or 8)
-            return session, session.save_table(table, self.root / table)
+            session.upload(
+                table, columns, num_partitions=num_partitions or 8,
+                path=self.root / table,
+            )
+            return session, session.save_table(table)
         handle = session.shard_table(
             table, shard_key, str(self.root / table), num_shards=3, replicas=2
         )

@@ -72,12 +72,12 @@ def normalise(rows):
 
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
-    """A 32-partition store-backed table and the session attached to it."""
+    """A 32-partition stored table and a fresh session attached to it."""
     root = tmp_path_factory.mktemp("id-sets")
     writer = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=1)
     writer.create_plan(schema(), SAMPLES[:-1])
-    writer.upload("t", dataset(3200), num_partitions=32)
-    path = writer.save_table("t", root / "t")
+    writer.upload("t", dataset(3200), num_partitions=32, path=root / "t")
+    path = writer.save_table("t")
     writer.close()
     session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
     session.open_table(path)

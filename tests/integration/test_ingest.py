@@ -73,9 +73,8 @@ def build_writer(tmp_path, cluster=None, n=600):
         mode="seabed", master_key=MASTER_KEY, cluster=cluster, seed=3
     )
     session.create_plan(schema(), SAMPLES)
-    session.upload("sales", dataset(n=n), num_partitions=5)
-    path = session.save_table("sales", tmp_path / "sales")
-    return session, path
+    session.upload("sales", dataset(n=n), num_partitions=5, path=tmp_path / "sales")
+    return session, session.save_table("sales")
 
 
 def samples(placed):
@@ -151,11 +150,24 @@ class TestAppendRows:
         assert "ber" in got
         assert sum(got.values()) == 650
 
-    def test_append_requires_store_backed_table(self):
+    def test_append_right_after_upload_commits_a_second_generation(self):
+        """The first upload created the store: an append needs no save
+        step in between, and a fresh attach sees both generations."""
         session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3)
         session.create_plan(schema(), SAMPLES)
         session.upload("sales", dataset(), num_partitions=5)
-        with pytest.raises(StorageError, match="not store-backed"):
+        stats = session.append_rows("sales", dataset(n=10, seed=9))
+        assert stats.generation == 2
+        generations = session.encrypted_table("sales").generations
+        assert [g["num_rows"] for g in generations] == [600, 10]
+        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+        fresh.open_table(session.save_table("sales"))
+        assert fresh.query(COUNT).rows[0]["count(*)"] == 610
+
+    def test_append_before_any_upload_is_refused(self):
+        session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3)
+        session.create_plan(schema(), SAMPLES)
+        with pytest.raises(StorageError, match="no store yet"):
             session.append_rows("sales", dataset(n=10, seed=9))
 
     def test_empty_batch_rejected(self, placed):
@@ -348,8 +360,9 @@ class TestCompaction:
         session.create_plan(
             data.schema, adanalytics.sample_queries(data), storage_budget=10.0
         )
-        session.upload("ad_analytics", batches[0], num_partitions=4)
-        session.save_table("ad_analytics", tmp_path / "ada")
+        session.upload(
+            "ad_analytics", batches[0], num_partitions=4, path=tmp_path / "ada"
+        )
         stats = ingest_stream(
             session, "ad_analytics", batches[1:], compact_every=2
         )
@@ -377,25 +390,42 @@ session.append_rows("sales", batch)
 """
 
 
+FIRST_UPLOAD_SCRIPT = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_ingest import MASTER_KEY, SAMPLES, dataset, schema
+from repro.core.session import SeabedSession
+
+session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3)
+session.create_plan(schema(), SAMPLES)
+session.upload("sales", dataset(), num_partitions=5, path={path!r})
+"""
+
+CRASH_POINTS = ["append:before-rename", "append:after-rename", "append:after-manifest"]
+
+
+def crash_at(point, script):
+    """Run ``script`` in a fresh interpreter that dies at ``point``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    env[CRASH_POINT_ENV] = point
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 70, proc.stderr
+
+
 class TestCrashSafety:
-    @pytest.mark.parametrize("point", [
-        "append:before-rename", "append:after-rename", "append:after-manifest",
-    ])
+    @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_killed_writer_rolls_back_cleanly(self, tmp_path, point):
         writer, path = build_writer(tmp_path)
         expected = rows_of(writer, TOTAL)
 
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        env[CRASH_POINT_ENV] = point
-        proc = subprocess.run(
-            [sys.executable, "-c", CRASH_SCRIPT.format(
-                countries=COUNTRIES, key=MASTER_KEY, path=path,
-            )],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 70, proc.stderr
+        crash_at(point, CRASH_SCRIPT.format(
+            countries=COUNTRIES, key=MASTER_KEY, path=path,
+        ))
 
         # A fresh session attaches at the committed state regardless of
         # how far the dead writer got (the sidecar watermark is the
@@ -414,6 +444,35 @@ class TestCrashSafety:
         again.open_table(path)
         assert rows_of(again, TOTAL) == rows_of(fresh, TOTAL)
 
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_killed_first_upload_commits_nothing(self, tmp_path, point):
+        """A writer killed inside the upload that creates the store leaves
+        the empty table it committed first: attaching yields no rows, and
+        a retried upload succeeds and sweeps what the dead one wrote."""
+        path = str(tmp_path / "sales")
+        crash_at(point, FIRST_UPLOAD_SCRIPT.format(
+            tests=os.path.dirname(os.path.abspath(__file__)), path=path,
+        ))
+
+        fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+        handle = fresh.open_table(path)
+        assert handle.num_rows == 0
+        # A published first generation stays on disk, uncommitted and
+        # unserved, until the next ingest rolls it back.
+        published = 600 if point == "append:after-manifest" else 0
+        assert handle.shard_rows() == {0: published}
+
+        fresh.upload("sales", dataset(), num_partitions=3)
+        assert fresh.query(COUNT).rows[0]["count(*)"] == 600
+        assert store_num_rows(path) == 600
+        assert sorted(os.listdir(path)) == [
+            "client_state.json", MANIFEST_NAME,
+            "part-00000", "part-00001", "part-00002",
+        ]
+        reference, _ = build_writer(tmp_path / "reference")
+        again = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+        again.open_table(path)
+        assert rows_of(again, TOTAL) == rows_of(reference, TOTAL)
 
     def test_writer_lost_between_publish_and_commit(self, placed):
         """Whatever the placement: generations published to the store(s)

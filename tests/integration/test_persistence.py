@@ -1,15 +1,17 @@
-"""Save / attach round trips through the whole stack.
+"""Upload / attach round trips through the whole stack.
 
-A table saved with ``EncryptedTable.save`` must re-open in a fresh
+The store a table's first upload creates must re-open in a fresh
 session (same master key, possibly another process) and answer
-queries *identically* to the in-memory path, with zero re-encryption --
-the paper's upload-once deployment model.  The
+queries *identically* to the uploading session, with zero
+re-encryption -- the paper's upload-once deployment model.  The
 round trips and the attach guards take the table's placement (one store,
 a local worker fleet, a fleet behind a service) as one more input.
 """
 
+import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -59,19 +61,19 @@ def dataset(n=600, seed=5, shard_key=False):
     return schema, data
 
 
-def build_session(mode="seabed", cluster=None, **kwargs):
+def build_session(mode="seabed", cluster=None, path=None, **kwargs):
     schema, data = dataset()
     session = SeabedSession(
         mode=mode, master_key=MASTER_KEY, cluster=cluster, seed=3, **kwargs
     )
     session.create_plan(schema, SAMPLES)
-    session.upload("sales", data, num_partitions=5)
+    session.upload("sales", data, num_partitions=5, path=path)
     return session
 
 
 def persist(placed, mode="seabed", **kwargs):
-    """``(reference, path)``: an in-memory session holding the table, and
-    the path the same table was persisted at under ``placed``."""
+    """``(reference, path)``: a session holding the table at its default
+    path, and the path the same table was persisted at under ``placed``."""
     schema, data = dataset(shard_key=placed.sharded)
     reference = SeabedSession(mode=mode, master_key=MASTER_KEY, seed=3, **kwargs)
     reference.create_plan(schema, SAMPLES)
@@ -112,13 +114,13 @@ class TestRoundTrip:
         assert sum(handle.shard_rows().values()) == 600
 
     def test_bit_for_bit_after_fresh_attach(self, tmp_path):
-        writer = build_session()
+        writer = build_session(path=tmp_path / "sales")
         expected = {
             GROUPED: rows_of(writer, GROUPED),
             FLAT: rows_of(writer, FLAT),
         }
         expected_scan = sorted(map(str, writer.scan(SCAN).rows))
-        path = writer.save_table("sales", tmp_path / "sales")
+        path = writer.save_table("sales")
 
         fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         fresh.open_table(path)
@@ -140,42 +142,47 @@ class TestRoundTrip:
             assert got == want
 
     def test_incremental_upload_after_attach(self, tmp_path):
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
+        writer = build_session(path=tmp_path / "sales")
+        path = writer.save_table("sales")
         fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         fresh.open_table(path)
         _, data = dataset(n=100, seed=11)
         fresh.upload("sales", data, num_partitions=2)
         got = fresh.query("SELECT count(*) FROM sales").rows[0]["count(*)"]
-        assert got == 700  # 600 mapped from disk + 100 appended in memory
+        assert got == 700  # 600 mapped from disk + 100 in a second generation
 
-    def test_resave_after_attach_keeps_prf_backend(self, tmp_path):
+    def test_append_after_attach_keeps_prf_backend(self, tmp_path):
         """A table encrypted under a non-default PRF must keep that PRF
-        through an attach + re-save cycle (the sidecar records the
-        *table's* factory backend, not the session default)."""
-        writer = build_session(prf_backend="blake2")
-        expected = rows_of(writer, FLAT)
-        first = writer.save_table("sales", tmp_path / "first")
+        through an attach + append cycle (the sidecar the append commits
+        records the *table's* factory backend, not the session default)."""
+        writer = build_session(prf_backend="blake2", path=tmp_path / "sales")
+        path = writer.save_table("sales")
 
         middle = SeabedSession(mode="seabed", master_key=MASTER_KEY)  # splitmix64
-        middle.open_table(first)
-        second = middle.save_table("sales", tmp_path / "second")
+        middle.open_table(path)
+        middle.append_rows("sales", dataset(n=100, seed=11)[1])
+        expected = rows_of(middle, FLAT)
+        with open(os.path.join(path, SIDECAR_NAME)) as fh:
+            assert json.load(fh)["prf_backend"] == "blake2"
 
         third = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        third.open_table(second)
+        third.open_table(path)
         assert rows_of(third, FLAT) == expected
 
     def test_attach_keeps_other_tables_translation_cache(self, tmp_path):
-        writer = build_session()
-        sales_path = writer.save_table("sales", tmp_path / "sales")
+        writer = build_session(path=tmp_path / "sales")
+        sales_path = writer.save_table("sales")
 
         helper = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3)
         extras_schema = TableSchema("extras", [
             ColumnSpec("v", dtype="int", sensitive=True, nbits=16),
         ])
         helper.create_plan(extras_schema, ["SELECT sum(v) FROM extras"])
-        helper.upload("extras", {"v": np.arange(50)}, num_partitions=2)
-        extras_path = helper.save_table("extras", tmp_path / "extras")
+        helper.upload(
+            "extras", {"v": np.arange(50)}, num_partitions=2,
+            path=tmp_path / "extras",
+        )
+        extras_path = helper.save_table("extras")
 
         fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         fresh.open_table(sales_path)
@@ -193,7 +200,7 @@ class TestRoundTrip:
             ClusterConfig(storage_dir=os.fspath(tmp_path / "bucket"))
         )
         writer = build_session(cluster=cluster)
-        path = writer.encrypted_table("sales").save()
+        path = writer.save_table("sales")
         assert path == os.path.abspath(tmp_path / "bucket" / "sales")
         fresh = SeabedSession(
             mode="seabed", master_key=MASTER_KEY,
@@ -203,6 +210,70 @@ class TestRoundTrip:
         )
         handle = fresh.open_table("sales")
         assert handle.name == "sales"
+
+
+def file_bytes(root):
+    """Every file under ``root``, relative path -> contents."""
+    found = {}
+    for directory, _, files in os.walk(root):
+        for name in files:
+            full = os.path.join(directory, name)
+            with open(full, "rb") as fh:
+                found[os.path.relpath(full, root)] = fh.read()
+    return found
+
+
+class TestCreate:
+    @pytest.mark.parametrize("held", ["store", "sidecar"])
+    def test_first_upload_into_a_held_path_is_refused_untouched(self, tmp_path, held):
+        """A path holding a store, or only the sidecar of a table whose
+        first upload died, is never appended into nor replaced."""
+        path = build_session(path=tmp_path / "sales").save_table("sales")
+        if held == "sidecar":
+            for entry in os.listdir(path):
+                if entry != SIDECAR_NAME:
+                    target = os.path.join(path, entry)
+                    os.remove(target) if os.path.isfile(target) else shutil.rmtree(target)
+        before = file_bytes(path)
+
+        other = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=4)
+        schema, data = dataset(seed=6, shard_key=True)
+        other.create_plan(schema, SAMPLES)
+        with pytest.raises(StorageError, match="already holds a store"):
+            other.upload("sales", data, path=path)
+        with pytest.raises(StorageError, match="already holds a store"):
+            other.shard_table("sales", "country", path)
+        assert file_bytes(path) == before
+        assert other.encrypted_table("sales").topology is None
+
+    def test_path_is_named_at_the_first_upload_only(self, tmp_path):
+        writer = build_session(path=tmp_path / "sales")
+        with pytest.raises(StorageError, match="first upload"):
+            writer.upload("sales", dataset(n=10)[1], path=tmp_path / "other")
+        assert not os.path.exists(tmp_path / "other")
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_scratch_root_removed(self, closed):
+        """Without a storage_dir a table lives under the transport's own
+        scratch root, gone after close() -- or, unclosed, once the
+        session is collected."""
+        session = build_session()
+        root = os.path.dirname(session.save_table("sales"))
+        assert os.path.basename(root).startswith("seabed-")
+        assert os.path.isdir(root)
+        if closed:
+            session.close()
+        else:
+            del session
+            gc.collect()
+        assert not os.path.exists(root)
+
+    def test_storage_dir_survives_close(self, tmp_path):
+        cluster = SimulatedCluster(ClusterConfig(storage_dir=os.fspath(tmp_path)))
+        session = build_session(cluster=cluster)
+        path = session.save_table("sales")
+        session.close()
+        assert os.path.exists(os.path.join(path, SIDECAR_NAME))
 
 
 class TestClose:
@@ -229,8 +300,8 @@ class TestClose:
                 count += target.startswith(root + os.sep)
             return count
 
-        writer = build_session()
-        path = writer.save_table("sales", tmp_path / "sales")
+        writer = build_session(path=tmp_path / "sales")
+        path = writer.save_table("sales")
         writer.close()
         before = open_fds()
         for round_ in range(5):
@@ -249,9 +320,11 @@ class TestClose:
 class TestPaillierMode:
     def test_round_trip_with_shared_keys(self, tmp_path):
         keys = PaillierKeyPair.generate(bits=256, seed=9)
-        writer = build_session(mode="paillier", paillier_keys=keys)
+        writer = build_session(
+            mode="paillier", paillier_keys=keys, path=tmp_path / "sales"
+        )
         expected = rows_of(writer, "SELECT sum(amount), count(*) FROM sales")
-        path = writer.save_table("sales", tmp_path / "sales")
+        path = writer.save_table("sales")
 
         fresh = SeabedSession(
             mode="paillier", master_key=MASTER_KEY, paillier_keys=keys, seed=3
@@ -261,9 +334,10 @@ class TestPaillierMode:
 
     def test_different_keys_rejected(self, tmp_path):
         writer = build_session(
-            mode="paillier", paillier_keys=PaillierKeyPair.generate(bits=256, seed=9)
+            mode="paillier", paillier_keys=PaillierKeyPair.generate(bits=256, seed=9),
+            path=tmp_path / "sales",
         )
-        path = writer.save_table("sales", tmp_path / "sales")
+        path = writer.save_table("sales")
         other = SeabedSession(
             mode="paillier", master_key=MASTER_KEY,
             paillier_keys=PaillierKeyPair.generate(bits=256, seed=10),
@@ -339,8 +413,8 @@ schema = TableSchema("sales", [
 ])
 session = SeabedSession(mode="seabed", master_key={MASTER_KEY!r}, seed=3)
 session.create_plan(schema, {SAMPLES!r})
-session.upload("sales", data, num_partitions=5)
-print(session.save_table("sales", {os.fspath(store_dir)!r}))
+session.upload("sales", data, num_partitions=5, path={os.fspath(store_dir)!r})
+print(session.save_table("sales"))
 """
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")

@@ -81,9 +81,8 @@ def stores(tmp_path_factory):
     ]:
         writer = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=2)
         writer.create_plan(schema(), SAMPLES)
-        writer.upload("sales", dataset(N, seed=1), num_partitions=6)
         path = str(root / name)
-        writer.save_table("sales", path)
+        writer.upload("sales", dataset(N, seed=1), num_partitions=6, path=path)
         for i in range(appends):
             writer.append_rows(
                 "sales", dataset(120, seed=20 + i, ts_base=5000 * (i + 1))
@@ -258,14 +257,23 @@ def test_bloom_artifacts_exist_on_the_high_cardinality_column(appended):
     assert summary["partitions_with_stats"] == summary["partitions"]
 
 
-def test_in_memory_tables_are_unaffected():
+def test_uploading_session_prunes_like_a_fresh_attach():
+    """The session that uploaded serves the store its upload created:
+    full zone-map coverage at once, the same partitions skipped as a
+    fresh attach of that store, and an index it can rebuild."""
     session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
     session.create_plan(schema(), SAMPLES)
     session.upload("sales", dataset(N, seed=1), num_partitions=4)
-    result = session.query("SELECT sum(amount) FROM sales WHERE user = 2")
-    assert all(m.partitions_skipped == 0 for m in result.request_metrics)
     stats = session.stats("sales")
-    assert stats["partitions_with_stats"] == 0
+    assert stats["partitions_with_stats"] == stats["partitions"] == 4
+    sql = "SELECT sum(amount) FROM sales WHERE user = 2"
+    skipped = run_both(session, sql)
+    assert skipped > 0
+    fresh = attach(session.save_table("sales"))
+    assert run_both(fresh, sql) == skipped
+    assert fresh.query(sql).rows == session.query(sql).rows
+    assert session.rebuild_index("sales")["partitions_with_stats"] == 4
+    assert run_both(session, sql) == skipped
 
 
 def test_rebuild_index_recomputes_missing_stats(stores, tmp_path):

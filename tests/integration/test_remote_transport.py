@@ -74,8 +74,8 @@ def store_path(tmp_path_factory):
     """One persisted single-store table every server and session shares."""
     root = tmp_path_factory.mktemp("remote-store")
     writer = _plan(SeabedSession(master_key=KEY, seed=1))
-    writer.upload("sales", _data())
-    return writer.encrypted_table("sales").save(str(root / "sales"))
+    writer.upload("sales", _data(), num_partitions=8, path=root / "sales")
+    return writer.save_table("sales")
 
 
 @pytest.fixture(scope="module")

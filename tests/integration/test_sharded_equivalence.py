@@ -93,7 +93,7 @@ def make_single():
     session = SeabedSession(master_key=KEY, seed=1)
     session.create_plan(SCHEMA, SAMPLE_QUERIES)
     for batch in BATCHES:
-        session.upload("sales", batch)
+        session.upload("sales", batch, num_partitions=8)
     return session
 
 

@@ -10,6 +10,7 @@ the one place a partition's files are mapped; these tests count it.
 
 import json
 import os
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -54,14 +55,14 @@ SCHEMA = TableSchema("sales", [
 
 
 class Stored:
-    """A saved session table plus the plaintext it should answer from."""
+    """A session's stored table plus the plaintext it should answer from."""
 
     def __init__(self, path, partitions, rows=600, seed=5):
         self.session = SeabedSession(mode="seabed", master_key=MASTER_KEY, seed=3)
         self.session.create_plan(SCHEMA, QUERIES)
         self.plain = dataset(rows, seed)
-        self.session.upload("sales", self.plain, num_partitions=partitions)
-        self.path = self.session.save_table("sales", path)
+        self.session.upload("sales", self.plain, num_partitions=partitions, path=path)
+        self.path = self.session.save_table("sales")
 
     @property
     def served(self) -> Table:
@@ -207,8 +208,8 @@ def test_overwritten_store_is_mapped_afresh(tmp_path, loads):
     mints a new ``store_id``: the old maps must not be served."""
     path = tmp_path / "sales"
     stored = Stored(path, 4, seed=5)
-    replacement = Stored(tmp_path / "other", 4, seed=6)
-    replacement.session.save_table("sales", path, overwrite=True)
+    shutil.rmtree(path)
+    replacement = Stored(path, 4, seed=6)
     old = stored.served
     assert [k[1:] for k in replacement.served.store_keys] == [
         k[1:] for k in old.store_keys

@@ -245,8 +245,8 @@ class TestIntrospectionOps:
     def test_metrics_rpc_prometheus_text(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("metrics-store")
         writer = _plan(SeabedSession(master_key=KEY, seed=1))
-        writer.upload("sales", _data())
-        store = writer.encrypted_table("sales").save(str(root / "sales"))
+        writer.upload("sales", _data(), num_partitions=8, path=root / "sales")
+        store = writer.save_table("sales")
         proc, address = _spawn_server(
             tmp_path_factory.mktemp("metrics-srv"), "--store", store,
         )

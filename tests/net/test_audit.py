@@ -7,8 +7,6 @@ attributes) and must pass a real service hosting real ciphertext stores
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -112,13 +110,12 @@ class TestServiceIsKeyless:
         finally:
             handle.stop()
 
-    def test_sidecar_payloads_shipped_are_key_free(self, tmp_path):
+    def test_sidecar_payloads_shipped_are_key_free(self):
         """What the client commits over the wire is the same key-free
         document persistence already proves safe: audit the payload the
         server would hold."""
         session = _loaded_session()
-        session.cluster.config = replace(session.cluster.config, storage_dir=str(tmp_path))
-        path = session.encrypted_table("sales").save("sales_store")
+        path = session.save_table("sales")
         import json
         import os
 

@@ -224,13 +224,14 @@ def test_version_skew_rejected():
 
 
 def test_previous_wire_version_rejected():
-    """v6 shipped every dict in the tagged ``"m"`` form; v7 ships a
-    string-keyed dict as a plain JSON object, which a v6 peer would
-    mis-parse, so it must fail the handshake typed."""
-    assert codec.WIRE_VERSION == 7
+    """v7 had the ``upload`` / ``save_store`` ops of in-memory tables;
+    v8 creates every table as a store (``create_store``), so a v7 peer
+    would call ops that no longer exist: it must fail the handshake
+    typed."""
+    assert codec.WIRE_VERSION == 8
     frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
-    frame[8:10] = struct.pack("<H", 6)
-    with pytest.raises(CodecError, match="peer speaks v6, this end v7"):
+    frame[8:10] = struct.pack("<H", 7)
+    with pytest.raises(CodecError, match="peer speaks v7, this end v8"):
         codec.decode_frame(bytes(frame))
 
 

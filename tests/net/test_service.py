@@ -16,7 +16,13 @@ import pytest
 
 import repro
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.errors import AuthError, Backpressure, CodecError, TransportError
+from repro.errors import (
+    AuthError,
+    Backpressure,
+    CodecError,
+    StorageError,
+    TransportError,
+)
 from repro.net import client as client_mod
 from repro.net import codec
 from repro.net import service as service_mod
@@ -109,6 +115,52 @@ class TestAuth:
         s2.close()
 
 
+class TestRemoteCreate:
+    def test_first_upload_creates_the_store_service_side(self):
+        """A remote first upload creates its store under the service's
+        scratch root, refuses a second table at that path, and the
+        root goes when the service stops."""
+        h = repro.serve()
+        try:
+            token = h.mint_token("alice")
+            session = _session(h, token)
+            session.upload("sales", _data())
+            path = session.save_table("sales")
+            root = os.path.dirname(path)
+            assert os.path.basename(root).startswith("seabed-")
+            other = _session(h, token)
+            with pytest.raises(StorageError, match="already holds a store"):
+                other.upload("sales", _data(seed=2))
+            fresh = repro.connect(h.address, token, master_key=KEY)
+            fresh.open_table(path)
+            for s in (session, fresh):
+                assert s.query("SELECT count(*) FROM sales").rows[0]["count(*)"] == 120
+            for s in (session, other, fresh):
+                s.close()
+        finally:
+            h.stop()
+        assert not os.path.exists(root)
+
+    def test_a_served_name_is_not_replaced_from_another_path(self, tmp_path):
+        """Another tenant's table of the same name at another path is
+        refused: it must not silently take over what the first serves."""
+        h = repro.serve(auth_required=False)
+        try:
+            first = repro.connect(h.address, master_key=b"a" * 32, seed=3)
+            first.create_plan(SCHEMA, SAMPLES)
+            first.upload("sales", _data(), path=tmp_path / "one")
+            second = repro.connect(h.address, master_key=b"b" * 32, seed=3)
+            second.create_plan(SCHEMA, SAMPLES)
+            with pytest.raises(StorageError, match="already served from"):
+                second.upload("sales", _data(seed=2), path=tmp_path / "two")
+            assert not os.path.exists(tmp_path / "two")
+            assert first.query("SELECT count(*) FROM sales").rows[0]["count(*)"] == 120
+            first.close()
+            second.close()
+        finally:
+            h.stop()
+
+
 class TestAdmission:
     @pytest.fixture
     def tight_handle(self):
@@ -178,7 +230,11 @@ class TestTimeouts:
         orig = service._run_op
 
         def slow(user, operation, args):
-            if operation in ("storage_bytes", "execute"):
+            # A missing table's metadata is the probe; the uploads these
+            # tests make look up their own table and stay fast.
+            if operation == "execute" or (
+                operation == "table_meta" and args["table"] == "nope"
+            ):
                 time.sleep(1.0)
             return orig(user, operation, args)
 
@@ -205,11 +261,11 @@ class TestTimeouts:
         assert result.rows[0]["count(*)"] == 120
         session.close()
 
-    def test_storage_bytes_timeout_overridden_per_call(self, slow_handle):
+    def test_table_meta_timeout_overridden_per_call(self, slow_handle):
         token = slow_handle.mint_token("alice")
         transport = RemoteTransport(slow_handle.address, token)
         with pytest.raises(TransportError, match="timed out"):
-            transport._request("storage_bytes", {"table": "x"}, timeout=0.1)
+            transport._request("table_meta", {"table": "nope"}, timeout=0.1)
         transport.close()
 
 
@@ -292,7 +348,7 @@ class TestWireErrors:
         orig = service._run_op
 
         def unencodable(user, operation, args):
-            if operation == "storage_bytes":
+            if operation == "table_meta":
                 return object()
             return orig(user, operation, args)
 
@@ -300,7 +356,7 @@ class TestWireErrors:
         transport = RemoteTransport(handle.address, handle.mint_token("alice"))
         sock = transport._sock
         with pytest.raises(CodecError, match="cannot encode object"):
-            transport._request("storage_bytes", {"table": "x"})
+            transport._request("table_meta", {"table": "nope"})
         assert transport._request("metrics", {"fmt": "json"})["fmt"] == "json"
         assert transport._sock is sock  # same connection, never re-dialled
         transport.close()
