@@ -4,11 +4,11 @@ Table 1 of the paper prices one AES-CTR PRF operation at 47 ns on AES-NI
 hardware -- the number Seabed's whole performance argument rests on.
 This benchmark measures what our kernels actually cost per operation:
 
-- **PRF eval**: the ``aes-ni`` backend's contiguous ``eval_range`` stream
-  (one ECB call over all counter blocks), plus the from-scratch
-  ``aes-ctr`` reference for the honesty comparison.
+- **PRF eval**: the AES-NI PRF's contiguous ``eval_range`` stream (one
+  ECB call over all counter blocks) vs one ``eval_one`` call per ID.
 - **ASHE pad stream**: ``AsheScheme.pad_range`` (one PRF stream, shared
-  boundary evaluations) vs per-row scalar boundary evals.
+  boundary evaluations) vs per-row scalar boundary evals, both on the
+  same AES-NI PRF.
 - **ORE partition compare**: ``OreScheme.compare_column`` over a whole
   packed partition vs a per-row ``compare_words`` loop.
 - **DET column encrypt**: ``DetScheme.encrypt_column`` vs a per-row
@@ -37,7 +37,7 @@ from repro.bench import ResultSink, format_table
 from repro.crypto.ashe import AsheScheme
 from repro.crypto.det import DetScheme
 from repro.crypto.ore import OreScheme
-from repro.crypto.prf import HAVE_AESNI, AesCtrPrf, AesNiCtrPrf, SplitMix64Prf
+from repro.crypto.prf import AesNiCtrPrf
 
 KEY = bytes(range(16))
 REPEATS = 3
@@ -64,33 +64,19 @@ def test_kernel_microbench(scale):
     ops: dict[str, dict] = {}
 
     # -- PRF eval (the Table 1 number) -----------------------------------
-    aes_ref = AesCtrPrf(KEY)
+    prf = AesNiCtrPrf(KEY)
     ops["prf_eval"] = {
+        "batch_ns": _ns_per_op(lambda: prf.eval_range(0, rows), rows),
         "per_row_ns": _ns_per_op(
-            lambda: [aes_ref.eval_one(i) for i in range(ref_rows)], ref_rows
+            lambda: [prf.eval_one(i) for i in range(ref_rows)], ref_rows
         ),
-        "reference": "aes-ctr (from-scratch FIPS-197, scalar)",
+        "reference": "one eval_one call per ID",
+        "backend": "aes-ni",
     }
-    if HAVE_AESNI:
-        aes_ni = AesNiCtrPrf(KEY)
-        ops["prf_eval"]["batch_ns"] = _ns_per_op(
-            lambda: aes_ni.eval_range(0, rows), rows
-        )
-        ops["prf_eval"]["backend"] = "aes-ni"
-    else:  # minimal installs: record the honest substitute instead
-        mix = SplitMix64Prf(KEY)
-        ops["prf_eval"]["batch_ns"] = _ns_per_op(
-            lambda: mix.eval_range(0, rows), rows
-        )
-        ops["prf_eval"]["backend"] = "splitmix64"
-    ops["prf_eval"]["ratio"] = (
-        ops["prf_eval"]["per_row_ns"] / ops["prf_eval"]["batch_ns"]
-    )
 
     # -- ASHE pad stream --------------------------------------------------
-    # Same PRF on both sides so the ratio isolates batching, not backend.
-    ashe = AsheScheme(SplitMix64Prf(KEY))
-    prf = SplitMix64Prf(KEY)
+    # Same PRF on both sides so the ratio isolates batching.
+    ashe = AsheScheme(AesNiCtrPrf(KEY))
 
     def ashe_per_row():
         return [prf.eval_one(i) - prf.eval_one(i - 1) for i in range(1, ref_rows + 1)]

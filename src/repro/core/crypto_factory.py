@@ -3,8 +3,10 @@
 Section 4.2: "We choose a different secret key k for each new column we
 encrypt."  The factory derives one subkey per physical column (or per join
 group, so equi-join columns in different tables share DET ciphertexts) and
-caches scheme instances.  An ASHE column's group is its plan's (``ashe_bits``,
-:meth:`~repro.core.schema.EncryptedSchema.ashe_bits`), else ``Z_2^64``.
+caches scheme instances.  An ASHE column runs on the AES-NI PRF
+(:class:`~repro.crypto.prf.AesNiCtrPrf`) under its subkey, over its plan's
+group (``ashe_bits``, :meth:`~repro.core.schema.EncryptedSchema.ashe_bits`),
+else ``Z_2^64``.
 
 Every instance is handed out behind an
 :class:`~repro.crypto.kernel.InstrumentedKernel` wrapper, so the batch
@@ -23,7 +25,7 @@ from repro.crypto.det import DetScheme
 from repro.crypto.kernel import InstrumentedKernel
 from repro.crypto.keys import KeyChain
 from repro.crypto.ore import OreScheme
-from repro.crypto.prf import prf_from_name
+from repro.crypto.prf import AesNiCtrPrf
 
 
 class CryptoFactory:
@@ -33,13 +35,11 @@ class CryptoFactory:
         self,
         keychain: KeyChain,
         table: str,
-        prf_backend: str = "splitmix64",
         ashe_bits: Mapping[str, int] | None = None,
     ):
         self._keychain = keychain
         self._ashe_bits = dict(ashe_bits or {})
         self._table = table
-        self._prf_backend = prf_backend
         self._ashe: dict[str, InstrumentedKernel] = {}
         self._det: dict[str, InstrumentedKernel] = {}
         self._ore: dict[str, InstrumentedKernel] = {}
@@ -49,18 +49,12 @@ class CryptoFactory:
         # discarded).
         self._lock = threading.Lock()
 
-    @property
-    def prf_backend(self) -> str:
-        """The PRF this factory's ASHE schemes run on -- persisted in the
-        store sidecar so a re-save after attach cannot drift from it."""
-        return self._prf_backend
-
     def ashe(self, physical_column: str) -> InstrumentedKernel:
         with self._lock:
             if physical_column not in self._ashe:
                 key = self._keychain.column_key(self._table, physical_column, "ashe")
                 self._ashe[physical_column] = InstrumentedKernel(
-                    AsheScheme(prf_from_name(self._prf_backend, key),
+                    AsheScheme(AesNiCtrPrf(key),
                                self._ashe_bits.get(physical_column, 64)), "ashe"
                 )
             return self._ashe[physical_column]

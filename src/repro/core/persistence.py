@@ -33,13 +33,16 @@ from repro.errors import StorageError
 
 SIDECAR_NAME = "client_state.json"
 SIDECAR_FORMAT = "seabed-client-state"
-SIDECAR_VERSION = 1
+# Version 2: ASHE runs on AES only, so the sidecar names no PRF.  A
+# version-1 sidecar may describe ciphertexts under another PRF, which the
+# key check cannot tell apart, so it is refused rather than read.
+SIDECAR_VERSION = 2
 
 # A sharded table's sidecar embeds the ordinary client state plus the
 # topology and per-shard row cursors; see state_to_dict.
 SHARDED_SIDECAR_NAME = "sharded_state.json"
 SHARDED_FORMAT = "seabed-sharded-state"
-SHARDED_VERSION = 1
+SHARDED_VERSION = 2
 
 _PLAN_CLASSES: dict[str, type] = {
     "plain": sc.PlainPlan,
@@ -183,7 +186,6 @@ def _dictionary_from_list(values: list[Any]) -> DictionaryEncoder:
 def state_to_dict(
     state: ClientTableState,
     mode: str,
-    prf_backend: str,
     keychain: KeyChain,
     cursors: dict[int, ClientTableState],
     topology: dict[str, Any] | None = None,
@@ -204,7 +206,6 @@ def state_to_dict(
         "format": SIDECAR_FORMAT if topology is None else SHARDED_FORMAT,
         "version": SIDECAR_VERSION if topology is None else SHARDED_VERSION,
         "mode": mode,
-        "prf_backend": prf_backend,
         "key_check": key_check_value(keychain, state.schema.name),
         # The Paillier public modulus is public material; recording it lets
         # attach fail fast when the session holds a different key pair.
@@ -245,7 +246,7 @@ def state_to_dict(
 
 def state_from_dict(data: dict[str, Any]) -> tuple[ClientTableState, dict[str, Any]]:
     """Rebuild the client state; returns ``(state, attach_info)`` where
-    ``attach_info`` carries mode / prf_backend / key_check for the session
+    ``attach_info`` carries mode / key_check / paillier_n for the session
     to verify before registering the table, plus the placement:
     ``cursors`` (shard id -> ``(next_row_id, num_rows)``; a single store
     is shard 0) and ``topology`` (``None`` for a single store)."""
@@ -287,7 +288,6 @@ def state_from_dict(data: dict[str, Any]) -> tuple[ClientTableState, dict[str, A
     paillier_n = data.get("paillier_n")
     attach_info = {
         "mode": data["mode"],
-        "prf_backend": data["prf_backend"],
         "key_check": data["key_check"],
         "paillier_n": None if paillier_n is None else int(paillier_n),
         "cursors": committed_cursors(data),

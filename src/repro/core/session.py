@@ -60,6 +60,7 @@ from repro.core.transport import LocalTransport, Transport
 from repro.engine.cluster import SimulatedCluster
 from repro.engine.metrics import JobMetrics
 from repro.errors import (
+    CryptoError,
     ExecutionError,
     PlanningError,
     StorageError,
@@ -529,6 +530,13 @@ class SeabedSession:
     style baseline), and ``plain`` (NoEnc).  Cross-table join keys and
     shared dictionaries are resolved here, which is why join queries must
     go through the session.
+
+    ASHE runs on one PRF, AES-128-CTR on AES-NI
+    (:class:`~repro.crypto.prf.AesNiCtrPrf`).  ``prf_backend`` accepts
+    only its name, ``"aes-ni"``; any other value is a
+    :class:`~repro.errors.CryptoError`.  The parameter stays only because
+    the benchmark's deployment (``perf/deploy.py``) passes it, and the
+    benchmark change of ROADMAP item 1 can delete it.
     """
 
     def __init__(
@@ -536,7 +544,7 @@ class SeabedSession:
         master_key: bytes | None = None,
         mode: str = "seabed",
         cluster: SimulatedCluster | None = None,
-        prf_backend: str = "splitmix64",
+        prf_backend: str = "aes-ni",
         paillier_bits: int = 1024,
         paillier_keys: PaillierKeyPair | None = None,
         paillier_blinding_pool: int | None = None,
@@ -547,6 +555,8 @@ class SeabedSession:
     ):
         if mode not in ("seabed", "paillier", "plain"):
             raise PlanningError(f"unknown client mode {mode!r}")
+        if prf_backend != "aes-ni":
+            raise CryptoError(f"ASHE runs on the 'aes-ni' PRF only, not {prf_backend!r}")
         self.mode = mode
         # Even a remote session keeps a cluster handle: its config drives
         # client-side work (translation core counts, append batch slicing);
@@ -558,7 +568,6 @@ class SeabedSession:
         self._keychain = (
             KeyChain(master_key) if master_key is not None else KeyChain.generate()
         )
-        self._prf_backend = prf_backend
         self._planner = Planner(mode=mode)
         self._tables: dict[str, _TableEntry] = {}
         self._sample_queries: dict[str, list[Query]] = {}
@@ -619,8 +628,7 @@ class SeabedSession:
         self._tables[schema.name] = _TableEntry(
             state=state,
             factory=CryptoFactory(
-                self._keychain, schema.name, prf_backend=self._prf_backend,
-                ashe_bits=enc_schema.ashe_bits(),
+                self._keychain, schema.name, ashe_bits=enc_schema.ashe_bits(),
             ),
             cursors={0: replace(state)},
         )
@@ -938,8 +946,7 @@ class SeabedSession:
         self._tables[name] = _TableEntry(
             state=state,
             factory=CryptoFactory(
-                self._keychain, name, prf_backend=attach["prf_backend"],
-                ashe_bits=state.enc_schema.ashe_bits(),
+                self._keychain, name, ashe_bits=state.enc_schema.ashe_bits(),
             ),
             cursors={
                 shard: replace(state, next_row_id=next_id, num_rows=rows)
@@ -1264,10 +1271,6 @@ class SeabedSession:
         return ps.state_to_dict(
             entry.state,
             mode=self.mode,
-            # The *table's* factory backend, not the session default: a
-            # table attached from a store keeps the PRF it was encrypted
-            # with, and a re-save must persist that same backend.
-            prf_backend=entry.factory.prf_backend,
             keychain=self._keychain,
             cursors=entry.cursors,
             topology=entry.topology and entry.topology.to_dict(),

@@ -50,6 +50,7 @@ from repro.engine.store import (
     write_store,
 )
 from repro.errors import ExecutionError, StorageError
+from repro.index.zonemap import stats_summary
 
 if TYPE_CHECKING:  # pragma: no cover -- type-only imports
     from repro.core.server import (
@@ -420,20 +421,36 @@ class LocalTransport(Transport):
         stats = {s: h.compact(target_rows) for s, h in self._hosts(table).items()}
         return stats if table in self._fleets else stats[0]
 
+    def _published_store(self, table: str) -> str | None:
+        """``table``'s store path, or ``None`` while the table its first
+        upload created has no generation published yet."""
+        path = self._store_path(table)
+        if table in self._fleets or os.path.exists(os.path.join(path, MANIFEST_NAME)):
+            return path
+        return None
+
     def store_stats(self, table: str) -> dict:
-        return store_stats(self._store_path(table))
+        path = self._published_store(table)
+        if path is None:
+            return {**stats_summary([]), "generation": 0}
+        return store_stats(path)
 
     def generations(self, table: str) -> list[dict]:
-        return store_generations(self._store_path(table))
+        path = self._published_store(table)
+        return [] if path is None else store_generations(path)
 
     def rebuild_index(self, table: str) -> dict:
-        registered = self.server.table(table)
-        summary = rebuild_stats(registered.store_path)
-        # The refreshed view keeps its maps and stays pinned to this
-        # session's snapshot, so an uncommitted generation stays invisible.
-        self.server.register(open_store(
-            registered.store_path, registered.store_generation, registered
-        ))
+        path = self._published_store(table)
+        if path is None:
+            return self.store_stats(table)
+        summary = rebuild_stats(path)
+        registered = self.server.get(table)
+        if registered is not None:  # nothing is served before a commit
+            # The refreshed view keeps its maps and stays pinned to this
+            # session's snapshot, so an uncommitted generation stays invisible.
+            self.server.register(open_store(
+                path, registered.store_generation, registered
+            ))
         return summary
 
     def attach(self, path: str) -> dict[str, Any]:

@@ -15,10 +15,8 @@ Modules:
 
 - :mod:`repro.crypto.kernel` -- timing of the batch operations into the
   metrics registry (:class:`~repro.crypto.kernel.InstrumentedKernel`).
-- :mod:`repro.crypto.prf` -- keyed pseudo-random functions (BLAKE2b,
-  vectorised SplitMix64 family, from-scratch AES-CTR, and the batch
-  AES-NI path through the ``cryptography`` package).
-- :mod:`repro.crypto.aes` -- from-scratch FIPS-197 AES-128 with CTR mode.
+- :mod:`repro.crypto.prf` -- ASHE's PRF: AES-128 in counter mode,
+  batch-evaluated on AES-NI through the ``cryptography`` package.
 - :mod:`repro.crypto.ashe` -- the paper's additively symmetric homomorphic
   encryption scheme (Section 3.1).
 - :mod:`repro.crypto.det` -- deterministic, invertible encryption (a
@@ -35,30 +33,16 @@ from repro.crypto.det import DetScheme, DictionaryEncoder
 from repro.crypto.keys import KeyChain
 from repro.crypto.ore import OreScheme
 from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
-from repro.crypto.prf import (
-    HAVE_AESNI,
-    AesCtrPrf,
-    AesNiCtrPrf,
-    Blake2Prf,
-    Prf,
-    SplitMix64Prf,
-    prf_from_name,
-)
+from repro.crypto.prf import AesNiCtrPrf
 
 __all__ = [
-    "AesCtrPrf",
     "AesNiCtrPrf",
     "AsheCiphertext",
     "AsheScheme",
-    "Blake2Prf",
     "DetScheme",
     "DictionaryEncoder",
-    "HAVE_AESNI",
     "KeyChain",
     "OreScheme",
     "PaillierKeyPair",
     "PaillierScheme",
-    "Prf",
-    "SplitMix64Prf",
-    "prf_from_name",
 ]

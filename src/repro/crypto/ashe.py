@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.prf import MASK64, Prf
+from repro.crypto.prf import MASK64, AesNiCtrPrf
 from repro.errors import CryptoError, DecryptionError
 from repro.idlist import IdList
 
@@ -82,7 +82,7 @@ class AsheScheme:
     ``bits`` is the group: 64 (signed measures) or 32 (unsigned counts).
     """
 
-    def __init__(self, prf: Prf, bits: int = 64):
+    def __init__(self, prf: AesNiCtrPrf, bits: int = 64):
         if bits not in (32, 64):
             raise CryptoError(f"ASHE is over Z_2^32 or Z_2^64, not Z_2^{bits}")
         self._prf = prf

@@ -12,9 +12,10 @@ with PRF round functions, i.e. a keyed pseudo-random *permutation*.  Being
 a permutation it is invertible, so the proxy can decrypt DET group-by keys
 returned by the server without keeping a value dictionary.
 
-Two round-function backends mirror :mod:`repro.crypto.prf`:
-``blake2`` (cryptographic, scalar) and ``fast`` (SplitMix64 mixing,
-vectorised; models hardware AES).
+Two round-function backends: ``blake2`` (keyed BLAKE2b, cryptographic,
+scalar) and ``fast`` (SplitMix64 mixing, vectorised; not cryptographic,
+it stands in for hardware AES).  ASHE's PRF (:mod:`repro.crypto.prf`)
+is AES itself.
 
 Strings are handled by :class:`DictionaryEncoder`: a column-local mapping
 from values to dense integer codes.  The code, not the string, is what DET

@@ -27,13 +27,12 @@ from typing import Any, Iterator
 from repro.core.crypto_factory import CryptoFactory
 from repro.core.decryptor import DecryptionModule
 from repro.core.encryptor import EncryptionModule
-from repro.crypto.aes import Aes128
 from repro.crypto.ashe import AsheScheme
 from repro.crypto.det import DetScheme
 from repro.crypto.keys import KeyChain
 from repro.crypto.ore import OreScheme
 from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
-from repro.crypto.prf import Prf
+from repro.crypto.prf import AesNiCtrPrf
 from repro.errors import SeabedError
 
 #: Classes whose instances constitute key material.  Reaching any of
@@ -48,8 +47,7 @@ KEY_BEARING: tuple[type, ...] = (
     AsheScheme,
     DetScheme,
     OreScheme,
-    Aes128,
-    Prf,
+    AesNiCtrPrf,
 )
 
 #: Leaf types never descended into: either they hold no user-object

@@ -302,7 +302,11 @@ def connect(
     from repro.core.session import SeabedSession
 
     transport = RemoteTransport(address, token, user=user)
-    return SeabedSession(transport=transport, **session_kwargs)
+    try:
+        return SeabedSession(transport=transport, **session_kwargs)
+    except BaseException:  # a refused argument must not leak the socket
+        transport.close()
+        raise
 
 
 __all__ = ["RemoteTransport", "connect"]

@@ -45,6 +45,7 @@ import dataclasses
 import json
 import socket
 import struct
+import time
 from typing import Any
 
 import numpy as np
@@ -276,10 +277,15 @@ def unpack_table(data: dict[str, Any]) -> Any:
         raise CodecError(f"malformed table batch on the wire: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
     chunks: list[bytes] = []
     remaining = n
     while remaining:
+        if deadline is not None:  # one budget for every recv, not one each
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"frame past its deadline ({n - remaining}/{n} bytes)")
+            sock.settimeout(left)
         chunk = sock.recv(min(remaining, 1 << 20))
         if not chunk:
             raise CodecError(f"connection closed mid-frame ({n - remaining}/{n} bytes)")
@@ -288,12 +294,20 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock: socket.socket) -> tuple[str, Any]:
-    """Read and decode one frame from a blocking socket."""
-    (length,) = struct.unpack("<I", _recv_exact(sock, 4))
-    if length > MAX_FRAME_BYTES:
-        raise CodecError(f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})")
-    return decode_payload(_recv_exact(sock, length))
+def read_frame(
+    sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES, deadline: float | None = None
+) -> tuple[str, Any]:
+    """Read and decode one frame from a blocking socket.
+
+    A frame announced longer than ``max_bytes`` is refused before its body
+    is read.  With a ``deadline`` (a :func:`time.monotonic` instant) the
+    whole frame must have arrived by then, however the peer splits it,
+    else :class:`TimeoutError`.
+    """
+    (length,) = struct.unpack("<I", _recv_exact(sock, 4, deadline))
+    if length > max_bytes:
+        raise CodecError(f"peer announced a {length}-byte frame (cap {max_bytes})")
+    return decode_payload(_recv_exact(sock, length, deadline))
 
 
 def write_frame(sock: socket.socket, kind: str, body: Any) -> None:

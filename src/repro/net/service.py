@@ -60,8 +60,13 @@ EXECUTOR_THREADS = 8
 #: Open connections (one thread each); the accept thread refuses more.
 MAX_CONNECTIONS = 128
 
-#: Seconds a new connection may take to send its hello before it is dropped.
+#: Seconds a new connection may take to send its whole hello before it
+#: is dropped, however it splits the frame.
 HELLO_TIMEOUT = 10.0
+
+#: Largest frame a connection may announce before its hello passes (a
+#: hello is a token and a user name); a longer one is refused unread.
+HELLO_MAX_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -359,15 +364,17 @@ class SeabedService:
         """One connection's thread: hello, then request/reply until the
         peer hangs up or :meth:`stop` shuts the socket down."""
         user, reply_kind = None, "hello"
+        # Both bounds are lifted once the hello passes.
+        max_bytes, deadline = HELLO_MAX_BYTES, time.monotonic() + HELLO_TIMEOUT
         try:
-            sock.settimeout(HELLO_TIMEOUT)  # cleared once the hello passes
             while True:
                 try:
-                    kind, body = codec.read_frame(sock)
+                    kind, body = codec.read_frame(sock, max_bytes, deadline)
                     if user is None:
                         if kind != "hello":
                             raise AuthError(f"expected hello, got {kind!r} frame")
                         user = self._authenticate(body)
+                        max_bytes, deadline = codec.MAX_FRAME_BYTES, None
                         sock.settimeout(None)
                         reply = {"ok": True, "result": {
                             "server": "seabed", "wire_version": codec.WIRE_VERSION, "user": user,

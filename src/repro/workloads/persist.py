@@ -31,7 +31,7 @@ def persist_round_trip(
 
     ``master_key`` must be the key ``session`` was constructed with (the
     sidecar's key-check rejects any other).  Extra ``session_kwargs``
-    (cluster, prf_backend, paillier keys...) are forwarded to the fresh
+    (cluster, paillier keys...) are forwarded to the fresh
     session.  Returns ``(fresh_session, handle)``.
     """
     from repro.core.session import SeabedSession

@@ -13,7 +13,7 @@ import pytest
 from repro.core import server as srv
 from repro.crypto.ashe import AsheScheme
 from repro.crypto.ore import OreScheme
-from repro.crypto.prf import SplitMix64Prf
+from repro.crypto.prf import AesNiCtrPrf
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.engine.table import Partition, Table
 from repro.errors import ExecutionError
@@ -94,7 +94,7 @@ class TestFlatAggregation:
         assert resp.flat["md"][1] == 3.0
 
     def test_ashe_sum_round_trip(self, cluster):
-        scheme = AsheScheme(SplitMix64Prf(KEY))
+        scheme = AsheScheme(AesNiCtrPrf(KEY))
         values = np.arange(200, dtype=np.int64)
         enc = scheme.encrypt_column(values, start_id=0)
         server = make_server(cluster, {"v__ashe": enc, "f": values})
@@ -120,7 +120,7 @@ class TestFlatAggregation:
     def test_ashe_partial_matches_the_reference_sum(self, bits, select):
         # The server sums ASHE ciphertexts itself; AsheScheme.aggregate is
         # the reference sum it must equal (None for an empty selection).
-        scheme = AsheScheme(SplitMix64Prf(KEY), bits)
+        scheme = AsheScheme(AesNiCtrPrf(KEY), bits)
         values = np.arange(1, 301, dtype=np.int64) * 7919
         cipher = scheme.encrypt_column(values, start_id=1000)
         assert cipher.dtype == np.dtype("<u8" if bits == 64 else "<u4")
@@ -149,7 +149,7 @@ class TestFlatAggregation:
         assert server.execute(q).flat["s"] is None
 
     def test_driver_compression_matches_worker(self, cluster):
-        scheme = AsheScheme(SplitMix64Prf(KEY))
+        scheme = AsheScheme(AesNiCtrPrf(KEY))
         values = np.arange(100, dtype=np.int64)
         enc = scheme.encrypt_column(values, start_id=0)
         server = make_server(cluster, {"v__ashe": enc})
@@ -330,7 +330,7 @@ class TestGroupBy:
 
 class TestJoin:
     def test_broadcast_join_with_multiset_ids(self, cluster):
-        scheme = AsheScheme(SplitMix64Prf(KEY))
+        scheme = AsheScheme(AesNiCtrPrf(KEY))
         build_vals = np.array([100, 200, 300], dtype=np.int64)
         build = Table.from_columns("build", {
             "key": np.array([0, 1, 2], dtype=np.uint64),

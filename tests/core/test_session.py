@@ -10,7 +10,7 @@ from repro.core.session import (
     SeabedSession,
     TranslationCache,
 )
-from repro.errors import PlanningError, TranslationError
+from repro.errors import CryptoError, PlanningError, TranslationError
 from repro.ops import OPS
 from repro.query.parser import parse_query
 
@@ -187,6 +187,14 @@ class TestSessionSurface:
     def test_unknown_mode_rejected(self):
         with pytest.raises(PlanningError, match="unknown client mode"):
             SeabedSession(mode="bogus")
+
+    def test_prf_backend_aes_ni_is_the_default(self):
+        assert SeabedSession(prf_backend="aes-ni").mode == SeabedSession().mode == "seabed"
+
+    @pytest.mark.parametrize("name", ["splitmix64", "blake2", "aes-ctr", "AES-NI"])
+    def test_any_other_prf_backend_is_refused(self, name):
+        with pytest.raises(CryptoError, match="'aes-ni' PRF only"):
+            SeabedSession(prf_backend=name)
 
     def test_unplanned_table_raises(self):
         session = SeabedSession(mode="seabed", seed=5)

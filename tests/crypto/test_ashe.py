@@ -22,7 +22,7 @@ from repro.crypto.ashe import (
     to_signed,
 )
 from repro.crypto.keys import KeyChain
-from repro.crypto.prf import Blake2Prf, SplitMix64Prf
+from repro.crypto.prf import AesNiCtrPrf
 from repro.errors import CryptoError, DecryptionError
 from repro.idlist import IdList, get_codec
 from repro.idlist.codec import encode_multiset
@@ -34,9 +34,9 @@ KEY = b"0123456789abcdef0123456789abcdef"
 signed_values = st.integers(min_value=-(2**40), max_value=2**40)
 
 
-@pytest.fixture(params=[Blake2Prf, SplitMix64Prf], ids=lambda c: c.name)
-def scheme(request) -> AsheScheme:
-    return AsheScheme(request.param(KEY))
+@pytest.fixture
+def scheme() -> AsheScheme:
+    return AsheScheme(AesNiCtrPrf(KEY))
 
 
 class TestScalarRoundTrip:
@@ -166,13 +166,13 @@ class TestPadArray:
 
     SQL = "SELECT g, sum(x), count(*) FROM t GROUP BY g"
 
-    @pytest.fixture(scope="class", params=["splitmix64", "blake2"])
-    def env(self, request):
+    @pytest.fixture(scope="class")
+    def env(self):
         schema = TableSchema("t", [ColumnSpec("x", dtype="int", sensitive=True),
                                    ColumnSpec("g", dtype="int", sensitive=True)])
         enc, _ = Planner("seabed").plan(schema, [parse_query(self.SQL)])
         state = ClientTableState(schema=schema, enc_schema=enc)
-        factory = CryptoFactory(KeyChain(KEY), "t", prf_backend=request.param)
+        factory = CryptoFactory(KeyChain(KEY), "t")
         return state, factory, QueryTranslator(state, factory).translate(parse_query(self.SQL))
 
     def open(self, env, pieces, seed=0):
@@ -269,9 +269,9 @@ class TestPadArray:
 class TestIndicatorWidth:
     """ASHE over Z_2^32, the group of every SPLASHE indicator column."""
 
-    @pytest.fixture(params=[Blake2Prf, SplitMix64Prf], ids=lambda c: c.name)
-    def narrow(self, request) -> AsheScheme:
-        return AsheScheme(request.param(KEY), bits=32)
+    @pytest.fixture
+    def narrow(self) -> AsheScheme:
+        return AsheScheme(AesNiCtrPrf(KEY), bits=32)
 
     def test_round_trip(self, narrow):
         values = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int64)
@@ -311,7 +311,7 @@ class TestIndicatorWidth:
 
     def test_only_the_two_groups(self):
         with pytest.raises(CryptoError, match="Z_2\\^16"):
-            AsheScheme(SplitMix64Prf(KEY), bits=16)
+            AsheScheme(AesNiCtrPrf(KEY), bits=16)
 
     def test_factory_takes_the_width_from_its_map(self):
         factory = CryptoFactory(KeyChain(KEY), "t", ashe_bits={"d@0__ind": 32})
@@ -331,14 +331,14 @@ class TestSecuritySanity:
         assert len(cts) == 200
 
     def test_ciphertext_bits_balanced(self):
-        scheme = AsheScheme(SplitMix64Prf(KEY))
+        scheme = AsheScheme(AesNiCtrPrf(KEY))
         enc = scheme.encrypt_column(np.zeros(4096, dtype=np.int64), start_id=0)
         bits = np.unpackbits(enc.view(np.uint8))
         assert 0.48 < bits.mean() < 0.52
 
     def test_wrong_key_garbage(self):
-        enc = AsheScheme(SplitMix64Prf(KEY))
-        dec = AsheScheme(SplitMix64Prf(b"fedcba9876543210fedcba9876543210"))
+        enc = AsheScheme(AesNiCtrPrf(KEY))
+        dec = AsheScheme(AesNiCtrPrf(b"fedcba9876543210fedcba9876543210"))
         ct = enc.encrypt(1234, 9)
         assert dec.decrypt(ct) != 1234
 
@@ -364,7 +364,7 @@ class TestSignedEncoding:
 @settings(max_examples=60, deadline=None)
 def test_property_sum_of_any_subset(values, start):
     """decrypt(sum(Enc(m_i))) == sum(m_i) for arbitrary subsets and IDs."""
-    scheme = AsheScheme(SplitMix64Prf(KEY))
+    scheme = AsheScheme(AesNiCtrPrf(KEY))
     enc = scheme.encrypt_column(np.array(values, dtype=np.int64), start_id=start)
     rng = np.random.default_rng(len(values))
     mask = rng.random(len(values)) < 0.5
@@ -376,7 +376,7 @@ def test_property_sum_of_any_subset(values, start):
 @given(values=st.lists(signed_values, min_size=2, max_size=30))
 @settings(max_examples=40, deadline=None)
 def test_property_addition_associative_commutative(values):
-    scheme = AsheScheme(SplitMix64Prf(KEY))
+    scheme = AsheScheme(AesNiCtrPrf(KEY))
     cts = [scheme.encrypt(v, i) for i, v in enumerate(values)]
     forward = sum(cts)
     backward = sum(reversed(cts))

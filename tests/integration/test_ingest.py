@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from placement import PLACEMENTS
 
+import repro
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
@@ -473,6 +474,40 @@ class TestCrashSafety:
         again = SeabedSession(mode="seabed", master_key=MASTER_KEY)
         again.open_table(path)
         assert rows_of(again, TOTAL) == rows_of(reference, TOTAL)
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_empty_created_table_answers_introspection(self, request, tmp_path, point,
+                                                       remote):
+        """The empty table a killed first upload leaves describes its store,
+        in process or through the service: no generations and an empty
+        index summary until a generation is published, and that published
+        (uncommitted) one after it."""
+        path = str(tmp_path / "sales")
+        crash_at(point, FIRST_UPLOAD_SCRIPT.format(
+            tests=os.path.dirname(os.path.abspath(__file__)), path=path,
+        ))
+        if remote:
+            service = repro.serve(auth_required=False)
+            request.addfinalizer(service.stop)
+            fresh = repro.connect(service.address, mode="seabed", master_key=MASTER_KEY)
+        else:
+            fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+        request.addfinalizer(fresh.close)
+        handle = fresh.open_table(path)
+        reference, _ = build_writer(tmp_path / "reference")
+        shape = reference.encrypted_table("sales").stats()
+        stats = handle.stats()
+        assert set(stats) == set(shape)
+        if point == "append:after-manifest":
+            assert [g["num_rows"] for g in handle.generations] == [600]
+            assert (stats["partitions"], stats["rows"]) == (5, 600)
+        else:
+            assert handle.generations == []
+            assert stats == {"partitions": 0, "partitions_with_stats": 0, "rows": 0,
+                             "columns": {}, "generation": 0}
+        assert handle.rebuild_index() == stats
+        assert handle.num_rows == 0
 
     def test_writer_lost_between_publish_and_commit(self, placed):
         """Whatever the placement: generations published to the store(s)

@@ -22,7 +22,10 @@ import repro
 from repro.core.persistence import SHARDED_SIDECAR_NAME, SIDECAR_NAME
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
+from repro.crypto.ashe import AsheScheme
+from repro.crypto.keys import KeyChain
 from repro.crypto.paillier import PaillierKeyPair
+from repro.crypto.prf import AesNiCtrPrf
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import StorageError
 from repro.ops import OPS
@@ -151,23 +154,32 @@ class TestRoundTrip:
         got = fresh.query("SELECT count(*) FROM sales").rows[0]["count(*)"]
         assert got == 700  # 600 mapped from disk + 100 in a second generation
 
-    def test_append_after_attach_keeps_prf_backend(self, tmp_path):
-        """A table encrypted under a non-default PRF must keep that PRF
-        through an attach + append cycle (the sidecar the append commits
-        records the *table's* factory backend, not the session default)."""
-        writer = build_session(prf_backend="blake2", path=tmp_path / "sales")
-        path = writer.save_table("sales")
-
-        middle = SeabedSession(mode="seabed", master_key=MASTER_KEY)  # splitmix64
-        middle.open_table(path)
-        middle.append_rows("sales", dataset(n=100, seed=11)[1])
-        expected = rows_of(middle, FLAT)
-        with open(os.path.join(path, SIDECAR_NAME)) as fh:
-            assert json.load(fh)["prf_backend"] == "blake2"
-
-        third = SeabedSession(mode="seabed", master_key=MASTER_KEY)
-        third.open_table(path)
-        assert rows_of(third, FLAT) == expected
+    @pytest.mark.parametrize("column", [
+        "amount__ashe", "amount@country@1__ashe", "country@2__ind",
+    ])
+    def test_default_session_stores_aes_ctr_ashe(self, tmp_path, column):
+        """A default session encrypts every ASHE column -- the measure, a
+        SPLASHE measure split and a 32-bit indicator -- over AES-CTR under
+        the column's subkey: the stored ciphertexts are exactly what a
+        bare ``AsheScheme(AesNiCtrPrf(key), bits)`` makes of the same rows."""
+        writer = build_session(path=tmp_path / "sales")
+        data = dataset()[1]
+        plain, bits = {
+            "amount__ashe": (data["amount"], 64),
+            "amount@country@1__ashe": (
+                np.where(data["country"] == COUNTRIES[1], data["amount"], 0), 64),
+            "country@2__ind": ((data["country"] == COUNTRIES[2]).astype(np.int64), 32),
+        }[column]
+        key = KeyChain(MASTER_KEY).column_key("sales", column, "ashe")
+        scheme = AsheScheme(AesNiCtrPrf(key), bits)
+        offset = 0
+        for part in writer.server.table("sales").partitions:
+            stored = np.asarray(part.columns[column])
+            rows = plain[offset : offset + stored.size]
+            assert stored.dtype == scheme.dtype
+            assert stored.tolist() == scheme.encrypt_column(rows, part.start_id).tolist()
+            offset += stored.size
+        assert offset == plain.size
 
     def test_attach_keeps_other_tables_translation_cache(self, tmp_path):
         writer = build_session(path=tmp_path / "sales")
@@ -370,6 +382,22 @@ class TestAttachGuards:
         os.remove(sidecar_of(placed, path))
         with pytest.raises(StorageError, match="sidecar"):
             placed.attach(path, mode="seabed", master_key=MASTER_KEY)
+
+    @pytest.mark.parametrize("written_with", ["splitmix64", "blake2", "aes-ni"])
+    def test_version_1_sidecar_refused_untouched(self, placed, written_with):
+        """A version-1 sidecar may describe ciphertexts under a PRF this
+        build no longer runs, and the key check cannot tell: attaching any
+        of them, an AES one too (there is no reader for version 1), is a
+        typed error that leaves the sidecar's bytes as they were."""
+        _, path = persist(placed)
+        sidecar = sidecar_of(placed, path)
+        data = json.load(open(sidecar))
+        data.update(version=1, prf_backend=written_with)
+        json.dump(data, open(sidecar, "w"))
+        before = open(sidecar, "rb").read()
+        with pytest.raises(StorageError, match="version 1 is not readable"):
+            placed.attach(path, mode="seabed", master_key=MASTER_KEY)
+        assert open(sidecar, "rb").read() == before
 
     def test_stale_store_row_count(self, placed):
         """A sidecar that commits rows the store does not hold."""

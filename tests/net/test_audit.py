@@ -12,7 +12,11 @@ import pytest
 
 import repro
 from repro.core.schema import ColumnSpec, TableSchema
+from repro.crypto.ashe import AsheScheme
+from repro.crypto.det import DetScheme
 from repro.crypto.keys import KeyChain
+from repro.crypto.ore import OreScheme
+from repro.crypto.prf import AesNiCtrPrf
 from repro.net.audit import KeylessAuditError, audit_keyless
 
 KEY = b"a" * 32
@@ -50,6 +54,19 @@ class TestDetection:
         graph = {"a": [({"deep": (KeyChain.generate(),)},)]}
         result = audit_keyless(graph)
         assert not result.ok and "KeyChain" in result.flagged[0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: AesNiCtrPrf(KEY),
+        lambda: AsheScheme(AesNiCtrPrf(KEY)),
+        lambda: DetScheme(KEY),
+        lambda: OreScheme(KEY),
+    ], ids=["prf", "ashe", "det", "ore"])
+    def test_keyed_scheme_objects_flagged(self, make):
+        """The PRF and every scheme built on a column key are key material
+        in their own right, wherever they sit."""
+        obj = make()
+        result = audit_keyless({"cache": [obj]})
+        assert result.flagged == [f"root['cache'][0]: {type(obj).__name__}"]
 
     def test_clean_graph_passes(self):
         result = audit_keyless({"rows": np.arange(5), "name": "sales", "n": 3})

@@ -20,6 +20,7 @@ from repro.errors import (
     AuthError,
     Backpressure,
     CodecError,
+    CryptoError,
     StorageError,
     TransportError,
 )
@@ -448,6 +449,13 @@ class TestServiceLifecycle:
                 session.server = object()
             session.close()
 
+    def test_connect_with_another_prf_is_refused_and_hangs_up(self):
+        with repro.serve() as h:
+            with pytest.raises(CryptoError, match="'aes-ni' PRF only"):
+                repro.connect(h.address, h.mint_token("alice"), master_key=KEY,
+                              prf_backend="splitmix64")
+            assert _settles(lambda: not h.service._conns)
+
     def test_serve_rejects_config_plus_overrides(self):
         with pytest.raises(TransportError):
             repro.serve(config=ServiceConfig(), max_in_flight=2)
@@ -597,3 +605,60 @@ class TestUnauthenticatedPeers:
             transport.close()
         finally:
             handle.stop()
+
+    @pytest.mark.parametrize("length", [service_mod.HELLO_MAX_BYTES + 1, 1 << 29,
+                                        codec.MAX_FRAME_BYTES])
+    def test_an_oversized_hello_is_refused_before_its_body(self, monkeypatch, length):
+        """A peer that has not said hello may announce no more than
+        HELLO_MAX_BYTES: a longer announcement (2^29 bytes, say) is
+        answered typed at once, with none of its body read, and the
+        connection dropped."""
+        monkeypatch.setattr(service_mod, "HELLO_TIMEOUT", 0.3)
+        handle = repro.serve()
+        try:
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(struct.pack("<I", length))
+                t0 = time.monotonic()
+                kind, body = codec.read_frame(sock)
+                assert time.monotonic() - t0 < 0.3  # not left to the timeout
+                assert kind == "hello" and body["error"] == "CodecError"
+                assert f"cap {service_mod.HELLO_MAX_BYTES}" in body["message"]
+                assert _hung_up(sock)
+            transport = RemoteTransport(handle.address, handle.mint_token("alice"))
+            assert transport._request("ping", {})["server"] == "seabed"
+            transport.close()
+        finally:
+            handle.stop()
+
+    def test_a_hello_of_exactly_the_cap_is_read(self, handle):
+        """The cap is inclusive: a HELLO_MAX_BYTES hello is read whole and
+        judged on its token (refused here, typed, for a made-up one)."""
+        pad = service_mod.HELLO_MAX_BYTES - (len(codec.encode_frame("hello", {"token": ""})) - 4)
+        frame = codec.encode_frame("hello", {"token": "x" * pad})
+        assert struct.unpack("<I", frame[:4])[0] == service_mod.HELLO_MAX_BYTES
+        with socket.create_connection(handle.address, timeout=5) as sock:
+            sock.sendall(frame)
+            kind, body = codec.read_frame(sock)
+        assert kind == "hello" and body["error"] == "AuthError"
+
+    def test_a_trickled_hello_is_dropped_at_one_deadline(self, monkeypatch):
+        """HELLO_TIMEOUT bounds the whole hello, not each read: a peer
+        that sends one byte every 0.1 s is dropped after about 0.3 s."""
+        monkeypatch.setattr(service_mod, "HELLO_TIMEOUT", 0.3)
+        handle = repro.serve()
+        try:
+            frame = codec.encode_frame("hello", {"token": "x" * 64})
+            sock = socket.create_connection(handle.address, timeout=5)
+            t0 = time.monotonic()
+            with pytest.raises(OSError):  # a send after the hang-up: reset or broken pipe
+                for byte in frame:
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.1)
+            assert time.monotonic() - t0 < 2.0 < 0.1 * len(frame)
+            sock.close()
+            assert _settles(lambda: not [
+                t for t in _service_threads() if t.name == "seabed-svc-conn"
+            ])
+        finally:
+            handle.stop()
+
