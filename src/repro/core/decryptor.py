@@ -4,17 +4,18 @@ Takes a :class:`~repro.core.translator.TranslatedQuery` and the server's
 responses and produces plaintext result rows identical to what the
 plaintext executor would return:
 
-- ASHE aggregates: a reply carries the ID set of each *row set* (the
-  whole selection of a flat request, one group of a grouped one) once,
-  beside the aggregates.  A flat set is decoded exactly once per
-  ``decrypt`` call into one run list (chunks of adjacent partitions
-  coalesce, so an unfiltered scan is one run); every ASHE column summed
-  over those rows then costs one PRF pad over the runs (two evaluations
-  per run; per occurrence for join multisets), added to the ciphertext
-  sum and interpreted as signed.  A grouped reply carries, per ID source,
-  each partition's flat chunk and a code per ID naming its group: chunks
-  are decoded once, in blocks of pieces, and each ASHE column pads a block
-  from one PRF stream over its hull, summed per group;
+- ASHE aggregates: every reply is its request's row sets as columns
+  (:class:`~repro.core.grouped.GroupedRows`; a flat request's is its one
+  row set, or none) and carries the ID set of each *row set* once, beside
+  the aggregates.  The pad rule depends on the number of row sets, not on
+  the request: a reply with one row set (a flat request's, or a one-group
+  GROUP BY) decodes its chunks once into one run list (chunks of adjacent
+  partitions coalesce, so an unfiltered scan is one run) and every ASHE
+  column summed over those rows then costs one PRF pad over the runs (two
+  evaluations per run; per occurrence for join multisets).  With several
+  row sets, each partition's chunk carries a code per ID naming its row
+  set: chunks are decoded once, in blocks of pieces, and each ASHE column
+  pads a block from one PRF stream over its hull, summed per row set;
 - counts: read off the row set's ID count, or decrypt indicator sums;
 - averages / variances: the client-side division and combination
   (Monomi-style query splitting, Section 4.2);
@@ -29,7 +30,7 @@ performed: the threat model is honest-but-curious (Section 4.6), so a
 malicious server could return bogus sums undetected; a reply that is
 *malformed* (an ASHE sum without its ID set, a truncated chunk, ragged
 or unsorted group columns, a repeated group key, codes that do not match
-their chunk) is a typed
+their chunk, implied codes beside several row sets) is a typed
 :class:`~repro.errors.DecryptionError`, never a number.
 """
 
@@ -48,24 +49,14 @@ from repro.core.grouped import IdPiece
 from repro.core.translator import OutputItem, Ref, TranslatedQuery
 from repro.crypto.ashe import AsheScheme
 from repro.crypto.paillier import PaillierScheme
+from repro.crypto.prf import MASK64
 from repro.errors import DecryptionError, EncodingError
 from repro.idlist import IdList
 from repro.idlist import codec as idcodec
 from repro.query.executor import order_and_limit
 
 
-class _IdSet(NamedTuple):
-    """One ID set of a reply, decoded once."""
-
-    runs: IdList  # every run-coded chunk, unioned (touching runs coalesce)
-    multiset: np.ndarray  # every multiset chunk's IDs, duplicates kept
-    size: int  # IDs in the set, duplicates counted
-
-    def pad(self, scheme: AsheScheme) -> int:
-        return scheme.pad_for(self.runs) + scheme.pad_for_multiset(self.multiset)
-
-
-#: IDs a grouped reply's open holds at a time, unless one piece alone is
+#: IDs a reply's open holds at a time, unless one piece alone is
 #: larger: 128 KB of uint64, L2-sized.
 BLOCK_IDS = 16_384
 
@@ -126,16 +117,27 @@ def _open_pieces(pieces: list[IdPiece], schemes: dict[str, AsheScheme],
     return counts, sums
 
 
-def _decode_id_set(chunks: list[bytes]) -> _IdSet:
+def _open_one(pieces: list[IdPiece], schemes: dict[str, AsheScheme]
+              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """:func:`_open_pieces` for a reply's one row set: its runs unioned
+    (touching runs coalesce) and padded by telescoping, two PRF
+    evaluations per run, and multiset IDs once per occurrence."""
     runs: list[IdList] = []
     multiset = [np.empty(0, np.uint64)]
-    for chunk in chunks:
-        if idcodec.is_multiset_payload(chunk):
-            multiset.append(idcodec.decode_multiset(chunk))
+    for piece in pieces:
+        if idcodec.is_multiset_payload(piece.chunk):
+            multiset.append(idcodec.decode_multiset(piece.chunk))
+            size = multiset[-1].size
         else:
-            runs.append(idcodec.decode(chunk))
+            runs.append(idcodec.decode(piece.chunk))
+            size = None if piece.codes is None else runs[-1].count()
+        if piece.codes is not None and piece.codes.size != size:
+            raise DecryptionError("a code column does not match its chunk's IDs")
     merged, dupes = IdList.union_all(runs), np.concatenate(multiset)
-    return _IdSet(merged, dupes, merged.count() + len(dupes))
+    sums = {alias: np.array([(scheme.pad_for(merged) + scheme.pad_for_multiset(dupes))
+                             & MASK64], dtype=np.uint64)
+            for alias, scheme in schemes.items()}
+    return np.array([merged.count() + dupes.size]), sums
 
 
 @dataclass
@@ -151,7 +153,11 @@ class _RowSet:
 class _Reply(NamedTuple):
     response: srv.ServerResponse
     aggs: dict[str, srv.AggOp]
-    opened: _RowSet | dict[int, _RowSet]  # flat | grouped: by group key
+    opened: dict[int | None, _RowSet]  # by group key; None: a flat request's
+
+    @property
+    def grouped(self) -> bool:
+        return self.response.groups.keys is not None
 
 
 class DecryptionModule:
@@ -180,16 +186,13 @@ class DecryptionModule:
         for request, response in zip(tq.requests, responses):
             aggs = {agg.alias: agg for agg in request.aggs}
             try:  # the ID-list decoders' one error type: damaged chunk bytes
-                if response.kind == "grouped":
-                    opened = self._open_grouped(response, aggs)
-                else:
-                    opened = self._open_row_set(response.flat, response.id_sets, aggs)
+                opened = self._open(response, aggs, request.group_by is not None)
             except EncodingError as exc:
                 raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
             replies.append(_Reply(response, aggs, opened))
         if tq.shape == "flat":
             row = {
-                item.name: self._assemble_item(item, replies, _flat_row_set)
+                item.name: self._assemble_item(item, replies, lambda r: r.opened.get(None))
                 for item in tq.outputs
             }
             rows = [row] if row else []
@@ -216,8 +219,8 @@ class DecryptionModule:
         preparation time (Section 4.6: two PRF evaluations per ASHE
         cell).
         """
-        cols = response.flat["columns"]
-        ids = response.flat["ids"]
+        cols = response.projection["columns"]
+        ids = response.projection["ids"]
         decoded: dict[str, Any] = {}
         for name, (col, kind) in physical.items():
             raw = cols[col]
@@ -250,92 +253,67 @@ class DecryptionModule:
 
     # -- opening a reply -----------------------------------------------------------
 
-    def _decrypt_payload(
-        self, payload: Any, agg: srv.AggOp | None, ids: dict[str, _IdSet]
-    ) -> Any:
-        """Decrypt one aggregate payload to a signed integer (or value),
-        padding an ASHE sum from its row set's decoded ``ids``."""
-        if payload is None:
-            return None
-        tag = payload[0]
-        if tag == "ashe":
-            selected = ids.get(agg.id_source) if isinstance(agg, srv.AsheSum) else None
-            if selected is None or not selected.size:
-                raise DecryptionError("an ASHE sum arrived without its ID set")
-            scheme = self._factory.ashe(agg.column)
-            return scheme.wrap(payload[1] + selected.pad(scheme))
-        if tag == "plain":
-            return payload[1]
-        if tag == "paillier":
-            if self._paillier is None:
-                raise DecryptionError("paillier response without a scheme")
-            return self._paillier.decrypt_crt(payload[1])
-        raise DecryptionError(f"unknown payload tag {tag!r}")
+    def _open(
+        self, response: srv.ServerResponse, aggs: dict[str, srv.AggOp], grouped: bool = False
+    ) -> dict[int | None, _RowSet]:
+        """Open every row set of a reply in one pass.
 
-    def _open_row_set(
-        self, payloads: dict[str, Any], id_sets: srv.IdSets, aggs: dict[str, srv.AggOp]
-    ) -> _RowSet:
-        """Decode each ID set of a flat reply once, then decrypt every
-        aggregate against it: one pad per ASHE column."""
-        ids = {source: _decode_id_set(chunks) for source, chunks in id_sets.items()}
-        values = {
-            alias: self._decrypt_payload(payload, aggs.get(alias), ids)
-            for alias, payload in payloads.items()
-            if payload is None or payload[0] != "extreme"
-        }
-        return _RowSet(values, {source: s.size for source, s in ids.items()})
-
-    def _open_grouped(
-        self, response: srv.ServerResponse, aggs: dict[str, srv.AggOp]
-    ) -> dict[int, _RowSet]:
-        """Open every group of a grouped reply in one pass.
-
-        A validated reply holds one row set per key.  Each ID source's
-        pieces open in blocks of at most :data:`BLOCK_IDS` IDs
-        (:func:`_open_pieces`), summed per key by their codes: a few numpy
-        passes per block whatever the number of groups, and no array as
-        large as the reply (the paper's batched PRF, partition by
-        partition, Sections 4.3 and 4.6).
+        A validated reply holds one row set per key (implied keys: at most
+        one).  One row set's IDs open by telescoping (:func:`_open_one`);
+        with several, each ID source's pieces open in blocks of at most
+        :data:`BLOCK_IDS` IDs (:func:`_open_pieces`), summed per key by
+        their codes: a few numpy passes per block whatever the number of
+        groups, and no array as large as the reply (the paper's batched
+        PRF, partition by partition, Sections 4.3 and 4.6).
         """
         rows = response.groups
-        if rows is None or set(rows.values) != set(aggs):
-            raise DecryptionError("a grouped reply's columns do not match its request")
+        columnar = {alias for alias, agg in aggs.items() if not srv.is_side(agg)}
+        if (rows is None or set(rows.values) != columnar or (rows.keys is None) == grouped
+                or not set(rows.side) <= set(aggs) - columnar):
+            raise DecryptionError("a reply's columns do not match its request")
         try:
             rows.validate(distinct=True)
         except EncodingError as exc:
-            raise DecryptionError(f"malformed grouped reply: {exc}") from exc
-        opened = {key: _RowSet({}, {}) for key in rows.keys.tolist()}
+            raise DecryptionError(f"malformed reply: {exc}") from exc
+        keys = [None] * len(rows) if rows.keys is None else rows.keys.tolist()
+        opened = {key: _RowSet({}, {}) for key in keys}
+        if not opened:
+            return opened
         pads: dict[str, np.ndarray] = {}
         schemes = {alias: self._factory.ashe(agg.column) for alias, agg in aggs.items()
                    if isinstance(agg, srv.AsheSum)}
         for source, pieces in rows.ids.items():
-            counts, sums = _open_pieces(pieces, {
-                alias: scheme for alias, scheme in schemes.items()
-                if aggs[alias].id_source == source}, len(rows))
+            own = {alias: scheme for alias, scheme in schemes.items()
+                   if aggs[alias].id_source == source}
+            counts, sums = (_open_one(pieces, own) if len(rows) == 1
+                            else _open_pieces(pieces, own, len(rows)))
             if counts.all():  # no row set of an ASHE sum may be empty
                 pads.update(sums)
             for row_set, count in zip(opened.values(), counts.tolist()):
                 row_set.counts[source] = count
-        for alias, agg in aggs.items():
-            column = rows.values[alias]
+        for alias, column in rows.values.items():
+            agg = aggs[alias]
             if isinstance(agg, srv.AsheSum):
                 if alias not in pads or column.dtype != np.uint64:
                     raise DecryptionError("an ASHE sum arrived without its ID set")
                 values = schemes[alias].wrap(column + pads[alias]).tolist()
             elif isinstance(agg, srv.PaillierSum):
-                values = [self._decrypt_payload(("paillier", v), agg, {})
-                          for v in column.tolist()]
+                if self._paillier is None:
+                    raise DecryptionError("paillier response without a scheme")
+                values = [self._paillier.decrypt_crt(v) for v in column.tolist()]
             else:
                 values = column.tolist()
             for row_set, value in zip(opened.values(), values):
                 row_set.values[alias] = value
         return opened
 
-    def _decrypt_extreme(self, payload: Any, agg: srv.AggOp, mode: str) -> Any:
-        if payload is None:
-            return None
+    def _decrypt_extreme(self, pieces: list[tuple], agg: srv.AggOp, mode: str) -> Any:
+        want = ("plain", 2) if mode == "plain" else ("extreme", 4)
+        if len(pieces) != 1 or (pieces[0][0], len(pieces[0])) != want:
+            raise DecryptionError("an extreme or median arrived unmerged")
+        payload = pieces[0]
         if mode == "plain":
-            # NoEnc: the server computed min/max/median directly.
+            # NoEnc: the server computed the median directly.
             return payload[1]
         _, value, row_id, _ct = payload
         if mode == "paillier":
@@ -403,16 +381,12 @@ class DecryptionModule:
             assert item.extreme_ref is not None and item.extreme_mode is not None
             req, alias = item.extreme_ref
             reply = replies[req]
-            if reply.response.kind == "grouped":  # a public column's, per group
+            pieces = reply.response.groups.side.get(alias)
+            if pieces is None:  # a column's value (NoEnc; a public one per group)
                 row_set = row_set_of(reply)
                 return None if row_set is None else row_set.values.get(alias)
-            _flat_row_set(reply)  # encrypted extremes only exist in flat replies
-            value = self._decrypt_extreme(
-                reply.response.flat.get(alias), reply.aggs[alias], item.extreme_mode
-            )
-            if value is not None and item.kind == "median":
-                return float(value)
-            return value
+            value = self._decrypt_extreme(pieces, reply.aggs[alias], item.extreme_mode)
+            return float(value) if item.kind == "median" else value
         raise DecryptionError(f"cannot assemble output kind {item.kind!r}")
 
     # -- grouped results -------------------------------------------------------------
@@ -446,7 +420,7 @@ class DecryptionModule:
             {
                 key
                 for reply in replies
-                if reply.response.kind == "grouped"
+                if reply.grouped
                 for key in reply.opened
             }
         )
@@ -456,7 +430,7 @@ class DecryptionModule:
         for key in sorted_keys:
 
             def group_row_set(reply: _Reply, key: int = key) -> _RowSet | None:
-                if reply.response.kind != "grouped":
+                if not reply.grouped:
                     return None
                 return reply.opened.get(key)
 
@@ -499,9 +473,8 @@ class DecryptionModule:
         def cell_value(item: OutputItem, role: str, code: int) -> Any:
             """A frequent value's cell: its own splayed column's flat sum."""
             ref = item.splashe.get(role, {}).get(code)
-            if ref is None:
-                return None
-            return _flat_row_set(replies[ref[0]]).values.get(ref[1])
+            row_set = None if ref is None else replies[ref[0]].opened.get(None)
+            return None if row_set is None else row_set.values.get(ref[1])
 
         def cell_value_others(item: OutputItem, role: str, code: int) -> Any:
             """An infrequent value's cell: its group of the catch-all request."""
@@ -544,10 +517,3 @@ class DecryptionModule:
             if count_nonzero:
                 rows.append(row)
         return rows
-
-
-def _flat_row_set(reply: _Reply) -> _RowSet:
-    if not isinstance(reply.opened, _RowSet):
-        raise DecryptionError("flat lookup against a grouped response")
-    return reply.opened
-

@@ -8,21 +8,24 @@ module.
 Supported physical operations:
 
 - filter evaluation over plaintext, DET-token and ORE-token predicates;
+- one reply form: every aggregation reply is the request's row sets as
+  columns (:class:`~repro.core.grouped.GroupedRows`) from map task to
+  reply -- one row set per group key, or without GROUP BY the one row set
+  of the whole selection, whose key and codes are implied and never ship;
 - ASHE aggregation: sums wrapping in the column's dtype (uint32 SPLASHE
-  indicators), carried as uint64 partials, plus ID-list construction.  The
+  indicators), carried as uint64 columns, plus ID-list construction.  The
   ID list belongs to the *selected row set*, not to a column: it is built
   and encoded once per partition per ID source (:data:`ROW_IDS`;
   :data:`BUILD_IDS` under a join) and travels once per row set, beside
   the aggregates and never inside them -- compressed at the workers by
   default or at the driver for the ablation (Section 4.5, "Reducing
-  server-to-client traffic");
+  server-to-client traffic").  Under GROUP BY a code column names each
+  ID's group -- the server already learns each row's group from the DET
+  key column;
 - plain and Paillier aggregation for the NoEnc / CryptDB-style baselines;
 - ORE min/max via a vectorised pairwise tournament and median via
-  quickselect, using only the public Compare;
-- group-by with per-group ASHE sums held as columns from map task to
-  reply (:mod:`repro.core.grouped`) and, per partition and ID source,
-  the flat path's ID chunk plus a code column naming each ID's group --
-  the server already learns each row's group from the DET key column;
+  quickselect, using only the public Compare: the two kinds with no
+  columnar merge, carried in the reply's ``side`` field;
 - broadcast hash joins on DET columns, with multiset ID collection for
   build-side ASHE aggregates (and probe rows duplicate keys replicate);
 - **zone-map pruning** (:mod:`repro.index`): before dispatching a map
@@ -37,7 +40,6 @@ Supported physical operations:
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -48,7 +50,6 @@ import numpy as np
 from repro.core.grouped import GroupedRows, IdPiece, code_dtype
 from repro.crypto import ore as ore_mod
 from repro.crypto.kernel import observe_kernel_op
-from repro.crypto.prf import MASK64
 from repro.engine.cluster import SimulatedCluster
 from repro.engine.metrics import JobMetrics
 from repro.engine.table import Partition, Table
@@ -189,8 +190,8 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
 ROW_IDS = "rows"  # the query table's selected rows
 BUILD_IDS = "build"  # the join build side's rows, once per match (a multiset)
 
-#: Codec of a run-coded ID chunk (Section 4.5), flat or grouped.
-FLAT_CODEC = "seabed"
+#: Codec of a run-coded ID chunk (Section 4.5).
+ID_CODEC = "seabed"
 
 
 @dataclass(frozen=True)
@@ -263,59 +264,24 @@ class ServerQuery:
     compress_at: str = "worker"  # "worker" | "driver" (ablation)
 
 
-#: The ID sets of one row set: ID source -> self-describing
-#: :mod:`repro.idlist.codec` chunks, one per partition that selected a row.
-IdSets = dict[str, list[bytes]]
-
-
 @dataclass
 class ServerResponse:
     """What travels back to the proxy.
 
-    A flat request's row set -- its whole selection -- is a pair:
-    payloads by alias (``("ashe", wrapped sum)``, ``("plain", value)``,
-    ``("paillier", product)``, ``("extreme", ...)``; ``None``: no row
-    selected) and its :data:`IdSets`.  IDs travel once per row set: each
-    ``AsheSum`` reads the set its ``id_source`` names; no payload carries
-    a chunk.
-
-    ``flat``: ``flat`` + ``id_sets``.  ``partial`` (shard worker ->
-    coordinator): ``flat`` maps aliases to pre-merged piece lists.
-    ``grouped``: ``groups``, every group key's row set as columns
-    -- one value column per alias, per source one ID chunk and code
-    column per partition.  ``scan``: ``flat`` holds the projected
-    ``columns`` and row ``ids``.
+    ``grouped`` (every aggregation reply): ``groups``, the request's row
+    sets as columns -- one per group key; without GROUP BY the one row
+    set of the whole selection, or none when no row is selected.  A value
+    column per alias (wrapped uint64 ASHE sums, plain values, Paillier
+    products), per ID source the row sets' IDs, once, and ORE extremes
+    and median gathers in ``groups.side``.  ``scan``: ``projection``
+    holds the projected ``columns`` and row ``ids``.
     """
 
-    kind: str  # "flat" | "partial" | "grouped" | "scan"
-    flat: dict[str, Any] = field(default_factory=dict)
-    id_sets: IdSets = field(default_factory=dict)
+    kind: str  # "grouped" | "scan"
     groups: GroupedRows | None = None
+    projection: dict[str, Any] = field(default_factory=dict)
     metrics: JobMetrics = field(default_factory=JobMetrics)
     payload_bytes: int = 0
-
-
-# -- payload helpers ----------------------------------------------------------
-
-
-def _payload_nbytes(payload: Any) -> int:
-    tag = payload[0]
-    if tag == "paillier":
-        return (int(payload[1]).bit_length() + 7) // 8
-    if tag == "extreme":
-        return 8 + 8 + 8 * len(payload[3])
-    return 8
-
-
-def row_set_nbytes(payloads: Iterable[Any], id_sets: IdSets) -> int:
-    """Bytes one row set puts on the network: payloads + its IDs, once."""
-    total = 0
-    for payload in payloads:
-        if payload is not None:
-            total += _payload_nbytes(payload)
-    if id_sets:
-        total += sum(len(c) for chunks in id_sets.values() for c in chunks)
-    return total
 
 
 def id_sources(aggs: Iterable[AggOp]) -> list[str]:
@@ -323,28 +289,11 @@ def id_sources(aggs: Iterable[AggOp]) -> list[str]:
     return list(dict.fromkeys(a.id_source for a in aggs if isinstance(a, AsheSum)))
 
 
-def _id_slots(aggs: Sequence[AggOp]) -> list[tuple[int, str]]:
-    """Where a map task's partial keeps each ID source's chunk."""
-    return list(enumerate(id_sources(aggs), start=len(aggs)))
-
-
-def _collect_id_sets(slots: list[tuple[int, str]], partials: list[tuple]) -> dict[str, list]:
-    """A row set's ID sets from the map tasks' partials of it."""
-    out = {}
-    for slot, source in slots:
-        chunks = [p[slot] for p in partials if p[slot] is not None]
-        if chunks:
-            out[source] = chunks
-    return out
-
-
-def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
-    """Concatenate several replies' chunks of one row set, once per source."""
-    out: IdSets = {}
-    for sets in parts:
-        for source, chunks in sets.items():
-            out.setdefault(source, []).extend(chunks)
-    return out
+def is_side(agg: AggOp) -> bool:
+    """ORE extremes and medians: no columnar merge, so they ride in
+    :attr:`GroupedRows.side` (and only without GROUP BY)."""
+    return isinstance(agg, (OreExtreme, OreMedian)) or (
+        isinstance(agg, PlainAgg) and agg.func == "median")
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +310,11 @@ def gather_id_sets(parts: Iterable[IdSets]) -> IdSets:
 # columns map the generation that table was opened at: a query keeps
 # reading that snapshot whatever the store publishes meanwhile.
 #
-# A flat map task's partial of its row set is one tuple: a payload per
-# ``q.aggs`` entry, then an ID chunk per ``id_sources(q.aggs)`` entry
-# (``None``: no row); the driver builds the reply's dicts and ``IdSets``.
-# A grouped map task's partial is its partition's row sets as columns
-# (:class:`GroupedRows`): one value column per alias, which the shuffle
-# and the reducers merge, and per ID source the flat chunk of the
-# partition's selection with a code per ID, which goes to the driver.
+# A map task's partial is its partition's row sets as columns
+# (:class:`GroupedRows`): one value column per alias, which the driver's
+# merge (or the shuffle and the reducers) merges, and per ID source the
+# chunk of the partition's selection -- under GROUP BY with a code per ID
+# -- which goes to the driver.
 # ---------------------------------------------------------------------------
 
 
@@ -416,7 +363,7 @@ def _ids_at(part: Partition, probe_idx: np.ndarray | None, sel: np.ndarray) -> n
     return pos.astype(_U64) + _U64(part.start_id)
 
 
-def _flat_id_chunk(
+def _id_chunk(
     source: str,
     part: Partition,
     columns: dict[str, np.ndarray],
@@ -425,7 +372,7 @@ def _flat_id_chunk(
     raw: bool,
 ) -> Any:
     """The selected rows' IDs under one source as one encoded chunk
-    (``None``: no row; ``raw``: the :class:`IdList` itself, which the
+    (``raw``: the :class:`IdList` itself, which the
     ``compress_at="driver"`` ablation ships to the driver)."""
     if source == ROW_IDS and probe_idx is None:
         if mask is None:
@@ -442,19 +389,19 @@ def _flat_id_chunk(
         # duplicate build keys replicate them: each match summed the row's
         # ciphertext again, so its ID must count once per match too.
         if joined or bool(np.any(arr[1:] == arr[:-1])):
-            return encode_multiset(arr) if arr.size else None
+            return encode_multiset(arr)
         ids = IdList.from_ids(arr)
-    if ids.is_empty():
-        return None
-    return ids if raw else get_codec(FLAT_CODEC).encode(ids)
+    return ids if raw else get_codec(ID_CODEC).encode(ids)
 
 
-def flat_map_task(
+def aggregate_task(
     part: Partition, q: ServerQuery, build: dict[str, Any] | None
-) -> tuple | None:
-    """One partition's partial of a flat (ungrouped) query's row set: the
-    selected rows' IDs are built and encoded once per source, whatever
-    the number of ASHE aggregates."""
+) -> GroupedRows | None:
+    """One partition's row sets as columns (``None``: no row selected):
+    one per group key, or without GROUP BY the one row set of its whole
+    selection, whose key and codes are implied.  The selected rows' IDs
+    are built and encoded once per source, whatever the number of ASHE
+    aggregates; under GROUP BY each ID gets its row set's code."""
     # Without a join, view row j is partition row j (probe_idx None).
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
@@ -462,87 +409,41 @@ def flat_map_task(
     columns, probe_idx = view
     nrows = part.nrows if probe_idx is None else len(probe_idx)
     mask = eval_filter(columns, q.filter, nrows)
-    raw = q.compress_at == "driver"
-    return (
-        *(_flat_partial(agg, columns, mask, part, probe_idx) for agg in q.aggs),
-        *(
-            _flat_id_chunk(source, part, columns, mask, probe_idx, raw)
-            for source in id_sources(q.aggs)
-        ),
-    )
-
-
-def _merge_flat(
-    q: ServerQuery, partials: list[tuple], final: bool
-) -> tuple[dict[str, Any], IdSets]:
-    """Driver-side merge of a flat request's per-partition partials.
-
-    ``final`` yields the reply: one payload per alias.  A shard worker
-    (``final=False``) yields *piece lists* for the coordinator's final
-    merge: associative payloads (wrapping ASHE sums, plain folds,
-    Paillier products, ORE local winners) pre-merged node-side to one
-    piece, gather-style ones (:data:`_GATHER_TAGS`) shipped raw.  Either
-    way the row set's chunks are collected once per source, and raw ID
-    lists (the ``compress_at="driver"`` ablation) are unioned and encoded
-    here, as one chunk -- the coordinator is a shard's client.
-    """
-    out: dict[str, Any] = {}
-    for slot, agg in enumerate(q.aggs):
-        pieces = [p[slot] for p in partials if p[slot] is not None]
-        if final:
-            out[agg.alias] = merge_payloads(agg, pieces)
-        elif pieces and pieces[0][0] not in _GATHER_TAGS:
-            out[agg.alias] = [merge_payloads(agg, pieces)]
+    if q.group_by is None:
+        count = nrows if mask is None else int(np.count_nonzero(mask))
+        if count == 0:
+            return None
+        rows = slice(None) if mask is None else mask
+        keys, starts, codes = None, np.zeros(1, dtype=np.intp), {}
+    else:
+        sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
+        if sel.size == 0:
+            return None
+        # One sort groups the rows by key; the order of a group's rows does
+        # not matter, its IDs travel in the partition's chunk.
+        key = np.asarray(columns[q.group_by])[sel].astype(_U64, copy=False)
+        order = np.argsort(key)
+        key = key[order]
+        first = np.append(True, key[1:] != key[:-1])
+        keys, starts, rows, count = key[first], np.flatnonzero(first), sel[order], sel.size
+        code = np.empty(sel.size, dtype=code_dtype(keys.size))
+        code[order] = np.cumsum(first) - 1
+        codes = {source: code for source in id_sources(q.aggs)}
+        if BUILD_IDS in codes:  # a build-side multiset chunk decodes its IDs sorted
+            codes[BUILD_IDS] = code[np.argsort(columns[JOIN_IDS_COLUMN][sel], kind="stable")]
+    values, side = {}, {}
+    for agg in q.aggs:
+        if q.group_by is None and is_side(agg):
+            side[agg.alias] = [_side_piece(agg, columns, mask, part, probe_idx)]
         else:
-            out[agg.alias] = pieces
-    id_sets = _collect_id_sets(_id_slots(q.aggs), partials)
-    for source, chunks in id_sets.items():
-        raw = [c for c in chunks if isinstance(c, IdList)]
-        if raw:
-            id_sets[source] = [c for c in chunks if not isinstance(c, IdList)]
-            id_sets[source].append(get_codec(FLAT_CODEC).encode(IdList.union_all(raw)))
-    return out, id_sets
-
-
-def grouped_map_task(
-    part: Partition, q: ServerQuery, build: dict[str, Any] | None
-) -> GroupedRows | None:
-    """One partition's row sets, one per group key, as columns (``None``:
-    no row selected); per ID source, the selection's flat chunk and each
-    selected row's row set."""
-    view = (part.columns, None) if build is None else probe_join(part, q, build)
-    if view is None:
-        return None
-    columns, probe_idx = view
-    nrows = part.nrows if probe_idx is None else len(probe_idx)
-    mask = eval_filter(columns, q.filter, nrows)
-    sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
-    if sel.size == 0:
-        return None
-    # One sort groups the rows by key; the order of a group's rows does
-    # not matter, its IDs travel in the partition's chunk.
-    key = columns[q.group_by][sel].astype(_U64, copy=False)
-    order = np.argsort(key)
-    key = key[order]
-    first = np.append(True, key[1:] != key[:-1])
-    keys = key[first]
-    starts = np.flatnonzero(first)
-    code = np.empty(sel.size, dtype=code_dtype(keys.size))
-    code[order] = np.cumsum(first) - 1
-    sorted_sel = sel[order]
-    return GroupedRows(
-        keys,
-        {agg.alias: _group_values(agg, columns, sorted_sel, starts) for agg in q.aggs},
-        {
-            source: [IdPiece(
-                _flat_id_chunk(source, part, columns, mask, probe_idx, raw=False),
-                # A build-side multiset chunk decodes its IDs sorted.
-                code[np.argsort(columns[JOIN_IDS_COLUMN][sel], kind="stable")]
-                if source == BUILD_IDS else code,
-            )]
-            for source in id_sources(q.aggs)
-        },
-    )
+            values[agg.alias] = _group_values(agg, columns, rows, starts, count)
+    raw = q.compress_at == "driver" and q.group_by is None
+    ids = {
+        source: [IdPiece(_id_chunk(source, part, columns, mask, probe_idx, raw),
+                         codes.get(source))]
+        for source in id_sources(q.aggs)
+    }
+    return GroupedRows(keys, values, ids, side)
 
 
 def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows:
@@ -553,22 +454,39 @@ def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows
 
 def group_reducers(aggs: Iterable[AggOp]) -> dict[str, Any]:
     """How each alias's column merges over runs of rows or of partials."""
-    return {agg.alias: _group_reducer(agg) for agg in aggs}
+    return {agg.alias: _group_reducer(agg) for agg in aggs if not is_side(agg)}
 
 
-def empty_groups(aggs: Sequence[AggOp]) -> GroupedRows:
-    """Grouped row sets with no entry: nothing selected, or an empty shard."""
-    return GroupedRows(np.empty(0, _U64), {
+def empty_groups(q: ServerQuery) -> GroupedRows:
+    """Row sets with no entry: nothing selected, or an empty shard."""
+    return GroupedRows(None if q.group_by is None else np.empty(0, _U64), {
         a.alias: np.empty(0, object if isinstance(a, PaillierSum) else
-                          _U64 if isinstance(a, AsheSum) else np.int64) for a in aggs
-    }, {source: [] for source in id_sources(aggs)})
+                          _U64 if isinstance(a, AsheSum) else np.int64)
+        for a in q.aggs if not is_side(a)
+    }, {source: [] for source in id_sources(q.aggs)})
 
 
-def merge_groups(parts: list[GroupedRows], aggs: Sequence[AggOp]) -> GroupedRows:
-    """Several partials' row sets as one, in part order within a row set."""
-    rows, ids = GroupedRows.shuffle(parts or [empty_groups(aggs)])
-    merged = rows.merge(group_reducers(aggs))
-    merged.ids = ids
+def merge_groups(parts: list[GroupedRows], q: ServerQuery, final: bool = True) -> GroupedRows:
+    """Several partials' row sets as one, in part order within a row set.
+
+    Raw ID lists (the ``compress_at="driver"`` ablation) are unioned and
+    encoded here, as one chunk.  Side pieces merge to one per alias; a
+    shard worker's merge (not ``final``) ships gathers raw, since merging
+    a subset of them changes their tag (:data:`_GATHER_TAGS`)."""
+    rows, ids = GroupedRows.shuffle(parts or [empty_groups(q)])
+    merged = rows.merge(group_reducers(q.aggs))
+    for source, pieces in ids.items():
+        raw = [p.chunk for p in pieces if isinstance(p.chunk, IdList)]
+        if raw:
+            pieces = [p for p in pieces if not isinstance(p.chunk, IdList)]
+            pieces.append(IdPiece(get_codec(ID_CODEC).encode(IdList.union_all(raw)), None))
+        merged.ids[source] = pieces
+    for agg in q.aggs:
+        pieces = [p for part in parts for p in part.side.get(agg.alias, ())]
+        if pieces and (final or pieces[0][0] not in _GATHER_TAGS):
+            pieces = [merge_payloads(agg, pieces)]
+        if pieces:
+            merged.side[agg.alias] = pieces
     return merged
 
 
@@ -638,10 +556,24 @@ class SeabedServer:
         metrics = JobMetrics()
         build = self._prepare_join(q, metrics)
         parts, skipped = self._surviving_partitions(table, q)
-        if q.group_by is None:
-            response = self._execute_flat(q, parts, skipped, build, metrics, final)
+        # The broadcast build side rides every partition call (its volume
+        # is accounted in _prepare_join).  ``parts`` already excludes
+        # zone-map-pruned partitions.
+        calls = [(part, q, build) for part in parts]
+        map_out, stage = self.cluster.map_stage(
+            "aggregate" if q.group_by is None else "group-map", aggregate_task, calls, metrics
+        )
+        stage.partitions_total = len(parts) + skipped
+        stage.partitions_skipped = skipped
+        partials = [p for p in map_out if p is not None]
+        if q.group_by is None or not final:
+            groups = self.cluster.run_driver(
+                "merge" if final else "partial-merge",
+                lambda: merge_groups(partials, q, final), metrics,
+            )
         else:
-            response = self._execute_grouped(q, parts, skipped, build, metrics, final)
+            groups = self._reduce_groups(q, partials, metrics)
+        response = ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
         response.metrics = metrics
         metrics.result_bytes += response.payload_bytes
         return response
@@ -753,10 +685,10 @@ class SeabedServer:
 
         def merge():
             if not parts:
-                # Every partition was pruned: an empty result with the
-                # right dtypes, sliced from the first stored partition.
-                template = table.partitions[0]
-                cols = {c: template.column(c)[:0] for c in columns}
+                # Every partition was pruned (or the table has none yet):
+                # an empty result, with the stored dtypes if there are any.
+                cols = {c: table.partitions[0].column(c)[:0] if table.partitions
+                        else np.empty(0, dtype=_U64) for c in columns}
                 return cols, np.empty(0, dtype=_U64)
             cols = {
                 c: np.concatenate([p[0][c] for p in parts]) for c in columns
@@ -769,7 +701,7 @@ class SeabedServer:
             a.nbytes if a.dtype != object else 256 * len(a) for a in cols.values()
         )
         response = ServerResponse(kind="scan", payload_bytes=payload_bytes)
-        response.flat = {"columns": cols, "ids": ids}
+        response.projection = {"columns": cols, "ids": ids}
         response.metrics = metrics
         metrics.result_bytes += payload_bytes
         return response
@@ -807,87 +739,37 @@ class SeabedServer:
         metrics.shuffles.append((build_bytes, 0))
         return build
 
-    # -- flat aggregation -------------------------------------------------------
-
-    def _execute_flat(
-        self,
-        q: ServerQuery,
-        parts: list[Partition],
-        skipped: int,
-        build: dict[str, Any] | None,
-        metrics: JobMetrics,
-        final: bool,
-    ) -> ServerResponse:
-        # The broadcast build side rides every partition call (its volume
-        # is accounted in _prepare_join).  ``parts`` already excludes
-        # zone-map-pruned partitions.
-        calls = [(part, q, build) for part in parts]
-        partials, stage = self.cluster.map_stage(
-            "aggregate", flat_map_task, calls, metrics
-        )
-        stage.partitions_total = len(parts) + skipped
-        stage.partitions_skipped = skipped
-        partials = [p for p in partials if p is not None]
-        flat, id_sets = self.cluster.run_driver(
-            "merge" if final else "partial-merge",
-            lambda: _merge_flat(q, partials, final),
-            metrics,
-        )
-        payloads = flat.values() if final else itertools.chain.from_iterable(flat.values())
-        return ServerResponse(
-            kind="flat" if final else "partial", flat=flat, id_sets=id_sets,
-            payload_bytes=row_set_nbytes(payloads, id_sets),
-        )
-
     # -- shard-worker partial aggregation ---------------------------------------
 
     def execute_partial(self, q: ServerQuery) -> ServerResponse:
         """Execute ``q`` but stop before the final merge (shard workers).
 
         A shard worker runs this against its local slice of the table and
-        returns per-aggregate *piece lists* plus the shard's ID chunks;
-        the coordinator concatenates both from every shard and applies
-        the one final :func:`merge_payloads` per aggregate, so the merged
-        result is bit-identical to single-store execution
-        (:func:`_merge_flat` says what is pre-merged node-side).  The
-        shard's "client" is the coordinator: gathering the partials
-        crosses the cluster network once per shard.
-
-        A grouped partial is one :func:`merge_groups` over the map
-        outputs, with no shuffle: every groupable column is associative,
-        so the coordinator's merge of the shards' row sets is the reduce.
+        returns its row sets after one :func:`merge_groups` over the map
+        outputs, with no shuffle: every columnar aggregate is associative,
+        so the coordinator's merge of the shards' row sets is the reduce,
+        and the result is bit-identical to single-store execution.  Side
+        pieces are pre-merged node-side except median gathers, which ship
+        raw.  The shard's "client" is the coordinator: gathering the
+        partials crosses the cluster network once per shard.
         """
         return self._execute_query(q, final=False)
 
     # -- grouped aggregation ------------------------------------------------------
 
-    def _execute_grouped(
-        self,
-        q: ServerQuery,
-        parts: list[Partition],
-        skipped: int,
-        build: dict[str, Any] | None,
-        metrics: JobMetrics,
-        final: bool,
-    ) -> ServerResponse:
-        calls = [(part, q, build) for part in parts]
-        map_out, stage = self.cluster.map_stage(
-            "group-map", grouped_map_task, calls, metrics
-        )
-        stage.partitions_total = len(parts) + skipped
-        stage.partitions_skipped = skipped
-        partials = [p for p in map_out if p is not None] or [empty_groups(q.aggs)]
-        if not final:
-            groups = self.cluster.run_driver(
-                "partial-merge", lambda: merge_groups(partials, q.aggs), metrics
-            )
-            return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
+    def _reduce_groups(
+        self, q: ServerQuery, partials: list[GroupedRows], metrics: JobMetrics
+    ) -> GroupedRows:
+        """The single store's final GROUP BY merge: a shuffle and reducers.
 
-        # The single store keeps its reducers rather than the shard worker's
-        # one serial ``partial-merge``: on BDB Q2A (30k visits, 32 cores,
-        # 512-bit Paillier) that merge took Paillier's modelled server time
-        # 16.6 -> 52.7 ms and Paillier/Seabed from 6.0x to ~39x, against Fig
-        # 9b-c's narrow gap.  Reducers won at every group count measured.
+        The single store keeps its reducers rather than the shard worker's
+        one serial ``partial-merge``: on BDB Q2A (30k visits, 32 cores,
+        512-bit Paillier) that merge took Paillier's modelled server time
+        16.6 -> 52.7 ms and Paillier/Seabed from 6.0x to ~39x, against Fig
+        9b-c's narrow gap.  Reducers won at every group count measured.
+        """
+        partials = partials or [empty_groups(q)]
+
         def shuffle() -> tuple[GroupedRows, dict[str, list[IdPiece]], np.ndarray]:
             # One sort by key over every partition's row-set columns:
             # each row set's partials become adjacent, in partition
@@ -909,7 +791,7 @@ class SeabedServer:
         )
         groups = GroupedRows.concat(reduced)
         groups.ids = ids
-        return ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
+        return groups
 
 
 # ---------------------------------------------------------------------------
@@ -917,87 +799,42 @@ class SeabedServer:
 # ---------------------------------------------------------------------------
 
 
-def _flat_partial(
+def _side_piece(
     agg: AggOp,
     columns: dict[str, np.ndarray],
     mask: np.ndarray | None,
     part: Partition,
     probe_idx: np.ndarray | None,
-) -> Any:
-    if isinstance(agg, AsheSum):
-        cipher = columns[agg.column]
-        selected = cipher if mask is None else cipher[mask]
-        if selected.size == 0:
-            return None
-        # Summed in the column's own dtype (a uint32 indicator wraps mod
-        # 2^32, which its decryption reduces to anyway).
-        return ("ashe", int(np.add.reduce(selected, dtype=selected.dtype)))
+) -> tuple:
+    """A partition's piece of a side aggregate over a non-empty selection:
+    an ORE extreme's local winner, or a median's gather."""
     if isinstance(agg, PlainAgg):
-        return _plain_partial(agg, columns, mask)
-    if isinstance(agg, PaillierSum):
-        cipher = columns[agg.column]
-        selected = cipher if mask is None else cipher[mask]
-        if len(selected) == 0:
-            return None
-        total = 1
-        n2 = agg.n_squared
-        for c in selected.tolist():
-            total = (total * c) % n2
-        return ("paillier", total)
-    if isinstance(agg, (OreExtreme, OreMedian)):
-        nrows = len(columns[agg.ore_column])
-        sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
-        if sel.size == 0:
-            return None
-        cipher = columns[agg.ore_column][sel]
-        if isinstance(agg, OreMedian):
-            return (
-                "median_gather",
-                cipher,
-                columns[agg.payload_column][sel],
-                _ids_at(part, probe_idx, sel),
-            )
-        winner = ore_mod.argextreme_packed(cipher, agg.kind)
-        row = sel[winner : winner + 1]
+        values = columns[agg.column]
+        return ("median_gather_plain", values if mask is None else values[mask])
+    nrows = len(columns[agg.ore_column])
+    sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
+    cipher = columns[agg.ore_column][sel]
+    if isinstance(agg, OreMedian):
         return (
-            "extreme",
-            _coerce_payload(columns[agg.payload_column][row[0]]),
-            int(_ids_at(part, probe_idx, row)[0]),
-            tuple(int(w) for w in cipher[winner]),
+            "median_gather",
+            cipher,
+            columns[agg.payload_column][sel],
+            _ids_at(part, probe_idx, sel),
         )
-    raise ExecutionError(f"unknown aggregation op {type(agg).__name__}")
+    winner = ore_mod.argextreme_packed(cipher, agg.kind)
+    row = sel[winner : winner + 1]
+    return (
+        "extreme",
+        _coerce_payload(columns[agg.payload_column][row[0]]),
+        int(_ids_at(part, probe_idx, row)[0]),
+        tuple(int(w) for w in cipher[winner]),
+    )
 
 
 def _coerce_payload(payload: Any) -> Any:
     if isinstance(payload, np.generic):
         return payload.item()
     return payload
-
-
-def _plain_partial(
-    agg: PlainAgg, columns: dict[str, np.ndarray], mask: np.ndarray | None
-) -> Any:
-    if agg.func == "count":
-        if mask is None:
-            nrows = len(next(iter(columns.values())))
-            return ("plain", nrows)
-        return ("plain", int(mask.sum()))
-    values = columns[agg.column]
-    selected = values if mask is None else values[mask]
-    if len(selected) == 0:
-        return None
-    if agg.func == "sum":
-        return ("plain", int(selected.sum()))
-    if agg.func == "sumsq":
-        sel64 = selected.astype(np.int64)
-        return ("plain", int((sel64 * sel64).sum()))
-    if agg.func == "min":
-        return ("plain", _coerce_payload(selected.min()))
-    if agg.func == "max":
-        return ("plain", _coerce_payload(selected.max()))
-    if agg.func == "median":
-        return ("median_gather_plain", selected)
-    raise ExecutionError(f"unknown plain aggregation {agg.func!r}")
 
 
 def _ore_quickselect(
@@ -1029,46 +866,23 @@ def _ore_quickselect(
         row_ids = row_ids[keep]
 
 
-# Payload tags whose final merge is NOT associative: merging a subset
+# Side tags whose final merge is NOT associative: merging a subset
 # changes the tag (gather -> final), so shard workers must ship these
-# pieces raw and let the coordinator merge exactly once.  Everything else
-# ("ashe", "plain" folds, "paillier", "extreme") pre-merges node-side.
+# pieces raw and let the coordinator merge exactly once.  An ORE
+# extreme's local winners pre-merge node-side.
 _GATHER_TAGS = frozenset({"median_gather", "median_gather_plain"})
 
 
 def merge_payloads(agg: AggOp, pieces: list[Any]) -> Any:
-    """Merge partial payloads of one aggregate (driver- and client-side)."""
-    if not pieces:
-        return None
-    if isinstance(agg, AsheSum):
-        total = 0
-        for p in pieces:
-            total = (total + p[1]) & MASK64
-        return ("ashe", total)
-    if isinstance(agg, PlainAgg):
-        if pieces[0][0] == "median_gather_plain":
-            values = np.concatenate([p[1] for p in pieces])
-            return ("plain", float(np.median(values)))
-        values = [p[1] for p in pieces]
-        if agg.func in ("sum", "sumsq", "count"):
-            return ("plain", sum(values))
-        if agg.func == "min":
-            return ("plain", min(values))
-        if agg.func == "max":
-            return ("plain", max(values))
-        raise ExecutionError(f"cannot merge plain aggregation {agg.func!r}")
-    if isinstance(agg, PaillierSum):
-        total = 1
-        for p in pieces:
-            total = (total * p[1]) % agg.n_squared
-        return ("paillier", total)
+    """Merge one side aggregate's pieces (:func:`is_side`): ORE extremes
+    by the public Compare, median gathers by quickselect."""
     if isinstance(agg, OreExtreme):
         best = pieces[0]
         for p in pieces[1:]:
             cmp = ore_mod.OreScheme.compare_words(p[3], best[3])
             if (agg.kind == "max" and cmp > 0) or (agg.kind == "min" and cmp < 0):
                 best = p
-        return ("extreme", best[1], best[2], best[3])
+        return best
     if isinstance(agg, OreMedian):
         cipher = np.vstack([p[1] for p in pieces])
         payloads = np.concatenate([p[2] for p in pieces])
@@ -1076,22 +890,27 @@ def merge_payloads(agg: AggOp, pieces: list[Any]) -> Any:
         k = (cipher.shape[0] - 1) // 2
         payload, row = _ore_quickselect(cipher, payloads, row_ids, k)
         return ("extreme", _coerce_payload(payload), row, ())
-    raise ExecutionError(f"unknown aggregation op {type(agg).__name__}")
+    return ("plain", float(np.median(np.concatenate([p[1] for p in pieces]))))
 
 
 def _group_values(
-    agg: AggOp, columns: dict[str, np.ndarray], sorted_sel: np.ndarray, starts: np.ndarray
+    agg: AggOp, columns: dict[str, np.ndarray], rows: Any, starts: np.ndarray, count: int
 ) -> np.ndarray:
-    """One partition's per-group column for ``agg``: its reducer over each
-    group's run of the rows sorted by group."""
-    reduce = _group_reducer(agg)
+    """One partition's column for ``agg``: its reducer over each row set's
+    run of the ``count`` selected rows (``rows``: their positions sorted by
+    group, a boolean mask or a slice)."""
     if isinstance(agg, PlainAgg) and agg.func == "count":
-        return reduce(np.ones(sorted_sel.size, dtype=np.int64), starts)
-    values = columns[agg.column][sorted_sel]
+        return np.diff(starts, append=count).astype(np.int64, copy=False)
+    reduce = _group_reducer(agg)
+    # A stored column is a memmap: its plain view keeps the subclass's
+    # Python hooks off every slice and reduction.
+    values = np.asarray(columns[agg.column])[rows]
     if isinstance(agg, PlainAgg) and agg.func == "sumsq":
         values = values.astype(np.int64) ** 2
-    if isinstance(agg, AsheSum):  # a uint32 indicator's sums, widened
-        return reduce(values, starts).astype(_U64, copy=False)
+    if isinstance(agg, AsheSum):
+        # Summed in the column's own dtype (a uint32 indicator wraps mod
+        # 2^32, which its decryption reduces to anyway), then widened.
+        return reduce(values, starts, dtype=values.dtype).astype(_U64, copy=False)
     return reduce(values, starts)
 
 

@@ -454,17 +454,19 @@ class EncryptedTable:
         return self._session.compact_table(self.name, target_rows=target_rows)
 
     @property
-    def generations(self) -> list[dict]:
-        """The store's generation log, the first upload's included."""
+    def generations(self) -> Any:
+        """The store's generation log, the first upload's included (a
+        sharded table: ``{shard: log}``)."""
         return self._session.transport.generations(self.name)
 
-    def stats(self) -> dict:
+    def stats(self) -> Any:
         """Zone-map index summary: partition/row coverage and per-column
         artifact counts (:func:`repro.engine.store.store_stats`).  Every
-        generation carries its zone maps, the first upload's included."""
+        generation carries its zone maps, the first upload's included.  A
+        sharded table answers ``{shard: summary}``."""
         return self._session.transport.store_stats(self.name)
 
-    def rebuild_index(self) -> dict:
+    def rebuild_index(self) -> Any:
         """Recompute the store's zone-map statistics and refresh the
         server-side view; see :meth:`SeabedSession.rebuild_index`."""
         return self._session.rebuild_index(self.name)
@@ -837,18 +839,19 @@ class SeabedSession:
             batches.append((shard, {n: arr[mask] for n, arr in arrays.items()}))
         return batches
 
-    def stats(self, table: str) -> dict:
+    def stats(self, table: str) -> Any:
         """Zone-map index summary for ``table`` (shorthand for
         ``encrypted_table(table).stats()``)."""
         return self.encrypted_table(table).stats()
 
-    def rebuild_index(self, table: str) -> dict:
+    def rebuild_index(self, table: str) -> Any:
         """Recompute every partition's zone-map statistics for ``table``'s
         store and refresh the server-side view.
 
         The refreshed view stays pinned to the snapshot this session
         attached at, so a generation the sidecar never committed remains
-        invisible.  Returns the new index summary.
+        invisible.  Returns the new index summary, one per shard of a
+        sharded table (every live replica is rebuilt).
         """
         self._entry(table)  # raises if unknown
         return self.transport.rebuild_index(table)

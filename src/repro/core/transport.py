@@ -49,6 +49,7 @@ from repro.engine.store import (
     truncate_store,
     write_store,
 )
+from repro.engine.table import Table
 from repro.errors import ExecutionError, StorageError
 from repro.index.zonemap import stats_summary
 
@@ -60,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover -- type-only imports
         ServerResponse,
     )
     from repro.engine.cluster import SimulatedCluster
-    from repro.engine.table import Table
 
 
 class Transport(abc.ABC):
@@ -162,16 +162,18 @@ class Transport(abc.ABC):
         healthy); a sharded table returns one such entry per shard."""
 
     @abc.abstractmethod
-    def store_stats(self, table: str) -> dict:
-        """Zone-map index summary of the table's store."""
+    def store_stats(self, table: str) -> Any:
+        """Zone-map index summary of the table's store (one per shard of
+        a sharded table)."""
 
     @abc.abstractmethod
-    def generations(self, table: str) -> list[dict]:
-        """The store's generation log."""
+    def generations(self, table: str) -> Any:
+        """The store's generation log (one per shard of a sharded table)."""
 
     @abc.abstractmethod
-    def rebuild_index(self, table: str) -> dict:
-        """Recompute zone maps and refresh the pinned server view."""
+    def rebuild_index(self, table: str) -> Any:
+        """Recompute zone maps and refresh the pinned server view; returns
+        the new index summary (one per shard of a sharded table)."""
 
     @abc.abstractmethod
     def attach(self, path: str) -> dict[str, Any]:
@@ -253,6 +255,28 @@ class StoreHost:
             self.server.register(open_store(self.path, served=self.server.get(self.name)))
         else:
             self.server.unregister(self.name)
+
+    def stats(self) -> dict:
+        """The store's index summary (an empty one before its first
+        generation is published)."""
+        if not self.exists():
+            return {**stats_summary([]), "generation": 0}
+        return store_stats(self.path)
+
+    def generations(self) -> list[dict]:
+        return store_generations(self.path) if self.exists() else []
+
+    def rebuild_index(self) -> dict:
+        """Recompute every partition's zone maps; the served view keeps
+        its maps and stays pinned to its snapshot, so a generation never
+        committed stays invisible."""
+        if not self.exists():
+            return self.stats()
+        summary = rebuild_stats(self.path)
+        served = self.server.get(self.name)
+        if served is not None and served.store_path is not None:  # not the empty table
+            self.server.register(open_store(self.path, served.store_generation, served))
+        return summary
 
 
 def roll_back(host: Any, committed: int, what: str) -> None:
@@ -417,41 +441,23 @@ class LocalTransport(Transport):
         for host in self._hosts(table).values():
             host.reopen()
 
+    def _per_shard(self, table: str, method: str, *args: Any) -> Any:
+        """``method`` of every store host of ``table``: one result per
+        shard of a fleet, the one store's result otherwise."""
+        out = {s: getattr(h, method)(*args) for s, h in self._hosts(table).items()}
+        return out if table in self._fleets else out[0]
+
     def compact(self, table: str, target_rows: int | None = None) -> Any:
-        stats = {s: h.compact(target_rows) for s, h in self._hosts(table).items()}
-        return stats if table in self._fleets else stats[0]
+        return self._per_shard(table, "compact", target_rows)
 
-    def _published_store(self, table: str) -> str | None:
-        """``table``'s store path, or ``None`` while the table its first
-        upload created has no generation published yet."""
-        path = self._store_path(table)
-        if table in self._fleets or os.path.exists(os.path.join(path, MANIFEST_NAME)):
-            return path
-        return None
+    def store_stats(self, table: str) -> Any:
+        return self._per_shard(table, "stats")
 
-    def store_stats(self, table: str) -> dict:
-        path = self._published_store(table)
-        if path is None:
-            return {**stats_summary([]), "generation": 0}
-        return store_stats(path)
+    def generations(self, table: str) -> Any:
+        return self._per_shard(table, "generations")
 
-    def generations(self, table: str) -> list[dict]:
-        path = self._published_store(table)
-        return [] if path is None else store_generations(path)
-
-    def rebuild_index(self, table: str) -> dict:
-        path = self._published_store(table)
-        if path is None:
-            return self.store_stats(table)
-        summary = rebuild_stats(path)
-        registered = self.server.get(table)
-        if registered is not None:  # nothing is served before a commit
-            # The refreshed view keeps its maps and stays pinned to this
-            # session's snapshot, so an uncommitted generation stays invisible.
-            self.server.register(open_store(
-                path, registered.store_generation, registered
-            ))
-        return summary
+    def rebuild_index(self, table: str) -> Any:
+        return self._per_shard(table, "rebuild_index")
 
     def attach(self, path: str) -> dict[str, Any]:
         resolved = self._resolve(path)
@@ -463,8 +469,8 @@ class LocalTransport(Transport):
             self._stores[name] = resolved
             if int(payload["num_rows"]):
                 self.server.register(open_committed_store(resolved, payload))
-            else:  # created, nothing committed yet: nothing to serve
-                self.server.unregister(name)
+            else:  # created, nothing committed yet: an empty table
+                self.server.register(Table(name, []))
         else:
             with self._fleet_lock:
                 if name not in self._fleets:

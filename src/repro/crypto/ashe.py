@@ -182,8 +182,9 @@ class AsheScheme:
         """SUM over (optionally masked) ciphertext rows, with its ID list.
 
         The reference sum: the server never calls this, but its per-partition
-        ``core/server._flat_partial`` must equal ``.value`` (wrapping in the
-        column's own dtype).  No key material is involved.
+        ``core/server.aggregate_task`` column must equal ``.value`` modulo
+        the column's own width (a uint32 indicator's sum is carried widened
+        to uint64).  No key material is involved.
         """
         c = np.asarray(cipher)
         selected = c if mask is None else c[mask]

@@ -26,12 +26,13 @@ aggregate ops, :class:`~repro.core.server.ServerResponse`,
 and numpy buffers, i.e. the ciphertexts -- are *not* JSON-encoded: the
 envelope stores an index into the raw buffer region, so ciphertext
 batches and encrypted results ship as flat memory with a JSON envelope
-for metadata only.  A grouped reply is columns
+for metadata only.  Every aggregation reply is columns
 (:class:`~repro.core.grouped.GroupedRows`): a few buffers whatever its
-number of groups, plus an ID chunk and a code column per partition,
-checked structurally as it is decoded (every code names a row set of the
-reply, in the row-set count's width; every chunk flag is one a row set
-ships).
+number of row sets, plus an ID chunk per partition and, under GROUP BY, a
+code column per chunk; a flat reply's key and codes are implied and never
+ship.  It is checked structurally as it is decoded (every code names a
+row set of the reply, in the row-set count's width; implied codes only
+beside exactly one row set; every chunk flag is one a row set ships).
 
 Malformed input never escapes as a raw ``struct``/``json``/``OSError``:
 truncated frames, bad magic, version skew, unknown tags and oversized
@@ -57,7 +58,7 @@ from repro.engine.storage import decode_object_column, encode_object_column
 from repro.errors import CodecError
 
 MAGIC = b"SBNW"
-WIRE_VERSION = 8
+WIRE_VERSION = 9
 
 #: Upper bound on a single frame; a corrupt length prefix fails fast
 #: instead of attempting a multi-gigabyte read.  It therefore also bounds

@@ -309,12 +309,14 @@ class ShardReplicas:
                 ) from exc
         return generation
 
+    def _on_first_live(self, method: str) -> Any:
+        return self.fleet.call_shard(
+            self.shard, method, table=self.fleet.topology.table, shard_id=self.shard
+        )[0]
+
     def rows(self) -> int:
         """Rows on the first live replica (committed or not)."""
-        result, _ = self.fleet.call_shard(
-            self.shard, "rows", table=self.fleet.topology.table, shard_id=self.shard
-        )
-        return int(result)
+        return int(self._on_first_live("rows"))
 
     def truncate(self, committed: int) -> None:
         """Roll back uncommitted generations on every live replica."""
@@ -322,6 +324,16 @@ class ShardReplicas:
 
     def compact(self, target_rows: int | None = None) -> dict | None:
         return self._on_live_replicas("compact", target_rows=target_rows)
+
+    def rebuild_index(self) -> dict:
+        return self._on_live_replicas("rebuild_index")
+
+    def stats(self) -> dict:
+        """The index summary of the first live replica's store."""
+        return self._on_first_live("stats")
+
+    def generations(self) -> list[dict]:
+        return self._on_first_live("generations")
 
     def reopen(self) -> None:
         self._on_live_replicas("reopen")
@@ -477,49 +489,15 @@ class ShardCoordinator:
             shards, metrics, "execute", lambda s: {"shard_id": s, "q": q}
         )
         self._absorb(metrics, responses)
-        if q.group_by is None:
-            response = self._merge_flat(q, responses, metrics)
-        else:
-            response = self._merge_grouped(q, responses, metrics)
+        groups = self.cluster.run_driver(
+            "gather-merge",  # shard-id order: each row set's IDs stay in row-id order
+            lambda: srv.merge_groups([resp.groups for resp in responses], q),
+            metrics,
+        )
+        response = srv.ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
         response.metrics = metrics
         metrics.result_bytes += response.payload_bytes
         return response
-
-    def _merge_flat(
-        self,
-        q: srv.ServerQuery,
-        responses: list[srv.ServerResponse],
-        metrics: JobMetrics,
-    ) -> srv.ServerResponse:
-        def merge() -> tuple[dict[str, Any], srv.IdSets]:
-            out: dict[str, Any] = {}
-            for agg in q.aggs:
-                pieces: list[Any] = []
-                for resp in responses:  # shard-id order == row-id order
-                    pieces.extend(
-                        p for p in resp.flat.get(agg.alias, []) if p is not None
-                    )
-                out[agg.alias] = srv.merge_payloads(agg, pieces)
-            return out, srv.gather_id_sets(resp.id_sets for resp in responses)
-
-        flat, id_sets = self.cluster.run_driver("gather-merge", merge, metrics)
-        return srv.ServerResponse(
-            kind="flat", flat=flat, id_sets=id_sets,
-            payload_bytes=srv.row_set_nbytes(flat.values(), id_sets),
-        )
-
-    def _merge_grouped(
-        self,
-        q: srv.ServerQuery,
-        responses: list[srv.ServerResponse],
-        metrics: JobMetrics,
-    ) -> srv.ServerResponse:
-        groups = self.cluster.run_driver(
-            "gather-merge",  # shard-id order: each row set's IDs stay in row-id order
-            lambda: srv.merge_groups([resp.groups for resp in responses], q.aggs),
-            metrics,
-        )
-        return srv.ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
 
     def scan(
         self,
@@ -569,16 +547,16 @@ class ShardCoordinator:
             # Shard-id order: shard row-ID ranges are strided by shard
             # index, so this concatenation is also global row-ID order.
             cols = {
-                c: np.concatenate([r.flat["columns"][c] for r in responses])
+                c: np.concatenate([r.projection["columns"][c] for r in responses])
                 for c in columns
             }
-            ids = np.concatenate([r.flat["ids"] for r in responses])
+            ids = np.concatenate([r.projection["ids"] for r in responses])
             return cols, ids
 
         cols, ids = self.cluster.run_driver("gather-merge", merge, metrics)
         payload_bytes = sum(resp.payload_bytes for resp in responses)
         response = srv.ServerResponse(kind="scan", payload_bytes=payload_bytes)
-        response.flat = {"columns": cols, "ids": ids}
+        response.projection = {"columns": cols, "ids": ids}
         response.metrics = metrics
         metrics.result_bytes += payload_bytes
         return response

@@ -105,6 +105,15 @@ class _ShardWorker:
     ) -> dict | None:
         return self._host(table, shard_id).compact(target_rows)
 
+    def stats(self, table: str, shard_id: int) -> dict:
+        return self._host(table, shard_id).stats()
+
+    def generations(self, table: str, shard_id: int) -> list[dict]:
+        return self._host(table, shard_id).generations()
+
+    def rebuild_index(self, table: str, shard_id: int) -> dict:
+        return self._host(table, shard_id).rebuild_index()
+
     def reopen(self, table: str, shard_id: int) -> None:
         """Serve the shard store's latest snapshot: the coordinator asks
         once the generation it appended is committed."""
@@ -123,12 +132,8 @@ class _ShardWorker:
         """Partial aggregates over this node's copy of one shard."""
         alias = shard_alias(q.table, shard_id)
         if self.server.get(alias) is None:
-            # Empty shard: nothing to aggregate, the partial is vacuous.
-            if q.group_by is not None:
-                return srv.ServerResponse(kind="grouped", groups=srv.empty_groups(q.aggs))
-            return srv.ServerResponse(
-                kind="partial", flat={agg.alias: [] for agg in q.aggs}
-            )
+            # Empty shard: nothing to aggregate, the partial has no row set.
+            return srv.ServerResponse(kind="grouped", groups=srv.empty_groups(q))
         return self.server.execute_partial(dataclasses.replace(q, table=alias))
 
     def scan(
@@ -153,6 +158,9 @@ class _ShardWorker:
             "truncate": self.truncate,
             "compact": self.compact,
             "reopen": self.reopen,
+            "stats": self.stats,
+            "generations": self.generations,
+            "rebuild_index": self.rebuild_index,
             "rollup": self.rollup,
             "execute": self.execute,
             "scan": self.scan,

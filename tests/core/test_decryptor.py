@@ -54,8 +54,15 @@ def env():
 AGGS = {"a": srv.AsheSum("x__ashe", "a")}
 
 
-def flat_reply(flat, id_sets=None):
-    return srv.ServerResponse(kind="flat", flat=flat, id_sets=id_sets or {})
+def flat_reply(values, ids=None):
+    """A flat reply: its one row set's uint64 ``values`` by alias (all
+    ``None``: no row selected, so no row set) and per ID source its
+    chunks, whose codes are implied."""
+    n = int(any(v is not None for v in values.values()))
+    return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        None, {a: np.array([v] * n, dtype=np.uint64) for a, v in values.items()},
+        {source: [IdPiece(c, None) for c in chunks] for source, chunks in (ids or {}).items()},
+    ))
 
 
 def grouped_reply(alias, keys, sums, pieces):
@@ -82,13 +89,34 @@ class TestPayloadDecryption:
         total = int(cipher.sum()) & (2**64 - 1)
         module = DecryptionModule(state, factory)
         before = scheme.prf_evals
-        opened = module._open_row_set(
-            {"a": ("ashe", total)}, {srv.ROW_IDS: [chunk1, chunk2]}, AGGS
-        )
-        assert opened.values == {"a": 100}
-        assert opened.counts == {srv.ROW_IDS: 4}
+        opened = module._open(flat_reply({"a": total}, {srv.ROW_IDS: [chunk1, chunk2]}), AGGS)
+        assert opened[None].values == {"a": 100}
+        assert opened[None].counts == {srv.ROW_IDS: 4}
         # The touching chunks coalesced into one run: two PRF evaluations.
         assert scheme.prf_evals - before == 2
+
+    def test_one_group_telescopes_and_several_stream(self, env):
+        """The pad rule follows the number of row sets, not the request: a
+        one-group GROUP BY pads its coalesced run by telescoping (two PRF
+        evaluations), two groups stream one pad per ID."""
+        state, factory, _ = env
+        scheme = factory.ashe("x__ashe")
+        cipher = scheme.encrypt_column(np.arange(12) * 5, start_id=0)
+        chunks = [get_codec("seabed").encode(IdList.from_range(lo, lo + 6)) for lo in (0, 6)]
+        module = DecryptionModule(state, factory)
+        one = grouped_reply("a", [9], [int(cipher.sum()) & (2**64 - 1)],
+                            [(chunk, [0] * 6) for chunk in chunks])
+        before = scheme.prf_evals
+        opened = module._open(one, AGGS, grouped=True)
+        assert scheme.prf_evals - before == 2
+        assert opened[9].values == {"a": 5 * sum(range(12))} and opened[9].counts == {
+            srv.ROW_IDS: 12}
+        two = grouped_reply("a", [8, 9], [int(cipher[:6].sum()), int(cipher[6:].sum())],
+                            [(chunks[0], [0] * 6), (chunks[1], [1] * 6)])
+        before = scheme.prf_evals
+        opened = module._open(two, AGGS, grouped=True)
+        assert scheme.prf_evals - before == 12 + 1
+        assert [opened[k].values["a"] for k in (8, 9)] == [5 * 15, 5 * 51]
 
     def test_multiset_chunk(self, env):
         state, factory, _ = env
@@ -100,11 +128,11 @@ class TestPayloadDecryption:
         chunk = encode_multiset(np.array([0, 0, 1], dtype=np.uint64))
         module = DecryptionModule(state, factory)
         aggs = {"a": srv.AsheSum("x__ashe", "a", srv.BUILD_IDS)}
-        opened = module._open_row_set(
-            {"a": ("ashe", total & (2**64 - 1))}, {srv.BUILD_IDS: [chunk]}, aggs
+        opened = module._open(
+            flat_reply({"a": total & (2**64 - 1)}, {srv.BUILD_IDS: [chunk]}), aggs
         )
-        assert opened.values == {"a": 7 * 2 + 8}
-        assert opened.counts == {srv.BUILD_IDS: 3}
+        assert opened[None].values == {"a": 7 * 2 + 8}
+        assert opened[None].counts == {srv.BUILD_IDS: 3}
 
     def test_mixed_run_and_multiset_chunks(self, env):
         """A probe-side set may mix run-coded and multiset chunks (one
@@ -117,34 +145,54 @@ class TestPayloadDecryption:
             get_codec("seabed").encode(IdList.from_range(0, 1)),
             encode_multiset(np.array([1, 1, 2], dtype=np.uint64)),
         ]
-        opened = DecryptionModule(state, factory)._open_row_set(
-            {"a": ("ashe", total)}, {srv.ROW_IDS: chunks}, AGGS
+        opened = DecryptionModule(state, factory)._open(
+            flat_reply({"a": total}, {srv.ROW_IDS: chunks}), AGGS
         )
-        assert opened.values == {"a": 1 + 2 * 2 + 3}
-        assert opened.counts == {srv.ROW_IDS: 4}
+        assert opened[None].values == {"a": 1 + 2 * 2 + 3}
+        assert opened[None].counts == {srv.ROW_IDS: 4}
 
-    def test_none_payload(self, env):
+    def test_no_row_set(self, env):
+        """Nothing selected: the reply has no row set to open."""
         state, factory, _ = env
         module = DecryptionModule(state, factory)
-        opened = module._open_row_set({"a": None}, {}, AGGS)
-        assert opened.values == {"a": None} and opened.counts == {}
+        assert module._open(flat_reply({"a": None}), AGGS) == {}
 
-    def test_plain_payload(self, env):
+    def test_plain_value(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory)
-        assert module._decrypt_payload(("plain", 42), srv.PlainAgg("x", "sum", "a"), {}) == 42
+        opened = module._open(flat_reply({"a": 42}), {"a": srv.PlainAgg("x", "sum", "a")})
+        assert opened[None].values == {"a": 42}
 
     def test_paillier_without_scheme_rejected(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory, paillier=None)
+        reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+            None, {"a": np.array([123], dtype=object)}, {}))
         with pytest.raises(DecryptionError, match="paillier"):
-            module._decrypt_payload(("paillier", 123), srv.PaillierSum("c", "a", 99), {})
+            module._open(reply, {"a": srv.PaillierSum("c", "a", 99)})
 
-    def test_unknown_tag_rejected(self, env):
+    def test_columns_must_match_the_request(self, env):
+        """Its aliases, and its keys: implied exactly when it has no GROUP BY."""
         state, factory, _ = env
         module = DecryptionModule(state, factory)
-        with pytest.raises(DecryptionError, match="unknown payload"):
-            module._decrypt_payload(("mystery", 1), srv.PlainAgg("x", "sum", "a"), {})
+        chunk = get_codec("seabed").encode(IdList.from_range(0, 2))
+        for reply, grouped in ((flat_reply({"b": 1}), False),
+                               (flat_reply({"a": 1}, {srv.ROW_IDS: [chunk]}), True),
+                               (grouped_reply("a", [4], [1], [(chunk, [0, 0])]), False)):
+            with pytest.raises(DecryptionError, match="do not match its request"):
+                module._open(reply, AGGS, grouped)
+
+    def test_unmerged_side_piece_rejected(self, env):
+        """A median's gathers are merged before the reply: raw ones, or an
+        extreme in two pieces, never decrypt."""
+        state, factory, _ = env
+        gather = ("median_gather", np.zeros((1, 2), np.uint64), np.zeros(1, np.uint64),
+                  np.zeros(1, np.uint64))
+        extreme = ("extreme", 1, 0, ())
+        median = srv.OreMedian("x__ore", "x__ashe", "m")
+        for side in ([gather], [extreme, extreme]):
+            with pytest.raises(DecryptionError, match="unmerged"):
+                DecryptionModule(state, factory)._decrypt_extreme(side, median, "ashe")
 
 
 class TestMalformedReplies:
@@ -154,17 +202,17 @@ class TestMalformedReplies:
     CHUNK = get_codec("seabed").encode(IdList.from_range(5, 15))
     BITMAP = encode_mask(np.arange(64) % 2 == 0, 1000)  # offset: a 2-byte varint
 
-    @pytest.mark.parametrize("id_sets", [
+    @pytest.mark.parametrize("ids", [
         {},  # no set at all
         {srv.BUILD_IDS: [CHUNK]},  # only the other source's set
         {srv.ROW_IDS: []},  # a set with no chunk
         {srv.ROW_IDS: [get_codec("seabed").encode(IdList.empty())]},  # an empty set
     ], ids=["missing", "wrong-source", "no-chunks", "empty"])
-    def test_flat_sum_without_ids(self, env, id_sets):
+    def test_flat_sum_without_ids(self, env, ids):
         state, factory, translator = env
         tq = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))
         alias = tq.requests[0].aggs[0].alias
-        reply = flat_reply({alias: ("ashe", 12345)}, id_sets)
+        reply = flat_reply({alias: 12345}, ids)
         with pytest.raises(DecryptionError, match="without its ID set"):
             DecryptionModule(state, factory).decrypt(tq, [reply])
 
@@ -182,7 +230,7 @@ class TestMalformedReplies:
         state, factory, translator = env
         tq = translator.translate(parse_query("SELECT sum(x), count(*) FROM t"))
         alias = tq.requests[0].aggs[0].alias
-        reply = flat_reply({alias: ("ashe", 12345)}, {srv.ROW_IDS: [mangle(self.CHUNK)]})
+        reply = flat_reply({alias: 12345}, {srv.ROW_IDS: [mangle(self.CHUNK)]})
         with pytest.raises(DecryptionError):
             DecryptionModule(state, factory).decrypt(tq, [reply])
 
@@ -221,8 +269,7 @@ class TestMalformedReplies:
         grouped = translator.translate(parse_query("SELECT g, sum(x) FROM t GROUP BY g"))
         key = factory.det("g__det").encrypt_one(3)
         for tq, reply in (
-            (flat, flat_reply({flat.requests[0].aggs[0].alias: ("ashe", 7)},
-                              {srv.ROW_IDS: chunks})),
+            (flat, flat_reply({flat.requests[0].aggs[0].alias: 7}, {srv.ROW_IDS: chunks})),
             (grouped, grouped_reply(grouped.requests[0].aggs[0].alias, [key], [7],
                                     [(chunk, [0] * (1 + len(chunk) % 3)) for chunk in chunks])),
         ):
@@ -239,7 +286,7 @@ class TestMalformedReplies:
         tq = dataclasses.replace(tq, requests=forged)
         with pytest.raises(DecryptionError, match="ASHE aggregate"):
             DecryptionModule(state, factory).decrypt(
-                tq, [flat_reply({agg.alias: ("plain", 3)})]
+                tq, [flat_reply({agg.alias: 3})]
             )
 
 
@@ -307,6 +354,8 @@ def _mutate(rows, kind, data):
         piece.chunk = piece.chunk[:data.draw(st.integers(0, len(piece.chunk) - 1))]
     elif kind == "huge-run":  # 13 bytes claiming 2^40 IDs
         piece.chunk = get_codec("seabed").encode(IdList.from_range(0, 1 << 40))
+    elif kind == "implied-codes":  # only a reply's one row set may imply them
+        piece.codes = None
     elif kind == "empty-group":
         g = data.draw(st.integers(0, entries - 1))
         for p in pieces:
@@ -322,7 +371,7 @@ class TestMalformedGroupedReplies:
 
     KINDS = ["ragged-values", "repeated-key", "ragged-keys", "unsorted-keys",
              "duplicate-keys", "code-past-the-end", "code-length", "code-dtype",
-             "unknown-flag", "truncated-chunk", "huge-run", "empty-group"]
+             "unknown-flag", "truncated-chunk", "huge-run", "implied-codes", "empty-group"]
 
     def test_the_unbroken_reply_decrypts(self, env, grouped_case):
         state, factory, _ = env

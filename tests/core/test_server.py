@@ -72,6 +72,24 @@ class TestFilters:
         assert srv.eval_filter({"a": np.array([1])}, None, 1) is None
 
 
+def flat_values(resp):
+    """A flat reply's one row set: each alias's value (``None``: no row
+    selected) or, for a side aggregate, its one merged piece."""
+    rows = resp.groups
+    assert resp.kind == "grouped" and rows.keys is None and len(rows) <= 1
+    values = {a: c.tolist()[0] if len(rows) else None for a, c in rows.values.items()}
+    for alias, pieces in rows.side.items():
+        (values[alias],) = pieces
+    return values
+
+
+def flat_chunks(resp, source=srv.ROW_IDS):
+    """A flat reply's ID chunks under ``source``: their codes are implied."""
+    pieces = resp.groups.ids[source]
+    assert all(p.codes is None for p in pieces)
+    return [p.chunk for p in pieces]
+
+
 class TestFlatAggregation:
     def test_plain_sum_and_count(self, cluster):
         server = make_server(cluster, {"v": np.arange(100, dtype=np.int64)})
@@ -79,8 +97,8 @@ class TestFlatAggregation:
             srv.PlainAgg("v", "sum", "s"), srv.PlainAgg(None, "count", "c"),
         ))
         resp = server.execute(q)
-        assert resp.flat["s"] == ("plain", 4950)
-        assert resp.flat["c"] == ("plain", 100)
+        assert flat_values(resp) == {"s": 4950, "c": 100}
+        assert resp.payload_bytes == 16
 
     def test_plain_min_max_sumsq_median(self, cluster):
         server = make_server(cluster, {"v": np.array([3, 1, 4, 1, 5], dtype=np.int64)})
@@ -88,10 +106,10 @@ class TestFlatAggregation:
             srv.PlainAgg("v", "min", "lo"), srv.PlainAgg("v", "max", "hi"),
             srv.PlainAgg("v", "sumsq", "sq"), srv.PlainAgg("v", "median", "md"),
         ))
-        resp = server.execute(q)
-        assert resp.flat["lo"][1] == 1 and resp.flat["hi"][1] == 5
-        assert resp.flat["sq"][1] == 9 + 1 + 16 + 1 + 25
-        assert resp.flat["md"][1] == 3.0
+        got = flat_values(server.execute(q))
+        assert got["lo"] == 1 and got["hi"] == 5
+        assert got["sq"] == 9 + 1 + 16 + 1 + 25
+        assert got["md"] == ("plain", 3.0)
 
     def test_ashe_sum_round_trip(self, cluster):
         scheme = AsheScheme(AesNiCtrPrf(KEY))
@@ -104,9 +122,9 @@ class TestFlatAggregation:
             filter=srv.PlainCmp("f", "<", 50),
         )
         resp = server.execute(q)
-        tag, total = resp.flat["s"]
-        assert tag == "ashe"
-        ids = [codec_decode(c) for c in resp.id_sets[srv.ROW_IDS]]
+        total = flat_values(resp)["s"]
+        assert resp.groups.values["s"].dtype == np.uint64
+        ids = [codec_decode(c) for c in flat_chunks(resp)]
         combined = ids[0]
         for extra in ids[1:]:
             combined = combined.union(extra)
@@ -129,14 +147,18 @@ class TestFlatAggregation:
             "partial": np.arange(cipher.size) % 3 != 1,
             "none": np.zeros(cipher.size, dtype=bool),
         }[select]
-        part = Partition({"c": cipher}, start_id=1000)
-        got = srv._flat_partial(srv.AsheSum("c", "s"), part.columns, mask, part, None)
+        part = Partition({"c": cipher, "m": np.ones(cipher.size, dtype=bool) if mask is None
+                          else mask}, start_id=1000)
+        q = srv.ServerQuery(table="t", aggs=(srv.AsheSum("c", "s"),),
+                            filter=None if mask is None else srv.PlainCmp("m", "=", True))
+        got = srv.aggregate_task(part, q, None)
         want = scheme.aggregate(cipher, mask, start_id=1000)
         if select == "none":
             assert got is None and want.value == 0
         else:
-            assert got == ("ashe", want.value)
-            assert scheme.decrypt_sum(got[1], want.ids) == int(
+            (total,) = got.values["s"].tolist()
+            assert got.keys is None and total % (1 << bits) == want.value
+            assert scheme.decrypt_sum(total, want.ids) == int(
                 values.sum() if mask is None else values[mask].sum()
             )
 
@@ -146,7 +168,8 @@ class TestFlatAggregation:
             table="t", aggs=(srv.PlainAgg("v", "sum", "s"),),
             filter=srv.PlainCmp("v", ">", 999),
         )
-        assert server.execute(q).flat["s"] is None
+        resp = server.execute(q)
+        assert flat_values(resp) == {"s": None} and resp.payload_bytes == 0
 
     def test_driver_compression_matches_worker(self, cluster):
         scheme = AsheScheme(AesNiCtrPrf(KEY))
@@ -158,8 +181,8 @@ class TestFlatAggregation:
                 table="t", aggs=(srv.AsheSum("v__ashe", "s"),), compress_at=site
             )
             resp = server.execute(q)
-            assert resp.flat["s"][0] == "ashe" and len(resp.flat["s"]) == 2
-            chunks = resp.id_sets[srv.ROW_IDS]
+            assert flat_values(resp) == {"s": int(enc.sum(dtype=np.uint64))}
+            chunks = flat_chunks(resp)
             ids = codec_decode(chunks[0]) if len(chunks) == 1 else None
             if site == "driver":
                 # Driver mode unions to a single chunk spanning the table.
@@ -175,10 +198,10 @@ class TestFlatAggregation:
         resp = server.execute(
             srv.ServerQuery(table="t", aggs=aggs, filter=srv.PlainCmp("f", "<", 25))
         )
-        assert all(resp.flat[a.alias] == ("ashe", sum(range(25)) + 25 * i)
-                   for i, a in enumerate(aggs))
-        chunks = resp.id_sets[srv.ROW_IDS]
-        assert list(resp.id_sets) == [srv.ROW_IDS] and len(chunks) == 3  # 4th is empty
+        assert flat_values(resp) == {a.alias: sum(range(25)) + 25 * i
+                                     for i, a in enumerate(aggs)}
+        chunks = flat_chunks(resp)
+        assert list(resp.groups.ids) == [srv.ROW_IDS] and len(chunks) == 3  # 4th is empty
         union = codec_decode(chunks[0]).union(codec_decode(chunks[1])).union(
             codec_decode(chunks[2]))
         assert union == srv.IdList.from_range(0, 25)
@@ -214,9 +237,10 @@ class TestOreExtremes:
             srv.OreExtreme("max", "o", "p", "hi"),
         ))
         resp = server.execute(q)
-        assert resp.flat["lo"][1] == 5
-        assert resp.flat["hi"][1] == 80
-        assert resp.flat["hi"][2] == 2  # row id of the max
+        got = flat_values(resp)
+        assert got["lo"][:3] == ("extreme", 5, 1)
+        assert got["hi"][:3] == ("extreme", 80, 2)  # payload, row id of the max
+        assert resp.payload_bytes == 2 * (16 + 8 * len(got["hi"][3]))
 
     def test_median_quickselect(self, cluster):
         ore = OreScheme(KEY, nbits=16)
@@ -224,7 +248,7 @@ class TestOreExtremes:
         cols = {"o": ore.encrypt_column(values), "p": values.astype(np.uint64)}
         server = make_server(cluster, cols, parts=2)
         q = srv.ServerQuery(table="t", aggs=(srv.OreMedian("o", "p", "md"),))
-        assert server.execute(q).flat["md"][1] == 5
+        assert flat_values(server.execute(q))["md"][1] == 5
 
     def test_median_with_duplicates_terminates(self, cluster):
         ore = OreScheme(KEY, nbits=16)
@@ -232,7 +256,7 @@ class TestOreExtremes:
         cols = {"o": ore.encrypt_column(values), "p": values.astype(np.uint64)}
         server = make_server(cluster, cols, parts=2)
         q = srv.ServerQuery(table="t", aggs=(srv.OreMedian("o", "p", "md"),))
-        assert server.execute(q).flat["md"][1] == 4
+        assert flat_values(server.execute(q))["md"][1] == 4
 
 
 def ids_by_group(rows, source=srv.ROW_IDS):
@@ -351,8 +375,8 @@ class TestJoin:
             ),
         )
         resp = server.execute(q)
-        tag, total = resp.flat["s"]
-        chunks = resp.id_sets[srv.BUILD_IDS]
+        total = flat_values(resp)["s"]
+        chunks = flat_chunks(resp, srv.BUILD_IDS)
         pad = sum(scheme.pad_for_multiset(idcodec.decode_multiset(c)) for c in chunks)
         from repro.crypto.ashe import to_signed
         got = to_signed((total + pad) & (2**64 - 1))
@@ -382,8 +406,8 @@ class TestJoin:
             ),
         )
         resp = server.execute(q)
-        assert resp.flat["s"] == ("ashe", 2 * 10 + 20 + 30)
-        first, second = resp.id_sets[srv.ROW_IDS]
+        assert flat_values(resp) == {"s": 2 * 10 + 20 + 30}
+        first, second = flat_chunks(resp)
         assert idcodec.is_multiset_payload(first)
         assert idcodec.decode_multiset(first).tolist() == [0, 0, 1]
         assert codec_decode(second) == srv.IdList.from_ids(np.array([2], np.uint64))

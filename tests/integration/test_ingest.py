@@ -29,6 +29,7 @@ from repro.engine.store import (
 )
 from repro.errors import StorageError
 from repro.ops import OPS
+from repro.query import execute_plain, parse_query
 
 COUNTRIES = ["us", "ca", "in", "uk"]
 MASTER_KEY = b"ingest-tests-master-key-32-byte!"
@@ -508,6 +509,36 @@ class TestCrashSafety:
                              "columns": {}, "generation": 0}
         assert handle.rebuild_index() == stats
         assert handle.num_rows == 0
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_empty_created_table_answers_queries(self, request, tmp_path, point, remote):
+        """The empty table a killed first upload leaves is served: every
+        aggregation answers as over zero rows (its reply has no row set,
+        even where a published generation waits uncommitted) and a
+        projection returns no row."""
+        path = str(tmp_path / "sales")
+        crash_at(point, FIRST_UPLOAD_SCRIPT.format(
+            tests=os.path.dirname(os.path.abspath(__file__)), path=path,
+        ))
+        if remote:
+            service = repro.serve(auth_required=False)
+            request.addfinalizer(service.stop)
+            fresh = repro.connect(service.address, mode="seabed", master_key=MASTER_KEY)
+        else:
+            fresh = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+        request.addfinalizer(fresh.close)
+        fresh.open_table(path)
+        empty = {name: np.asarray(column)[:0] for name, column in dataset().items()}
+        for sql in [COUNT, TOTAL, GROUPED, *SAMPLES,
+                    "SELECT year, count(*) FROM sales GROUP BY year"]:
+            result = fresh.query(sql)
+            assert result.rows == execute_plain({"sales": empty}, parse_query(sql)), sql
+            assert result.result_bytes == 0, sql
+        assert fresh.query(COUNT).rows == [{"count(*)": 0}]
+        assert fresh.query("SELECT min(amount), max(amount) FROM sales").rows == [
+            {"min(amount)": None, "max(amount)": None}]
+        assert fresh.scan("SELECT amount, year FROM sales WHERE year = 2015").rows == []
 
     def test_writer_lost_between_publish_and_commit(self, placed):
         """Whatever the placement: generations published to the store(s)

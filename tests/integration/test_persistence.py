@@ -235,6 +235,32 @@ def file_bytes(root):
     return found
 
 
+class TestIntrospection:
+    def test_stats_generations_and_index_rebuild_per_shard(self, placed):
+        """A sharded handle is introspected shard by shard -- ``{shard:
+        ...}``, as ``compact`` answers -- in process and through the
+        service; a single store answers for its one store."""
+        reference, path = persist(placed)
+        fresh = placed.attach(path, mode="seabed", master_key=MASTER_KEY)
+        handle = fresh.encrypted_table("sales")
+        stats, generations = handle.stats(), handle.generations
+        if placed.sharded:
+            rows = handle.shard_rows()
+            assert set(stats) == set(generations) == set(rows)
+            assert {s: st["rows"] for s, st in stats.items()} == rows
+            assert {s: sum(g["num_rows"] for g in gens)
+                    for s, gens in generations.items()} == rows
+            summaries = list(stats.values())
+        else:
+            assert stats["rows"] == sum(g["num_rows"] for g in generations) == 600
+            summaries = [stats]
+        shape = set(reference.encrypted_table("sales").stats())
+        assert all(set(summary) == shape for summary in summaries)
+        assert handle.rebuild_index() == stats
+        assert rows_of(fresh, FLAT) == rows_of(reference, FLAT)
+        assert rows_of(fresh, GROUPED) == rows_of(reference, GROUPED)
+
+
 class TestCreate:
     @pytest.mark.parametrize("held", ["store", "sidecar"])
     def test_first_upload_into_a_held_path_is_refused_untouched(self, tmp_path, held):

@@ -187,8 +187,6 @@ def test_server_response_roundtrip():
     metrics.add_stage(StageMetrics("merge", [0.01], wall_time=0.01, driver=True))
     resp = srv.ServerResponse(
         kind="grouped",
-        flat={"total": ("ashe", 3)},
-        id_sets={srv.BUILD_IDS: [b"\x01\x02", b""]},
         groups=GroupedRows(
             np.array([7, 2**64 - 1], dtype=np.uint64),
             {"s": np.array([10**45, 3], dtype=object), "n": np.array([4, -1])},
@@ -200,6 +198,48 @@ def test_server_response_roundtrip():
     )
     got = roundtrip(resp, kind="rep")
     assert same(got, resp)
+
+
+def test_flat_reply_roundtrip():
+    """A flat request's reply: its one row set, key and codes implied,
+    and the side pieces -- an ORE extreme's winner, raw median gathers."""
+    gather = ("median_gather", np.arange(6, dtype=np.uint64).reshape(3, 2),
+              np.array([4, 5, 6], dtype=np.uint64), np.array([0, 9, 2], dtype=np.uint64))
+    resp = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        None,
+        {"total": np.array([2**64 - 1], dtype=np.uint64), "n": np.array([3])},
+        {srv.BUILD_IDS: [IdPiece(b"\x08\x02\x05", None), IdPiece(b"\x07\x01", None)]},
+        {"lo": [("extreme", 17, 4, (1, 2**64 - 1))], "md": [gather, gather]},
+    ), payload_bytes=77)
+    got = roundtrip(resp, kind="rep")
+    assert same(got, resp) and got.groups.keys is None
+    assert [p.codes for p in got.groups.ids[srv.BUILD_IDS]] == [None, None]
+
+
+@pytest.mark.parametrize("keys", [None, np.array([3, 5], dtype=np.uint64)],
+                         ids=["implied-keys", "two-keys"])
+def test_implied_codes_need_exactly_one_row_set(keys):
+    """Implied codes name a reply's one row set: beside two row sets (or
+    none) they are a typed error, never IDs credited to a guessed group."""
+    piece = IdPiece(encode_mask(np.ones(4, bool), 0), None)
+    for values in ({"a": np.ones(2, dtype=np.uint64)}, {"a": np.ones(0, dtype=np.uint64)}):
+        if keys is not None and values["a"].size != keys.size:
+            continue
+        reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+            keys, values, {srv.ROW_IDS: [piece]}))
+        with pytest.raises(CodecError, match="implied"):
+            codec.decode_frame(codec.encode_frame("rep", reply))
+
+
+def test_a_reply_in_the_v8_flat_form_is_rejected():
+    """v8's flat reply shipped ``flat`` payload tuples and ``id_sets``;
+    neither field exists any more."""
+    frame = codec.encode_frame("rep", srv.ServerResponse(kind="grouped"))
+    codec.decode_frame(frame)
+    for name in ("flat", "id_sets"):
+        match = rf"unexpected fields for ServerResponse: \['{name}'\]"
+        with pytest.raises(CodecError, match=match):
+            codec.decode_frame(_with_field(frame, "ServerResponse", name, {}))
 
 
 def test_unknown_dataclass_rejected():
@@ -224,14 +264,14 @@ def test_version_skew_rejected():
 
 
 def test_previous_wire_version_rejected():
-    """v7 had the ``upload`` / ``save_store`` ops of in-memory tables;
-    v8 creates every table as a store (``create_store``), so a v7 peer
-    would call ops that no longer exist: it must fail the handshake
-    typed."""
-    assert codec.WIRE_VERSION == 8
+    """v8 shipped a flat request's reply in its own form (``flat`` payload
+    tuples beside ``id_sets``); v9 ships every aggregation reply as row
+    sets, so a v8 peer's reply has no reader here: it must fail the
+    handshake typed."""
+    assert codec.WIRE_VERSION == 9
     frame = bytearray(codec.encode_frame("hello", {"token": "t"}))
-    frame[8:10] = struct.pack("<H", 7)
-    with pytest.raises(CodecError, match="peer speaks v7, this end v8"):
+    frame[8:10] = struct.pack("<H", 8)
+    with pytest.raises(CodecError, match="peer speaks v8, this end v9"):
         codec.decode_frame(bytes(frame))
 
 
@@ -372,15 +412,16 @@ def test_the_code_width_is_the_narrowest_that_holds_the_row_set_count(entries, d
 def test_reply_frame_carries_an_id_chunk_once_per_row_set():
     chunk = b"\x07" + bytes(range(256)) * 2
     def reply(n):
-        return srv.ServerResponse(
-            kind="flat", flat={f"a{i}": ("ashe", i) for i in range(n)},
-            id_sets={srv.ROW_IDS: [chunk]},
-        )
+        return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+            None, {f"a{i}": np.array([i], dtype=np.uint64) for i in range(n)},
+            {srv.ROW_IDS: [IdPiece(chunk, None)]},
+        ))
     one, twelve = (codec.encode_frame("rep", reply(n)) for n in (1, 12))
     assert twelve.count(chunk) == 1
-    assert len(twelve) - len(one) < len(chunk)  # eleven more sums, no more IDs
-    got = codec.decode_frame(twelve)[1]
-    assert got.id_sets == {srv.ROW_IDS: [chunk]} and got.flat["a11"] == ("ashe", 11)
+    assert len(twelve) - len(one) < 11 * 64  # eleven more sums, no more IDs
+    got = codec.decode_frame(twelve)[1].groups
+    assert [p.chunk for p in got.ids[srv.ROW_IDS]] == [chunk]
+    assert got.values["a11"].tolist() == [11]
     # A reply cut short inside its ID chunk is a typed codec error.
     with pytest.raises(CodecError):
         codec.decode_frame(twelve[:-100])
@@ -456,12 +497,11 @@ queries = st.builds(
     filter=st.none() | filters,
     group_by=st.none() | names,
 )
-payloads = st.one_of(
-    st.tuples(st.just("ashe"), st.integers(0, 2**64 - 1)),
-    st.tuples(st.just("paillier"), st.integers(0, 10**80)),
-    st.tuples(st.just("extreme"), u64, u64),
-    st.tuples(st.just("plain"), st.integers(-(2**62), 2**62)),
-    u64_arrays.map(lambda a: ("median_gather", a.reshape(-1, 1), a)),
+side_pieces = st.one_of(
+    st.tuples(st.just("extreme"), u64, u64, st.lists(u64, max_size=2).map(tuple)),
+    st.tuples(st.just("plain"), st.floats(allow_nan=False)),
+    u64_arrays.map(lambda a: ("median_gather", a.reshape(-1, 1), a, a)),
+    u64_arrays.map(lambda a: ("median_gather_plain", a.view(np.int64))),
 )
 job_metrics = st.builds(
     JobMetrics,
@@ -478,16 +518,22 @@ job_metrics = st.builds(
     queue_wait=seconds,
 )
 aliases = st.text(max_size=4)
-id_sets = st.dictionaries(st.sampled_from([srv.ROW_IDS, srv.BUILD_IDS]),
-                          st.lists(st.binary(max_size=24), max_size=3))
 responses = st.one_of(
-    st.builds(srv.ServerResponse, kind=st.just("flat"),
-              flat=st.dictionaries(aliases, st.none() | payloads, max_size=3),
-              id_sets=id_sets,
-              metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
-    st.builds(srv.ServerResponse, kind=st.just("partial"),
-              flat=st.dictionaries(aliases, st.lists(payloads, max_size=3), max_size=3),
-              id_sets=id_sets,
+    st.builds(srv.ServerResponse, kind=st.just("grouped"),
+              groups=st.integers(0, 1).flatmap(
+                  lambda n: st.builds(
+                      lambda values, pieces, side: GroupedRows(
+                          None, values, {srv.ROW_IDS: pieces}, side),
+                      st.dictionaries(aliases, st.lists(
+                          u64, min_size=n, max_size=n,
+                      ).map(lambda xs: np.array(xs, dtype=np.uint64)), min_size=1, max_size=3),
+                      st.lists(st.builds(
+                          lambda flag, payload: IdPiece(bytes([flag]) + payload, None),
+                          st.sampled_from(sorted(ROW_SET_FLAGS)), st.binary(max_size=12),
+                      ), max_size=3 * n),
+                      st.dictionaries(aliases, st.lists(side_pieces, min_size=1, max_size=2),
+                                      max_size=2),
+                  )),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("grouped"),
               groups=st.integers(0, 4).flatmap(
@@ -509,7 +555,7 @@ responses = st.one_of(
                   )),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
     st.builds(srv.ServerResponse, kind=st.just("scan"),
-              flat=st.fixed_dictionaries({
+              projection=st.fixed_dictionaries({
                   "columns": st.dictionaries(names, ciphertext_arrays, max_size=3),
                   "ids": u64_arrays,
               }),
