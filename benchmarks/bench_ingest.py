@@ -24,6 +24,7 @@ Results go to ``results/ingest.txt`` and machine-readably to
 ``BENCH_ingest.json`` at the repository root.
 """
 
+import gc
 import json
 import os
 import platform
@@ -120,6 +121,11 @@ def test_ingest_throughput(benchmark, scale):
                 "synth", base, num_partitions=PARTITIONS,
                 path=os.path.join(tmp, "stream"),
             )
+            # Benchmarks run earlier in this process leave cyclic garbage
+            # (dropped sessions with their stores' memory maps): collect it
+            # before each timed region, so a full collection of their heap
+            # -- 35-75 ms -- is not charged to whichever path it lands in.
+            gc.collect()
             before = OPS.snapshot()
             t0 = time.perf_counter()
             stats = writer.append_rows("synth", batch)
@@ -138,6 +144,7 @@ def test_ingest_throughput(benchmark, scale):
                 name: np.concatenate([base[name], batch[name]])
                 for name in base
             }
+            gc.collect()
             t0 = time.perf_counter()
             resaver.upload(
                 "synth", merged, num_partitions=PARTITIONS,
