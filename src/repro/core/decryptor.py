@@ -154,10 +154,7 @@ class _Reply(NamedTuple):
     response: srv.ServerResponse
     aggs: dict[str, srv.AggOp]
     opened: dict[int | None, _RowSet]  # by group key; None: a flat request's
-
-    @property
-    def grouped(self) -> bool:
-        return self.response.groups.keys is not None
+    grouped: bool  # the request has a GROUP BY (its reply's keys ship)
 
 
 class DecryptionModule:
@@ -185,11 +182,12 @@ class DecryptionModule:
         replies = []
         for request, response in zip(tq.requests, responses):
             aggs = {agg.alias: agg for agg in request.aggs}
+            grouped = request.group_by is not None
             try:  # the ID-list decoders' one error type: damaged chunk bytes
-                opened = self._open(response, aggs, request.group_by is not None)
+                opened = self._open(response, aggs, grouped)
             except EncodingError as exc:
                 raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
-            replies.append(_Reply(response, aggs, opened))
+            replies.append(_Reply(response, aggs, opened, grouped))
         if tq.shape == "flat":
             row = {
                 item.name: self._assemble_item(item, replies, lambda r: r.opened.get(None))

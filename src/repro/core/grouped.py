@@ -85,11 +85,6 @@ class IdPiece:
         return self if self.codes is None else IdPiece(self.chunk, index[self.codes])
 
 
-def _side_nbytes(piece: tuple) -> int:
-    """An ORE extreme: its payload, row ID and ORE words; else one value."""
-    return 16 + 8 * len(piece[3]) if piece[0] == "extreme" else 8
-
-
 @dataclass
 class GroupedRows:
     """Row sets as columns; a reply's are sorted by key, no key twice, and
@@ -124,9 +119,10 @@ class GroupedRows:
         _check(isinstance(self.ids, dict) and all(
             isinstance(pieces, list) and all(isinstance(p, IdPiece) for p in pieces)
             for pieces in self.ids.values()), "ID lists are not pieces")
+        entries = len(self)
         for pieces in self.ids.values():
             for piece in pieces:
-                piece.validate(len(self))
+                piece.validate(entries)
         _check(isinstance(self.side, dict) and all(
             isinstance(pieces, list) and all(isinstance(p, tuple) and p for p in pieces)
             for pieces in self.side.values()), "side pieces are not tuples")
@@ -135,13 +131,12 @@ class GroupedRows:
 
     def nbytes(self, ids: bool = True) -> int:
         """Bytes on the network: 8 per row set's key (none implied), 8 per
-        value (a Paillier product: its length), every side piece and
-        (``ids``) the ID pieces."""
+        value (a Paillier product: its length) and (``ids``) the ID
+        pieces; side pieces are the server's to count."""
         total = 0 if self.keys is None else 8 * len(self)
         for column in self.values.values():
             total += (sum((int(v).bit_length() + 7) // 8 for v in column.tolist())
                       if column.dtype == object else 8 * column.size)
-        total += sum(_side_nbytes(p) for pieces in self.side.values() for p in pieces)
         if ids:
             total += sum(len(p.chunk) + (0 if p.codes is None else p.codes.nbytes)
                          for pieces in self.ids.values() for p in pieces)
@@ -169,14 +164,14 @@ class GroupedRows:
         one run already, and implied codes stay implied."""
         parts = [p for p in parts if len(p)] or parts[:1]
         rows = GroupedRows.concat(parts)
-        if rows.keys is None:
-            index = np.zeros(len(rows), dtype=np.uint8)
-        else:
-            order = np.argsort(rows.keys, kind="stable")
-            rows = GroupedRows(rows.keys[order], {a: c[order] for a, c in rows.values.items()}, {})
-            run = _run_index(rows.run_starts(), len(rows))
-            index = np.empty_like(run)
-            index[order] = run
+        if rows.keys is None:  # one run: every code is already 0 or implied
+            return rows, {source: [p for part in parts for p in part.ids[source]]
+                          for source in parts[0].ids}
+        order = np.argsort(rows.keys, kind="stable")
+        rows = GroupedRows(rows.keys[order], {a: c[order] for a, c in rows.values.items()}, {})
+        run = _run_index(rows.run_starts(), len(rows))
+        index = np.empty_like(run)
+        index[order] = run
         ids: dict[str, list[IdPiece]] = {source: [] for source in parts[0].ids}
         lo = 0
         for part in parts:

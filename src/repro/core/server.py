@@ -268,20 +268,31 @@ class ServerQuery:
 class ServerResponse:
     """What travels back to the proxy.
 
-    ``grouped`` (every aggregation reply): ``groups``, the request's row
-    sets as columns -- one per group key; without GROUP BY the one row
-    set of the whole selection, or none when no row is selected.  A value
-    column per alias (wrapped uint64 ASHE sums, plain values, Paillier
-    products), per ID source the row sets' IDs, once, and ORE extremes
-    and median gathers in ``groups.side``.  ``scan``: ``projection``
-    holds the projected ``columns`` and row ``ids``.
+    An aggregation reply sets ``groups``, the request's row sets as
+    columns -- one per group key; without GROUP BY the one row set of the
+    whole selection, or none when no row is selected.  A value column per
+    alias (wrapped uint64 ASHE sums, plain values, Paillier products), per
+    ID source the row sets' IDs, once, and ORE extremes and median
+    gathers in ``groups.side``.  A scan's ``projection`` holds the
+    projected ``columns`` and row ``ids``.
     """
 
-    kind: str  # "grouped" | "scan"
     groups: GroupedRows | None = None
     projection: dict[str, Any] = field(default_factory=dict)
     metrics: JobMetrics = field(default_factory=JobMetrics)
     payload_bytes: int = 0
+
+
+def grouped_reply(groups: GroupedRows, metrics: JobMetrics) -> ServerResponse:
+    """An aggregation reply, its bytes on the network counted into
+    ``metrics``: the row sets' columns and ID pieces, plus each side
+    piece -- an ORE extreme's payload, row ID and ORE words, else one
+    value."""
+    payload_bytes = groups.nbytes() + sum(
+        16 + 8 * len(p[3]) if p[0] == "extreme" else 8
+        for pieces in groups.side.values() for p in pieces)
+    metrics.result_bytes += payload_bytes
+    return ServerResponse(groups=groups, metrics=metrics, payload_bytes=payload_bytes)
 
 
 def id_sources(aggs: Iterable[AggOp]) -> list[str]:
@@ -573,10 +584,7 @@ class SeabedServer:
             )
         else:
             groups = self._reduce_groups(q, partials, metrics)
-        response = ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
-        response.metrics = metrics
-        metrics.result_bytes += response.payload_bytes
-        return response
+        return grouped_reply(groups, metrics)
 
     def _maybe_log_slow(self, q: ServerQuery, metrics: JobMetrics | None) -> None:
         """Emit the structured slow-query event when the job's measured
@@ -700,7 +708,7 @@ class SeabedServer:
         payload_bytes = int(ids.nbytes) + sum(
             a.nbytes if a.dtype != object else 256 * len(a) for a in cols.values()
         )
-        response = ServerResponse(kind="scan", payload_bytes=payload_bytes)
+        response = ServerResponse(payload_bytes=payload_bytes)
         response.projection = {"columns": cols, "ids": ids}
         response.metrics = metrics
         metrics.result_bytes += payload_bytes

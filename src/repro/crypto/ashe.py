@@ -262,11 +262,10 @@ class AsheScheme:
         """``sum_{i in S} (F(i) - F(i-1))`` = ``sum_runs F(end) - F(start-1)``."""
         if ids.is_empty():
             return 0
-        ends = self._prf.eval_many(ids.ends)
-        starts = self._prf.eval_many(ids.starts - _ONE)
-        self._bump(2 * ids.num_runs)
-        total = int(np.add.reduce(ends - starts)) & MASK64
-        return total
+        runs = ids.num_runs  # one PRF call for both ends of every run
+        evals = self._prf.eval_many(np.concatenate((ids.ends, ids.starts - _ONE)))
+        self._bump(2 * runs)
+        return int(np.add.reduce(evals[:runs] - evals[runs:])) & MASK64
 
 
 def check_overflow_headroom(max_abs_value: int, rows: int) -> None:

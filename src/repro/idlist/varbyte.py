@@ -7,7 +7,8 @@ reference implementations are kept for property tests.  This is the one
 coder: :func:`encode` (a pass per byte position, over the values at
 least that long) and :func:`decode` (one ``reduceat`` over the stream's
 7-bit groups) serve every ID chunk, flat or grouped, and the store's
-row-ID spans.
+row-ID spans; up to :data:`SCALAR_MAX` values they hand over to the
+scalar references.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ _SEVEN = _U64(7)
 _LOW7 = _U64(0x7F)
 
 
+#: Up to this many values to encode (bytes to decode) the scalar coders
+#: run instead: a point query's chunk is a run or two, and numpy's
+#: per-call cost would be most of its encode and decode.
+SCALAR_MAX = 16
+
+
 def encode(values: np.ndarray) -> bytes:
     """Encode a uint64 array into a variable-byte stream."""
-    return encode_with_offsets(values)[0]
+    v = np.asarray(values, dtype=_U64)
+    if v.size <= SCALAR_MAX:
+        return encode_scalar(v.tolist())
+    return encode_with_offsets(v)[0]
 
 
 def encode_with_offsets(values: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -54,8 +64,10 @@ def encode_with_offsets(values: np.ndarray) -> tuple[bytes, np.ndarray]:
 def decode(data: bytes | np.ndarray) -> np.ndarray:
     """Decode a variable-byte stream (bytes or a uint8 array) back into a
     uint64 array."""
-    if len(data) == 0:
-        return np.empty(0, _U64)
+    if len(data) <= SCALAR_MAX:
+        # A 10-byte group wraps past 64 bits, as the reduceat below does.
+        values = decode_scalar(bytes(data))
+        return np.fromiter((x & 0xFFFF_FFFF_FFFF_FFFF for x in values), _U64, len(values))
     b = np.frombuffer(data, dtype=np.uint8)
     terminal = (b & 0x80) == 0
     if not terminal[-1]:

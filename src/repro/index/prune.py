@@ -23,7 +23,8 @@ Because the planner runs on *every* query, the manifest's JSON stats
 are first **compiled** -- token lists to frozensets, bloom payloads to
 bit arrays, ORE bounds to tuples -- via :func:`compile_zone_maps`; the
 server caches the compiled form per registered table so the per-query
-cost is a plain tree walk.  Raw manifest dicts are accepted everywhere
+cost is a plain tree walk (and a point query's ``DetEq``, one lookup in
+the compiled form's inverted token index).  Raw manifest dicts are accepted everywhere
 and compiled on the fly.
 
 No key material is used anywhere: ORE bounds compare with the public
@@ -32,6 +33,7 @@ Compare, DET tokens by equality against already-visible tokens.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -130,16 +132,51 @@ def compile_partition(stats: dict | None) -> PartitionStats | None:
     return PartitionStats(rows=int(stats.get("rows", 0)), columns=columns)
 
 
+class ZoneMaps(list):
+    """A table's compiled zone maps, one entry per partition, and per DET
+    column an inverted index built on first use: token -> the partitions
+    whose exact token set holds it.  A point query (``DetEq``) then
+    costs one lookup, not a judgement per partition; the partitions the
+    index cannot answer for (a bloom, no stats) are judged one by one."""
+
+    def __init__(self, maps: list[PartitionStats | None]):
+        super().__init__(maps)
+        self._det: dict[str, tuple[dict[int, list[int]], list[int]]] = {}
+        self._lock = threading.Lock()  # concurrent queries build an index once
+
+    def det_keep(self, expr: Any) -> np.ndarray:
+        """The keep-mask of a positive ``DetEq``, as :func:`may_match` gives it."""
+        with self._lock:
+            index = self._det.get(expr.column)
+            if index is None:
+                by_token: dict[int, list[int]] = {}
+                unsure = []
+                for i, stats in enumerate(self):
+                    art = stats.columns.get(expr.column) if stats else None
+                    if not isinstance(art, DetArtifact) or art.tokens is None:
+                        unsure.append(i)
+                        continue
+                    for token in art.tokens:
+                        by_token.setdefault(token, []).append(i)
+                index = self._det[expr.column] = (by_token, unsure)
+        by_token, unsure = index
+        keep = np.zeros(len(self), dtype=bool)
+        keep[by_token.get(int(expr.token), [])] = True
+        for i in unsure:
+            keep[i] = may_match(self[i], expr)
+        return keep
+
+
 def compile_zone_maps(
     zone_maps: Sequence[dict | PartitionStats | None] | None,
-) -> list[PartitionStats | None] | None:
+) -> ZoneMaps | None:
     """Compile a table's zone-map list (idempotent; None passes through)."""
     if zone_maps is None:
         return None
-    return [
+    return ZoneMaps([
         z if isinstance(z, PartitionStats) or z is None else compile_partition(z)
         for z in zone_maps
-    ]
+    ])
 
 
 def _as_compiled(stats: Any) -> PartitionStats | None:
@@ -304,9 +341,25 @@ def survivors(
         return None
     if not any(zone_maps):
         return None
-    return np.asarray(
-        [may_match(stats, filt) for stats in zone_maps], dtype=bool
-    )
+    return _keep(zone_maps, filt)
+
+
+def _keep(zone_maps: Sequence[Any], expr: Any) -> np.ndarray:
+    """:func:`may_match` over every partition.  On compiled
+    :class:`ZoneMaps` a positive ``DetEq`` -- alone, or as a conjunct --
+    is one index lookup, and the other conjuncts are judged only on the
+    partitions it keeps."""
+    srv = _srv()
+    if isinstance(zone_maps, ZoneMaps):
+        conjuncts = expr.children if isinstance(expr, srv.FilterAnd) else (expr,)
+        point = next((c for c in conjuncts if isinstance(c, srv.DetEq) and not c.negate), None)
+        if point is not None:
+            keep = zone_maps.det_keep(point)
+            rest = [c for c in conjuncts if c is not point]
+            for i in np.flatnonzero(keep).tolist() if rest else ():
+                keep[i] = all(may_match(zone_maps[i], c) for c in rest)
+            return keep
+    return np.asarray([may_match(stats, expr) for stats in zone_maps], dtype=bool)
 
 
 def extreme_candidates(

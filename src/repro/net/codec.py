@@ -19,7 +19,7 @@ Frame kinds: ``hello`` / ``req`` / ``rep`` between client and service,
 The envelope is a JSON tree: JSON scalars, lists and string-keyed dicts
 ship as themselves, and every other value is a tagged object (``{"!":
 tag, ...}``): tuples, dicts with other keys (or a ``"!"`` key), bytes,
-numpy arrays and scalars, and the registered request/response
+numpy arrays and scalars, ID pieces, and the registered request/response
 dataclasses (:class:`~repro.core.server.ServerQuery`, filter and
 aggregate ops, :class:`~repro.core.server.ServerResponse`,
 :class:`~repro.engine.metrics.JobMetrics`...).  Bulk payloads -- bytes
@@ -28,11 +28,12 @@ envelope stores an index into the raw buffer region, so ciphertext
 batches and encrypted results ship as flat memory with a JSON envelope
 for metadata only.  Every aggregation reply is columns
 (:class:`~repro.core.grouped.GroupedRows`): a few buffers whatever its
-number of row sets, plus an ID chunk per partition and, under GROUP BY, a
-code column per chunk; a flat reply's key and codes are implied and never
-ship.  It is checked structurally as it is decoded (every code names a
-row set of the reply, in the row-set count's width; implied codes only
-beside exactly one row set; every chunk flag is one a row set ships).
+number of row sets, plus an ID chunk per partition -- a ``p`` node, the
+chunk's buffer and, under GROUP BY, its code column; a flat reply's key
+and codes are implied and never ship.  It is checked structurally as it
+is decoded (every code names a row set of the reply, in the row-set
+count's width; implied codes only beside exactly one row set; every
+chunk flag is one a row set ships).
 
 Malformed input never escapes as a raw ``struct``/``json``/``OSError``:
 truncated frames, bad magic, version skew, unknown tags and oversized
@@ -76,7 +77,7 @@ _FIELDS: dict[type, tuple[str, ...]] = {
         srv.PlainCmp, srv.DetEq, srv.DetIn, srv.OreCmp, srv.FilterAnd,
         srv.FilterOr, srv.FilterNot, srv.AsheSum, srv.PlainAgg, srv.PaillierSum,
         srv.OreExtreme, srv.OreMedian, srv.ServerJoin, srv.ServerQuery,
-        srv.ServerResponse, grouped.GroupedRows, grouped.IdPiece,
+        srv.ServerResponse, grouped.GroupedRows,
         em.StageMetrics, em.JobMetrics,
     )
 }
@@ -104,6 +105,14 @@ def _pack(value: Any, buffers: list[bytes]) -> Any:
         }
     if isinstance(value, list):
         return [v if type(v) in _LEAVES else _pack(v, buffers) for v in value]
+    if type(value) is grouped.IdPiece:  # one per partition: its own compact node
+        if not isinstance(value.chunk, bytes):
+            raise CodecError("an ID piece's chunk is not encoded bytes")
+        buffers.append(value.chunk)
+        node = {"!": "p", "i": len(buffers) - 1}
+        if value.codes is not None:
+            node["c"] = _pack(value.codes, buffers)
+        return node
     names = _FIELDS.get(type(value))
     if names is not None:
         fields = {}
@@ -151,6 +160,10 @@ def _unpack(tree: Any, buffers: list[memoryview]) -> Any:
             return bytes(buffers[tree["i"]])
         if tag == "t":
             return tuple(_unpack(v, buffers) for v in tree["v"])
+        if tag == "p":
+            codes = tree.get("c")
+            return grouped.IdPiece(bytes(buffers[tree["i"]]),
+                                   None if codes is None else _unpack(codes, buffers))
         if tag == "m":
             return {_unpack(k, buffers): _unpack(v, buffers) for k, v in tree["v"]}
         if tag == "nd":

@@ -494,10 +494,7 @@ class ShardCoordinator:
             lambda: srv.merge_groups([resp.groups for resp in responses], q),
             metrics,
         )
-        response = srv.ServerResponse(kind="grouped", groups=groups, payload_bytes=groups.nbytes())
-        response.metrics = metrics
-        metrics.result_bytes += response.payload_bytes
-        return response
+        return srv.grouped_reply(groups, metrics)
 
     def scan(
         self,
@@ -555,7 +552,7 @@ class ShardCoordinator:
 
         cols, ids = self.cluster.run_driver("gather-merge", merge, metrics)
         payload_bytes = sum(resp.payload_bytes for resp in responses)
-        response = srv.ServerResponse(kind="scan", payload_bytes=payload_bytes)
+        response = srv.ServerResponse(payload_bytes=payload_bytes)
         response.projection = {"columns": cols, "ids": ids}
         response.metrics = metrics
         metrics.result_bytes += payload_bytes

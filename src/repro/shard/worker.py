@@ -133,7 +133,7 @@ class _ShardWorker:
         alias = shard_alias(q.table, shard_id)
         if self.server.get(alias) is None:
             # Empty shard: nothing to aggregate, the partial has no row set.
-            return srv.ServerResponse(kind="grouped", groups=srv.empty_groups(q))
+            return srv.ServerResponse(groups=srv.empty_groups(q))
         return self.server.execute_partial(dataclasses.replace(q, table=alias))
 
     def scan(

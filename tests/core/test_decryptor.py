@@ -59,7 +59,7 @@ def flat_reply(values, ids=None):
     ``None``: no row selected, so no row set) and per ID source its
     chunks, whose codes are implied."""
     n = int(any(v is not None for v in values.values()))
-    return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+    return srv.ServerResponse(groups=GroupedRows(
         None, {a: np.array([v] * n, dtype=np.uint64) for a, v in values.items()},
         {source: [IdPiece(c, None) for c in chunks] for source, chunks in (ids or {}).items()},
     ))
@@ -69,7 +69,7 @@ def grouped_reply(alias, keys, sums, pieces):
     """A grouped reply: key ``i``'s ASHE sum ``sums[i]``, and the row-ID
     ``pieces`` as (chunk, the index of each of its IDs' key) pairs."""
     dtype = code_dtype(len(keys))
-    return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+    return srv.ServerResponse(groups=GroupedRows(
         np.array(keys, dtype=np.uint64),
         {alias: np.array(sums, dtype=np.uint64)},
         {srv.ROW_IDS: [IdPiece(chunk, np.array(codes, dtype=dtype)) for chunk, codes in pieces]},
@@ -166,7 +166,7 @@ class TestPayloadDecryption:
     def test_paillier_without_scheme_rejected(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory, paillier=None)
-        reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        reply = srv.ServerResponse(groups=GroupedRows(
             None, {"a": np.array([123], dtype=object)}, {}))
         with pytest.raises(DecryptionError, match="paillier"):
             module._open(reply, {"a": srv.PaillierSum("c", "a", 99)})

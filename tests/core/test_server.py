@@ -76,7 +76,7 @@ def flat_values(resp):
     """A flat reply's one row set: each alias's value (``None``: no row
     selected) or, for a side aggregate, its one merged piece."""
     rows = resp.groups
-    assert resp.kind == "grouped" and rows.keys is None and len(rows) <= 1
+    assert rows.keys is None and len(rows) <= 1
     values = {a: c.tolist()[0] if len(rows) else None for a, c in rows.values.items()}
     for alias, pieces in rows.side.items():
         (values[alias],) = pieces
@@ -157,7 +157,7 @@ class TestFlatAggregation:
             assert got is None and want.value == 0
         else:
             (total,) = got.values["s"].tolist()
-            assert got.keys is None and total % (1 << bits) == want.value
+            assert got.keys is None and total == want.value
             assert scheme.decrypt_sum(total, want.ids) == int(
                 values.sum() if mask is None else values[mask].sum()
             )
@@ -282,8 +282,8 @@ class TestGroupBy:
             table="t", aggs=(srv.PlainAgg("v", "sum", "s"),), group_by="k"
         )
         resp = server.execute(q)
-        assert resp.kind == "grouped"
         rows = resp.groups
+        assert rows.keys is not None
         rows.validate(distinct=True)  # one entry per key, sorted
         assert dict(zip(rows.keys.tolist(), rows.values["s"].tolist())) == {0: 40, 1: 60, 2: 50}
 

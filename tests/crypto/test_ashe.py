@@ -199,7 +199,7 @@ class TestPadArray:
         chunks = [IdPiece(encode_multiset(np.sort(piece)) if kind == "multiset"
                           else CHUNK[kind](IdList.from_ids(np.sort(piece))), codes[lo:hi])
                   for (kind, piece), lo, hi in zip(pieces, bounds[:-1], bounds[1:])]
-        reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        reply = srv.ServerResponse(groups=GroupedRows(
             np.sort(tokens), {tq.requests[0].aggs[0].alias: sums}, {srv.ROW_IDS: chunks}))
         before = scheme.prf_evals
         rows = DecryptionModule(state, factory).decrypt(tq, [reply])

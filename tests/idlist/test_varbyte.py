@@ -42,6 +42,12 @@ class TestErrors:
         with pytest.raises(EncodingError, match="truncated"):
             varbyte.decode(bytes([0x80]))
 
+    def test_a_ten_byte_group_wraps_at_64_bits_either_way(self):
+        short = bytes([0xFF] * 9 + [0x7F])
+        assert len(short) <= varbyte.SCALAR_MAX < len(short * 2)
+        assert varbyte.decode(short).tolist() == [2**64 - 1]
+        assert varbyte.decode(short * 2).tolist() == [2**64 - 1] * 2
+
     def test_overlong_group(self):
         with pytest.raises(EncodingError, match="longer than 10"):
             varbyte.decode(bytes([0x80] * 11 + [0x01]))
@@ -67,5 +73,6 @@ def test_property_round_trip(values):
 def test_property_vectorised_matches_scalar_reference(values):
     arr = np.array(values, dtype=np.uint64)
     assert varbyte.encode(arr) == varbyte.encode_scalar(values)
+    assert varbyte.encode_with_offsets(arr)[0] == varbyte.encode_scalar(values)
     encoded = varbyte.encode_scalar(values)
     assert varbyte.decode_scalar(encoded) == values

@@ -19,7 +19,13 @@ from repro.core.server import (
 )
 from repro.crypto.ore import OreScheme
 from repro.index.bloom import BloomFilter
-from repro.index.prune import all_match, extreme_candidates, may_match, survivors
+from repro.index.prune import (
+    all_match,
+    compile_zone_maps,
+    extreme_candidates,
+    may_match,
+    survivors,
+)
 
 KEY = b"prune-unit-test-key-abcdefghijkl"
 ORE = OreScheme(KEY, nbits=16)
@@ -151,6 +157,26 @@ class TestSurvivors:
     def test_mask_keeps_uncertain_partitions(self):
         keep = survivors(self.MAPS, PlainCmp("year", "=", 2016))
         assert keep.tolist() == [False, True, True]
+
+    def test_compiled_maps_answer_as_each_partition_does(self):
+        """The compiled form's inverted token index (alone, or with the
+        other conjuncts of an AND judged on what it keeps) keeps exactly
+        what :func:`may_match` keeps, bloom and stat-less partitions
+        included."""
+        maps = [det_stats(3, 7), bloom_stats(7, 9), None, det_stats(9), det_stats(),
+                plain_stats(2013, 2016)]
+        compiled = compile_zone_maps(maps)
+        year = PlainCmp("year", "<", 2014)
+        for token in (3, 7, 9, 11):
+            for expr in (DetEq("c__det", token), DetEq("c__det", token, negate=True),
+                         FilterAnd((DetEq("c__det", token), year)),
+                         FilterAnd((year, DetEq("c__det", token, negate=True),
+                                    DetEq("c__det", 9))),
+                         FilterOr((DetEq("c__det", token), DetEq("c__det", 3))),
+                         DetEq("other__det", token)):
+                want = [may_match(stats, expr) for stats in maps]
+                assert survivors(compiled, expr).tolist() == want, expr
+                assert survivors(maps, expr).tolist() == want, expr
 
     def test_no_filter_or_no_maps_is_none(self):
         assert survivors(self.MAPS, None) is None

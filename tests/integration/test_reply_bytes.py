@@ -242,7 +242,7 @@ def test_every_aggregation_reply_is_row_sets(measured):
     for (_, _, label), (_, _, replies) in measured.items():
         for reply in replies:
             rows = reply.groups
-            assert reply.kind == "grouped" and isinstance(rows, GroupedRows)
+            assert isinstance(rows, GroupedRows)
             pieces = [p for ps in rows.ids.values() for p in ps]
             if rows.keys is None:
                 assert not label.startswith("group-") and len(rows) <= 1

@@ -21,6 +21,7 @@ from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.engine.table import Partition, Table
 from repro.engine.transport import CALL, REPLY
 from repro.errors import CodecError
+from repro.idlist import IdList
 from repro.idlist.codec import ROW_SET_FLAGS, encode_mask
 from repro.net import codec, rpc
 from repro.shard.worker import _ShardWorker
@@ -186,7 +187,6 @@ def test_server_response_roundtrip():
     metrics.add_stage(StageMetrics("map", [0.1, 0.2], wall_time=0.05))
     metrics.add_stage(StageMetrics("merge", [0.01], wall_time=0.01, driver=True))
     resp = srv.ServerResponse(
-        kind="grouped",
         groups=GroupedRows(
             np.array([7, 2**64 - 1], dtype=np.uint64),
             {"s": np.array([10**45, 3], dtype=object), "n": np.array([4, -1])},
@@ -205,7 +205,7 @@ def test_flat_reply_roundtrip():
     and the side pieces -- an ORE extreme's winner, raw median gathers."""
     gather = ("median_gather", np.arange(6, dtype=np.uint64).reshape(3, 2),
               np.array([4, 5, 6], dtype=np.uint64), np.array([0, 9, 2], dtype=np.uint64))
-    resp = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+    resp = srv.ServerResponse(groups=GroupedRows(
         None,
         {"total": np.array([2**64 - 1], dtype=np.uint64), "n": np.array([3])},
         {srv.BUILD_IDS: [IdPiece(b"\x08\x02\x05", None), IdPiece(b"\x07\x01", None)]},
@@ -225,16 +225,28 @@ def test_implied_codes_need_exactly_one_row_set(keys):
     for values in ({"a": np.ones(2, dtype=np.uint64)}, {"a": np.ones(0, dtype=np.uint64)}):
         if keys is not None and values["a"].size != keys.size:
             continue
-        reply = srv.ServerResponse(kind="grouped", groups=GroupedRows(
+        reply = srv.ServerResponse(groups=GroupedRows(
             keys, values, {srv.ROW_IDS: [piece]}))
         with pytest.raises(CodecError, match="implied"):
             codec.decode_frame(codec.encode_frame("rep", reply))
 
 
+def test_an_id_piece_ships_as_a_compact_node():
+    """One per partition, so no dataclass node: its chunk's buffer and,
+    under GROUP BY, its code column; the dataclass form is refused."""
+    frame = codec.encode_frame("rep", _pieces_reply(np.array([0, 1, 2, 2], np.uint8)))
+    assert b"IdPiece" not in frame and b'{"!":"p","i":' in frame
+    forged = {"!": "d", "t": "IdPiece", "f": {"chunk": {"!": "b", "i": 0}, "codes": None}}
+    with pytest.raises(CodecError, match="unknown dataclass 'IdPiece'"):
+        codec.decode_frame(_forged(forged))
+    with pytest.raises(CodecError, match="not encoded bytes"):
+        codec.encode_frame("rep", IdPiece(IdList.from_range(0, 4), None))
+
+
 def test_a_reply_in_the_v8_flat_form_is_rejected():
     """v8's flat reply shipped ``flat`` payload tuples and ``id_sets``;
     neither field exists any more."""
-    frame = codec.encode_frame("rep", srv.ServerResponse(kind="grouped"))
+    frame = codec.encode_frame("rep", srv.ServerResponse())
     codec.decode_frame(frame)
     for name in ("flat", "id_sets"):
         match = rf"unexpected fields for ServerResponse: \['{name}'\]"
@@ -363,7 +375,7 @@ def test_a_reply_with_group_suffixes_is_rejected():
 
 def _pieces_reply(codes, chunk=None, entries=3):
     """A grouped reply of ``entries`` row sets over IDs 0-3 in one piece."""
-    return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+    return srv.ServerResponse(groups=GroupedRows(
         np.arange(entries, dtype=np.uint64),
         {"a": np.ones(entries, dtype=np.uint64)},
         {srv.ROW_IDS: [IdPiece(chunk or encode_mask(np.ones(4, bool), 0), codes)]},
@@ -410,15 +422,21 @@ def test_the_code_width_is_the_narrowest_that_holds_the_row_set_count(entries, d
 
 
 def test_reply_frame_carries_an_id_chunk_once_per_row_set():
-    chunk = b"\x07" + bytes(range(256)) * 2
-    def reply(n):
-        return srv.ServerResponse(kind="grouped", groups=GroupedRows(
+    def reply(n, chunk):
+        return srv.ServerResponse(groups=GroupedRows(
             None, {f"a{i}": np.array([i], dtype=np.uint64) for i in range(n)},
             {srv.ROW_IDS: [IdPiece(chunk, None)]},
         ))
-    one, twelve = (codec.encode_frame("rep", reply(n)) for n in (1, 12))
-    assert twelve.count(chunk) == 1
-    assert len(twelve) - len(one) < 11 * 64  # eleven more sums, no more IDs
+    def frames(chunk):
+        one, twelve = (codec.encode_frame("rep", reply(n, chunk)) for n in (1, 12))
+        assert twelve.count(chunk) == 1
+        return one, twelve
+    chunk = b"\x07" + bytes(range(256)) * 2
+    one, twelve = frames(chunk)
+    big_one, big_twelve = frames(b"\x07" + bytes(range(256)) * 16)
+    # Eleven more sums cost the same bytes whatever the chunk's size: no
+    # aggregate carries IDs of its own.
+    assert len(twelve) - len(one) == len(big_twelve) - len(big_one)
     got = codec.decode_frame(twelve)[1].groups
     assert [p.chunk for p in got.ids[srv.ROW_IDS]] == [chunk]
     assert got.values["a11"].tolist() == [11]
@@ -519,7 +537,7 @@ job_metrics = st.builds(
 )
 aliases = st.text(max_size=4)
 responses = st.one_of(
-    st.builds(srv.ServerResponse, kind=st.just("grouped"),
+    st.builds(srv.ServerResponse,
               groups=st.integers(0, 1).flatmap(
                   lambda n: st.builds(
                       lambda values, pieces, side: GroupedRows(
@@ -535,7 +553,7 @@ responses = st.one_of(
                                       max_size=2),
                   )),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
-    st.builds(srv.ServerResponse, kind=st.just("grouped"),
+    st.builds(srv.ServerResponse,
               groups=st.integers(0, 4).flatmap(
                   lambda n: st.builds(
                       lambda keys, values, pieces: GroupedRows(
@@ -554,7 +572,7 @@ responses = st.one_of(
                       ), max_size=3 * (n > 0)),
                   )),
               metrics=job_metrics, payload_bytes=st.integers(0, 2**40)),
-    st.builds(srv.ServerResponse, kind=st.just("scan"),
+    st.builds(srv.ServerResponse,
               projection=st.fixed_dictionaries({
                   "columns": st.dictionaries(names, ciphertext_arrays, max_size=3),
                   "ids": u64_arrays,
