@@ -120,8 +120,10 @@ def _open_pieces(pieces: list[IdPiece], schemes: dict[str, AsheScheme],
 def _open_one(pieces: list[IdPiece], schemes: dict[str, AsheScheme]
               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """:func:`_open_pieces` for a reply's one row set: its runs unioned
-    (touching runs coalesce) and padded by telescoping, two PRF
-    evaluations per run, and multiset IDs once per occurrence."""
+    (the pieces arrive in ID order, so the union only joins them and
+    coalesces touching seams) and padded by telescoping, two PRF
+    evaluations per run in chunk-sized calls, and multiset IDs once per
+    occurrence."""
     runs: list[IdList] = []
     multiset = [np.empty(0, np.uint64)]
     for piece in pieces:

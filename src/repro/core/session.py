@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from threading import Lock
@@ -1317,6 +1318,10 @@ class SeabedSession:
         if prepared is None:
             OPS.bump("cache_miss")
             prepared = self.prepare(shape)
+            # The cache is the session's own: a weak link back keeps the
+            # session out of a reference cycle, so a dropped one (and its
+            # mapped stores) goes by refcount, not at a gen-2 collection.
+            prepared._session = weakref.proxy(self)
             self._cache.put(shape, prepared)
         else:
             OPS.bump("cache_hit")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.prf import MASK64, AesNiCtrPrf
+from repro.crypto.prf import CHUNK, MASK64, AesNiCtrPrf
 from repro.errors import CryptoError, DecryptionError
 from repro.idlist import IdList
 
@@ -259,13 +259,17 @@ class AsheScheme:
         return pads
 
     def _pad_sum(self, ids: IdList) -> int:
-        """``sum_{i in S} (F(i) - F(i-1))`` = ``sum_runs F(end) - F(start-1)``."""
-        if ids.is_empty():
-            return 0
-        runs = ids.num_runs  # one PRF call for both ends of every run
-        evals = self._prf.eval_many(np.concatenate((ids.ends, ids.starts - _ONE)))
-        self._bump(2 * runs)
-        return int(np.add.reduce(evals[:runs] - evals[runs:])) & MASK64
+        """``sum_{i in S} (F(i) - F(i-1))`` = ``sum_runs F(end) - F(start-1)``,
+        folded :data:`~repro.crypto.prf.CHUNK` / 2 runs at a time: one PRF
+        call for both ends of a slice's runs and a running sum, so no
+        array of all ``2 * runs`` evaluations is ever built."""
+        total, step = 0, CHUNK // 2
+        for at in range(0, ids.num_runs, step):
+            ends = ids.ends[at : at + step]
+            evals = self._prf.eval_many(np.concatenate((ends, ids.starts[at : at + step] - _ONE)))
+            total += int(np.add.reduce(evals[: ends.size] - evals[ends.size :]))
+        self._bump(2 * ids.num_runs)
+        return total & MASK64
 
 
 def check_overflow_headroom(max_abs_value: int, rows: int) -> None:

@@ -162,14 +162,24 @@ class WorkerHandle:
         except ValueError:
             return False  # process object released after death
 
-    def call(self, method: str, /, **kwargs: Any) -> Any:
-        """Invoke ``method`` on the worker and wait for its reply -- under
-        a deadline, no longer than what is left of it.  Waiting for another
-        caller's turn on the worker counts against that budget; a call whose
-        budget runs out before it is sent leaves the worker alone."""
-        frame = codec.encode_frame(
+    @staticmethod
+    def request_frame(method: str, /, **kwargs: Any) -> bytes:
+        """The encoded ``CALL`` frame of ``method(**kwargs)``, which
+        :meth:`send` can take to any number of workers."""
+        return codec.encode_frame(
             CALL, rpc.request(method, kwargs, trace=obs_trace.current_context())
         )
+
+    def call(self, method: str, /, **kwargs: Any) -> Any:
+        """Invoke ``method`` on the worker and wait for its reply."""
+        return self.send(method, self.request_frame(method, **kwargs))
+
+    def send(self, method: str, frame: bytes) -> Any:
+        """Send ``method``'s encoded request and wait for its reply --
+        under a deadline, no longer than what is left of it.  Waiting for
+        another caller's turn on the worker counts against that budget; a
+        call whose budget runs out before it is sent leaves the worker
+        alone."""
         budget = rpc.remaining()
         locked = self._lock.acquire(timeout=-1 if budget is None else max(budget, 0))
         try:

@@ -139,14 +139,27 @@ class IdList:
 
     @staticmethod
     def union_all(parts: Iterable["IdList"]) -> "IdList":
-        """Union many ID lists at once (driver-side merge of worker results)."""
+        """Union many ID lists at once (driver-side merge of worker results).
+
+        Parts whose hulls already ascend without overlapping -- a reply's
+        pieces, partition by partition and shard by shard -- are joined
+        end to end, coalescing only the seams where one part's last run
+        touches the next part's first; any other input is sorted."""
         parts = [p for p in parts if not p.is_empty()]
         if not parts:
             return IdList.empty()
         if len(parts) == 1:
             return parts[0]
+        firsts = [int(p._starts[0]) for p in parts[1:]]
+        lasts = [int(p._ends[-1]) for p in parts[:-1]]
         starts = np.concatenate([p._starts for p in parts])
         ends = np.concatenate([p._ends for p in parts])
+        if all(last < first for last, first in zip(lasts, firsts)):
+            seams = np.cumsum([p.num_runs for p in parts[:-1]])
+            touching = seams[[last + 1 == first for last, first in zip(lasts, firsts)]]
+            if touching.size:
+                starts, ends = np.delete(starts, touching), np.delete(ends, touching - 1)
+            return IdList(starts, ends, _validated=True)
         order = np.argsort(starts, kind="stable")
         s, e = starts[order], ends[order]
         cummax_e = np.maximum.accumulate(e)

@@ -283,13 +283,17 @@ class ShardReplicas:
         return result
 
     def append(self, batch: Table, column_meta: dict[str, str] | None) -> int:
-        """Append one encrypted batch to every replica.
+        """Append one encrypted batch to every replica: one request frame,
+        encoded once and sent to each replica in chain order.
 
         Appends require the full replica chain alive: a write acked by
         only part of the chain would fork the replicas.  (Queries, by
         contrast, need just one live replica.)
         """
-        packed = codec.pack_table(batch)
+        frame = WorkerHandle.request_frame(
+            "append", table=self.fleet.topology.table, shard_id=self.shard,
+            batch=codec.pack_table(batch), column_meta=column_meta,
+        )
         generation = 0
         for node in self.fleet.replica_nodes(self.shard):
             if node in self.fleet.dead:
@@ -298,9 +302,7 @@ class ShardReplicas:
                     f"{node} is dead and appends require the full replica chain"
                 )
             try:
-                generation = self._call(
-                    node, "append", batch=packed, column_meta=column_meta
-                )
+                generation = self.fleet.workers[node].send("append", frame)
             except WorkerDied as exc:
                 self.fleet.mark_dead(node)
                 raise ExecutionError(

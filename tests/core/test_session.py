@@ -1,5 +1,8 @@
 """SeabedSession facade: translation cache and constructor surface."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from repro.ops import OPS
 from repro.query.parser import parse_query
 
 
-def _populate(session, n=3000, seed=11):
+def _populate(session, n=3000, seed=11, upload=True):
     rng = np.random.default_rng(seed)
     data = {
         "value": rng.integers(0, 500, n).astype(np.int64),
@@ -29,7 +32,8 @@ def _populate(session, n=3000, seed=11):
         "SELECT sum(value) FROM events WHERE hour > 1",
         "SELECT hour, sum(value) FROM events GROUP BY hour",
     ])
-    session.upload("events", data)
+    if upload:
+        session.upload("events", data)
     return data
 
 
@@ -200,3 +204,42 @@ class TestSessionSurface:
         session = SeabedSession(mode="seabed", seed=5)
         with pytest.raises(PlanningError, match="create_plan"):
             session.query("SELECT sum(v) FROM nope")
+
+
+class TestSessionLifetime:
+    """A session held by nothing is freed by reference counting: nothing
+    it owns points back at it, so its stores unmap without waiting for a
+    full garbage collection."""
+
+    @staticmethod
+    def _mapped(root):
+        return [m for m in gc.get_objects()
+                if isinstance(m, np.memmap) and str(m.filename).startswith(root)]
+
+    def test_a_dropped_session_unmaps_its_store_without_a_collection(self, tmp_path):
+        gc.collect()
+        gc.disable()
+        try:
+            session = SeabedSession(mode="seabed", seed=5)
+            data = _populate(session, upload=False)
+            session.upload("events", data, num_partitions=4, path=tmp_path / "events")
+            session.query("SELECT sum(value) FROM events WHERE hour > 3")
+            session.scan("SELECT value FROM events WHERE hour > 20")
+            assert session.cache_stats()["size"] == 2
+            assert self._mapped(str(tmp_path)), "the store is expected to be mapped"
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+            assert not self._mapped(str(tmp_path))
+        finally:
+            gc.enable()
+
+    def test_a_prepared_query_keeps_its_session_working(self):
+        session = SeabedSession(mode="seabed", seed=5)
+        data = _populate(session, n=400)
+        prepared = session.prepare("SELECT sum(value) FROM events WHERE hour > :h")
+        session.query("SELECT sum(value) FROM events WHERE hour > 3")  # a cached entry
+        del session
+        gc.collect()
+        assert prepared.execute(h=5).rows[0]["sum(value)"] == int(
+            data["value"][data["hour"] > 5].sum())

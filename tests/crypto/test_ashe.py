@@ -14,6 +14,7 @@ from repro.core.grouped import GroupedRows, IdPiece, code_dtype
 from repro.core.planner import Planner
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.translator import QueryTranslator
+from repro.crypto import prf as prf_module
 from repro.crypto.ashe import (
     AsheCiphertext,
     AsheScheme,
@@ -22,7 +23,7 @@ from repro.crypto.ashe import (
     to_signed,
 )
 from repro.crypto.keys import KeyChain
-from repro.crypto.prf import AesNiCtrPrf
+from repro.crypto.prf import MASK64, AesNiCtrPrf
 from repro.errors import CryptoError, DecryptionError
 from repro.idlist import IdList, get_codec
 from repro.idlist.codec import encode_multiset
@@ -147,6 +148,18 @@ class TestAggregation:
         before = scheme.prf_evals
         scheme.decrypt_sum(ct.value, ct.ids)
         assert scheme.prf_evals - before == 2
+
+    def test_a_pad_sum_folds_several_prf_chunks(self, scheme):
+        """Runs of one to three IDs, two apart: four PRF calls of
+        ``CHUNK / 2`` runs' ends, summed to the per-ID pads' total."""
+        lengths = np.random.default_rng(3).integers(1, 4, 3 * prf_module.CHUNK // 2 + 5)
+        starts = 1 + np.concatenate(([0], np.cumsum(lengths + 2)[:-1]))
+        ids = IdList(starts, starts + lengths - 1)
+        prf = scheme._prf
+        reference = sum(prf.eval_one(i) - prf.eval_one(i - 1) for i in ids.to_ids().tolist())
+        before = scheme.prf_evals
+        assert scheme.pad_for(ids) == reference & MASK64
+        assert scheme.prf_evals - before == 2 * ids.num_runs
 
 
 def _run(lo, hi):

@@ -13,7 +13,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.prf import HAVE_AESNI, MASK64, AesNiCtrPrf
+from repro.crypto.prf import CHUNK, HAVE_AESNI, MASK64, AesNiCtrPrf
 from repro.errors import CryptoError
 
 KEY = b"0123456789abcdef0123456789abcdef"
@@ -77,6 +77,36 @@ class TestOracle:
         got = prf.eval_many(ids)
         assert got.shape == (3, 4)
         assert got.ravel().tolist() == [oracle(KEY, i) for i in range(12)]
+
+
+class TestChunks:
+    """Evaluation runs :data:`CHUNK` counter blocks per ECB call; every
+    count around a chunk edge, on either lane, matches the oracle."""
+
+    COUNTS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_eval_many_across_chunk_edges(self, prf, count, lane):
+        ids = np.arange(count, dtype=np.uint64) * np.uint64(3) + np.uint64(10 + lane)
+        got = prf.eval_many(ids)
+        assert got.tolist() == [oracle(KEY, int(i)) for i in ids]
+
+    @pytest.mark.parametrize("blocks", COUNTS)
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_eval_range_across_chunk_edges(self, prf, blocks, lane):
+        """``2 * blocks`` IDs from an even start fill whole blocks; from an
+        odd one they straddle one more block."""
+        start = 1000 + lane
+        got = prf.eval_range(start, 2 * blocks)
+        assert got.tolist() == [oracle(KEY, start + j) for j in range(2 * blocks)]
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_the_2_64_wraparound_split_spans_chunks(self, prf, lane):
+        start = (1 << 64) - 2 * CHUNK - 1 - lane
+        count = 4 * CHUNK + 3
+        got = prf.eval_range(start, count)
+        assert got.tolist() == [oracle(KEY, start + j) for j in range(count)]
 
 
 class TestDeterminism:

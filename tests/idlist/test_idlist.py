@@ -135,6 +135,35 @@ def test_property_union_matches_set_union(a, b):
     assert got.to_ids().tolist() == sorted(a | b)
 
 
+dense_sets = st.sets(st.integers(min_value=0, max_value=400), max_size=250)
+
+
+@st.composite
+def cut_parts(draw):
+    """One ID set cut into ascending, disjoint parts -- a reply's pieces:
+    a cut inside a run leaves touching seams, a repeated cut an empty part."""
+    ids = sorted(draw(dense_sets))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ids)), max_size=10)))
+    bounds = [0, *cuts, len(ids)]
+    return [make(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("arrangement", ["ordered", "shuffled", "overlapping"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_union_all_matches_the_unique_ids(arrangement, data):
+    """Ordered parts take the end-to-end join; shuffled and overlapping
+    ones the sort.  Either way the union is the set of all IDs."""
+    if arrangement == "overlapping":
+        parts = data.draw(st.lists(dense_sets.map(make), max_size=8))
+    else:
+        parts = data.draw(cut_parts())
+        if arrangement == "shuffled":
+            parts = data.draw(st.permutations(parts))
+    ids = np.concatenate([p.to_ids() for p in parts] + [np.empty(0, np.uint64)])
+    assert IdList.union_all(parts) == IdList.from_ids(np.unique(ids))
+
+
 @given(ids=id_sets)
 @settings(max_examples=80, deadline=None)
 def test_property_roundtrip_and_count(ids):

@@ -8,6 +8,8 @@ recovery.  Appends, by contrast, must refuse to proceed with any dead
 replica in the chain (a partially acked write would fork the replicas).
 """
 
+import json
+import os
 import time
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import ExecutionError, TransportError
-from repro.net import rpc
+from repro.net import codec, rpc
 
 REGIONS = ["ber", "del", "lag", "lim", "osl", "rio", "sfo", "tok"]
 KEY = b"f" * 32
@@ -54,6 +56,20 @@ def _rows_key(row):
 
 def _sorted_rows(result):
     return sorted(result.rows, key=_rows_key)
+
+
+def _store_files(top):
+    """Every file of a store by relative path: its bytes, or for the
+    manifest its JSON without the per-store random ``store_id``."""
+    files = {}
+    for folder, _, names in os.walk(top):
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as f:
+                data = f.read()
+            if name == "manifest.json":
+                data = {k: v for k, v in json.loads(data).items() if k != "store_id"}
+            files[os.path.relpath(os.path.join(folder, name), top)] = data
+    return files
 
 
 @pytest.fixture
@@ -217,6 +233,27 @@ def _raises(exc):
 
 
 class TestAppendSafety:
+    def test_an_append_encodes_one_request_frame_per_shard(self, sessions, monkeypatch):
+        session, table, _ = sessions
+        encode, appended = codec.encode_frame, []
+
+        def counting(kind, body):
+            if isinstance(body, dict) and body.get("op") == "append":
+                appended.append(body["args"]["shard_id"])
+            return encode(kind, body)
+
+        monkeypatch.setattr(codec, "encode_frame", counting)
+        session.upload("sales", _batch(12))
+        monkeypatch.undo()
+        assert appended and sorted(appended) == sorted(set(appended))
+        store = table.store
+        for shard in store.shards:
+            trees = []
+            for node in store.replica_nodes(shard):
+                top = os.path.join(store.node_dir(node), f"shard-{shard}")
+                trees.append(_store_files(top))
+            assert trees[0] and trees[0] == trees[1], f"shard {shard}'s replicas differ"
+
     def test_append_refuses_dead_replica(self, sessions):
         session, table, _ = sessions
         table.kill_node(table.store.replica_nodes(_populated(table)[0])[0])
