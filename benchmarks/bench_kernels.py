@@ -11,8 +11,10 @@ This benchmark measures what our kernels actually cost per operation:
   same AES-NI PRF.
 - **ORE partition compare**: ``OreScheme.compare_column`` over a whole
   packed partition vs a per-row ``compare_words`` loop.
-- **DET column encrypt**: ``DetScheme.encrypt_column`` vs a per-row
-  Feistel loop.
+- **DET column encrypt**: ``DetScheme.encrypt_column`` vs one
+  ``encrypt_one`` (a query token) per value.
+- **ORE column encrypt**: ``OreScheme.encrypt_column`` vs one
+  ``encrypt_one`` (a query token) per value; both run CLWW on AES-NI.
 
 The per-row reference path is timed on a subsample (it is the slow side
 by construction) and normalised to ns/op.  Results land in
@@ -115,7 +117,19 @@ def test_kernel_microbench(scale):
     ops["det_encrypt"] = {
         "batch_ns": _ns_per_op(lambda: det.encrypt_column(codes), rows),
         "per_row_ns": _ns_per_op(det_per_row, ref_rows),
-        "reference": "per-row Feistel loop",
+        "reference": "one encrypt_one call per value",
+    }
+
+    # -- ORE column encrypt ----------------------------------------------
+    sub_values = values[:ref_rows].tolist()
+
+    def ore_per_row():
+        return [ore.encrypt_one(v) for v in sub_values]
+
+    ops["ore_encrypt"] = {
+        "batch_ns": _ns_per_op(lambda: ore.encrypt_column(values), rows),
+        "per_row_ns": _ns_per_op(ore_per_row, ref_rows),
+        "reference": "one encrypt_one call per value",
     }
 
     for entry in ops.values():

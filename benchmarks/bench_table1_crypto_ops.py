@@ -12,8 +12,11 @@ Paper (2.2 GHz Xeon, AES-NI, 2048-bit Paillier):
 We report the same rows on the same hardware path: the AES row is one
 PRF output of ASHE's AES-128-CTR PRF on AES-NI (``eval_range``, two
 outputs per AES block), and the ASHE rows run on that PRF, amortised over
-a column.  The relationships that matter -- Paillier ops 10^3-10^5x
-costlier than symmetric ones -- are preserved.
+a column.  Two rows the paper does not price are added: DET (a 4-round
+Feistel, one AES block per round) and 32-bit CLWW ORE (one AES block per
+bit), amortised over a column through the same AES-NI pass.  The
+relationships that matter -- Paillier ops 10^3-10^5x costlier than
+symmetric ones -- are preserved.
 """
 
 import time
@@ -23,6 +26,8 @@ import pytest
 
 from repro.bench import ResultSink, format_table
 from repro.crypto.ashe import AsheScheme
+from repro.crypto.det import DetScheme
+from repro.crypto.ore import OreScheme
 from repro.crypto.paillier import PaillierKeyPair, PaillierScheme
 from repro.crypto.prf import AesNiCtrPrf
 
@@ -64,6 +69,16 @@ def test_table1_operation_costs(benchmark, paillier):
     rows.append((
         "ASHE decryption (AES-NI PRF, amortised)",
         _time_per_op(lambda: ashe.decrypt_column(cipher, 0), n_vec),
+    ))
+    det = DetScheme(KEY)
+    rows.append((
+        "DET encryption (AES-NI)",
+        _time_per_op(lambda: det.encrypt_column(values), n_vec),
+    ))
+    ore = OreScheme(KEY, nbits=32)
+    rows.append((
+        "ORE encryption (AES-NI, 32-bit)",
+        _time_per_op(lambda: ore.encrypt_column(values), n_vec),
     ))
     rows.append((
         "Plain addition (numpy, amortised)",

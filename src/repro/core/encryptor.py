@@ -60,13 +60,38 @@ class EncryptionModule:
         self._paillier = paillier
         self._rng = np.random.default_rng(seed)
 
+    def balance_splashe(
+        self, state: ClientTableState, columns: Mapping[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Every enhanced-SPLASHE column's frequency-balanced DET codes over
+        one batch, by column name.
+
+        A sharded append balances its whole batch here, before the batch
+        is split by owner, and hands each shard its slice: a slice is
+        never balanced on its own, so a placement accepts every batch one
+        store accepts, and the shards together show the server exactly the
+        DET cells one store would (the split is a public function of the
+        shard key's tokens, which every shard stores)."""
+        return {
+            name: splashe.balance_det_codes(
+                encode_domain(plan.values, columns[name]),
+                plan.frequent_codes, plan.cardinality, self._rng,
+            )
+            for name, plan in state.enc_schema.plans.items()
+            if plan.kind == "splashe_enhanced" and name in columns
+        }
+
     def encrypt_batch(
         self,
         state: ClientTableState,
         columns: Mapping[str, Any],
         num_partitions: int = 8,
+        balanced: Mapping[str, np.ndarray] | None = None,
     ) -> Table:
-        """Encrypt one batch of rows, advancing the table's row-ID cursor."""
+        """Encrypt one batch of rows, advancing the table's row-ID cursor.
+
+        ``balanced`` is :meth:`balance_splashe` of a larger batch, sliced
+        to these rows; by default the batch is balanced on its own."""
         arrays = {name: np.asarray(col) for name, col in columns.items()}
         expected = set(state.schema.column_names())
         if set(arrays) != expected:
@@ -74,6 +99,8 @@ class EncryptionModule:
                 f"batch columns {sorted(arrays)} do not match the schema "
                 f"{sorted(expected)}"
             )
+        if balanced is None:
+            balanced = self.balance_splashe(state, arrays)
         nrows = len(next(iter(arrays.values())))
         start_id = state.next_row_id
         physical: dict[str, np.ndarray] = {}
@@ -84,7 +111,8 @@ class EncryptionModule:
         OPS.bump("encrypt_rows", nrows)
         for name, plan in state.enc_schema.plans.items():
             OPS.bump("encrypt_column")
-            self._encrypt_column(state, plan, arrays[name], arrays, start_id, physical)
+            self._encrypt_column(state, plan, arrays[name], arrays, start_id, physical,
+                                 balanced.get(name))
         table = Table.from_columns(
             state.schema.name,
             physical,
@@ -105,6 +133,7 @@ class EncryptionModule:
         all_columns: Mapping[str, np.ndarray],
         start_id: int,
         out: dict[str, np.ndarray],
+        balanced: np.ndarray | None,
     ) -> None:
         spec = state.schema.column(plan.column)
         if plan.kind == "plain":
@@ -126,7 +155,7 @@ class EncryptionModule:
             self._encrypt_splashe_basic(plan, values, all_columns, start_id, out)
             return
         if plan.kind == "splashe_enhanced":
-            self._encrypt_splashe_enhanced(plan, values, all_columns, start_id, out)
+            self._encrypt_splashe_enhanced(plan, values, balanced, all_columns, start_id, out)
             return
         raise PlanningError(f"unknown plan kind {plan.kind!r}")
 
@@ -212,15 +241,13 @@ class EncryptionModule:
         self,
         plan: sc.SplasheEnhancedPlan,
         values: np.ndarray,
+        balanced: np.ndarray,
         all_columns: Mapping[str, np.ndarray],
         start_id: int,
         out: dict[str, np.ndarray],
     ) -> None:
         codes = encode_domain(plan.values, values)
         d = plan.cardinality
-        balanced = splashe.balance_det_codes(
-            codes, plan.frequent_codes, d, self._rng
-        )
         det = self._factory.det(plan.det_column)
         out[plan.det_column] = det.encrypt_column(balanced)
 

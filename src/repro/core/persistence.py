@@ -33,16 +33,17 @@ from repro.errors import StorageError
 
 SIDECAR_NAME = "client_state.json"
 SIDECAR_FORMAT = "seabed-client-state"
-# Version 2: ASHE runs on AES only, so the sidecar names no PRF.  A
-# version-1 sidecar may describe ciphertexts under another PRF, which the
-# key check cannot tell apart, so it is refused rather than read.
-SIDECAR_VERSION = 2
+# Version 2: ASHE runs on AES only, so the sidecar names no PRF.  Version
+# 3: DET and ORE run on AES too.  An older sidecar may describe
+# ciphertexts under another PRF or round function, which the key check
+# cannot tell apart, so it is refused rather than read.
+SIDECAR_VERSION = 3
 
 # A sharded table's sidecar embeds the ordinary client state plus the
 # topology and per-shard row cursors; see state_to_dict.
 SHARDED_SIDECAR_NAME = "sharded_state.json"
 SHARDED_FORMAT = "seabed-sharded-state"
-SHARDED_VERSION = 2
+SHARDED_VERSION = 3
 
 _PLAN_CLASSES: dict[str, type] = {
     "plain": sc.PlainPlan,

@@ -769,13 +769,16 @@ class SeabedSession:
         encrypt_seconds = write_seconds = 0.0
         generation = physical_columns = 0
         try:
-            for shard, batch in self._split_by_owner(entry, arrays):
+            balanced = encryptor.balance_splashe(entry.state, arrays)
+            for shard, mine in self._split_by_owner(entry, arrays):
+                batch = {name: arr[mine] for name, arr in arrays.items()}
                 rows = len(next(iter(batch.values())))
                 t0 = time.perf_counter()
                 encrypted = encryptor.encrypt_batch(
                     entry.cursors[shard],
                     batch,
                     num_partitions=num_partitions or -(-rows // target),
+                    balanced={name: arr[mine] for name, arr in balanced.items()},
                 )
                 t1 = time.perf_counter()
                 generation = max(
@@ -809,14 +812,15 @@ class SeabedSession:
 
     def _split_by_owner(
         self, entry: _TableEntry, arrays: Mapping[str, np.ndarray]
-    ) -> list[tuple[int, Mapping[str, np.ndarray]]]:
-        """``(shard, slice)`` per shard that owns rows of the batch, in
-        shard order.  Without a ring the one store owns everything;
-        with one, the shard key is encoded and DET-encrypted once and the
-        ring assigns every row the shard owning its token."""
+    ) -> list[tuple[int, Any]]:
+        """``(shard, rows)`` per shard that owns rows of the batch, in
+        shard order, ``rows`` indexing the batch's arrays.  Without a ring
+        the one store owns everything; with one, the shard key is encoded
+        and DET-encrypted once and the ring assigns every row the shard
+        owning its token."""
         topo = entry.topology
         if topo is None:
-            return [(0, arrays)]
+            return [(0, slice(None))]
         state = entry.state
         values = arrays.get(topo.shard_key)
         if values is None:
@@ -834,11 +838,7 @@ class SeabedSession:
         _, join_group = self._shard_key_column(state, topo.shard_key)
         det = entry.factory.det(topo.key_column, join_group)
         owners = topo.ring.owners(det.encrypt_column(codes))
-        batches = []
-        for shard in sorted(set(owners.tolist())):
-            mask = owners == shard
-            batches.append((shard, {n: arr[mask] for n, arr in arrays.items()}))
-        return batches
+        return [(shard, owners == shard) for shard in sorted(set(owners.tolist()))]
 
     def stats(self, table: str) -> Any:
         """Zone-map index summary for ``table`` (shorthand for

@@ -10,12 +10,10 @@ attacks SPLASHE defends against (demonstrated in
 Construction: a 4-round Luby-Rackoff Feistel network over 64-bit blocks
 with PRF round functions, i.e. a keyed pseudo-random *permutation*.  Being
 a permutation it is invertible, so the proxy can decrypt DET group-by keys
-returned by the server without keeping a value dictionary.
-
-Two round-function backends: ``blake2`` (keyed BLAKE2b, cryptographic,
-scalar) and ``fast`` (SplitMix64 mixing, vectorised; not cryptographic,
-it stands in for hardware AES).  ASHE's PRF (:mod:`repro.crypto.prf`)
-is AES itself.
+returned by the server without keeping a value dictionary.  Round ``r``
+of a 32-bit half ``h`` is the first four big-endian bytes of
+``AES_k(r || h)`` (two big-endian 64-bit words), on AES-NI through the
+PRF's ECB pass (:meth:`repro.crypto.prf.AesNiCtrPrf.ecb`).
 
 Strings are handled by :class:`DictionaryEncoder`: a column-local mapping
 from values to dense integer codes.  The code, not the string, is what DET
@@ -24,35 +22,16 @@ encrypts; the dictionary never leaves the client.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.crypto.prf import MASK64
+from repro.crypto.prf import CHUNK, MASK64, AesNiCtrPrf
 from repro.errors import CryptoError
 
 _U64 = np.uint64
 _MASK32 = 0xFFFFFFFF
-_MIX_MUL_1 = 0xBF58476D1CE4E5B9
-_MIX_MUL_2 = 0x94D049BB133111EB
-
-
-def _mix_int(x: int) -> int:
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * _MIX_MUL_1) & MASK64
-    x ^= x >> 27
-    x = (x * _MIX_MUL_2) & MASK64
-    return x ^ (x >> 31)
-
-
-def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _U64(30))
-    x = x * _U64(_MIX_MUL_1)
-    x = x ^ (x >> _U64(27))
-    x = x * _U64(_MIX_MUL_2)
-    return x ^ (x >> _U64(31))
+_32 = _U64(32)
 
 
 class DetScheme:
@@ -60,66 +39,63 @@ class DetScheme:
 
     ROUNDS = 4
 
-    def __init__(self, key: bytes, backend: str = "fast"):
-        if len(key) < 16:
-            raise CryptoError("DET key must be at least 16 bytes")
-        if backend not in ("fast", "blake2"):
-            raise CryptoError(f"unknown DET backend {backend!r}")
-        self._backend = backend
-        material = hashlib.blake2b(key, digest_size=16 * self.ROUNDS, person=b"seabedDET").digest()
-        self._round_keys = [
-            (
-                int.from_bytes(material[16 * r : 16 * r + 8], "little"),
-                int.from_bytes(material[16 * r + 8 : 16 * r + 16], "little"),
-            )
-            for r in range(self.ROUNDS)
-        ]
-        self._blake_keys = [
-            hashlib.blake2b(key + bytes([r]), digest_size=32, person=b"seabedDETr").digest()
-            for r in range(self.ROUNDS)
-        ]
+    def __init__(self, key: bytes):
+        self._aes = AesNiCtrPrf(key, "DET")
 
-    # -- round functions ---------------------------------------------------
+    def _feistel(self, x: np.ndarray, decrypt: bool) -> np.ndarray:
+        """The one Feistel network, :data:`~repro.crypto.prf.CHUNK` rows at
+        a time.  Decryption is the encryption steps in reverse round order
+        on the swapped halves."""
+        flat = x.ravel()
+        result = np.empty(flat.size, dtype=_U64)
+        words, out, encrypt = self._aes.ecb(x.size)
+        heads = out.view(">u4")[:, 0]  # each block's first four bytes
+        rounds = self._rounds(decrypt)
+        for at in range(0, flat.size, CHUNK):
+            part = flat[at : at + CHUNK]
+            k = part.size
+            left, right = part >> _32, part & _U64(_MASK32)
+            if decrypt:
+                left, right = right, left
+            for r in rounds:
+                words[:k, 0] = r
+                words[:k, 1] = right
+                encrypt(k)
+                left, right = right, left ^ heads[:k]
+            if decrypt:
+                left, right = right, left
+            result[at : at + k] = (left << _32) | right
+        return result.reshape(x.shape)
 
-    def _round_int(self, r: int, half: int) -> int:
-        if self._backend == "fast":
-            k0, k1 = self._round_keys[r]
-            return _mix_int(_mix_int(half + k0) ^ k1) & _MASK32
-        digest = hashlib.blake2b(
-            half.to_bytes(4, "little"), key=self._blake_keys[r], digest_size=4
-        ).digest()
-        return int.from_bytes(digest, "little")
+    def _feistel_one(self, x: int, decrypt: bool) -> int:
+        """:meth:`_feistel` over one value in Python ints: a query
+        constant's token is four one-block calls of the same AES pass,
+        without the numpy passes that make a one-row column ~3x dearer."""
+        words, out, encrypt = self._aes.ecb(1)
+        head = out.view(">u4")[0]  # the block's first four bytes at [0]
+        left, right = (x >> 32) & _MASK32, x & _MASK32
+        if decrypt:
+            left, right = right, left
+        for r in self._rounds(decrypt):
+            words[0] = r, right
+            encrypt(1)
+            left, right = right, left ^ int(head[0])
+        if decrypt:
+            left, right = right, left
+        return (left << 32) | right
 
-    def _round_np(self, r: int, half: np.ndarray) -> np.ndarray:
-        if self._backend == "fast":
-            k0, k1 = self._round_keys[r]
-            return _mix_np(_mix_np(half + _U64(k0)) ^ _U64(k1)) & _U64(_MASK32)
-        out = np.empty(half.shape, dtype=_U64)
-        for j, h in enumerate(half.tolist()):
-            out[j] = self._round_int(r, h)
-        return out
+    def _rounds(self, decrypt: bool) -> range:
+        return range(self.ROUNDS - 1, -1, -1) if decrypt else range(self.ROUNDS)
 
-    # -- scalar API (the reference path) -------------------------------------
+    # -- per-value API (what a query constant needs) -------------------------
 
     def encrypt_one(self, m: int) -> int:
-        """Per-row reference path: encrypt one 64-bit value.
-
-        The ground truth for the property tests, the kernel
-        microbenchmark, and :meth:`token`; bulk data goes through
-        :meth:`encrypt_column`.
-        """
-        left, right = (m >> 32) & _MASK32, m & _MASK32
-        for r in range(self.ROUNDS):
-            left, right = right, left ^ self._round_int(r, right)
-        return (left << 32) | right
+        """Encrypt one 64-bit value (what :meth:`encrypt_column` gives it)."""
+        return self._feistel_one(m & MASK64, False)
 
     def decrypt_one(self, c: int) -> int:
-        """Per-row reference inverse of :meth:`encrypt_one` (the raw
-        ``Z_{2^64}`` element)."""
-        left, right = (c >> 32) & _MASK32, c & _MASK32
-        for r in reversed(range(self.ROUNDS)):
-            left, right = right ^ self._round_int(r, left), left
-        return (left << 32) | right
+        """Inverse of :meth:`encrypt_one` (the raw ``Z_{2^64}`` element)."""
+        return self._feistel_one(c & MASK64, True)
 
     # -- vectorised API --------------------------------------------------------
 
@@ -131,19 +107,10 @@ class DetScheme:
         """
         v = np.asarray(values)
         x = v.astype(np.int64, copy=False).view(_U64) if v.dtype != _U64 else v
-        left = x >> _U64(32)
-        right = x & _U64(_MASK32)
-        for r in range(self.ROUNDS):
-            left, right = right, left ^ self._round_np(r, right)
-        return (left << _U64(32)) | right
+        return self._feistel(x, False)
 
     def decrypt_column(self, cipher: np.ndarray, start_id: int = 0) -> np.ndarray:
-        c = np.asarray(cipher, dtype=_U64)
-        left = c >> _U64(32)
-        right = c & _U64(_MASK32)
-        for r in reversed(range(self.ROUNDS)):
-            left, right = right ^ self._round_np(r, left), left
-        return ((left << _U64(32)) | right).view(np.int64)
+        return self._feistel(np.asarray(cipher, dtype=_U64), True).view(np.int64)
 
     def compare_column(self, cipher: np.ndarray, token) -> np.ndarray:
         """Equality of a ciphertext column against one token, as int8.

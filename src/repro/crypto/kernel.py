@@ -20,9 +20,10 @@ Paillier   ``encrypt_column`` / ``decrypt_column`` over object arrays
 =========  ==========================================================
 
 An operation a scheme cannot run is simply absent.  The per-value entry
-points (``encrypt_one`` / ``decrypt_one`` / ``encrypt(m, i)``) are the
-*reference path* the property tests and ``benchmarks/bench_kernels.py``
-measure the batch operations against.
+points (``encrypt_one`` / ``decrypt_one`` / ``encrypt(m, i)``) serve
+query constants through the same AES-NI pass as the batch operations.
+``benchmarks/bench_kernels.py`` measures each batch operation against
+calling them once per value.
 
 This module times those batch calls: :func:`observe_kernel_op` folds one
 call into the metrics registry, and :class:`InstrumentedKernel` wraps a
@@ -69,8 +70,8 @@ class InstrumentedKernel:
     """Transparent timing wrapper around one scheme instance.
 
     Times the batch operations into :func:`observe_kernel_op` and forwards
-    everything else (``token``, ``prf_evals``, the per-value reference
-    path) to the wrapped instance, so callers that duck-type against
+    everything else (``token``, ``prf_evals``, the per-value entry
+    points) to the wrapped instance, so callers that duck-type against
     scheme attributes keep working unchanged.  Calling a batch operation
     the wrapped scheme lacks raises ``AttributeError``.
     """

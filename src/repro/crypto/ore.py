@@ -10,7 +10,11 @@ Scheme (Appendix A.3): for an ``n``-bit message ``b_1 .. b_n`` (MSB first),
 
     u_i = ( F(k, (i, b_1..b_{i-1} || 0^{n-i})) + b_i ) mod 3
 
-and the ciphertext is the trit vector ``(u_1, .., u_n)``.  To compare two
+and the ciphertext is the trit vector ``(u_1, .., u_n)``.  ``F`` is a PRF
+into ``Z_3`` built on AES: with ``h`` the first four big-endian bytes of
+``AES_k(i || p)`` (two big-endian 64-bit words, ``p = b_1..b_{i-1}`` as
+an integer), ``F(k, (i, p)) = floor(3h / 2^32)``, on AES-NI through the
+PRF's ECB pass (:meth:`repro.crypto.prf.AesNiCtrPrf.ecb`).  To compare two
 ciphertexts, find the smallest ``i`` where they differ:
 ``u_i == u'_i + 1 (mod 3)`` means the first message is larger.
 
@@ -28,45 +32,24 @@ Implementation notes:
   is zero; equal words have ``low == 0`` and pass too, so that one test is
   ``a >= b``, ``d != 0`` is ``a != b``, and every operator is a view of
   the two.  Multi-word ciphertexts take the first differing word's verdict.
-- Columns encrypt in ``n`` vectorised passes (one per bit position), since
-  the PRF input for position ``i`` is just ``(i, m >> (n-i+1))``.
+- Columns encrypt in row blocks of at most :data:`~repro.crypto.prf.CHUNK`
+  AES blocks, one block per (row, bit position), since the PRF input for
+  position ``i`` is just ``(i, m >> (n-i+1))``; one value (a query
+  constant's token) is a block of one row.
 - Signed domains are handled by biasing with ``2^(n-1)`` before encryption,
   which is order-preserving.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-from repro.crypto.prf import MASK64
+from repro.crypto.prf import CHUNK, AesNiCtrPrf
 from repro.errors import CryptoError
 
 _U64 = np.uint64
-_MIX_MUL_1 = 0xBF58476D1CE4E5B9
-_MIX_MUL_2 = 0x94D049BB133111EB
-_GOLDEN = 0x9E3779B97F4A7C15
 
 _TRITS_PER_WORD = 32
-
-
-def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _U64(30))
-    x = x * _U64(_MIX_MUL_1)
-    x = x ^ (x >> _U64(27))
-    x = x * _U64(_MIX_MUL_2)
-    return x ^ (x >> _U64(31))
-
-
-def _mix_int(x: int) -> int:
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * _MIX_MUL_1) & MASK64
-    x ^= x >> 27
-    x = (x * _MIX_MUL_2) & MASK64
-    return x ^ (x >> 31)
-
 
 _PAIRS = _U64(0x5555555555555555)  # the low bit of every trit's bit pair
 _ONE = _U64(1)
@@ -174,23 +157,18 @@ def argextreme_packed(cipher: np.ndarray, kind: str) -> int:
 class OreScheme:
     """CLWW order-revealing encryption over ``nbits``-bit integers."""
 
-    def __init__(self, key: bytes, nbits: int = 32, signed: bool = True,
-                 backend: str = "fast"):
-        if len(key) < 16:
-            raise CryptoError("ORE key must be at least 16 bytes")
+    def __init__(self, key: bytes, nbits: int = 32, signed: bool = True):
         if not 1 <= nbits <= 64:
             raise CryptoError(f"ORE message width must be 1..64 bits, got {nbits}")
-        if backend not in ("fast", "blake2"):
-            raise CryptoError(f"unknown ORE backend {backend!r}")
+        self._aes = AesNiCtrPrf(key, "ORE")
         self.nbits = nbits
         self.signed = signed
         self.num_words = (nbits + _TRITS_PER_WORD - 1) // _TRITS_PER_WORD
-        self._backend = backend
-        seed = hashlib.blake2b(key, digest_size=16, person=b"seabedORE").digest()
-        self._k0 = int.from_bytes(seed[0:8], "little") | 1
-        self._k1 = int.from_bytes(seed[8:16], "little")
-        self._blake_key = hashlib.blake2b(key, digest_size=32, person=b"seabedOREb").digest()
         self._bias = 1 << (nbits - 1) if signed else 0
+        # Position i = 1..n: its prefix is m >> (n - i + 1), its bit sits
+        # at n - i, and its trit at bit pair (i - 1) mod 32 of its word.
+        self._shifts = np.arange(nbits, 0, -1, dtype=_U64)
+        self._slots = np.arange(nbits, dtype=_U64) % _U64(_TRITS_PER_WORD) * _U64(2)
 
     # -- domain handling -----------------------------------------------------
 
@@ -217,46 +195,36 @@ class OreScheme:
             raise CryptoError("column contains values outside the ORE domain")
         return shifted.astype(_U64)
 
-    # -- PRF ----------------------------------------------------------------
-
-    def _prf_trit_int(self, i: int, prefix: int) -> int:
-        if self._backend == "fast":
-            x = _mix_int(prefix + self._k0)
-            x = _mix_int(x ^ ((i * _GOLDEN + self._k1) & MASK64))
-            return x % 3
-        payload = i.to_bytes(1, "big") + prefix.to_bytes(8, "big")
-        digest = hashlib.blake2b(payload, key=self._blake_key, digest_size=8).digest()
-        return int.from_bytes(digest, "big") % 3
-
-    def _prf_trit_np(self, i: int, prefix: np.ndarray) -> np.ndarray:
-        if self._backend == "fast":
-            x = _mix_np(prefix + _U64(self._k0))
-            x = _mix_np(x ^ _U64((i * _GOLDEN + self._k1) & MASK64))
-            return x % _U64(3)
-        out = np.empty(prefix.shape, dtype=_U64)
-        for j, p in enumerate(prefix.tolist()):
-            out[j] = self._prf_trit_int(i, p)
-        return out
-
     # -- encryption ---------------------------------------------------------
 
-    def encrypt_one(self, m: int) -> tuple[int, ...]:
-        """Per-row reference path (scalar PRF per bit position).
-
-        The ground truth for the property tests, the kernel
-        microbenchmark, and :meth:`token`; bulk data goes through
-        :meth:`encrypt_column`.
-        """
-        value = self._to_domain(m)
-        words = [0] * self.num_words
+    def _encrypt_domain(self, v: np.ndarray) -> np.ndarray:
+        """CLWW over domain values (uint64), a block of rows at a time:
+        one AES block ``(i, prefix)`` per row and position."""
         n = self.nbits
-        for i in range(1, n + 1):
-            prefix = value >> (n - i + 1)
-            bit = (value >> (n - i)) & 1
-            trit = (self._prf_trit_int(i, prefix) + bit) % 3
-            word, slot = divmod(i - 1, _TRITS_PER_WORD)
-            words[word] |= trit << (2 * slot)
-        return tuple(words)
+        result = np.zeros((v.size, self.num_words), dtype=_U64)
+        rows = CHUNK // n
+        words, out, encrypt = self._aes.ecb(min(v.size, rows) * n)
+        words[:, 0] = np.tile(np.arange(1, n + 1, dtype=_U64), words.shape[0] // n)
+        prefixes = words[:, 1].reshape(-1, n)
+        heads = out.view(">u4")[:, 0].reshape(-1, n)  # h of each block
+        for at in range(0, v.size, rows):
+            part = v[at : at + rows, None]
+            k = part.shape[0]
+            prefixes[:k] = part >> self._shifts
+            encrypt(k * n)
+            bits = (part >> (self._shifts - _ONE)) & _ONE
+            prf = (heads[:k].astype(_U64) * _U64(3)) >> _U64(32)
+            trits = prf + bits - ((prf >> _ONE) & bits) * _U64(3)  # (F + b) mod 3
+            trits <<= self._slots
+            for w in range(self.num_words):
+                span = trits[:, w * _TRITS_PER_WORD : (w + 1) * _TRITS_PER_WORD]
+                result[at : at + k, w] = np.bitwise_or.reduce(span, axis=1)
+        return result
+
+    def encrypt_one(self, m: int) -> tuple[int, ...]:
+        """Encrypt one value: :meth:`encrypt_column` of one row."""
+        row = self._encrypt_domain(np.array([self._to_domain(m)], dtype=_U64))[0]
+        return tuple(int(w) for w in row)
 
     def encrypt_column(self, values: np.ndarray, start_id: int = 0) -> np.ndarray:
         """Encrypt a column; returns a ``(N, num_words)`` uint64 array.
@@ -264,16 +232,7 @@ class OreScheme:
         ``start_id`` is ignored (ORE ciphertexts do not depend on row
         identity); ``InstrumentedKernel`` forwards ASHE's signature.
         """
-        v = self._to_domain_np(values)
-        out = np.zeros((v.size, self.num_words), dtype=_U64)
-        n = self.nbits
-        for i in range(1, n + 1):
-            prefix = v >> _U64(n - i + 1)
-            bit = (v >> _U64(n - i)) & _U64(1)
-            trit = (self._prf_trit_np(i, prefix) + bit) % _U64(3)
-            word, slot = divmod(i - 1, _TRITS_PER_WORD)
-            out[:, word] |= trit << _U64(2 * slot)
-        return out
+        return self._encrypt_domain(self._to_domain_np(values).ravel())
 
     def token(self, m: int) -> tuple[int, ...]:
         """Comparison token for a query constant (same as encryption)."""

@@ -1,4 +1,5 @@
-"""The keyed pseudo-random function ``F_k : Z_{2^64} -> Z_{2^64}``.
+"""The keyed pseudo-random function ``F_k : Z_{2^64} -> Z_{2^64}``, and
+the one AES-NI pass that ASHE, DET and ORE all run on.
 
 ASHE (Section 3.1 of the paper) is built on a PRF over row identifiers,
 and the paper instantiates it with AES, whose AES-NI hardware
@@ -7,11 +8,14 @@ instructions evaluate it at 47 ns per 128-bit block (Table 1).
 ``cryptography`` package's OpenSSL backend, which uses AES-NI.  One AES
 block yields two 64-bit outputs, the paper's optimisation of carving
 several pseudo-random numbers out of one AES operation (Section 4.3).
+DET's Feistel rounds and ORE's CLWW PRF are AES blocks under their
+column key too, through the same pass (:meth:`AesNiCtrPrf.ecb`), so this
+module is the one place that knows how blocks reach AES-NI.
 
-Counter blocks go through ECB ``update_into`` :data:`CHUNK` at a time,
-into two small buffers per call, and each chunk's lanes land straight in
-the result array.  One ``update()`` over a whole column is several times
-slower: its fresh ``bytes`` result, and every full-size copy after it,
+Blocks go through ECB ``update_into`` :data:`CHUNK` at a time, into two
+small buffers per call, and each chunk's output lands straight in the
+caller's result array.  One ``update()`` over a whole column is several
+times slower: its fresh ``bytes`` result, and every full-size copy after it,
 is a new mapping above glibc's 128 KiB mmap threshold whose pages fault
 on first touch -- 2.4 MB of blocks cost 2.3-3.7 ms through ``update()``
 against ~0.4 ms through ``update_into`` on a 2-vCPU host, with the cliff
@@ -24,6 +28,7 @@ encryptor never assigns that identifier to a row.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -37,7 +42,7 @@ HAVE_AESNI = True
 
 MASK64 = (1 << 64) - 1
 
-#: Counter blocks per ECB call: 64 KiB in and 64 KiB out, L2-resident and
+#: Blocks per ECB call: 64 KiB in and 64 KiB out, L2-resident and
 #: below the mmap threshold, so a call's buffers are reused heap.
 CHUNK = 4096
 
@@ -51,32 +56,44 @@ class AesNiCtrPrf:
     Identifier ``i`` maps to the big-endian counter block ``i >> 1``; the
     low bit of ``i`` selects the 64-bit lane (lane 0 is the first eight
     big-endian bytes of the AES output).  A CTR keystream *is* ECB over
-    the counter blocks, so every evaluation is ECB over :data:`CHUNK`-block
-    slices, in buffers of the call's own (one PRF serves many threads).
+    the counter blocks, so every evaluation is an :meth:`ecb` pass over
+    :data:`CHUNK`-block slices, in buffers of the call's own and the
+    calling thread's ECB context (one PRF serves many threads).
     Evaluation is deterministic per key and offers random access
     (``eval_one``), bulk random access (``eval_many``) and contiguous
     streams (``eval_range``): ASHE encryption walks contiguous IDs while
-    decryption touches only range endpoints.
+    decryption touches only range endpoints.  DET and ORE hold one under
+    their column key for its :meth:`ecb` pass (``scheme`` names the key
+    in errors).
     """
 
-    def __init__(self, key: bytes):
+    def __init__(self, key: bytes, scheme: str = "PRF"):
         if not isinstance(key, (bytes, bytearray)):
-            raise CryptoError(f"PRF key must be bytes, got {type(key).__name__}")
+            raise CryptoError(f"{scheme} key must be bytes, got {type(key).__name__}")
         if len(key) < 16:
-            raise CryptoError(f"PRF key must be at least 16 bytes, got {len(key)}")
+            raise CryptoError(f"{scheme} key must be at least 16 bytes, got {len(key)}")
         self._cipher = Cipher(algorithms.AES(bytes(key[:16])), modes.ECB())
+        # One ECB context per thread, made on its first call (~5 us, most of
+        # a one-block call): fed whole blocks only, a context holds no
+        # state between calls, but one context must not serve two threads.
+        self._contexts = threading.local()
 
-    def _ecb(self, blocks: int) -> tuple[np.ndarray, np.ndarray, Callable[[int], int]]:
-        """A call's own ECB pass, :data:`CHUNK` blocks at a time at most:
-        the big-endian column of block numbers to fill, the big-endian
-        lanes they encrypt to (block ``j``'s at ``2j`` and ``2j + 1``) and
-        ``encrypt(k)``, which encrypts the first ``k`` blocks."""
+    def ecb(self, blocks: int) -> tuple[np.ndarray, np.ndarray, Callable[[int], int]]:
+        """An AES-128-ECB pass in buffers of the call's own, through the
+        calling thread's context, :data:`CHUNK` blocks at a time at
+        most: the ``(size, 2)`` big-endian words of the blocks to fill (a
+        block is the pair ``(hi, lo)``, zero until written), the ``(size,
+        2)`` big-endian words they encrypt to and ``encrypt(k)``, which
+        encrypts the first ``k`` blocks; ``size`` is
+        ``min(blocks, CHUNK)``."""
         size = min(blocks, CHUNK)
-        counters = np.zeros((size, 2), dtype=">u8")
-        data = counters.view(np.uint8).reshape(-1)
+        words = np.zeros((size, 2), dtype=">u8")
+        data = words.view(np.uint8).reshape(-1)
         out = np.empty(16 * size + 15, dtype=np.uint8)  # update_into's slack
-        update_into = self._cipher.encryptor().update_into
-        return (counters[:, 1], out[: 16 * size].view(">u8"),
+        update_into = getattr(self._contexts, "update_into", None)
+        if update_into is None:
+            update_into = self._contexts.update_into = self._cipher.encryptor().update_into
+        return (words, out[: 16 * size].view(">u8").reshape(size, 2),
                 lambda k: update_into(data[: 16 * k], out))
 
     def eval_one(self, i: int) -> int:
@@ -88,7 +105,8 @@ class AesNiCtrPrf:
         flat = np.asarray(ids, dtype=_U64).ravel()
         result = np.empty(flat.size, dtype=_U64)
         if flat.size:
-            column, lanes, encrypt = self._ecb(flat.size)
+            words, out, encrypt = self.ecb(flat.size)
+            column, lanes = words[:, 1], out.reshape(-1)
             for at in range(0, flat.size, CHUNK):
                 part = flat[at : at + CHUNK]
                 k = part.size
@@ -120,7 +138,8 @@ class AesNiCtrPrf:
             return
         first = start >> 1
         blocks = ((start + result.size - 1) >> 1) - first + 1
-        column, lanes, encrypt = self._ecb(blocks)
+        words, out, encrypt = self.ecb(blocks)
+        column, lanes = words[:, 1], out.reshape(-1)
         for at in range(0, blocks, column.size):
             k = min(column.size, blocks - at)
             column[:k] = np.arange(first + at, first + at + k, dtype=_U64)

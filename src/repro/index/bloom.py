@@ -27,7 +27,8 @@ _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
 # splitmix64 finaliser constants -- fixed and public by design: the bits
-# must be derivable from the tokens alone (see module docstring).
+# must be derivable from the tokens alone (see module docstring).  The
+# shard ring routes DET tokens through the same mixer.
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 _SEED_H2 = 0x9E3779B97F4A7C15
@@ -38,7 +39,8 @@ BITS_PER_TOKEN = 10
 MAX_HASHES = 8
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
+def mix64(x: np.ndarray) -> np.ndarray:
+    """The public splitmix64 finaliser over a uint64 array (a bijection)."""
     x = x ^ (x >> _U64(30))
     x = x * _U64(_MIX_MUL_1)
     x = x ^ (x >> _U64(27))
@@ -78,8 +80,8 @@ class BloomFilter:
     def _probes(self, tokens: np.ndarray) -> np.ndarray:
         """(k, N) bit indices via double hashing: h1 + i*h2 mod m."""
         t = np.asarray(tokens, dtype=_U64)
-        h1 = _mix(t)
-        h2 = _mix(t ^ _U64(_SEED_H2)) | _U64(1)
+        h1 = mix64(t)
+        h2 = mix64(t ^ _U64(_SEED_H2)) | _U64(1)
         steps = np.arange(self.num_hashes, dtype=_U64)[:, None]
         return (h1[None, :] + steps * h2[None, :]) % _U64(self.num_bits)
 

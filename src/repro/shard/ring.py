@@ -22,8 +22,8 @@ unit of storage (and failover) is a whole generation-logged store.
 
 Everything here is deterministic and keyless -- the ring can be rebuilt
 from the topology record alone, in any process, and two rings built from
-the same member list are bit-identical.  The mixer is the same public
-splitmix64 finaliser the zone-map bloom filters use.
+the same member list are bit-identical.  The mixer is the zone-map bloom
+filters' public splitmix64 finaliser (:func:`repro.index.bloom.mix64`).
 """
 
 from __future__ import annotations
@@ -34,32 +34,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.index.bloom import mix64
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
-# splitmix64 finaliser constants (public; also used by repro.index.bloom).
-_MIX_MUL_1 = 0xBF58476D1CE4E5B9
-_MIX_MUL_2 = 0x94D049BB133111EB
-
 
 def hash_key(key: int) -> int:
     """Public 64-bit mix of an integer key (DET tokens route through this)."""
-    x = int(key) & _MASK64
-    x ^= x >> 30
-    x = (x * _MIX_MUL_1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX_MUL_2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _hash_keys(keys: np.ndarray) -> np.ndarray:
-    x = np.asarray(keys, dtype=_U64)
-    x = x ^ (x >> _U64(30))
-    x = x * _U64(_MIX_MUL_1)
-    x = x ^ (x >> _U64(27))
-    x = x * _U64(_MIX_MUL_2)
-    return x ^ (x >> _U64(31))
+    return int(mix64(np.array([int(key) & _MASK64], dtype=_U64))[0])
 
 
 def _point(member: str | int, vnode: int) -> int:
@@ -127,7 +110,7 @@ class HashRing:
 
     def owners(self, keys: np.ndarray | Iterable[int]) -> np.ndarray:
         """Vectorised :meth:`owner`: member *indices* for a key array."""
-        hashed = _hash_keys(np.asarray(list(keys) if not isinstance(
+        hashed = mix64(np.asarray(list(keys) if not isinstance(
             keys, np.ndarray) else keys, dtype=_U64))
         idx = np.searchsorted(self._points, hashed, side="left")
         idx[idx == len(self._points)] = 0

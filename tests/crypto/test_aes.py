@@ -1,22 +1,25 @@
-"""Known-answer tests of the AES under ASHE's PRF (repro.crypto.prf).
+"""Known-answer tests of the AES under every scheme (repro.crypto.prf).
 
 The FIPS-197 examples, AESAVS known answers and the NIST SP 800-38A
-F.1.1 (ECB) and F.5.1 (counter-mode) vectors go through the PRF's own
-ECB cipher object and the ``update_into`` call its evaluation chunks
-make (``AesNiCtrPrf._ecb``), so the PRF's block function is AES-128 by
-published vectors, not by agreement with another implementation.
+F.1.1 (ECB) and F.5.1 (counter-mode) vectors go through the ECB pass
+that ASHE's PRF, DET's rounds and ORE's trits all run on
+(``AesNiCtrPrf.ecb``), so their block function is AES-128 by published
+vectors, not by agreement with another implementation.
 """
 
+import numpy as np
 import pytest
 
 from repro.crypto.prf import AesNiCtrPrf
 
 
 def ecb(key: bytes, blocks: bytes) -> bytes:
-    """AES-128-ECB through the PRF's own cipher object and call."""
-    out = bytearray(len(blocks) + 15)  # update_into's slack
-    written = AesNiCtrPrf(key)._cipher.encryptor().update_into(blocks, out)
-    return bytes(out[:written])
+    """AES-128-ECB through the schemes' own ECB pass."""
+    n = len(blocks) // 16
+    words, out, encrypt = AesNiCtrPrf(key).ecb(n)
+    words[:] = np.frombuffer(blocks, dtype=">u8").reshape(n, 2)
+    encrypt(n)
+    return out.tobytes()
 
 
 class TestFips197Vectors:

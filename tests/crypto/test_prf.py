@@ -7,6 +7,9 @@ bytes.  ``E_k`` is a fresh ECB cipher per call, whose AES is pinned by
 the known-answer vectors in ``test_aes.py``.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -107,6 +110,41 @@ class TestChunks:
         count = 4 * CHUNK + 3
         got = prf.eval_range(start, count)
         assert got.tolist() == [oracle(KEY, start + j) for j in range(count)]
+
+
+class TestThreads:
+    def test_threads_share_a_prf_not_a_context(self):
+        """Eight threads hammering one PRF (single IDs and a stream across
+        a chunk boundary) at a short switch interval each read the
+        single-thread answers: every thread encrypts through an ECB
+        context of its own."""
+        prf = AesNiCtrPrf(KEY)
+        want_range = AesNiCtrPrf(KEY).eval_range(5, CHUNK + 7)
+        want_one = [oracle(KEY, i) for i in range(16)]
+        errors: list[Exception] = []
+        start = threading.Barrier(8)
+
+        def hammer():
+            try:
+                start.wait(timeout=10)
+                for _ in range(20):
+                    assert np.array_equal(prf.eval_range(5, CHUNK + 7), want_range)
+                    assert [prf.eval_one(i) for i in range(16)] == want_one
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
 
 
 class TestDeterminism:

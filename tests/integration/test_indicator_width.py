@@ -219,6 +219,42 @@ def test_answers_after_a_compaction(placed):
     assert_stores_narrow(placed)
 
 
+def test_a_sharded_append_balances_the_whole_batch(tmp_path):
+    """A 2-shard table balances an enhanced-SPLASHE batch once, before the
+    ring splits it by site: a batch whose infrequent devices all sit on
+    one shard's site and whose phones all sit on the other's is accepted,
+    as one store accepts it, rather than refused for the slice that holds
+    no phone to take a dummy cell."""
+    session = SeabedSession(mode="seabed", master_key=KEY, seed=3)
+    try:
+        session.create_plan(schema(), SAMPLES)
+        session.shard_table("ads", "site", str(tmp_path / "ads"), num_shards=2)
+        data = dataset(300, 4)
+        session.upload("ads", data)
+        shard_of = {}
+        for site in SITES:  # one phone row per site shows its shard
+            before = session.encrypted_table("ads").shard_rows()
+            row = {"region": np.array(["us"]), "device": np.array(["phone"]),
+                   "site": np.array([site]), "clicks": np.array([1])}
+            session.append_rows("ads", row)
+            after = session.encrypted_table("ads").shard_rows()
+            shard_of[site] = next(s for s in after if after[s] != before.get(s, 0))
+            data = concat(data, row)
+        rare = next(s for s in SITES if shard_of[s] == 0)
+        common = next(s for s in SITES if shard_of[s] == 1)
+        devices = ["desktop"] * 4 + ["tablet"] * 2 + ["tv", "watch"] + ["phone"] * 12
+        batch = {
+            "region": np.array(["eu"] * 20),
+            "device": np.array(devices),
+            "site": np.array([rare] * 8 + [common] * 12),
+            "clicks": np.arange(20),
+        }
+        session.append_rows("ads", batch)
+        assert_answers(session, concat(data, batch))
+    finally:
+        session.close()
+
+
 # -- the store and the audits ----------------------------------------------------
 
 

@@ -409,19 +409,26 @@ class TestAttachGuards:
         with pytest.raises(StorageError, match="sidecar"):
             placed.attach(path, mode="seabed", master_key=MASTER_KEY)
 
-    @pytest.mark.parametrize("written_with", ["splitmix64", "blake2", "aes-ni"])
-    def test_version_1_sidecar_refused_untouched(self, placed, written_with):
+    @pytest.mark.parametrize("version,written_with", [
+        (1, "splitmix64"), (1, "blake2"), (1, "aes-ni"), (2, None),
+    ], ids=["splitmix64", "blake2", "aes-ni", "v2"])
+    def test_version_1_sidecar_refused_untouched(self, placed, version, written_with):
         """A version-1 sidecar may describe ciphertexts under a PRF this
-        build no longer runs, and the key check cannot tell: attaching any
-        of them, an AES one too (there is no reader for version 1), is a
-        typed error that leaves the sidecar's bytes as they were."""
+        build no longer runs, and a version-2 one DET and ORE ciphertexts
+        under the SplitMix64 round functions; the key check cannot tell.
+        Attaching any of them, an AES one too (there is no reader for
+        either version), is a typed error naming both versions that leaves
+        the sidecar's bytes as they were."""
         _, path = persist(placed)
         sidecar = sidecar_of(placed, path)
         data = json.load(open(sidecar))
-        data.update(version=1, prf_backend=written_with)
+        data["version"] = version
+        if written_with:
+            data["prf_backend"] = written_with
         json.dump(data, open(sidecar, "w"))
         before = open(sidecar, "rb").read()
-        with pytest.raises(StorageError, match="version 1 is not readable"):
+        with pytest.raises(StorageError,
+                           match=rf"version {version} is not readable .*\(expected 3\)"):
             placed.attach(path, mode="seabed", master_key=MASTER_KEY)
         assert open(sidecar, "rb").read() == before
 

@@ -180,7 +180,7 @@ PINNED = {
     ('single-store', 'paillier', 'ashe-sum-filtered'): ([64], 64),
     ('single-store', 'paillier', 'group-256'): ([18428], 18428),
     ('sharded-local', 'seabed', 'ashe-sum'): ([64], 64),
-    ('sharded-local', 'seabed', 'ashe-sum-filtered'): ([293], 293),
+    ('sharded-local', 'seabed', 'ashe-sum-filtered'): ([295], 295),
     ('sharded-local', 'seabed', 'splashe-flat'): ([64], 64),
     ('sharded-local', 'seabed', 'splashe-grouped'): ([152], 152),
     ('sharded-local', 'seabed', 'ore-min-max'): ([48], 48),
@@ -192,7 +192,7 @@ PINNED = {
     ('sharded-local', 'paillier', 'ashe-sum-filtered'): ([64], 64),
     ('sharded-local', 'paillier', 'group-256'): ([18431], 18431),
     ('sharded-remote', 'seabed', 'ashe-sum'): ([64], 64),
-    ('sharded-remote', 'seabed', 'ashe-sum-filtered'): ([293], 293),
+    ('sharded-remote', 'seabed', 'ashe-sum-filtered'): ([295], 295),
     ('sharded-remote', 'seabed', 'splashe-flat'): ([64], 64),
     ('sharded-remote', 'seabed', 'splashe-grouped'): ([152], 152),
     ('sharded-remote', 'seabed', 'ore-min-max'): ([48], 48),

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
+from repro.index.bloom import BloomFilter
 from repro.shard.ring import HashRing, hash_key
 
 KEYS = np.arange(5_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -53,6 +54,24 @@ class TestRouting:
         idx = ring.owners(KEYS[:512])
         for key, i in zip(KEYS[:512].tolist(), idx.tolist()):
             assert ring.owner(key) == ring.members[i]
+
+    def test_known_outputs_pinned(self):
+        """Ring positions and bloom bits come from one mixer; these are
+        its outputs, the owners and the bloom words it gave when the ring
+        and the filter each carried their own copy of it."""
+        keys = np.array([0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF, 12345],
+                        dtype=np.uint64)
+        assert [hash_key(int(k)) for k in keys[:5]] == [
+            0, 0x5692161D100B05E5, 0x25C26EA579CEA98A, 0xB4D055FCF2CBBD7B,
+            0xB2C058E4EBB5112C]
+        ring = HashRing(list(range(4)), vnodes=16)
+        assert ring.owners(keys).tolist() == [0, 3, 2, 2, 3, 3]
+        assert [ring.owner(int(k)) for k in keys] == [0, 3, 2, 2, 3, 3]
+        bloom = BloomFilter(128, 3)
+        bloom.add_tokens(keys)
+        assert bloom.to_dict()["bits"] == (
+            (0x01009080C0000461).to_bytes(8, "little") + (0x0800002040020001).to_bytes(8, "little")
+        ).hex()
 
     def test_hash_key_is_a_permutation_step(self):
         # Distinct inputs keep distinct mixes (splitmix64 is bijective).
