@@ -38,12 +38,11 @@ def translator():
     state = ClientTableState(schema=schema, enc_schema=enc)
     factory = CryptoFactory(KeyChain(b"t" * 32), "tbl")
     rng = np.random.default_rng(0)
-    EncryptionModule(factory, seed=0).encrypt_batch(state, {
-        "a": rng.integers(0, 100, 64),
-        "b": rng.integers(0, 100, 64),
-        "d": rng.integers(0, 4, 64),
-        "g": rng.integers(0, 8, 64),
-    }, num_partitions=2)
+    columns = {name: rng.integers(0, hi, 64)
+               for name, hi in (("a", 100), ("b", 100), ("d", 4), ("g", 8))}
+    module = EncryptionModule(factory, seed=0)
+    module.encrypt_batch(state, columns, module.balance_splashe(state, columns),
+                         num_partitions=2)
     return QueryTranslator(state, factory)
 
 

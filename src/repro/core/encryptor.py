@@ -85,13 +85,13 @@ class EncryptionModule:
         self,
         state: ClientTableState,
         columns: Mapping[str, Any],
+        balanced: Mapping[str, np.ndarray],
         num_partitions: int = 8,
-        balanced: Mapping[str, np.ndarray] | None = None,
     ) -> Table:
         """Encrypt one batch of rows, advancing the table's row-ID cursor.
 
-        ``balanced`` is :meth:`balance_splashe` of a larger batch, sliced
-        to these rows; by default the batch is balanced on its own."""
+        ``balanced`` is :meth:`balance_splashe` of these rows, or of a
+        larger batch sliced to them."""
         arrays = {name: np.asarray(col) for name, col in columns.items()}
         expected = set(state.schema.column_names())
         if set(arrays) != expected:
@@ -99,8 +99,6 @@ class EncryptionModule:
                 f"batch columns {sorted(arrays)} do not match the schema "
                 f"{sorted(expected)}"
             )
-        if balanced is None:
-            balanced = self.balance_splashe(state, arrays)
         nrows = len(next(iter(arrays.values())))
         start_id = state.next_row_id
         physical: dict[str, np.ndarray] = {}

@@ -777,8 +777,8 @@ class SeabedSession:
                 encrypted = encryptor.encrypt_batch(
                     entry.cursors[shard],
                     batch,
+                    {name: arr[mine] for name, arr in balanced.items()},
                     num_partitions=num_partitions or -(-rows // target),
-                    balanced={name: arr[mine] for name, arr in balanced.items()},
                 )
                 t1 = time.perf_counter()
                 generation = max(

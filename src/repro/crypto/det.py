@@ -40,7 +40,7 @@ class DetScheme:
     ROUNDS = 4
 
     def __init__(self, key: bytes):
-        self._aes = AesNiCtrPrf(key, "DET")
+        self._aes = AesNiCtrPrf(key)
 
     def _feistel(self, x: np.ndarray, decrypt: bool) -> np.ndarray:
         """The one Feistel network, :data:`~repro.crypto.prf.CHUNK` rows at
@@ -50,7 +50,7 @@ class DetScheme:
         result = np.empty(flat.size, dtype=_U64)
         words, out, encrypt = self._aes.ecb(x.size)
         heads = out.view(">u4")[:, 0]  # each block's first four bytes
-        rounds = self._rounds(decrypt)
+        rounds = range(self.ROUNDS - 1, -1, -1) if decrypt else range(self.ROUNDS)
         for at in range(0, flat.size, CHUNK):
             part = flat[at : at + CHUNK]
             k = part.size
@@ -67,35 +67,15 @@ class DetScheme:
             result[at : at + k] = (left << _32) | right
         return result.reshape(x.shape)
 
-    def _feistel_one(self, x: int, decrypt: bool) -> int:
-        """:meth:`_feistel` over one value in Python ints: a query
-        constant's token is four one-block calls of the same AES pass,
-        without the numpy passes that make a one-row column ~3x dearer."""
-        words, out, encrypt = self._aes.ecb(1)
-        head = out.view(">u4")[0]  # the block's first four bytes at [0]
-        left, right = (x >> 32) & _MASK32, x & _MASK32
-        if decrypt:
-            left, right = right, left
-        for r in self._rounds(decrypt):
-            words[0] = r, right
-            encrypt(1)
-            left, right = right, left ^ int(head[0])
-        if decrypt:
-            left, right = right, left
-        return (left << 32) | right
-
-    def _rounds(self, decrypt: bool) -> range:
-        return range(self.ROUNDS - 1, -1, -1) if decrypt else range(self.ROUNDS)
-
     # -- per-value API (what a query constant needs) -------------------------
 
     def encrypt_one(self, m: int) -> int:
-        """Encrypt one 64-bit value (what :meth:`encrypt_column` gives it)."""
-        return self._feistel_one(m & MASK64, False)
+        """Encrypt one 64-bit value: :meth:`encrypt_column` of one row."""
+        return int(self._feistel(np.array([m & MASK64], dtype=_U64), False)[0])
 
     def decrypt_one(self, c: int) -> int:
         """Inverse of :meth:`encrypt_one` (the raw ``Z_{2^64}`` element)."""
-        return self._feistel_one(c & MASK64, True)
+        return int(self._feistel(np.array([c & MASK64], dtype=_U64), True)[0])
 
     # -- vectorised API --------------------------------------------------------
 

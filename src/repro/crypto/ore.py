@@ -160,7 +160,7 @@ class OreScheme:
     def __init__(self, key: bytes, nbits: int = 32, signed: bool = True):
         if not 1 <= nbits <= 64:
             raise CryptoError(f"ORE message width must be 1..64 bits, got {nbits}")
-        self._aes = AesNiCtrPrf(key, "ORE")
+        self._aes = AesNiCtrPrf(key)
         self.nbits = nbits
         self.signed = signed
         self.num_words = (nbits + _TRITS_PER_WORD - 1) // _TRITS_PER_WORD

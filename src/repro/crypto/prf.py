@@ -63,15 +63,14 @@ class AesNiCtrPrf:
     (``eval_one``), bulk random access (``eval_many``) and contiguous
     streams (``eval_range``): ASHE encryption walks contiguous IDs while
     decryption touches only range endpoints.  DET and ORE hold one under
-    their column key for its :meth:`ecb` pass (``scheme`` names the key
-    in errors).
+    their column key for its :meth:`ecb` pass.
     """
 
-    def __init__(self, key: bytes, scheme: str = "PRF"):
+    def __init__(self, key: bytes):
         if not isinstance(key, (bytes, bytearray)):
-            raise CryptoError(f"{scheme} key must be bytes, got {type(key).__name__}")
+            raise CryptoError(f"AES key must be bytes, got {type(key).__name__}")
         if len(key) < 16:
-            raise CryptoError(f"{scheme} key must be at least 16 bytes, got {len(key)}")
+            raise CryptoError(f"AES key must be at least 16 bytes, got {len(key)}")
         self._cipher = Cipher(algorithms.AES(bytes(key[:16])), modes.ECB())
         # One ECB context per thread, made on its first call (~5 us, most of
         # a one-block call): fed whole blocks only, a context holds no

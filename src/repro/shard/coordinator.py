@@ -371,7 +371,8 @@ class ShardCoordinator:
         if isinstance(filt, srv.DetIn):
             if filt.column != key_column:
                 return None
-            return {int(self.store.ring.owner(t)) for t in filt.tokens}
+            tokens = np.array(filt.tokens, dtype=np.uint64)
+            return set(self.store.ring.owners(tokens).tolist())
         if isinstance(filt, srv.FilterAnd):
             out: set[int] | None = None
             for child in filt.children:

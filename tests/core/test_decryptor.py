@@ -43,10 +43,9 @@ def env():
     state = ClientTableState(schema=schema, enc_schema=enc)
     factory = CryptoFactory(KeyChain(KEY), "t")
     rng = np.random.default_rng(0)
-    EncryptionModule(factory, seed=0).encrypt_batch(state, {
-        "x": rng.integers(0, 50, 100),
-        "g": rng.integers(0, 4, 100),
-    }, num_partitions=2)
+    cols = {"x": rng.integers(0, 50, 100), "g": rng.integers(0, 4, 100)}
+    module = EncryptionModule(factory, seed=0)
+    module.encrypt_batch(state, cols, module.balance_splashe(state, cols), num_partitions=2)
     translator = QueryTranslator(state, factory)
     return state, factory, translator
 

@@ -37,27 +37,31 @@ def columns(n=50, seed=0):
     }
 
 
+def encrypt(module, state, cols, **kwargs):
+    return module.encrypt_batch(state, cols, module.balance_splashe(state, cols), **kwargs)
+
+
 class TestEncryptBatch:
     def test_physical_columns_match_plan(self):
         state = make_state()
         module = EncryptionModule(CryptoFactory(KeyChain(KEY), "t"), seed=0)
-        table = module.encrypt_batch(state, columns(), num_partitions=3)
+        table = encrypt(module, state, columns(), num_partitions=3)
         assert set(table.column_names) == set(state.enc_schema.physical_columns())
 
     def test_row_id_cursor_advances(self):
         state = make_state()
         module = EncryptionModule(CryptoFactory(KeyChain(KEY), "t"), seed=0)
-        module.encrypt_batch(state, columns(50))
-        t2 = module.encrypt_batch(state, columns(30, seed=1))
+        encrypt(module, state, columns(50))
+        t2 = encrypt(module, state, columns(30, seed=1))
         assert state.next_row_id == 80
         assert t2.partitions[0].start_id == 50  # contiguous across batches
 
     def test_dictionary_persists_across_batches(self):
         state = make_state()
         module = EncryptionModule(CryptoFactory(KeyChain(KEY), "t"), seed=0)
-        module.encrypt_batch(state, columns(20))
+        encrypt(module, state, columns(20))
         first = dict(state.dictionaries["label"]._index)
-        module.encrypt_batch(state, columns(20, seed=3))
+        encrypt(module, state, columns(20, seed=3))
         for value, code in first.items():
             assert state.dictionaries["label"].lookup(value) == code
 
@@ -67,13 +71,13 @@ class TestEncryptBatch:
         bad = columns()
         del bad["amount"]
         with pytest.raises(PlanningError, match="do not match"):
-            module.encrypt_batch(state, bad)
+            encrypt(module, state, bad)
 
     def test_ciphertexts_differ_from_plaintext(self):
         state = make_state()
         module = EncryptionModule(CryptoFactory(KeyChain(KEY), "t"), seed=0)
         cols = columns()
-        table = module.encrypt_batch(state, cols)
+        table = encrypt(module, state, cols)
         enc = table.column("amount__ashe")
         assert not np.array_equal(enc.astype(np.int64), cols["amount"])
 
@@ -82,7 +86,7 @@ class TestEncryptBatch:
         factory = CryptoFactory(KeyChain(KEY), "t")
         module = EncryptionModule(factory, seed=0)
         cols = columns()
-        table = module.encrypt_batch(state, cols, num_partitions=1)
+        table = encrypt(module, state, cols, num_partitions=1)
         sq_scheme = factory.ashe("amount__sq__ashe")
         decrypted = sq_scheme.decrypt_column(table.column("amount__sq__ashe"), 0)
         assert decrypted.tolist() == (cols["amount"] ** 2).tolist()
@@ -93,13 +97,13 @@ class TestEncryptBatch:
         bad = columns()
         bad["amount"] = np.array([1 << 40] * 50)
         with pytest.raises(PlanningError, match="too large to square"):
-            module.encrypt_batch(state, bad)
+            encrypt(module, state, bad)
 
     def test_paillier_mode_requires_scheme(self):
         state = make_state(mode="paillier")
         module = EncryptionModule(CryptoFactory(KeyChain(KEY), "t"), paillier=None)
         with pytest.raises(PlanningError, match="requires a PaillierScheme"):
-            module.encrypt_batch(state, columns())
+            encrypt(module, state, columns())
 
     def test_splashe_columns_sum_to_measure(self):
         """The SPLASHE invariant: splayed columns partition the measure."""
@@ -107,7 +111,7 @@ class TestEncryptBatch:
         factory = CryptoFactory(KeyChain(KEY), "t")
         module = EncryptionModule(factory, seed=0)
         cols = columns()
-        table = module.encrypt_batch(state, cols, num_partitions=1)
+        table = encrypt(module, state, cols, num_partitions=1)
         total = 0
         for code in (0, 1):
             col = f"amount@gender@{code}__ashe"

@@ -48,7 +48,9 @@ def build_state(mode="seabed"):
         "ts": rng.integers(0, 100, n),
         "year": rng.integers(2014, 2017, n),
     }
-    EncryptionModule(factory, seed=0).encrypt_batch(state, columns, num_partitions=2)
+    module = EncryptionModule(factory, seed=0)
+    module.encrypt_batch(state, columns, module.balance_splashe(state, columns),
+                         num_partitions=2)
     return state, factory
 
 

@@ -7,13 +7,18 @@ the changed member's arcs), and deterministic replica placement (two
 rings built from the same topology agree on every chain).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import server as srv
+from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import ExecutionError
 from repro.index.bloom import BloomFilter
+from repro.shard.coordinator import ShardCoordinator
 from repro.shard.ring import HashRing, hash_key
 
 KEYS = np.arange(5_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -149,3 +154,24 @@ def test_replica_chains_deterministic_and_distinct(members, replicas):
 
     # Chains walk one shared circle, so hosting duty is exactly R each.
     assert all(n == replicas for n in coverage(a).values())
+
+
+class TestCoordinatorRouting:
+    """The coordinator routes shard-key predicates through the ring."""
+
+    @staticmethod
+    def coordinator():
+        store = SimpleNamespace(topology=SimpleNamespace(key_column="k__det"),
+                                ring=HashRing(list(range(4)), vnodes=16))
+        return ShardCoordinator(store, cluster=SimulatedCluster(ClusterConfig()))
+
+    def test_in_list_routes_to_its_tokens_owners(self):
+        coord = self.coordinator()
+        tokens = tuple(int(k) for k in KEYS[:40])
+        want = {coord.store.ring.owner(t) for t in tokens}
+        assert 1 < len(want) <= 4
+        assert coord.route_filter(srv.DetIn("k__det", tokens)) == want
+        for t in tokens[:5]:
+            assert coord.route_filter(srv.DetIn("k__det", (t,))) == \
+                coord.route_filter(srv.DetEq("k__det", t)) == {coord.store.ring.owner(t)}
+        assert coord.route_filter(srv.DetIn("other__det", tokens)) is None
