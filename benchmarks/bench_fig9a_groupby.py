@@ -44,10 +44,11 @@ def test_fig9a_groupby(benchmark, scale):
     rows = scale["fig9a_rows"]
     # Startup floor *and* shuffle bandwidth scale down with the dataset,
     # which is 10^3-10^4x smaller than the paper's: its reducer-bandwidth
-    # bottleneck only exists relative to its 1.75B-row shuffles.
+    # bottleneck only exists relative to its 1.75B-row shuffles.  Each of
+    # the 100 nodes' links carries 1/100 of a 2 MB/s fabric.
     cluster = SimulatedCluster(ClusterConfig(
         cores=100, job_startup_s=0.0005, task_startup_s=2e-5,
-        shuffle_bandwidth_bytes_s=2e6,
+        shuffle_link_bytes_s=2e4,
     ))
     group_counts = scale["fig9a_groups"]
     sql = "SELECT grp, sum(value) FROM synth GROUP BY grp"

@@ -10,9 +10,11 @@ the store existed).
 
 ``cold_open_s`` is the median of ``OPEN_REPEATS`` attaches, each in a
 fresh session (one attach is too noisy to compare).  Beside the timings
-the artifact records one structural count, with its bound: the bytes a
-SPLASHE indicator cell costs at rest, read from a small basic-SPLASHE
-store's manifest (4: ASHE over Z_2^32).
+the artifact records two structural counts, with their bounds: the bytes
+a SPLASHE indicator cell costs at rest, read from a small basic-SPLASHE
+store's manifest (4: ASHE over Z_2^32), and the bytes a DET cell costs
+beside its partition's token dictionary (one code a row: 1 byte at up to
+255 distinct tokens in the partition, 2 at up to 65,535).
 
 Results go to ``results/store_io.txt`` and machine-readably to
 ``BENCH_store.json`` at the repository root.
@@ -41,6 +43,9 @@ MASTER_KEY = b"bench-store-io-master-key-32-by!"
 OPEN_REPEATS = 15
 #: Bytes per SPLASHE indicator cell at rest: ASHE over Z_2^32.
 INDICATOR_CELL_BYTES = 4
+#: Bytes per DET cell at rest, by distinct tokens in its partition: the
+#: width of one dictionary code.
+DET_CELL_BYTES = {255: 1, 65_535: 2}
 
 QUERY = "SELECT sum(value), count(*) FROM synth WHERE sel < 500000"
 
@@ -92,6 +97,25 @@ def _indicator_cell_bytes(tmp: str) -> list[int]:
             for c in plan.indicator_columns]
 
 
+def _det_cell_bytes(tmp: str, distinct: int) -> float:
+    """Bytes per row of a DET column beyond its dictionary, in a
+    one-partition store whose ``distinct`` rows each hold their own token."""
+    schema = TableSchema("users", [
+        ColumnSpec("user", dtype="int", sensitive=True),
+        ColumnSpec("value", dtype="int", sensitive=True),
+    ])
+    session = _fresh_session()
+    session.create_plan(schema, ["SELECT user, sum(value) FROM users GROUP BY user"])
+    path = os.path.join(tmp, f"users-{distinct}")
+    session.upload("users", {"user": np.arange(distinct), "value": np.ones(distinct, int)},
+                   num_partitions=1, path=path)
+    session.close()
+    with open(os.path.join(path, MANIFEST_NAME)) as fh:
+        (entry,) = json.load(fh)["generations"][0]["partitions"]
+    tokens = entry["dictionaries"]["user__det"]
+    return (entry["files"]["user__det"] - 8 * tokens) / distinct
+
+
 def test_store_io(benchmark, scale):
     rows = scale["store_rows"]
     record: dict = {}
@@ -125,6 +149,7 @@ def test_store_io(benchmark, scale):
                 attach.close()
             cold_open_s = statistics.median(opens)
             cells = _indicator_cell_bytes(tmp)
+            det_cells = {str(k): _det_cell_bytes(tmp, k) for k in DET_CELL_BYTES}
 
             record.update(
                 rows=rows,
@@ -136,6 +161,8 @@ def test_store_io(benchmark, scale):
                 cold_first_query_s=first_query_s,
                 indicator_cell_bytes=max(cells),
                 indicator_cell_bytes_bound=INDICATOR_CELL_BYTES,
+                det_cell_bytes=det_cells,
+                det_cell_bytes_bound={str(k): v for k, v in DET_CELL_BYTES.items()},
                 open_speedup_vs_reencrypt=reencrypt_s / max(cold_open_s, 1e-12),
             )
 
@@ -169,6 +196,10 @@ def test_store_io(benchmark, scale):
     assert record["indicator_cell_bytes"] == INDICATOR_CELL_BYTES, (
         f"a SPLASHE indicator cell costs {record['indicator_cell_bytes']} bytes "
         f"at rest, not {INDICATOR_CELL_BYTES}"
+    )
+    assert record["det_cell_bytes"] == record["det_cell_bytes_bound"], (
+        f"DET cells cost {record['det_cell_bytes']} bytes at rest by distinct "
+        f"tokens per partition, not {record['det_cell_bytes_bound']}"
     )
     # Attach-vs-reencrypt is only a meaningful comparison once encryption
     # costs real time; at BENCH_QUICK sizes both sides are milliseconds

@@ -205,9 +205,9 @@ def audit_zone_maps(
             )
         specs = {
             name: _audit_spec(
-                name, arr, column_meta.get(name) if column_meta else None
+                name, part.column(name), column_meta.get(name) if column_meta else None
             )
-            for name, arr in part.columns.items()
+            for name in part.columns
         }
         expected = build_partition_stats(part, specs)["columns"]
         for name, artifact in stats.get("columns", {}).items():

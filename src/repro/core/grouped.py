@@ -35,16 +35,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.engine.table import code_dtype
 from repro.errors import EncodingError
 from repro.idlist.codec import ROW_SET_FLAGS
 
 #: Merges a column's runs: ``reduce(column, run_starts) -> merged column``.
 Reducer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def code_dtype(entries: int) -> np.dtype:
-    """The narrowest of uint8 / uint16 / uint32 that holds ``entries``."""
-    return np.min_scalar_type(entries)
 
 
 def _check(ok: bool, what: str) -> None:

@@ -8,6 +8,10 @@ module.
 Supported physical operations:
 
 - filter evaluation over plaintext, DET-token and ORE-token predicates;
+  a stored partition's DET columns are dictionary-coded
+  (:mod:`repro.engine.store`), so DET equality looks its tokens up in the
+  partition's dictionary once and compares narrow codes, and GROUP BY on
+  such a column groups its codes (the keys that ship are the tokens);
 - one reply form: every aggregation reply is the request's row sets as
   columns (:class:`~repro.core.grouped.GroupedRows`) from map task to
   reply -- one row set per group key, or without GROUP BY the one row set
@@ -126,31 +130,46 @@ _PLAIN_OPS = {
 }
 
 
+def _det_mask(col: np.ndarray, dictionary: np.ndarray | None,
+              tokens: Sequence[int], nrows: int) -> np.ndarray:
+    """Rows whose DET token is one of ``tokens``.  A coded column (its
+    ``dictionary`` given) looks the tokens up once and compares narrow
+    codes; a token absent from the dictionary matches no row."""
+    col = np.asarray(col)
+    if dictionary is None:
+        values = [_U64(t) for t in tokens]
+    else:
+        at = dictionary.searchsorted(np.asarray(tokens, dtype=_U64)).tolist()
+        values = [col.dtype.type(c) for c, t in zip(at, tokens)
+                  if c < dictionary.size and dictionary[c] == t]
+    if len(values) == 1:
+        return col == values[0]
+    mask = np.zeros(nrows, dtype=bool)
+    for value in values:
+        mask |= col == value
+    return mask
+
+
 def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
-                nrows: int) -> np.ndarray | None:
-    """Boolean mask (or None for select-all)."""
+                nrows: int, dictionaries: dict[str, np.ndarray] | None = None,
+                ) -> np.ndarray | None:
+    """Boolean mask (or None for select-all).  ``dictionaries`` names the
+    coded columns (:class:`~repro.engine.table.Partition`): ``columns``
+    holds their codes."""
     if expr is None:
         return None
     if isinstance(expr, PlainCmp):
         return np.asarray(_PLAIN_OPS[expr.op](columns[expr.column], expr.value),
                           dtype=bool)
-    if isinstance(expr, DetEq):
+    if isinstance(expr, (DetEq, DetIn)):
+        tokens = (expr.token,) if isinstance(expr, DetEq) else expr.tokens
         t0 = time.perf_counter() if _obs_metrics.enabled() else 0.0
-        mask = columns[expr.column] == _U64(expr.token)
+        mask = _det_mask(columns[expr.column], (dictionaries or {}).get(expr.column),
+                         tokens, nrows)
         if t0:
             observe_kernel_op("det", "compare_column",
-                              time.perf_counter() - t0, nrows)
-        return ~mask if expr.negate else mask
-    if isinstance(expr, DetIn):
-        col = columns[expr.column]
-        t0 = time.perf_counter() if _obs_metrics.enabled() else 0.0
-        mask = np.zeros(nrows, dtype=bool)
-        for token in expr.tokens:
-            mask |= col == _U64(token)
-        if t0:
-            observe_kernel_op("det", "compare_column",
-                              time.perf_counter() - t0, nrows * len(expr.tokens))
-        return mask
+                              time.perf_counter() - t0, nrows * len(tokens))
+        return ~mask if isinstance(expr, DetEq) and expr.negate else mask
     if isinstance(expr, OreCmp):
         t0 = time.perf_counter() if _obs_metrics.enabled() else 0.0
         mask = ore_mod.filter_packed(columns[expr.column], expr.op, expr.token)
@@ -161,7 +180,7 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
     if isinstance(expr, FilterAnd):
         mask = None  # select-all until a child narrows it
         for child in expr.children:
-            sub = eval_filter(columns, child, nrows)
+            sub = eval_filter(columns, child, nrows, dictionaries)
             if sub is not None:
                 mask = sub if mask is None else mask & sub
                 if not mask.any():
@@ -170,13 +189,13 @@ def eval_filter(columns: dict[str, np.ndarray], expr: FilterExpr | None,
     if isinstance(expr, FilterOr):
         mask = np.zeros(nrows, dtype=bool)
         for child in expr.children:
-            sub = eval_filter(columns, child, nrows)
+            sub = eval_filter(columns, child, nrows, dictionaries)
             if sub is None:
                 return None
             mask |= sub
         return mask
     if isinstance(expr, FilterNot):
-        sub = eval_filter(columns, expr.child, nrows)
+        sub = eval_filter(columns, expr.child, nrows, dictionaries)
         return np.zeros(nrows, dtype=bool) if sub is None else ~sub
     raise ExecutionError(f"unknown filter node {type(expr).__name__}")
 
@@ -333,7 +352,7 @@ def scan_map_task(
     part: Partition, columns: tuple[str, ...], filt: FilterExpr | None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Filtered projection of one partition: selected columns + row IDs."""
-    mask = eval_filter(part.columns, filt, part.nrows)
+    mask = eval_filter(part.columns, filt, part.nrows, part.dictionaries)
     ids = np.arange(part.nrows, dtype=_U64) + _U64(part.start_id)
     if mask is None:
         return {c: part.column(c) for c in columns}, ids
@@ -361,7 +380,7 @@ def probe_join(
         return None
     probe_idx = np.asarray(probe_rows, dtype=np.int64)
     build_idx = np.asarray(build_rows, dtype=np.int64)
-    columns = {name: arr[probe_idx] for name, arr in part.columns.items()}
+    columns = {name: part.column(name)[probe_idx] for name in part.columns}
     for name, arr in build["payloads"].items():
         columns[name] = arr[build_idx]
     columns[JOIN_IDS_COLUMN] = build["ids"][build_idx]
@@ -413,13 +432,15 @@ def aggregate_task(
     selection, whose key and codes are implied.  The selected rows' IDs
     are built and encoded once per source, whatever the number of ASHE
     aggregates; under GROUP BY each ID gets its row set's code."""
-    # Without a join, view row j is partition row j (probe_idx None).
+    # Without a join, view row j is partition row j (probe_idx None) and
+    # coded columns stay codes; a join view holds every column's values.
     view = (part.columns, None) if build is None else probe_join(part, q, build)
     if view is None:
         return None
     columns, probe_idx = view
+    dictionaries = part.dictionaries if build is None else {}
     nrows = part.nrows if probe_idx is None else len(probe_idx)
-    mask = eval_filter(columns, q.filter, nrows)
+    mask = eval_filter(columns, q.filter, nrows, dictionaries)
     if q.group_by is None:
         count = nrows if mask is None else int(np.count_nonzero(mask))
         if count == 0:
@@ -430,15 +451,12 @@ def aggregate_task(
         sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
         if sel.size == 0:
             return None
-        # One sort groups the rows by key; the order of a group's rows does
-        # not matter, its IDs travel in the partition's chunk.
-        key = np.asarray(columns[q.group_by])[sel].astype(_U64, copy=False)
-        order = np.argsort(key)
-        key = key[order]
-        first = np.append(True, key[1:] != key[:-1])
-        keys, starts, rows, count = key[first], np.flatnonzero(first), sel[order], sel.size
-        code = np.empty(sel.size, dtype=code_dtype(keys.size))
-        code[order] = np.cumsum(first) - 1
+        # Group the rows by key; the order of a group's rows does not
+        # matter, its IDs travel in the partition's chunk.
+        key, dictionary = np.asarray(columns[q.group_by])[sel], dictionaries.get(q.group_by)
+        keys, starts, order, code = (
+            _group_sorted(key) if dictionary is None else _group_coded(key, dictionary))
+        rows, count = sel[order], sel.size
         codes = {source: code for source in id_sources(q.aggs)}
         if BUILD_IDS in codes:  # a build-side multiset chunk decodes its IDs sorted
             codes[BUILD_IDS] = code[np.argsort(columns[JOIN_IDS_COLUMN][sel], kind="stable")]
@@ -455,6 +473,37 @@ def aggregate_task(
         for source in id_sources(q.aggs)
     }
     return GroupedRows(keys, values, ids, side)
+
+
+def _group_sorted(key: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Group rows by their values with one sort: (sorted distinct keys,
+    each key's first position in ``order``, ``order``, each row's
+    group index)."""
+    key = key.astype(_U64, copy=False)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.append(True, key[1:] != key[:-1])
+    keys = key[first]
+    code = np.empty(key.size, dtype=code_dtype(keys.size))
+    code[order] = np.cumsum(first) - 1
+    return keys, np.flatnonzero(first), order, code
+
+
+def _group_coded(codes: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_group_sorted` over a coded column's narrow codes: a
+    counting pass finds the present codes (their tokens, in dictionary
+    order, are the sorted keys), and a stable -- radix, at 8 and 16 bits
+    -- argsort of the codes orders the rows."""
+    counts = np.bincount(codes, minlength=dictionary.size)
+    present = counts > 0
+    counts = counts[present]
+    starts = np.cumsum(counts) - counts
+    keys = dictionary[present]
+    if keys.size == dictionary.size:  # every code present: no renumbering
+        code = codes.astype(code_dtype(keys.size), copy=False)
+    else:
+        code = (np.cumsum(present) - 1).astype(code_dtype(keys.size))[codes]
+    return keys, starts, np.argsort(codes, kind="stable"), code
 
 
 def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows:

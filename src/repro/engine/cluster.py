@@ -80,7 +80,7 @@ class ClusterConfig:
     cores: int = 16
     task_startup_s: float = 0.002  # per-task scheduling/deserialisation cost
     job_startup_s: float = 0.25  # driver-side job submission floor
-    shuffle_bandwidth_bytes_s: float = 4 * GBPS
+    shuffle_link_bytes_s: float = 250 * MBPS  # each node's shuffle link
     shuffle_latency_s: float = 0.001
     client_bandwidth_bytes_s: float = 2 * GBPS
     client_latency_s: float = 0.0005
@@ -153,13 +153,18 @@ def model(jobs: Iterable[JobMetrics], config: ClusterConfig) -> ModelledTime:
     ``straggler_factor`` for the tasks the ``seed``-ed RNG picks with
     ``straggler_prob``), placed by :func:`makespan` on ``cores``; a driver
     stage is serial.  Each shuffle costs ``shuffle_latency_s`` plus its
-    bytes over the links in use: ``shuffle_bandwidth_bytes_s`` is the
-    *aggregate* fabric bandwidth and every receiving node pulls through a
-    1/cores share of it, so a shuffle into fewer reducers than cores is
-    bottlenecked on the few active links -- the paper's bottleneck when a
-    few groups' dense ID lists cross the shuffle (Section 4.5); 0
-    receivers means all links.  The network pays the result's trip over the client
-    link; the client's time is the measured ``client_time``.
+    bytes split over the receiving nodes, each pulling through its own
+    ``shuffle_link_bytes_s`` link, so a shuffle into fewer reducers than
+    cores is bottlenecked on the few active links -- the paper's
+    bottleneck when a few groups' dense ID lists cross the shuffle
+    (Section 4.5); 0 receivers means every core's link.  A node's link
+    rate is fixed, not a 1/cores share of a fixed fabric: under a share,
+    a shuffle into fewer reducers than cores grew slower with every core
+    added, so more cores could model a slower job.  With fixed links more
+    cores never model slower (the default link, 250 Mbps, is what each
+    node got of the former 4 Gbps fabric at the default 16 cores).  The
+    network pays the result's trip over the client link; the client's
+    time is the measured ``client_time``.
 
     Pure: reads ``jobs`` and ``config``, mutates neither, and is
     deterministic in ``config.seed`` (stragglers are drawn job by job,
@@ -168,7 +173,6 @@ def model(jobs: Iterable[JobMetrics], config: ClusterConfig) -> ModelledTime:
     treated as one cluster's job.
     """
     rng = Random(config.seed)
-    per_node = config.shuffle_bandwidth_bytes_s / config.cores
     server = network = client = 0.0
     for job in jobs:
         server += config.job_startup_s
@@ -186,7 +190,7 @@ def model(jobs: Iterable[JobMetrics], config: ClusterConfig) -> ModelledTime:
             server += makespan(times, config.cores)
         for nbytes, receivers in job.shuffles:
             active = min(receivers, config.cores) or config.cores
-            server += config.shuffle_latency_s + (nbytes / active) / per_node
+            server += config.shuffle_latency_s + nbytes / active / config.shuffle_link_bytes_s
         network += (
             config.client_latency_s
             + job.result_bytes / config.client_bandwidth_bytes_s

@@ -27,6 +27,19 @@ than RAM streams from the OS page cache.  Paillier ciphertext columns
 (``object`` dtype big-ints) reuse the varint framing of
 :mod:`repro.engine.storage` and are decoded eagerly from their byte range.
 
+**Dictionary-coded DET columns.**  A DET token column (``*__det``, spec
+``"coded": true``) is stored per partition as its sorted distinct tokens
+(the *dictionary*, ``k`` little-endian uint64s) followed directly by one
+code per row, an index into the dictionary as ``uint8`` / ``uint16`` /
+``uint32`` by ``k`` (:func:`~repro.engine.table.code_dtype`); the
+partition entry records ``k`` under ``dictionaries``.  The server codes
+tokens itself (no key: equal tokens get equal codes, which DET already
+reveals) with one ``np.unique`` per column per partition, whenever it
+writes a partition -- upload, append and compaction alike -- and the
+zone map's DET statistics are read off the dictionary.  A mapped
+partition serves the codes as ``columns[name]`` and the dictionary as
+``dictionaries[name]``: GROUP BY and DET equality run over the codes.
+
 **Generations.**  The manifest is a log of *generations*: the initial
 bulk write is generation 1 and every :func:`append_store` adds one more,
 bumping a monotonic generation counter.  Appends are atomic -- the batch is staged in a temporary
@@ -80,15 +93,16 @@ from repro.engine.storage import (
     encode_object_column,
     fsync_dir,
 )
-from repro.engine.table import Partition, Table
+from repro.engine.table import Partition, Table, code_dtype, dictionary_code
 from repro.errors import StorageError
 from repro.idlist.codec import decode_id_spans, encode_id_spans, encode_span_groups
-from repro.index.zonemap import build_partition_stats, stats_summary
+from repro.index.zonemap import build_partition_stats, classify_column, stats_summary
 
 FORMAT_NAME = "seabed-store"
-FORMAT_VERSION = 5
-#: Manifest versions this build can read.
-READABLE_VERSIONS = (5,)
+FORMAT_VERSION = 6
+#: Manifest versions this build can read (version 6 dictionary-codes DET
+#: columns; no reader for the 8-byte-token layout of 5 remains).
+READABLE_VERSIONS = (6,)
 MANIFEST_NAME = "manifest.json"
 #: The one file in a partition directory.
 PARTITION_FILE = "columns.bin"
@@ -155,6 +169,8 @@ def _column_specs(table: Table, column_meta: dict[str, str] | None) -> dict[str,
         columns[name] = _column_spec(name, table.partitions[0].column(name))
         if column_meta and name in column_meta:
             columns[name]["enc"] = column_meta[name]
+        if classify_column(name, columns[name]) == "det":
+            columns[name]["coded"] = True
     return columns
 
 
@@ -169,35 +185,52 @@ def _column_offsets(sizes: dict[str, int]) -> tuple[dict[str, int], int]:
     return offsets, end
 
 
-def _write_partition_file(
-    part_dir: str, columns: dict[str, dict], part: Partition
-) -> dict[str, int]:
-    """Write one partition's ``columns.bin``; returns per-column byte counts.
+def _write_partition(
+    store: str, rel_dir: str, columns: dict[str, dict], part: Partition
+) -> dict:
+    """Write one partition under ``store/rel_dir``; returns its manifest
+    entry (files, dictionary sizes, zone-map stats).
 
-    The file is fsynced once before it is counted: the manifest (and then
-    the sidecar watermark) will claim these bytes durable, so they must
-    actually reach the platter before that commit record does.
+    Coded columns are coded here, then every column lands in one
+    ``columns.bin``, fsynced once before it is counted: the manifest (and
+    then the sidecar watermark) will claim these bytes durable, so they
+    must actually reach the platter before that commit record does.
     """
+    coded = sorted(n for n, spec in columns.items() if spec.get("coded"))
+    for name in coded:
+        dictionary, codes = dictionary_code(part.column(name))
+        part = Partition({**part.columns, name: codes}, part.start_id,
+                         {**part.dictionaries, name: dictionary})
+    part_dir = os.path.join(store, rel_dir)
     os.makedirs(part_dir, exist_ok=True)
     sizes: dict[str, int] = {}
     with open(os.path.join(part_dir, PARTITION_FILE), "wb") as fh:
         for name in sorted(columns):
-            spec, arr = columns[name], part.column(name)
-            actual = _column_spec(name, arr)
+            spec, arr = columns[name], part.columns[name]
+            dictionary = part.dictionaries.get(name)
+            actual = _column_spec(name, arr if dictionary is None else dictionary)
             if (actual["dtype"], actual["width"]) != (spec["dtype"], spec["width"]):
                 raise StorageError(
                     f"column {name!r} changes dtype/shape across partitions"
                 )
+            if spec["dtype"] == "object":
+                buffers = [encode_object_column(arr)]
+            elif dictionary is None:
+                buffers = [np.ascontiguousarray(arr, dtype=np.dtype(spec["dtype"]))]
+            else:
+                width = code_dtype(dictionary.size).newbyteorder("<")
+                buffers = [np.ascontiguousarray(dictionary, dtype=np.dtype(spec["dtype"])),
+                           np.ascontiguousarray(arr, dtype=width)]
             fh.write(bytes(-fh.tell() % 8))
-            sizes[name] = fh.write(
-                encode_object_column(arr)
-                if spec["dtype"] == "object"
-                else np.ascontiguousarray(arr, dtype=np.dtype(spec["dtype"]))
-            )
+            sizes[name] = sum(fh.write(b) for b in buffers)
         fh.flush()
         os.fsync(fh.fileno())
     fsync_dir(part_dir)
-    return sizes
+    entry: dict[str, Any] = {"dir": rel_dir, "files": sizes}
+    if coded:
+        entry["dictionaries"] = {n: int(part.dictionaries[n].size) for n in coded}
+    entry["stats"] = build_partition_stats(part, columns)
+    return entry
 
 
 def _generation_entry(
@@ -234,15 +267,10 @@ def write_store(
     os.makedirs(path, exist_ok=True)
 
     columns = _column_specs(table, column_meta)
-    partitions = []
-    for index, part in enumerate(table.partitions):
-        part_dir = os.path.join(path, _partition_dir(index))
-        files = _write_partition_file(part_dir, columns, part)
-        partitions.append({
-            "dir": _partition_dir(index),
-            "files": files,
-            "stats": build_partition_stats(part, columns),
-        })
+    partitions = [
+        _write_partition(path, _partition_dir(index), columns, part)
+        for index, part in enumerate(table.partitions)
+    ]
 
     # No staging rename here: the partitions are written but unpublished,
     # the state an append's two pre-manifest crash points leave behind.
@@ -431,15 +459,12 @@ def append_store(
     staging = os.path.join(path, dir_name + ".tmp")
     if os.path.exists(staging):
         shutil.rmtree(staging)
-    partitions = []
-    for index, part in enumerate(table.partitions):
-        part_dir = os.path.join(staging, _partition_dir(index))
-        files = _write_partition_file(part_dir, columns, part)
-        partitions.append({
-            "dir": f"{dir_name}/{_partition_dir(index)}",
-            "files": files,
-            "stats": build_partition_stats(part, columns),
-        })
+    partitions = [
+        _write_partition(staging, _partition_dir(index), columns, part)
+        for index, part in enumerate(table.partitions)
+    ]
+    for entry in partitions:
+        entry["dir"] = f"{dir_name}/{entry['dir']}"
 
     _maybe_crash("append:before-rename")
     final = os.path.join(path, dir_name)
@@ -644,11 +669,11 @@ def compact_store(
             for index, (_, scount) in zip(indices, source_spans):
                 s, e = max(lo, offset), min(hi, offset + scount)
                 if s < e:
-                    part = snapshot.partition(index)
+                    # Sources decode to tokens; the merged partition is
+                    # coded afresh against its own dictionary.
+                    part = snapshot.partition(index).slice(s - offset, e - offset)
                     for name in names:
-                        pieces[name].append(
-                            part.column(name)[s - offset : e - offset]
-                        )
+                        pieces[name].append(part.column(name))
                     if offset + scount <= hi:
                         # Later output partitions start at hi, so this
                         # source is fully consumed: drop its maps now.
@@ -658,16 +683,10 @@ def compact_store(
                 columns={n: np.concatenate(p) for n, p in pieces.items()},
                 start_id=base + lo,
             )
-            files = _write_partition_file(
-                os.path.join(staging, _partition_dir(out)),
-                manifest["columns"],
-                out_part,
-            )
-            partitions.append({
-                "dir": f"{dir_name}/{_partition_dir(out)}",
-                "files": files,
-                "stats": build_partition_stats(out_part, manifest["columns"]),
-            })
+            entry = _write_partition(
+                staging, _partition_dir(out), manifest["columns"], out_part)
+            entry["dir"] = f"{dir_name}/{entry['dir']}"
+            partitions.append(entry)
             out_spans.append((base + lo, hi - lo))
             del out_part, pieces
 
@@ -877,6 +896,8 @@ class StoreReader:
         # stored data in place.  A zero-row partition's file is empty.
         raw = np.memmap(target, mode="r") if end else np.empty(0, np.uint8)
         columns: dict[str, np.ndarray] = {}
+        dictionaries: dict[str, np.ndarray] = {}
+        dict_sizes = entry.get("dictionaries", {})
         for name, spec in specs.items():
             chunk = raw[offsets[name] : offsets[name] + int(entry["files"][name])]
             if spec["dtype"] == "object":
@@ -884,13 +905,27 @@ class StoreReader:
                 continue
             dtype, width = np.dtype(spec["dtype"]), int(spec["width"])
             shape = (rows,) if spec["ndim"] == 1 else (rows, width)
+            if spec.get("coded"):
+                tokens = int(dict_sizes.get(name, -1))
+                head = tokens * dtype.itemsize
+                if not 0 <= head <= chunk.size:
+                    raise StorageError(
+                        f"{where}: column {name!r} has no valid dictionary size")
+                dictionaries[name] = _view(chunk[:head], dtype, (tokens,))
+                chunk = chunk[head:]
+                dtype = code_dtype(tokens).newbyteorder("<")
             if rows * width * dtype.itemsize != chunk.size:
                 raise StorageError(
                     f"{where}: column {name!r} holds {chunk.size} bytes but "
                     f"the manifest shape needs {rows * width * dtype.itemsize}"
                 )
-            columns[name] = chunk.view(dtype).reshape(shape) if rows else np.empty(shape, dtype)
-        return Partition(columns=columns, start_id=int(self._starts[index]))
+            columns[name] = _view(chunk, dtype, shape)
+        return Partition(columns, int(self._starts[index]), dictionaries)
+
+
+def _view(chunk: np.ndarray, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """``chunk``'s bytes as a ``shape`` array of ``dtype`` (a map view)."""
+    return chunk.view(dtype).reshape(shape) if chunk.size else np.empty(shape, dtype)
 
 
 def open_store(

@@ -9,17 +9,32 @@ space without gaps.
 Columns are numpy arrays: ``int64`` plaintext / dictionary codes,
 ``uint64`` ASHE or DET ciphertexts (``uint32`` for a SPLASHE indicator's
 ASHE over ``Z_2^32``), 2-D ``uint64`` ORE trit words, or ``object``
-arrays of Python big-ints for Paillier.
+arrays of Python big-ints for Paillier.  A stored partition holds each
+DET token column *dictionary-coded*: its sorted distinct tokens plus one
+narrow code per row (:meth:`Partition.column` gives the tokens back).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import ExecutionError
+
+
+def code_dtype(entries: int) -> np.dtype:
+    """The narrowest of uint8 / uint16 / uint32 that holds ``entries``."""
+    return np.min_scalar_type(entries)
+
+
+def dictionary_code(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tokens`` as (sorted distinct tokens, one narrow code per row):
+    ``dictionary[codes]`` gives ``tokens`` back.  Keyless -- equal tokens
+    get equal codes, which DET already reveals."""
+    dictionary, codes = np.unique(np.asarray(tokens), return_inverse=True)
+    return dictionary, codes.astype(code_dtype(dictionary.size), copy=False)
 
 
 @dataclass
@@ -30,10 +45,16 @@ class Partition:
     generation's column files (:mod:`repro.engine.store`); stage tasks
     receive the partition objects themselves, so a query reads exactly
     the snapshot its table was opened at.
+
+    ``columns`` holds each column as stored.  A dictionary-coded column
+    (a stored DET token column) is there as its codes, and
+    ``dictionaries`` holds its sorted distinct tokens; :meth:`column`
+    returns every column's values, decoding a coded one.
     """
 
     columns: dict[str, np.ndarray]
     start_id: int
+    dictionaries: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         lengths = {name: len(arr) for name, arr in self.columns.items()}
@@ -47,15 +68,24 @@ class Partition:
         return len(next(iter(self.columns.values())))
 
     def column(self, name: str) -> np.ndarray:
+        """The column's values (a coded column's tokens, decoded)."""
         try:
-            return self.columns[name]
+            stored = self.columns[name]
         except KeyError:
             raise ExecutionError(
                 f"partition has no column {name!r}; available: {sorted(self.columns)}"
             ) from None
+        dictionary = self.dictionaries.get(name)
+        return stored if dictionary is None else dictionary[stored]
+
+    def slice(self, lo: int, hi: int) -> "Partition":
+        """Rows ``[lo, hi)``, coded columns still coded."""
+        return Partition({n: a[lo:hi] for n, a in self.columns.items()},
+                         self.start_id + lo, self.dictionaries)
 
     def memory_bytes(self) -> int:
-        return sum(_array_bytes(a) for a in self.columns.values())
+        return sum(_array_bytes(a) for a in self.columns.values()) + sum(
+            d.nbytes for d in self.dictionaries.values())
 
 
 class Table:

@@ -39,13 +39,20 @@ BITS_PER_TOKEN = 10
 MAX_HASHES = 8
 
 
-def mix64(x: np.ndarray) -> np.ndarray:
-    """The public splitmix64 finaliser over a uint64 array (a bijection)."""
-    x = x ^ (x >> _U64(30))
-    x = x * _U64(_MIX_MUL_1)
-    x = x ^ (x >> _U64(27))
-    x = x * _U64(_MIX_MUL_2)
-    return x ^ (x >> _U64(31))
+_MIX_STEPS = ((30, _MIX_MUL_1), (27, _MIX_MUL_2))
+_MIX_STEPS_U64 = tuple((_U64(s), _U64(m)) for s, m in _MIX_STEPS)
+
+
+def mix64(x: np.ndarray | int) -> np.ndarray | int:
+    """The public splitmix64 finaliser (a bijection), over a uint64 array
+    -- whose multiplies wrap -- or over one Python int, masked to 64 bits
+    after each multiply (a single key skips numpy's per-call overhead)."""
+    array = isinstance(x, np.ndarray)
+    for shift, mul in _MIX_STEPS_U64 if array else _MIX_STEPS:
+        x = (x ^ (x >> shift)) * mul
+        if not array:
+            x &= _MASK64
+    return x ^ (x >> (_U64(31) if array else 31))
 
 
 class BloomFilter:

@@ -11,7 +11,10 @@ partition:
 - **DET token columns** (1-D uint64, ``*__det``): the exact distinct
   token set when small (:data:`TOKEN_SET_MAX`), else a compact keyless
   bloom filter over the distinct tokens.  Tokens are already visible in
-  the column; the set/bloom is a recomputable digest of them.
+  the column; the set/bloom is a recomputable digest of them.  A stored
+  partition keeps each such column dictionary-coded
+  (:mod:`repro.engine.store`), and its dictionary *is* the distinct
+  token set, so the stats are read off it rather than re-derived.
 - **Plain columns** (1-D int64 / bool): plaintext min/max -- the values
   are stored in the clear, so their bounds leak nothing new.
 - **Row and null counts** per partition (columns are dense numpy
@@ -60,8 +63,8 @@ def _ore_stats(arr: np.ndarray) -> dict[str, Any]:
     }
 
 
-def _det_stats(arr: np.ndarray) -> dict[str, Any]:
-    tokens = np.unique(np.asarray(arr, dtype=_U64))
+def _det_stats(tokens: np.ndarray) -> dict[str, Any]:
+    """Stats of a column's sorted distinct tokens."""
     if tokens.size <= TOKEN_SET_MAX:
         return {"kind": "det", "tokens": [int(t) for t in tokens]}
     bloom = BloomFilter.for_capacity(tokens.size)
@@ -106,11 +109,12 @@ def build_partition_stats(
 ) -> dict[str, Any]:
     """Zone-map statistics for one partition.
 
-    ``part`` is a :class:`repro.engine.table.Partition` (or anything
-    with ``nrows`` and ``column(name)``); ``column_specs`` is the store
-    manifest's ``columns`` mapping (dtype/ndim/width per column).  The
-    result is JSON-serialisable and fully determined by the ciphertext
-    column contents -- the recomputability the leakage audit relies on.
+    ``part`` is a :class:`repro.engine.table.Partition`, whose coded
+    DET columns' dictionaries are their distinct tokens;
+    ``column_specs`` is the store manifest's ``columns`` mapping
+    (dtype/ndim/width per column).  The result is JSON-serialisable and
+    fully determined by the ciphertext column contents -- the
+    recomputability the leakage audit relies on.
     """
     columns: dict[str, Any] = {}
     if part.nrows > 0:
@@ -118,13 +122,15 @@ def build_partition_stats(
             kind = classify_column(name, spec)
             if kind is None:
                 continue
-            arr = part.column(name)
             if kind == "ore":
-                columns[name] = _ore_stats(arr)
+                columns[name] = _ore_stats(part.column(name))
             elif kind == "det":
-                columns[name] = _det_stats(arr)
+                tokens = part.dictionaries.get(name)
+                if tokens is None:
+                    tokens = np.unique(np.asarray(part.column(name), dtype=_U64))
+                columns[name] = _det_stats(tokens)
             else:
-                columns[name] = _plain_stats(arr)
+                columns[name] = _plain_stats(part.column(name))
     return {"rows": int(part.nrows), "nulls": 0, "columns": columns}
 
 

@@ -42,7 +42,7 @@ _MASK64 = (1 << 64) - 1
 
 def hash_key(key: int) -> int:
     """Public 64-bit mix of an integer key (DET tokens route through this)."""
-    return int(mix64(np.array([int(key) & _MASK64], dtype=_U64))[0])
+    return mix64(int(key) & _MASK64)
 
 
 def _point(member: str | int, vnode: int) -> int:

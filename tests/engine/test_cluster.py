@@ -6,8 +6,10 @@ from copy import deepcopy
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.cluster import ClusterConfig, SimulatedCluster, makespan, model
+from repro.engine.cluster import GBPS, ClusterConfig, SimulatedCluster, makespan, model
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.errors import ExecutionError
 from repro.obs import trace as obs_trace
@@ -193,7 +195,7 @@ def job_of(*stages, shuffles=(), result_bytes=0, client_time=0.0):
 #: Every modelled cost switched off, so each test turns on the one it pins.
 FREE = ClusterConfig(
     cores=1, task_startup_s=0.0, job_startup_s=0.0, shuffle_latency_s=0.0,
-    shuffle_bandwidth_bytes_s=1e6, client_latency_s=0.0,
+    shuffle_link_bytes_s=1e6, client_latency_s=0.0,
     client_bandwidth_bytes_s=1e6,
 )
 
@@ -288,20 +290,59 @@ class TestModelNetwork:
         assert model([job], slow).network_s > model([job], fast).network_s * 10
 
     def test_plain_shuffle_uses_the_whole_fabric(self):
+        # 1 MB over all 16 nodes' 1 MB/s links: 1/16 s, plus the latency.
         config = replace(FREE, cores=16, shuffle_latency_s=0.001)
         job = job_of(shuffles=[(1_000_000, 0)])
-        assert model([job], config).server_s == pytest.approx(1.001)
+        assert model([job], config).server_s == pytest.approx(0.0635)
 
     def test_few_receivers_bottleneck_the_shuffle(self):
-        # 1 MB into R reducers on a 10-core, 1 MB/s fabric: each node
-        # pulls at 0.1 MB/s, so R active links move it in 10/R seconds --
-        # the paper's few-groups shuffle bottleneck (Section 4.5).
+        # 1 MB into R reducers on 10 cores with 1 MB/s links: R active
+        # links move it in 1/R seconds -- the paper's few-groups shuffle
+        # bottleneck (Section 4.5).
         config = replace(FREE, cores=10)
         cost = lambda r: model([job_of(shuffles=[(1_000_000, r)])], config).server_s
-        assert cost(1) == pytest.approx(10.0)
-        assert cost(2) == pytest.approx(5.0)
-        assert cost(10) == pytest.approx(1.0)
-        assert cost(500) == pytest.approx(1.0)  # capped at one per core
+        assert cost(1) == pytest.approx(1.0)
+        assert cost(2) == pytest.approx(0.5)
+        assert cost(10) == pytest.approx(0.1)
+        assert cost(500) == pytest.approx(0.1)  # capped at one per core
+
+    def test_more_cores_never_cost_a_shuffle_more(self):
+        # A node's link is fixed: cores past the receivers leave the
+        # shuffle's cost where it was instead of shrinking each link.
+        cost = lambda cores: model([job_of(shuffles=[(1_000_000, 2)])],
+                                   replace(FREE, cores=cores)).server_s
+        assert cost(1) == pytest.approx(1.0)
+        assert cost(2) == cost(4) == cost(64) == pytest.approx(0.5)
+
+    def test_default_link_is_the_former_fabric_share_at_16_cores(self):
+        config = ClusterConfig()
+        assert config.cores == 16
+        assert config.shuffle_link_bytes_s == 4 * GBPS / 16
+
+
+@st.composite
+def jobs(draw):
+    """Measured jobs: task and driver stages, shuffles into 0..40
+    receivers, stragglers or none."""
+    times = st.lists(st.floats(0.0, 0.05, allow_nan=False), min_size=1, max_size=40)
+    stages = draw(st.lists(st.builds(
+        StageMetrics, name=st.just("s"), task_times=times, driver=st.booleans()),
+        max_size=4))
+    shuffles = draw(st.lists(st.tuples(st.integers(0, 10**8), st.integers(0, 40)),
+                             max_size=3))
+    return job_of(*stages, shuffles=shuffles, result_bytes=draw(st.integers(0, 10**6)))
+
+
+class TestModelScaling:
+    @given(job_list=st.lists(jobs(), min_size=1, max_size=3),
+           prob=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_more_cores_never_model_slower(self, job_list, prob, seed):
+        config = replace(ClusterConfig(), straggler_prob=prob, seed=seed)
+        server = [model(job_list, replace(config, cores=c)).server_s
+                  for c in (1, 2, 3, 4, 8, 13, 16, 32, 100)]
+        assert all(later <= earlier * (1 + 1e-12) for earlier, later
+                   in zip(server, server[1:])), server
 
     def test_accounting_records_volume_only(self):
         cluster = SimulatedCluster(ClusterConfig())
