@@ -188,6 +188,7 @@ def audit_zone_maps(
     did not already have; a mismatching one encodes outside knowledge
     and is reported as a violation.
     """
+    from repro.engine.table import Partition
     from repro.index.zonemap import build_partition_stats, classify_column
 
     zone_maps = list(getattr(table, "zone_maps", None) or [])
@@ -203,13 +204,22 @@ def audit_zone_maps(
                 f"partition {index}: stats claim {stats.get('rows')} rows, "
                 f"column files hold {part.nrows}"
             )
+        # Recompute from the tokens the rows hold, not from a stored
+        # dictionary, which must itself be exactly those distinct tokens.
+        decoded = Partition({n: part.column(n) for n in part.columns}, part.start_id)
+        for name, dictionary in part.dictionaries.items():
+            if not np.array_equal(dictionary, np.unique(decoded.columns[name])):
+                violations.append(
+                    f"partition {index}: column {name!r} dictionary is not the "
+                    "distinct tokens its rows hold"
+                )
         specs = {
             name: _audit_spec(
-                name, part.column(name), column_meta.get(name) if column_meta else None
+                name, arr, column_meta.get(name) if column_meta else None
             )
-            for name in part.columns
+            for name, arr in decoded.columns.items()
         }
-        expected = build_partition_stats(part, specs)["columns"]
+        expected = build_partition_stats(decoded, specs)["columns"]
         for name, artifact in stats.get("columns", {}).items():
             artifacts += 1
             if name not in part.columns:

@@ -356,7 +356,7 @@ def scan_map_task(
     ids = np.arange(part.nrows, dtype=_U64) + _U64(part.start_id)
     if mask is None:
         return {c: part.column(c) for c in columns}, ids
-    return {c: part.column(c)[mask] for c in columns}, ids[mask]
+    return {c: part.column(c, mask) for c in columns}, ids[mask]
 
 
 def probe_join(
@@ -380,7 +380,7 @@ def probe_join(
         return None
     probe_idx = np.asarray(probe_rows, dtype=np.int64)
     build_idx = np.asarray(build_rows, dtype=np.int64)
-    columns = {name: part.column(name)[probe_idx] for name in part.columns}
+    columns = {name: part.column(name, probe_idx) for name in part.columns}
     for name, arr in build["payloads"].items():
         columns[name] = arr[build_idx]
     columns[JOIN_IDS_COLUMN] = build["ids"][build_idx]
@@ -493,17 +493,19 @@ def _group_coded(codes: np.ndarray, dictionary: np.ndarray) -> tuple[np.ndarray,
     """:func:`_group_sorted` over a coded column's narrow codes: a
     counting pass finds the present codes (their tokens, in dictionary
     order, are the sorted keys), and a stable -- radix, at 8 and 16 bits
-    -- argsort of the codes orders the rows."""
+    -- argsort of the codes orders the rows.  The counting pass replaces
+    the sort's gather, run detection and per-row scatter, which take as
+    long again as the argsort: this is about half the time of
+    :func:`_group_sorted` over the same codes."""
     counts = np.bincount(codes, minlength=dictionary.size)
     present = counts > 0
     counts = counts[present]
-    starts = np.cumsum(counts) - counts
     keys = dictionary[present]
     if keys.size == dictionary.size:  # every code present: no renumbering
         code = codes.astype(code_dtype(keys.size), copy=False)
     else:
-        code = (np.cumsum(present) - 1).astype(code_dtype(keys.size))[codes]
-    return keys, starts, np.argsort(codes, kind="stable"), code
+        code = (np.cumsum(present) - 1).astype(code_dtype(keys.size)).take(codes)
+    return keys, np.cumsum(counts) - counts, np.argsort(codes, kind="stable"), code
 
 
 def group_reduce_task(rows: GroupedRows, aggs: tuple[AggOp, ...]) -> GroupedRows:

@@ -911,7 +911,8 @@ class StoreReader:
                 if not 0 <= head <= chunk.size:
                     raise StorageError(
                         f"{where}: column {name!r} has no valid dictionary size")
-                dictionaries[name] = _view(chunk[:head], dtype, (tokens,))
+                # a plain array: its take() decodes codes into plain arrays
+                dictionaries[name] = np.asarray(_view(chunk[:head], dtype, (tokens,)))
                 chunk = chunk[head:]
                 dtype = code_dtype(tokens).newbyteorder("<")
             if rows * width * dtype.itemsize != chunk.size:

@@ -67,16 +67,20 @@ class Partition:
             return 0
         return len(next(iter(self.columns.values())))
 
-    def column(self, name: str) -> np.ndarray:
-        """The column's values (a coded column's tokens, decoded)."""
+    def column(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
+        """The column's values (a coded column's tokens, decoded), at
+        ``rows`` (a mask or positions) if given: rows are selected before
+        a coded column is decoded."""
         try:
             stored = self.columns[name]
         except KeyError:
             raise ExecutionError(
                 f"partition has no column {name!r}; available: {sorted(self.columns)}"
             ) from None
+        if rows is not None:
+            stored = stored[rows]
         dictionary = self.dictionaries.get(name)
-        return stored if dictionary is None else dictionary[stored]
+        return stored if dictionary is None else dictionary.take(stored)
 
     def slice(self, lo: int, hi: int) -> "Partition":
         """Rows ``[lo, hi)``, coded columns still coded."""

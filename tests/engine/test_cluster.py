@@ -319,6 +319,28 @@ class TestModelNetwork:
         assert config.cores == 16
         assert config.shuffle_link_bytes_s == 4 * GBPS / 16
 
+    def test_accounting_records_volume_only(self):
+        cluster = SimulatedCluster(ClusterConfig())
+        job = JobMetrics(shuffles=[(1_000_000, 0), (500, 4)], result_bytes=2048)
+        assert job.shuffles == [(1_000_000, 0), (500, 4)]
+        assert job.shuffle_bytes == 1_000_500
+        assert job.result_bytes == 2048
+        t = cluster.model([job])
+        assert t.network_s > 0
+        assert t.total_s >= t.server_s
+
+    def test_total_is_server_plus_network_plus_client(self):
+        job = job_of(StageMetrics("map", [0.5]), result_bytes=100_000,
+                     client_time=0.2)
+        t = model([job], FREE)
+        assert (t.server_s, t.network_s, t.client_s) == pytest.approx((0.5, 0.1, 0.2))
+        assert t.total_s == pytest.approx(0.8)
+
+    def test_replace_revalidates(self):
+        assert replace(ClusterConfig(cores=4), cores=64).cores == 64
+        with pytest.raises(ExecutionError, match="at least one core"):
+            replace(ClusterConfig(cores=4), cores=0)
+
 
 @st.composite
 def jobs(draw):
@@ -343,28 +365,6 @@ class TestModelScaling:
                   for c in (1, 2, 3, 4, 8, 13, 16, 32, 100)]
         assert all(later <= earlier * (1 + 1e-12) for earlier, later
                    in zip(server, server[1:])), server
-
-    def test_accounting_records_volume_only(self):
-        cluster = SimulatedCluster(ClusterConfig())
-        job = JobMetrics(shuffles=[(1_000_000, 0), (500, 4)], result_bytes=2048)
-        assert job.shuffles == [(1_000_000, 0), (500, 4)]
-        assert job.shuffle_bytes == 1_000_500
-        assert job.result_bytes == 2048
-        t = cluster.model([job])
-        assert t.network_s > 0
-        assert t.total_s >= t.server_s
-
-    def test_total_is_server_plus_network_plus_client(self):
-        job = job_of(StageMetrics("map", [0.5]), result_bytes=100_000,
-                     client_time=0.2)
-        t = model([job], FREE)
-        assert (t.server_s, t.network_s, t.client_s) == pytest.approx((0.5, 0.1, 0.2))
-        assert t.total_s == pytest.approx(0.8)
-
-    def test_replace_revalidates(self):
-        assert replace(ClusterConfig(cores=4), cores=64).cores == 64
-        with pytest.raises(ExecutionError, match="at least one core"):
-            replace(ClusterConfig(cores=4), cores=0)
 
 
 class TestModelPurity:

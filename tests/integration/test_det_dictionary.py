@@ -6,7 +6,8 @@ the dictionary.  GROUP BY groups by the codes and DET equality compares
 them; every answer here is checked against the plaintext executor: at the
 code-width boundaries, with tokens a partition does not hold, after a
 compaction that merges differing dictionaries, through a projection scan
-and a join.  A store in the previous (8-byte token) format is refused.
+and a join.  The leakage audit recomputes DET stats from the rows' tokens,
+not from the stored dictionary.
 """
 
 import json
@@ -22,7 +23,8 @@ from repro.core import server as srv
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.store import MANIFEST_NAME, PARTITION_FILE, _column_offsets
-from repro.errors import StorageError
+from repro.engine.table import Partition, Table
+from repro.index.zonemap import build_partition_stats
 from repro.query import execute_plain, parse_query
 
 KEY = b"det-dictionary-master-key-32byte"
@@ -158,6 +160,16 @@ def test_grouping_codes_matches_grouping_tokens(size, rows, seed):
     assert np.array_equal(code[order], want_code[want_order])  # rows run by group
 
 
+def test_a_plain_key_keeps_the_uint64_sort():
+    """NoEnc's int64 keys (and a join view's tokens) sort as uint64 with
+    the default argsort: the plain path is the slowdown denominator."""
+    key = np.random.default_rng(5).integers(-50, 50, 1_000)
+    keys, starts, order, code = srv._group_sorted(key)
+    assert np.array_equal(order, np.argsort(key.astype(np.uint64)))
+    assert np.array_equal(keys, np.unique(key.astype(np.uint64)))
+    assert np.array_equal(keys[code], key.astype(np.uint64))
+
+
 def test_compaction_recodes_partitions_whose_dictionaries_differ(tmp_path):
     base = dataset(600, 20, seed=1)
     session = session_with(base, tmp_path)
@@ -220,12 +232,28 @@ def test_join_over_coded_det_columns(tmp_path):
     assert canonical(session.query(sql).rows) == canonical(want)
 
 
-def test_a_version_5_store_is_refused(tmp_path):
-    session_with(dataset(500, 20), tmp_path).close()
-    path = tmp_path / "t" / MANIFEST_NAME
-    manifest = json.load(open(path))
-    manifest["version"] = 5
-    json.dump(manifest, open(path, "w"))
-    reader = SeabedSession(mode="seabed", master_key=KEY, seed=7)
-    with pytest.raises(StorageError, match="format version 5"):
-        reader.open_table(tmp_path / "t")
+def test_audit_flags_a_dictionary_token_no_row_holds(tmp_path):
+    """A token planted in a partition's dictionary and in its stats is
+    outside knowledge: the audit recomputes from the rows' tokens."""
+    session = session_with(dataset(600, 20), tmp_path, num_partitions=2)
+    table = session.server.table("t")
+    part, stats = table.partitions[0], table.zone_maps[0]
+    dictionary = part.dictionaries["user__det"]
+    planted = np.uint64(123456789)
+    assert planted not in dictionary
+    grown = np.unique(np.append(dictionary, planted))
+    codes = grown.searchsorted(dictionary)[part.columns["user__det"]].astype(np.uint8)
+    doctored = Partition({**part.columns, "user__det": codes}, part.start_id,
+                         {**part.dictionaries, "user__det": grown})
+    assert np.array_equal(doctored.column("user__det"), part.column("user__det"))
+    artifact = dict(stats["columns"]["user__det"], tokens=[int(t) for t in grown])
+    doctored_stats = dict(stats, columns={**stats["columns"], "user__det": artifact})
+    assert build_partition_stats(doctored, {"user__det": {"dtype": "<u8", "ndim": 1}})[
+        "columns"]["user__det"] == artifact  # the builder alone would agree
+    assert audit_zone_maps(table).ok
+    forged = Table("t", [doctored, *table.partitions[1:]],
+                   zone_maps=[doctored_stats, *table.zone_maps[1:]])
+    result = audit_zone_maps(forged)
+    assert not result.ok
+    assert any("dictionary is not the distinct tokens" in v for v in result.violations)
+    assert any("not recomputable" in v for v in result.violations)
