@@ -4,13 +4,19 @@ Production encrypted stores are clustered -- by tenant, user bucket, or
 arrival time -- so a selective equality predicate touches a handful of
 partitions.  Without an index the server still dispatches and filters
 every partition; the zone-map subsystem (``repro/index``) skips the
-irrelevant ones using per-partition DET token sets/blooms derived from
-ciphertexts the server already stores.
+irrelevant ones by each partition's DET dictionary, the exact distinct
+tokens the server already stores.
 
 This benchmark attaches a user-clustered store, runs a batch of
 prepared point queries (``WHERE user = :u``) with pruning on and off,
-verifies the answers are bit-identical, and enforces the CI floor: the
-pruned batch must be at least ``SPEEDUP_TARGET`` times faster.
+verifies the answers are bit-identical, and enforces the CI floor: no
+point query touches more than ``TOUCHED_TARGET`` of the ``PARTITIONS``
+partitions.  The floor counts pruned work, not time: each user lives in
+one or two clustered partitions, so a working index touches at most
+two, and one that stopped pruning touches all 128.  A wall-clock ratio
+to the full scan is reported too (``speedup_x``) but not gated: it
+moves with the cost of a full scan, which the host and every scan-side
+optimisation change.
 
 Results go to ``results/pruning.txt`` and machine-readably to
 ``BENCH_pruning.json`` at the repository root.
@@ -32,10 +38,12 @@ from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.workloads.synthetic import clustered_ids
 
 PARTITIONS = 128
-#: ~50 distinct users per partition: zone maps hold exact token sets.
+#: ~50 distinct users per partition, each partition's dictionary.
 USERS_PER_PARTITION = 50
 QUERIES = 20
-SPEEDUP_TARGET = 5.0
+#: Most partitions one point query may touch (a user straddles at most
+#: one partition boundary of the clustered layout).
+TOUCHED_TARGET = 2
 MASTER_KEY = b"bench-pruning-master-key-32-byte"
 
 SAMPLES = ["SELECT sum(revenue) FROM synth WHERE user = 1"]
@@ -76,32 +84,32 @@ def test_pruning_speedup(benchmark, scale):
             )
             prepared.execute(u=int(targets[0]))  # warm the reader cache
 
-            def run_batch() -> tuple[float, list, int, int]:
-                total_skipped = 0
+            def run_batch() -> tuple[float, list, list[int], int]:
+                touched = []
                 total_parts = 0
                 rows_out = []
                 t0 = time.perf_counter()
                 for u in targets:
                     result = prepared.execute(u=int(u))
                     rows_out.append(result.rows)
-                    total_skipped += sum(
+                    parts = sum(m.partitions_total for m in result.request_metrics)
+                    touched.append(parts - sum(
                         m.partitions_skipped for m in result.request_metrics
-                    )
-                    total_parts += sum(
-                        m.partitions_total for m in result.request_metrics
-                    )
-                return time.perf_counter() - t0, rows_out, total_skipped, total_parts
+                    ))
+                    total_parts += parts
+                return time.perf_counter() - t0, rows_out, touched, total_parts
 
             session.server.pruning = True
-            pruned_s, pruned_rows, skipped, parts_total = run_batch()
+            pruned_s, pruned_rows, touched, parts_total = run_batch()
             session.server.pruning = False
-            full_s, full_rows, full_skipped, _ = run_batch()
+            full_s, full_rows, full_touched, _ = run_batch()
             session.server.pruning = True
+            skipped = parts_total - sum(touched)
 
             assert pruned_rows == full_rows, (
                 "pruned execution changed query answers"
             )
-            assert full_skipped == 0
+            assert sum(full_touched) == parts_total
             assert skipped > 0, "selective point queries skipped nothing"
 
             index = session.stats("synth")
@@ -112,7 +120,8 @@ def test_pruning_speedup(benchmark, scale):
                 pruned_s=pruned_s,
                 full_s=full_s,
                 speedup_x=full_s / max(pruned_s, 1e-12),
-                speedup_target=SPEEDUP_TARGET,
+                touched_per_query_max=max(touched),
+                touched_target=TOUCHED_TARGET,
                 partitions_total=parts_total,
                 partitions_skipped=skipped,
                 skip_fraction=skipped / max(parts_total, 1),
@@ -145,12 +154,13 @@ def test_pruning_speedup(benchmark, scale):
                 f"{QUERIES} DET point queries over {rows:,} user-clustered "
                 f"rows x {PARTITIONS} partitions: pruning is "
                 f"{record['speedup_x']:.1f}x faster "
-                f"({record['skip_fraction']:.0%} of partitions skipped, "
-                f"target >= {SPEEDUP_TARGET:.0f}x)"
+                f"({record['skip_fraction']:.0%} of partitions skipped, at most "
+                f"{record['touched_per_query_max']} touched a query, "
+                f"target <= {TOUCHED_TARGET})"
             ),
         ))
 
-    assert record["speedup_x"] >= SPEEDUP_TARGET, (
-        f"pruned point queries are only {record['speedup_x']:.1f}x faster "
-        f"than a full scan (target {SPEEDUP_TARGET:.0f}x)"
+    assert record["touched_per_query_max"] <= TOUCHED_TARGET, (
+        f"a point query touched {record['touched_per_query_max']} of "
+        f"{PARTITIONS} partitions (target <= {TOUCHED_TARGET})"
     )

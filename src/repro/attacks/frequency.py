@@ -21,12 +21,12 @@ The result reports the fraction of *values* recovered and the fraction of
 :func:`audit_zone_maps` extends the adversarial toolkit to the zone-map
 index (:mod:`repro.index`): it verifies that every published index
 artifact is **exactly recomputable by a keyless server from the
-ciphertext columns it already stores** -- token sets contain only
-already-visible DET tokens, bloom bits are the deterministic digest of
-those tokens, ORE bounds are member rows found with the public Compare,
-and no artifact exists for a semantically secure (ASHE/Paillier)
-column.  Anything that fails recomputation must have been derived from
-plaintext knowledge and is reported as a leakage violation.
+ciphertext columns it already stores** -- a DET column's artifact is
+its partition's dictionary, exactly the distinct tokens its rows hold,
+ORE bounds are member rows found with the public Compare, and no
+artifact exists for a semantically secure (ASHE/Paillier) column.
+Anything that fails recomputation must have been derived from plaintext
+knowledge and is reported as a leakage violation.
 """
 
 from __future__ import annotations
@@ -169,6 +169,13 @@ def _audit_spec(name: str, arr: np.ndarray, enc: str | None) -> dict:
     return spec
 
 
+def _same_artifact(artifact: dict, expected: dict | None) -> bool:
+    """Equal artifacts, a DET artifact's token array compared by value."""
+    if expected is None or artifact.keys() != expected.keys():
+        return False
+    return all(np.array_equal(artifact[k], expected[k]) for k in expected)
+
+
 def audit_zone_maps(
     table: Any, column_meta: Mapping[str, str] | None = None
 ) -> ZoneMapAuditResult:
@@ -181,15 +188,20 @@ def audit_zone_maps(
     by flagging artifacts on semantically secure columns outright.
 
     The core criterion is *recomputability*: each partition's published
-    statistics must equal, byte for byte, what
+    statistics must equal what
     :func:`repro.index.zonemap.build_partition_stats` derives from the
-    stored ciphertext columns alone.  The honest-but-curious server can
+    stored ciphertext columns alone, and each DET artifact the distinct
+    tokens the column's rows hold.  The honest-but-curious server can
     run that builder itself, so a matching artifact gives it nothing it
     did not already have; a mismatching one encodes outside knowledge
     and is reported as a violation.
     """
     from repro.engine.table import Partition
-    from repro.index.zonemap import build_partition_stats, classify_column
+    from repro.index.zonemap import (
+        build_partition_stats,
+        classify_column,
+        join_dictionaries,
+    )
 
     zone_maps = list(getattr(table, "zone_maps", None) or [])
     violations: list[str] = []
@@ -207,19 +219,21 @@ def audit_zone_maps(
         # Recompute from the tokens the rows hold, not from a stored
         # dictionary, which must itself be exactly those distinct tokens.
         decoded = Partition({n: part.column(n) for n in part.columns}, part.start_id)
-        for name, dictionary in part.dictionaries.items():
-            if not np.array_equal(dictionary, np.unique(decoded.columns[name])):
-                violations.append(
-                    f"partition {index}: column {name!r} dictionary is not the "
-                    "distinct tokens its rows hold"
-                )
         specs = {
             name: _audit_spec(
                 name, arr, column_meta.get(name) if column_meta else None
             )
             for name, arr in decoded.columns.items()
         }
-        expected = build_partition_stats(decoded, specs)["columns"]
+        distinct = {name: np.unique(arr) for name, arr in decoded.columns.items()
+                    if classify_column(name, specs[name]) == "det"}
+        for name, dictionary in part.dictionaries.items():
+            if not np.array_equal(dictionary, distinct.get(name)):
+                violations.append(
+                    f"partition {index}: column {name!r} dictionary is not the "
+                    "distinct tokens its rows hold"
+                )
+        expected = join_dictionaries(build_partition_stats(decoded, specs), distinct)
         for name, artifact in stats.get("columns", {}).items():
             artifacts += 1
             if name not in part.columns:
@@ -243,7 +257,7 @@ def audit_zone_maps(
                     f"ciphertext shape ({kind!r})"
                 )
                 continue
-            if artifact != expected.get(name):
+            if not _same_artifact(artifact, expected["columns"].get(name)):
                 violations.append(
                     f"partition {index}: column {name!r} {kind} artifact is "
                     "not recomputable from the stored ciphertexts -- it "

@@ -448,15 +448,17 @@ def aggregate_task(
         rows = slice(None) if mask is None else mask
         keys, starts, codes = None, np.zeros(1, dtype=np.intp), {}
     else:
-        sel = np.arange(nrows) if mask is None else np.flatnonzero(mask)
-        if sel.size == 0:
+        # Unfiltered, the whole columns group as they are (no gather).
+        sel = slice(None) if mask is None else np.flatnonzero(mask)
+        count = nrows if mask is None else sel.size
+        if count == 0:
             return None
         # Group the rows by key; the order of a group's rows does not
         # matter, its IDs travel in the partition's chunk.
         key, dictionary = np.asarray(columns[q.group_by])[sel], dictionaries.get(q.group_by)
         keys, starts, order, code = (
             _group_sorted(key) if dictionary is None else _group_coded(key, dictionary))
-        rows, count = sel[order], sel.size
+        rows = order if mask is None else sel[order]
         codes = {source: code for source in id_sources(q.aggs)}
         if BUILD_IDS in codes:  # a build-side multiset chunk decodes its IDs sorted
             codes[BUILD_IDS] = code[np.argsort(columns[JOIN_IDS_COLUMN][sel], kind="stable")]

@@ -36,7 +36,7 @@ partition entry records ``k`` under ``dictionaries``.  The server codes
 tokens itself (no key: equal tokens get equal codes, which DET already
 reveals) with one ``np.unique`` per column per partition, whenever it
 writes a partition -- upload, append and compaction alike -- and the
-zone map's DET statistics are read off the dictionary.  A mapped
+dictionary is that column's zone-map artifact.  A mapped
 partition serves the codes as ``columns[name]`` and the dictionary as
 ``dictionaries[name]``: GROUP BY and DET equality run over the codes.
 
@@ -62,13 +62,15 @@ compaction retires old snapshots; re-opening one fails with a clear
 :class:`StorageError` instead of silently reading reshuffled partitions.
 
 **Zone maps.**  Every generation entry carries per-partition zone-map
-statistics (:mod:`repro.index.zonemap`): ORE
-min/max ciphertexts, DET token sets or bloom filters, plain min/max,
-and row counts -- everything derivable from the ciphertext columns the
-server already stores, nothing more.  ``write_store``, ``append_store``
-and ``compact_store`` all emit stats for the partitions they write
-(:func:`rebuild_stats` recomputes them).  The server's pruning planner
-consults these through :attr:`Table.zone_maps`.
+statistics (:mod:`repro.index.zonemap`): ORE min/max ciphertexts, plain
+min/max and row counts -- everything derivable from the ciphertext
+columns the server already stores, nothing more.  ``write_store``,
+``append_store`` and ``compact_store`` all emit stats for the partitions
+they write (:func:`rebuild_stats` recomputes them).  A DET column's
+artifact is its dictionary, which the partition file already holds: an
+opened snapshot joins it into the partition's zone map
+(:func:`~repro.index.zonemap.join_dictionaries`), and the server's
+pruning planner consults the result through :attr:`Table.zone_maps`.
 
 Everything stored here is public material: ciphertext columns, row IDs,
 and dtype bookkeeping.  Client-side state (plaintext schema,
@@ -96,13 +98,19 @@ from repro.engine.storage import (
 from repro.engine.table import Partition, Table, code_dtype, dictionary_code
 from repro.errors import StorageError
 from repro.idlist.codec import decode_id_spans, encode_id_spans, encode_span_groups
-from repro.index.zonemap import build_partition_stats, classify_column, stats_summary
+from repro.index.zonemap import (
+    build_partition_stats,
+    classify_column,
+    join_dictionaries,
+    stats_summary,
+)
 
 FORMAT_NAME = "seabed-store"
-FORMAT_VERSION = 6
-#: Manifest versions this build can read (version 6 dictionary-codes DET
-#: columns; no reader for the 8-byte-token layout of 5 remains).
-READABLE_VERSIONS = (6,)
+FORMAT_VERSION = 7
+#: Manifest versions this build can read (version 7 keeps no DET stats in
+#: the manifest, whose dictionaries are the DET zone maps; no reader for
+#: the DET token stats of 6 remains).
+READABLE_VERSIONS = (7,)
 MANIFEST_NAME = "manifest.json"
 #: The one file in a partition directory.
 PARTITION_FILE = "columns.bin"
@@ -818,10 +826,6 @@ class StoreReader:
         self._starts = np.asarray(starts_all, dtype=np.uint64)
         self._counts = np.asarray(counts_all, dtype=np.uint64)
         self._partitions: dict[int, Partition] = {}
-        #: Per-partition zone-map statistics.
-        self.zone_maps: list[dict | None] = [
-            entry.get("stats") for entry in self._entries
-        ]
 
     @property
     def num_partitions(self) -> int:
@@ -850,16 +854,19 @@ class StoreReader:
 
     def table(self, served: Table | None = None) -> Table:
         """Materialise the snapshot (column data stays memory-mapped),
-        sharing the partitions of ``served`` whose ``keys`` it keeps."""
+        sharing the partitions of ``served`` whose ``keys`` it keeps; each
+        partition's zone map gains its DET dictionaries."""
         mapped = {}
         if served is not None and served.store_path == self.path:
             mapped = dict(zip(served.store_keys, served.partitions))
+        parts = [mapped.get(k) or self.partition(i) for i, k in enumerate(self.keys)]
         return Table(
             self.table_name,
-            [mapped.get(k) or self.partition(i) for i, k in enumerate(self.keys)],
+            parts,
             store_path=self.path,
             store_generation=self.generation,
-            zone_maps=list(self.zone_maps),
+            zone_maps=[join_dictionaries(entry.get("stats"), part.dictionaries)
+                       for entry, part in zip(self._entries, parts)],
             store_keys=self.keys,
         )
 
@@ -979,15 +986,11 @@ def rebuild_stats(path: str | os.PathLike) -> dict[str, Any]:
 
 
 def store_stats(path: str | os.PathLike) -> dict[str, Any]:
-    """Zone-map index summary: coverage and per-column artifact counts."""
-    manifest = _read_manifest(os.path.abspath(os.fspath(path)))
-    zone_maps = [
-        part.get("stats")
-        for gen in manifest["generations"]
-        for part in gen["partitions"]
-    ]
-    summary = stats_summary(zone_maps)
-    summary["generation"] = int(manifest["generation"])
+    """Zone-map index summary of the latest snapshot: coverage and
+    per-column artifact counts."""
+    snapshot = StoreReader(path)
+    summary = stats_summary(snapshot.table().zone_maps)
+    summary["generation"] = snapshot.generation
     return summary
 
 

@@ -6,21 +6,19 @@ using only artifacts derivable from those ciphertexts (cf. the paper's
 threat model, Section 2: anything the server can compute from what it
 stores is leakage it already has).
 
-- :mod:`repro.index.bloom` -- a keyless bloom filter over DET tokens.
 - :mod:`repro.index.zonemap` -- builds per-partition statistics (ORE
-  min/max ciphertexts, DET token sets / blooms, plain min/max, row
-  counts) from ciphertext columns only.
+  min/max ciphertexts, plain min/max, row counts) from ciphertext
+  columns only, and joins each DET column's dictionary -- the
+  partition's exact distinct tokens -- in as that column's artifact.
 - :mod:`repro.index.prune` -- walks a translated server-side filter and
   intersects per-conjunct survivor sets, conservatively keeping a
   partition on any uncertainty so pruned execution stays bit-identical.
 """
 
-from repro.index.bloom import BloomFilter
 from repro.index.prune import extreme_candidates, survivors
 from repro.index.zonemap import build_partition_stats, stats_summary
 
 __all__ = [
-    "BloomFilter",
     "build_partition_stats",
     "extreme_candidates",
     "stats_summary",

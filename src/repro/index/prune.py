@@ -12,20 +12,23 @@ partition's zone-map artifacts.  Two dual judgements drive it:
   exactly when ``e`` provably holds everywhere).
 
 Conjunctions intersect per-conjunct survivor sets, disjunctions union
-them, and *any* uncertainty -- missing stats, unknown node or operator,
-a bloom "maybe" -- keeps the partition, so pruned execution is
-bit-identical to a full scan.  SPLASHE equality selections never reach
-this tree (translation retargets them onto splayed physical columns
-present in every partition); the enhanced-SPLASHE catch-all requests
-arrive as ordinary ``DetEq`` conjuncts and prune like any other.
+them, and *any* uncertainty -- missing stats, unknown node or operator
+-- keeps the partition, so pruned execution is bit-identical to a full
+scan.  A DET column's artifact is the partition's dictionary, its exact
+distinct tokens, so DET judgements are never uncertain.  SPLASHE
+equality selections never reach this tree (translation retargets them
+onto splayed physical columns present in every partition); the
+enhanced-SPLASHE catch-all requests arrive as ordinary ``DetEq``
+conjuncts and prune like any other.
 
-Because the planner runs on *every* query, the manifest's JSON stats
-are first **compiled** -- token lists to frozensets, bloom payloads to
-bit arrays, ORE bounds to tuples -- via :func:`compile_zone_maps`; the
-server caches the compiled form per registered table so the per-query
-cost is a plain tree walk (and a point query's ``DetEq``, one lookup in
-the compiled form's inverted token index).  Raw manifest dicts are accepted everywhere
-and compiled on the fly.
+Because the planner runs on *every* query, a table's zone maps are
+first **compiled** -- DET dictionaries to sorted ``uint64`` arrays (the
+mapped dictionaries themselves, not copies), ORE bounds to tuples -- via
+:func:`compile_zone_maps`; the server caches the compiled form per
+registered table so the per-query cost is a plain tree walk (and a point
+query's ``DetEq``, one lookup in the compiled form's inverted token
+index).  Raw zone-map dicts are accepted everywhere and compiled on the
+fly.
 
 No key material is used anywhere: ORE bounds compare with the public
 Compare, DET tokens by equality against already-visible tokens.
@@ -40,8 +43,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.crypto.ore import OreScheme
-from repro.index.bloom import BloomFilter
 
+_U64 = np.uint64
 _PLAIN_OPS = ("<", "<=", ">", ">=", "=", "!=")
 
 _SRV = None
@@ -64,26 +67,20 @@ def _srv():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetArtifact:
-    """Exact token set (small cardinality) or bloom membership."""
+    """A partition's sorted distinct DET tokens (its dictionary)."""
 
-    tokens: frozenset | None = None
-    bloom: BloomFilter | None = None
+    tokens: np.ndarray
 
-    def membership(self, token: int) -> bool | None:
-        """Token possibly present?  ``None`` when the stats cannot tell."""
-        if self.tokens is not None:
-            return token in self.tokens
-        if self.bloom is not None:
-            return self.bloom.might_contain(token)
-        return None
+    def membership(self, token: int) -> bool:
+        """Does some row hold ``token``?"""
+        at = int(self.tokens.searchsorted(_U64(token)))
+        return at < self.tokens.size and int(self.tokens[at]) == token
 
     @property
     def sole_token(self) -> int | None:
-        if self.tokens is not None and len(self.tokens) == 1:
-            return next(iter(self.tokens))
-        return None
+        return int(self.tokens[0]) if self.tokens.size == 1 else None
 
 
 @dataclass(frozen=True)
@@ -111,14 +108,7 @@ def compile_partition(stats: dict | None) -> PartitionStats | None:
     for name, col in stats.get("columns", {}).items():
         kind = col.get("kind")
         if kind == "det":
-            if "tokens" in col:
-                columns[name] = DetArtifact(
-                    tokens=frozenset(int(t) for t in col["tokens"])
-                )
-            elif "bloom" in col:
-                columns[name] = DetArtifact(
-                    bloom=BloomFilter.from_dict(col["bloom"])
-                )
+            columns[name] = DetArtifact(np.asarray(col["tokens"], dtype=_U64))
         elif kind == "ore":
             columns[name] = RangeArtifact(
                 kind="ore",
@@ -134,14 +124,16 @@ def compile_partition(stats: dict | None) -> PartitionStats | None:
 
 class ZoneMaps(list):
     """A table's compiled zone maps, one entry per partition, and per DET
-    column an inverted index built on first use: token -> the partitions
-    whose exact token set holds it.  A point query (``DetEq``) then
-    costs one lookup, not a judgement per partition; the partitions the
-    index cannot answer for (a bloom, no stats) are judged one by one."""
+    column an inverted index built on first use: every partition's
+    dictionary concatenated and sorted once, beside the partition each
+    token came from.  A point query (``DetEq``) then costs two binary
+    searches and one scatter, not a judgement per partition."""
 
     def __init__(self, maps: list[PartitionStats | None]):
         super().__init__(maps)
-        self._det: dict[str, tuple[dict[int, list[int]], list[int]]] = {}
+        #: column -> (sorted tokens, each token's partition, keep-mask of
+        #: the partitions without a dictionary for the column)
+        self._det: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._lock = threading.Lock()  # concurrent queries build an index once
 
     def det_keep(self, expr: Any) -> np.ndarray:
@@ -149,21 +141,19 @@ class ZoneMaps(list):
         with self._lock:
             index = self._det.get(expr.column)
             if index is None:
-                by_token: dict[int, list[int]] = {}
-                unsure = []
-                for i, stats in enumerate(self):
-                    art = stats.columns.get(expr.column) if stats else None
-                    if not isinstance(art, DetArtifact) or art.tokens is None:
-                        unsure.append(i)
-                        continue
-                    for token in art.tokens:
-                        by_token.setdefault(token, []).append(i)
-                index = self._det[expr.column] = (by_token, unsure)
-        by_token, unsure = index
-        keep = np.zeros(len(self), dtype=bool)
-        keep[by_token.get(int(expr.token), [])] = True
-        for i in unsure:
-            keep[i] = may_match(self[i], expr)
+                arts = [stats.columns.get(expr.column) if stats else None for stats in self]
+                held = [i for i, art in enumerate(arts) if isinstance(art, DetArtifact)]
+                tokens = np.concatenate([arts[i].tokens for i in held] or [np.empty(0, _U64)])
+                owners = np.repeat(np.asarray(held, dtype=np.intp),
+                                   [arts[i].tokens.size for i in held])
+                order = np.argsort(tokens, kind="stable")
+                unknown = np.ones(len(self), dtype=bool)
+                unknown[held] = False
+                index = self._det[expr.column] = (tokens[order], owners[order], unknown)
+        tokens, owners, unknown = index
+        token = _U64(expr.token)
+        keep = unknown.copy()
+        keep[owners[tokens.searchsorted(token):tokens.searchsorted(token, "right")]] = True
         return keep
 
 
@@ -255,19 +245,14 @@ def may_match(stats: Any, expr: Any) -> bool:
             return True
         if expr.negate:
             # A row with a *different* token exists unless the partition
-            # is constant-equal to the token (exact sets only).
+            # is constant-equal to the token.
             return art.sole_token != int(expr.token)
-        present = art.membership(int(expr.token))
-        return True if present is None else present
+        return art.membership(int(expr.token))
     if isinstance(expr, srv.DetIn):
         art = stats.columns.get(expr.column) if stats else None
         if not isinstance(art, DetArtifact):
             return True
-        for token in expr.tokens:
-            present = art.membership(int(token))
-            if present is None or present:
-                return True
-        return False
+        return any(art.membership(int(token)) for token in expr.tokens)
     if isinstance(expr, (srv.OreCmp, srv.PlainCmp)):
         kind = "ore" if isinstance(expr, srv.OreCmp) else "plain"
         art = stats.columns.get(expr.column) if stats else None
@@ -299,14 +284,14 @@ def all_match(stats: Any, expr: Any) -> bool:
         if not isinstance(art, DetArtifact):
             return False
         if expr.negate:
-            # Absence proves every row differs; bloom "no" is exact.
-            return art.membership(int(expr.token)) is False
+            # Absence proves every row differs.
+            return not art.membership(int(expr.token))
         return art.sole_token == int(expr.token)
     if isinstance(expr, srv.DetIn):
         art = stats.columns.get(expr.column) if stats else None
-        if not isinstance(art, DetArtifact) or art.tokens is None:
+        if not isinstance(art, DetArtifact):
             return False
-        return art.tokens <= {int(t) for t in expr.tokens}
+        return bool(np.isin(art.tokens, np.asarray(expr.tokens, dtype=_U64)).all())
     if isinstance(expr, (srv.OreCmp, srv.PlainCmp)):
         kind = "ore" if isinstance(expr, srv.OreCmp) else "plain"
         art = stats.columns.get(expr.column) if stats else None

@@ -12,12 +12,8 @@ Merging is conservative, mirroring the pruning contract:
 
 - **ORE / plain columns**: the widest [min, max] envelope across
   partitions (ORE bounds compared with the public Compare).
-- **DET columns**: the union of exact token sets while it stays within
-  :data:`~repro.index.zonemap.TOKEN_SET_MAX`; a larger union degrades to
-  a keyless bloom built over the exact union.  Partitions that only
-  carry blooms cannot be unioned exactly (sizes differ), so the column
-  is dropped from the rollup -- "no artifact" reads as "cannot prune",
-  never as a wrong skip.
+- **DET columns**: the exact union of the partitions' dictionaries, a
+  sorted token array of any size.
 - Any partition **without** statistics poisons the whole rollup
   (``None``): rows the index never saw could match anything.
 
@@ -33,8 +29,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.crypto.ore import OreScheme
-from repro.index.bloom import BloomFilter
-from repro.index.zonemap import TOKEN_SET_MAX
 
 _U64 = np.uint64
 
@@ -60,24 +54,9 @@ def _merge_plain(entries: list[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-def _merge_det(entries: list[dict[str, Any]]) -> dict[str, Any] | None:
-    """Union of exact token sets, degrading to a bloom past the cap.
-
-    Returns ``None`` when any partition carries only a bloom: blooms of
-    different sizes cannot be unioned, and guessing would risk a false
-    "provably absent" -- the one answer pruning must never get wrong.
-    """
-    union: set[int] = set()
-    for col in entries:
-        if "tokens" not in col:
-            return None
-        union.update(int(t) for t in col["tokens"])
-    if len(union) <= TOKEN_SET_MAX:
-        return {"kind": "det", "tokens": sorted(union)}
-    tokens = np.asarray(sorted(union), dtype=_U64)
-    bloom = BloomFilter.for_capacity(tokens.size)
-    bloom.add_tokens(tokens)
-    return {"kind": "det", "bloom": bloom.to_dict()}
+def _merge_det(entries: list[dict[str, Any]]) -> dict[str, Any]:
+    tokens = [np.asarray(col["tokens"], dtype=_U64) for col in entries]
+    return {"kind": "det", "tokens": np.unique(np.concatenate(tokens))}
 
 
 def rollup_zone_maps(
@@ -85,8 +64,8 @@ def rollup_zone_maps(
 ) -> dict[str, Any] | None:
     """Merge per-partition stats dicts into one shard-level stats dict.
 
-    The result uses the exact manifest schema of
-    :func:`repro.index.zonemap.build_partition_stats`, so it can be fed
+    The result has the schema of one partition's zone map
+    (:func:`repro.index.zonemap.join_dictionaries`), so it can be fed
     straight into :func:`repro.index.prune.may_match` (and friends) as if
     it described one giant partition.  Returns ``None`` when nothing can
     be asserted: no partitions, or any partition without statistics.
@@ -119,7 +98,5 @@ def rollup_zone_maps(
             elif kind == "plain":
                 columns[name] = _merge_plain(entries)
             elif kind == "det":
-                merged = _merge_det(entries)
-                if merged is not None:
-                    columns[name] = merged
+                columns[name] = _merge_det(entries)
     return {"rows": rows, "nulls": nulls, "columns": columns}

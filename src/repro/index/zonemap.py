@@ -1,20 +1,20 @@
 """Per-partition zone-map statistics, computed from ciphertexts only.
 
 The builder sees exactly what the untrusted server sees -- the stored
-column arrays -- and emits one JSON-serialisable stats dict per
-partition:
+column arrays.  A partition's zone map holds:
 
 - **ORE columns** (2-D uint64 trit words): the partition's min and max
   *ciphertexts*, found with the public Compare.  Both are rows of the
   stored column; publishing them reveals nothing beyond the ORE
   baseline (order among ciphertexts is already public).
-- **DET token columns** (1-D uint64, ``*__det``): the exact distinct
-  token set when small (:data:`TOKEN_SET_MAX`), else a compact keyless
-  bloom filter over the distinct tokens.  Tokens are already visible in
-  the column; the set/bloom is a recomputable digest of them.  A stored
-  partition keeps each such column dictionary-coded
-  (:mod:`repro.engine.store`), and its dictionary *is* the distinct
-  token set, so the stats are read off it rather than re-derived.
+- **DET token columns** (1-D uint64, ``*__det``): the partition's
+  dictionary.  A stored partition keeps each such column
+  dictionary-coded (:mod:`repro.engine.store`), and its dictionary is
+  the sorted array of the distinct tokens the column holds -- exact,
+  and nothing the column does not already show.  It lives in the
+  partition file, not in the manifest: :func:`join_dictionaries` adds
+  it to the persisted stats as ``{"kind": "det", "tokens": dictionary}``
+  when a snapshot is opened.
 - **Plain columns** (1-D int64 / bool): plaintext min/max -- the values
   are stored in the clear, so their bounds leak nothing new.
 - **Row and null counts** per partition (columns are dense numpy
@@ -35,13 +35,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.crypto import ore as ore_mod
-from repro.index.bloom import BloomFilter
 
 _U64 = np.uint64
-
-#: Distinct-token threshold below which the exact set is stored instead
-#: of a bloom filter (exact sets additionally allow negation pruning).
-TOKEN_SET_MAX = 64
 
 #: Physical-column name suffix of DET token columns (see
 #: :func:`repro.core.schema.det_col`).
@@ -61,15 +56,6 @@ def _ore_stats(arr: np.ndarray) -> dict[str, Any]:
         "min": [int(w) for w in _ore_extreme_row(arr, "min")],
         "max": [int(w) for w in _ore_extreme_row(arr, "max")],
     }
-
-
-def _det_stats(tokens: np.ndarray) -> dict[str, Any]:
-    """Stats of a column's sorted distinct tokens."""
-    if tokens.size <= TOKEN_SET_MAX:
-        return {"kind": "det", "tokens": [int(t) for t in tokens]}
-    bloom = BloomFilter.for_capacity(tokens.size)
-    bloom.add_tokens(tokens)
-    return {"kind": "det", "bloom": bloom.to_dict()}
 
 
 def _plain_stats(arr: np.ndarray) -> dict[str, Any]:
@@ -107,10 +93,11 @@ def classify_column(name: str, spec: Mapping[str, Any]) -> str | None:
 def build_partition_stats(
     part: Any, column_specs: Mapping[str, Mapping[str, Any]]
 ) -> dict[str, Any]:
-    """Zone-map statistics for one partition.
+    """The zone-map statistics a store persists for one partition: ORE
+    and plain bounds and the row count (a DET column's artifact is its
+    dictionary, see :func:`join_dictionaries`).
 
-    ``part`` is a :class:`repro.engine.table.Partition`, whose coded
-    DET columns' dictionaries are their distinct tokens;
+    ``part`` is a :class:`repro.engine.table.Partition`;
     ``column_specs`` is the store manifest's ``columns`` mapping
     (dtype/ndim/width per column).  The result is JSON-serialisable and
     fully determined by the ciphertext column contents -- the
@@ -120,34 +107,34 @@ def build_partition_stats(
     if part.nrows > 0:
         for name, spec in column_specs.items():
             kind = classify_column(name, spec)
-            if kind is None:
-                continue
             if kind == "ore":
                 columns[name] = _ore_stats(part.column(name))
-            elif kind == "det":
-                tokens = part.dictionaries.get(name)
-                if tokens is None:
-                    tokens = np.unique(np.asarray(part.column(name), dtype=_U64))
-                columns[name] = _det_stats(tokens)
-            else:
+            elif kind == "plain":
                 columns[name] = _plain_stats(part.column(name))
     return {"rows": int(part.nrows), "nulls": 0, "columns": columns}
 
 
+def join_dictionaries(
+    stats: dict[str, Any] | None, dictionaries: Mapping[str, np.ndarray]
+) -> dict[str, Any] | None:
+    """One partition's zone map: its persisted ``stats`` plus, per coded
+    DET column, ``{"kind": "det", "tokens": dictionary}`` -- the sorted
+    distinct-token array itself, not a copy.  A partition without
+    persisted stats has no zone map."""
+    if not stats:
+        return stats
+    det = {name: {"kind": "det", "tokens": d} for name, d in dictionaries.items()}
+    return {**stats, "columns": {**stats["columns"], **det}}
+
+
 def stats_summary(zone_maps: list[dict | None]) -> dict[str, Any]:
-    """Aggregate index coverage over a table's per-partition stats."""
+    """Aggregate index coverage over a table's per-partition zone maps."""
     covered = [z for z in zone_maps if z]
     columns: dict[str, dict[str, int | str]] = {}
     for z in covered:
         for name, col in z.get("columns", {}).items():
-            entry = columns.setdefault(
-                name,
-                {"kind": col["kind"], "partitions": 0, "token_sets": 0, "blooms": 0},
-            )
+            entry = columns.setdefault(name, {"kind": col["kind"], "partitions": 0})
             entry["partitions"] = int(entry["partitions"]) + 1
-            if col["kind"] == "det":
-                key = "token_sets" if "tokens" in col else "blooms"
-                entry[key] = int(entry[key]) + 1
     return {
         "partitions": len(zone_maps),
         "partitions_with_stats": len(covered),

@@ -135,7 +135,7 @@ class ShardedStore:
         self.ring = topology.ring
         self.dead: set[int] = set()
         self._lock = threading.Lock()
-        self._rollups: dict[int, tuple[int, dict | None]] = {}
+        self._rollups: dict[int, tuple[int, prune.PartitionStats | None]] = {}
         self.workers: dict[int, WorkerHandle] = {}
         worker_config = replace(self.config, storage_dir=None)
         for node in range(topology.num_shards):
@@ -188,8 +188,9 @@ class ShardedStore:
         """The store host of ``shard``: its whole replica chain."""
         return ShardReplicas(self, shard)
 
-    def rollup(self, shard: int) -> dict | None:
-        """The shard's zone-map rollup (cached until the shard mutates)."""
+    def rollup(self, shard: int) -> prune.PartitionStats | None:
+        """The shard's zone-map rollup, compiled once and cached until the
+        shard mutates."""
         with self._lock:
             cached = self._rollups.get(shard)
         if cached is not None:
@@ -200,9 +201,10 @@ class ShardedStore:
             )
         except ShardUnavailable:
             return None  # no live replica answered in time; cannot prune
+        compiled = prune.compile_partition(stats)
         with self._lock:
-            self._rollups[shard] = (int(generation), stats)
-        return stats
+            self._rollups[shard] = (int(generation), compiled)
+        return compiled
 
     # -- failover-aware calls ----------------------------------------------
 
@@ -394,7 +396,7 @@ class ShardCoordinator:
         """True when the shard's rollup proves it holds zero rows (the
         ring never routed a row there, or every row was truncated)."""
         rollup = self.store.rollup(shard)
-        return rollup is not None and rollup.get("rows", 1) == 0
+        return rollup is not None and rollup.rows == 0
 
     def _surviving_shards(self, q: srv.ServerQuery) -> list[int]:
         """Ring routing plus rollup pruning (both conservative)."""

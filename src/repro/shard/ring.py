@@ -22,8 +22,8 @@ unit of storage (and failover) is a whole generation-logged store.
 
 Everything here is deterministic and keyless -- the ring can be rebuilt
 from the topology record alone, in any process, and two rings built from
-the same member list are bit-identical.  The mixer is the zone-map bloom
-filters' public splitmix64 finaliser (:func:`repro.index.bloom.mix64`).
+the same member list are bit-identical.  The mixer is the public
+splitmix64 finaliser (:func:`mix64`), with fixed constants and no key.
 """
 
 from __future__ import annotations
@@ -34,10 +34,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.index.bloom import mix64
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+
+# splitmix64 finaliser steps: (shift, multiplier) -- fixed and public, so
+# any process rebuilds the same ring from the topology alone.
+_MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_MIX_STEPS_U64 = tuple((_U64(s), _U64(m)) for s, m in _MIX_STEPS)
+
+
+def mix64(x: np.ndarray | int) -> np.ndarray | int:
+    """The public splitmix64 finaliser (a bijection), over a uint64 array
+    -- whose multiplies wrap -- or over one Python int, masked to 64 bits
+    after each multiply (a single key skips numpy's per-call overhead)."""
+    array = isinstance(x, np.ndarray)
+    for shift, mul in _MIX_STEPS_U64 if array else _MIX_STEPS:
+        x = (x ^ (x >> shift)) * mul
+        if not array:
+            x &= _MASK64
+    return x ^ (x >> (_U64(31) if array else 31))
 
 
 def hash_key(key: int) -> int:

@@ -1,4 +1,4 @@
-"""Manifest v3 zone-map statistics: emission, backfill, rebuild."""
+"""Manifest zone-map statistics: emission, backfill, rebuild."""
 
 import json
 import os
@@ -46,15 +46,26 @@ def strip_stats(path):
 
 class TestEmission:
     def test_write_store_emits_stats(self, tmp_path):
+        """The manifest keeps bounds and row counts but no DET stats: a
+        DET column's artifact is its partition's dictionary, joined in
+        when the store is opened, and the summary still counts it."""
         path = write_store(build_table(), tmp_path / "s")
         manifest = manifest_of(path)
-        assert manifest["version"] == FORMAT_VERSION == 6
+        assert manifest["version"] == FORMAT_VERSION == 7
         for part in manifest["generations"][0]["partitions"]:
             stats = part["stats"]
             assert stats["rows"] > 0 and stats["nulls"] == 0
-            assert stats["columns"]["u__det"]["kind"] == "det"
             assert stats["columns"]["year"]["kind"] == "plain"
+            assert "u__det" not in stats["columns"]
             assert "m__ashe" not in stats["columns"]
+        table = open_store(path)
+        for part, zone_map in zip(table.partitions, table.zone_maps):
+            det = zone_map["columns"]["u__det"]
+            assert det["kind"] == "det"
+            assert det["tokens"] is part.dictionaries["u__det"]
+            assert np.array_equal(det["tokens"], np.unique(part.column("u__det")))
+        summary = store_stats(path)
+        assert summary["columns"]["u__det"] == {"kind": "det", "partitions": 3}
 
     def test_open_store_attaches_zone_maps(self, tmp_path):
         path = write_store(build_table(), tmp_path / "s")
@@ -73,6 +84,23 @@ class TestEmission:
         assert all(z for z in table.zone_maps)
         summary = store_stats(path)
         assert summary["partitions_with_stats"] == summary["partitions"]
+        for part, zone_map in zip(table.partitions, table.zone_maps):
+            assert zone_map["columns"]["u__det"]["tokens"] is part.dictionaries["u__det"]
+
+    def test_a_det_list_in_the_manifest_never_replaces_the_dictionary(self, tmp_path):
+        """A DET token list written into a manifest's stats (by hand, or
+        by an older writer) is not what pruning sees: the partition's
+        dictionary is, so a list that omits a held token cannot drop
+        the partition holding it."""
+        path = write_store(build_table(), tmp_path / "s")
+        manifest = manifest_of(path)
+        for part in manifest["generations"][0]["partitions"]:
+            part["stats"]["columns"]["u__det"] = {"kind": "det", "tokens": [999]}
+        json.dump(manifest, open(os.path.join(path, MANIFEST_NAME), "w"))
+        table = open_store(path)
+        for part, zone_map in zip(table.partitions, table.zone_maps):
+            assert zone_map["columns"]["u__det"]["tokens"] is part.dictionaries["u__det"]
+            assert 999 not in zone_map["columns"]["u__det"]["tokens"]
 
 
 class TestRebuild:
@@ -86,12 +114,13 @@ class TestRebuild:
         rebuild_stats(path)
         assert manifest_of(path)["generations"] == before["generations"]
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, FORMAT_VERSION + 1])
     def test_other_format_versions_rejected(self, tmp_path, version):
         """Only the current manifest format is read: the pre-generational
         (v1) and pre-zone-map (v2) formats never shipped, v3's one file
         per column is not read, nor is v4, whose every ASHE column was
-        uint64, nor v5, whose DET columns held one 8-byte token a row."""
+        uint64, nor v5, whose DET columns held one 8-byte token a row, nor
+        v6, whose manifest held DET token stats beside the dictionaries."""
         path = write_store(build_table(), tmp_path / "s")
         manifest = manifest_of(path)
         manifest["version"] = version

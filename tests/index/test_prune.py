@@ -6,7 +6,8 @@ argument is auditable: a partition may be dropped only when the stats
 negated child).
 """
 
-import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.server import (
     DetEq,
@@ -18,7 +19,6 @@ from repro.core.server import (
     PlainCmp,
 )
 from repro.crypto.ore import OreScheme
-from repro.index.bloom import BloomFilter
 from repro.index.prune import (
     all_match,
     compile_zone_maps,
@@ -34,13 +34,6 @@ ORE = OreScheme(KEY, nbits=16)
 def det_stats(*tokens):
     return {"rows": 4, "nulls": 0,
             "columns": {"c__det": {"kind": "det", "tokens": sorted(tokens)}}}
-
-
-def bloom_stats(*tokens):
-    bloom = BloomFilter.for_capacity(max(len(tokens), 65))
-    bloom.add_tokens(np.asarray(tokens, dtype=np.uint64))
-    return {"rows": 4, "nulls": 0,
-            "columns": {"c__det": {"kind": "det", "bloom": bloom.to_dict()}}}
 
 
 def ore_stats(lo, hi, column="t__ore"):
@@ -61,11 +54,18 @@ class TestDetEquality:
         assert may_match(det_stats(3, 7), DetEq("c__det", 7))
         assert not may_match(det_stats(3, 7), DetEq("c__det", 8))
 
-    def test_bloom_membership_is_one_sided(self):
-        stats = bloom_stats(3, 7)
-        assert may_match(stats, DetEq("c__det", 7))  # never a false negative
-        # An absent token is *usually* refuted; either answer is sound.
-        assert may_match(stats, DetEq("c__det", 7)) in (True,)
+    def test_large_dictionaries_are_exact(self):
+        """Every partition's artifact is its whole dictionary, so past 64
+        tokens absence still refutes ``=`` and proves ``!=`` and NOT IN."""
+        stats = det_stats(*range(0, 400, 2))
+        assert may_match(stats, DetEq("c__det", 398))
+        assert not may_match(stats, DetEq("c__det", 399))
+        assert all_match(stats, DetEq("c__det", 399, negate=True))
+        assert not may_match(stats, DetIn("c__det", (1, 3, 401)))
+        everything = DetIn("c__det", tuple(range(0, 400, 2)))
+        assert all_match(stats, everything)
+        assert not may_match(stats, FilterNot(everything))
+        assert may_match(stats, FilterNot(DetIn("c__det", tuple(range(0, 398, 2)))))
 
     def test_negation_with_exact_sets(self):
         # Constant partition == token: no row satisfies !=.
@@ -80,6 +80,19 @@ class TestDetEquality:
         assert not may_match(det_stats(3, 7), DetIn("c__det", (1, 2)))
         assert all_match(det_stats(3, 7), DetIn("c__det", (3, 7, 9)))
         assert not all_match(det_stats(3, 7), DetIn("c__det", (3,)))
+
+    def test_an_empty_dictionary_holds_no_token(self):
+        """A zero-row partition's dictionary is empty: nothing matches
+        ``=`` or ``IN`` in it, every (vacuous) row satisfies ``!=`` and
+        ``IN``, and the inverted index keeps it for no token."""
+        empty = det_stats()
+        assert not may_match(empty, DetEq("c__det", 0))
+        assert not may_match(empty, DetIn("c__det", (0, 2**64 - 1)))
+        assert all_match(empty, DetEq("c__det", 0, negate=True))
+        assert all_match(empty, DetIn("c__det", (5,)))
+        compiled = compile_zone_maps([empty, det_stats(0)])
+        assert compiled.det_keep(DetEq("c__det", 0)).tolist() == [False, True]
+        assert compiled.det_keep(DetEq("c__det", 2**64 - 1)).tolist() == [False, False]
 
     def test_missing_or_mismatched_stats_keep(self):
         assert may_match(None, DetEq("c__det", 1))
@@ -161,9 +174,9 @@ class TestSurvivors:
     def test_compiled_maps_answer_as_each_partition_does(self):
         """The compiled form's inverted token index (alone, or with the
         other conjuncts of an AND judged on what it keeps) keeps exactly
-        what :func:`may_match` keeps, bloom and stat-less partitions
-        included."""
-        maps = [det_stats(3, 7), bloom_stats(7, 9), None, det_stats(9), det_stats(),
+        what :func:`may_match` keeps, large-dictionary and stat-less
+        partitions included."""
+        maps = [det_stats(3, 7), det_stats(*range(7, 200)), None, det_stats(9), det_stats(),
                 plain_stats(2013, 2016)]
         compiled = compile_zone_maps(maps)
         year = PlainCmp("year", "<", 2014)
@@ -177,6 +190,18 @@ class TestSurvivors:
                 want = [may_match(stats, expr) for stats in maps]
                 assert survivors(compiled, expr).tolist() == want, expr
                 assert survivors(maps, expr).tolist() == want, expr
+
+    def test_the_index_is_per_table_version(self):
+        """A compiled table answers from the index it built first; a new
+        version (another partition appended) compiles a new index that
+        sees the new partition's tokens."""
+        maps = [det_stats(3, 7), det_stats(9)]
+        first = compile_zone_maps(maps)
+        assert first.det_keep(DetEq("c__det", 11)).tolist() == [False, False]
+        second = compile_zone_maps(maps + [det_stats(11)])
+        assert second.det_keep(DetEq("c__det", 11)).tolist() == [False, False, True]
+        assert first.det_keep(DetEq("c__det", 11)).tolist() == [False, False]
+        assert survivors(second, DetEq("c__det", 3)).tolist() == [True, False, False]
 
     def test_no_filter_or_no_maps_is_none(self):
         assert survivors(self.MAPS, None) is None
@@ -216,3 +241,58 @@ class TestExtremeCandidates:
         maps = [ore_stats(10, 20)]
         aggs = self._aggs("min") + (PlainAgg(column="p", func="sum", alias="s"),)
         assert extreme_candidates(maps, aggs) is None
+
+
+# -- the inverted index against each partition's judgement (hypothesis) -------
+
+det_tokens = st.integers(min_value=0, max_value=12)
+det_leaves = st.one_of(
+    st.builds(lambda t, negate: DetEq("c__det", t, negate=negate), det_tokens, st.booleans()),
+    st.builds(lambda ts: DetIn("c__det", tuple(ts)),
+              st.lists(det_tokens, min_size=1, max_size=4)),
+)
+det_filters = st.recursive(det_leaves, lambda kids: st.one_of(
+    st.builds(FilterNot, kids),
+    st.builds(lambda cs: FilterAnd(tuple(cs)), st.lists(kids, min_size=1, max_size=3)),
+    st.builds(lambda cs: FilterOr(tuple(cs)), st.lists(kids, min_size=1, max_size=3)),
+), max_leaves=6)
+dictionary_lists = st.lists(
+    st.one_of(st.none(), st.lists(det_tokens, max_size=8, unique=True)),
+    min_size=1, max_size=6,
+)
+
+
+def holds(expr, token):
+    """Does a row holding ``token`` in ``c__det`` satisfy ``expr``?"""
+    if isinstance(expr, DetEq):
+        return (token == expr.token) != expr.negate
+    if isinstance(expr, DetIn):
+        return token in expr.tokens
+    if isinstance(expr, FilterNot):
+        return not holds(expr.child, token)
+    combine = all if isinstance(expr, FilterAnd) else any
+    return combine(holds(child, token) for child in expr.children)
+
+
+@given(dictionaries=dictionary_lists, expr=det_filters, token=det_tokens)
+@settings(max_examples=200, deadline=None)
+def test_index_equals_brute_force_per_partition(dictionaries, expr, token):
+    """``ZoneMaps.det_keep`` and :func:`survivors` keep exactly what
+    :func:`may_match` keeps partition by partition; a point lookup keeps
+    exactly the partitions whose dictionary holds the token; and no
+    partition holding a matching row is ever dropped."""
+    maps = [None if d is None else det_stats(*d) for d in dictionaries]
+    compiled = compile_zone_maps(maps)
+    point = DetEq("c__det", token)
+    assert compiled.det_keep(point).tolist() == [
+        d is None or token in d for d in dictionaries]
+    assert compiled.det_keep(point).tolist() == [may_match(m, point) for m in maps]
+    want = [may_match(m, expr) for m in maps]
+    if all(d is None for d in dictionaries):
+        assert survivors(compiled, expr) is None
+        return
+    assert survivors(compiled, expr).tolist() == want
+    assert survivors(maps, expr).tolist() == want
+    for d, keep in zip(dictionaries, want):
+        if d is not None and any(holds(expr, t) for t in d):
+            assert keep

@@ -3,11 +3,10 @@
 import numpy as np
 
 from repro.crypto.ore import OreScheme
-from repro.index.bloom import BloomFilter
 from repro.index.zonemap import (
-    TOKEN_SET_MAX,
     build_partition_stats,
     classify_column,
+    join_dictionaries,
     stats_summary,
 )
 
@@ -54,20 +53,43 @@ class TestOreStats:
 
 
 class TestDetStats:
-    def test_small_cardinality_exact_token_set(self):
+    def test_det_columns_are_not_persisted(self):
         tokens = np.array([5, 9, 5, 5, 9, 123], dtype=np.uint64)
         columns = {"c__det": tokens}
         stats = build_partition_stats(_part(columns), _specs(columns))
-        assert stats["columns"]["c__det"] == {"kind": "det", "tokens": [5, 9, 123]}
+        assert stats == {"rows": 6, "nulls": 0, "columns": {}}
 
-    def test_large_cardinality_bloom(self):
-        tokens = np.arange(TOKEN_SET_MAX + 40, dtype=np.uint64) * np.uint64(7919)
-        columns = {"c__det": tokens}
+    def test_the_dictionary_is_the_artifact(self):
+        """A coded column's zone-map artifact is its dictionary itself,
+        whatever its size, and a partition without stats gets none."""
+        dictionary = np.arange(200, dtype=np.uint64) * np.uint64(7919)
+        stats = {"rows": 400, "nulls": 0, "columns": {"year": {
+            "kind": "plain", "min": 2013, "max": 2016}}}
+        joined = join_dictionaries(stats, {"c__det": dictionary})
+        assert joined["columns"]["c__det"]["kind"] == "det"
+        assert joined["columns"]["c__det"]["tokens"] is dictionary
+        assert joined["columns"]["year"] == stats["columns"]["year"]
+        assert "c__det" not in stats["columns"]  # the persisted dict is untouched
+        assert join_dictionaries(None, {"c__det": dictionary}) is None
+
+    def test_a_dictionary_joins_a_partition_without_bounds(self):
+        """A partition whose persisted stats hold no bounds (an empty
+        partition, or one with only DET columns) still gets its
+        dictionary, and a stored table's DET columns all join."""
+        rng = np.random.default_rng(4)
+        columns = {"a__det": rng.integers(0, 90, 300, dtype=np.uint64),
+                   "b__det": rng.integers(0, 3, 300, dtype=np.uint64)}
         stats = build_partition_stats(_part(columns), _specs(columns))
-        col = stats["columns"]["c__det"]
-        assert "tokens" not in col and "bloom" in col
-        bloom = BloomFilter.from_dict(col["bloom"])
-        assert all(bloom.might_contain(int(t)) for t in tokens)
+        dictionaries = {name: np.unique(col) for name, col in columns.items()}
+        joined = join_dictionaries(stats, dictionaries)
+        assert joined["rows"] == 300
+        assert sorted(joined["columns"]) == ["a__det", "b__det"]
+        for name, dictionary in dictionaries.items():
+            assert joined["columns"][name]["kind"] == "det"
+            assert joined["columns"][name]["tokens"] is dictionary
+        empty = join_dictionaries({"rows": 0, "nulls": 0, "columns": {}},
+                                  {"a__det": np.empty(0, dtype=np.uint64)})
+        assert empty["columns"]["a__det"]["tokens"].size == 0
 
     def test_ashe_ciphertexts_never_indexed(self):
         columns = {
@@ -138,7 +160,7 @@ def test_stats_summary_coverage():
             "t__ore": {"kind": "ore", "min": [0], "max": [1]},
         }},
         {"rows": 5, "nulls": 0, "columns": {
-            "u__det": {"kind": "det", "bloom": {"m": 64, "k": 1, "bits": "00" * 8}},
+            "u__det": {"kind": "det", "tokens": np.arange(100, dtype=np.uint64)},
         }},
         None,
     ]
@@ -146,7 +168,5 @@ def test_stats_summary_coverage():
     assert summary["partitions"] == 3
     assert summary["partitions_with_stats"] == 2
     assert summary["rows"] == 15
-    assert summary["columns"]["u__det"] == {
-        "kind": "det", "partitions": 2, "token_sets": 1, "blooms": 1,
-    }
+    assert summary["columns"]["u__det"] == {"kind": "det", "partitions": 2}
     assert summary["columns"]["t__ore"]["partitions"] == 1

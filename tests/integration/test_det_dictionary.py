@@ -24,7 +24,7 @@ from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
 from repro.engine.store import MANIFEST_NAME, PARTITION_FILE, _column_offsets
 from repro.engine.table import Partition, Table
-from repro.index.zonemap import build_partition_stats
+from repro.index.zonemap import join_dictionaries
 from repro.query import execute_plain, parse_query
 
 KEY = b"det-dictionary-master-key-32byte"
@@ -170,6 +170,22 @@ def test_a_plain_key_keeps_the_uint64_sort():
     assert np.array_equal(keys[code], key.astype(np.uint64))
 
 
+@pytest.mark.parametrize("mode", ["seabed", "plain"])
+def test_unfiltered_group_by_equals_a_filter_every_row_passes(tmp_path, mode):
+    """An unfiltered GROUP BY groups each partition's whole column in
+    place; a filter that every row passes takes the selection path.
+    Both give the plaintext answer, over coded (Seabed) and plain
+    (NoEnc) keys alike."""
+    data = dataset(3_000, 150, seed=3)
+    session = SeabedSession(mode=mode, master_key=KEY, seed=7)
+    session.create_plan(schema(), SAMPLES)
+    session.upload("t", data, path=tmp_path / "t", num_partitions=3)
+    everything = GROUP.replace("GROUP BY", "WHERE tier != 99 GROUP BY")
+    assert_answer(session, data, GROUP)
+    assert_answer(session, data, everything)
+    assert canonical(session.query(GROUP).rows) == canonical(session.query(everything).rows)
+
+
 def test_compaction_recodes_partitions_whose_dictionaries_differ(tmp_path):
     base = dataset(600, 20, seed=1)
     session = session_with(base, tmp_path)
@@ -246,10 +262,10 @@ def test_audit_flags_a_dictionary_token_no_row_holds(tmp_path):
     doctored = Partition({**part.columns, "user__det": codes}, part.start_id,
                          {**part.dictionaries, "user__det": grown})
     assert np.array_equal(doctored.column("user__det"), part.column("user__det"))
-    artifact = dict(stats["columns"]["user__det"], tokens=[int(t) for t in grown])
-    doctored_stats = dict(stats, columns={**stats["columns"], "user__det": artifact})
-    assert build_partition_stats(doctored, {"user__det": {"dtype": "<u8", "ndim": 1}})[
-        "columns"]["user__det"] == artifact  # the builder alone would agree
+    # The zone map a store publishes for the doctored partition: its
+    # dictionary alone would agree with the planted token.
+    doctored_stats = join_dictionaries(stats, doctored.dictionaries)
+    assert np.array_equal(doctored_stats["columns"]["user__det"]["tokens"], grown)
     assert audit_zone_maps(table).ok
     forged = Table("t", [doctored, *table.partitions[1:]],
                    zone_maps=[doctored_stats, *table.zone_maps[1:]])

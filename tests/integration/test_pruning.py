@@ -1,10 +1,9 @@
 """Pruned execution is bit-identical to a full scan -- always.
 
 The zone-map index may only ever *skip work*, never change an answer:
-across random predicates (hypothesis), across append/compact store
-generations, and under injected bloom false positives.  Every test here
-runs the same query with pruning on and off and requires exactly equal
-rows.
+across random predicates (hypothesis) and across append/compact store
+generations.  Every test here runs the same query with pruning on and
+off and requires exactly equal rows.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.session import SeabedSession
-from repro.index.bloom import BloomFilter
 from repro.query.ast import (
     Aggregate,
     And,
@@ -32,7 +30,7 @@ MASTER_KEY = b"pruning-equivalence-master-key-3"
 COUNTRIES = ["us", "ca", "in", "uk"]
 N = 600
 USERS = 40
-SESSIONS = 3000  # high cardinality: per-partition DET stats become blooms
+SESSIONS = 3000  # high cardinality: about 100 tokens a partition dictionary
 
 SAMPLES = [
     "SELECT sum(amount) FROM sales WHERE user = 1",
@@ -228,33 +226,92 @@ def test_every_generation_state_prunes_identically(stores, store):
     assert skipped[0] > 0 and skipped[1] > 0
 
 
-# -- bloom false positives ----------------------------------------------------
+# -- exact dictionaries past 64 tokens ------------------------------------------
 
-def test_bloom_false_positives_never_drop_rows(appended, monkeypatch):
-    """A bloom 'maybe' on an absent token keeps the partition: saturating
-    every bloom answer to 'maybe' must cost skips, never rows."""
-    session = appended
-    sql = "SELECT sum(amount), count(*) FROM sales WHERE sess = :s"
-    values = [7, 123, 1500, SESSIONS + 5]
-    baseline = {
-        v: (session.query(sql, s=v).rows,
-            sum(m.partitions_skipped
-                for m in session.query(sql, s=v).request_metrics))
-        for v in values
-    }
-    monkeypatch.setattr(BloomFilter, "might_contain", lambda self, token: True)
-    for v in values:
-        result = session.query(sql, s=v)
-        skipped = sum(m.partitions_skipped for m in result.request_metrics)
-        assert result.rows == baseline[v][0]  # rows never change
-        assert skipped <= baseline[v][1]  # false positives only cost scans
+def test_not_in_prunes_a_partition_whose_every_token_is_listed():
+    """Each partition holds 100 users; ``NOT (user IN (...))`` listing
+    all of the first partition's users provably matches none of its
+    rows, so the exact dictionary drops it."""
+    data = dataset(400, seed=5)
+    data["user"] = np.repeat(np.arange(200), 2).astype(np.int64)
+    session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    session.create_plan(schema(), SAMPLES)
+    session.upload("sales", data, num_partitions=2)
+    query = Query(
+        select=(Aggregate("sum", "amount", "s"), Aggregate("count", None, "c")),
+        table="sales", where=Not(InList("user", tuple(range(100)))),
+    )
+    assert run_both(session, query) == 1
+    assert session.query(query).rows == [{"s": int(data["amount"][200:].sum()), "c": 200}]
 
 
-def test_bloom_artifacts_exist_on_the_high_cardinality_column(appended):
-    summary = appended.stats("sales")
-    det = summary["columns"]["sess__det"]
-    assert det["blooms"] > 0
-    assert summary["partitions_with_stats"] == summary["partitions"]
+def test_shard_rollup_prunes_on_a_large_non_ring_column(tmp_path):
+    """Two shards placed by ``user`` each hold hundreds of ``sess``
+    tokens.  A point query on ``sess`` cannot be ring-routed, and the
+    shard whose rolled-up dictionary lacks the token is skipped."""
+    rng = np.random.default_rng(8)
+    data = dataset(2_000, seed=6)
+    data["sess"] = (data["user"] * 100 + rng.integers(0, 100, 2_000)).astype(np.int64)
+    session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    try:
+        session.create_plan(schema(), SAMPLES)
+        session.shard_table("sales", "user", tmp_path / "sales", num_shards=2)
+        session.upload("sales", data)
+        assert all(n > 0 for n in session.encrypted_table("sales").shard_rows().values())
+        target = int(data["sess"][0])
+        result = session.query("SELECT sum(amount), count(*) FROM sales WHERE sess = :s",
+                               s=target)
+        hit = data["sess"] == target
+        assert result.rows == [{"sum(amount)": int(data["amount"][hit].sum()),
+                                "count(*)": int(hit.sum())}]
+        assert result.request_metrics[0].shards_skipped == 1
+    finally:
+        session.close()
+
+
+def test_a_token_first_appended_is_found_by_the_index():
+    """The server's compiled zone maps (and their inverted token index)
+    follow the table's version: a user absent at upload prunes every
+    partition, and once an append adds it the new partition answers."""
+    session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    session.create_plan(schema(), SAMPLES)
+    session.upload("sales", dataset(N, seed=1), num_partitions=4)
+    sql = f"SELECT sum(amount), count(*) FROM sales WHERE user = {USERS + 7}"
+    assert run_both(session, sql) == 4
+    assert session.query(sql).rows[0]["count(*)"] == 0
+    batch = dataset(60, seed=31, ts_base=5000)
+    batch["user"] = np.full(60, USERS + 7, dtype=np.int64)
+    session.append_rows("sales", batch)
+    assert run_both(session, sql) == 4
+    assert session.query(sql).rows == [{"sum(amount)": int(batch["amount"].sum()),
+                                        "count(*)": 60}]
+
+
+def test_shard_rollup_follows_an_append(tmp_path):
+    """A shard's compiled rollup is cached until the shard mutates: a
+    ``sess`` token no shard holds skips both, and after an append puts it
+    on one shard that shard answers and only the other is skipped."""
+    data = dataset(1_000, seed=6)
+    session = SeabedSession(mode="seabed", master_key=MASTER_KEY)
+    try:
+        session.create_plan(schema(), SAMPLES)
+        session.shard_table("sales", "user", tmp_path / "sales", num_shards=2)
+        session.upload("sales", data)
+        sql = "SELECT sum(amount), count(*) FROM sales WHERE sess = :s"
+        target = SESSIONS + 11
+        before = session.query(sql, s=target)
+        assert before.rows[0]["count(*)"] == 0
+        assert before.request_metrics[0].shards_skipped == 2
+        batch = dataset(50, seed=32, ts_base=5000)
+        batch["user"] = np.full(50, 3, dtype=np.int64)
+        batch["sess"] = np.full(50, target, dtype=np.int64)
+        session.append_rows("sales", batch)
+        after = session.query(sql, s=target)
+        assert after.rows == [{"sum(amount)": int(batch["amount"].sum()),
+                               "count(*)": 50}]
+        assert after.request_metrics[0].shards_skipped == 1
+    finally:
+        session.close()
 
 
 def test_uploading_session_prunes_like_a_fresh_attach():

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from repro.core import server as srv
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import ExecutionError
-from repro.index.bloom import BloomFilter
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.ring import HashRing, hash_key
+from repro.shard.ring import HashRing, hash_key, mix64
 
 KEYS = np.arange(5_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
@@ -61,32 +60,45 @@ class TestRouting:
             assert ring.owner(key) == ring.members[i]
 
     def test_known_outputs_pinned(self):
-        """Ring positions and bloom bits come from one mixer; these are
-        its outputs, the owners and the bloom words it gave when the ring
-        and the filter each carried their own copy of it."""
+        """The mixer's outputs, through its one-int and its array path,
+        and the owners they give: pinned so that moving the mixer moves
+        no key to another shard."""
         keys = np.array([0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF, 12345],
                         dtype=np.uint64)
-        assert [hash_key(int(k)) for k in keys[:5]] == [
-            0, 0x5692161D100B05E5, 0x25C26EA579CEA98A, 0xB4D055FCF2CBBD7B,
-            0xB2C058E4EBB5112C]
+        pinned = [0, 0x5692161D100B05E5, 0x25C26EA579CEA98A, 0xB4D055FCF2CBBD7B,
+                  0xB2C058E4EBB5112C]
+        assert [hash_key(int(k)) for k in keys[:5]] == pinned
+        assert mix64(keys[:5]).tolist() == pinned
         ring = HashRing(list(range(4)), vnodes=16)
         assert ring.owners(keys).tolist() == [0, 3, 2, 2, 3, 3]
         assert [ring.owner(int(k)) for k in keys] == [0, 3, 2, 2, 3, 3]
-        bloom = BloomFilter(128, 3)
-        bloom.add_tokens(keys)
-        assert bloom.to_dict()["bits"] == (
-            (0x01009080C0000461).to_bytes(8, "little") + (0x0800002040020001).to_bytes(8, "little")
-        ).hex()
 
     def test_hash_key_is_a_permutation_step(self):
         # Distinct inputs keep distinct mixes (splitmix64 is bijective).
         mixed = {hash_key(k) for k in range(2_000)}
         assert len(mixed) == 2_000
 
+    def test_mix64_leaves_its_input_array_unchanged(self):
+        keys = KEYS[:64].copy()
+        mixed = mix64(keys)
+        assert mixed.dtype == np.uint64
+        assert np.array_equal(keys, KEYS[:64])
+        assert not np.array_equal(mixed, keys)
+
     def test_rebuilt_ring_routes_identically(self):
         a = HashRing(list(range(6)), vnodes=48, replicas=2)
         b = HashRing(list(range(6)), vnodes=48, replicas=2)
         assert np.array_equal(a.owners(KEYS), b.owners(KEYS))
+
+
+@given(keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                     max_size=32))
+@settings(max_examples=100, deadline=None)
+def test_mix64_int_and_array_paths_agree(keys):
+    """The one-int path (masking after each multiply) and the wrapping
+    uint64 array path are the same function on every 64-bit key."""
+    assert [mix64(k) for k in keys] == mix64(np.asarray(keys, dtype=np.uint64)).tolist()
+    assert all(0 <= mix64(k) < 2**64 for k in keys)
 
 
 @given(members=st.integers(min_value=2, max_value=12))

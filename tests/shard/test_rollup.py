@@ -3,10 +3,9 @@
 import numpy as np
 
 from repro.crypto.ore import OreScheme
-from repro.index.bloom import BloomFilter
+from repro.core.server import DetEq
 from repro.index.prune import may_match
 from repro.index.rollup import rollup_zone_maps
-from repro.index.zonemap import TOKEN_SET_MAX
 
 
 _ORE = OreScheme(b"r" * 32, nbits=16)
@@ -48,30 +47,18 @@ class TestMerging:
             stats(4, {"d": {"kind": "det", "tokens": [2, 9]}}),
         ]
         col = rollup_zone_maps(parts)["columns"]["d"]
-        assert col["tokens"] == [1, 2, 9]
+        assert col["tokens"].tolist() == [1, 2, 9]
 
-    def test_det_union_past_cap_degrades_to_bloom(self):
-        a = list(range(TOKEN_SET_MAX))
-        b = list(range(TOKEN_SET_MAX, TOKEN_SET_MAX + 10))
+    def test_det_union_of_large_dictionaries_stays_exact(self):
+        evens = np.arange(0, 400, 2, dtype=np.uint64)
         parts = [
-            stats(9, {"d": {"kind": "det", "tokens": a}}),
-            stats(9, {"d": {"kind": "det", "tokens": b}}),
-        ]
-        col = rollup_zone_maps(parts)["columns"]["d"]
-        assert "tokens" not in col and "bloom" in col
-        bloom = BloomFilter.from_dict(col["bloom"])
-        # No false negatives over the union.
-        assert all(bloom.might_contain(t) for t in a + b)
-
-    def test_bloom_only_partition_drops_the_column(self):
-        bloom = BloomFilter.for_capacity(4)
-        bloom.add_tokens(np.asarray([1, 2], dtype=np.uint64))
-        parts = [
-            stats(4, {"d": {"kind": "det", "tokens": [1, 2]}}),
-            stats(4, {"d": {"kind": "det", "bloom": bloom.to_dict()}}),
+            stats(200, {"d": {"kind": "det", "tokens": evens[:100]}}),
+            stats(200, {"d": {"kind": "det", "tokens": evens[100:]}}),
         ]
         merged = rollup_zone_maps(parts)
-        assert "d" not in merged["columns"]  # cannot union blooms safely
+        assert np.array_equal(merged["columns"]["d"]["tokens"], evens)
+        assert may_match(merged, DetEq("d", 398))
+        assert not may_match(merged, DetEq("d", 399))
 
 
 class TestConservatism:
