@@ -2,28 +2,33 @@
 
 Takes a :class:`~repro.core.translator.TranslatedQuery` and the server's
 responses and produces plaintext result rows identical to what the
-plaintext executor would return:
+plaintext executor would return, as a batch step over columns:
 
 - ASHE aggregates: every reply is its request's row sets as columns
   (:class:`~repro.core.grouped.GroupedRows`; a flat request's is its one
-  row set, or none) and carries the ID set of each *row set* once, beside
-  the aggregates.  The pad rule depends on the number of row sets, not on
-  the request: a reply with one row set (a flat request's, or a one-group
-  GROUP BY) decodes its chunks once into one run list (chunks of adjacent
-  partitions coalesce, so an unfiltered scan is one run) and every ASHE
-  column summed over those rows then costs one PRF pad over the runs (two
-  evaluations per run; per occurrence for join multisets).  With several
-  row sets, each partition's chunk carries a code per ID naming its row
-  set: chunks are decoded once, in blocks of pieces, and each ASHE column
-  pads a block from one PRF stream over its hull, summed per row set;
-- counts: read off the row set's ID count, or decrypt indicator sums;
-- averages / variances: the client-side division and combination
-  (Monomi-style query splitting, Section 4.2);
-- group keys: DET-decrypt and dictionary-decode (a reply holds one row
-  set per key);
-- SPLASHE group-by: assemble per-value rows from the splayed sums and the
-  enhanced-mode catch-all grouped request, using indicator counts to
-  suppress empty groups (dummy rows decrypt to zero and vanish here).
+  row set, or none) with the ID set of each *row set* once.  A reply with
+  one row set decodes its chunks into one run list (adjacent partitions
+  coalesce) and pads each ASHE column by telescoping, two PRF evaluations
+  per run (per occurrence for join multisets); with several, each chunk
+  carries a code per ID naming its row set, and chunks open in blocks of
+  pieces, each ASHE column padded from one PRF stream over a block's hull
+  and summed per row set;
+- an opened reply is sorted ``uint64`` keys, one plaintext column per
+  alias (Paillier: exact Python ints in an object column) and one count
+  column per ID source; a query's replies align on their key union by
+  ``searchsorted`` (a flat query: its one row);
+- each output item is one array expression: sums, counts (ID counts or
+  count / indicator sums), averages and variances (the client-side
+  combination, Section 4.2, dividing as Python's exact ``int / int``),
+  NoEnc's per-group extremes, and the mask that drops empty row sets;
+  group keys DET-decrypt and dictionary-decode in one batch call;
+- SPLASHE group-by: the same columns, a row per value code, from the
+  splayed sums and the enhanced-mode catch-all grouped request; zero
+  indicator counts (dummy rows) suppress a group;
+- ORDER BY, the default group order (``str`` of the key), LIMIT and the
+  unselected group keys run on the columns (stable sorts, ties kept as
+  Python's ``sort(reverse=True)`` keeps them, scans too), and the row
+  dicts are built once, at the end.
 
 Nothing decoded or padded outlives the call.  No integrity checks are
 performed: the threat model is honest-but-curious (Section 4.6), so a
@@ -36,9 +41,8 @@ their chunk, implied codes beside several row sets) is a typed
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+import functools
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,12 +57,13 @@ from repro.crypto.prf import MASK64
 from repro.errors import DecryptionError, EncodingError
 from repro.idlist import IdList
 from repro.idlist import codec as idcodec
-from repro.query.executor import order_and_limit
+from repro.query.ast import Query
 
 
-#: IDs a reply's open holds at a time, unless one piece alone is
-#: larger: 128 KB of uint64, L2-sized.
-BLOCK_IDS = 16_384
+#: IDs a reply's open holds at a time, unless one piece alone is larger:
+#: 256 KB of uint64.  A 307,200-row, 32-partition, 512-group open took
+#: 3.7 ms at 16,384 (a partition a block), 3.3-3.5 ms at 32,768-131,072.
+BLOCK_IDS = 32_768
 
 
 def _blocks(pieces: list[IdPiece]) -> Iterator[tuple[list, list, int, int, bool]]:
@@ -102,7 +107,7 @@ def _open_pieces(pieces: list[IdPiece], schemes: dict[str, AsheScheme],
     priors: dict[str, int | None] = {}
     last = None  # the previous block's highest ID, if its streams reach it
     for parts, codes, lo, hi, seamless in _blocks(pieces):
-        codes = np.concatenate(codes)
+        codes = np.concatenate(codes, dtype=np.intp)  # add.at's own index type
         counts += np.bincount(codes, minlength=entries)
         ids = None if seamless else np.concatenate(
             [part.to_ids() if isinstance(part, IdList) else part for part in parts])
@@ -119,11 +124,9 @@ def _open_pieces(pieces: list[IdPiece], schemes: dict[str, AsheScheme],
 
 def _open_one(pieces: list[IdPiece], schemes: dict[str, AsheScheme]
               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """:func:`_open_pieces` for a reply's one row set: its runs unioned
-    (the pieces arrive in ID order, so the union only joins them and
-    coalesces touching seams) and padded by telescoping, two PRF
-    evaluations per run in chunk-sized calls, and multiset IDs once per
-    occurrence."""
+    """:func:`_open_pieces` for a reply's one row set: its runs unioned (in
+    ID order, so touching seams coalesce) and padded by telescoping, two PRF
+    evaluations per run, and multiset IDs once per occurrence."""
     runs: list[IdList] = []
     multiset = [np.empty(0, np.uint64)]
     for piece in pieces:
@@ -142,130 +145,213 @@ def _open_one(pieces: list[IdPiece], schemes: dict[str, AsheScheme]
     return np.array([merged.count() + dupes.size]), sums
 
 
-@dataclass
-class _RowSet:
-    """One row set of a reply, opened once: every aggregate's plaintext by
-    alias (``None``: no row selected; ORE extremes are left to
-    ``_decrypt_extreme``) and the row count by ID source."""
-
-    values: dict[str, Any]
-    counts: dict[str, int]
-
-
 class _Reply(NamedTuple):
+    """A reply's row sets as columns (``keys`` ``None``: a flat request's)."""
+
     response: srv.ServerResponse
     aggs: dict[str, srv.AggOp]
-    opened: dict[int | None, _RowSet]  # by group key; None: a flat request's
-    grouped: bool  # the request has a GROUP BY (its reply's keys ship)
+    size: int  # row sets
+    keys: np.ndarray | None
+    values: dict[str, np.ndarray]
+    counts: dict[str, np.ndarray]
+
+
+#: Output cells: values, and where a cell has one (``None``: everywhere).
+_Cells = tuple[np.ndarray, np.ndarray | None]
+_EXACT = 2**53  # past this an int64 is not exactly a float64
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` cell by cell as Python divides (``den`` 0: no value)."""
+    den = den + (den == 0)
+    if num.dtype == object:
+        return np.array([t / c for t, c in zip(num.tolist(), den.tolist())], np.float64)
+    out = num / den
+    if num.dtype.kind in "iu":
+        big = np.flatnonzero((num > _EXACT) | (num < -_EXACT))
+        out[big] = [t / c for t, c in zip(num[big].tolist(), den[big].tolist())]
+    return out
+
+
+class _Aligned:
+    """A query's replies aligned on its output rows (``keys``: the grouped
+    replies' key union; ``None``: a flat query's one row)."""
+
+    def __init__(self, replies: list[_Reply], keys: np.ndarray | None):
+        self.replies, self.size = replies, 1 if keys is None else keys.size
+        # Per reply: False (no row set here), None (the same keys), or each
+        # output row's position and whether its row set is there.
+        self._at: list[tuple[np.ndarray, np.ndarray] | bool | None] = []
+        for reply in replies:
+            if not reply.size or (keys is None) != (reply.keys is None):
+                self._at.append(False)
+            elif keys is None or reply.keys.size == keys.size:
+                self._at.append(None)
+            else:
+                at = np.minimum(np.searchsorted(reply.keys, keys), reply.keys.size - 1)
+                self._at.append((at, reply.keys[at] == keys))
+
+    def _take(self, req: int, column: np.ndarray | None) -> _Cells:
+        at = self._at[req]  # reply req's column on the output rows, 0 where absent
+        if column is None or at is False:
+            return np.zeros(self.size, np.int64), np.zeros(self.size, bool)
+        if at is None:
+            return column, None
+        return np.where(at[1], column[at[0]], 0), at[1]
+
+    def value(self, ref: Ref) -> _Cells:
+        req, alias = ref
+        return self._take(req, self.replies[req].values.get(alias))
+
+    def sum(self, refs: list[Ref]) -> _Cells:
+        """The refs' values added where any is there: one ref's column, or
+        several added as Python ints (a SPLASHE IN's ASHE sums)."""
+        if len(refs) == 1:
+            return self.value(refs[0])
+        cells = [self.value(ref) for ref in refs] or [self._take(0, None)]
+        masks = [present for _, present in cells]
+        return (functools.reduce(np.add, [values.astype(object) for values, _ in cells]),
+                None if None in masks else functools.reduce(np.logical_or, masks))
+
+    def count(self, item: OutputItem) -> np.ndarray:
+        """An item's count per output row: its refs' ID counts (free with
+        any ASHE aggregate), or their count / indicator sums."""
+        parts = []
+        for req, alias in item.count_refs:
+            reply, agg = self.replies[req], self.replies[req].aggs[alias]
+            if item.count_mode == "ids" and not isinstance(agg, srv.AsheSum):
+                if reply.size:
+                    raise DecryptionError("count_ids requires an ASHE aggregate")
+                continue
+            parts.append(self._take(req, reply.counts.get(agg.id_source) if item.count_mode
+                                    == "ids" else reply.values.get(alias))[0])
+        return functools.reduce(np.add, parts) if parts else np.zeros(self.size, np.int64)
+
+
+def _argsort(column: np.ndarray, descending: bool) -> np.ndarray:
+    """A stable sort's order; descending, ties keep their order, as in
+    Python's ``sort(reverse=True)``."""
+    if not descending:
+        return np.argsort(column, kind="stable")
+    return column.size - 1 - np.argsort(column[::-1], kind="stable")[::-1]
+
+
+def _sortable(values: np.ndarray, present: np.ndarray | None) -> np.ndarray:
+    if present is None or present.all():
+        return values
+    return np.where(present, values.astype(object), None)
+
+
+def _as_str(column: np.ndarray) -> np.ndarray:
+    if column.dtype.kind in "iu":
+        return column.astype(np.str_)
+    return np.array([str(v) for v in column.tolist()], dtype=object)
+
+
+def _cells(values: np.ndarray, present: np.ndarray | None) -> list:
+    cells = values.tolist()
+    for i in () if present is None else np.flatnonzero(~present).tolist():
+        cells[i] = None
+    return cells
+
+
+def _ordered_rows(query: Query, columns: dict[str, _Cells],
+                  keep: np.ndarray | None = None) -> list[dict[str, Any]]:
+    """The rows ``keep`` marks (``None``: all) built once from output columns,
+    in ORDER BY order (else the group keys' ``str`` order, a stable pass a
+    key), LIMITed, without the group keys the query does not select."""
+    order = None if keep is None else np.flatnonzero(keep)
+    for name, descending in reversed(query.order_by or [(g, None) for g in query.group_by]):
+        column = _sortable(*columns[name])
+        column = column if order is None else column[order]
+        step = (_argsort(column, descending) if descending is not None
+                else np.argsort(_as_str(column), kind="stable"))
+        order = step if order is None else order[step]
+    if query.limit is not None:
+        size = len(next(iter(columns.values()))[0]) if columns else 0
+        order = (np.arange(size) if order is None else order)[:query.limit]
+    if query.group_by:
+        selected = {item.output_name() for item in query.select}
+        columns = {name: cells for name, cells in columns.items()
+                   if name in selected or name not in query.group_by}
+    if order is not None:
+        columns = {name: (values[order], None if present is None else present[order])
+                   for name, (values, present) in columns.items()}
+    lists = [_cells(*cells) for cells in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*lists)]
 
 
 class DecryptionModule:
     """Decrypts server responses for one table's client state."""
 
-    def __init__(
-        self,
-        state: ClientTableState,
-        factory: CryptoFactory,
-        paillier: PaillierScheme | None = None,
-    ):
-        self._state = state
-        self._factory = factory
-        self._paillier = paillier
+    def __init__(self, state: ClientTableState, factory: CryptoFactory,
+                 paillier: PaillierScheme | None = None):
+        self._state, self._factory, self._paillier = state, factory, paillier
 
     # -- entry point -------------------------------------------------------------
 
-    def decrypt(
-        self, tq: TranslatedQuery, responses: list[srv.ServerResponse]
-    ) -> list[dict[str, Any]]:
+    def decrypt(self, tq: TranslatedQuery,
+                responses: list[srv.ServerResponse]) -> list[dict[str, Any]]:
         if len(responses) != len(tq.requests):
-            raise DecryptionError(
-                f"expected {len(tq.requests)} responses, got {len(responses)}"
-            )
+            raise DecryptionError(f"expected {len(tq.requests)} responses, got {len(responses)}")
         replies = []
         for request, response in zip(tq.requests, responses):
             aggs = {agg.alias: agg for agg in request.aggs}
-            grouped = request.group_by is not None
             try:  # the ID-list decoders' one error type: damaged chunk bytes
-                opened = self._open(response, aggs, grouped)
+                replies.append(self._open(response, aggs, request.group_by is not None))
             except EncodingError as exc:
                 raise DecryptionError(f"malformed ID set in the reply: {exc}") from exc
-            replies.append(_Reply(response, aggs, opened, grouped))
         if tq.shape == "flat":
-            row = {
-                item.name: self._assemble_item(item, replies, lambda r: r.opened.get(None))
-                for item in tq.outputs
-            }
-            rows = [row] if row else []
-        elif tq.shape == "grouped":
-            rows = self._assemble_grouped(tq, replies)
-        elif tq.shape == "splashe_group":
-            rows = self._assemble_splashe_group(tq, replies)
-        else:
-            raise DecryptionError(f"unknown result shape {tq.shape!r}")
-        return order_and_limit(rows, tq.query)
+            aligned = _Aligned(replies, None)
+            return _ordered_rows(tq.query, {o.name: self._item(o, aligned) for o in tq.outputs})
+        if tq.shape == "grouped":
+            return self._assemble_grouped(tq, replies)
+        if tq.shape == "splashe_group":
+            return self._assemble_splashe_group(tq, replies)
+        raise DecryptionError(f"unknown result shape {tq.shape!r}")
 
     # -- scan (projection) results ------------------------------------------------
 
-    def decrypt_scan(
-        self,
-        requested: list[str],
-        physical: dict[str, tuple[str, str]],
-        response: srv.ServerResponse,
-    ) -> list[dict[str, Any]]:
-        """Decrypt a projection (scan) response row-by-row.
-
-        ``physical`` maps each requested logical column to its
-        ``(physical column, scheme kind)`` pair, resolved once at
-        preparation time (Section 4.6: two PRF evaluations per ASHE
-        cell).
-        """
-        cols = response.projection["columns"]
-        ids = response.projection["ids"]
-        decoded: dict[str, Any] = {}
+    def decrypt_scan(self, query: Query, physical: dict[str, tuple[str, str]],
+                     response: srv.ServerResponse) -> list[dict[str, Any]]:
+        """Decrypt a projection (scan) response a column at a time, then
+        order, limit and build its rows once.  ``physical`` maps each
+        requested logical column to its ``(physical column, scheme kind)``
+        pair (Section 4.6: two PRF evaluations per ASHE cell)."""
+        cols, ids = response.projection["columns"], response.projection["ids"]
+        decoded: dict[str, np.ndarray] = {}
         for name, (col, kind) in physical.items():
             raw = cols[col]
-            if kind == "plain":
-                spec = self._state.schema.column(name)
-                if spec.dtype == "str":
-                    decoded[name] = self._state.dictionaries[name].decode_column(raw)
-                else:
-                    decoded[name] = raw.tolist()
-            elif kind == "ashe":
-                scheme = self._factory.ashe(col)
-                decoded[name] = scheme.decrypt_rows(raw, ids).tolist()
+            if kind == "ashe":
+                decoded[name] = self._factory.ashe(col).decrypt_rows(raw, ids)
             elif kind == "paillier":
                 if self._paillier is None:
                     raise DecryptionError("paillier scan without a scheme")
-                decoded[name] = self._paillier.decrypt_column(raw).tolist()
+                decoded[name] = self._paillier.decrypt_column(raw)
+            elif kind == "plain":
+                decoded[name] = self._decoded(name, raw)
             else:
-                plan = self._state.enc_schema.plan(name)
-                det = self._factory.det(col, getattr(plan, "join_group", None))
-                codes = det.decrypt_column(raw)
-                spec = self._state.schema.column(name)
-                if spec.dtype == "str":
-                    decoded[name] = self._state.dictionaries[name].decode_column(codes)
-                else:
-                    decoded[name] = codes.tolist()
-        return [
-            {name: decoded[name][j] for name in requested}
-            for j in range(len(ids))
-        ]
+                det = self._factory.det(col, getattr(self._state.enc_schema.plan(name),
+                                                     "join_group", None))
+                decoded[name] = self._decoded(name, det.decrypt_column(raw))
+        return _ordered_rows(query, {c.name: (decoded[c.name], None) for c in query.select})
+
+    def _decoded(self, name: str, codes: np.ndarray) -> np.ndarray:
+        """A column's plaintexts: a string column's codes decoded."""
+        if self._state.schema.column(name).dtype != "str":
+            return codes
+        values = self._state.dictionaries[name].decode_column(codes)
+        return np.fromiter(values, dtype=object, count=len(values))
 
     # -- opening a reply -----------------------------------------------------------
 
     def _open(
         self, response: srv.ServerResponse, aggs: dict[str, srv.AggOp], grouped: bool = False
-    ) -> dict[int | None, _RowSet]:
-        """Open every row set of a reply in one pass.
-
-        A validated reply holds one row set per key (implied keys: at most
-        one).  One row set's IDs open by telescoping (:func:`_open_one`);
-        with several, each ID source's pieces open in blocks of at most
-        :data:`BLOCK_IDS` IDs (:func:`_open_pieces`), summed per key by
-        their codes: a few numpy passes per block whatever the number of
-        groups, and no array as large as the reply (the paper's batched
-        PRF, partition by partition, Sections 4.3 and 4.6).
-        """
+    ) -> _Reply:
+        """Open every row set of a validated reply into columns in one pass:
+        one row set's IDs by telescoping (:func:`_open_one`), several a block
+        of at most :data:`BLOCK_IDS` IDs at a time (:func:`_open_pieces`),
+        so no array is as large as the reply (Sections 4.3 and 4.6)."""
         rows = response.groups
         columnar = {alias for alias, agg in aggs.items() if not srv.is_side(agg)}
         if (rows is None or set(rows.values) != columnar or (rows.keys is None) == grouped
@@ -275,37 +361,35 @@ class DecryptionModule:
             rows.validate(distinct=True)
         except EncodingError as exc:
             raise DecryptionError(f"malformed reply: {exc}") from exc
-        keys = [None] * len(rows) if rows.keys is None else rows.keys.tolist()
-        opened = {key: _RowSet({}, {}) for key in keys}
-        if not opened:
-            return opened
+        values: dict[str, np.ndarray] = {}
+        counts: dict[str, np.ndarray] = {}
+        size = len(rows)
+        if not size:
+            return _Reply(response, aggs, size, rows.keys, values, counts)
         pads: dict[str, np.ndarray] = {}
         schemes = {alias: self._factory.ashe(agg.column) for alias, agg in aggs.items()
                    if isinstance(agg, srv.AsheSum)}
         for source, pieces in rows.ids.items():
             own = {alias: scheme for alias, scheme in schemes.items()
                    if aggs[alias].id_source == source}
-            counts, sums = (_open_one(pieces, own) if len(rows) == 1
-                            else _open_pieces(pieces, own, len(rows)))
-            if counts.all():  # no row set of an ASHE sum may be empty
+            counts[source], sums = (_open_one(pieces, own) if size == 1
+                                    else _open_pieces(pieces, own, size))
+            if counts[source].all():  # no row set of an ASHE sum may be empty
                 pads.update(sums)
-            for row_set, count in zip(opened.values(), counts.tolist()):
-                row_set.counts[source] = count
         for alias, column in rows.values.items():
             agg = aggs[alias]
             if isinstance(agg, srv.AsheSum):
                 if alias not in pads or column.dtype != np.uint64:
                     raise DecryptionError("an ASHE sum arrived without its ID set")
-                values = schemes[alias].wrap(column + pads[alias]).tolist()
+                values[alias] = schemes[alias].wrap(column + pads[alias])
             elif isinstance(agg, srv.PaillierSum):
                 if self._paillier is None:
                     raise DecryptionError("paillier response without a scheme")
-                values = [self._paillier.decrypt_crt(v) for v in column.tolist()]
+                values[alias] = np.array([self._paillier.decrypt_crt(v)
+                                          for v in column.tolist()], dtype=object)
             else:
-                values = column.tolist()
-            for row_set, value in zip(opened.values(), values):
-                row_set.values[alias] = value
-        return opened
+                values[alias] = column
+        return _Reply(response, aggs, size, rows.keys, values, counts)
 
     def _decrypt_extreme(self, pieces: list[tuple], agg: srv.AggOp, mode: str) -> Any:
         want = ("plain", 2) if mode == "plain" else ("extreme", 4)
@@ -320,200 +404,117 @@ class DecryptionModule:
             if self._paillier is None:
                 raise DecryptionError("paillier response without a scheme")
             return self._paillier.decrypt_crt(value)
-        column = agg.payload_column  # type: ignore[union-attr]
-        scheme = self._factory.ashe(column)
+        scheme = self._factory.ashe(agg.payload_column)  # type: ignore[union-attr]
         return scheme.decrypt_sum(value, IdList.from_range(row_id, row_id + 1))
 
-    # -- assembling output rows -----------------------------------------------------
-
-    def _assemble_item(
-        self,
-        item: OutputItem,
-        replies: list[_Reply],
-        row_set_of: Callable[[_Reply], _RowSet | None],
-    ) -> Any:
-        """One output cell from opened row sets (``row_set_of`` picks the
-        flat row set, or one group's)."""
-
-        def sum_over(refs: list[Ref]) -> int | None:
-            total: int | None = None
-            for req, alias in refs:
-                row_set = row_set_of(replies[req])
-                value = row_set.values.get(alias) if row_set is not None else None
-                if value is not None:
-                    total = value if total is None else total + value
-            return total
-
-        def count_of() -> int:
-            total = 0
-            for req, alias in item.count_refs:
-                row_set = row_set_of(replies[req])
-                if row_set is None:
-                    continue
-                if item.count_mode == "ids":
-                    # Free with any ASHE aggregate: its row set's ID count.
-                    agg = replies[req].aggs[alias]
-                    if not isinstance(agg, srv.AsheSum):
-                        raise DecryptionError("count_ids requires an ASHE aggregate")
-                    total += row_set.counts.get(agg.id_source, 0)
-                else:
-                    total += int(row_set.values.get(alias) or 0)
-            return total
-
+    def _item(self, item: OutputItem, aligned: _Aligned) -> _Cells:
+        """One output item's cells on the aligned rows."""
         if item.kind == "sum":
-            return sum_over(item.sum_refs)
+            return aligned.sum(item.sum_refs)
         if item.kind == "count":
-            return count_of()
+            return aligned.count(item), None
         if item.kind == "avg":
-            total = sum_over(item.sum_refs)
-            count = count_of()
-            return None if not count else total / count
+            count = aligned.count(item)
+            return _divide(aligned.sum(item.sum_refs)[0], count), count != 0
         if item.kind in ("var", "stddev"):
-            total = sum_over(item.sum_refs)
-            sumsq = sum_over(item.sumsq_refs)
-            count = count_of()
-            if not count or total is None or sumsq is None:
-                return None
-            mean = total / count
-            variance = max(sumsq / count - mean * mean, 0.0)
-            return variance if item.kind == "var" else math.sqrt(variance)
+            count = aligned.count(item)
+            (total, has_total), (sumsq, has_sumsq) = (
+                aligned.sum(item.sum_refs), aligned.sum(item.sumsq_refs))
+            mean = _divide(total, count)
+            variance = _divide(sumsq, count) - mean * mean
+            variance = np.where(variance < 0.0, 0.0, variance)  # Python's max(v, 0.0)
+            return (variance if item.kind == "var" else np.sqrt(variance),
+                    (count != 0) & (True if has_total is None else has_total)
+                    & (True if has_sumsq is None else has_sumsq))
         if item.kind in ("min", "max", "median"):
             assert item.extreme_ref is not None and item.extreme_mode is not None
-            req, alias = item.extreme_ref
-            reply = replies[req]
+            reply, alias = aligned.replies[item.extreme_ref[0]], item.extreme_ref[1]
             pieces = reply.response.groups.side.get(alias)
             if pieces is None:  # a column's value (NoEnc; a public one per group)
-                row_set = row_set_of(reply)
-                return None if row_set is None else row_set.values.get(alias)
+                return aligned.value(item.extreme_ref)
             value = self._decrypt_extreme(pieces, reply.aggs[alias], item.extreme_mode)
-            return float(value) if item.kind == "median" else value
+            value = float(value) if item.kind == "median" else value
+            return (np.array([value] * aligned.size, dtype=object),
+                    None if value is not None else np.zeros(aligned.size, bool))
         raise DecryptionError(f"cannot assemble output kind {item.kind!r}")
 
     # -- grouped results -------------------------------------------------------------
 
-    def _decode_group_keys(self, tq: TranslatedQuery, keys: list[int]) -> dict[int, Any]:
-        """Decode every group key in one batch-kernel call (key -> value)."""
-        dim = tq.group_dim
-        assert dim is not None
-        spec = self._state.schema.column(dim)
-        arr = np.fromiter(keys, dtype=np.uint64, count=len(keys))
+    def _decode_group_keys(self, tq: TranslatedQuery, keys: np.ndarray) -> np.ndarray:
+        """Every group key's value (uint64 keys in, one batch-kernel call)."""
+        plan = self._state.enc_schema.plan(tq.group_dim)
         if tq.group_decode == "plain":
-            codes = arr.view(np.int64)
+            codes = keys.view(np.int64)
         elif tq.group_decode == "det":
-            plan = self._state.enc_schema.plan(dim)
             det = self._factory.det(plan.cipher_column, getattr(plan, "join_group", None))
-            codes = det.decrypt_column(arr)
+            codes = det.decrypt_column(keys)
         else:
             raise DecryptionError(f"unknown group decode {tq.group_decode!r}")
-        if spec.dtype == "str":
-            dictionary = self._state.dictionaries[dim]
-            return {
-                k: dictionary.value(c)
-                for k, c in zip(keys, codes.tolist())
-            }
-        return dict(zip(keys, codes.tolist()))
+        return self._decoded(tq.group_dim, codes)
 
-    def _assemble_grouped(
-        self, tq: TranslatedQuery, replies: list[_Reply]
-    ) -> list[dict[str, Any]]:
-        sorted_keys = sorted(
-            {
-                key
-                for reply in replies
-                if reply.grouped
-                for key in reply.opened
-            }
-        )
-        key_values = self._decode_group_keys(tq, sorted_keys)
-
-        rows: list[dict[str, Any]] = []
-        for key in sorted_keys:
-
-            def group_row_set(reply: _Reply, key: int = key) -> _RowSet | None:
-                if not reply.grouped:
-                    return None
-                return reply.opened.get(key)
-
-            row: dict[str, Any] = {}
-            non_empty = False
-            for item in tq.outputs:
-                if item.kind == "group_key":
-                    row[item.name] = key_values[key]
-                    continue
-                value = self._assemble_item(item, replies, group_row_set)
-                row[item.name] = value
-                if item.kind == "count":
-                    non_empty = non_empty or bool(value)
-                else:
-                    non_empty = non_empty or value is not None
-            if non_empty:
-                rows.append(row)
-        return rows
+    def _assemble_grouped(self, tq: TranslatedQuery, replies: list[_Reply]) -> list[dict]:
+        """One output row per key any reply holds, kept where an item has a
+        value or a non-zero count."""
+        grouped = [reply.keys for reply in replies if reply.keys is not None]
+        keys = grouped[0] if len(grouped) == 1 else functools.reduce(np.union1d, grouped)
+        aligned = _Aligned(replies, keys)
+        key_values = self._decode_group_keys(tq, keys)
+        columns: dict[str, _Cells] = {}
+        keep = np.zeros(aligned.size, bool)
+        for item in tq.outputs:
+            if item.kind == "group_key":
+                columns[item.name] = key_values, None
+                continue
+            values, present = columns[item.name] = self._item(item, aligned)
+            keep |= values != 0 if item.kind == "count" else True if present is None else present
+        return _ordered_rows(tq.query, columns, keep)
 
     # -- SPLASHE group-by -------------------------------------------------------------
 
-    def _assemble_splashe_group(
-        self, tq: TranslatedQuery, replies: list[_Reply]
-    ) -> list[dict[str, Any]]:
-        dim = tq.group_dim
-        assert dim is not None
-        plan = self._state.enc_schema.plan(dim)
-        values = plan.values  # type: ignore[union-attr]
-
-        # Enhanced mode: the catch-all grouped request's row sets per code.
-        others_by_code: dict[int, _RowSet] = {}
-        if tq.group_request is not None:
-            opened = replies[tq.group_request].opened
+    def _assemble_splashe_group(self, tq: TranslatedQuery, replies: list[_Reply]) -> list[dict]:
+        """One output row per value code: a frequent value's cells are its
+        own splayed columns' flat sums, an infrequent value's its group of
+        the enhanced-mode catch-all request; kept where a count is not 0."""
+        plan = self._state.enc_schema.plan(tq.group_dim)
+        frequent = np.array(tq.splashe_group_codes, dtype=np.int64)
+        codes, others, at = frequent, None, None
+        if tq.group_request is not None:  # the catch-all row sets' codes
+            others = replies[tq.group_request]
             det = self._factory.det(plan.det_column)  # type: ignore[union-attr]
-            keys = list(opened)
-            codes = det.decrypt_column(np.fromiter(keys, dtype=np.uint64, count=len(keys)))
-            for key, code in zip(keys, codes.tolist()):
-                others_by_code[int(code)] = opened[key]
+            other_codes = det.decrypt_column(others.keys)
+            codes = np.union1d(frequent, other_codes)
+            rows = np.flatnonzero(~np.isin(codes, frequent))
+            by_code = np.argsort(other_codes, kind="stable")
+            at = by_code[np.searchsorted(other_codes, codes[rows], sorter=by_code)]
+        frequent_rows = np.searchsorted(codes, frequent).tolist()
 
-        def cell_value(item: OutputItem, role: str, code: int) -> Any:
-            """A frequent value's cell: its own splayed column's flat sum."""
-            ref = item.splashe.get(role, {}).get(code)
-            row_set = None if ref is None else replies[ref[0]].opened.get(None)
-            return None if row_set is None else row_set.values.get(ref[1])
+        def cells(item: OutputItem, role: str) -> _Cells:
+            refs = item.splashe.get(role, {})
+            values, present = np.zeros(codes.size, np.int64), np.zeros(codes.size, bool)
+            for row, ref in zip(frequent_rows, map(refs.get, tq.splashe_group_codes)):
+                column = None if ref is None else replies[ref[0]].values.get(ref[1])
+                if column is not None and column.size:
+                    values[row], present[row] = column[0], True
+            ref = refs.get(-1)
+            if ref is not None and others is not None and others.size:
+                values[rows], present[rows] = others.values[ref[1]][at], True
+            return values, present
 
-        def cell_value_others(item: OutputItem, role: str, code: int) -> Any:
-            """An infrequent value's cell: its group of the catch-all request."""
-            ref = item.splashe.get(role, {}).get(-1)
-            if ref is None or code not in others_by_code:
-                return None
-            return others_by_code[code].values.get(ref[1])
-
-        rows: list[dict[str, Any]] = []
-        frequent_codes = set(tq.splashe_group_codes)
-        all_codes = sorted(frequent_codes | set(others_by_code))
-        if tq.group_request is None:
-            all_codes = sorted(frequent_codes)
-        for code in all_codes:
-            from_others = code not in frequent_codes
-            reader = cell_value_others if from_others else cell_value
-            row: dict[str, Any] = {}
-            count_nonzero = False
-            for item in tq.outputs:
-                if item.kind == "group_key":
-                    row[item.name] = values[code]
-                    continue
-                count = reader(item, "count", code)
-                count = int(count) if count else 0
-                if item.kind == "count":
-                    row[item.name] = count
-                elif item.kind == "sum":
-                    total = reader(item, "sum", code)
-                    row[item.name] = total if count else None
-                elif item.kind == "avg":
-                    total = reader(item, "sum", code)
-                    row[item.name] = (
-                        total / count if count and total is not None else None
-                    )
-                else:
-                    raise DecryptionError(
-                        f"{item.kind!r} is unsupported under SPLASHE group-by"
-                    )
-                count_nonzero = count_nonzero or count > 0
-            if count_nonzero:
-                rows.append(row)
-        return rows
+        columns: dict[str, _Cells] = {}
+        keep = np.zeros(codes.size, bool)
+        for item in tq.outputs:
+            if item.kind == "group_key":
+                values = plan.values  # type: ignore[union-attr]
+                columns[item.name] = np.fromiter(values, object, len(values))[codes], None
+                continue
+            if item.kind not in ("count", "sum", "avg"):
+                raise DecryptionError(f"{item.kind!r} is unsupported under SPLASHE group-by")
+            count, _ = cells(item, "count")
+            keep |= count > 0
+            if item.kind == "count":
+                columns[item.name] = count, None
+                continue
+            total, has_total = cells(item, "sum")
+            columns[item.name] = (total if item.kind == "sum" else _divide(total, count),
+                                  (count != 0) & has_total)
+        return _ordered_rows(tq.query, columns, keep)

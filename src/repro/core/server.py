@@ -368,18 +368,17 @@ def probe_join(
     """
     join = q.join
     assert join is not None
+    keys, starts, rows = build["keys"], build["starts"], build["rows"]
     probe_keys = part.column(join.probe_key_column)
-    index = build["index"]
-    probe_rows: list[int] = []
-    build_rows: list[int] = []
-    for pos, key in enumerate(probe_keys.tolist()):
-        for b in index.get(key, ()):
-            probe_rows.append(pos)
-            build_rows.append(b)
-    if not probe_rows:
+    at = np.minimum(np.searchsorted(keys, probe_keys), max(keys.size - 1, 0))
+    hits = np.flatnonzero(keys[at] == probe_keys) if keys.size else at[:0]
+    if not hits.size:
         return None
-    probe_idx = np.asarray(probe_rows, dtype=np.int64)
-    build_idx = np.asarray(build_rows, dtype=np.int64)
+    # Each hit probe row once per build row of its key, in build-row order.
+    counts = (np.append(starts[1:], rows.size) - starts)[at[hits]]
+    probe_idx = np.repeat(hits, counts).astype(np.int64)
+    ends = np.cumsum(counts)
+    build_idx = rows[np.repeat(starts[at[hits]] - ends + counts, counts) + np.arange(ends[-1])]
     columns = {name: part.column(name, probe_idx) for name in part.columns}
     for name, arr in build["payloads"].items():
         columns[name] = arr[build_idx]
@@ -786,14 +785,14 @@ class SeabedServer:
                     for p in build_table.partitions
                 ]
             )
-            index: dict[int, list[int]] = {}
-            for pos, key in enumerate(keys.tolist()):
-                index.setdefault(key, []).append(pos)
-            return {"index": index, "payloads": payloads, "ids": ids}
+            rows = np.argsort(keys, kind="stable")  # a key's build rows in row order
+            keys, starts = np.unique(keys[rows], return_index=True)
+            return {"keys": keys, "starts": starts, "rows": rows, "payloads": payloads,
+                    "ids": ids}
 
         build = self.cluster.run_driver("join-build", build_index, metrics)
         # Broadcasting the build side to every worker costs shuffle volume.
-        build_bytes = 16 * len(build["index"]) + sum(
+        build_bytes = 16 * len(build["keys"]) + sum(
             a.nbytes if a.dtype != object else 256 * len(a)
             for a in build["payloads"].values()
         )

@@ -83,7 +83,6 @@ from repro.query.ast import (
     Query,
     query_params,
 )
-from repro.query.executor import order_and_limit
 from repro.query.parser import parse_query
 
 
@@ -223,9 +222,6 @@ class PreparedQuery:
         self._decryptor = decryptor
         self._scan_filter = scan_filter
         self._scan_physical = scan_physical or {}
-        self._scan_requested = (
-            [item.name for item in query.select] if self.kind == "scan" else []
-        )
         self._tables = (query.table,) + (
             (query.join.table,) if query.join is not None else ()
         )
@@ -366,7 +362,7 @@ class PreparedQuery:
             )
             t1 = time.perf_counter()
             rows = self._decryptor.decrypt_scan(
-                self._scan_requested, self._scan_physical, response
+                self.query, self._scan_physical, response
             )
             t2 = time.perf_counter()
             client_time = bind_time + (t2 - t1)
@@ -377,7 +373,6 @@ class PreparedQuery:
             table=self.query.table,
             transport=type(session.transport).__name__,
         )
-        rows = order_and_limit(rows, self.query)
         return QueryResult(
             rows=rows,
             request_metrics=[response.metrics],

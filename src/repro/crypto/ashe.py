@@ -219,7 +219,11 @@ class AsheScheme:
         fresh = prior is None
         stream = self._prf.eval_range(start_id - fresh, count + fresh)
         self._bump(count + fresh)
-        pads = np.diff(stream) if fresh else np.diff(stream, prepend=_U64(prior))
+        if fresh:
+            return np.diff(stream), int(stream[-1])
+        pads = np.empty(count, dtype=_U64)  # np.diff(prepend=) would copy the stream
+        np.subtract(stream[:1], _U64(prior), out=pads[:1])
+        np.subtract(stream[1:], stream[:-1], out=pads[1:])
         return pads, int(stream[-1])
 
     def pad_for_multiset(self, ids: np.ndarray) -> int:

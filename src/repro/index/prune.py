@@ -137,7 +137,8 @@ class ZoneMaps(list):
         self._lock = threading.Lock()  # concurrent queries build an index once
 
     def det_keep(self, expr: Any) -> np.ndarray:
-        """The keep-mask of a positive ``DetEq``, as :func:`may_match` gives it."""
+        """The keep-mask of a positive ``DetEq`` or a ``DetIn``, as
+        :func:`may_match` gives it: one lookup per token."""
         with self._lock:
             index = self._det.get(expr.column)
             if index is None:
@@ -151,9 +152,9 @@ class ZoneMaps(list):
                 unknown[held] = False
                 index = self._det[expr.column] = (tokens[order], owners[order], unknown)
         tokens, owners, unknown = index
-        token = _U64(expr.token)
         keep = unknown.copy()
-        keep[owners[tokens.searchsorted(token):tokens.searchsorted(token, "right")]] = True
+        for token in map(_U64, expr.tokens if hasattr(expr, "tokens") else (expr.token,)):
+            keep[owners[tokens.searchsorted(token):tokens.searchsorted(token, "right")]] = True
         return keep
 
 
@@ -331,13 +332,14 @@ def survivors(
 
 def _keep(zone_maps: Sequence[Any], expr: Any) -> np.ndarray:
     """:func:`may_match` over every partition.  On compiled
-    :class:`ZoneMaps` a positive ``DetEq`` -- alone, or as a conjunct --
-    is one index lookup, and the other conjuncts are judged only on the
-    partitions it keeps."""
+    :class:`ZoneMaps` a positive ``DetEq`` or a ``DetIn`` -- alone, or as a
+    conjunct -- is one index lookup per token, and the other conjuncts are
+    judged only on the partitions it keeps."""
     srv = _srv()
     if isinstance(zone_maps, ZoneMaps):
         conjuncts = expr.children if isinstance(expr, srv.FilterAnd) else (expr,)
-        point = next((c for c in conjuncts if isinstance(c, srv.DetEq) and not c.negate), None)
+        point = next((c for c in conjuncts if isinstance(c, srv.DetIn)
+                      or isinstance(c, srv.DetEq) and not c.negate), None)
         if point is not None:
             keep = zone_maps.det_keep(point)
             rest = [c for c in conjuncts if c is not point]

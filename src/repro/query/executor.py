@@ -245,11 +245,8 @@ def _numeric(arr: Any) -> np.ndarray:
 
 def order_and_limit(rows: list[ResultRow], query: Query) -> list[ResultRow]:
     """Apply ORDER BY / group-key ordering / LIMIT to result rows, then
-    drop the group keys the query groups by but does not select.
-
-    Shared by the plaintext executor and the Seabed decryption module so
-    both pipelines emit the same rows in identical order.
-    """
+    drop the group keys the query groups by but does not select (the
+    decryption module does the same on its columns, in its own code)."""
     for name, descending in reversed(query.order_by):
         rows.sort(key=lambda r: r[name], reverse=descending)
     if not query.order_by and query.group_by:

@@ -64,6 +64,11 @@ def flat_reply(values, ids=None):
     ))
 
 
+def lists(columns):
+    """An opened reply's columns as lists, by alias or ID source."""
+    return {name: column.tolist() for name, column in columns.items()}
+
+
 def grouped_reply(alias, keys, sums, pieces):
     """A grouped reply: key ``i``'s ASHE sum ``sums[i]``, and the row-ID
     ``pieces`` as (chunk, the index of each of its IDs' key) pairs."""
@@ -89,8 +94,8 @@ class TestPayloadDecryption:
         module = DecryptionModule(state, factory)
         before = scheme.prf_evals
         opened = module._open(flat_reply({"a": total}, {srv.ROW_IDS: [chunk1, chunk2]}), AGGS)
-        assert opened[None].values == {"a": 100}
-        assert opened[None].counts == {srv.ROW_IDS: 4}
+        assert lists(opened.values) == {"a": [100]}
+        assert lists(opened.counts) == {srv.ROW_IDS: [4]}
         # The touching chunks coalesced into one run: two PRF evaluations.
         assert scheme.prf_evals - before == 2
 
@@ -108,14 +113,16 @@ class TestPayloadDecryption:
         before = scheme.prf_evals
         opened = module._open(one, AGGS, grouped=True)
         assert scheme.prf_evals - before == 2
-        assert opened[9].values == {"a": 5 * sum(range(12))} and opened[9].counts == {
-            srv.ROW_IDS: 12}
+        assert opened.keys.tolist() == [9]
+        assert lists(opened.values) == {"a": [5 * sum(range(12))]}
+        assert lists(opened.counts) == {srv.ROW_IDS: [12]}
         two = grouped_reply("a", [8, 9], [int(cipher[:6].sum()), int(cipher[6:].sum())],
                             [(chunks[0], [0] * 6), (chunks[1], [1] * 6)])
         before = scheme.prf_evals
         opened = module._open(two, AGGS, grouped=True)
         assert scheme.prf_evals - before == 12 + 1
-        assert [opened[k].values["a"] for k in (8, 9)] == [5 * 15, 5 * 51]
+        assert opened.keys.tolist() == [8, 9]
+        assert lists(opened.values) == {"a": [5 * 15, 5 * 51]}
 
     def test_multiset_chunk(self, env):
         state, factory, _ = env
@@ -130,8 +137,8 @@ class TestPayloadDecryption:
         opened = module._open(
             flat_reply({"a": total & (2**64 - 1)}, {srv.BUILD_IDS: [chunk]}), aggs
         )
-        assert opened[None].values == {"a": 7 * 2 + 8}
-        assert opened[None].counts == {srv.BUILD_IDS: 3}
+        assert lists(opened.values) == {"a": [7 * 2 + 8]}
+        assert lists(opened.counts) == {srv.BUILD_IDS: [3]}
 
     def test_mixed_run_and_multiset_chunks(self, env):
         """A probe-side set may mix run-coded and multiset chunks (one
@@ -147,20 +154,21 @@ class TestPayloadDecryption:
         opened = DecryptionModule(state, factory)._open(
             flat_reply({"a": total}, {srv.ROW_IDS: chunks}), AGGS
         )
-        assert opened[None].values == {"a": 1 + 2 * 2 + 3}
-        assert opened[None].counts == {srv.ROW_IDS: 4}
+        assert lists(opened.values) == {"a": [1 + 2 * 2 + 3]}
+        assert lists(opened.counts) == {srv.ROW_IDS: [4]}
 
     def test_no_row_set(self, env):
         """Nothing selected: the reply has no row set to open."""
         state, factory, _ = env
         module = DecryptionModule(state, factory)
-        assert module._open(flat_reply({"a": None}), AGGS) == {}
+        opened = module._open(flat_reply({"a": None}), AGGS)
+        assert opened.size == 0 and opened.values == {} and opened.counts == {}
 
     def test_plain_value(self, env):
         state, factory, _ = env
         module = DecryptionModule(state, factory)
         opened = module._open(flat_reply({"a": 42}), {"a": srv.PlainAgg("x", "sum", "a")})
-        assert opened[None].values == {"a": 42}
+        assert lists(opened.values) == {"a": [42]}
 
     def test_paillier_without_scheme_rejected(self, env):
         state, factory, _ = env
@@ -444,4 +452,5 @@ class TestResponseValidation:
         )
         module = DecryptionModule(state, factory)
         token = factory.det("g__det").encrypt_one(3)
-        assert module._decode_group_keys(tq, [token]) == {token: 3}
+        keys = np.array([token], dtype=np.uint64)
+        assert module._decode_group_keys(tq, keys).tolist() == [3]

@@ -296,3 +296,22 @@ def test_index_equals_brute_force_per_partition(dictionaries, expr, token):
     for d, keep in zip(dictionaries, want):
         if d is not None and any(holds(expr, t) for t in d):
             assert keep
+
+
+@given(dictionaries=dictionary_lists,
+       tokens=st.lists(st.integers(min_value=0, max_value=20), max_size=5),
+       rest=st.one_of(st.none(), det_leaves))
+@settings(max_examples=200, deadline=None)
+def test_in_through_the_index_equals_per_partition(dictionaries, tokens, rest):
+    """A ``DetIn`` -- alone or as a conjunct -- answered by one index lookup
+    per token keeps exactly what :func:`may_match` keeps partition by
+    partition, for tokens no partition holds (13-20 here) too."""
+    maps = [None if d is None else det_stats(*d) for d in dictionaries]
+    compiled = compile_zone_maps(maps)
+    for expr in (DetIn("c__det", tuple(tokens)),
+                 FilterAnd((DetIn("c__det", tuple(tokens)),) + (() if rest is None else (rest,)))):
+        want = [may_match(m, expr) for m in maps]
+        if isinstance(expr, DetIn):
+            assert compiled.det_keep(expr).tolist() == want
+        keep = survivors(compiled, expr)
+        assert keep is None and all(d is None for d in dictionaries) or keep.tolist() == want

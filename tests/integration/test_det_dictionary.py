@@ -273,3 +273,19 @@ def test_audit_flags_a_dictionary_token_no_row_holds(tmp_path):
     assert not result.ok
     assert any("dictionary is not the distinct tokens" in v for v in result.violations)
     assert any("not recomputable" in v for v in result.violations)
+
+
+@pytest.mark.parametrize("users", [255, 256, 65_536])
+def test_grouped_rows_equal_the_executor_in_order_and_type(tmp_path, users):
+    """The decryptor's columns come out as the executor's rows: the same
+    default (``str`` of the key) order, values and Python types."""
+    data = dataset(max(users, 1024), users)
+    session = session_with(data, tmp_path)
+    for sql in (GROUP, "SELECT user, count(*) AS c FROM t GROUP BY user ORDER BY c DESC"):
+        got = session.query(sql).rows
+        want = execute_plain({"t": data}, parse_query(sql))
+        assert [[type(v) for v in row.values()] for row in got] == [
+            [type(v) for v in row.values()] for row in want]
+        if "ORDER BY" in sql:  # ties keep each side's first order: compare as sets
+            got, want = sorted(map(str, got)), sorted(map(str, want))
+        assert got == want, sql

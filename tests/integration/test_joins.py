@@ -147,3 +147,30 @@ def test_incremental_upload_after_join_plan(tables, schemas):
     )
     got = client.query(Q3_FLAT)
     assert normalise(got.rows) == normalise(want)
+
+
+@pytest.mark.parametrize("mode", ["plain", "seabed"])
+def test_duplicate_and_absent_build_keys(mode, schemas):
+    """Build keys repeat (each build row of a key joins every probe row of
+    it, in build-row order) and some probe keys have no build row; the
+    probe key column is dictionary-coded at rest."""
+    rng = np.random.default_rng(5)
+    rankings = {
+        "pageURL": np.array([f"url{i % 7}" for i in range(20)], dtype=object),
+        "pageRank": rng.integers(1, 100, 20),
+    }
+    uservisits = {
+        "destURL": rng.choice([f"url{i}" for i in range(12)], 200),  # url7-url11: absent
+        "adRevenue": rng.integers(1, 500, 200),
+        "visitDate": rng.integers(0, 365, 200),
+        "sourceIP": rng.choice([f"ip{i}" for i in range(5)], 200),
+    }
+    client = build_client(mode, (rankings, uservisits), schemas)
+    if mode == "seabed":
+        part = client.server.table("uservisits").partitions[0]
+        assert part.columns["destURL__det"].dtype == np.uint8  # coded at rest
+    data = {"rankings": rankings, "uservisits": uservisits}
+    for sql in (Q3, Q3_FLAT):
+        want = execute_plain(data, parse_query(sql))
+        assert normalise(client.query(sql).rows) == normalise(want), sql
+    client.close()
