@@ -18,9 +18,11 @@ whose spans ride home on the reply, and a worker-side
 Nothing is pickled.  A worker treats its pipe as untrusted input: bytes
 it cannot decode get a typed :class:`~repro.errors.CodecError` reply and
 it keeps serving.  ``codec.MAX_FRAME_BYTES`` bounds one message, and so
-one shard append batch.  Calls are serialised per handle with a lock,
-so a handle is safe to share across the coordinator's scatter threads
-(each shard gets its own handle, so cross-shard calls still overlap).
+one shard append batch.  A call is two halves, :meth:`WorkerHandle.begin`
+(take the handle's lock, send the request) and :meth:`WorkerHandle.finish`
+(read the reply, release the lock), so one thread can have a request in
+flight on every worker at once -- the coordinator's scatter -- while the
+lock still serialises callers of one handle across threads.
 
 Failure model: a worker that dies mid-call surfaces as
 :class:`WorkerDied` (an :class:`~repro.errors.ExecutionError`), raised
@@ -44,7 +46,7 @@ import threading
 import time
 import weakref
 from multiprocessing import Pipe, Process, connection
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from repro.errors import CodecError, ExecutionError, SeabedError, ShardUnavailable
 from repro.net import codec, rpc
@@ -165,21 +167,20 @@ class WorkerHandle:
     @staticmethod
     def request_frame(method: str, /, **kwargs: Any) -> bytes:
         """The encoded ``CALL`` frame of ``method(**kwargs)``, which
-        :meth:`send` can take to any number of workers."""
+        :meth:`begin` can take to any number of workers."""
         return codec.encode_frame(
             CALL, rpc.request(method, kwargs, trace=obs_trace.current_context())
         )
 
     def call(self, method: str, /, **kwargs: Any) -> Any:
         """Invoke ``method`` on the worker and wait for its reply."""
-        return self.send(method, self.request_frame(method, **kwargs))
+        self.begin(method, self.request_frame(method, **kwargs))
+        return self.finish(method)
 
-    def send(self, method: str, frame: bytes) -> Any:
-        """Send ``method``'s encoded request and wait for its reply --
-        under a deadline, no longer than what is left of it.  Waiting for
-        another caller's turn on the worker counts against that budget; a
-        call whose budget runs out before it is sent leaves the worker
-        alone."""
+    def begin(self, method: str, frame: bytes) -> None:
+        """Take the worker until :meth:`finish` and send it ``method``'s
+        encoded request.  Waiting for another caller's turn counts against
+        the deadline; a request not sent in time leaves the worker alone."""
         budget = rpc.remaining()
         locked = self._lock.acquire(timeout=-1 if budget is None else max(budget, 0))
         try:
@@ -188,28 +189,40 @@ class WorkerHandle:
                 raise ShardUnavailable(f"no time left to call {method!r} on {self.name!r}")
             try:
                 self._conn.send_bytes(frame)
-                if budget is not None and not self._conn.poll(max(rpc.remaining(), 0)):
-                    raise TimeoutError("it overran the request's deadline")
-                data = self._conn.recv_bytes()
             except (EOFError, BrokenPipeError, OSError) as exc:
-                # Kill a hung worker (the TimeoutError above).  A dead
-                # one's pipe fd closes a beat before it becomes reapable:
-                # join it so ``alive`` reads False (and the zombie is
-                # collected) by the time callers handle this, and release
-                # our pipe end (a worker that died during the handshake
-                # used to leak it, one fd pair per respawn).
-                self.kill()
-                raise WorkerDied(
-                    f"worker {self.name!r} died during {method!r}: "
-                    f"{str(exc) or type(exc).__name__}"
-                ) from exc
-        finally:
+                self._died(method, exc)
+        except BaseException:
             if locked:
                 self._lock.release()
+            raise
+
+    def finish(self, method: str) -> Any:
+        """Read the reply to :meth:`begin`'s request, waiting no longer
+        than what is left of the deadline, and release the worker."""
+        try:
+            budget = rpc.remaining()
+            if budget is not None and not self._conn.poll(max(budget, 0)):
+                raise TimeoutError("it overran the request's deadline")
+            data = self._conn.recv_bytes()
+        except (EOFError, BrokenPipeError, OSError) as exc:
+            self._died(method, exc)
+        finally:
+            self._lock.release()
         kind, reply = codec.decode_frame(data)
         if kind != REPLY:
             raise CodecError(f"expected a {REPLY!r} frame, got {kind!r}")
         return rpc.unwrap(reply)
+
+    def _died(self, method: str, exc: BaseException) -> NoReturn:
+        # Kill a hung worker (finish's TimeoutError).  A dead one's pipe fd
+        # closes a beat before it is reapable: join it so ``alive`` reads
+        # False by the time callers handle this, and release our pipe end
+        # (a worker that died in the handshake used to leak it).
+        self.kill()
+        raise WorkerDied(
+            f"worker {self.name!r} died during {method!r}: "
+            f"{str(exc) or type(exc).__name__}"
+        ) from exc
 
     def arm_exit(self, method: str, after: int = 1) -> None:
         """Arm the worker to ``os._exit`` before replying to the

@@ -345,11 +345,17 @@ class SeabedService:
         # a tenant stack abandoned work.
         future.add_done_callback(lambda _: self._release(user))
         try:
-            return future.result(timeout)
+            reply = future.result(timeout)
         except futures.TimeoutError:
+            reply = None
+        # An error the body met at the deadline (its budget ran out) is
+        # that timeout, whichever of the two resolved first.
+        late = timeout is not None and time.monotonic() >= admitted + timeout
+        if reply is None or (late and not reply["ok"]):
             return rpc.error_reply(
                 TransportError(f"request {op!r} timed out after {timeout}s server-side")
             )
+        return reply
 
     # -- connection handling -----------------------------------------------
 

@@ -32,11 +32,9 @@ partition-access pattern the paper's server already sees.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Sequence
@@ -162,9 +160,12 @@ class ShardedStore:
         """The nodes hosting ``shard``, primary first (failover order)."""
         return self.ring.replica_chain(shard)  # type: ignore[return-value]
 
-    def mark_dead(self, node: int) -> None:
+    def mark_dead(self, node: int) -> bool:
+        """Note ``node`` as dead; False if it already was."""
         with self._lock:
+            fresh = node not in self.dead
             self.dead.add(node)
+        return fresh
 
     def forget_rollup(self, shard: int) -> None:
         """Drop the cached zone-map rollup of a shard that just mutated."""
@@ -225,21 +226,22 @@ class ShardedStore:
             try:
                 return self.workers[node].call(method, **kwargs), failovers
             except WorkerDied as exc:
-                self.mark_dead(node)
-                failovers += 1
+                failovers += self.failed_over(shard, node, method)
                 last = exc
-                # Annotate the trace (when one is live) so a stitched
-                # query shows *which* replica died mid-call; the span
-                # carries identifiers and a timestamp, nothing sensitive.
-                now = time.perf_counter()
-                obs_trace.record_span(
-                    "shard:failover", now, now,
-                    shard=shard, dead_node=node, method=method,
-                )
         raise ShardUnavailable(
             f"all {self.topology.replicas} replica(s) of shard {shard} "
             f"are dead; cannot execute {method!r}"
         ) from last
+
+    def failed_over(self, shard: int, node: int, method: str) -> int:
+        """Mark ``node`` dead after it died mid-``method``: the failovers
+        to count (0 if a concurrent call counted this death).  The span
+        shows a stitched trace which replica died, and nothing sensitive."""
+        now = time.perf_counter()
+        obs_trace.record_span(
+            "shard:failover", now, now, shard=shard, dead_node=node, method=method
+        )
+        return int(self.mark_dead(node))
 
     def close(self) -> None:
         """Shut every worker down (idempotent)."""
@@ -304,7 +306,8 @@ class ShardReplicas:
                     f"{node} is dead and appends require the full replica chain"
                 )
             try:
-                generation = self.fleet.workers[node].send("append", frame)
+                self.fleet.workers[node].begin("append", frame)
+                generation = self.fleet.workers[node].finish("append")
             except WorkerDied as exc:
                 self.fleet.mark_dead(node)
                 raise ExecutionError(
@@ -458,26 +461,56 @@ class ShardCoordinator:
         method: str,
         kwargs_for: Any,
     ) -> list[srv.ServerResponse]:
-        """Run one RPC per shard concurrently, with replica failover: a
-        thread per shard but the first, which this thread calls itself
-        (a routed query's one shard costs no thread)."""
-        if not shards:
-            return []
-
-        def call(shard: int) -> tuple[Any, int]:
-            return self.store.call_shard(shard, method, **kwargs_for(shard))
-
-        with ThreadPoolExecutor(max_workers=max(1, len(shards) - 1)) as pool:
-            # copy_context(): the scatter threads inherit the caller's
-            # ambient span, so per-shard worker spans parent correctly.
-            futures = [
-                pool.submit(contextvars.copy_context().run, call, s) for s in shards[1:]
-            ]
-            outcomes = [call(shards[0])] + [f.result() for f in futures]
+        """Run one RPC per shard with replica failover, on this thread:
+        send every shard's request to its first live replica, taking
+        workers in node order (concurrent scatters cannot deadlock on the
+        handles' locks) and each once (a shard whose node is taken goes
+        through ``call_shard`` later); then read every sent reply, on
+        every exit path, so no stale one is left on a pipe; then fail
+        over, through ``call_shard`` too."""
+        store = self.store
+        first: dict[int, int] = {}  # node -> the shard this scatter sends it
+        for shard in shards:
+            node = next((n for n in store.replica_nodes(shard) if n not in store.dead), None)
+            if node is not None:
+                first.setdefault(node, shard)
+        outcomes: dict[int, Any] = {}  # shard -> reply, or the error it raised
+        died: dict[int, int] = {}  # shard -> the node that died under it
+        sent: list[tuple[int, int]] = []
+        try:
+            for node, shard in sorted(first.items()):
+                try:
+                    store.workers[node].begin(
+                        method, WorkerHandle.request_frame(method, **kwargs_for(shard))
+                    )
+                except WorkerDied:
+                    died[shard] = node
+                else:
+                    sent.append((node, shard))
+        finally:
+            for i, (node, shard) in enumerate(sent):
+                try:
+                    outcomes[shard] = store.workers[node].finish(method)
+                except WorkerDied:
+                    died[shard] = node
+                except Exception as exc:  # noqa: BLE001 -- raised after the reads
+                    outcomes[shard] = exc
+                except BaseException:
+                    for n, _ in sent[i:]:
+                        store.workers[n].kill()
+                    raise
+            for shard, node in died.items():
+                metrics.failovers += store.failed_over(shard, node, method)
         responses = []
-        for response, failovers in outcomes:
-            responses.append(response)
-            metrics.failovers += failovers
+        for shard in shards:
+            if shard not in outcomes:
+                outcomes[shard], failovers = store.call_shard(
+                    shard, method, **kwargs_for(shard)
+                )
+                metrics.failovers += failovers
+            if isinstance(outcomes[shard], Exception):
+                raise outcomes[shard]
+            responses.append(outcomes[shard])
         return responses
 
     def execute(self, q: srv.ServerQuery) -> srv.ServerResponse:
