@@ -39,7 +39,7 @@ import itertools
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -125,30 +125,15 @@ class Span:
 
 
 class Tracer:
-    """A bounded, thread-safe buffer of finished spans, in record order and
-    indexed by trace id: :meth:`take` costs only that trace's spans."""
+    """A bounded, thread-safe buffer of finished spans."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._lock = threading.Lock()
-        self._capacity = capacity
-        self._keys = itertools.count()
-        self._spans: OrderedDict[int, Span] = OrderedDict()
-        self._traces: dict[str, deque[int]] = {}  # trace id -> its keys, oldest first
+        self._spans: deque[Span] = deque(maxlen=capacity)
 
     def record(self, sp: Span) -> None:
         with self._lock:
-            key = next(self._keys)
-            self._spans[key] = sp
-            keys = self._traces.get(sp.trace_id)
-            if keys is None:
-                keys = self._traces[sp.trace_id] = deque()
-            keys.append(key)
-            if len(self._spans) > self._capacity:
-                old = self._spans.popitem(last=False)[1]
-                keys = self._traces[old.trace_id]
-                keys.popleft()
-                if not keys:
-                    del self._traces[old.trace_id]
+            self._spans.append(sp)
 
     def ingest(self, dicts: Iterable[dict]) -> int:
         """Absorb remote span dicts; malformed entries are skipped, not
@@ -165,7 +150,7 @@ class Tracer:
 
     def spans(self, trace_id: str | None = None, limit: int | None = None) -> list[Span]:
         with self._lock:
-            out = [s for s in self._spans.values() if trace_id is None or s.trace_id == trace_id]
+            out = [s for s in self._spans if trace_id is None or s.trace_id == trace_id]
         if limit is not None:
             out = out[-int(limit):]
         return out
@@ -174,12 +159,15 @@ class Tracer:
         """Drain and return every span belonging to ``trace_id`` --
         the piggyback path that ships remote spans home exactly once."""
         with self._lock:
-            return [self._spans.pop(k) for k in self._traces.pop(trace_id, ())]
+            keep, out = deque(maxlen=self._spans.maxlen), []
+            for s in self._spans:
+                (out if s.trace_id == trace_id else keep).append(s)
+            self._spans = keep
+        return out
 
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
-            self._traces.clear()
 
     def __len__(self) -> int:
         with self._lock:

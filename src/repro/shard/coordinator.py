@@ -466,7 +466,8 @@ class ShardCoordinator:
         workers in node order (concurrent scatters cannot deadlock on the
         handles' locks) and each once (a shard whose node is taken goes
         through ``call_shard`` later); then read every sent reply, on
-        every exit path, so no stale one is left on a pipe; then fail
+        every exit path, so no stale one is left on a pipe (an interrupt
+        mid-read kills and marks dead the workers still unread); then fail
         over, through ``call_shard`` too."""
         store = self.store
         first: dict[int, int] = {}  # node -> the shard this scatter sends it
@@ -495,9 +496,9 @@ class ShardCoordinator:
                     died[shard] = node
                 except Exception as exc:  # noqa: BLE001 -- raised after the reads
                     outcomes[shard] = exc
-                except BaseException:
+                except BaseException:  # the unread workers stay taken: retire them
                     for n, _ in sent[i:]:
-                        store.workers[n].kill()
+                        store.kill_node(n)
                     raise
             for shard, node in died.items():
                 metrics.failovers += store.failed_over(shard, node, method)

@@ -183,30 +183,6 @@ class TestTracer:
         assert [s.name for s in tr.spans()] == ["b1", "c3", "b4", "c5", "a7"]
         assert [s.name for s in tr.spans(trace_id="b")] == ["b1", "b4"]
 
-    def test_capacity_counts_only_spans_not_taken(self):
-        tr = Tracer(capacity=3)
-        for i, trace in enumerate("aab"):
-            tr.record(Span(name=f"{trace}{i}", trace_id=trace, span_id=str(i)))
-        assert [s.name for s in tr.take("a")] == ["a0", "a1"]
-        tr.record(Span(name="c3", trace_id="c", span_id="3"))
-        tr.record(Span(name="c4", trace_id="c", span_id="4"))
-        assert [s.name for s in tr.spans()] == ["b2", "c3", "c4"]
-        tr.record(Span(name="d5", trace_id="d", span_id="5"))
-        assert [s.name for s in tr.spans()] == ["c3", "c4", "d5"]
-        assert tr.take("b") == []  # evicted, not taken
-        assert len(tr) == 3
-
-    def test_take_leaves_other_traces_alone(self):
-        tr = Tracer(capacity=8)
-        others = [Span(name=f"o{i}", trace_id=f"t{i % 3}", span_id=str(i)) for i in range(6)]
-        for sp in others:
-            tr.record(sp)
-        tr.record(Span(name="mine", trace_id="m", span_id="9"))
-        assert [s.name for s in tr.take("m")] == ["mine"]
-        assert tr.spans() == others
-        assert all(a is b for a, b in zip(tr.spans(), others))
-        assert [s.name for s in tr.take("t1")] == ["o1", "o4"]
-
     def test_ingest_skips_malformed(self):
         tr = Tracer()
         good = Span(name="ok", trace_id="t", span_id="1").to_dict()

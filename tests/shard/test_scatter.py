@@ -76,8 +76,7 @@ def sharded(tmp_path):
     session.upload("sales", _batch())
     assert all(table.shard_rows().values())  # every query below scatters 4 wide
     yield session, table
-    with rpc.deadline(time.monotonic() + 10.0):  # a worker left taken is killed
-        session.close()
+    session.close()
 
 
 def _spy_begin(monkeypatch):
@@ -155,6 +154,44 @@ def test_an_exhausted_budget_mid_scatter_leaves_no_stale_reply(sharded, baseline
     with rpc.deadline(time.monotonic() + 10.0):
         assert _rows(session.query(GROUPED)) == want
     assert not table.store.dead
+
+
+def test_an_interrupt_mid_read_retires_the_unread_workers(tmp_path, baseline, monkeypatch):
+    """An interrupt while reading node 2's reply leaves node 2 and node 3
+    taken: both are killed and marked dead, so, with no deadline set, the
+    next query answers from the replicas on nodes 0 and 1 and close()
+    returns instead of waiting on a taken worker."""
+    session = _session(storage_dir=str(tmp_path))
+    table = session.shard_table("sales", "region", num_shards=4, replicas=3)
+    session.upload("sales", _batch())
+    assert [table.store.replica_nodes(s)[:2] for s in (2, 3)] == [(2, 0), (3, 1)]
+    want = _rows(baseline.query(GROUPED))
+    session.query(GROUPED)
+    sent = _spy_begin(monkeypatch)
+    finish = WorkerHandle.finish
+
+    def interrupted(handle, method):
+        if handle.name == "sales-node-2":
+            raise KeyboardInterrupt
+        return finish(handle, method)
+
+    monkeypatch.setattr(WorkerHandle, "finish", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        session.query(GROUPED)
+    monkeypatch.undo()
+    assert sent == [f"sales-node-{n}" for n in range(4)]
+    assert table.store.dead == {2, 3}
+    answers = []
+
+    def after():
+        answers.append(_rows(session.query(GROUPED)))
+        session.close()
+        answers.append("closed")
+
+    thread = threading.Thread(target=after, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert answers == [want, "closed"]
 
 
 def test_concurrent_scatters_over_a_dying_node(tmp_path, baseline):
